@@ -71,9 +71,6 @@ class SampledPath:
     def endpoint(self) -> ComplexPoint:
         return ComplexPoint(complex(self.p[-1]), complex(self.q[-1]))
 
-    def points(self) -> list[ComplexPoint]:
-        return [ComplexPoint(complex(a), complex(b)) for a, b in zip(self.p, self.q)]
-
 
 @dataclass(frozen=True)
 class ImaginaryArc:
@@ -112,10 +109,6 @@ class ImaginaryArc:
             complex(0.5 * (self.q_samples[0] + self.q_samples[-1])),
         )
 
-    def points(self) -> list[ComplexPoint]:
-        return [ComplexPoint(complex(a), complex(b))
-                for a, b in zip(self.p_samples, self.q_samples)]
-
 
 def simpson_weights(n_samples: int, h: float) -> np.ndarray:
     """Composite Simpson weights for an odd number of uniform samples."""
@@ -125,6 +118,19 @@ def simpson_weights(n_samples: int, h: float) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * (h / 3.0)
+
+
+def weighted_sum(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k w[k] * x[k] over the leading axis, accumulated in index order.
+
+    Each column's result depends on that column alone, so it is bitwise
+    the same whatever the batch width, row chunking or BLAS threading
+    (a ``w @ x`` matrix-vector product blocks differently in each case).
+    """
+    acc = w[0] * x[0]
+    for k in range(1, w.shape[0]):
+        acc += w[k] * x[k]
+    return acc
 
 
 def _frozen_grad(model: HamiltonianModel, t: float):
@@ -142,14 +148,36 @@ def _frozen_grad(model: HamiltonianModel, t: float):
     return grad
 
 
+def _frozen_hessian(model: HamiltonianModel, t: float):
+    """d2H/dq2 closure at frozen t; the other second derivatives are
+    d2H/dp2 = 1/m and d2H/dpdq = 0."""
+    w = model.protocol.omega(t)
+    mw2 = model.mass * w * w
+    lam12 = 12.0 * model.quartic_lambda
+    if lam12 == 0.0:
+        def hqq(q):
+            return mw2
+    else:
+        def hqq(q):
+            return mw2 + lam12 * (q * q)
+    return hqq
+
+
 def _check_finite(p: np.ndarray, q: np.ndarray, what: str) -> None:
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise IntegratorDiverged(f"non-finite state during {what}")
 
 
 def _flow_imaginary_batch(model, t, p0, q0, s_from, s_to, n_steps,
-                          store=False):
+                          store=False, tangent=False):
     """RK4 for the frozen-time arc ODE; returns endpoints or full paths.
+
+    With ``tangent`` set, a third value is returned: the monodromy matrix
+    M = d(p, q)_end / d(p0, q0) of shape (2, 2) + p0.shape, rows (p, q),
+    columns (p0, q0).  It is propagated through the same four RK4 stages
+    with the linearized right-hand side d(dp) = i H_qq dq, d(dq) = -i dp/m,
+    H_qq taken at each stage state, so it is the exact derivative of the
+    discrete RK4 map; the state path is unchanged by the option.
 
     States that leave the representable range propagate as non-finite
     values; callers decide whether that is an error (public wrappers) or a
@@ -158,12 +186,22 @@ def _flow_imaginary_batch(model, t, p0, q0, s_from, s_to, n_steps,
     span = s_to - s_from
     p = np.array(p0, dtype=complex, copy=True)
     q = np.array(q0, dtype=complex, copy=True)
+    if tangent:
+        jp = np.zeros((2,) + p.shape, dtype=complex)    # dp / d(p0, q0)
+        jq = np.zeros_like(jp)                          # dq / d(p0, q0)
+        jp[0] = jq[1] = 1.0
     if span == 0.0 or n_steps == 0:
         if store:
-            return p[None, :].copy(), q[None, :].copy()
-        return p, q
+            p, q = p[None, :].copy(), q[None, :].copy()
+        return (p, q, np.stack([jp, jq])) if tangent else (p, q)
     grad = _frozen_grad(model, t)
     h = span / n_steps
+    if tangent:
+        hqq = _frozen_hessian(model, t)
+        neg_i_over_m = -1j / model.mass
+
+        def lin(qs, dp, dq):
+            return 1j * hqq(qs) * dq, neg_i_over_m * dp
     if store:
         p_path = np.empty((n_steps + 1,) + p.shape, dtype=complex)
         q_path = np.empty_like(p_path)
@@ -172,19 +210,29 @@ def _flow_imaginary_batch(model, t, p0, q0, s_from, s_to, n_steps,
         for k in range(n_steps):
             gp, gq = grad(p, q)
             k1p, k1q = 1j * gq, -1j * gp
-            gp, gq = grad(p + 0.5 * h * k1p, q + 0.5 * h * k1q)
+            q2 = q + 0.5 * h * k1q
+            gp, gq = grad(p + 0.5 * h * k1p, q2)
             k2p, k2q = 1j * gq, -1j * gp
-            gp, gq = grad(p + 0.5 * h * k2p, q + 0.5 * h * k2q)
+            q3 = q + 0.5 * h * k2q
+            gp, gq = grad(p + 0.5 * h * k2p, q3)
             k3p, k3q = 1j * gq, -1j * gp
-            gp, gq = grad(p + h * k3p, q + h * k3q)
+            q4 = q + h * k3q
+            gp, gq = grad(p + h * k3p, q4)
             k4p, k4q = 1j * gq, -1j * gp
+            if tangent:
+                a1, b1 = lin(q, jp, jq)
+                a2, b2 = lin(q2, jp + 0.5 * h * a1, jq + 0.5 * h * b1)
+                a3, b3 = lin(q3, jp + 0.5 * h * a2, jq + 0.5 * h * b2)
+                a4, b4 = lin(q4, jp + h * a3, jq + h * b3)
+                jp = jp + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                jq = jq + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
             p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
             q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
             if store:
                 p_path[k + 1], q_path[k + 1] = p, q
     if store:
-        return p_path, q_path
-    return p, q
+        p, q = p_path, q_path
+    return (p, q, np.stack([jp, jq])) if tangent else (p, q)
 
 
 def _real_step_count(model: HamiltonianModel, settings: IntegratorSettings,
@@ -316,7 +364,7 @@ class _ArcBatch:
         gp, _ = grad(self.p, self.q)
         integrand = self.p * (-1j) * gp          # p * dq/dsigma
         w = simpson_weights(n_samples, h)
-        self.pdq = w @ integrand
+        self.pdq = weighted_sum(w, integrand)
         du = -1j * self.hbar_beta
         h_center = model.value(self.t, self.center_p, self.center_q)
         self.action = self.pdq - du * h_center

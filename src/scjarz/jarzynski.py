@@ -5,8 +5,10 @@ semi-classical thermal weight exp(-beta * G_initial); the right side is the
 ratio of the propagated and initial partition functions.  Both sides share
 one deterministic tensor-product quadrature, so the reported residual
 isolates the path-versus-endpoint work error rather than quadrature noise.
-All reductions go through numpy's pairwise summation, which keeps printed
-results independent of any row-chunking used to parallelize the solves.
+The Simpson sums over arc and time samples accumulate row by row in a fixed
+order (``dynamics.weighted_sum``), so every node's values are the same
+whatever the batch width, row chunking or BLAS threading; the sums over
+quadrature nodes then run once over the full node set.
 """
 
 from __future__ import annotations

@@ -203,12 +203,6 @@ def wigner_transform(op: FockOperator, q_max: float, n_q: int) -> WignerGrid:
                       imag_residual=imag, norm=norm)
 
 
-def weyl_symbol_grid(op: FockOperator, q_max: float, n_q: int):
-    """Unnormalized Weyl symbol (no 1/2 pi hbar) as a complex grid."""
-    q_axis, p_axis, w_vals, _, _ = _wigner_raw(op, q_max, n_q)
-    return q_axis, p_axis, w_vals * (2.0 * np.pi * op.hbar)
-
-
 def fock_state_wigner(n: int, p, q, hbar: float, mass: float, omega: float):
     """Closed-form Wigner function of the |n><n| projector."""
     h = p * p / (2.0 * mass) + 0.5 * mass * omega**2 * q * q

@@ -19,7 +19,8 @@ import numpy as np
 
 from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
                        _ArcBatch, _build_arc_batch, _flow_imaginary_batch,
-                       _flow_real_batch, _real_step_count, simpson_weights)
+                       _flow_real_batch, _real_step_count, simpson_weights,
+                       weighted_sum)
 from .errors import ToleranceExceeded, WorkMismatch
 from .models import ComplexPoint, HamiltonianModel
 from .stationary import OK, SolveBatch, _invert_map_batch
@@ -141,7 +142,7 @@ def _pseudo_power_batch(model, arcs: _ArcBatch):
     h = (arcs.sigma[-1] - arcs.sigma[0]) / (n_samples - 1)
     w = simpson_weights(n_samples, h)
     dth = model.dt(arcs.t, arcs.p, arcs.q)
-    integral = w @ dth
+    integral = weighted_sum(w, dth)
     power = integral.real / arcs.hbar_beta
     imag = np.abs(integral.imag) / arcs.hbar_beta
     return power, imag
@@ -280,8 +281,10 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
             g_initial[good] = h_center - arcs.area / hbar_beta
         warm_p, warm_q = solve.zc_p.copy(), solve.zc_q.copy()
 
-    w_t = simpson_weights(n_t + 1, (t_f - t_i) / n_t) if t_f > t_i else None
-    work = w_t @ power if w_t is not None else np.zeros(b)
+    if t_f > t_i:
+        work = weighted_sum(simpson_weights(n_t + 1, (t_f - t_i) / n_t), power)
+    else:
+        work = np.zeros(b)
 
     final_solve, g_prop, g_imag, chord_gap = _propagated_g_batch(
         model, t_i, t_f, tp, tq, hbar_beta, settings,

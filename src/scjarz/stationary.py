@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
-                       _ArcBatch, _build_arc_batch, _flow_imaginary_batch,
-                       _frozen_grad, simpson_weights)
+                       _ArcBatch, _build_arc_batch, _check_finite,
+                       _flow_imaginary_batch)
 from .errors import CausticEncountered, NewtonDiverged
 from .models import ComplexPoint, HamiltonianModel
 
@@ -319,94 +319,57 @@ def pseudo_hamiltonian(model: HamiltonianModel, t: float, target: ComplexPoint,
                        settings: IntegratorSettings = DEFAULT_SETTINGS,
                        with_prefactor: bool = False) -> PseudoHamiltonianValue:
     """Stationary-phase pseudo-Hamiltonian at one real target point."""
-    solve = invert_midpoint(model, t, target, hbar_beta, settings)
-    arcs = _build_arc_batch(model, t, np.array([solve.z_c.p], dtype=complex),
-                            np.array([solve.z_c.q], dtype=complex),
-                            hbar_beta, settings)
-    g_area, g_fta, imag_res = _g_values(
-        model, t, arcs, np.array([target.p.real]), np.array([target.q.real]))
+    if target.p.imag != 0.0 or target.q.imag != 0.0:
+        raise ValueError("midpoint inversion expects a real target point")
+    solve, arcs, g_area, g_fta, imag_res = _pseudo_hamiltonian_batch(
+        model, t, np.array([target.p.real]), np.array([target.q.real]),
+        hbar_beta, settings)
+    solve.raise_on_failure()
     pref = None
     if with_prefactor:
-        pref = endpoint_action_prefactor(model, t, arcs.single(0), hbar_beta,
-                                         settings)
+        pref = float(_prefactor_batch(model, t, arcs, hbar_beta, settings)[0])
     return PseudoHamiltonianValue(
         G=float(g_area[0]),
         G_from_total_action=float(g_fta[0]),
-        z_c=solve.z_c,
-        arc=solve.arc,
-        jacobian_det=solve.jacobian_det,
+        z_c=ComplexPoint(float(solve.zc_p[0]), float(solve.zc_q[0])),
+        arc=arcs.single(0),
+        jacobian_det=float(solve.det[0]),
         imag_residual=float(imag_res[0]),
         prefactor=pref,
     )
 
 
-def _shoot_actions(model, t, q0_vec, q1_vec, p0_guess, hbar_beta, settings):
-    """Endpoint action S(q0, q1) for a batch of complex endpoint pairs.
+def _prefactor_batch(model, t, arcs: _ArcBatch, hbar_beta,
+                     settings) -> np.ndarray:
+    """Geometric prefactor 2 / sqrt|2 + tr M| per arc.
 
-    Solves the two-point boundary problem by shooting on the initial
-    momentum (complex Newton with finite-difference slope), then evaluates
-    S = int p dq - du * H(start) on the converged trajectory.
+    M = [[A, B], [C, D]] = d(p, q)_end / d(p, q)_start is the monodromy
+    of the whole arc, flowed from its sigma = -hbar*beta/2 endpoint over
+    2 * n_sigma_steps RK4 steps.  At fixed endpoints q0, q1 the initial
+    momentum obeys dq1 = C dp0 + D dq0, so with det M = 1 the endpoint
+    action S(q0, q1) has the Hessian
+
+        S_aa = D / C,   S_bb = A / C,   S_ab = -1 / C
+
+    (up to an overall sign that cancels below).  Substituted into the
+    stationary-phase factor sqrt(2 |S_ab| / |S_ab - (S_aa + S_bb) / 2|)
+    this gives 2 / sqrt|2 + A + D|.  For the harmonic oscillator
+    tr M = 2 cosh(beta hbar w), which returns exactly
+    1 / cosh(beta hbar w / 2).
     """
-    n = 2 * settings.n_sigma_steps
     s_half = 0.5 * hbar_beta
-    p0 = np.array(p0_guess, dtype=complex, copy=True)
-    q0 = np.asarray(q0_vec, dtype=complex)
-    q1 = np.asarray(q1_vec, dtype=complex)
-    tol = 1e-13 * (1.0 + np.max(np.abs(q1)))
-    for _ in range(40):
-        delta = 1e-7 * (1.0 + np.abs(p0))
-        P = np.concatenate([p0, p0 + delta, p0 - delta])
-        Q = np.concatenate([q0, q0, q0])
-        pe, qe = _flow_imaginary_batch(model, t, P, Q, -s_half, +s_half, n)
-        b = p0.shape[0]
-        gap = qe[:b] - q1
-        if np.max(np.abs(gap)) <= tol:
-            break
-        slope = (qe[b:2 * b] - qe[2 * b:]) / (2.0 * delta)
-        p0 = p0 - gap / slope
-    else:
-        raise NewtonDiverged("endpoint-action shooting did not converge")
-    p_path, q_path = _flow_imaginary_batch(model, t, p0, q0, -s_half, +s_half,
-                                           n, store=True)
-    h = hbar_beta / n
-    grad = _frozen_grad(model, t)
-    gp, _ = grad(p_path, q_path)
-    integrand = p_path * (-1j) * gp
-    w = simpson_weights(n + 1, h)
-    pdq = w @ integrand
-    du = -1j * hbar_beta
-    return pdq - du * model.value(t, p0, q0)
-
-
-def _prefactor_batch(model, t, arcs: _ArcBatch, hbar_beta, settings,
-                     fd_step: float = 1e-3) -> np.ndarray:
-    """Geometric prefactor sqrt(2|S_ab| / |S_ab - (S_aa+S_bb)/2|) per arc.
-
-    Second differences of the endpoint action S(q0, q1) about each solved
-    arc; all nine perturbed boundary problems per arc are shot in one
-    stacked batch.
-    """
-    b = arcs.center_p.shape[0]
-    q0, q1, p0 = arcs.q[0], arcs.q[-1], arcs.p[0]
-    h = fd_step * (1.0 + np.abs(q1))
-    q0v = np.stack([q0, q0 + h, q0 - h, q0, q0, q0 + h, q0 + h, q0 - h, q0 - h])
-    q1v = np.stack([q1, q1, q1, q1 + h, q1 - h, q1 + h, q1 - h, q1 + h, q1 - h])
-    p0g = np.broadcast_to(p0, (9, b))
-    s = _shoot_actions(model, t, q0v.ravel(), q1v.ravel(), p0g.ravel(),
-                       hbar_beta, settings).reshape(9, b)
-    h2 = h * h
-    s_aa = (s[1] - 2.0 * s[0] + s[2]) / h2
-    s_bb = (s[3] - 2.0 * s[0] + s[4]) / h2
-    s_ab = (s[5] - s[6] - s[7] + s[8]) / (4.0 * h2)
-    return np.sqrt(2.0 * np.abs(s_ab) / np.abs(s_ab - 0.5 * (s_aa + s_bb)))
+    pe, qe, jac = _flow_imaginary_batch(
+        model, t, arcs.p[0], arcs.q[0], -s_half, +s_half,
+        2 * settings.n_sigma_steps, tangent=True)
+    _check_finite(jac, np.stack([pe, qe]), "prefactor flow")
+    return 2.0 / np.sqrt(np.abs(2.0 + jac[0, 0] + jac[1, 1]))
 
 
 def endpoint_action_prefactor(model: HamiltonianModel, t: float,
                               arc: ImaginaryArc, hbar_beta: float,
                               settings: IntegratorSettings,
-                              hbar: Optional[float] = None,
-                              fd_step: float = 1e-3) -> float:
-    """Stationary-phase prefactor from second differences of S(q0, q1).
+                              hbar: Optional[float] = None) -> float:
+    """Stationary-phase prefactor from the monodromy trace of one arc.
 
     Returns the purely geometric factor when ``hbar`` is None, otherwise
     the full prefactor geometric_factor / (2 pi hbar).
@@ -415,8 +378,7 @@ def endpoint_action_prefactor(model: HamiltonianModel, t: float,
                       p=arc.p_samples[:, None], q=arc.q_samples[:, None],
                       center_p=np.array([arc.center.p]),
                       center_q=np.array([arc.center.q]))
-    geom = float(_prefactor_batch(model, t, batch, hbar_beta, settings,
-                                  fd_step)[0])
+    geom = float(_prefactor_batch(model, t, batch, hbar_beta, settings)[0])
     if hbar is None:
         return geom
     return geom / (2.0 * np.pi * hbar)

@@ -67,7 +67,7 @@ def test_criterion_1_harmonic_symbol_exactness():
 
 
 def test_criterion_2_prefactor_closed_form():
-    desc = "finite-difference prefactor matches 1/(2 pi hbar cosh) to 1e-4"
+    desc = "monodromy-trace prefactor matches 1/(2 pi hbar cosh) to 1e-4"
     with criterion(2, desc):
         for beta, hbar in ((1.0, 1.0), (0.5, 2.0)):
             model = harmonic_model()
@@ -79,8 +79,8 @@ def test_criterion_2_prefactor_closed_form():
                 val = pseudo_hamiltonian(model, 0.0, ComplexPoint(p, q),
                                          beta * hbar, settings,
                                          with_prefactor=True)
-                n_fd = val.prefactor / (2.0 * np.pi * hbar)
-                assert abs(n_fd - n_exact) <= 1e-4 * n_exact
+                n_got = val.prefactor / (2.0 * np.pi * hbar)
+                assert abs(n_got - n_exact) <= 1e-4 * n_exact
 
 
 def test_criterion_3_pseudo_power_closed_form():

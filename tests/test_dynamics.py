@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from scjarz.dynamics import (IntegratorSettings, build_arc, flow_imaginary,
-                             flow_real, simpson_weights)
+from scjarz.dynamics import (IntegratorSettings, _flow_imaginary_batch,
+                             build_arc, flow_imaginary, flow_real,
+                             simpson_weights)
 from scjarz.errors import IntegratorDiverged, ToleranceExceeded
 from scjarz.models import ComplexPoint, harmonic_model, ramped_model
 
@@ -150,6 +151,41 @@ def test_flow_real_symplectic_jacobian():
         cols.append([(zp.p - zm.p).real / (2 * h), (zp.q - zm.q).real / (2 * h)])
     det = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
     assert det == pytest.approx(1.0, abs=1e-6)
+
+
+TANGENT_MODELS = {
+    "harmonic": ramped_model("harmonic", omega_i=1.0, omega_f=2.0),
+    "quartic": ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                            quartic_lambda=0.1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TANGENT_MODELS))
+def test_flow_imaginary_tangent_is_monodromy(kind):
+    model = TANGENT_MODELS[kind]
+    p0 = np.array([0.7 + 0.2j, -0.4 + 0.5j, 1.5 - 0.8j])
+    q0 = np.array([0.3 - 0.1j, 1.1 + 0.3j, -0.6 + 0.4j])
+    grid = (-0.25, 0.25, 64)   # s_from, s_to, n_steps
+    plain = _flow_imaginary_batch(model, 0.4, p0, q0, *grid)
+    pe, qe, jac = _flow_imaginary_batch(model, 0.4, p0, q0, *grid,
+                                        tangent=True)
+    # the option leaves the state path bitwise unchanged
+    assert np.array_equal(pe, plain[0]) and np.array_equal(qe, plain[1])
+    assert jac.shape == (2, 2, 3)
+    eps = 1e-5
+    for col, (dp, dq) in enumerate(((eps, 0.0), (0.0, eps))):
+        fp = _flow_imaginary_batch(model, 0.4, p0 + dp, q0 + dq, *grid)
+        fm = _flow_imaginary_batch(model, 0.4, p0 - dp, q0 - dq, *grid)
+        for row in range(2):
+            fd = (fp[row] - fm[row]) / (2.0 * eps)
+            np.testing.assert_allclose(jac[row, col], fd, rtol=1e-6,
+                                       atol=1e-6 * np.max(np.abs(jac)))
+    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+    assert np.max(np.abs(det - 1.0)) <= 1e-8
+    # a zero-length flow carries the identity
+    _, _, eye = _flow_imaginary_batch(model, 0.4, p0, q0, 0.1, 0.1, 64,
+                                      tangent=True)
+    assert np.array_equal(eye, np.repeat(np.eye(2)[:, :, None], 3, axis=2))
 
 
 def test_richardson_check_flags_coarse_grids():

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson, solve_ivp
 
-from scjarz.dynamics import IntegratorSettings, flow_imaginary, flow_real
+from scjarz.dynamics import (IntegratorSettings, _build_arc_batch,
+                             flow_imaginary, flow_real)
 from scjarz.errors import WorkMismatch
 from scjarz.models import ComplexPoint, ramped_model
-from scjarz.pseudowork import (composite_map, pseudo_power, pseudo_work,
-                               solve_pseudo_state)
+from scjarz.pseudowork import (_pseudo_power_batch, composite_map,
+                               pseudo_power, pseudo_work, solve_pseudo_state)
 from scjarz.stationary import invert_midpoint, midpoint_map
 
 SET = IntegratorSettings(n_sigma_steps=96, n_time_steps=64)
@@ -248,3 +249,19 @@ def test_work_mismatch_raises_when_forced():
     with pytest.raises(WorkMismatch):
         pseudo_work(model, 0.0, 1.0, ComplexPoint(0.2, 0.9), 1.0, SET,
                     work_tol=1e-16)
+
+
+def test_arc_reductions_are_batch_width_invariant():
+    # the Simpson sums must not depend on how many points share a batch,
+    # or grid scans change in the last digit with --threads
+    model = quartic_ramp()
+    rng = np.random.default_rng(67)
+    cp = rng.uniform(-2.0, 2.0, 67).astype(complex)
+    cq = rng.uniform(-2.0, 2.0, 67).astype(complex)
+    whole = _build_arc_batch(model, 0.3, cp, cq, 0.5, SET)
+    power, _ = _pseudo_power_batch(model, whole)
+    for i in range(cp.size):
+        one = _build_arc_batch(model, 0.3, cp[i:i + 1], cq[i:i + 1], 0.5, SET)
+        assert one.area[0] == whole.area[i], i
+        assert one.action[0] == whole.action[i], i
+        assert _pseudo_power_batch(model, one)[0][0] == power[i], i

@@ -160,6 +160,21 @@ def test_prefactor_matches_harmonic_closed_form():
         assert abs(n_got - n_exact) < 1e-4 * n_exact
 
 
+def test_prefactor_quartic_regression():
+    # geometric prefactors from second differences of the shot endpoint
+    # action S(q0, q1) (step 1e-3), the construction the monodromy trace
+    # replaced; quartic_ramp physics at t_i, hbar*beta = 0.5
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    settings = IntegratorSettings(n_sigma_steps=64)
+    for (p, q), reference in (((0.0, 0.0), 0.9695436244502248),
+                              ((1.5, -0.5), 0.9626215668527276),
+                              ((-2.0, 2.5), 0.8026335171126815)):
+        val = pseudo_hamiltonian(model, 0.0, ComplexPoint(p, q), 0.5,
+                                 settings, with_prefactor=True)
+        assert val.prefactor == pytest.approx(reference, rel=1e-6)
+
+
 def test_continuation_trace_is_monotone():
     # force the ladder and require the accepted-stage residuals to be tame
     model = quartic(0.4)
