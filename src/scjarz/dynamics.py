@@ -133,106 +133,107 @@ def weighted_sum(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _frozen_grad(model: HamiltonianModel, t: float):
-    """Gradient closure with the drive frequency cached at frozen t."""
-    w = model.protocol.omega(t)
-    m = model.mass
-    mw2 = m * w * w
-    lam4 = 4.0 * model.quartic_lambda
-    if lam4 == 0.0:
-        def grad(p, q):
-            return p / m, mw2 * q
-    else:
-        def grad(p, q):
-            return p / m, mw2 * q + lam4 * (q * q * q)
-    return grad
-
-
-def _frozen_hessian(model: HamiltonianModel, t: float):
-    """d2H/dq2 closure at frozen t; the other second derivatives are
-    d2H/dp2 = 1/m and d2H/dpdq = 0."""
-    w = model.protocol.omega(t)
-    mw2 = model.mass * w * w
-    lam12 = 12.0 * model.quartic_lambda
-    if lam12 == 0.0:
-        def hqq(q):
-            return mw2
-    else:
-        def hqq(q):
-            return mw2 + lam12 * (q * q)
-    return hqq
-
-
 def _check_finite(p: np.ndarray, q: np.ndarray, what: str) -> None:
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise IntegratorDiverged(f"non-finite state during {what}")
+
+
+def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
+    """Classical RK4 for dp = c H_q(q), dq = d p on a stacked state.
+
+    P and Q are (rows, B) complex stacks.  Row 0 is the state; with
+    ``tangent``, rows 1 and 2 are the tangent columns d/dp0 and d/dq0.
+    They obey dp' = c H_qq(q) dq', dq' = d p' with H_qq at each stage
+    state, so they are the exact derivative of the discrete RK4 map
+    (Hairer, Lubich and Wanner, variational equations).  Each stage is one
+    array operation over the stack, and row 0 is the same elementwise
+    formula either way, so the state is bitwise the same with or without
+    the tangent.  The drive is taken at t0 + k dt in step k (dt = 0
+    freezes it).
+    Returns the final stacks and, with ``store``, the state path
+    (n_steps + 1, B) of p and q.
+    """
+    rows = 3 if tangent else 1
+    P = np.zeros((rows,) + np.shape(p0), dtype=complex)
+    Q = np.zeros_like(P)
+    P[0], Q[0] = p0, q0
+    if tangent:
+        P[1] = Q[2] = 1.0
+    path = (np.empty((2, n_steps + 1) + P.shape[1:], dtype=complex)
+            if store else None)
+    lam4, lam12 = 4.0 * model.quartic_lambda, 12.0 * model.quartic_lambda
+    hc, hd = h * c, h * d
+    # stage buffers: force rows, stage state, and the weighted sums of the
+    # stage forces (p increment) and stage momenta (q increment)
+    F, Ps, Qs, acc_f, acc_p = (np.empty_like(P) for _ in range(5))
+
+    def stiffness(t):
+        w = model.protocol.omega(t)
+        return model.mass * w * w
+
+    def force(Q, mw2):
+        """F = (H_q(q), H_qq(q) dq rows) at the state row q = Q[0]."""
+        if lam4 == 0.0:
+            np.multiply(Q, mw2, out=F)
+            return
+        q = Q[0]
+        qq = q * q
+        np.multiply(q, mw2, out=F[0])
+        F[0] += lam4 * (qq * q)
+        if tangent:
+            np.multiply(Q[1:], mw2 + lam12 * qq, out=F[1:])
+
+    def stage(a_p, a_q, p_from):
+        """Ps, Qs = P + a_p F, Q + a_q p_from (p_from may be Ps itself)."""
+        np.add(Q, np.multiply(p_from, a_q, out=Qs), out=Qs)
+        np.add(P, np.multiply(F, a_p, out=Ps), out=Ps)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            if store:
+                path[0, k], path[1, k] = P[0], Q[0]
+            t = t0 + k * dt
+            m_mid = stiffness(t + 0.5 * dt)
+            force(Q, stiffness(t))
+            np.copyto(acc_f, F)
+            np.copyto(acc_p, P)
+            stage(0.5 * hc, 0.5 * hd, P)
+            force(Qs, m_mid)
+            acc_f += 2.0 * F
+            acc_p += 2.0 * Ps
+            stage(0.5 * hc, 0.5 * hd, Ps)
+            force(Qs, m_mid)
+            acc_f += 2.0 * F
+            acc_p += 2.0 * Ps
+            stage(hc, hd, Ps)
+            force(Qs, stiffness(t + dt))
+            P += (hc / 6.0) * (acc_f + F)
+            Q += (hd / 6.0) * (acc_p + Ps)
+        if store:
+            path[0, n_steps], path[1, n_steps] = P[0], Q[0]
+    return P, Q, path
 
 
 def _flow_imaginary_batch(model, t, p0, q0, s_from, s_to, n_steps,
                           store=False, tangent=False):
     """RK4 for the frozen-time arc ODE; returns endpoints or full paths.
 
+    The arc ODE is the kernel's c = i, d = -i/m with the drive frozen at t.
     With ``tangent`` set, a third value is returned: the monodromy matrix
     M = d(p, q)_end / d(p0, q0) of shape (2, 2) + p0.shape, rows (p, q),
-    columns (p0, q0).  It is propagated through the same four RK4 stages
-    with the linearized right-hand side d(dp) = i H_qq dq, d(dq) = -i dp/m,
-    H_qq taken at each stage state, so it is the exact derivative of the
-    discrete RK4 map; the state path is unchanged by the option.
+    columns (p0, q0); the state path is unchanged by the option.
 
     States that leave the representable range propagate as non-finite
     values; callers decide whether that is an error (public wrappers) or a
     rejected trial point (the Newton engine).
     """
-    span = s_to - s_from
-    p = np.array(p0, dtype=complex, copy=True)
-    q = np.array(q0, dtype=complex, copy=True)
-    if tangent:
-        jp = np.zeros((2,) + p.shape, dtype=complex)    # dp / d(p0, q0)
-        jq = np.zeros_like(jp)                          # dq / d(p0, q0)
-        jp[0] = jq[1] = 1.0
-    if span == 0.0 or n_steps == 0:
-        if store:
-            p, q = p[None, :].copy(), q[None, :].copy()
-        return (p, q, np.stack([jp, jq])) if tangent else (p, q)
-    grad = _frozen_grad(model, t)
-    h = span / n_steps
-    if tangent:
-        hqq = _frozen_hessian(model, t)
-        neg_i_over_m = -1j / model.mass
-
-        def lin(qs, dp, dq):
-            return 1j * hqq(qs) * dq, neg_i_over_m * dp
-    if store:
-        p_path = np.empty((n_steps + 1,) + p.shape, dtype=complex)
-        q_path = np.empty_like(p_path)
-        p_path[0], q_path[0] = p, q
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            gp, gq = grad(p, q)
-            k1p, k1q = 1j * gq, -1j * gp
-            q2 = q + 0.5 * h * k1q
-            gp, gq = grad(p + 0.5 * h * k1p, q2)
-            k2p, k2q = 1j * gq, -1j * gp
-            q3 = q + 0.5 * h * k2q
-            gp, gq = grad(p + 0.5 * h * k2p, q3)
-            k3p, k3q = 1j * gq, -1j * gp
-            q4 = q + h * k3q
-            gp, gq = grad(p + h * k3p, q4)
-            k4p, k4q = 1j * gq, -1j * gp
-            if tangent:
-                a1, b1 = lin(q, jp, jq)
-                a2, b2 = lin(q2, jp + 0.5 * h * a1, jq + 0.5 * h * b1)
-                a3, b3 = lin(q3, jp + 0.5 * h * a2, jq + 0.5 * h * b2)
-                a4, b4 = lin(q4, jp + h * a3, jq + h * b3)
-                jp = jp + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-                jq = jq + (h / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            if store:
-                p_path[k + 1], q_path[k + 1] = p, q
-    if store:
-        p, q = p_path, q_path
-    return (p, q, np.stack([jp, jq])) if tangent else (p, q)
+    if s_to == s_from:
+        n_steps = 0
+    h = (s_to - s_from) / n_steps if n_steps else 0.0
+    P, Q, path = _rk4(model, 1j, -1j / model.mass, t, 0.0, p0, q0, h,
+                      n_steps, tangent, store)
+    p, q = path if store else (P[0], Q[0])
+    return (p, q, np.stack([P[1:], Q[1:]])) if tangent else (p, q)
 
 
 def _real_step_count(model: HamiltonianModel, settings: IntegratorSettings,
@@ -247,47 +248,35 @@ def _real_step_count(model: HamiltonianModel, settings: IntegratorSettings,
 
 
 def _flow_real_batch(model, t_from, t_to, p0, q0, n_steps,
-                     with_action=False):
+                     with_action=False, tangent=False):
     """RK4 real-time propagation; optionally accumulates int (p dq - H dt).
 
+    The real-time ODE is the kernel's c = -1, d = 1/m with a running
+    drive; ``tangent`` appends the monodromy as in _flow_imaginary_batch.
     The action is accumulated with the composite Simpson pattern on the
     step grid (n_steps must be even when with_action is set) and is signed
     with the integration direction: integrating backwards returns the
     negative of the forward action.
     """
-    span = t_to - t_from
-    p = np.array(p0, dtype=complex, copy=True)
-    q = np.array(q0, dtype=complex, copy=True)
-    action = np.zeros(p.shape, dtype=complex) if with_action else None
-    if span == 0.0:
-        return (p, q, action) if with_action else (p, q)
-    if with_action and n_steps % 2 != 0:
+    if t_to == t_from:
+        n_steps = 0
+    elif with_action and n_steps % 2 != 0:
         raise ValueError("action accumulation requires an even step count")
-    h = span / n_steps
-
-    def rhs(t, p, q):
-        gp, gq = model.grad(t, p, q)
-        return -gq, gp
-
-    def lagrangian(t, p, q):
-        gp, _ = model.grad(t, p, q)
-        return p * gp - model.value(t, p, q)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        if with_action:
-            weights = simpson_weights(n_steps + 1, h)
-            action += weights[0] * lagrangian(t_from, p, q)
-        for k in range(n_steps):
-            t = t_from + k * h
-            k1p, k1q = rhs(t, p, q)
-            k2p, k2q = rhs(t + 0.5 * h, p + 0.5 * h * k1p, q + 0.5 * h * k1q)
-            k3p, k3q = rhs(t + 0.5 * h, p + 0.5 * h * k2p, q + 0.5 * h * k2q)
-            k4p, k4q = rhs(t + h, p + h * k3p, q + h * k3q)
-            p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            q = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            if with_action:
-                action += weights[k + 1] * lagrangian(t_from + (k + 1) * h, p, q)
-    return (p, q, action) if with_action else (p, q)
+    h = (t_to - t_from) / n_steps if n_steps else 0.0
+    P, Q, path = _rk4(model, -1.0, 1.0 / model.mass, t_from, h, p0, q0, h,
+                      n_steps, tangent, store=with_action and n_steps > 0)
+    out = (P[0], Q[0])
+    if with_action:
+        action = np.zeros(P.shape[1:], dtype=complex)
+        if n_steps:
+            with np.errstate(over="ignore", invalid="ignore"):
+                lagrangian = np.stack([
+                    p * (p / model.mass) - model.value(t_from + k * h, p, q)
+                    for k, (p, q) in enumerate(zip(*path))])
+                action = weighted_sum(simpson_weights(n_steps + 1, h),
+                                      lagrangian)
+        out += (action,)
+    return out + (np.stack([P[1:], Q[1:]]),) if tangent else out
 
 
 def _richardson_gap(coarse, fine) -> float:
@@ -360,9 +349,7 @@ class _ArcBatch:
     def finalize(self, model: HamiltonianModel) -> None:
         n_samples = self.sigma.shape[0]
         h = (self.sigma[-1] - self.sigma[0]) / (n_samples - 1)
-        grad = _frozen_grad(model, self.t)
-        gp, _ = grad(self.p, self.q)
-        integrand = self.p * (-1j) * gp          # p * dq/dsigma
+        integrand = self.p * (-1j) * (self.p / model.mass)   # p * dq/dsigma
         w = simpson_weights(n_samples, h)
         self.pdq = weighted_sum(w, integrand)
         du = -1j * self.hbar_beta

@@ -238,7 +238,8 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
     _check_domain(model, t_i, beta, hbar, domain, settings)
     hbar_beta = beta * hbar
     P, Q, W = domain.nodes()
-    out = _pseudo_work_batch(model, t_i, t_f, P, Q, hbar_beta, settings)
+    out = _pseudo_work_batch(model, t_i, t_f, P, Q, hbar_beta, settings,
+                             with_prefactor=with_prefactor)
     failures = _collect_failures(P, Q, out["status"])
     if len(failures) > failure_budget * P.size:
         raise NewtonDiverged(
@@ -260,14 +261,13 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
 
     if with_prefactor:
         # static partitions at both protocol ends with the geometric
-        # prefactor restored, to expose the next-order correction
-        zn_i = partition(model, t_i, beta, hbar, domain, settings,
-                         check_domain=False, with_prefactor=True)
+        # prefactor restored, to expose the next-order correction; the t_i
+        # side reuses the work march's first-node solves and prefactors
+        geom = out["prefactor_initial"][ok]
+        zn_i = float(np.sum(w_quad * (np.exp(-beta * g_i) * geom
+                                      / (2.0 * np.pi * hbar))))
         zn_f = partition(model, t_f, beta, hbar, domain, settings,
                          check_domain=False, with_prefactor=True)
-        solve0, arcs0, _, _, _ = _pseudo_hamiltonian_batch(
-            model, t_i, P[ok], Q[ok], hbar_beta, settings)
-        geom = _prefactor_batch(model, t_i, arcs0, hbar_beta, settings)
         n_weight = geom / (2.0 * np.pi * hbar)
         lhs_n = float(np.sum(w_quad * n_weight * np.exp(-beta * (g_i + work)))
                       / zn_i)

@@ -23,7 +23,7 @@ from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
                        weighted_sum)
 from .errors import ToleranceExceeded, WorkMismatch
 from .models import ComplexPoint, HamiltonianModel
-from .stationary import OK, SolveBatch, _invert_map_batch
+from .stationary import OK, SolveBatch, _invert_map_batch, _prefactor_batch
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,20 @@ class WorkResult:
 
 
 def _composite_map_batch(model, t_i, t_f, P, Q, hbar_beta, settings):
-    """Frozen-t_f half-flow followed by backward real-time flow, real part."""
-    p = np.asarray(P, dtype=complex)
-    q = np.asarray(Q, dtype=complex)
-    if hbar_beta > 0.0:
-        p, q = _flow_imaginary_batch(
-            model, t_f, p, q, 0.0, 0.5 * hbar_beta, settings.n_sigma_steps)
+    """Frozen-t_f half-flow followed by backward real-time flow, real part.
+
+    Also returns the Jacobian Re(M_real @ M_imag) of shape (2, 2, B): the
+    map is holomorphic in a real center, so it is the real part of the
+    chained monodromy of the two flows.
+    """
+    p, q, jac = _flow_imaginary_batch(
+        model, t_f, np.asarray(P, dtype=complex), np.asarray(Q, dtype=complex),
+        0.0, 0.5 * hbar_beta, settings.n_sigma_steps, tangent=True)
     if t_f != t_i:
         n = _real_step_count(model, settings, t_f - t_i)
-        p, q = _flow_real_batch(model, t_f, t_i, p, q, n)
-    return p.real, q.real
+        p, q, m_real = _flow_real_batch(model, t_f, t_i, p, q, n, tangent=True)
+        jac = m_real[:, 0, None] * jac[0] + m_real[:, 1, None] * jac[1]
+    return p.real, q.real, jac.real
 
 
 def composite_map(model: HamiltonianModel, t_i: float, t_f: float,
@@ -90,8 +94,8 @@ def composite_map(model: HamiltonianModel, t_i: float, t_f: float,
     """Image of a real center under the propagated-construction map."""
     if t_f < t_i:
         raise ValueError("composite map requires t_i <= t_f")
-    mp, mq = _composite_map_batch(model, t_i, t_f, np.array([z_real.p]),
-                                  np.array([z_real.q]), hbar_beta, settings)
+    mp, mq, _ = _composite_map_batch(model, t_i, t_f, np.array([z_real.p]),
+                                     np.array([z_real.q]), hbar_beta, settings)
     return ComplexPoint(float(mp[0]), float(mq[0]))
 
 
@@ -233,11 +237,13 @@ def _propagated_g_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     return solve, g_prop, imag, chord_gap
 
 
-def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
+def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
+                       with_prefactor=False):
     """Work along the pseudo-trajectory for a batch of initial points.
 
     Returns a dict of arrays; columns whose solves fail at any node carry
-    status != OK and NaN work values.
+    status != OK and NaN work values.  ``with_prefactor`` adds the
+    geometric prefactor of the t_i arcs ("prefactor_initial").
     """
     tp = np.asarray(tp, dtype=float)
     tq = np.asarray(tq, dtype=float)
@@ -256,6 +262,7 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
     residual = np.zeros((n_t + 1, b))
     status = np.zeros(b, dtype=np.int8)
     g_initial = np.full(b, np.nan)
+    prefactor_initial = np.full(b, np.nan)
 
     warm_p, warm_q = tp.copy(), tq.copy()
     for j, tj in enumerate(times):
@@ -279,6 +286,9 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
         if j == 0:
             h_center = model.value(tj, arcs.center_p, arcs.center_q).real
             g_initial[good] = h_center - arcs.area / hbar_beta
+            if with_prefactor:
+                prefactor_initial[good] = _prefactor_batch(
+                    model, tj, arcs, hbar_beta, settings)
         warm_p, warm_q = solve.zc_p.copy(), solve.zc_q.copy()
 
     if t_f > t_i:
@@ -303,6 +313,7 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
         "status": status,
         "W": work,
         "g_initial": g_initial,
+        "prefactor_initial": prefactor_initial,
         "g_propagated": g_prop,
         "g_imag": g_imag,
         "chord_gap": chord_gap,

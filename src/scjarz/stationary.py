@@ -28,7 +28,9 @@ OK = 0
 CAUSTIC = 1
 DIVERGED = 2
 
-MapFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+# map(P, Q) -> (mp, mq, J) with the real 2x2 Jacobians J of shape (2, 2, B)
+MapFn = Callable[[np.ndarray, np.ndarray],
+                 tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def _quiet():
@@ -86,57 +88,46 @@ class SolveBatch:
 
 
 def _midpoint_map_batch(model, t, P, Q, hbar_beta, settings):
-    """Real map: half-arc endpoint real part, vectorized over points."""
-    p = np.asarray(P, dtype=complex)
-    q = np.asarray(Q, dtype=complex)
-    if hbar_beta == 0.0:
-        return p.real.copy(), q.real.copy()
-    pe, qe = _flow_imaginary_batch(
-        model, t, p, q, 0.0, 0.5 * hbar_beta, settings.n_sigma_steps)
-    return pe.real, qe.real
+    """Real map: half-arc endpoint real part and its Jacobian, vectorized.
+
+    The half-arc endpoint is holomorphic in the center, so at a real center
+    the Jacobian of its real part is the real part of the monodromy.
+    """
+    pe, qe, jac = _flow_imaginary_batch(
+        model, t, np.asarray(P, dtype=complex), np.asarray(Q, dtype=complex),
+        0.0, 0.5 * hbar_beta, settings.n_sigma_steps, tangent=True)
+    return pe.real, qe.real, jac.real
 
 
 def midpoint_map(model: HamiltonianModel, t: float, z_real: ComplexPoint,
                  hbar_beta: float,
                  settings: IntegratorSettings = DEFAULT_SETTINGS) -> ComplexPoint:
     """Image of a real point under the half-arc chord-midpoint map."""
-    mp, mq = _midpoint_map_batch(
+    mp, mq, _ = _midpoint_map_batch(
         model, t, np.array([z_real.p]), np.array([z_real.q]),
         hbar_beta, settings)
     return ComplexPoint(float(mp[0]), float(mq[0]))
 
 
-def _map_jacobian(map_fn: MapFn, gp, gq):
-    """Central-difference 2x2 Jacobians, one stacked map call per batch."""
-    eps = 1e-6 * (1.0 + np.hypot(gp, gq))
-    P = np.concatenate([gp + eps, gp - eps, gp, gp])
-    Q = np.concatenate([gq, gq, gq + eps, gq - eps])
-    MP, MQ = map_fn(P, Q)
-    b = gp.shape[0]
-    j00 = (MP[0:b] - MP[b:2 * b]) / (2.0 * eps)       # dMp/dp
-    j10 = (MQ[0:b] - MQ[b:2 * b]) / (2.0 * eps)       # dMq/dp
-    j01 = (MP[2 * b:3 * b] - MP[3 * b:]) / (2.0 * eps)  # dMp/dq
-    j11 = (MQ[2 * b:3 * b] - MQ[3 * b:]) / (2.0 * eps)  # dMq/dq
-    det = j00 * j11 - j01 * j10
-    return j00, j01, j10, j11, det
-
-
 def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
     """Damped Newton on F(z) = map(z) - target for one batch.
 
-    Returns (gp, gq, det, iters, residual, status); points that hit a
-    near-singular Jacobian are flagged CAUSTIC, stalled ones DIVERGED.
-    Trial points whose flows blow up yield NaN residuals, which the
-    damping logic rejects like any non-improving step.
+    Each step inverts the Jacobian that came with the last accepted map
+    evaluation, so an iteration costs one map evaluation per trial.
+    Returns (gp, gq, det, iters, residual, status), det taken at the final
+    point; points whose Jacobian there (or at any iterate) is near-singular
+    are flagged CAUSTIC, stalled ones DIVERGED.  Trial points whose flows
+    blow up yield NaN residuals, which the damping logic rejects like any
+    non-improving step.
     """
     b = tp.shape[0]
     gp = np.array(gp, dtype=float, copy=True)
     gq = np.array(gq, dtype=float, copy=True)
     status = np.full(b, DIVERGED, dtype=np.int8)
-    det_out = np.zeros(b)
     iters = np.zeros(b, dtype=int)
     with _quiet():
-        mp, mq = map_fn(gp, gq)
+        mp, mq, jac = map_fn(gp, gq)
+        jac = np.array(jac, dtype=float)
         fp, fq = mp - tp, mq - tq
         resid = np.maximum(np.abs(fp), np.abs(fq))
     tol = settings.newton_tol
@@ -144,13 +135,15 @@ def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
     active = ~converged
     status[converged] = OK
 
+    def jac_det(j):
+        return j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+
     for it in range(settings.newton_max_iter):
         if not np.any(active):
             break
         idx = np.flatnonzero(active)
         with _quiet():
-            j00, j01, j10, j11, det = _map_jacobian(map_fn, gp[idx], gq[idx])
-        det_out[idx] = det
+            det = jac_det(jac[:, :, idx])
         caustic = np.abs(det) < settings.caustic_floor
         if np.any(caustic):
             c_idx = idx[caustic]
@@ -159,8 +152,8 @@ def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
             idx = idx[~caustic]
             if idx.size == 0:
                 continue
-            keep = ~caustic
-            j00, j01, j10, j11, det = (a[keep] for a in (j00, j01, j10, j11, det))
+            det = det[~caustic]
+        (j00, j01), (j10, j11) = jac[:, :, idx]
         with _quiet():
             dp = (-j11 * fp[idx] + j01 * fq[idx]) / det
             dq = (j10 * fp[idx] - j00 * fq[idx]) / det
@@ -174,7 +167,7 @@ def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
             with _quiet():
                 trial_p = gp[rows] + lam[sub] * dp[sub]
                 trial_q = gq[rows] + lam[sub] * dq[sub]
-                mp_t, mq_t = map_fn(trial_p, trial_q)
+                mp_t, mq_t, jac_t = map_fn(trial_p, trial_q)
                 fp_t, fq_t = mp_t - tp[rows], mq_t - tq[rows]
                 res_t = np.maximum(np.abs(fp_t), np.abs(fq_t))
             improved = res_t < resid[rows]
@@ -184,6 +177,7 @@ def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
             gq[rows_acc] = gq[rows_acc] + lam[acc] * dq[acc]
             fp[rows_acc], fq[rows_acc] = fp_t[improved], fq_t[improved]
             resid[rows_acc] = res_t[improved]
+            jac[:, :, rows_acc] = jac_t[:, :, improved]
             pending[acc] = False
             rej = sub[~improved]
             lam[rej] *= 0.5
@@ -197,6 +191,10 @@ def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
         newly_done = active & (resid <= tol)
         status[newly_done] = OK
         active &= ~newly_done
+    with _quiet():
+        det_out = jac_det(jac)
+    # the verdict also covers points that converged without a step
+    status[np.abs(det_out) < settings.caustic_floor] = CAUSTIC
     return gp, gq, det_out, iters, resid, status
 
 
@@ -372,8 +370,12 @@ def endpoint_action_prefactor(model: HamiltonianModel, t: float,
     """Stationary-phase prefactor from the monodromy trace of one arc.
 
     Returns the purely geometric factor when ``hbar`` is None, otherwise
-    the full prefactor geometric_factor / (2 pi hbar).
+    the full prefactor geometric_factor / (2 pi hbar).  ``hbar_beta`` must
+    be the span the arc was built with.
     """
+    if not np.isclose(hbar_beta, arc.hbar_beta, rtol=1e-12, atol=0.0):
+        raise ValueError(f"hbar_beta {hbar_beta!r} does not match the arc's "
+                         f"span {arc.hbar_beta!r}")
     batch = _ArcBatch(t=t, hbar_beta=arc.hbar_beta, sigma=arc.sigma,
                       p=arc.p_samples[:, None], q=arc.q_samples[:, None],
                       center_p=np.array([arc.center.p]),

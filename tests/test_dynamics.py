@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from scjarz.dynamics import (IntegratorSettings, _flow_imaginary_batch,
-                             build_arc, flow_imaginary, flow_real,
-                             simpson_weights)
+                             _flow_real_batch, build_arc, flow_imaginary,
+                             flow_real, simpson_weights)
 from scjarz.errors import IntegratorDiverged, ToleranceExceeded
 from scjarz.models import ComplexPoint, harmonic_model, ramped_model
 
@@ -185,6 +185,32 @@ def test_flow_imaginary_tangent_is_monodromy(kind):
     # a zero-length flow carries the identity
     _, _, eye = _flow_imaginary_batch(model, 0.4, p0, q0, 0.1, 0.1, 64,
                                       tangent=True)
+    assert np.array_equal(eye, np.repeat(np.eye(2)[:, :, None], 3, axis=2))
+
+
+@pytest.mark.parametrize("kind", sorted(TANGENT_MODELS))
+def test_flow_real_tangent_is_monodromy(kind):
+    model = TANGENT_MODELS[kind]
+    p0 = np.array([0.7 + 0.2j, -0.4 + 0.5j, 1.5 - 0.8j])
+    q0 = np.array([0.3 - 0.1j, 1.1 + 0.3j, -0.6 + 0.4j])
+    grid = (0.9, 0.1)   # t_from, t_to: backwards through the running drive
+    plain = _flow_real_batch(model, *grid, p0, q0, 64)
+    pe, qe, jac = _flow_real_batch(model, *grid, p0, q0, 64, tangent=True)
+    # the option leaves the state bitwise unchanged
+    assert np.array_equal(pe, plain[0]) and np.array_equal(qe, plain[1])
+    assert jac.shape == (2, 2, 3)
+    eps = 1e-5
+    for col, (dp, dq) in enumerate(((eps, 0.0), (0.0, eps))):
+        fp = _flow_real_batch(model, *grid, p0 + dp, q0 + dq, 64)
+        fm = _flow_real_batch(model, *grid, p0 - dp, q0 - dq, 64)
+        for row in range(2):
+            fd = (fp[row] - fm[row]) / (2.0 * eps)
+            np.testing.assert_allclose(jac[row, col], fd, rtol=1e-6,
+                                       atol=1e-6 * np.max(np.abs(jac)))
+    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+    assert np.max(np.abs(det - 1.0)) <= 1e-8
+    # a zero-length flow carries the identity
+    _, _, eye = _flow_real_batch(model, 0.4, 0.4, p0, q0, 64, tangent=True)
     assert np.array_equal(eye, np.repeat(np.eye(2)[:, :, None], 3, axis=2))
 
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from scjarz.dynamics import IntegratorSettings
+from scjarz.pseudowork import _pseudo_work_batch
+from scjarz.stationary import _prefactor_batch, _pseudo_hamiltonian_batch
 from scjarz.errors import DomainTooSmall
 from scjarz.jarzynski import (QuadratureDomain, partition,
                               propagated_partition, verify_identity)
@@ -181,6 +183,29 @@ def test_prefactor_report_exposes_correction():
     expected_correction = np.cosh(1.0) / np.cosh(0.5) - 1.0
     assert pref["residual"] == pytest.approx(expected_correction, abs=1e-3)
     assert report.residual < 1e-6
+
+
+def test_prefactor_report_reuses_the_t_i_solves():
+    # the t_i partition and weights come from the work march's first node;
+    # rebuild them from separate t_i solves and compare bit for bit
+    model = ramped_model("harmonic", omega_i=1.0, omega_f=2.0)
+    dom = QuadratureDomain(p_max=10.5, q_max=10.5, n_p=12, n_q=12)
+    settings = IntegratorSettings(n_sigma_steps=32, n_time_steps=8)
+    pref = verify_identity(model, 1.0, 1.0, dom, settings,
+                           with_prefactor=True).prefactor_on
+    P, Q, W = dom.nodes()
+    zn_i = partition(model, 0.0, 1.0, 1.0, dom, settings,
+                     check_domain=False, with_prefactor=True)
+    zn_f = partition(model, 1.0, 1.0, 1.0, dom, settings,
+                     check_domain=False, with_prefactor=True)
+    out = _pseudo_work_batch(model, 0.0, 1.0, P, Q, 1.0, settings)
+    _, arcs, _, _, _ = _pseudo_hamiltonian_batch(model, 0.0, P, Q, 1.0,
+                                                 settings)
+    n_weight = _prefactor_batch(model, 0.0, arcs, 1.0, settings) / (2 * np.pi)
+    lhs = float(np.sum(W * n_weight * np.exp(-(out["g_initial"] + out["W"])))
+                / zn_i)
+    assert pref == {"Z_i": zn_i, "Z_f": zn_f, "lhs": lhs, "rhs": zn_f / zn_i,
+                    "residual": abs(lhs - zn_f / zn_i) / abs(zn_f / zn_i)}
 
 
 def test_report_serialization_fields():

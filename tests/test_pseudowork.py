@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson, solve_ivp
 
 from scjarz.dynamics import (IntegratorSettings, _build_arc_batch,
                              flow_imaginary, flow_real)
 from scjarz.errors import WorkMismatch
 from scjarz.models import ComplexPoint, ramped_model
-from scjarz.pseudowork import (_pseudo_power_batch, composite_map,
-                               pseudo_power, pseudo_work, solve_pseudo_state)
-from scjarz.stationary import invert_midpoint, midpoint_map
+from scjarz.pseudowork import (_composite_map_batch, _pseudo_power_batch,
+                               composite_map, pseudo_power, pseudo_work,
+                               solve_pseudo_state)
+from scjarz.stationary import _invert_map_batch, invert_midpoint, midpoint_map
 
 SET = IntegratorSettings(n_sigma_steps=96, n_time_steps=64)
 
@@ -265,3 +267,49 @@ def test_arc_reductions_are_batch_width_invariant():
         assert one.area[0] == whole.area[i], i
         assert one.action[0] == whole.action[i], i
         assert _pseudo_power_batch(model, one)[0][0] == power[i], i
+
+
+@pytest.mark.parametrize("t_f", [0.3, 1.0])
+def test_composite_map_jacobian_matches_central_differences(t_f):
+    model = quartic_ramp()
+    cp = np.array([0.0, 0.8, -1.3, 2.0])
+    cq = np.array([0.0, -0.6, 1.1, 0.4])
+    _, _, jac = _composite_map_batch(model, 0.0, t_f, cp, cq, 0.5, SET)
+    assert jac.shape == (2, 2, 4) and jac.dtype == float
+    eps = 1e-5
+    for col, (dp, dq) in enumerate(((eps, 0.0), (0.0, eps))):
+        fp = _composite_map_batch(model, 0.0, t_f, cp + dp, cq + dq, 0.5, SET)
+        fm = _composite_map_batch(model, 0.0, t_f, cp - dp, cq - dq, 0.5, SET)
+        for row in range(2):
+            fd = (fp[row] - fm[row]) / (2.0 * eps)
+            np.testing.assert_allclose(jac[row, col], fd, rtol=1e-6,
+                                       atol=1e-6 * np.max(np.abs(jac)))
+
+
+HYP_SET = IntegratorSettings(n_sigma_steps=16, n_time_steps=16)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+                min_size=1, max_size=16))
+def test_composite_inversion_is_batch_width_invariant(targets):
+    # every Newton step, damping decision and verdict is per point, so a
+    # point's solve must not depend on which points share its batch
+    model = quartic_ramp()
+
+    def scaled(scale):
+        def m(P, Q):
+            return _composite_map_batch(model, 0.0, 0.6, P, Q, scale * 0.5,
+                                        HYP_SET)
+        return m
+
+    tp = np.array([t[0] for t in targets])
+    tq = np.array([t[1] for t in targets])
+    whole = _invert_map_batch(scaled(1.0), tp, tq, HYP_SET,
+                              continuation=scaled)
+    for i in range(tp.size):
+        one = _invert_map_batch(scaled(1.0), tp[i:i + 1], tq[i:i + 1],
+                                HYP_SET, continuation=scaled)
+        for name in ("zc_p", "zc_q", "det", "iters", "status"):
+            a, b = getattr(one, name)[0], getattr(whole, name)[i]
+            assert a == b or (np.isnan(a) and np.isnan(b)), (name, i)

@@ -6,8 +6,10 @@ import pytest
 from scjarz.dynamics import IntegratorSettings
 from scjarz.errors import NewtonDiverged
 from scjarz.models import ComplexPoint, harmonic_model, ramped_model
-from scjarz.stationary import (OK, _invert_map_batch, _newton_stage,
-                               _pseudo_hamiltonian_batch, invert_midpoint,
+from scjarz.stationary import (CAUSTIC, OK, _invert_map_batch,
+                               _invert_midpoint_batch, _newton_stage,
+                               _pseudo_hamiltonian_batch,
+                               endpoint_action_prefactor, invert_midpoint,
                                midpoint_map, pseudo_hamiltonian)
 
 SET = IntegratorSettings(n_sigma_steps=128)
@@ -201,19 +203,52 @@ def test_continuation_trace_is_monotone():
 
 
 def test_caustic_floor_raises():
-    # synthetic fold: map (p, q) -> (p^3, q) has a degenerate Jacobian at
-    # p = 0; starting on the fold triggers the caustic guard
+    # synthetic fold: map (p, q) -> (p^3, q) has the Jacobian diag(3 p^2, 1),
+    # degenerate at p = 0; starting on the fold (det 3e-12) triggers the
+    # caustic guard
     settings = IntegratorSettings(newton_tol=1e-13, continuation_stages=0)
 
     def fold_map(P, Q):
-        return P**3, Q.copy()
+        jac = np.zeros((2, 2) + P.shape)
+        jac[0, 0], jac[1, 1] = 3.0 * P**2, 1.0
+        return P**3, Q.copy(), jac
 
     gp = np.array([1e-6])
     gq = np.array([0.0])
     _, _, _, _, _, status = _newton_stage(
         fold_map, np.array([-1e-3]), np.array([0.0]), gp, gq, settings)
-    from scjarz.stationary import CAUSTIC
     assert status[0] == CAUSTIC
+    # a start that already solves the fold gets the same verdict, with
+    # the determinant of its first evaluation reported
+    _, _, det, iters, _, status = _newton_stage(
+        fold_map, np.array([0.0]), np.array([0.0]), np.array([0.0]),
+        np.array([0.0]), settings)
+    assert iters[0] == 0 and det[0] == 0.0 and status[0] == CAUSTIC
+
+
+def test_jacobian_det_reported_at_first_evaluation():
+    # the origin is its own midpoint, so it converges without a Newton step;
+    # q = 0 all along the arc makes its monodromy harmonic, cosh(hb/2) I
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    settings = IntegratorSettings(n_sigma_steps=64)
+    tp = np.array([0.0, 0.01, 0.0])
+    tq = np.array([0.0, 0.0, 0.01])
+    solve = _invert_midpoint_batch(model, 0.0, tp, tq, 0.5, settings)
+    assert np.all(solve.status == OK)
+    assert solve.iters[0] == 0
+    assert solve.det[0] == pytest.approx(np.cosh(0.25) ** 2, rel=1e-9)
+    np.testing.assert_allclose(solve.det[1:], solve.det[0], rtol=1e-3)
+
+
+def test_endpoint_action_prefactor_rejects_foreign_span():
+    model = harmonic_model()
+    val = pseudo_hamiltonian(model, 0.0, ComplexPoint(0.4, -0.3), 1.0, SET,
+                             with_prefactor=True)
+    geom = endpoint_action_prefactor(model, 0.0, val.arc, 1.0, SET)
+    assert geom == val.prefactor
+    with pytest.raises(ValueError):
+        endpoint_action_prefactor(model, 0.0, val.arc, 0.5, SET)
 
 
 def test_beyond_image_target_diverges():
