@@ -390,17 +390,26 @@ class _ArcBatch:
 
 def _build_arc_batch(model, t, center_p, center_q, hbar_beta,
                      settings) -> _ArcBatch:
-    """Integrate center -> +/- hbar*beta/2 and assemble the symmetric arcs."""
+    """Integrate center -> +hbar*beta/2 and assemble the symmetric arcs.
+
+    Centers must be real (a complex dtype with zero imaginary parts is
+    accepted); a non-real center raises ValueError.  For a real center the
+    minus half (center -> -hbar*beta/2) is the complex conjugate of the
+    plus half, and bitwise so: the two RK4 runs differ only in the sign of
+    the imaginary step factor, and every stage operation commutes exactly
+    with conjugation.  So only the plus half is integrated.
+    """
     if not hbar_beta > 0.0:
         raise ValueError("hbar_beta must be positive")
     n = settings.n_sigma_steps
     s = 0.5 * hbar_beta
     cp = np.asarray(center_p, dtype=complex)
     cq = np.asarray(center_q, dtype=complex)
+    if np.any(cp.imag != 0.0) or np.any(cq.imag != 0.0):
+        raise ValueError("arc assembly expects real centers")
     plus_p, plus_q = _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, n, store=True)
-    minus_p, minus_q = _flow_imaginary_batch(model, t, cp, cq, 0.0, -s, n, store=True)
     _check_finite(plus_p, plus_q, "arc integration")
-    _check_finite(minus_p, minus_q, "arc integration")
+    minus_p, minus_q = plus_p.conj(), plus_q.conj()
     if settings.richardson_check:
         fine = _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, 2 * n)
         gap = _richardson_gap((plus_p[-1], plus_q[-1]), fine)
@@ -420,7 +429,7 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta,
 def build_arc(model: HamiltonianModel, t: float, z_c: ComplexPoint,
               hbar_beta: float,
               settings: IntegratorSettings = DEFAULT_SETTINGS) -> ImaginaryArc:
-    """Thermal arc through center z_c at frozen time t."""
+    """Thermal arc through the real center z_c at frozen time t."""
     batch = _build_arc_batch(
         model, t, np.array([z_c.p], dtype=complex),
         np.array([z_c.q], dtype=complex), hbar_beta, settings)

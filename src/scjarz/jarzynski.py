@@ -19,14 +19,16 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .dynamics import DEFAULT_SETTINGS, IntegratorSettings
+from .dynamics import DEFAULT_SETTINGS, IntegratorSettings, _build_arc_batch
 from .errors import DomainTooSmall, NewtonDiverged
 from .models import HamiltonianModel
-from .pseudowork import _propagated_g_batch, _pseudo_work_batch
+from .pseudowork import (_propagated_g_batch, _pseudo_work_batch,
+                         _solve_pseudo_state_batch)
 from .stationary import (CAUSTIC, OK, _prefactor_batch,
                          _pseudo_hamiltonian_batch)
 
 QUADRATURE_RULES = ("gauss-legendre", "trapezoid")
+_MARCH_STAGES = 8
 
 
 @dataclass(frozen=True)
@@ -95,6 +97,7 @@ class JarzynskiReport:
     n_nodes: int = 0
     prefactor_on: Optional[dict] = None
     monte_carlo: Optional[dict] = None
+    diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -105,6 +108,7 @@ class JarzynskiReport:
             "residual": self.residual,
             "prefactor_on": self.prefactor_on,
             "failures": self.failures,
+            "diagnostics": self.diagnostics,
         }
 
 
@@ -166,13 +170,35 @@ def propagated_partition(model: HamiltonianModel, t_i: float, t_f: float,
                          beta: float, hbar: float, domain: QuadratureDomain,
                          settings: IntegratorSettings = DEFAULT_SETTINGS,
                          check_domain: bool = True) -> float:
-    """Partition integral of the propagated pseudo-energy exp(-beta G_prop)."""
+    """Partition integral of the propagated pseudo-energy exp(-beta G_prop).
+
+    The t_f solve is reached by marching the final time from t_i in
+    ``_MARCH_STAGES`` equal stages, each warm-started from the
+    last stage's OK centers, so it tracks the physical stationary branch;
+    a cold solve at the full span can converge onto a spurious one.
+    """
     if check_domain:
         _check_domain(model, t_i, beta, hbar, domain, settings)
     hbar_beta = beta * hbar
     P, Q, W = domain.nodes()
-    solve, g_prop, _, _ = _propagated_g_batch(
-        model, t_i, t_f, P, Q, hbar_beta, settings)
+    warm_p, warm_q = None, None
+    if t_f > t_i:
+        warm_p, warm_q = P.copy(), Q.copy()
+        stages = np.linspace(t_i, t_f, _MARCH_STAGES + 1)[1:-1]
+        for t_stage in stages:
+            stage = _solve_pseudo_state_batch(
+                model, t_i, t_stage, P, Q, hbar_beta, settings,
+                warm_p=warm_p, warm_q=warm_q)
+            good = stage.status == OK
+            warm_p[good] = stage.zc_p[good]
+            warm_q[good] = stage.zc_q[good]
+    solve = _solve_pseudo_state_batch(model, t_i, t_f, P, Q, hbar_beta,
+                                      settings, warm_p=warm_p, warm_q=warm_q)
+    good = solve.status == OK
+    arcs = _build_arc_batch(model, t_f, solve.zc_p[good], solve.zc_q[good],
+                            hbar_beta, settings)
+    g_prop, _, _ = _propagated_g_batch(
+        model, t_i, t_f, P, Q, hbar_beta, settings, solve, arcs)
     if np.any(solve.status != OK):
         failures = _collect_failures(P, Q, solve.status)
         raise NewtonDiverged(
@@ -220,6 +246,21 @@ def _monte_carlo_lhs(model, t_i, t_f, beta, hbar, domain, settings,
     }
 
 
+def _march_diagnostics(out: dict, ok: np.ndarray) -> dict:
+    """Deterministic solver counts and consistency residuals of the march.
+
+    node_solves and newton_iters cover every (quadrature node, time node)
+    solve; max_g_imag (|Im G_prop|) and max_chord_gap (distance of the
+    reconstructed t_i chord midpoint from its node) cover the OK nodes.
+    """
+    return {
+        "node_solves": int(out["times"].size * out["status"].size),
+        "newton_iters": int(np.sum(out["newton_iters"])),
+        "max_g_imag": float(np.max(out["g_imag"][ok], initial=0.0)),
+        "max_chord_gap": float(np.max(out["chord_gap"][ok], initial=0.0)),
+    }
+
+
 def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
                     domain: QuadratureDomain,
                     settings: IntegratorSettings = DEFAULT_SETTINGS,
@@ -257,7 +298,8 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
     report = JarzynskiReport(
         Z_i=z_i, Z_f=z_f, lhs=lhs, rhs=rhs,
         residual=abs(lhs - rhs) / abs(rhs),
-        failures=failures, n_nodes=int(P.size))
+        failures=failures, n_nodes=int(P.size),
+        diagnostics=_march_diagnostics(out, ok))
 
     if with_prefactor:
         # static partitions at both protocol ends with the geometric

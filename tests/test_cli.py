@@ -175,10 +175,45 @@ def test_jarzynski_command_report(config_path, tmp_path):
     rep = json.loads((out / "jarzynski.json").read_text())
     assert set(rep) == {"schema_version", "config_sha256", "Z_i", "Z_f",
                         "lhs", "rhs", "residual", "prefactor_on", "failures",
-                        "monte_carlo", "n_nodes"}
+                        "diagnostics", "monte_carlo", "n_nodes"}
     assert rep["failures"] == []
     assert rep["residual"] < 1e-6
     assert rep["prefactor_on"] is None and rep["monte_carlo"] is None
+
+
+QUARTIC_RAMP_CONFIG = """
+schema_version: 1
+model:
+  kind: quartic
+  quartic_lambda: 0.1
+  protocol: {shape: linear, omega_initial: 1.0, omega_final: 2.0,
+             t_initial: 0.0, t_final: 1.0}
+physics: {beta: 1.0, hbar: 0.5}
+numerics:
+  n_sigma_steps: 32
+  n_time_steps: 16
+  domain: {p_max: 7.5, q_max: 4.5, n_p: 12, n_q: 12}
+"""
+
+
+def test_jarzynski_diagnostics_block(tmp_path):
+    # solver counts of the work march: one solve per (node, time node),
+    # no timings, so the block is byte-identical across reruns
+    path = tmp_path / "quartic.yaml"
+    path.write_text(QUARTIC_RAMP_CONFIG)
+    out1, out2 = tmp_path / "d1", tmp_path / "d2"
+    for out in (out1, out2):
+        assert main(["jarzynski", "--config", str(path),
+                     "--out", str(out)]) == 0
+    b1 = (out1 / "jarzynski.json").read_bytes()
+    assert b1 == (out2 / "jarzynski.json").read_bytes()
+    diag = json.loads(b1)["diagnostics"]
+    assert set(diag) == {"node_solves", "newton_iters", "max_g_imag",
+                         "max_chord_gap"}
+    assert diag["node_solves"] == 17 * 144
+    assert diag["newton_iters"] == 5798
+    assert 0.0 <= diag["max_g_imag"] < 1e-10
+    assert 0.0 <= diag["max_chord_gap"] < 1e-9
 
 
 def test_jarzynski_threshold_exit_code(tmp_path, config_path):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from scjarz.dynamics import (IntegratorSettings, _flow_imaginary_batch,
-                             _flow_real_batch, build_arc, flow_imaginary,
-                             flow_real, simpson_weights)
+from scjarz.dynamics import (IntegratorSettings, _build_arc_batch,
+                             _flow_imaginary_batch, _flow_real_batch,
+                             build_arc, flow_imaginary, flow_real,
+                             simpson_weights)
 from scjarz.errors import IntegratorDiverged, ToleranceExceeded
 from scjarz.models import ComplexPoint, harmonic_model, ramped_model
 
@@ -212,6 +213,32 @@ def test_flow_real_tangent_is_monodromy(kind):
     # a zero-length flow carries the identity
     _, _, eye = _flow_real_batch(model, 0.4, 0.4, p0, q0, 64, tangent=True)
     assert np.array_equal(eye, np.repeat(np.eye(2)[:, :, None], 3, axis=2))
+
+
+@pytest.mark.parametrize("kind", sorted(TANGENT_MODELS))
+def test_arc_minus_half_is_the_exact_conjugate_flow(kind):
+    # the arc reuses the plus half for the minus half; it must equal an
+    # explicit integration from the center to -hbar*beta/2 bit for bit
+    model = TANGENT_MODELS[kind]
+    rng = np.random.default_rng(17)
+    cp = rng.uniform(-2.5, 2.5, 64)
+    cq = rng.uniform(-2.5, 2.5, 64)
+    n = SET.n_sigma_steps
+    for t in (0.0, 0.37, 1.0):
+        arcs = _build_arc_batch(model, t, cp, cq, 1.0, SET)
+        minus_p, minus_q = _flow_imaginary_batch(
+            model, t, cp.astype(complex), cq.astype(complex), 0.0, -0.5, n,
+            store=True)
+        assert np.array_equal(arcs.p[n::-1], minus_p)
+        assert np.array_equal(arcs.q[n::-1], minus_q)
+
+
+def test_arc_rejects_a_complex_center():
+    model = harmonic_model()
+    with pytest.raises(ValueError):
+        build_arc(model, 0.0, ComplexPoint(0.5 + 1e-3j, 0.2), 1.0, SET)
+    with pytest.raises(ValueError):
+        build_arc(model, 0.0, ComplexPoint(0.5, 0.2 - 1e-3j), 1.0, SET)
 
 
 def test_richardson_check_flags_coarse_grids():

@@ -217,5 +217,5 @@ def test_report_serialization_fields():
                                                 n_time_steps=8))
     d = report.to_dict()
     assert set(d) == {"Z_i", "Z_f", "lhs", "rhs", "residual",
-                      "prefactor_on", "failures"}
+                      "prefactor_on", "failures", "diagnostics"}
     assert d["Z_i"] > 0 and d["Z_f"] > 0 and np.isfinite(d["residual"])

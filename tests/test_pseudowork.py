@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson, solve_ivp
 
+from scjarz import pseudowork
 from scjarz.dynamics import (IntegratorSettings, _build_arc_batch,
                              flow_imaginary, flow_real)
 from scjarz.errors import WorkMismatch
 from scjarz.models import ComplexPoint, ramped_model
 from scjarz.pseudowork import (_composite_map_batch, _pseudo_power_batch,
-                               composite_map, pseudo_power, pseudo_work,
-                               solve_pseudo_state)
+                               _pseudo_work_batch, composite_map,
+                               pseudo_power, pseudo_work, solve_pseudo_state)
 from scjarz.stationary import _invert_map_batch, invert_midpoint, midpoint_map
 
 SET = IntegratorSettings(n_sigma_steps=96, n_time_steps=64)
@@ -312,4 +313,56 @@ def test_composite_inversion_is_batch_width_invariant(targets):
                                 HYP_SET, continuation=scaled)
         for name in ("zc_p", "zc_q", "det", "iters", "status"):
             a, b = getattr(one, name)[0], getattr(whole, name)[i]
+            assert a == b or (np.isnan(a) and np.isnan(b)), (name, i)
+
+
+def test_work_march_solves_each_time_node_once(monkeypatch):
+    # the t_f node's solve and arcs also serve the endpoint G_prop
+    calls = []
+    original = pseudowork._solve_pseudo_state_batch
+
+    def counted(model, t_i, t_f, *args, **kwargs):
+        calls.append(t_f)
+        return original(model, t_i, t_f, *args, **kwargs)
+
+    monkeypatch.setattr(pseudowork, "_solve_pseudo_state_batch", counted)
+    model = quartic_ramp()
+    out = _pseudo_work_batch(model, 0.0, 1.0, np.array([0.2, -0.7]),
+                             np.array([0.9, 0.4]), 1.0, HYP_SET)
+    assert len(calls) == HYP_SET.n_time_steps + 1
+    assert calls == list(out["times"])
+    assert np.all(out["status"] == 0)
+    assert np.all(out["newton_iters"] > 0)
+
+
+# at hbar*beta = 1 this quartic start solves at t_i and fails at time node
+# 6 of 8, then solves again at nodes 7 and 8, so the warm start of the
+# later nodes takes the fallback for a column not OK in its history
+MARCH_SET = IntegratorSettings(n_sigma_steps=16, n_time_steps=8)
+FAILS_MID_MARCH = (-4.0, -1.0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+                min_size=0, max_size=5),
+       st.integers(0, 5))
+def test_work_march_is_batch_width_invariant(targets, slot):
+    # the predicted warm starts are per column, so a start's work and
+    # endpoint energies must not depend on which starts share its batch
+    model = quartic_ramp()
+    targets = list(targets)
+    targets.insert(min(slot, len(targets)), FAILS_MID_MARCH)
+    tp = np.array([t[0] for t in targets])
+    tq = np.array([t[1] for t in targets])
+    whole = _pseudo_work_batch(model, 0.0, 1.0, tp, tq, 1.0, MARCH_SET)
+    failing = min(slot, len(targets) - 1)
+    assert whole["status"][failing] != 0
+    assert np.isfinite(whole["g_initial"][failing])
+    assert np.isnan(whole["power"][6, failing])
+    for i in range(tp.size):
+        one = _pseudo_work_batch(model, 0.0, 1.0, tp[i:i + 1], tq[i:i + 1],
+                                 1.0, MARCH_SET)
+        for name in ("W", "g_initial", "g_propagated", "status",
+                     "newton_iters"):
+            a, b = one[name][0], whole[name][i]
             assert a == b or (np.isnan(a) and np.isnan(b)), (name, i)
