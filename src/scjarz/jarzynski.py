@@ -22,8 +22,7 @@ from numpy.polynomial.legendre import leggauss
 from .dynamics import DEFAULT_SETTINGS, IntegratorSettings, _build_arc_batch
 from .errors import DomainTooSmall, NewtonDiverged
 from .models import HamiltonianModel
-from .pseudowork import (_propagated_g_batch, _pseudo_work_batch,
-                         _solve_pseudo_state_batch)
+from .pseudowork import _march, _propagated_g_batch, _pseudo_work_batch
 from .stationary import (CAUSTIC, OK, _prefactor_batch,
                          _pseudo_hamiltonian_batch)
 
@@ -172,38 +171,31 @@ def propagated_partition(model: HamiltonianModel, t_i: float, t_f: float,
                          check_domain: bool = True) -> float:
     """Partition integral of the propagated pseudo-energy exp(-beta G_prop).
 
-    The t_f solve is reached by marching the final time from t_i in
-    ``_MARCH_STAGES`` equal stages, each warm-started from the
-    last stage's OK centers, so it tracks the physical stationary branch;
-    a cold solve at the full span can converge onto a spurious one.
+    The t_f solve is reached by one ``pseudowork._march`` over
+    ``_MARCH_STAGES + 1`` equal stage times from t_i, with the work march's
+    predicted warm starts, so it tracks the physical stationary branch; a
+    cold solve at the full span can converge onto a spurious one.  The last
+    stage's solve and arcs give G_prop.  Raises ``NewtonDiverged`` if any
+    node fails at any stage.
     """
     if check_domain:
         _check_domain(model, t_i, beta, hbar, domain, settings)
     hbar_beta = beta * hbar
     P, Q, W = domain.nodes()
-    warm_p, warm_q = None, None
-    if t_f > t_i:
-        warm_p, warm_q = P.copy(), Q.copy()
-        stages = np.linspace(t_i, t_f, _MARCH_STAGES + 1)[1:-1]
-        for t_stage in stages:
-            stage = _solve_pseudo_state_batch(
-                model, t_i, t_stage, P, Q, hbar_beta, settings,
-                warm_p=warm_p, warm_q=warm_q)
-            good = stage.status == OK
-            warm_p[good] = stage.zc_p[good]
-            warm_q[good] = stage.zc_q[good]
-    solve = _solve_pseudo_state_batch(model, t_i, t_f, P, Q, hbar_beta,
-                                      settings, warm_p=warm_p, warm_q=warm_q)
-    good = solve.status == OK
-    arcs = _build_arc_batch(model, t_f, solve.zc_p[good], solve.zc_q[good],
-                            hbar_beta, settings)
-    g_prop, _, _ = _propagated_g_batch(
-        model, t_i, t_f, P, Q, hbar_beta, settings, solve, arcs)
-    if np.any(solve.status != OK):
-        failures = _collect_failures(P, Q, solve.status)
+    stages = (np.linspace(t_i, t_f, _MARCH_STAGES + 1) if t_f > t_i
+              else np.array([t_i]))
+    status = np.full(P.size, OK, dtype=np.int8)
+    for live, solve in _march(model, t_i, stages, P, Q, hbar_beta, settings):
+        status[live] = solve.status
+    if np.any(status != OK):
+        failures = _collect_failures(P, Q, status)
         raise NewtonDiverged(
             f"propagated partition lost {len(failures)} node(s); "
             f"first: {failures[0]}")
+    arcs = _build_arc_batch(model, t_f, solve.zc_p, solve.zc_q, hbar_beta,
+                            settings)
+    g_prop, _, _ = _propagated_g_batch(
+        model, t_i, t_f, P, Q, hbar_beta, settings, solve, arcs)
     return float(np.sum(W * np.exp(-beta * g_prop)))
 
 
@@ -250,11 +242,12 @@ def _march_diagnostics(out: dict, ok: np.ndarray) -> dict:
     """Deterministic solver counts and consistency residuals of the march.
 
     node_solves and newton_iters cover every (quadrature node, time node)
-    solve; max_g_imag (|Im G_prop|) and max_chord_gap (distance of the
+    solve the march ran (a node is not solved again after a failed time
+    node); max_g_imag (|Im G_prop|) and max_chord_gap (distance of the
     reconstructed t_i chord midpoint from its node) cover the OK nodes.
     """
     return {
-        "node_solves": int(out["times"].size * out["status"].size),
+        "node_solves": int(out["node_solves"]),
         "newton_iters": int(np.sum(out["newton_iters"])),
         "max_g_imag": float(np.max(out["g_imag"][ok], initial=0.0)),
         "max_chord_gap": float(np.max(out["chord_gap"][ok], initial=0.0)),

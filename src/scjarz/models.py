@@ -148,16 +148,6 @@ class HamiltonianModel:
         wdot = self.protocol.omega_dot(t)
         return self.mass * w * wdot * q * q
 
-    def value_at(self, t: float, z: ComplexPoint) -> complex:
-        return complex(self.value(t, z.p, z.q))
-
-    def grad_at(self, t: float, z: ComplexPoint) -> tuple[complex, complex]:
-        dp, dq = self.grad(t, z.p, z.q)
-        return complex(dp), complex(dq)
-
-    def dt_at(self, t: float, z: ComplexPoint) -> complex:
-        return complex(self.dt(t, z.p, z.q))
-
 
 def harmonic_model(mass: float = 1.0, omega: float = 1.0,
                    t_i: float = 0.0, t_f: float = 1.0) -> HamiltonianModel:

@@ -18,12 +18,12 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
-                       _ArcBatch, _build_arc_batch, _flow_imaginary_batch,
-                       _flow_real_batch, _real_step_count, simpson_weights,
-                       weighted_sum)
+                       _ArcBatch, _build_arc_batch, _flow_real_batch,
+                       _real_step_count, simpson_weights, weighted_sum)
 from .errors import ToleranceExceeded, WorkMismatch
 from .models import ComplexPoint, HamiltonianModel
-from .stationary import OK, SolveBatch, _invert_map_batch, _prefactor_batch
+from .stationary import (OK, SolveBatch, _composite_map_batch,
+                         _invert_map_batch, _prefactor_batch)
 
 
 @dataclass(frozen=True)
@@ -71,23 +71,6 @@ class WorkResult:
     trajectory: PseudoTrajectory
 
 
-def _composite_map_batch(model, t_i, t_f, P, Q, hbar_beta, settings):
-    """Frozen-t_f half-flow followed by backward real-time flow, real part.
-
-    Also returns the Jacobian Re(M_real @ M_imag) of shape (2, 2, B): the
-    map is holomorphic in a real center, so it is the real part of the
-    chained monodromy of the two flows.
-    """
-    p, q, jac = _flow_imaginary_batch(
-        model, t_f, np.asarray(P, dtype=complex), np.asarray(Q, dtype=complex),
-        0.0, 0.5 * hbar_beta, settings.n_sigma_steps, tangent=True)
-    if t_f != t_i:
-        n = _real_step_count(model, settings, t_f - t_i)
-        p, q, m_real = _flow_real_batch(model, t_f, t_i, p, q, n, tangent=True)
-        jac = m_real[:, 0, None] * jac[0] + m_real[:, 1, None] * jac[1]
-    return p.real, q.real, jac.real
-
-
 def composite_map(model: HamiltonianModel, t_i: float, t_f: float,
                   z_real: ComplexPoint, hbar_beta: float,
                   settings: IntegratorSettings = DEFAULT_SETTINGS) -> ComplexPoint:
@@ -99,21 +82,6 @@ def composite_map(model: HamiltonianModel, t_i: float, t_f: float,
     return ComplexPoint(float(mp[0]), float(mq[0]))
 
 
-def _solve_pseudo_state_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
-                              warm_p=None, warm_q=None) -> SolveBatch:
-    def the_map(P, Q):
-        return _composite_map_batch(model, t_i, t_f, P, Q, hbar_beta, settings)
-
-    def scaled(scale):
-        def m(P, Q):
-            return _composite_map_batch(model, t_i, t_f, P, Q,
-                                        scale * hbar_beta, settings)
-        return m
-
-    return _invert_map_batch(the_map, tp, tq, settings, warm_p, warm_q,
-                             continuation=scaled)
-
-
 def solve_pseudo_state(model: HamiltonianModel, t_i: float, t_f: float,
                        target: ComplexPoint, hbar_beta: float,
                        settings: IntegratorSettings = DEFAULT_SETTINGS,
@@ -123,8 +91,8 @@ def solve_pseudo_state(model: HamiltonianModel, t_i: float, t_f: float,
     tq = np.array([target.q.real])
     wp = None if warm_start is None else np.array([warm_start.p.real])
     wq = None if warm_start is None else np.array([warm_start.q.real])
-    solve = _solve_pseudo_state_batch(model, t_i, t_f, tp, tq, hbar_beta,
-                                      settings, warm_p=wp, warm_q=wq)
+    solve = _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
+                              warm_p=wp, warm_q=wq)
     solve.raise_on_failure()
     arcs = _build_arc_batch(model, t_f, solve.zc_p.astype(complex),
                             solve.zc_q.astype(complex), hbar_beta, settings)
@@ -236,36 +204,62 @@ _PREDICTOR_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0),
                       (4.0, -6.0, 4.0, -1.0), (5.0, -10.0, 10.0, -5.0, 1.0))
 
 
-def _predicted_centers(center_p, center_q, node_ok, j):
-    """Warm start for time node j >= 1 from the centers of earlier nodes.
+def _predicted_centers(hist_p, hist_q):
+    """Warm start for the next time node from the centers of earlier ones.
 
-    A column not OK at one of the nodes the rule uses falls back to its
-    center at node j-1.  Every column is extrapolated on its own, in a
-    fixed expression order, so the prediction does not depend on the
-    batch width.
+    ``hist_p``/``hist_q`` hold the converged centers of the marched columns
+    at up to ``len(_PREDICTOR_WEIGHTS)`` preceding nodes, newest first; the
+    longest rule the history allows is applied.  Every column is
+    extrapolated on its own, in a fixed expression order, so the prediction
+    does not depend on the batch width.
     """
-    weights = _PREDICTOR_WEIGHTS[min(j, len(_PREDICTOR_WEIGHTS)) - 1]
-    last_p, last_q = center_p[j - 1], center_q[j - 1]
-    pred_p = weights[0] * last_p
-    pred_q = weights[0] * last_q
-    for k, w in enumerate(weights[1:], start=2):
-        pred_p = pred_p + w * center_p[j - k]
-        pred_q = pred_q + w * center_q[j - k]
-    usable = np.all(node_ok[j - len(weights):j], axis=0)
-    return (np.where(usable, pred_p, last_p),
-            np.where(usable, pred_q, last_q))
+    weights = _PREDICTOR_WEIGHTS[len(hist_p) - 1]
+    pred_p = weights[0] * hist_p[0]
+    pred_q = weights[0] * hist_q[0]
+    for w, cp, cq in zip(weights[1:], hist_p[1:], hist_q[1:]):
+        pred_p = pred_p + w * cp
+        pred_q = pred_q + w * cq
+    return pred_p, pred_q
+
+
+def _march(model, t_i, times, tp, tq, hbar_beta, settings):
+    """Composite-map solves of a batch of targets at each node of ``times``.
+
+    Yields ``(live, solve)`` per node, ``solve`` covering the columns
+    ``live`` (indices into tp, tq).  The first node is solved from the
+    targets and every later one from the centers predicted by the nodes
+    before it (``_predicted_centers``).  A column is final at its first
+    failed node and is not solved again, so every marched column was OK at
+    every earlier node.
+    """
+    live = np.arange(tp.shape[0])
+    hist_p, hist_q = [], []
+    depth = len(_PREDICTOR_WEIGHTS) - 1
+    for tj in times:
+        warm_p, warm_q = (_predicted_centers(hist_p, hist_q) if hist_p
+                          else (None, None))
+        solve = _invert_map_batch(model, t_i, tj, tp[live], tq[live],
+                                  hbar_beta, settings,
+                                  warm_p=warm_p, warm_q=warm_q)
+        yield live, solve
+        ok = solve.status == OK
+        live = live[ok]
+        hist_p = [solve.zc_p[ok]] + [c[ok] for c in hist_p[:depth]]
+        hist_q = [solve.zc_q[ok]] + [c[ok] for c in hist_q[:depth]]
 
 
 def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
                        with_prefactor=False):
     """Work along the pseudo-trajectory for a batch of initial points.
 
-    One composite-map solve per time node: node j is warm-started from the
-    centers of the nodes before it (``_predicted_centers``), and the t_f
-    node's solve and arcs also give the endpoint G_prop.  Returns a dict
-    of arrays; columns whose solves fail at any node carry status != OK
-    and NaN work values.  "newton_iters" counts each column's Newton
-    iterations over the march.  ``with_prefactor`` adds the geometric
+    One ``_march`` over the n_time_steps + 1 time nodes: at most one
+    composite-map solve per column and node, and the t_f node's solve and
+    arcs also give the endpoint G_prop.  Returns a dict of arrays; a column
+    whose solve fails at a node carries that solve's status and NaN work
+    values.  Per-node entries are NaN where a column was not solved (the
+    centers and residuals) or not OK (the arc quantities).  "newton_iters"
+    counts each column's Newton iterations over the march, "node_solves"
+    the column solves run.  ``with_prefactor`` adds the geometric
     prefactor of the t_i arcs ("prefactor_initial").
     """
     tp = np.asarray(tp, dtype=float)
@@ -273,44 +267,36 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     b = tp.shape[0]
     n_t = settings.n_time_steps
     times = np.linspace(t_i, t_f, n_t + 1)
-    power = np.zeros((n_t + 1, b))
-    center_p = np.zeros((n_t + 1, b))
-    center_q = np.zeros((n_t + 1, b))
-    node_ok = np.zeros((n_t + 1, b), dtype=bool)
-    plus_p = np.zeros((n_t + 1, b), dtype=complex)
-    plus_q = np.zeros((n_t + 1, b), dtype=complex)
-    minus_p = np.zeros((n_t + 1, b), dtype=complex)
-    minus_q = np.zeros((n_t + 1, b), dtype=complex)
-    check_p = np.zeros((n_t + 1, b))
-    check_q = np.zeros((n_t + 1, b))
-    residual = np.zeros((n_t + 1, b))
-    status = np.zeros(b, dtype=np.int8)
+
+    def per_node(dtype=float):
+        return np.full((n_t + 1, b), np.nan, dtype=dtype)
+
+    power, center_p, center_q, check_p, check_q, residual = (
+        per_node() for _ in range(6))
+    plus_p, plus_q, minus_p, minus_q = (per_node(complex) for _ in range(4))
+    status = np.full(b, OK, dtype=np.int8)
     newton_iters = np.zeros(b, dtype=int)
+    node_solves = 0
     g_initial = np.full(b, np.nan)
     prefactor_initial = np.full(b, np.nan)
 
-    warm_p, warm_q = tp, tq
-    for j, tj in enumerate(times):
-        if j > 0:
-            warm_p, warm_q = _predicted_centers(center_p, center_q, node_ok, j)
-        solve = _solve_pseudo_state_batch(model, t_i, tj, tp, tq, hbar_beta,
-                                          settings, warm_p=warm_p, warm_q=warm_q)
-        bad = solve.status != OK
-        status[bad & (status == OK)] = solve.status[bad & (status == OK)]
-        good = solve.status == OK
-        newton_iters += solve.iters
-        arcs = _build_arc_batch(model, tj, solve.zc_p[good], solve.zc_q[good],
+    march = _march(model, t_i, times, tp, tq, hbar_beta, settings)
+    for j, (live, solve) in enumerate(march):
+        tj = times[j]
+        ok = solve.status == OK
+        good = live[ok]
+        status[live] = solve.status
+        newton_iters[live] += solve.iters
+        node_solves += live.size
+        center_p[j, live], center_q[j, live] = solve.zc_p, solve.zc_q
+        residual[j, live] = solve.residual
+        arcs = _build_arc_batch(model, tj, solve.zc_p[ok], solve.zc_q[ok],
                                 hbar_beta, settings)
-        pw, _ = _pseudo_power_batch(model, arcs)
-        power[j, good] = pw
-        power[j, ~good] = np.nan
-        center_p[j], center_q[j] = solve.zc_p, solve.zc_q
-        node_ok[j] = good
+        power[j, good], _ = _pseudo_power_batch(model, arcs)
         plus_p[j, good], plus_q[j, good] = arcs.p[-1], arcs.q[-1]
         minus_p[j, good], minus_q[j, good] = arcs.p[0], arcs.q[0]
         check_p[j, good] = arcs.mid_p.real
         check_q[j, good] = arcs.mid_q.real
-        residual[j] = solve.residual
         if j == 0:
             h_center = model.value(tj, arcs.center_p, arcs.center_q).real
             g_initial[good] = h_center - arcs.area / hbar_beta
@@ -323,9 +309,10 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     else:
         work = np.zeros(b)
 
-    # the loop ends at t_f: its last solve and arcs are the endpoint's
-    g_prop, g_imag, chord_gap = _propagated_g_batch(
-        model, t_i, t_f, tp, tq, hbar_beta, settings, solve, arcs)
+    # the march ends at t_f: its last solve and arcs are the endpoint's
+    g_prop, g_imag, chord_gap = (np.full(b, np.nan) for _ in range(3))
+    g_prop[live], g_imag[live], chord_gap[live] = _propagated_g_batch(
+        model, t_i, t_f, tp[live], tq[live], hbar_beta, settings, solve, arcs)
 
     return {
         "times": times,
@@ -337,6 +324,7 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
         "residual": residual,
         "status": status,
         "newton_iters": newton_iters,
+        "node_solves": node_solves,
         "W": work,
         "g_initial": g_initial,
         "prefactor_initial": prefactor_initial,

@@ -2,8 +2,11 @@
 
 The half-arc flow sends a real center to the real midpoint of the arc's
 chord; inverting that map selects, for a requested real phase-space point,
-the unique thermal arc whose chord is centered there.  G is then the center
-energy minus the enclosed area per unit imaginary time,
+the unique thermal arc whose chord is centered there.  The map is the
+composite map of the driven construction (frozen-t_f half-flow, then
+backward real-time flow to t_i) at t_f = t_i, so one map and one Newton
+engine serve both.  G is then the center energy minus the enclosed area
+per unit imaginary time,
 
     G(p, q) = H_t(center) - A / (hbar*beta),
 
@@ -13,13 +16,15 @@ cross-checked against the total-action evaluation of the same quantity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
                        _ArcBatch, _build_arc_batch, _check_finite,
-                       _flow_imaginary_batch)
+                       _flow_imaginary_batch, _flow_real_batch,
+                       _real_step_count)
 from .errors import CausticEncountered, NewtonDiverged
 from .models import ComplexPoint, HamiltonianModel
 
@@ -87,24 +92,30 @@ class SolveBatch:
                 f"midpoint inversion stalled (residual {self.residual[idx]:.3e})")
 
 
-def _midpoint_map_batch(model, t, P, Q, hbar_beta, settings):
-    """Real map: half-arc endpoint real part and its Jacobian, vectorized.
+def _composite_map_batch(model, t_i, t_f, P, Q, hbar_beta, settings):
+    """Frozen-t_f half-flow followed by backward real-time flow, real part.
 
-    The half-arc endpoint is holomorphic in the center, so at a real center
-    the Jacobian of its real part is the real part of the monodromy.
+    Also returns the Jacobian Re(M_real @ M_imag) of shape (2, 2, B): the
+    map is holomorphic in a real center, so it is the real part of the
+    chained monodromy of the two flows.  At t_f == t_i the real-time leg
+    is skipped and this is the chord-midpoint map of the static arc.
     """
-    pe, qe, jac = _flow_imaginary_batch(
-        model, t, np.asarray(P, dtype=complex), np.asarray(Q, dtype=complex),
+    p, q, jac = _flow_imaginary_batch(
+        model, t_f, np.asarray(P, dtype=complex), np.asarray(Q, dtype=complex),
         0.0, 0.5 * hbar_beta, settings.n_sigma_steps, tangent=True)
-    return pe.real, qe.real, jac.real
+    if t_f != t_i:
+        n = _real_step_count(model, settings, t_f - t_i)
+        p, q, m_real = _flow_real_batch(model, t_f, t_i, p, q, n, tangent=True)
+        jac = m_real[:, 0, None] * jac[0] + m_real[:, 1, None] * jac[1]
+    return p.real, q.real, jac.real
 
 
 def midpoint_map(model: HamiltonianModel, t: float, z_real: ComplexPoint,
                  hbar_beta: float,
                  settings: IntegratorSettings = DEFAULT_SETTINGS) -> ComplexPoint:
     """Image of a real point under the half-arc chord-midpoint map."""
-    mp, mq, _ = _midpoint_map_batch(
-        model, t, np.array([z_real.p]), np.array([z_real.q]),
+    mp, mq, _ = _composite_map_batch(
+        model, t, t, np.array([z_real.p]), np.array([z_real.q]),
         hbar_beta, settings)
     return ComplexPoint(float(mp[0]), float(mq[0]))
 
@@ -198,62 +209,43 @@ def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
     return gp, gq, det_out, iters, resid, status
 
 
-def _invert_map_batch(map_fn: MapFn, tp, tq, settings,
-                      warm_p=None, warm_q=None,
-                      continuation: Optional[Callable[[float], MapFn]] = None,
-                      force_continuation: bool = False) -> SolveBatch:
-    """Invert a real 2-plane map for a batch of targets.
+def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
+                      warm_p=None, warm_q=None) -> SolveBatch:
+    """Invert the composite map at (t_i, t_f) for a batch of real targets.
 
-    ``continuation(scale)`` must return the map with the imaginary span
-    scaled by ``scale``; it is engaged for points the direct solve loses
-    (or for all points when force_continuation is set).
+    One damped Newton stage from the warm start (the targets by default);
+    the points it leaves DIVERGED are re-solved along a ladder that starts
+    at the span hbar_beta / 2**continuation_stages and doubles it up to
+    hbar_beta, each rung warm-started from the last.  The static midpoint
+    solve is the case t_f == t_i.  ``stage_residuals`` records the ladder's
+    largest residual per rung.
     """
     tp = np.asarray(tp, dtype=float)
     tq = np.asarray(tq, dtype=float)
     gp = tp.copy() if warm_p is None else np.asarray(warm_p, dtype=float).copy()
     gq = tq.copy() if warm_q is None else np.asarray(warm_q, dtype=float).copy()
     stage_residuals: list = []
+    gp, gq, det, iters, resid, status = _newton_stage(
+        partial(_composite_map_batch, model, t_i, t_f, hbar_beta=hbar_beta,
+                settings=settings),
+        tp, tq, gp, gq, settings)
 
-    if not force_continuation:
-        gp, gq, det, iters, resid, status = _newton_stage(
-            map_fn, tp, tq, gp, gq, settings)
-    else:
-        status = np.full(tp.shape[0], DIVERGED, dtype=np.int8)
-        det = np.zeros(tp.shape[0])
-        iters = np.zeros(tp.shape[0], dtype=int)
-        resid = np.full(tp.shape[0], np.inf)
-
-    retry = status == DIVERGED
-    if np.any(retry) and continuation is not None and settings.continuation_stages > 0:
-        idx = np.flatnonzero(retry)
+    idx = np.flatnonzero(status == DIVERGED)
+    if idx.size and settings.continuation_stages > 0:
         sp, sq = tp[idx].copy(), tq[idx].copy()
         for k in range(settings.continuation_stages, -1, -1):
-            stage_map = continuation(0.5 ** k)
+            stage_map = partial(_composite_map_batch, model, t_i, t_f,
+                                hbar_beta=0.5 ** k * hbar_beta,
+                                settings=settings)
             sp, sq, det_s, it_s, res_s, st_s = _newton_stage(
                 stage_map, tp[idx], tq[idx], sp, sq, settings)
             stage_residuals.append(float(np.max(res_s)))
             det[idx], resid[idx] = det_s, res_s
             iters[idx] += it_s
-            # status of the final (scale = 1) stage is the verdict
+            # status of the final (full span) stage is the verdict
             status[idx] = st_s
         gp[idx], gq[idx] = sp, sq
     return SolveBatch(gp, gq, det, iters, resid, status, stage_residuals)
-
-
-def _invert_midpoint_batch(model, t, tp, tq, hbar_beta, settings,
-                           warm_p=None, warm_q=None,
-                           force_continuation=False) -> SolveBatch:
-    def the_map(P, Q):
-        return _midpoint_map_batch(model, t, P, Q, hbar_beta, settings)
-
-    def scaled(scale):
-        def m(P, Q):
-            return _midpoint_map_batch(model, t, P, Q, scale * hbar_beta, settings)
-        return m
-
-    return _invert_map_batch(the_map, tp, tq, settings, warm_p, warm_q,
-                             continuation=scaled,
-                             force_continuation=force_continuation)
 
 
 def invert_midpoint(model: HamiltonianModel, t: float, target: ComplexPoint,
@@ -267,8 +259,8 @@ def invert_midpoint(model: HamiltonianModel, t: float, target: ComplexPoint,
     tq = np.array([target.q.real])
     wp = None if warm_start is None else np.array([warm_start.p.real])
     wq = None if warm_start is None else np.array([warm_start.q.real])
-    solve = _invert_midpoint_batch(model, t, tp, tq, hbar_beta, settings,
-                                   warm_p=wp, warm_q=wq)
+    solve = _invert_map_batch(model, t, t, tp, tq, hbar_beta, settings,
+                              warm_p=wp, warm_q=wq)
     solve.raise_on_failure()
     arc = _build_arc_batch(model, t, solve.zc_p.astype(complex),
                            solve.zc_q.astype(complex), hbar_beta, settings)
@@ -293,13 +285,9 @@ def _g_values(model, t, arcs: _ArcBatch, tp, tq):
     return g_area, g_fta.real, np.abs(g_fta.imag)
 
 
-def _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta, settings,
-                              warm_p=None, warm_q=None,
-                              force_continuation=False):
+def _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta, settings):
     """Batched G over targets; returns (solve, arcs, G, G_fta, imag_resid)."""
-    solve = _invert_midpoint_batch(model, t, tp, tq, hbar_beta, settings,
-                                   warm_p=warm_p, warm_q=warm_q,
-                                   force_continuation=force_continuation)
+    solve = _invert_map_batch(model, t, t, tp, tq, hbar_beta, settings)
     good = solve.status == OK
     arcs = _build_arc_batch(model, t, solve.zc_p[good].astype(complex),
                             solve.zc_q[good].astype(complex),

@@ -115,8 +115,8 @@ def test_criterion_4_classical_limits_second_order():
         model = ramped_model("harmonic", omega_i=1.0, omega_f=2.0)
         settings = IntegratorSettings(n_sigma_steps=128)
         target = ComplexPoint(0.5, 1.2)
-        h_val = model.value_at(0.0, target).real
-        dth = model.dt_at(0.0, target).real
+        h_val = model.value(0.0, target.p, target.q).real
+        dth = model.dt(0.0, target.p, target.q).real
         g_errs, p_errs = [], []
         for hb in (0.2, 0.1, 0.05, 0.025):
             solve = invert_midpoint(model, 0.0, target, hb, settings)

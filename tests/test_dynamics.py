@@ -76,7 +76,7 @@ def test_arc_energy_conservation_at_default_settings():
     model = harmonic_model()
     z_c = ComplexPoint(1.1, -0.3)
     arc = build_arc(model, 0.0, z_c, 1.0, DEFAULT_SETTINGS)
-    h_ref = model.value_at(0.0, z_c)
+    h_ref = model.value(0.0, z_c.p, z_c.q)
     h_all = model.value(0.0, arc.p_samples, arc.q_samples)
     drift = np.max(np.abs(h_all - h_ref))
     assert drift <= 1e-8 * (1.0 + abs(h_ref))
@@ -89,7 +89,7 @@ def test_arc_closed_form_area_and_action():
     hb = 1.0
     z_c = ComplexPoint(1.0, 0.5)
     arc = build_arc(model, 0.0, z_c, hb, SET)
-    h_c = model.value_at(0.0, z_c).real
+    h_c = model.value(0.0, z_c.p, z_c.q).real
     assert arc.area == pytest.approx(h_c * (hb - np.sinh(hb)), abs=1e-10)
     s_exact = -1j * (0.5 * 1.0**2 - 0.5 * 0.5**2) * np.sinh(hb)
     assert arc.action == pytest.approx(s_exact, abs=1e-10)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,28 @@ def test_identity_reversed_protocol_inverts_ratio():
     r_rev = verify_identity(rev, 1.0, 1.0, DOMAIN, SET)
     assert r_fwd.rhs * r_rev.rhs == pytest.approx(1.0, abs=1e-6)
 
+
+
+# on this domain both ratios land within 2e-7 of the closed form at the
+# step counts below; p_max = 8 would truncate the reversed drive's
+# propagated weight at the 1e-6 level
+REVERSAL_DOMAIN = QuadratureDomain(p_max=9.0, q_max=7.5, n_p=40, n_q=40)
+
+
+@pytest.mark.parametrize("shape", ["linear", "smoothstep"])
+def test_protocol_reversal_inverts_the_ratio(shape):
+    # Z_f / Z_i depends only on the end frequencies, so running the drive
+    # backwards (protocol.reversed()) must invert it, whatever the shape
+    fwd = ramped_model("harmonic", omega_i=1.0, omega_f=2.0, shape=shape)
+    rev = replace(fwd, protocol=fwd.protocol.reversed())
+    settings = IntegratorSettings(n_sigma_steps=32, n_time_steps=8)
+    r_fwd = verify_identity(fwd, 1.0, 1.0, REVERSAL_DOMAIN, settings)
+    r_rev = verify_identity(rev, 1.0, 1.0, REVERSAL_DOMAIN, settings)
+    ratio = np.tanh(0.5) / np.tanh(1.0)
+    assert r_fwd.failures == [] and r_rev.failures == []
+    assert r_fwd.rhs * r_rev.rhs == pytest.approx(1.0, abs=1e-6)
+    assert r_fwd.rhs == pytest.approx(ratio, rel=1e-6)
+    assert r_rev.rhs == pytest.approx(1.0 / ratio, rel=1e-6)
 
 def test_identity_depends_only_on_beta_hbar_product():
     # same beta*hbar and frequencies leave the arc geometry unchanged, so

@@ -83,8 +83,9 @@ def test_pseudo_state_junction_energy_matches():
     model = quartic_ramp()
     state = solve_pseudo_state(model, 0.0, 1.0, ComplexPoint(0.3, 0.9),
                                1.0, SET)
-    h_plus = model.value_at(1.0, state.arc.z_plus)
-    h_minus = model.value_at(1.0, state.arc.z_minus)
+    z_plus, z_minus = state.arc.z_plus, state.arc.z_minus
+    h_plus = model.value(1.0, z_plus.p, z_plus.q)
+    h_minus = model.value(1.0, z_minus.p, z_minus.q)
     assert abs(h_plus - h_minus) < 1e-9
 
 
@@ -137,7 +138,7 @@ def test_pseudo_power_random_points_match_closed_form():
 def test_pseudo_power_classical_limit_quadratic_order():
     model = harmonic_ramp()
     target = ComplexPoint(0.5, 1.2)
-    dth = model.dt_at(0.0, target).real  # m w wdot q^2
+    dth = model.dt(0.0, target.p, target.q).real  # m w wdot q^2
     errs = []
     for hb in (0.2, 0.1, 0.05, 0.025):
         solve = invert_midpoint(model, 0.0, target, hb, SET)
@@ -297,20 +298,12 @@ def test_composite_inversion_is_batch_width_invariant(targets):
     # every Newton step, damping decision and verdict is per point, so a
     # point's solve must not depend on which points share its batch
     model = quartic_ramp()
-
-    def scaled(scale):
-        def m(P, Q):
-            return _composite_map_batch(model, 0.0, 0.6, P, Q, scale * 0.5,
-                                        HYP_SET)
-        return m
-
     tp = np.array([t[0] for t in targets])
     tq = np.array([t[1] for t in targets])
-    whole = _invert_map_batch(scaled(1.0), tp, tq, HYP_SET,
-                              continuation=scaled)
+    whole = _invert_map_batch(model, 0.0, 0.6, tp, tq, 0.5, HYP_SET)
     for i in range(tp.size):
-        one = _invert_map_batch(scaled(1.0), tp[i:i + 1], tq[i:i + 1],
-                                HYP_SET, continuation=scaled)
+        one = _invert_map_batch(model, 0.0, 0.6, tp[i:i + 1], tq[i:i + 1],
+                                0.5, HYP_SET)
         for name in ("zc_p", "zc_q", "det", "iters", "status"):
             a, b = getattr(one, name)[0], getattr(whole, name)[i]
             assert a == b or (np.isnan(a) and np.isnan(b)), (name, i)
@@ -319,13 +312,13 @@ def test_composite_inversion_is_batch_width_invariant(targets):
 def test_work_march_solves_each_time_node_once(monkeypatch):
     # the t_f node's solve and arcs also serve the endpoint G_prop
     calls = []
-    original = pseudowork._solve_pseudo_state_batch
+    original = pseudowork._invert_map_batch
 
     def counted(model, t_i, t_f, *args, **kwargs):
         calls.append(t_f)
         return original(model, t_i, t_f, *args, **kwargs)
 
-    monkeypatch.setattr(pseudowork, "_solve_pseudo_state_batch", counted)
+    monkeypatch.setattr(pseudowork, "_invert_map_batch", counted)
     model = quartic_ramp()
     out = _pseudo_work_batch(model, 0.0, 1.0, np.array([0.2, -0.7]),
                              np.array([0.9, 0.4]), 1.0, HYP_SET)
@@ -336,8 +329,7 @@ def test_work_march_solves_each_time_node_once(monkeypatch):
 
 
 # at hbar*beta = 1 this quartic start solves at t_i and fails at time node
-# 6 of 8, then solves again at nodes 7 and 8, so the warm start of the
-# later nodes takes the fallback for a column not OK in its history
+# 6 of 8; its status is then final, and nodes 7 and 8 do not solve it
 MARCH_SET = IntegratorSettings(n_sigma_steps=16, n_time_steps=8)
 FAILS_MID_MARCH = (-4.0, -1.0)
 
@@ -366,3 +358,44 @@ def test_work_march_is_batch_width_invariant(targets, slot):
                      "newton_iters"):
             a, b = one[name][0], whole[name][i]
             assert a == b or (np.isnan(a) and np.isnan(b)), (name, i)
+
+
+
+def test_failed_column_stops_marching(monkeypatch):
+    # a start is final at its first failed node: no later node solves it,
+    # its Newton count stops there, and the starts marched with it keep
+    # their solo results
+    solved = []    # per node: Newton iterations of each start solved there
+    original = pseudowork._invert_map_batch
+
+    def counted(model, t_i, t_f, tp, tq, *args, **kwargs):
+        solve = original(model, t_i, t_f, tp, tq, *args, **kwargs)
+        solved.append(dict(zip(zip(tp, tq), solve.iters)))
+        return solve
+
+    monkeypatch.setattr(pseudowork, "_invert_map_batch", counted)
+    model = quartic_ramp()
+    targets = [(0.2, 0.9), FAILS_MID_MARCH, (-0.7, 0.4)]
+    tp = np.array([t[0] for t in targets])
+    tq = np.array([t[1] for t in targets])
+    whole = _pseudo_work_batch(model, 0.0, 1.0, tp, tq, 1.0, MARCH_SET)
+    assert len(solved) == MARCH_SET.n_time_steps + 1
+    assert [FAILS_MID_MARCH in node for node in solved] == [
+        j <= 6 for j in range(MARCH_SET.n_time_steps + 1)]
+    assert list(whole["status"] != 0) == [False, True, False]
+    assert whole["newton_iters"][1] == sum(node[FAILS_MID_MARCH]
+                                           for node in solved[:7])
+    assert whole["node_solves"] == sum(len(node) for node in solved)
+    assert whole["node_solves"] == 7 * 3 + 2 * 2
+    assert np.all(np.isnan(whole["power"][6:, 1]))
+    assert np.all(np.isnan(whole["center_p"][7:, 1]))
+
+    monkeypatch.undo()
+    for i in (0, 2):
+        one = _pseudo_work_batch(model, 0.0, 1.0, tp[i:i + 1], tq[i:i + 1],
+                                 1.0, MARCH_SET)
+        for name in ("W", "W_endpoint", "g_initial", "g_propagated",
+                     "status", "newton_iters", "power", "center_p",
+                     "center_q", "residual", "check_p", "check_q"):
+            np.testing.assert_array_equal(one[name][..., 0],
+                                          whole[name][..., i], err_msg=name)

@@ -6,9 +6,8 @@ import pytest
 from scjarz.dynamics import IntegratorSettings
 from scjarz.errors import NewtonDiverged
 from scjarz.models import ComplexPoint, harmonic_model, ramped_model
-from scjarz.stationary import (CAUSTIC, OK, _invert_map_batch,
-                               _invert_midpoint_batch, _newton_stage,
-                               _pseudo_hamiltonian_batch,
+from scjarz.stationary import (CAUSTIC, DIVERGED, OK, _invert_map_batch,
+                               _newton_stage, _pseudo_hamiltonian_batch,
                                endpoint_action_prefactor, invert_midpoint,
                                midpoint_map, pseudo_hamiltonian)
 
@@ -107,7 +106,7 @@ def test_pseudo_hamiltonian_at_origin_vanishes():
 def test_pseudo_hamiltonian_classical_limit_quadratic_order():
     model = harmonic_model()
     target = ComplexPoint(0.8, 0.6)
-    h_val = model.value_at(0.0, target).real
+    h_val = model.value(0.0, target.p, target.q).real
     errs = []
     for hb in (0.2, 0.1, 0.05, 0.025):
         val = pseudo_hamiltonian(model, 0.0, target, hb, SET)
@@ -178,25 +177,26 @@ def test_prefactor_quartic_regression():
 
 
 def test_continuation_trace_is_monotone():
-    # force the ladder and require the accepted-stage residuals to be tame
+    # a target the direct solve loses, so the ladder engages on its own;
+    # the accepted-stage residuals must then be tame
     model = quartic(0.4)
     settings = IntegratorSettings(n_sigma_steps=96, continuation_stages=4,
                                   newton_tol=1e-11)
-    tp = np.array([0.5])
-    tq = np.array([0.9])
+    tp = np.array([-2.0])
+    tq = np.array([-2.5])
 
-    from scjarz.stationary import _midpoint_map_batch
+    direct = _invert_map_batch(
+        model, 0.0, 0.0, tp, tq, 1.5,
+        IntegratorSettings(n_sigma_steps=96, continuation_stages=0,
+                           newton_tol=1e-11))
+    assert direct.status[0] == DIVERGED
+    assert direct.stage_residuals == []
 
-    def scaled(scale):
-        def m(P, Q):
-            return _midpoint_map_batch(model, 0.0, P, Q, scale * 1.5, settings)
-        return m
-
-    solve = _invert_map_batch(scaled(1.0), tp, tq, settings,
-                              continuation=scaled, force_continuation=True)
+    solve = _invert_map_batch(model, 0.0, 0.0, tp, tq, 1.5, settings)
     assert solve.status[0] == OK
     trace = solve.stage_residuals
     assert len(trace) == settings.continuation_stages + 1
+    assert max(trace) <= settings.newton_tol
     # every accepted stage converged; the path never worsens between stages
     for r_prev, r_next in zip(trace, trace[1:]):
         assert r_next <= max(r_prev, settings.newton_tol * 1.001)
@@ -234,7 +234,7 @@ def test_jacobian_det_reported_at_first_evaluation():
     settings = IntegratorSettings(n_sigma_steps=64)
     tp = np.array([0.0, 0.01, 0.0])
     tq = np.array([0.0, 0.0, 0.01])
-    solve = _invert_midpoint_batch(model, 0.0, tp, tq, 0.5, settings)
+    solve = _invert_map_batch(model, 0.0, 0.0, tp, tq, 0.5, settings)
     assert np.all(solve.status == OK)
     assert solve.iters[0] == 0
     assert solve.det[0] == pytest.approx(np.cosh(0.25) ** 2, rel=1e-9)
