@@ -5,10 +5,12 @@ semi-classical thermal weight exp(-beta * G_initial); the right side is the
 ratio of the propagated and initial partition functions.  Both sides share
 one deterministic tensor-product quadrature, so the reported residual
 isolates the path-versus-endpoint work error rather than quadrature noise.
-The Simpson sums over arc and time samples accumulate row by row in a fixed
-order (``dynamics.weighted_sum``), so every node's values are the same
-whatever the batch width, row chunking or BLAS threading; the sums over
-quadrature nodes then run once over the full node set.
+The work integrates the arc-averaged power with a fixed Gauss-Legendre rule
+in time (``pseudowork._gauss_legendre_nodes``).  The Simpson sums over arc
+samples and the Gauss-Legendre sum over time nodes accumulate row by row
+in a fixed order (``dynamics.weighted_sum``), so every node's values are
+the same whatever the batch width, row chunking or BLAS threading; the
+sums over quadrature nodes then run once over the full node set.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from numpy.polynomial.legendre import leggauss
 from .dynamics import DEFAULT_SETTINGS, IntegratorSettings, _build_arc_batch
 from .errors import DomainTooSmall, NewtonDiverged
 from .models import HamiltonianModel
-from .pseudowork import _march, _propagated_g_batch, _pseudo_work_batch
+from .pseudowork import (_gauss_legendre_nodes, _march, _propagated_g_batch,
+                         _pseudo_work_batch)
 from .stationary import (CAUSTIC, OK, _prefactor_batch,
                          _pseudo_hamiltonian_batch)
 
@@ -226,7 +229,8 @@ def _monte_carlo_lhs(model, t_i, t_f, beta, hbar, domain, settings,
         accepted_q.append(qq[okm])
     P = np.concatenate(accepted_p)[:n_samples]
     Q = np.concatenate(accepted_q)[:n_samples]
-    out = _pseudo_work_batch(model, t_i, t_f, P, Q, hbar_beta, settings)
+    out = _pseudo_work_batch(model, t_i, t_f, P, Q, hbar_beta, settings,
+                             nodes=_gauss_legendre_nodes(t_i, t_f))
     ok = out["status"] == OK
     lhs = float(np.mean(np.exp(-beta * out["W"][ok])))
     return {
@@ -241,12 +245,14 @@ def _monte_carlo_lhs(model, t_i, t_f, beta, hbar, domain, settings,
 def _march_diagnostics(out: dict, ok: np.ndarray) -> dict:
     """Deterministic solver counts and consistency residuals of the march.
 
-    node_solves and newton_iters cover every (quadrature node, time node)
-    solve the march ran (a node is not solved again after a failed time
-    node); max_g_imag (|Im G_prop|) and max_chord_gap (distance of the
-    reconstructed t_i chord midpoint from its node) cover the OK nodes.
+    work_nodes is the number of time nodes the march visited; node_solves
+    and newton_iters cover every (quadrature node, time node) solve it ran
+    (a node is not solved again after a failed time node); max_g_imag
+    (|Im G_prop|) and max_chord_gap (distance of the reconstructed t_i
+    chord midpoint from its node) cover the OK nodes.
     """
     return {
+        "work_nodes": int(out["times"].size),
         "node_solves": int(out["node_solves"]),
         "newton_iters": int(np.sum(out["newton_iters"])),
         "max_g_imag": float(np.max(out["g_imag"][ok], initial=0.0)),
@@ -264,16 +270,18 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
                     failure_budget: float = 0.01) -> JarzynskiReport:
     """Check lhs = <exp(-beta W)> against rhs = Z_prop / Z_i numerically.
 
-    The protocol window [t_i, t_f] is taken from the model.  Node solves
-    that fail are reported with coordinates; more than ``failure_budget``
-    of them aborts the report.
+    The protocol window [t_i, t_f] is taken from the model; the work march
+    visits t_i, the Gauss-Legendre times of ``_gauss_legendre_nodes`` and
+    t_f.  Node solves that fail are reported with coordinates; more than
+    ``failure_budget`` of them aborts the report.
     """
     t_i, t_f = model.protocol.t_i, model.protocol.t_f
     _check_domain(model, t_i, beta, hbar, domain, settings)
     hbar_beta = beta * hbar
     P, Q, W = domain.nodes()
     out = _pseudo_work_batch(model, t_i, t_f, P, Q, hbar_beta, settings,
-                             with_prefactor=with_prefactor)
+                             with_prefactor=with_prefactor,
+                             nodes=_gauss_legendre_nodes(t_i, t_f))
     failures = _collect_failures(P, Q, out["status"])
     if len(failures) > failure_budget * P.size:
         raise NewtonDiverged(

@@ -24,14 +24,8 @@ class ComplexPoint:
     p: complex
     q: complex
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.p) and np.isfinite(self.q))
-
     def conjugate(self) -> "ComplexPoint":
         return ComplexPoint(np.conjugate(self.p), np.conjugate(self.q))
-
-    def real_part(self) -> "ComplexPoint":
-        return ComplexPoint(self.p.real, self.q.real)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
                        _ArcBatch, _build_arc_batch, _flow_real_batch,
@@ -191,29 +192,65 @@ def _propagated_g_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     return g_prop, imag, chord_gap
 
 
-# Extrapolation weights for the warm start of time node j, applied to the
-# converged centers at nodes j-1, j-2, ... (newest first).  The time grid is
-# uniform, so the polynomial through the last k centers has the fixed
-# binomial weights; node j uses the longest rule its history allows.  The
-# quartic rule is the measured choice: on configs/quartic_ramp.yaml the
-# Newton iterations per node solve are 3.08 with the last center alone and
-# 2.03 / 1.83 / 1.32 / 1.14 with the quadratic / cubic / quartic / quintic
-# rule; the quintic rule's few saved iterations did not make the march
-# faster.
-_PREDICTOR_WEIGHTS = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0),
-                      (4.0, -6.0, 4.0, -1.0), (5.0, -10.0, 10.0, -5.0, 1.0))
+# The warm start of time node j extrapolates the converged centers at up to
+# this many preceding nodes with the polynomial through them.  The quartic
+# rule (five nodes) is the measured choice: on configs/quartic_ramp.yaml,
+# on the uniform grid, the Newton iterations per node solve are 3.08 with
+# the last center alone and 2.03 / 1.83 / 1.32 / 1.14 with the quadratic /
+# cubic / quartic / quintic rule; the quintic rule's few saved iterations
+# did not make the march faster.
+_PREDICTOR_NODES = 5
+
+# Gauss-Legendre nodes of the identity's work integral over [t_i, t_f].
+# 16 nodes keep every accuracy figure of both shipped configs at or below
+# the 65-node Simpson rule's: with 8 nodes the all-node path/endpoint
+# mismatch of quartic_ramp rises from 2.1e-5 to 3.1e-5.
+_WORK_NODES = 16
 
 
-def _predicted_centers(hist_p, hist_q):
-    """Warm start for the next time node from the centers of earlier ones.
+def _gauss_legendre_nodes(t_i, t_f):
+    """Time nodes and work weights of the identity's march.
 
-    ``hist_p``/``hist_q`` hold the converged centers of the marched columns
-    at up to ``len(_PREDICTOR_WEIGHTS)`` preceding nodes, newest first; the
-    longest rule the history allows is applied.  Every column is
-    extrapolated on its own, in a fixed expression order, so the prediction
-    does not depend on the batch width.
+    The nodes are t_i, the ``_WORK_NODES`` Gauss-Legendre times of
+    [t_i, t_f] and t_f.  The end nodes carry zero weight: they are marched
+    for G_initial (and the prefactor) and for G_prop.
     """
-    weights = _PREDICTOR_WEIGHTS[len(hist_p) - 1]
+    x, w = leggauss(_WORK_NODES)
+    half = 0.5 * (t_f - t_i)
+    times = np.concatenate([[t_i], t_i + half * (x + 1.0), [t_f]])
+    weights = np.concatenate([[0.0], half * w, [0.0]])
+    return times, weights
+
+
+def _lagrange_weights(t_next, hist_t):
+    """Weights at ``t_next`` of the polynomial through the nodes ``hist_t``.
+
+    Numerator and denominator products are formed separately, so on a
+    uniform dyadic grid (every shipped one) both are exact and the weights
+    are exactly the binomial ones (1; 2, -1; 3, -3, 1; ...).
+    """
+    weights = []
+    for j, tj in enumerate(hist_t):
+        num = den = 1.0
+        for m, tm in enumerate(hist_t):
+            if m != j:
+                num *= t_next - tm
+                den *= tj - tm
+        weights.append(num / den)
+    return weights
+
+
+def _predicted_centers(t_next, hist_t, hist_p, hist_q):
+    """Warm start for the node at ``t_next`` from the centers of earlier ones.
+
+    ``hist_t`` holds up to ``_PREDICTOR_NODES`` distinct preceding node
+    times, newest first, and ``hist_p``/``hist_q`` the converged centers of
+    the marched columns there; the centers are extrapolated with the
+    polynomial through all of them.  Every column is extrapolated on its
+    own, in a fixed expression order, so the prediction does not depend on
+    the batch width.
+    """
+    weights = _lagrange_weights(t_next, hist_t)
     pred_p = weights[0] * hist_p[0]
     pred_q = weights[0] * hist_q[0]
     for w, cp, cq in zip(weights[1:], hist_p[1:], hist_q[1:]):
@@ -230,46 +267,58 @@ def _march(model, t_i, times, tp, tq, hbar_beta, settings):
     targets and every later one from the centers predicted by the nodes
     before it (``_predicted_centers``).  A column is final at its first
     failed node and is not solved again, so every marched column was OK at
-    every earlier node.
+    every earlier node.  A node time equal to the one before (a zero-length
+    window) replaces that node in the history, so the extrapolation nodes
+    stay distinct.
     """
     live = np.arange(tp.shape[0])
-    hist_p, hist_q = [], []
-    depth = len(_PREDICTOR_WEIGHTS) - 1
+    hist_t, hist_p, hist_q = [], [], []
     for tj in times:
-        warm_p, warm_q = (_predicted_centers(hist_p, hist_q) if hist_p
-                          else (None, None))
+        warm_p, warm_q = (_predicted_centers(tj, hist_t, hist_p, hist_q)
+                          if hist_t else (None, None))
         solve = _invert_map_batch(model, t_i, tj, tp[live], tq[live],
                                   hbar_beta, settings,
                                   warm_p=warm_p, warm_q=warm_q)
         yield live, solve
         ok = solve.status == OK
         live = live[ok]
-        hist_p = [solve.zc_p[ok]] + [c[ok] for c in hist_p[:depth]]
-        hist_q = [solve.zc_q[ok]] + [c[ok] for c in hist_q[:depth]]
+        older = slice(1 if hist_t and tj == hist_t[0] else 0,
+                      _PREDICTOR_NODES - 1)
+        hist_t = [tj] + hist_t[older]
+        hist_p = [solve.zc_p[ok]] + [c[ok] for c in hist_p[older]]
+        hist_q = [solve.zc_q[ok]] + [c[ok] for c in hist_q[older]]
 
 
 def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
-                       with_prefactor=False):
+                       with_prefactor=False, nodes=None):
     """Work along the pseudo-trajectory for a batch of initial points.
 
-    One ``_march`` over the n_time_steps + 1 time nodes: at most one
-    composite-map solve per column and node, and the t_f node's solve and
-    arcs also give the endpoint G_prop.  Returns a dict of arrays; a column
-    whose solve fails at a node carries that solve's status and NaN work
-    values.  Per-node entries are NaN where a column was not solved (the
-    centers and residuals) or not OK (the arc quantities).  "newton_iters"
-    counts each column's Newton iterations over the march, "node_solves"
-    the column solves run.  ``with_prefactor`` adds the geometric
-    prefactor of the t_i arcs ("prefactor_initial").
+    One ``_march`` over the time nodes: at most one composite-map solve per
+    column and node, and the t_f node's solve and arcs also give the
+    endpoint G_prop.  ``nodes`` is a ``(times, weights)`` pair running from
+    t_i to t_f, the work being ``weighted_sum(weights, power)``; by default
+    it is the uniform grid of n_time_steps + 1 nodes with composite Simpson
+    weights (the trajectory of ``scjarz work`` and ``pseudo_work``).
+    ``_gauss_legendre_nodes`` gives the identity's rule.  Returns a dict of
+    arrays; a column whose solve fails at a node carries that solve's
+    status and NaN work values.  Per-node entries are NaN where a column
+    was not solved (the centers and residuals) or not OK (the arc
+    quantities).  "newton_iters" counts each column's Newton iterations
+    over the march, "node_solves" the column solves run.
+    ``with_prefactor`` adds the geometric prefactor of the t_i arcs
+    ("prefactor_initial").
     """
     tp = np.asarray(tp, dtype=float)
     tq = np.asarray(tq, dtype=float)
     b = tp.shape[0]
-    n_t = settings.n_time_steps
-    times = np.linspace(t_i, t_f, n_t + 1)
+    if nodes is None:
+        n_t = settings.n_time_steps
+        nodes = (np.linspace(t_i, t_f, n_t + 1),
+                 simpson_weights(n_t + 1, (t_f - t_i) / n_t))
+    times, weights = nodes
 
     def per_node(dtype=float):
-        return np.full((n_t + 1, b), np.nan, dtype=dtype)
+        return np.full((times.size, b), np.nan, dtype=dtype)
 
     power, center_p, center_q, check_p, check_q, residual = (
         per_node() for _ in range(6))
@@ -305,7 +354,7 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
                     model, tj, arcs, hbar_beta, settings)
 
     if t_f > t_i:
-        work = weighted_sum(simpson_weights(n_t + 1, (t_f - t_i) / n_t), power)
+        work = weighted_sum(weights, power)
     else:
         work = np.zeros(b)
 

@@ -208,10 +208,11 @@ def test_jarzynski_diagnostics_block(tmp_path):
     b1 = (out1 / "jarzynski.json").read_bytes()
     assert b1 == (out2 / "jarzynski.json").read_bytes()
     diag = json.loads(b1)["diagnostics"]
-    assert set(diag) == {"node_solves", "newton_iters", "max_g_imag",
-                         "max_chord_gap"}
-    assert diag["node_solves"] == 17 * 144
-    assert diag["newton_iters"] == 5798
+    assert set(diag) == {"work_nodes", "node_solves", "newton_iters",
+                         "max_g_imag", "max_chord_gap"}
+    assert diag["work_nodes"] == 18
+    assert diag["node_solves"] == 18 * 144
+    assert diag["newton_iters"] == 6162
     assert 0.0 <= diag["max_g_imag"] < 1e-10
     assert 0.0 <= diag["max_chord_gap"] < 1e-9
 

@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scjarz import pseudowork
 from scjarz.dynamics import IntegratorSettings
-from scjarz.pseudowork import _pseudo_work_batch
+from scjarz.pseudowork import _gauss_legendre_nodes, _pseudo_work_batch
 from scjarz.stationary import _prefactor_batch, _pseudo_hamiltonian_batch
 from scjarz.errors import DomainTooSmall
 from scjarz.jarzynski import (QuadratureDomain, partition,
@@ -222,7 +223,8 @@ def test_prefactor_report_reuses_the_t_i_solves():
                      check_domain=False, with_prefactor=True)
     zn_f = partition(model, 1.0, 1.0, 1.0, dom, settings,
                      check_domain=False, with_prefactor=True)
-    out = _pseudo_work_batch(model, 0.0, 1.0, P, Q, 1.0, settings)
+    out = _pseudo_work_batch(model, 0.0, 1.0, P, Q, 1.0, settings,
+                             nodes=_gauss_legendre_nodes(0.0, 1.0))
     _, arcs, _, _, _ = _pseudo_hamiltonian_batch(model, 0.0, P, Q, 1.0,
                                                  settings)
     n_weight = _prefactor_batch(model, 0.0, arcs, 1.0, settings) / (2 * np.pi)
@@ -230,6 +232,30 @@ def test_prefactor_report_reuses_the_t_i_solves():
                 / zn_i)
     assert pref == {"Z_i": zn_i, "Z_f": zn_f, "lhs": lhs, "rhs": zn_f / zn_i,
                     "residual": abs(lhs - zn_f / zn_i) / abs(zn_f / zn_i)}
+
+
+def test_identity_marches_t_i_gauss_legendre_times_and_t_f(monkeypatch):
+    # each of the 18 work nodes is solved once, in order: t_i (G_initial),
+    # the 16 Gauss-Legendre times (power) and t_f (G_prop)
+    calls = []
+    original = pseudowork._invert_map_batch
+
+    def counted(model, t_i, t_f, *args, **kwargs):
+        calls.append(t_f)
+        return original(model, t_i, t_f, *args, **kwargs)
+
+    monkeypatch.setattr(pseudowork, "_invert_map_batch", counted)
+    model = ramped_model("harmonic", omega_i=1.0, omega_f=2.0)
+    dom = QuadratureDomain(p_max=10.5, q_max=10.5, n_p=6, n_q=6)
+    report = verify_identity(model, 1.0, 1.0, dom,
+                             IntegratorSettings(n_sigma_steps=32,
+                                                n_time_steps=8))
+    times, _ = _gauss_legendre_nodes(0.0, 1.0)
+    assert len(calls) == 18
+    assert calls == list(times)
+    assert calls[0] == 0.0 and calls[-1] == 1.0
+    assert report.diagnostics["work_nodes"] == 18
+    assert report.diagnostics["node_solves"] == 18 * 36
 
 
 def test_report_serialization_fields():

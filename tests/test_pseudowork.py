@@ -8,7 +8,9 @@ from scjarz.dynamics import (IntegratorSettings, _build_arc_batch,
                              flow_imaginary, flow_real)
 from scjarz.errors import WorkMismatch
 from scjarz.models import ComplexPoint, ramped_model
-from scjarz.pseudowork import (_composite_map_batch, _pseudo_power_batch,
+from scjarz.pseudowork import (_WORK_NODES, _composite_map_batch,
+                               _gauss_legendre_nodes, _lagrange_weights,
+                               _predicted_centers, _pseudo_power_batch,
                                _pseudo_work_batch, composite_map,
                                pseudo_power, pseudo_work, solve_pseudo_state)
 from scjarz.stationary import _invert_map_batch, invert_midpoint, midpoint_map
@@ -399,3 +401,81 @@ def test_failed_column_stops_marching(monkeypatch):
                      "center_q", "residual", "check_p", "check_q"):
             np.testing.assert_array_equal(one[name][..., 0],
                                           whole[name][..., i], err_msg=name)
+
+
+@pytest.mark.parametrize("t0, h", [(0.0, 1.0 / 64), (0.3, 0.7 / 9)])
+def test_lagrange_predictor_reproduces_binomial_weights(t0, h):
+    # on a uniform grid the polynomial through the last k nodes has the
+    # binomial extrapolation weights, newest node first
+    binomial = {1: [1], 2: [2, -1], 3: [3, -3, 1], 4: [4, -6, 4, -1],
+                5: [5, -10, 10, -5, 1]}
+    t_next = t0 + 5 * h
+    for k, expected in binomial.items():
+        hist_t = [t_next - (j + 1) * h for j in range(k)]
+        np.testing.assert_allclose(_lagrange_weights(t_next, hist_t),
+                                   expected, rtol=0.0, atol=1e-12)
+
+
+def test_lagrange_predictor_is_exact_for_quartics():
+    # the march's Gauss-Legendre node times are not uniform; the five-node
+    # rule must still reproduce any quartic in t
+    times, _ = _gauss_legendre_nodes(0.0, 1.0)
+    coef_p = np.array([[0.7, -1.3], [2.0, 0.5], [-3.0, 1.1], [0.5, -2.2],
+                       [4.0, 0.9]])
+    coef_q = coef_p[::-1] * 0.5
+
+    def quartic(coef, t):
+        return sum(c * t ** k for k, c in enumerate(coef))
+
+    for j in range(5, times.size):
+        hist_t = list(times[j - 5:j][::-1])
+        hist_p = [quartic(coef_p, t) for t in hist_t]
+        hist_q = [quartic(coef_q, t) for t in hist_t]
+        pred_p, pred_q = _predicted_centers(times[j], hist_t, hist_p, hist_q)
+        np.testing.assert_allclose(pred_p, quartic(coef_p, times[j]),
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(pred_q, quartic(coef_q, times[j]),
+                                   rtol=0.0, atol=1e-12)
+
+
+def test_gauss_legendre_work_nodes():
+    # t_i and t_f are marched with zero weight; the interior rule
+    # integrates polynomials up to degree 2 * _WORK_NODES - 1 exactly
+    times, weights = _gauss_legendre_nodes(0.25, 1.5)
+    assert times.size == weights.size == _WORK_NODES + 2
+    assert times[0] == 0.25 and times[-1] == 1.5
+    assert np.all(np.diff(times) > 0.0)
+    assert weights[0] == weights[-1] == 0.0
+    f = times ** 31 - 2.0 * times ** 5
+    exact = (1.5 ** 32 - 0.25 ** 32) / 32 - (1.5 ** 6 - 0.25 ** 6) / 3
+    assert np.sum(weights * f) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("kind, lam", [("harmonic", 0.0), ("quartic", 0.1)])
+def test_gauss_legendre_work_matches_endpoint(kind, lam):
+    # criterion 5 for the identity's Gauss-Legendre rule, on 10 bulk starts
+    model = ramped_model(kind, omega_i=1.0, omega_f=2.0, quartic_lambda=lam)
+    settings = IntegratorSettings(n_sigma_steps=96, n_time_steps=64)
+    tp, tq = np.random.default_rng(17).uniform(-1.2, 1.2, size=(2, 10))
+    out = _pseudo_work_batch(model, 0.0, 1.0, tp, tq, 1.0, settings,
+                             nodes=_gauss_legendre_nodes(0.0, 1.0))
+    assert np.all(out["status"] == 0)
+    assert out["times"].size == _WORK_NODES + 2
+    w, w_end = out["W"], out["W_endpoint"]
+    assert np.all(np.abs(w - w_end) <= 1e-6 * (1.0 + np.abs(w)))
+
+
+def test_zero_length_window_marches_on_the_last_center():
+    # t_f == t_i repeats one node time; the predictor must not divide by
+    # the zero node spacing, so every node after the first starts at the
+    # converged center and takes no Newton iteration
+    model = ramped_model("harmonic", omega_i=1.0, omega_f=1.0,
+                         shape="constant", t_f=0.0)
+    tp, tq = np.array([0.3, -0.8]), np.array([0.5, 1.1])
+    out = _pseudo_work_batch(model, 0.0, 0.0, tp, tq, 1.0, MARCH_SET)
+    first = _invert_map_batch(model, 0.0, 0.0, tp, tq, 1.0, MARCH_SET)
+    assert np.all(out["status"] == 0)
+    np.testing.assert_array_equal(out["newton_iters"], first.iters)
+    assert np.all(out["W"] == 0.0)
+    assert np.all(np.abs(out["W_endpoint"]) < 1e-9)
+    assert np.all(out["center_p"] == out["center_p"][0])
