@@ -19,8 +19,8 @@ import numpy as np
 from .config import SCHEMA_VERSION, RunConfig, load_config
 from .errors import ConfigError, ScjarzError
 from .jarzynski import partition, verify_identity
-from .oracle import (harmonic_closed_forms, ordering_pairing_check,
-                     thermal_fock, weyl_convention_audit, wigner_transform)
+from .oracle import (_convention_audit, harmonic_closed_forms,
+                     ordering_pairing_check, thermal_fock, wigner_transform)
 from .pseudowork import _pseudo_work_batch
 from .stationary import CAUSTIC, OK, _prefactor_batch, _pseudo_hamiltonian_batch
 
@@ -162,15 +162,10 @@ def cmd_jarzynski(cfg: RunConfig, out_dir: Path, prefactor: bool,
     return EXIT_OK
 
 
-def _oracle_harmonic(cfg: RunConfig, out_dir: Path) -> dict:
+def _oracle_harmonic(cfg: RunConfig, op, grid) -> dict:
     model = cfg.model
-    t = model.protocol.t_i
-    omega = model.protocol.omega(t)
+    omega = model.protocol.omega(model.protocol.t_i)
     forms = harmonic_closed_forms(cfg.beta, cfg.hbar, model.mass, omega)
-    op = thermal_fock("harmonic", model.mass, omega, 0.0, cfg.beta, cfg.hbar,
-                      cfg.fock_n_max)
-    grid = wigner_transform(op, cfg.wigner_q_max, cfg.wigner_n_q)
-    grid.write_csv(out_dir / "wigner.csv")
     interior_q = np.abs(grid.q) <= 0.5 * cfg.wigner_q_max
     interior_p = np.abs(grid.p) <= 0.5 * np.max(np.abs(grid.p))
     pp, qq = np.meshgrid(grid.p[interior_p], grid.q[interior_q])
@@ -181,14 +176,10 @@ def _oracle_harmonic(cfg: RunConfig, out_dir: Path) -> dict:
             "wigner_norm": grid.norm, "trace": op.trace().real}
 
 
-def _oracle_quartic(cfg: RunConfig, out_dir: Path) -> dict:
+def _oracle_quartic(cfg: RunConfig, op, grid) -> dict:
     model = cfg.model
     t = model.protocol.t_i
     omega = model.protocol.omega(t)
-    op = thermal_fock("quartic", model.mass, omega, model.quartic_lambda,
-                      cfg.beta, cfg.hbar, cfg.fock_n_max)
-    grid = wigner_transform(op, cfg.wigner_q_max, cfg.wigner_n_q)
-    grid.write_csv(out_dir / "wigner.csv")
     rho_w = grid.values / grid.norm
     # compare on the thermal bulk (~2.5 sigma); the far tail only probes
     # the transform's noise floor
@@ -212,13 +203,17 @@ def _oracle_quartic(cfg: RunConfig, out_dir: Path) -> dict:
 
 
 def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
+    # one thermal operator and one Wigner grid serve the CSV, the
+    # model-specific comparison and both factors of the convention audit
     model = cfg.model
     omega = model.protocol.omega(model.protocol.t_i)
-    body = (_oracle_harmonic(cfg, out_dir) if model.kind == "harmonic"
-            else _oracle_quartic(cfg, out_dir))
     op = thermal_fock(model.kind, model.mass, omega, model.quartic_lambda,
                       cfg.beta, cfg.hbar, cfg.fock_n_max)
-    audit = weyl_convention_audit(op, op, cfg.wigner_q_max, cfg.wigner_n_q)
+    grid = wigner_transform(op, cfg.wigner_q_max, cfg.wigner_n_q)
+    grid.write_csv(out_dir / "wigner.csv")
+    body = (_oracle_harmonic(cfg, op, grid) if model.kind == "harmonic"
+            else _oracle_quartic(cfg, op, grid))
+    audit = _convention_audit(op, op, grid, grid)
     ordering = ordering_pairing_check(
         min(cfg.fock_n_max, 64), cfg.hbar, model.mass, omega,
         cfg.wigner_q_max, cfg.wigner_n_q)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import eval_laguerre
 
 from .errors import GridTooNarrow, TruncationInsufficient
 
@@ -53,18 +52,21 @@ class WignerGrid:
     imag_residual: float
     norm: float                 # sum W dp dq, compare with Tr
 
-    def export_rows(self):
-        """(q, p, W) triples in row-major order for CSV export."""
-        for i, qv in enumerate(self.q):
-            for j, pv in enumerate(self.p):
-                yield qv, pv, self.values[i, j]
-
     def write_csv(self, path) -> None:
-        """UTF-8 CSV of (q, p, W) triples at full precision."""
+        """UTF-8 CSV of (q, p, W) triples at full precision, q-major.
+
+        Every number is formatted once with ``.17g``.  The p column is
+        formatted up front into a row template, each q value is put into it
+        once per row, and each row's W values fill it in one ``%`` pass, so
+        the file goes out as one string per q row.
+        """
+        # "\0" marks the q cell; no formatted number contains it or "%"
+        template = "".join(f"\0,{pv:.17g},%.17g\n" for pv in self.p.tolist())
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("q,p,W\n")
-            for qv, pv, wv in self.export_rows():
-                fh.write(f"{qv:.17g},{pv:.17g},{wv:.17g}\n")
+            for qv, row in zip(self.q.tolist(), self.values):
+                fh.write(template.replace("\0", f"{qv:.17g}")
+                         % tuple(row.tolist()))
 
 
 def ladder_operators(n_max: int):
@@ -205,6 +207,8 @@ def wigner_transform(op: FockOperator, q_max: float, n_q: int) -> WignerGrid:
 
 def fock_state_wigner(n: int, p, q, hbar: float, mass: float, omega: float):
     """Closed-form Wigner function of the |n><n| projector."""
+    from scipy.special import eval_laguerre
+
     h = p * p / (2.0 * mass) + 0.5 * mass * omega**2 * q * q
     y = 4.0 * h / (hbar * omega)
     sign = -1.0 if n % 2 else 1.0
@@ -287,15 +291,25 @@ def weyl_convention_audit(op_a: FockOperator, op_b: FockOperator,
     Tr(A B) is computed in the ladder basis; the overlap integral uses the
     density-normalized symbols of both operators, so the expected constant
     is 2 pi hbar (and exactly 1 when one factor drops its normalization).
+    Each distinct operator is transformed once: ``op_b is op_a`` reuses the
+    first grid.
     """
     if op_a.hbar != op_b.hbar:
         raise ValueError("operators must share hbar")
+    grid_a = wigner_transform(op_a, q_max, n_q)
+    grid_b = (grid_a if op_b is op_a
+              else wigner_transform(op_b, q_max, n_q))
+    return _convention_audit(op_a, op_b, grid_a, grid_b)
+
+
+def _convention_audit(op_a: FockOperator, op_b: FockOperator,
+                      grid_a: WignerGrid,
+                      grid_b: WignerGrid) -> ConventionAuditReport:
+    """``weyl_convention_audit`` from the operators' grids on one FFT grid."""
     tr = complex(np.trace(op_a.matrix @ op_b.matrix))
-    ga = wigner_transform(op_a, q_max, n_q)
-    gb = wigner_transform(op_b, q_max, n_q)
-    dp = ga.p[1] - ga.p[0]
-    dq = ga.q[1] - ga.q[0]
-    overlap = float(np.sum(ga.values * gb.values) * dp * dq)
+    dp = grid_a.p[1] - grid_a.p[0]
+    dq = grid_a.q[1] - grid_a.q[0]
+    overlap = float(np.sum(grid_a.values * grid_b.values) * dp * dq)
     measured = tr.real / overlap
     two_pi_hbar = 2.0 * np.pi * op_a.hbar
     return ConventionAuditReport(
@@ -342,6 +356,8 @@ def ordering_pairing_check(n_max: int, hbar: float, mass: float, omega: float,
 
 def laguerre_generating_series(x: float, y: float, n_terms: int = 61) -> float:
     """Partial sum of sum_n x^n L_n(y), for comparing with the closed form."""
+    from scipy.special import eval_laguerre
+
     n = np.arange(n_terms)
     return float(np.sum(x ** n * eval_laguerre(n, y)))
 

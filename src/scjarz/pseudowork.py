@@ -298,20 +298,23 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     endpoint G_prop.  ``nodes`` is a ``(times, weights)`` pair running from
     t_i to t_f, the work being ``weighted_sum(weights, power)``; by default
     it is the uniform grid of n_time_steps + 1 nodes with composite Simpson
-    weights (the trajectory of ``scjarz work`` and ``pseudo_work``).
-    ``_gauss_legendre_nodes`` gives the identity's rule.  Returns a dict of
-    arrays; a column whose solve fails at a node carries that solve's
-    status and NaN work values.  Per-node entries are NaN where a column
-    was not solved (the centers and residuals) or not OK (the arc
-    quantities).  "newton_iters" counts each column's Newton iterations
-    over the march, "node_solves" the column solves run.
+    weights (the trajectory of ``scjarz work`` and ``pseudo_work``), or the
+    single node t_i when t_f == t_i.  ``_gauss_legendre_nodes`` gives the
+    identity's rule.  Returns a dict of arrays; a column whose solve fails
+    at a node carries that solve's status and NaN work values.  Per-node
+    entries are NaN where a column was not solved (the centers and
+    residuals) or not OK (the arc quantities).  "newton_iters" counts each
+    column's Newton iterations over the march, "node_solves" the column
+    solves run.
     ``with_prefactor`` adds the geometric prefactor of the t_i arcs
     ("prefactor_initial").
     """
     tp = np.asarray(tp, dtype=float)
     tq = np.asarray(tq, dtype=float)
     b = tp.shape[0]
-    if nodes is None:
+    if nodes is None and t_f == t_i:
+        nodes = (np.array([t_i]), np.array([0.0]))
+    elif nodes is None:
         n_t = settings.n_time_steps
         nodes = (np.linspace(t_i, t_f, n_t + 1),
                  simpson_weights(n_t + 1, (t_f - t_i) / n_t))

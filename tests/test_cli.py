@@ -2,12 +2,19 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scjarz.cli
+import scjarz.oracle
 from scjarz.cli import main
 from scjarz.config import config_hash, load_config, parse_config
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+QUARTIC_RAMP = ROOT / "configs" / "quartic_ramp.yaml"
 
 BASE_CONFIG = """
 schema_version: 1
@@ -255,9 +262,7 @@ def test_oracle_command_harmonic(config_path, tmp_path):
     assert q0 == -10.0 and w0 == pytest.approx(0.0, abs=1e-12)
 
 
-def test_oracle_command_quartic(tmp_path):
-    path = tmp_path / "quartic.yaml"
-    path.write_text("""
+QUARTIC_ORACLE_CONFIG = """
 schema_version: 1
 model:
   kind: quartic
@@ -271,13 +276,60 @@ numerics:
   fock_n_max: 96
   wigner_n_q: 256
   wigner_q_max: 8.0
-""")
+"""
+
+
+def test_oracle_command_quartic(tmp_path):
+    path = tmp_path / "quartic.yaml"
+    path.write_text(QUARTIC_ORACLE_CONFIG)
     out = tmp_path / "out"
     assert main(["oracle", "--config", str(path), "--out", str(out)]) == 0
     rep = json.loads((out / "oracle.json").read_text())
     assert rep["kind"] == "quartic"
     assert rep["density_linf_gap"] < 0.2
     assert rep["pseudo_hamiltonian_gap"] < 0.2
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "quartic"])
+def test_oracle_builds_one_operator_and_one_grid(kind, config_path, tmp_path,
+                                                 monkeypatch):
+    # the thermal operator is built and transformed once; the only other
+    # transform is the ordering check's test state
+    if kind == "quartic":
+        config_path = tmp_path / "quartic.yaml"
+        config_path.write_text(QUARTIC_ORACLE_CONFIG)
+    counts = {"transform": 0, "thermal": 0}
+    raw, thermal = scjarz.oracle._wigner_raw, scjarz.cli.thermal_fock
+
+    def counted_raw(*args, **kwargs):
+        counts["transform"] += 1
+        return raw(*args, **kwargs)
+
+    def counted_thermal(*args, **kwargs):
+        counts["thermal"] += 1
+        return thermal(*args, **kwargs)
+
+    monkeypatch.setattr(scjarz.oracle, "_wigner_raw", counted_raw)
+    monkeypatch.setattr(scjarz.cli, "thermal_fock", counted_thermal)
+    assert main(["oracle", "--config", str(config_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert counts == {"transform": 2, "thermal": 1}
+
+
+def test_import_and_config_load_leave_scipy_unimported():
+    # scipy is only needed by closed forms that no command reaches
+    code = ("import sys, scjarz, scjarz.cli\n"
+            "from scjarz.config import load_config\n"
+            f"load_config({str(QUARTIC_RAMP)!r})\n"
+            "print('scipy' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                      if p])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_console_entry_point(config_path, tmp_path):

@@ -1,11 +1,15 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+import scjarz.oracle
 from scjarz.dynamics import IntegratorSettings
 from scjarz.errors import GridTooNarrow, TruncationInsufficient
 from scjarz.jarzynski import QuadratureDomain, partition
 from scjarz.models import ramped_model
-from scjarz.oracle import (FockOperator, fock_state_wigner,
+from scjarz.oracle import (FockOperator, WignerGrid, _convention_audit,
+                           fock_state_wigner,
                            harmonic_closed_forms, hermite_functions,
                            laguerre_generating_closed_form,
                            laguerre_generating_series, ladder_operators,
@@ -127,6 +131,57 @@ def test_convention_audit_identity_with_thermal():
     assert rep.trace_product.real == pytest.approx(thermal.trace().real,
                                                    rel=1e-12)
     assert rep.measured_constant == pytest.approx(2 * np.pi, rel=1e-6)
+
+
+def count_transforms(monkeypatch):
+    calls = []
+    raw = scjarz.oracle._wigner_raw
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(scjarz.oracle, "_wigner_raw", counted)
+    return calls
+
+
+def test_convention_audit_of_one_operator_reuses_its_grid(monkeypatch):
+    # op_b is op_a: one transform, and the report is bitwise the helper's
+    # on that grid passed twice
+    op = thermal_fock("quartic", 1.0, 1.0, 0.1, 1.0, 0.5, 48)
+    calls = count_transforms(monkeypatch)
+    rep = weyl_convention_audit(op, op, 8.0, 128)
+    assert len(calls) == 1
+    grid = wigner_transform(op, 8.0, 128)
+    ref = _convention_audit(op, op, grid, grid)
+    for f in fields(rep):
+        a, b = getattr(rep, f.name), getattr(ref, f.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+    other = thermal_fock("quartic", 1.0, 1.0, 0.1, 1.0, 0.5, 48)
+    calls.clear()
+    weyl_convention_audit(op, other, 8.0, 128)
+    assert len(calls) == 2
+
+
+def test_write_csv_matches_row_by_row_reference(tmp_path):
+    # byte equality with one f-string per (q, p, W) triple, including
+    # signed zeros, negatives, values near the subnormal range and
+    # non-finite values
+    q = np.array([-1.5, -0.0, 0.1, 2.0 / 3.0])
+    p = np.array([-3.0, 0.0, 1e-17, np.pi, 7.25])
+    values = np.random.default_rng(5).normal(size=(q.size, p.size)) * 1e3
+    values[0, :] = [0.0, -0.0, 1e-300, -1e-300, 5e-324]
+    values[1, 1] = -2.2250738585072014e-308
+    values[2, 3] = 1.0 / 3.0
+    values[3, 2:4] = [np.inf, np.nan]
+    grid = WignerGrid(q=q, p=p, values=values, imag_residual=0.0, norm=1.0)
+    path = tmp_path / "wigner.csv"
+    grid.write_csv(path)
+    ref = ["q,p,W\n"]
+    for i, qv in enumerate(q):
+        for j, pv in enumerate(p):
+            ref.append(f"{qv:.17g},{pv:.17g},{values[i, j]:.17g}\n")
+    assert path.read_bytes() == "".join(ref).encode("utf-8")
 
 
 def test_ordering_pairing_identity():

@@ -466,16 +466,23 @@ def test_gauss_legendre_work_matches_endpoint(kind, lam):
 
 
 def test_zero_length_window_marches_on_the_last_center():
-    # t_f == t_i repeats one node time; the predictor must not divide by
-    # the zero node spacing, so every node after the first starts at the
-    # converged center and takes no Newton iteration
+    # t_f == t_i marches the single node t_i by default; explicit repeated
+    # node times must not make the predictor divide by the zero node
+    # spacing, so every node after the first starts at the converged center
+    # and takes no Newton iteration
     model = ramped_model("harmonic", omega_i=1.0, omega_f=1.0,
                          shape="constant", t_f=0.0)
     tp, tq = np.array([0.3, -0.8]), np.array([0.5, 1.1])
-    out = _pseudo_work_batch(model, 0.0, 0.0, tp, tq, 1.0, MARCH_SET)
     first = _invert_map_batch(model, 0.0, 0.0, tp, tq, 1.0, MARCH_SET)
-    assert np.all(out["status"] == 0)
-    np.testing.assert_array_equal(out["newton_iters"], first.iters)
-    assert np.all(out["W"] == 0.0)
-    assert np.all(np.abs(out["W_endpoint"]) < 1e-9)
-    assert np.all(out["center_p"] == out["center_p"][0])
+    single = _pseudo_work_batch(model, 0.0, 0.0, tp, tq, 1.0, MARCH_SET)
+    assert single["node_solves"] == tp.size
+    assert single["times"].size == 1
+    repeated = _pseudo_work_batch(model, 0.0, 0.0, tp, tq, 1.0, MARCH_SET,
+                                  nodes=(np.zeros(9), np.zeros(9)))
+    assert repeated["node_solves"] == 9 * tp.size
+    for out in (single, repeated):
+        assert np.all(out["status"] == 0)
+        np.testing.assert_array_equal(out["newton_iters"], first.iters)
+        assert np.all(out["W"] == 0.0)
+        assert np.all(np.abs(out["W_endpoint"]) < 1e-9)
+        assert np.all(out["center_p"] == out["center_p"][0])
