@@ -22,9 +22,8 @@ from .oracle import (FockOperator, WignerGrid, fock_state_wigner,
 from .pseudowork import (PseudoState, PseudoTrajectory, WorkResult,
                          composite_map, pseudo_power, pseudo_work,
                          solve_pseudo_state)
-from .stationary import (MidpointSolve, PseudoHamiltonianValue,
-                         endpoint_action_prefactor, invert_midpoint,
-                         midpoint_map, pseudo_hamiltonian)
+from .stationary import (PseudoHamiltonianValue, endpoint_action_prefactor,
+                         pseudo_hamiltonian)
 
 __version__ = "0.1.0"
 
@@ -33,8 +32,7 @@ __all__ = [
     "harmonic_model", "ramped_model",
     "IntegratorSettings", "SampledPath", "ImaginaryArc",
     "flow_imaginary", "flow_real", "build_arc",
-    "MidpointSolve", "PseudoHamiltonianValue",
-    "midpoint_map", "invert_midpoint", "pseudo_hamiltonian",
+    "PseudoHamiltonianValue", "pseudo_hamiltonian",
     "endpoint_action_prefactor",
     "PseudoState", "PseudoTrajectory", "WorkResult",
     "composite_map", "solve_pseudo_state", "pseudo_power", "pseudo_work",

@@ -22,7 +22,8 @@ from .jarzynski import partition, verify_identity
 from .oracle import (_convention_audit, harmonic_closed_forms,
                      ordering_pairing_check, thermal_fock, wigner_transform)
 from .pseudowork import _pseudo_work_batch
-from .stationary import CAUSTIC, OK, _prefactor_batch, _pseudo_hamiltonian_batch
+from .stationary import (OK, STATUS_NAMES, _prefactor_batch,
+                         _pseudo_hamiltonian_batch)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,7 +55,9 @@ def _run_chunked(worker, n_rows: int, threads: int):
 
 
 def _status_marker(code: int) -> str:
-    return {OK: "ok", CAUSTIC: "CAUSTIC"}.get(int(code), "DIVERGED")
+    """Status name as written to artifacts: failures upper-cased."""
+    name = STATUS_NAMES[int(code)]
+    return name if code == OK else name.upper()
 
 
 def cmd_gibbs(cfg: RunConfig, out_dir: Path, threads: int,
@@ -72,7 +75,7 @@ def cmd_gibbs(cfg: RunConfig, out_dir: Path, threads: int,
         pref = None
         if prefactor:
             pref = np.full(hi - lo, np.nan)
-            pref[ok] = _prefactor_batch(model, t, arcs, hb, cfg.settings) \
+            pref[ok] = _prefactor_batch(model, arcs, cfg.settings) \
                 / (2.0 * np.pi * cfg.hbar)
         return solve, g, g_fta, area, pref
 

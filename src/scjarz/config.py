@@ -305,6 +305,3 @@ def parse_config(text: str) -> RunConfig:
     merged = _merge(_DEFAULTS, data, "")
     return _build(merged)
 
-
-def default_config_dict() -> dict:
-    return json.loads(json.dumps(_DEFAULTS))

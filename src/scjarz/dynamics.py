@@ -282,11 +282,19 @@ def _flow_real_batch(model, t_from, t_to, p0, q0, n_steps,
     return out + (np.stack([P[1:], Q[1:]]),) if tangent else out
 
 
-def _richardson_gap(coarse, fine) -> float:
+def _check_halving(settings, coarse, refine, what) -> None:
+    """With ``richardson_check`` set, compare the coarse endpoint (p, q)
+    with ``refine()``, the same flow at twice the steps; raise
+    ToleranceExceeded if their relative gap exceeds ``tolerance``."""
+    if not settings.richardson_check:
+        return
+    fine = refine()
     scale = 1.0 + max(np.max(np.abs(coarse[0])), np.max(np.abs(coarse[1])))
     gap = max(np.max(np.abs(coarse[0] - fine[0])),
-              np.max(np.abs(coarse[1] - fine[1])))
-    return float(gap / scale)
+              np.max(np.abs(coarse[1] - fine[1]))) / scale
+    if gap > settings.tolerance:
+        raise ToleranceExceeded(
+            f"{what} halving gap {gap:.3e} > {settings.tolerance:.3e}")
 
 
 def flow_imaginary(model: HamiltonianModel, t: float, z0: ComplexPoint,
@@ -301,12 +309,10 @@ def flow_imaginary(model: HamiltonianModel, t: float, z0: ComplexPoint,
     p_path, q_path = _flow_imaginary_batch(
         model, t, p0, q0, sigma_from, sigma_to, n, store=True)
     _check_finite(p_path, q_path, "imaginary-time flow")
-    if settings.richardson_check:
-        fine = _flow_imaginary_batch(model, t, p0, q0, sigma_from, sigma_to, 2 * n)
-        gap = _richardson_gap((p_path[-1], q_path[-1]), fine)
-        if gap > settings.tolerance:
-            raise ToleranceExceeded(
-                f"imaginary flow halving gap {gap:.3e} > {settings.tolerance:.3e}")
+    _check_halving(settings, (p_path[-1], q_path[-1]),
+                   lambda: _flow_imaginary_batch(model, t, p0, q0, sigma_from,
+                                                 sigma_to, 2 * n),
+                   "imaginary flow")
     sigma = np.linspace(sigma_from, sigma_to, n + 1)
     return SampledPath(sigma, p_path[:, 0], q_path[:, 0])
 
@@ -324,12 +330,9 @@ def flow_real(model: HamiltonianModel, t_from: float, t_to: float,
     n = _real_step_count(model, settings, t_to - t_from)
     p, q = _flow_real_batch(model, t_from, t_to, p0, q0, n)
     _check_finite(p, q, "real-time flow")
-    if settings.richardson_check:
-        fine = _flow_real_batch(model, t_from, t_to, p0, q0, 2 * n)
-        gap = _richardson_gap((p, q), fine)
-        if gap > settings.tolerance:
-            raise ToleranceExceeded(
-                f"real flow halving gap {gap:.3e} > {settings.tolerance:.3e}")
+    _check_halving(settings, (p, q),
+                   lambda: _flow_real_batch(model, t_from, t_to, p0, q0, 2 * n),
+                   "real flow")
     return ComplexPoint(complex(p[0]), complex(q[0]))
 
 
@@ -376,6 +379,15 @@ class _ArcBatch:
     def mid_q(self) -> np.ndarray:
         return 0.5 * (self.q[0] + self.q[-1])
 
+    @classmethod
+    def of(cls, arc: ImaginaryArc) -> "_ArcBatch":
+        """Width-1 batch holding one arc's samples, not finalized: the
+        power and the prefactor read only t, hbar_beta and the samples."""
+        return cls(t=arc.t, hbar_beta=arc.hbar_beta, sigma=arc.sigma,
+                   p=arc.p_samples[:, None], q=arc.q_samples[:, None],
+                   center_p=np.array([arc.center.p]),
+                   center_q=np.array([arc.center.q]))
+
     def single(self, index: int = 0) -> ImaginaryArc:
         z_c = ComplexPoint(complex(self.center_p[index]), complex(self.center_q[index]))
         return ImaginaryArc(
@@ -413,12 +425,9 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta,
     plus_p, plus_q = _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, n, store=True)
     _check_finite(plus_p, plus_q, "arc integration")
     minus_p, minus_q = plus_p.conj(), plus_q.conj()
-    if settings.richardson_check:
-        fine = _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, 2 * n)
-        gap = _richardson_gap((plus_p[-1], plus_q[-1]), fine)
-        if gap > settings.tolerance:
-            raise ToleranceExceeded(
-                f"arc halving gap {gap:.3e} > {settings.tolerance:.3e}")
+    _check_halving(settings, (plus_p[-1], plus_q[-1]),
+                   lambda: _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, 2 * n),
+                   "arc")
     # assemble sigma ascending: minus-half reversed (dropping its center) + plus-half
     p_full = np.concatenate([minus_p[:0:-1], plus_p], axis=0)
     q_full = np.concatenate([minus_q[:0:-1], plus_q], axis=0)

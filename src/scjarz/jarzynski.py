@@ -26,7 +26,7 @@ from .errors import DomainTooSmall, NewtonDiverged
 from .models import HamiltonianModel
 from .pseudowork import (_gauss_legendre_nodes, _march, _propagated_g_batch,
                          _pseudo_work_batch)
-from .stationary import (CAUSTIC, OK, _prefactor_batch,
+from .stationary import (OK, STATUS_NAMES, _prefactor_batch,
                          _pseudo_hamiltonian_batch)
 
 QUADRATURE_RULES = ("gauss-legendre", "trapezoid")
@@ -114,14 +114,10 @@ class JarzynskiReport:
         }
 
 
-def _status_name(code: int) -> str:
-    return {OK: "ok", CAUSTIC: "caustic"}.get(int(code), "diverged")
-
-
 def _collect_failures(P, Q, status) -> list:
     bad = np.flatnonzero(status != OK)
     return [{"p": float(P[i]), "q": float(Q[i]),
-             "reason": _status_name(status[i])} for i in bad]
+             "reason": STATUS_NAMES[int(status[i])]} for i in bad]
 
 
 def _check_domain(model, t, beta, hbar, domain, settings) -> None:
@@ -163,7 +159,7 @@ def partition(model: HamiltonianModel, t: float, beta: float, hbar: float,
             f"partition lost {len(failures)} node(s); first: {failures[0]}")
     weight = np.exp(-beta * g)
     if with_prefactor:
-        geom = _prefactor_batch(model, t, arcs, hbar_beta, settings)
+        geom = _prefactor_batch(model, arcs, settings)
         weight = weight * geom / (2.0 * np.pi * hbar)
     return float(np.sum(W * weight))
 

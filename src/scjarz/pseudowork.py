@@ -24,7 +24,7 @@ from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
 from .errors import ToleranceExceeded, WorkMismatch
 from .models import ComplexPoint, HamiltonianModel
 from .stationary import (OK, SolveBatch, _composite_map_batch,
-                         _invert_map_batch, _prefactor_batch)
+                         _invert_map_batch, _prefactor_batch, _raise_failed)
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,22 @@ def solve_pseudo_state(model: HamiltonianModel, t_i: float, t_f: float,
                        target: ComplexPoint, hbar_beta: float,
                        settings: IntegratorSettings = DEFAULT_SETTINGS,
                        warm_start: Optional[ComplexPoint] = None) -> PseudoState:
-    """Invert the composite map and assemble the frozen-t_f arc."""
+    """Invert the composite map for one real target and build the t_f arc.
+
+    At t_f == t_i this is the static chord-midpoint solve: the returned
+    ``z_c`` is the real center whose frozen-t_i arc has its chord midpoint
+    at the target.  Raises ValueError for a non-real target,
+    CausticEncountered or NewtonDiverged if the solve fails.
+    """
+    if target.p.imag != 0.0 or target.q.imag != 0.0:
+        raise ValueError("midpoint inversion expects a real target point")
     tp = np.array([target.p.real])
     tq = np.array([target.q.real])
     wp = None if warm_start is None else np.array([warm_start.p.real])
     wq = None if warm_start is None else np.array([warm_start.q.real])
     solve = _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
                               warm_p=wp, warm_q=wq)
-    solve.raise_on_failure()
+    _raise_failed(t_f, solve.status, solve.det, solve.residual)
     arcs = _build_arc_batch(model, t_f, solve.zc_p.astype(complex),
                             solve.zc_q.astype(complex), hbar_beta, settings)
     arc = arcs.single(0)
@@ -121,15 +129,16 @@ def _pseudo_power_batch(model, arcs: _ArcBatch):
     return power, imag
 
 
-def pseudo_power(model: HamiltonianModel, t: float, arc: ImaginaryArc,
+def pseudo_power(model: HamiltonianModel, arc: ImaginaryArc,
                  settings: IntegratorSettings = DEFAULT_SETTINGS) -> float:
-    """Explicit-power average over one frozen-time arc."""
-    batch = _ArcBatch(t=t, hbar_beta=arc.hbar_beta, sigma=arc.sigma,
-                      p=arc.p_samples[:, None], q=arc.q_samples[:, None],
-                      center_p=np.array([arc.center.p]),
-                      center_q=np.array([arc.center.q]))
-    batch.finalize(model)
-    power, imag = _pseudo_power_batch(model, batch)
+    """Explicit-power average over one frozen-time arc.
+
+    The drive is taken at the arc's frozen time ``arc.t`` and the average
+    over its span ``arc.hbar_beta``.  Raises ToleranceExceeded if the
+    average's imaginary part exceeds ``settings.tolerance`` times
+    1 + |power|.
+    """
+    power, imag = _pseudo_power_batch(model, _ArcBatch.of(arc))
     scale = 1.0 + abs(float(power[0]))
     if float(imag[0]) > settings.tolerance * scale:
         raise ToleranceExceeded(
@@ -302,10 +311,10 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     single node t_i when t_f == t_i.  ``_gauss_legendre_nodes`` gives the
     identity's rule.  Returns a dict of arrays; a column whose solve fails
     at a node carries that solve's status and NaN work values.  Per-node
-    entries are NaN where a column was not solved (the centers and
-    residuals) or not OK (the arc quantities).  "newton_iters" counts each
-    column's Newton iterations over the march, "node_solves" the column
-    solves run.
+    entries are NaN where a column was not solved (the centers, residuals
+    and Jacobian determinants "det") or not OK (the arc quantities).
+    "newton_iters" counts each column's Newton iterations over the march,
+    "node_solves" the column solves run.
     ``with_prefactor`` adds the geometric prefactor of the t_i arcs
     ("prefactor_initial").
     """
@@ -323,8 +332,8 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     def per_node(dtype=float):
         return np.full((times.size, b), np.nan, dtype=dtype)
 
-    power, center_p, center_q, check_p, check_q, residual = (
-        per_node() for _ in range(6))
+    power, center_p, center_q, check_p, check_q, residual, det = (
+        per_node() for _ in range(7))
     plus_p, plus_q, minus_p, minus_q = (per_node(complex) for _ in range(4))
     status = np.full(b, OK, dtype=np.int8)
     newton_iters = np.zeros(b, dtype=int)
@@ -341,7 +350,7 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
         newton_iters[live] += solve.iters
         node_solves += live.size
         center_p[j, live], center_q[j, live] = solve.zc_p, solve.zc_q
-        residual[j, live] = solve.residual
+        residual[j, live], det[j, live] = solve.residual, solve.det
         arcs = _build_arc_batch(model, tj, solve.zc_p[ok], solve.zc_q[ok],
                                 hbar_beta, settings)
         power[j, good], _ = _pseudo_power_batch(model, arcs)
@@ -353,8 +362,8 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
             h_center = model.value(tj, arcs.center_p, arcs.center_q).real
             g_initial[good] = h_center - arcs.area / hbar_beta
             if with_prefactor:
-                prefactor_initial[good] = _prefactor_batch(
-                    model, tj, arcs, hbar_beta, settings)
+                prefactor_initial[good] = _prefactor_batch(model, arcs,
+                                                           settings)
 
     if t_f > t_i:
         work = weighted_sum(weights, power)
@@ -374,6 +383,7 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
         "minus_p": minus_p, "minus_q": minus_q,
         "check_p": check_p, "check_q": check_q,
         "residual": residual,
+        "det": det,
         "status": status,
         "newton_iters": newton_iters,
         "node_solves": node_solves,
@@ -397,9 +407,10 @@ def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
     out = _pseudo_work_batch(model, t_i, t_f, np.array([target.p.real]),
                              np.array([target.q.real]), hbar_beta, settings)
     if out["status"][0] != OK:
-        SolveBatch(np.zeros(1), np.zeros(1), np.zeros(1),
-                   np.zeros(1, dtype=int), np.zeros(1),
-                   out["status"][:1], []).raise_on_failure()
+        # the march stops a start at its first failed node, its last solved
+        j = np.flatnonzero(~np.isnan(out["center_p"][:, 0]))[-1]
+        _raise_failed(out["times"][j], out["status"][:1], out["det"][j],
+                      out["residual"][j])
     w = float(out["W"][0])
     w_end = float(out["W_endpoint"][0])
     tol = work_tol if work_tol is not None else 1e-6 * (1.0 + abs(w))

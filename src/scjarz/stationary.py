@@ -32,6 +32,7 @@ from .models import ComplexPoint, HamiltonianModel
 OK = 0
 CAUSTIC = 1
 DIVERGED = 2
+STATUS_NAMES = {OK: "ok", CAUSTIC: "caustic", DIVERGED: "diverged"}
 
 # map(P, Q) -> (mp, mq, J) with the real 2x2 Jacobians J of shape (2, 2, B)
 MapFn = Callable[[np.ndarray, np.ndarray],
@@ -41,19 +42,6 @@ MapFn = Callable[[np.ndarray, np.ndarray],
 def _quiet():
     """Fresh errstate: blown-up trial flows must not spam warnings."""
     return np.errstate(over="ignore", invalid="ignore")
-
-
-@dataclass(frozen=True)
-class MidpointSolve:
-    """Result of inverting the midpoint map for one real target point."""
-
-    target: ComplexPoint
-    z_c: ComplexPoint
-    arc: ImaginaryArc
-    newton_iters: int
-    jacobian_det: float
-    residual: float
-    continuation_residuals: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -81,15 +69,20 @@ class SolveBatch:
     status: np.ndarray              # OK / CAUSTIC / DIVERGED
     stage_residuals: list           # per continuation stage, max over batch
 
-    def raise_on_failure(self) -> None:
-        if np.any(self.status == CAUSTIC):
-            idx = int(np.argmax(self.status == CAUSTIC))
-            raise CausticEncountered(
-                f"stationary-phase Jacobian degenerate (|det|={self.det[idx]:.3e})")
-        if np.any(self.status == DIVERGED):
-            idx = int(np.argmax(self.status == DIVERGED))
-            raise NewtonDiverged(
-                f"midpoint inversion stalled (residual {self.residual[idx]:.3e})")
+
+def _raise_failed(t, status, det, residual) -> None:
+    """Raise for the first failed column of a solve at time ``t``.
+
+    A caustic column takes precedence over a stalled one; the message
+    names the time, the column's residual and its |det J|.
+    """
+    for code, error, what in (
+            (CAUSTIC, CausticEncountered, "stationary-phase Jacobian degenerate"),
+            (DIVERGED, NewtonDiverged, "midpoint inversion stalled")):
+        if np.any(status == code):
+            idx = int(np.argmax(status == code))
+            raise error(f"{what} at t={t:g} (residual {residual[idx]:.3e}, "
+                        f"|det|={abs(det[idx]):.3e})")
 
 
 def _composite_map_batch(model, t_i, t_f, P, Q, hbar_beta, settings):
@@ -108,16 +101,6 @@ def _composite_map_batch(model, t_i, t_f, P, Q, hbar_beta, settings):
         p, q, m_real = _flow_real_batch(model, t_f, t_i, p, q, n, tangent=True)
         jac = m_real[:, 0, None] * jac[0] + m_real[:, 1, None] * jac[1]
     return p.real, q.real, jac.real
-
-
-def midpoint_map(model: HamiltonianModel, t: float, z_real: ComplexPoint,
-                 hbar_beta: float,
-                 settings: IntegratorSettings = DEFAULT_SETTINGS) -> ComplexPoint:
-    """Image of a real point under the half-arc chord-midpoint map."""
-    mp, mq, _ = _composite_map_batch(
-        model, t, t, np.array([z_real.p]), np.array([z_real.q]),
-        hbar_beta, settings)
-    return ComplexPoint(float(mp[0]), float(mq[0]))
 
 
 def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
@@ -248,33 +231,6 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     return SolveBatch(gp, gq, det, iters, resid, status, stage_residuals)
 
 
-def invert_midpoint(model: HamiltonianModel, t: float, target: ComplexPoint,
-                    hbar_beta: float,
-                    settings: IntegratorSettings = DEFAULT_SETTINGS,
-                    warm_start: Optional[ComplexPoint] = None) -> MidpointSolve:
-    """Find the real arc center whose chord midpoint is the target."""
-    if target.p.imag != 0.0 or target.q.imag != 0.0:
-        raise ValueError("midpoint inversion expects a real target point")
-    tp = np.array([target.p.real])
-    tq = np.array([target.q.real])
-    wp = None if warm_start is None else np.array([warm_start.p.real])
-    wq = None if warm_start is None else np.array([warm_start.q.real])
-    solve = _invert_map_batch(model, t, t, tp, tq, hbar_beta, settings,
-                              warm_p=wp, warm_q=wq)
-    solve.raise_on_failure()
-    arc = _build_arc_batch(model, t, solve.zc_p.astype(complex),
-                           solve.zc_q.astype(complex), hbar_beta, settings)
-    return MidpointSolve(
-        target=target,
-        z_c=ComplexPoint(float(solve.zc_p[0]), float(solve.zc_q[0])),
-        arc=arc.single(0),
-        newton_iters=int(solve.iters[0]),
-        jacobian_det=float(solve.det[0]),
-        residual=float(solve.residual[0]),
-        continuation_residuals=tuple(solve.stage_residuals),
-    )
-
-
 def _g_values(model, t, arcs: _ArcBatch, tp, tq):
     """Both G evaluations from solved arcs; targets are the chord midpoints."""
     hb = arcs.hbar_beta
@@ -310,10 +266,10 @@ def pseudo_hamiltonian(model: HamiltonianModel, t: float, target: ComplexPoint,
     solve, arcs, g_area, g_fta, imag_res = _pseudo_hamiltonian_batch(
         model, t, np.array([target.p.real]), np.array([target.q.real]),
         hbar_beta, settings)
-    solve.raise_on_failure()
+    _raise_failed(t, solve.status, solve.det, solve.residual)
     pref = None
     if with_prefactor:
-        pref = float(_prefactor_batch(model, t, arcs, hbar_beta, settings)[0])
+        pref = float(_prefactor_batch(model, arcs, settings)[0])
     return PseudoHamiltonianValue(
         G=float(g_area[0]),
         G_from_total_action=float(g_fta[0]),
@@ -325,8 +281,7 @@ def pseudo_hamiltonian(model: HamiltonianModel, t: float, target: ComplexPoint,
     )
 
 
-def _prefactor_batch(model, t, arcs: _ArcBatch, hbar_beta,
-                     settings) -> np.ndarray:
+def _prefactor_batch(model, arcs: _ArcBatch, settings) -> np.ndarray:
     """Geometric prefactor 2 / sqrt|2 + tr M| per arc.
 
     M = [[A, B], [C, D]] = d(p, q)_end / d(p, q)_start is the monodromy
@@ -341,34 +296,27 @@ def _prefactor_batch(model, t, arcs: _ArcBatch, hbar_beta,
     stationary-phase factor sqrt(2 |S_ab| / |S_ab - (S_aa + S_bb) / 2|)
     this gives 2 / sqrt|2 + A + D|.  For the harmonic oscillator
     tr M = 2 cosh(beta hbar w), which returns exactly
-    1 / cosh(beta hbar w / 2).
+    1 / cosh(beta hbar w / 2).  The frozen time and the span are the arcs'.
     """
-    s_half = 0.5 * hbar_beta
+    s_half = 0.5 * arcs.hbar_beta
     pe, qe, jac = _flow_imaginary_batch(
-        model, t, arcs.p[0], arcs.q[0], -s_half, +s_half,
+        model, arcs.t, arcs.p[0], arcs.q[0], -s_half, +s_half,
         2 * settings.n_sigma_steps, tangent=True)
     _check_finite(jac, np.stack([pe, qe]), "prefactor flow")
     return 2.0 / np.sqrt(np.abs(2.0 + jac[0, 0] + jac[1, 1]))
 
 
-def endpoint_action_prefactor(model: HamiltonianModel, t: float,
-                              arc: ImaginaryArc, hbar_beta: float,
+def endpoint_action_prefactor(model: HamiltonianModel, arc: ImaginaryArc,
                               settings: IntegratorSettings,
                               hbar: Optional[float] = None) -> float:
     """Stationary-phase prefactor from the monodromy trace of one arc.
 
-    Returns the purely geometric factor when ``hbar`` is None, otherwise
-    the full prefactor geometric_factor / (2 pi hbar).  ``hbar_beta`` must
-    be the span the arc was built with.
+    The arc is flowed end to end at its own frozen time ``arc.t`` over its
+    own span ``arc.hbar_beta``.  Returns the purely geometric factor when
+    ``hbar`` is None, otherwise the full prefactor
+    geometric_factor / (2 pi hbar).
     """
-    if not np.isclose(hbar_beta, arc.hbar_beta, rtol=1e-12, atol=0.0):
-        raise ValueError(f"hbar_beta {hbar_beta!r} does not match the arc's "
-                         f"span {arc.hbar_beta!r}")
-    batch = _ArcBatch(t=t, hbar_beta=arc.hbar_beta, sigma=arc.sigma,
-                      p=arc.p_samples[:, None], q=arc.q_samples[:, None],
-                      center_p=np.array([arc.center.p]),
-                      center_q=np.array([arc.center.q]))
-    geom = float(_prefactor_batch(model, t, batch, hbar_beta, settings)[0])
+    geom = float(_prefactor_batch(model, _ArcBatch.of(arc), settings)[0])
     if hbar is None:
         return geom
     return geom / (2.0 * np.pi * hbar)

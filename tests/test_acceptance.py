@@ -19,10 +19,9 @@ from scjarz.models import ComplexPoint, harmonic_model, ramped_model
 from scjarz.oracle import (FockOperator, fock_state_wigner,
                            harmonic_closed_forms, thermal_fock,
                            wigner_transform)
-from scjarz.pseudowork import pseudo_work, solve_pseudo_state
+from scjarz.pseudowork import pseudo_power, pseudo_work, solve_pseudo_state
 from scjarz.stationary import (OK, _pseudo_hamiltonian_batch,
-                               invert_midpoint, pseudo_hamiltonian)
-from scjarz.pseudowork import pseudo_power
+                               pseudo_hamiltonian)
 
 
 @contextmanager
@@ -94,15 +93,15 @@ def test_criterion_3_pseudo_power_closed_form():
         ratio = np.sinh(x) / x
         pts = rng.uniform(0.5, 2.0, size=(10, 2))
         for p, q in pts:
-            solve = invert_midpoint(model, 0.0, ComplexPoint(p, q), 1.0,
-                                    settings)
-            got = pseudo_power(model, 0.0, solve.arc, settings)
+            arc = pseudo_hamiltonian(model, 0.0, ComplexPoint(p, q), 1.0,
+                                     settings).arc
+            got = pseudo_power(model, arc, settings)
             exact = (2.0 / (1.0 + np.cosh(x))) * (
                 0.5 * q * q * (ratio + 1.0) + 0.5 * p * p * (1.0 - ratio))
             assert abs(got - exact) <= 1e-7 * abs(exact), (p, q)
-        solve = invert_midpoint(model, 0.0, ComplexPoint(0.0, 1.0), 1.0,
-                                settings)
-        val = pseudo_power(model, 0.0, solve.arc, settings)
+        arc = pseudo_hamiltonian(model, 0.0, ComplexPoint(0.0, 1.0), 1.0,
+                                 settings).arc
+        val = pseudo_power(model, arc, settings)
         exact = (np.sinh(1.0) + 1.0) / (1.0 + np.cosh(1.0))
         assert abs(val - exact) <= 1e-7 * exact
         assert exact == pytest.approx(0.8553410237, abs=1e-9)
@@ -119,10 +118,9 @@ def test_criterion_4_classical_limits_second_order():
         dth = model.dt(0.0, target.p, target.q).real
         g_errs, p_errs = [], []
         for hb in (0.2, 0.1, 0.05, 0.025):
-            solve = invert_midpoint(model, 0.0, target, hb, settings)
             arcs_g = pseudo_hamiltonian(model, 0.0, target, hb, settings)
             g_errs.append(abs(arcs_g.G - h_val))
-            p_errs.append(abs(pseudo_power(model, 0.0, solve.arc, settings)
+            p_errs.append(abs(pseudo_power(model, arcs_g.arc, settings)
                               - dth))
         for errs in (g_errs, p_errs):
             orders = [np.log2(errs[k] / errs[k + 1]) for k in range(3)]

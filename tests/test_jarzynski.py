@@ -227,7 +227,7 @@ def test_prefactor_report_reuses_the_t_i_solves():
                              nodes=_gauss_legendre_nodes(0.0, 1.0))
     _, arcs, _, _, _ = _pseudo_hamiltonian_batch(model, 0.0, P, Q, 1.0,
                                                  settings)
-    n_weight = _prefactor_batch(model, 0.0, arcs, 1.0, settings) / (2 * np.pi)
+    n_weight = _prefactor_batch(model, arcs, settings) / (2 * np.pi)
     lhs = float(np.sum(W * n_weight * np.exp(-(out["g_initial"] + out["W"])))
                 / zn_i)
     assert pref == {"Z_i": zn_i, "Z_f": zn_f, "lhs": lhs, "rhs": zn_f / zn_i,

@@ -4,16 +4,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson, solve_ivp
 
 from scjarz import pseudowork
-from scjarz.dynamics import (IntegratorSettings, _build_arc_batch,
+from scjarz.dynamics import (IntegratorSettings, _build_arc_batch, build_arc,
                              flow_imaginary, flow_real)
-from scjarz.errors import WorkMismatch
+from scjarz.errors import NewtonDiverged, WorkMismatch
 from scjarz.models import ComplexPoint, ramped_model
 from scjarz.pseudowork import (_WORK_NODES, _composite_map_batch,
                                _gauss_legendre_nodes, _lagrange_weights,
                                _predicted_centers, _pseudo_power_batch,
                                _pseudo_work_batch, composite_map,
                                pseudo_power, pseudo_work, solve_pseudo_state)
-from scjarz.stationary import _invert_map_batch, invert_midpoint, midpoint_map
+from scjarz.stationary import _invert_map_batch, endpoint_action_prefactor
 
 SET = IntegratorSettings(n_sigma_steps=96, n_time_steps=64)
 
@@ -38,15 +38,6 @@ def classical_trajectory(model, t_eval, p0, q0):
     return sol.y[0], sol.y[1]
 
 
-def test_composite_map_at_equal_times_is_midpoint_map():
-    model = harmonic_ramp()
-    z = ComplexPoint(0.7, -0.2)
-    a = composite_map(model, 0.0, 0.0, z, 1.0, SET)
-    b = midpoint_map(model, 0.0, z, 1.0, SET)
-    assert a.p == pytest.approx(b.p, abs=1e-12)
-    assert a.q == pytest.approx(b.q, abs=1e-12)
-
-
 def test_composite_map_small_span_is_backward_flow():
     model = harmonic_ramp()
     z = ComplexPoint(0.7, -0.2)
@@ -69,15 +60,6 @@ def test_composite_map_constant_protocol_closed_form():
                                   abs=1e-9)
     assert got.q == pytest.approx(c * (-0.3 * np.cos(th) + 0.4 * np.sin(th)),
                                   abs=1e-9)
-
-
-def test_solve_pseudo_state_equal_times_matches_invert_midpoint():
-    model = quartic_ramp()
-    target = ComplexPoint(0.5, 0.8)
-    a = solve_pseudo_state(model, 0.0, 0.0, target, 1.0, SET)
-    b = invert_midpoint(model, 0.0, target, 1.0, SET)
-    assert a.z_c.p == pytest.approx(b.z_c.p, abs=1e-10)
-    assert a.z_c.q == pytest.approx(b.z_c.q, abs=1e-10)
 
 
 def test_pseudo_state_junction_energy_matches():
@@ -106,16 +88,17 @@ def test_pseudo_state_quartic_self_residual():
 def test_pseudo_power_constant_protocol_vanishes():
     model = ramped_model("harmonic", omega_i=1.0, omega_f=1.0,
                          shape="constant")
-    solve = invert_midpoint(model, 0.0, ComplexPoint(0.9, 0.4), 1.0, SET)
-    assert pseudo_power(model, 0.0, solve.arc, SET) == pytest.approx(0.0,
-                                                                     abs=1e-14)
+    solve = solve_pseudo_state(model, 0.0, 0.0, ComplexPoint(0.9, 0.4), 1.0,
+                               SET)
+    assert pseudo_power(model, solve.arc, SET) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_pseudo_power_closed_form_value():
     # (sinh 1 + 1)/(1 + cosh 1) = 0.8553410237... at (0,1), unit scales
     model = harmonic_ramp()
-    solve = invert_midpoint(model, 0.0, ComplexPoint(0.0, 1.0), 1.0, SET)
-    val = pseudo_power(model, 0.0, solve.arc, SET)
+    solve = solve_pseudo_state(model, 0.0, 0.0, ComplexPoint(0.0, 1.0), 1.0,
+                               SET)
+    val = pseudo_power(model, solve.arc, SET)
     exact = (np.sinh(1.0) + 1.0) / (1.0 + np.cosh(1.0))
     assert val == pytest.approx(exact, rel=1e-9)
     assert exact == pytest.approx(0.8553410237, abs=1e-9)
@@ -130,8 +113,9 @@ def test_pseudo_power_random_points_match_closed_form():
     ratio = np.sinh(x) / x
     for _ in range(10):
         p, q = rng.uniform(-2, 2, size=2)
-        solve = invert_midpoint(model, 0.0, ComplexPoint(p, q), 1.0, SET)
-        got = pseudo_power(model, 0.0, solve.arc, SET)
+        solve = solve_pseudo_state(model, 0.0, 0.0, ComplexPoint(p, q), 1.0,
+                                   SET)
+        got = pseudo_power(model, solve.arc, SET)
         exact = (2.0 / (1.0 + np.cosh(x))) * (
             0.5 * q * q * (ratio + 1.0) + 0.5 * p * p * (1.0 - ratio))
         assert got == pytest.approx(exact, rel=1e-7, abs=1e-12)
@@ -143,8 +127,8 @@ def test_pseudo_power_classical_limit_quadratic_order():
     dth = model.dt(0.0, target.p, target.q).real  # m w wdot q^2
     errs = []
     for hb in (0.2, 0.1, 0.05, 0.025):
-        solve = invert_midpoint(model, 0.0, target, hb, SET)
-        errs.append(abs(pseudo_power(model, 0.0, solve.arc, SET) - dth))
+        solve = solve_pseudo_state(model, 0.0, 0.0, target, hb, SET)
+        errs.append(abs(pseudo_power(model, solve.arc, SET) - dth))
     orders = [np.log2(errs[k] / errs[k + 1]) for k in range(3)]
     assert all(o > 1.9 for o in orders)
 
@@ -401,6 +385,40 @@ def test_failed_column_stops_marching(monkeypatch):
                      "center_q", "residual", "check_p", "check_q"):
             np.testing.assert_array_equal(one[name][..., 0],
                                           whole[name][..., i], err_msg=name)
+
+
+def test_pseudo_work_reports_the_failing_node():
+    # the error names the node where the march stopped the start, with its
+    # real residual and |det| there; later nodes record no solve
+    model = quartic_ramp()
+    with pytest.raises(NewtonDiverged,
+                       match=r"at t=0\.75 \(residual 2\.830e-01, \|det\|="):
+        pseudo_work(model, 0.0, 1.0, ComplexPoint(*FAILS_MID_MARCH), 1.0,
+                    MARCH_SET)
+    out = _pseudo_work_batch(model, 0.0, 1.0, np.array([FAILS_MID_MARCH[0]]),
+                             np.array([FAILS_MID_MARCH[1]]), 1.0, MARCH_SET)
+    assert out["times"][6] == 0.75
+    assert out["residual"][6, 0] == pytest.approx(0.283, abs=1e-3)
+    assert np.all(np.isfinite(out["det"][:7, 0]))
+    assert np.all(np.isnan(out["det"][7:, 0]))
+
+
+def test_scalar_power_and_prefactor_read_the_arc():
+    # pseudo_power and endpoint_action_prefactor take the frozen time and
+    # the span from the arc: on the march's own centers they reproduce the
+    # batch's power at every node and its t_i prefactor, bitwise
+    model = quartic_ramp()
+    out = _pseudo_work_batch(model, 0.0, 1.0, np.array([0.3]), np.array([0.9]),
+                             0.8, MARCH_SET, with_prefactor=True)
+    for j, tj in enumerate(out["times"]):
+        arc = build_arc(model, tj, ComplexPoint(out["center_p"][j, 0],
+                                                out["center_q"][j, 0]),
+                        0.8, MARCH_SET)
+        assert arc.t == tj and arc.hbar_beta == 0.8
+        assert pseudo_power(model, arc, MARCH_SET) == out["power"][j, 0], j
+        if j == 0:
+            assert (endpoint_action_prefactor(model, arc, MARCH_SET)
+                    == out["prefactor_initial"][0])
 
 
 @pytest.mark.parametrize("t0, h", [(0.0, 1.0 / 64), (0.3, 0.7 / 9)])

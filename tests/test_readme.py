@@ -1,0 +1,14 @@
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_snippet_runs():
+    # the README's Library example is the public API in use; it must run
+    # as written and verify the identity
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(README), "exec"), namespace)
+    assert namespace["rep"].residual < 1e-6

@@ -2,14 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scjarz.dynamics import IntegratorSettings
 from scjarz.errors import NewtonDiverged
 from scjarz.models import ComplexPoint, harmonic_model, ramped_model
+from scjarz.pseudowork import composite_map, solve_pseudo_state
 from scjarz.stationary import (CAUSTIC, DIVERGED, OK, _invert_map_batch,
                                _newton_stage, _pseudo_hamiltonian_batch,
-                               endpoint_action_prefactor, invert_midpoint,
-                               midpoint_map, pseudo_hamiltonian)
+                               endpoint_action_prefactor, pseudo_hamiltonian)
 
 SET = IntegratorSettings(n_sigma_steps=128)
 
@@ -23,7 +24,7 @@ def test_midpoint_map_harmonic_is_cosh_scaling():
     model = harmonic_model(mass=1.0, omega=1.0)
     hb = 0.8
     z = ComplexPoint(1.2, -0.7)
-    out = midpoint_map(model, 0.0, z, hb, SET)
+    out = composite_map(model, 0.0, 0.0, z, hb, SET)
     c = np.cosh(hb / 2)
     assert out.p == pytest.approx(1.2 * c, abs=1e-11)
     assert out.q == pytest.approx(-0.7 * c, abs=1e-11)
@@ -32,15 +33,15 @@ def test_midpoint_map_harmonic_is_cosh_scaling():
 def test_midpoint_map_small_span_is_identity():
     model = quartic(0.3)
     z = ComplexPoint(0.5, 0.4)
-    out = midpoint_map(model, 0.0, z, 1e-7, SET)
+    out = composite_map(model, 0.0, 0.0, z, 1e-7, SET)
     assert out.p == pytest.approx(0.5, abs=1e-9)
     assert out.q == pytest.approx(0.4, abs=1e-9)
 
 
 def test_midpoint_map_fixes_stationary_point():
     for hb in (0.5, 1.0, 2.0):
-        out = midpoint_map(harmonic_model(), 0.0, ComplexPoint(0.0, 0.0),
-                           hb, SET)
+        out = composite_map(harmonic_model(), 0.0, 0.0,
+                            ComplexPoint(0.0, 0.0), hb, SET)
         assert abs(out.p) < 1e-13 and abs(out.q) < 1e-13
 
 
@@ -48,7 +49,7 @@ def test_invert_midpoint_harmonic_closed_form():
     model = harmonic_model()
     hb = 1.0
     target = ComplexPoint(0.9, -1.1)
-    solve = invert_midpoint(model, 0.0, target, hb, SET)
+    solve = solve_pseudo_state(model, 0.0, 0.0, target, hb, SET)
     c = np.cosh(hb / 2)
     assert solve.z_c.p == pytest.approx(0.9 / c, abs=1e-10)
     assert solve.z_c.q == pytest.approx(-1.1 / c, abs=1e-10)
@@ -61,15 +62,15 @@ def test_invert_midpoint_harmonic_closed_form():
 
 
 def test_invert_midpoint_small_span_returns_target():
-    solve = invert_midpoint(quartic(0.2), 0.0, ComplexPoint(0.3, 0.7),
-                            1e-7, SET)
+    solve = solve_pseudo_state(quartic(0.2), 0.0, 0.0,
+                               ComplexPoint(0.3, 0.7), 1e-7, SET)
     assert solve.z_c.p == pytest.approx(0.3, abs=1e-8)
     assert solve.z_c.q == pytest.approx(0.7, abs=1e-8)
 
 
 def test_invert_midpoint_quartic_residual():
-    solve = invert_midpoint(quartic(0.1), 0.0, ComplexPoint(0.3, 0.7),
-                            0.5, SET)
+    solve = solve_pseudo_state(quartic(0.1), 0.0, 0.0,
+                               ComplexPoint(0.3, 0.7), 0.5, SET)
     mid = solve.arc.chord_midpoint
     assert abs(mid.p.real - 0.3) < 1e-9
     assert abs(mid.q.real - 0.7) < 1e-9
@@ -79,9 +80,9 @@ def test_invert_midpoint_quartic_residual():
 def test_invert_midpoint_warm_start_converges_faster():
     model = quartic(0.15)
     target = ComplexPoint(0.4, 1.1)
-    cold = invert_midpoint(model, 0.0, target, 1.0, SET)
-    warm = invert_midpoint(model, 0.0, target, 1.0, SET,
-                           warm_start=cold.z_c)
+    cold = solve_pseudo_state(model, 0.0, 0.0, target, 1.0, SET)
+    warm = solve_pseudo_state(model, 0.0, 0.0, target, 1.0, SET,
+                              warm_start=cold.z_c)
     assert warm.newton_iters <= cold.newton_iters
     assert warm.z_c.p == pytest.approx(cold.z_c.p, abs=1e-9)
 
@@ -241,14 +242,37 @@ def test_jacobian_det_reported_at_first_evaluation():
     np.testing.assert_allclose(solve.det[1:], solve.det[0], rtol=1e-3)
 
 
+_OFF_ORIGIN = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).filter(
+    lambda z: z[0] * z[0] + z[1] * z[1] >= 0.25)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(_OFF_ORIGIN, min_size=1, max_size=20))
+def test_pseudo_hamiltonian_classical_limit_is_second_order(points):
+    # G -> H as hbar*beta -> 0 at second order, from below, at every point
+    # away from the origin (where G = H = 0)
+    tp = np.array([z[0] for z in points])
+    tq = np.array([z[1] for z in points])
+    for model in (harmonic_model(), quartic(0.1)):
+        h = model.value(0.0, tp, tq).real
+        errs = []
+        for hb in (0.2, 0.1, 0.05, 0.025):
+            solve, _, g, _, _ = _pseudo_hamiltonian_batch(model, 0.0, tp, tq,
+                                                          hb, SET)
+            assert np.all(solve.status == OK)
+            assert np.all(g < h)
+            errs.append(h - g)
+        for k in range(3):
+            orders = np.log2(errs[k] / errs[k + 1])
+            assert np.all(orders >= 1.9), (model.kind, k, orders)
+
+
 def test_endpoint_action_prefactor_rejects_foreign_span():
     model = harmonic_model()
     val = pseudo_hamiltonian(model, 0.0, ComplexPoint(0.4, -0.3), 1.0, SET,
                              with_prefactor=True)
-    geom = endpoint_action_prefactor(model, 0.0, val.arc, 1.0, SET)
+    geom = endpoint_action_prefactor(model, val.arc, SET)
     assert geom == val.prefactor
-    with pytest.raises(ValueError):
-        endpoint_action_prefactor(model, 0.0, val.arc, 0.5, SET)
 
 
 def test_beyond_image_target_diverges():
@@ -258,9 +282,11 @@ def test_beyond_image_target_diverges():
     settings = IntegratorSettings(n_sigma_steps=192, continuation_stages=2,
                                   newton_max_iter=25)
     with pytest.raises(NewtonDiverged):
-        invert_midpoint(model, 0.0, ComplexPoint(0.0, 50.0), 6.0, settings)
+        solve_pseudo_state(model, 0.0, 0.0, ComplexPoint(0.0, 50.0), 6.0,
+                           settings)
 
 
 def test_non_real_target_rejected():
     with pytest.raises(ValueError):
-        invert_midpoint(harmonic_model(), 0.0, ComplexPoint(1j, 0.0), 1.0, SET)
+        solve_pseudo_state(harmonic_model(), 0.0, 0.0, ComplexPoint(1j, 0.0),
+                           1.0, SET)
