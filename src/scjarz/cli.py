@@ -21,7 +21,7 @@ from .errors import ConfigError, ScjarzError
 from .jarzynski import partition, verify_identity
 from .oracle import (_convention_audit, harmonic_closed_forms,
                      ordering_pairing_check, thermal_fock, wigner_transform)
-from .pseudowork import _pseudo_work_batch
+from .pseudowork import _pseudo_work_batch, _raise_failed_start
 from .stationary import (OK, STATUS_NAMES, _prefactor_batch,
                          _pseudo_hamiltonian_batch)
 
@@ -117,9 +117,7 @@ def cmd_work(cfg: RunConfig, out_dir: Path) -> int:
     out = _pseudo_work_batch(model, t_i, t_f, tp, tq, cfg.hbar_beta,
                              cfg.settings)
     if out["status"][0] != OK:
-        print(f"work: solve failed ({_status_marker(out['status'][0])})",
-              file=sys.stderr)
-        return EXIT_NUMERICS
+        _raise_failed_start(out)
     lines = [f"# config_sha256={cfg.config_hash()}",
              "t,check_p,check_q,z_c_p,z_c_q,pseudo_power"]
     for j, tj in enumerate(out["times"]):

@@ -18,7 +18,8 @@ batch of size one around them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -152,7 +153,11 @@ def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
     array operation over the stack, and row 0 is the same elementwise
     formula either way, so the state is bitwise the same with or without
     the tangent.  The drive is taken at t0 + k dt in step k (dt = 0
-    freezes it).
+    freezes it, and the stiffness m w(t0)^2 is then evaluated once).
+    Every stage writes into buffers allocated once per call, with the
+    operands and operation order of the textbook expressions
+    ``acc += 2 F`` and ``P += (h c / 6) (acc + F)``, so the buffers do not
+    change a bit of the result.
     Returns the final stacks and, with ``store``, the state path
     (n_steps + 1, B) of p and q.
     """
@@ -164,54 +169,75 @@ def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
         P[1] = Q[2] = 1.0
     path = (np.empty((2, n_steps + 1) + P.shape[1:], dtype=complex)
             if store else None)
-    lam4, lam12 = 4.0 * model.quartic_lambda, 12.0 * model.quartic_lambda
-    hc, hd = h * c, h * d
-    # stage buffers: force rows, stage state, and the weighted sums of the
-    # stage forces (p increment) and stage momenta (q increment)
-    F, Ps, Qs, acc_f, acc_p = (np.empty_like(P) for _ in range(5))
+    # scalar operands are complex: numpy promotes a float operand of a
+    # complex array to complex anyway, bit for bit, but the promotion costs
+    # more than the whole product of a narrow batch
+    lam4, lam12 = (complex(k * model.quartic_lambda) for k in (4.0, 12.0))
+    hc, hd = complex(h * c), complex(h * d)
+    hc2, hd2, hc6, hd6 = 0.5 * hc, 0.5 * hd, hc / 6.0, hd / 6.0
+    # stage buffers: force rows, stage state, the weighted sums of the
+    # stage forces (p increment) and stage momenta (q increment), and a
+    # scratch stack; then the quartic force's row scratch
+    F, Ps, Qs, acc_f, acc_p, tmp = (np.empty_like(P) for _ in range(6))
+    qq, cube, stiff = (np.empty_like(P[0]) for _ in range(3))
+    f_rows, q_rows, qs_rows = ((X[0], X[1:]) for X in (F, Q, Qs))
 
     def stiffness(t):
         w = model.protocol.omega(t)
-        return model.mass * w * w
+        return complex(model.mass * w * w)
 
-    def force(Q, mw2):
-        """F = (H_q(q), H_qq(q) dq rows) at the state row q = Q[0]."""
+    def force(X, x_rows, mw2):
+        """F = (H_q(q), H_qq(q) dq rows) at the state row q of X = Q or
+        Qs; ``x_rows`` is X's (state row, tangent rows) pair of views."""
         if lam4 == 0.0:
-            np.multiply(Q, mw2, out=F)
+            np.multiply(X, mw2, out=F)
             return
-        q = Q[0]
-        qq = q * q
-        np.multiply(q, mw2, out=F[0])
-        F[0] += lam4 * (qq * q)
+        (q, dq), (f, df) = x_rows, f_rows
+        np.multiply(q, q, out=qq)
+        np.multiply(q, mw2, out=f)
+        np.multiply(lam4, np.multiply(qq, q, out=cube), out=cube)
+        np.add(f, cube, out=f)
         if tangent:
-            np.multiply(Q[1:], mw2 + lam12 * qq, out=F[1:])
+            np.add(mw2, np.multiply(lam12, qq, out=stiff), out=stiff)
+            np.multiply(dq, stiff, out=df)
 
     def stage(a_p, a_q, p_from):
         """Ps, Qs = P + a_p F, Q + a_q p_from (p_from may be Ps itself)."""
         np.add(Q, np.multiply(p_from, a_q, out=Qs), out=Qs)
         np.add(P, np.multiply(F, a_p, out=Ps), out=Ps)
 
+    def accumulate(acc, X):
+        """acc += 2 X."""
+        np.add(acc, np.multiply(2.0 + 0j, X, out=tmp), out=acc)
+
+    frozen = stiffness(t0) if dt == 0.0 and n_steps else None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
             if store:
                 path[0, k], path[1, k] = P[0], Q[0]
-            t = t0 + k * dt
-            m_mid = stiffness(t + 0.5 * dt)
-            force(Q, stiffness(t))
+            if frozen is None:
+                t = t0 + k * dt
+                m_mid = stiffness(t + 0.5 * dt)
+                m_start, m_end = stiffness(t), stiffness(t + dt)
+            else:
+                m_start = m_mid = m_end = frozen
+            force(Q, q_rows, m_start)
             np.copyto(acc_f, F)
             np.copyto(acc_p, P)
-            stage(0.5 * hc, 0.5 * hd, P)
-            force(Qs, m_mid)
-            acc_f += 2.0 * F
-            acc_p += 2.0 * Ps
-            stage(0.5 * hc, 0.5 * hd, Ps)
-            force(Qs, m_mid)
-            acc_f += 2.0 * F
-            acc_p += 2.0 * Ps
+            stage(hc2, hd2, P)
+            force(Qs, qs_rows, m_mid)
+            accumulate(acc_f, F)
+            accumulate(acc_p, Ps)
+            stage(hc2, hd2, Ps)
+            force(Qs, qs_rows, m_mid)
+            accumulate(acc_f, F)
+            accumulate(acc_p, Ps)
             stage(hc, hd, Ps)
-            force(Qs, stiffness(t + dt))
-            P += (hc / 6.0) * (acc_f + F)
-            Q += (hd / 6.0) * (acc_p + Ps)
+            force(Qs, qs_rows, m_end)
+            np.add(P, np.multiply(hc6, np.add(acc_f, F, out=acc_f),
+                                  out=acc_f), out=P)
+            np.add(Q, np.multiply(hd6, np.add(acc_p, Ps, out=acc_p),
+                                  out=acc_p), out=Q)
         if store:
             path[0, n_steps], path[1, n_steps] = P[0], Q[0]
     return P, Q, path
@@ -338,8 +364,14 @@ def flow_real(model: HamiltonianModel, t_from: float, t_to: float,
 
 @dataclass
 class _ArcBatch:
-    """Vectorized arcs sharing one sigma grid (one column per phase point)."""
+    """Vectorized arcs sharing one sigma grid (one column per phase point).
 
+    The Simpson sums (``pdq``, ``action``, ``area``, ``area_imag``) are
+    formed on first read and cached: a march reads them at two of its
+    time nodes.
+    """
+
+    model: HamiltonianModel
     t: float
     hbar_beta: float
     sigma: np.ndarray        # (2n+1,)
@@ -347,25 +379,34 @@ class _ArcBatch:
     q: np.ndarray            # (2n+1, B)
     center_p: np.ndarray     # (B,) complex
     center_q: np.ndarray
-    pdq: np.ndarray = field(init=False, repr=False)     # int p dq (B,)
-    action: np.ndarray = field(init=False, repr=False)  # S = int p dq - du H(center)
-    area: np.ndarray = field(init=False, repr=False)    # real (B,)
-    area_imag: np.ndarray = field(init=False, repr=False)
 
-    def finalize(self, model: HamiltonianModel) -> None:
+    @cached_property
+    def pdq(self) -> np.ndarray:
+        """int p dq along each arc, (B,) complex."""
         n_samples = self.sigma.shape[0]
         h = (self.sigma[-1] - self.sigma[0]) / (n_samples - 1)
-        integrand = self.p * (-1j) * (self.p / model.mass)   # p * dq/dsigma
-        w = simpson_weights(n_samples, h)
-        self.pdq = weighted_sum(w, integrand)
+        integrand = self.p * (-1j) * (self.p / self.model.mass)   # p * dq/dsigma
+        return weighted_sum(simpson_weights(n_samples, h), integrand)
+
+    @cached_property
+    def action(self) -> np.ndarray:
+        """S = int p dq - du H(center), du = -i hbar*beta."""
         du = -1j * self.hbar_beta
-        h_center = model.value(self.t, self.center_p, self.center_q)
-        self.action = self.pdq - du * h_center
-        p_mid = 0.5 * (self.p[0] + self.p[-1])
-        chord = self.q[-1] - self.q[0]
-        area_c = 1j * (self.pdq - p_mid * chord)
-        self.area = area_c.real.copy()
-        self.area_imag = area_c.imag.copy()
+        h_center = self.model.value(self.t, self.center_p, self.center_q)
+        return self.pdq - du * h_center
+
+    @cached_property
+    def _area_c(self) -> np.ndarray:
+        return 1j * (self.pdq - self.mid_p * self.chord)
+
+    @property
+    def area(self) -> np.ndarray:
+        """Enclosed area Re[i (int p dq - p_mid * chord)], (B,) real."""
+        return self._area_c.real
+
+    @property
+    def area_imag(self) -> np.ndarray:
+        return self._area_c.imag
 
     @property
     def chord(self) -> np.ndarray:
@@ -380,11 +421,11 @@ class _ArcBatch:
         return 0.5 * (self.q[0] + self.q[-1])
 
     @classmethod
-    def of(cls, arc: ImaginaryArc) -> "_ArcBatch":
-        """Width-1 batch holding one arc's samples, not finalized: the
-        power and the prefactor read only t, hbar_beta and the samples."""
-        return cls(t=arc.t, hbar_beta=arc.hbar_beta, sigma=arc.sigma,
-                   p=arc.p_samples[:, None], q=arc.q_samples[:, None],
+    def of(cls, model: HamiltonianModel, arc: ImaginaryArc) -> "_ArcBatch":
+        """Width-1 batch holding one arc's samples."""
+        return cls(model=model, t=arc.t, hbar_beta=arc.hbar_beta,
+                   sigma=arc.sigma, p=arc.p_samples[:, None],
+                   q=arc.q_samples[:, None],
                    center_p=np.array([arc.center.p]),
                    center_q=np.array([arc.center.q]))
 
@@ -403,9 +444,16 @@ class _ArcBatch:
         )
 
 
-def _build_arc_batch(model, t, center_p, center_q, hbar_beta,
-                     settings) -> _ArcBatch:
-    """Integrate center -> +hbar*beta/2 and assemble the symmetric arcs.
+def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
+                     half=None) -> _ArcBatch:
+    """Assemble the symmetric arcs from their center -> +hbar*beta/2 halves.
+
+    ``half`` is the (p, q) state path of those plus halves, shape
+    (n_sigma_steps + 1, B) each, as the solve that found the centers
+    already integrated it (``SolveBatch.half_p``/``half_q``); without it
+    the halves are integrated here.  Either way the path is checked for
+    finite values and, with ``richardson_check``, against the same flow
+    at twice the steps.
 
     Centers must be real (a complex dtype with zero imaginary parts is
     accepted); a non-real center raises ValueError.  For a real center the
@@ -422,20 +470,23 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta,
     cq = np.asarray(center_q, dtype=complex)
     if np.any(cp.imag != 0.0) or np.any(cq.imag != 0.0):
         raise ValueError("arc assembly expects real centers")
-    plus_p, plus_q = _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, n, store=True)
+    if half is None:
+        half = _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, n, store=True)
+    plus_p, plus_q = half
     _check_finite(plus_p, plus_q, "arc integration")
-    minus_p, minus_q = plus_p.conj(), plus_q.conj()
     _check_halving(settings, (plus_p[-1], plus_q[-1]),
                    lambda: _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, 2 * n),
                    "arc")
-    # assemble sigma ascending: minus-half reversed (dropping its center) + plus-half
-    p_full = np.concatenate([minus_p[:0:-1], plus_p], axis=0)
-    q_full = np.concatenate([minus_q[:0:-1], plus_q], axis=0)
+    # sigma ascending: the conjugate plus half reversed (dropping its
+    # center sample), then the plus half
+    p_full = np.empty((2 * n + 1,) + cp.shape, dtype=complex)
+    q_full = np.empty_like(p_full)
+    np.conjugate(plus_p[:0:-1], out=p_full[:n])
+    np.conjugate(plus_q[:0:-1], out=q_full[:n])
+    p_full[n:], q_full[n:] = plus_p, plus_q
     sigma = np.linspace(-s, +s, 2 * n + 1)
-    arc = _ArcBatch(t=t, hbar_beta=hbar_beta, sigma=sigma, p=p_full, q=q_full,
-                    center_p=cp, center_q=cq)
-    arc.finalize(model)
-    return arc
+    return _ArcBatch(model=model, t=t, hbar_beta=hbar_beta, sigma=sigma,
+                     p=p_full, q=q_full, center_p=cp, center_q=cq)
 
 
 def build_arc(model: HamiltonianModel, t: float, z_c: ComplexPoint,

@@ -192,7 +192,7 @@ def propagated_partition(model: HamiltonianModel, t_i: float, t_f: float,
             f"propagated partition lost {len(failures)} node(s); "
             f"first: {failures[0]}")
     arcs = _build_arc_batch(model, t_f, solve.zc_p, solve.zc_q, hbar_beta,
-                            settings)
+                            settings, half=solve.half(solve.status == OK))
     g_prop, _, _ = _propagated_g_batch(
         model, t_i, t_f, P, Q, hbar_beta, settings, solve, arcs)
     return float(np.sum(W * np.exp(-beta * g_prop)))

@@ -78,8 +78,9 @@ def composite_map(model: HamiltonianModel, t_i: float, t_f: float,
     """Image of a real center under the propagated-construction map."""
     if t_f < t_i:
         raise ValueError("composite map requires t_i <= t_f")
-    mp, mq, _ = _composite_map_batch(model, t_i, t_f, np.array([z_real.p]),
-                                     np.array([z_real.q]), hbar_beta, settings)
+    mp, mq, _, _ = _composite_map_batch(
+        model, t_i, t_f, np.array([z_real.p]), np.array([z_real.q]),
+        hbar_beta, settings)
     return ComplexPoint(float(mp[0]), float(mq[0]))
 
 
@@ -104,7 +105,8 @@ def solve_pseudo_state(model: HamiltonianModel, t_i: float, t_f: float,
                               warm_p=wp, warm_q=wq)
     _raise_failed(t_f, solve.status, solve.det, solve.residual)
     arcs = _build_arc_batch(model, t_f, solve.zc_p.astype(complex),
-                            solve.zc_q.astype(complex), hbar_beta, settings)
+                            solve.zc_q.astype(complex), hbar_beta, settings,
+                            half=solve.half(solve.status == OK))
     arc = arcs.single(0)
     mid = arc.chord_midpoint
     return PseudoState(
@@ -138,7 +140,7 @@ def pseudo_power(model: HamiltonianModel, arc: ImaginaryArc,
     average's imaginary part exceeds ``settings.tolerance`` times
     1 + |power|.
     """
-    power, imag = _pseudo_power_batch(model, _ArcBatch.of(arc))
+    power, imag = _pseudo_power_batch(model, _ArcBatch.of(model, arc))
     scale = 1.0 + abs(float(power[0]))
     if float(imag[0]) > settings.tolerance * scale:
         raise ToleranceExceeded(
@@ -352,7 +354,7 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
         center_p[j, live], center_q[j, live] = solve.zc_p, solve.zc_q
         residual[j, live], det[j, live] = solve.residual, solve.det
         arcs = _build_arc_batch(model, tj, solve.zc_p[ok], solve.zc_q[ok],
-                                hbar_beta, settings)
+                                hbar_beta, settings, half=solve.half(ok))
         power[j, good], _ = _pseudo_power_batch(model, arcs)
         plus_p[j, good], plus_q[j, good] = arcs.p[-1], arcs.q[-1]
         minus_p[j, good], minus_q[j, good] = arcs.p[0], arcs.q[0]
@@ -397,6 +399,17 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     }
 
 
+def _raise_failed_start(out) -> None:
+    """Raise for the failed start of a width-1 ``_pseudo_work_batch`` result.
+
+    The march stops a start at its first failed node, its last solved one;
+    the error names that node's time, residual and |det J|.
+    """
+    j = np.flatnonzero(~np.isnan(out["center_p"][:, 0]))[-1]
+    _raise_failed(out["times"][j], out["status"], out["det"][j],
+                  out["residual"][j])
+
+
 def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
                 target: ComplexPoint, hbar_beta: float,
                 settings: IntegratorSettings = DEFAULT_SETTINGS,
@@ -407,10 +420,7 @@ def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
     out = _pseudo_work_batch(model, t_i, t_f, np.array([target.p.real]),
                              np.array([target.q.real]), hbar_beta, settings)
     if out["status"][0] != OK:
-        # the march stops a start at its first failed node, its last solved
-        j = np.flatnonzero(~np.isnan(out["center_p"][:, 0]))[-1]
-        _raise_failed(out["times"][j], out["status"][:1], out["det"][j],
-                      out["residual"][j])
+        _raise_failed_start(out)
     w = float(out["W"][0])
     w_end = float(out["W_endpoint"][0])
     tol = work_tol if work_tol is not None else 1e-6 * (1.0 + abs(w))

@@ -34,9 +34,11 @@ CAUSTIC = 1
 DIVERGED = 2
 STATUS_NAMES = {OK: "ok", CAUSTIC: "caustic", DIVERGED: "diverged"}
 
-# map(P, Q) -> (mp, mq, J) with the real 2x2 Jacobians J of shape (2, 2, B)
+# map(P, Q) -> (mp, mq, J, (hp, hq)) with the real 2x2 Jacobians J of
+# shape (2, 2, B) and the imaginary half-flow's state path hp, hq (k, B)
 MapFn = Callable[[np.ndarray, np.ndarray],
-                 tuple[np.ndarray, np.ndarray, np.ndarray]]
+                 tuple[np.ndarray, np.ndarray, np.ndarray,
+                       tuple[np.ndarray, np.ndarray]]]
 
 
 def _quiet():
@@ -59,7 +61,13 @@ class PseudoHamiltonianValue:
 
 @dataclass
 class SolveBatch:
-    """Vectorized solve record; one entry per target point."""
+    """Vectorized solve record; one entry per target point.
+
+    ``half_p``/``half_q`` (n_sigma_steps + 1, B) are the state path of the
+    full-span imaginary half-flow from each column's final center, as its
+    last accepted map evaluation ran it; ``half(ok)`` hands the OK
+    columns' paths to ``_build_arc_batch``.
+    """
 
     zc_p: np.ndarray
     zc_q: np.ndarray
@@ -68,6 +76,14 @@ class SolveBatch:
     residual: np.ndarray
     status: np.ndarray              # OK / CAUSTIC / DIVERGED
     stage_residuals: list           # per continuation stage, max over batch
+    half_p: np.ndarray
+    half_q: np.ndarray
+
+    def half(self, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Half-paths of the columns selected by the boolean mask ``ok``."""
+        if np.all(ok):
+            return self.half_p, self.half_q
+        return self.half_p[:, ok], self.half_q[:, ok]
 
 
 def _raise_failed(t, status, det, residual) -> None:
@@ -92,27 +108,35 @@ def _composite_map_batch(model, t_i, t_f, P, Q, hbar_beta, settings):
     map is holomorphic in a real center, so it is the real part of the
     chained monodromy of the two flows.  At t_f == t_i the real-time leg
     is skipped and this is the chord-midpoint map of the static arc.
+    The fourth value is the half-flow's state path (hp, hq), each
+    (n_sigma_steps + 1, B): the plus half of the frozen-t_f arc through
+    each center, bitwise what ``_build_arc_batch`` would integrate (the
+    kernel's state row does not depend on the tangent rows).
     """
-    p, q, jac = _flow_imaginary_batch(
+    hp, hq, jac = _flow_imaginary_batch(
         model, t_f, np.asarray(P, dtype=complex), np.asarray(Q, dtype=complex),
-        0.0, 0.5 * hbar_beta, settings.n_sigma_steps, tangent=True)
+        0.0, 0.5 * hbar_beta, settings.n_sigma_steps, store=True, tangent=True)
+    p, q = hp[-1], hq[-1]
     if t_f != t_i:
         n = _real_step_count(model, settings, t_f - t_i)
         p, q, m_real = _flow_real_batch(model, t_f, t_i, p, q, n, tangent=True)
         jac = m_real[:, 0, None] * jac[0] + m_real[:, 1, None] * jac[1]
-    return p.real, q.real, jac.real
+    return p.real, q.real, jac.real, (hp, hq)
 
 
 def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
     """Damped Newton on F(z) = map(z) - target for one batch.
 
     Each step inverts the Jacobian that came with the last accepted map
-    evaluation, so an iteration costs one map evaluation per trial.
-    Returns (gp, gq, det, iters, residual, status), det taken at the final
-    point; points whose Jacobian there (or at any iterate) is near-singular
-    are flagged CAUSTIC, stalled ones DIVERGED.  Trial points whose flows
-    blow up yield NaN residuals, which the damping logic rejects like any
-    non-improving step.
+    evaluation, so an iteration costs one map evaluation per trial.  The
+    half-path of that evaluation is kept with it: a trial whose every
+    column is accepted hands its arrays over by reference, any other
+    accepted column is copied in.
+    Returns (gp, gq, det, iters, residual, status, (hp, hq)), det and the
+    half-path taken at the final point; points whose Jacobian there (or
+    at any iterate) is near-singular are flagged CAUSTIC, stalled ones
+    DIVERGED.  Trial points whose flows blow up yield NaN residuals, which
+    the damping logic rejects like any non-improving step.
     """
     b = tp.shape[0]
     gp = np.array(gp, dtype=float, copy=True)
@@ -120,7 +144,7 @@ def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
     status = np.full(b, DIVERGED, dtype=np.int8)
     iters = np.zeros(b, dtype=int)
     with _quiet():
-        mp, mq, jac = map_fn(gp, gq)
+        mp, mq, jac, (hp, hq) = map_fn(gp, gq)
         jac = np.array(jac, dtype=float)
         fp, fq = mp - tp, mq - tq
         resid = np.maximum(np.abs(fp), np.abs(fq))
@@ -161,7 +185,7 @@ def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
             with _quiet():
                 trial_p = gp[rows] + lam[sub] * dp[sub]
                 trial_q = gq[rows] + lam[sub] * dq[sub]
-                mp_t, mq_t, jac_t = map_fn(trial_p, trial_q)
+                mp_t, mq_t, jac_t, (hp_t, hq_t) = map_fn(trial_p, trial_q)
                 fp_t, fq_t = mp_t - tp[rows], mq_t - tq[rows]
                 res_t = np.maximum(np.abs(fp_t), np.abs(fq_t))
             improved = res_t < resid[rows]
@@ -172,6 +196,11 @@ def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
             fp[rows_acc], fq[rows_acc] = fp_t[improved], fq_t[improved]
             resid[rows_acc] = res_t[improved]
             jac[:, :, rows_acc] = jac_t[:, :, improved]
+            if rows_acc.size == b:
+                hp, hq = hp_t, hq_t
+            elif rows_acc.size:
+                hp[:, rows_acc] = hp_t[:, improved]
+                hq[:, rows_acc] = hq_t[:, improved]
             pending[acc] = False
             rej = sub[~improved]
             lam[rej] *= 0.5
@@ -189,7 +218,7 @@ def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
         det_out = jac_det(jac)
     # the verdict also covers points that converged without a step
     status[np.abs(det_out) < settings.caustic_floor] = CAUSTIC
-    return gp, gq, det_out, iters, resid, status
+    return gp, gq, det_out, iters, resid, status, (hp, hq)
 
 
 def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
@@ -201,14 +230,15 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     at the span hbar_beta / 2**continuation_stages and doubles it up to
     hbar_beta, each rung warm-started from the last.  The static midpoint
     solve is the case t_f == t_i.  ``stage_residuals`` records the ladder's
-    largest residual per rung.
+    largest residual per rung.  The half-paths are the full-span ones: the
+    first stage's, and for re-solved points the last rung's.
     """
     tp = np.asarray(tp, dtype=float)
     tq = np.asarray(tq, dtype=float)
     gp = tp.copy() if warm_p is None else np.asarray(warm_p, dtype=float).copy()
     gq = tq.copy() if warm_q is None else np.asarray(warm_q, dtype=float).copy()
     stage_residuals: list = []
-    gp, gq, det, iters, resid, status = _newton_stage(
+    gp, gq, det, iters, resid, status, (hp, hq) = _newton_stage(
         partial(_composite_map_batch, model, t_i, t_f, hbar_beta=hbar_beta,
                 settings=settings),
         tp, tq, gp, gq, settings)
@@ -220,7 +250,7 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
             stage_map = partial(_composite_map_batch, model, t_i, t_f,
                                 hbar_beta=0.5 ** k * hbar_beta,
                                 settings=settings)
-            sp, sq, det_s, it_s, res_s, st_s = _newton_stage(
+            sp, sq, det_s, it_s, res_s, st_s, half_s = _newton_stage(
                 stage_map, tp[idx], tq[idx], sp, sq, settings)
             stage_residuals.append(float(np.max(res_s)))
             det[idx], resid[idx] = det_s, res_s
@@ -228,7 +258,9 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
             # status of the final (full span) stage is the verdict
             status[idx] = st_s
         gp[idx], gq[idx] = sp, sq
-    return SolveBatch(gp, gq, det, iters, resid, status, stage_residuals)
+        hp[:, idx], hq[:, idx] = half_s
+    return SolveBatch(gp, gq, det, iters, resid, status, stage_residuals,
+                      hp, hq)
 
 
 def _g_values(model, t, arcs: _ArcBatch, tp, tq):
@@ -247,7 +279,7 @@ def _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta, settings):
     good = solve.status == OK
     arcs = _build_arc_batch(model, t, solve.zc_p[good].astype(complex),
                             solve.zc_q[good].astype(complex),
-                            hbar_beta, settings)
+                            hbar_beta, settings, half=solve.half(good))
     g_area = np.full(tp.shape, np.nan)
     g_fta = np.full(tp.shape, np.nan)
     imag_res = np.full(tp.shape, np.nan)
@@ -316,7 +348,7 @@ def endpoint_action_prefactor(model: HamiltonianModel, arc: ImaginaryArc,
     ``hbar`` is None, otherwise the full prefactor
     geometric_factor / (2 pi hbar).
     """
-    geom = float(_prefactor_batch(model, _ArcBatch.of(arc), settings)[0])
+    geom = float(_prefactor_batch(model, _ArcBatch.of(model, arc), settings)[0])
     if hbar is None:
         return geom
     return geom / (2.0 * np.pi * hbar)

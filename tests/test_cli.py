@@ -1,11 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import scjarz.cli
 import scjarz.oracle
@@ -173,6 +175,24 @@ def test_work_command_outputs(config_path, tmp_path):
     # default target (0, 1): power at t=0 equals the arc-average closed form
     assert float(rows[0][5]) == pytest.approx(
         (np.sinh(1.0) + 1.0) / (1.0 + np.cosh(1.0)), rel=1e-6)
+
+
+def test_work_failure_names_the_failing_node(tmp_path, capsys):
+    # at hbar = 3 the quartic ramp's start (-4, -1) loses its solve at the
+    # uniform march's node t = 0.5625; the report names that node with its
+    # residual and |det|, in the library's wording, and writes no artifact
+    data = yaml.safe_load(QUARTIC_RAMP.read_text())
+    data["physics"]["hbar"] = 3.0
+    data["run"]["work_target"] = [-4.0, -1.0]
+    path = tmp_path / "quartic_hbar3.yaml"
+    path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    assert main(["work", "--config", str(path), "--out", str(out)]) \
+        == scjarz.cli.EXIT_NUMERICS
+    err = capsys.readouterr().err
+    assert re.search(r"midpoint inversion stalled at t=0\.5625 "
+                     r"\(residual \d\.\d{3}e[+-]\d\d, \|det\|=\d\.\d{3}e", err), err
+    assert not (out / "work.csv").exists()
 
 
 def test_jarzynski_command_report(config_path, tmp_path):

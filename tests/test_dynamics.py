@@ -278,3 +278,24 @@ def test_simpson_weights_integrate_cubics_exactly():
         assert w @ x**k == pytest.approx(exact, rel=1e-13)
     with pytest.raises(ValueError):
         simpson_weights(4, 0.1)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_imaginary_state_path_does_not_depend_on_the_tangent(lam):
+    # the composite map stores its half-flow with the tangent rows riding
+    # along; arcs reuse that path, so row 0 must be the tangent-free flow
+    # bit for bit, at complex starts too
+    model = ramped_model("quartic" if lam else "harmonic", omega_i=1.0,
+                         omega_f=2.0, quartic_lambda=lam)
+    rng = np.random.default_rng(11)
+    p0 = rng.uniform(-3.0, 3.0, 40) + 1j * rng.uniform(-0.5, 0.5, 40)
+    q0 = rng.uniform(-3.0, 3.0, 40) + 1j * rng.uniform(-0.5, 0.5, 40)
+    for t, s_to in ((0.0, 0.5), (0.7, -1.5)):
+        bare = _flow_imaginary_batch(model, t, p0, q0, 0.0, s_to, 32,
+                                     store=True)
+        with_tangent = _flow_imaginary_batch(model, t, p0, q0, 0.0, s_to, 32,
+                                             store=True, tangent=True)
+        assert len(with_tangent) == 3 and with_tangent[2].shape == (2, 2, 40)
+        for a, b in zip(bare, with_tangent[:2]):
+            assert a.shape == (33, 40)
+            assert a.tobytes() == b.tobytes()

@@ -262,7 +262,7 @@ def test_composite_map_jacobian_matches_central_differences(t_f):
     model = quartic_ramp()
     cp = np.array([0.0, 0.8, -1.3, 2.0])
     cq = np.array([0.0, -0.6, 1.1, 0.4])
-    _, _, jac = _composite_map_batch(model, 0.0, t_f, cp, cq, 0.5, SET)
+    _, _, jac, _ = _composite_map_batch(model, 0.0, t_f, cp, cq, 0.5, SET)
     assert jac.shape == (2, 2, 4) and jac.dtype == float
     eps = 1e-5
     for col, (dp, dq) in enumerate(((eps, 0.0), (0.0, eps))):
@@ -345,6 +345,30 @@ def test_work_march_is_batch_width_invariant(targets, slot):
             a, b = one[name][0], whole[name][i]
             assert a == b or (np.isnan(a) and np.isnan(b)), (name, i)
 
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.tuples(st.floats(-4.5, 4.5), st.floats(-4.5, 4.5)),
+                min_size=1, max_size=8).flatmap(
+    lambda ts: st.tuples(st.just(ts), st.sets(st.integers(0, len(ts) - 1),
+                                              min_size=1))))
+def test_work_march_of_a_subset_is_bitwise_the_full_batch(case):
+    # a subset of the starts marched on its own reproduces its columns of
+    # the full march bit for bit at every node: a trial accepted in every
+    # column hands its half-paths over by reference, a partly accepted one
+    # copies them in, and neither may change a column's arcs
+    targets, subset = case
+    model = quartic_ramp()
+    tp = np.array([t[0] for t in targets])
+    tq = np.array([t[1] for t in targets])
+    cols = np.array(sorted(subset))
+    whole = _pseudo_work_batch(model, 0.0, 1.0, tp, tq, 1.0, MARCH_SET)
+    part = _pseudo_work_batch(model, 0.0, 1.0, tp[cols], tq[cols], 1.0,
+                              MARCH_SET)
+    for name in ("power", "center_p", "center_q"):
+        assert part[name].tobytes() == \
+            np.ascontiguousarray(whole[name][:, cols]).tobytes(), name
+    for name in ("W", "g_initial", "g_propagated", "status"):
+        assert part[name].tobytes() == whole[name][cols].tobytes(), name
 
 
 def test_failed_column_stops_marching(monkeypatch):

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scjarz.dynamics import IntegratorSettings
+from scjarz.dynamics import IntegratorSettings, _build_arc_batch, build_arc
 from scjarz.errors import NewtonDiverged
 from scjarz.models import ComplexPoint, harmonic_model, ramped_model
 from scjarz.pseudowork import composite_map, solve_pseudo_state
@@ -212,16 +213,16 @@ def test_caustic_floor_raises():
     def fold_map(P, Q):
         jac = np.zeros((2, 2) + P.shape)
         jac[0, 0], jac[1, 1] = 3.0 * P**2, 1.0
-        return P**3, Q.copy(), jac
+        return P**3, Q.copy(), jac, (P[None] + 0j, Q[None] + 0j)
 
     gp = np.array([1e-6])
     gq = np.array([0.0])
-    _, _, _, _, _, status = _newton_stage(
+    _, _, _, _, _, status, _ = _newton_stage(
         fold_map, np.array([-1e-3]), np.array([0.0]), gp, gq, settings)
     assert status[0] == CAUSTIC
     # a start that already solves the fold gets the same verdict, with
     # the determinant of its first evaluation reported
-    _, _, det, iters, _, status = _newton_stage(
+    _, _, det, iters, _, status, _ = _newton_stage(
         fold_map, np.array([0.0]), np.array([0.0]), np.array([0.0]),
         np.array([0.0]), settings)
     assert iters[0] == 0 and det[0] == 0.0 and status[0] == CAUSTIC
@@ -290,3 +291,38 @@ def test_non_real_target_rejected():
     with pytest.raises(ValueError):
         solve_pseudo_state(harmonic_model(), 0.0, 0.0, ComplexPoint(1j, 0.0),
                            1.0, SET)
+
+
+@pytest.mark.parametrize("t_f, half_width, n_grid, hbar_beta, hard", [
+    (0.0, 6.0, 7, 3.0, True), (0.3, 6.0, 5, 3.0, True),
+    (0.6, 2.0, 4, 1.0, False)])
+def test_arcs_from_the_solve_match_a_fresh_integration(t_f, half_width, n_grid,
+                                                       hbar_beta, hard):
+    # every OK column's arc, assembled from the half-flow that its last
+    # accepted map evaluation ran, is bitwise the arc build_arc integrates
+    # afresh from the solved center.  At hbar*beta = 3 on [-6, 6]^2 some
+    # columns converge only along the continuation ladder and some fail;
+    # on the easy grid (without the origin, which converges at once) every
+    # column converges without it, so whole trials are accepted and their
+    # half-paths taken over by reference
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    settings = IntegratorSettings(n_sigma_steps=16, n_time_steps=16)
+    grid = np.linspace(-half_width, half_width, n_grid)
+    tp, tq = (a.ravel() for a in np.meshgrid(grid, grid))
+    solve = _invert_map_batch(model, 0.0, t_f, tp, tq, hbar_beta, settings)
+    direct = _invert_map_batch(
+        model, 0.0, t_f, tp, tq, hbar_beta,
+        dataclasses.replace(settings, continuation_stages=0))
+    ok = solve.status == OK
+    assert np.any(ok & (direct.status == DIVERGED)) == hard
+    assert np.all(ok) != hard
+    arcs = _build_arc_batch(model, t_f, solve.zc_p[ok], solve.zc_q[ok],
+                            hbar_beta, settings, half=solve.half(ok))
+    for k, i in enumerate(np.flatnonzero(ok)):
+        ref = build_arc(model, t_f, ComplexPoint(solve.zc_p[i], solve.zc_q[i]),
+                        hbar_beta, settings)
+        got = arcs.single(k)
+        assert got.p_samples.tobytes() == ref.p_samples.tobytes(), i
+        assert got.q_samples.tobytes() == ref.q_samples.tobytes(), i
+        assert got.action == ref.action and got.area == ref.area, i
