@@ -67,15 +67,15 @@ def cmd_gibbs(cfg: RunConfig, out_dir: Path, threads: int,
     hb = cfg.hbar_beta
 
     def worker(lo, hi):
-        solve, arcs, g, g_fta, _ = _pseudo_hamiltonian_batch(
+        solve, g, g_fta, _ = _pseudo_hamiltonian_batch(
             model, t, P[lo:hi], Q[lo:hi], hb, cfg.settings)
         ok = solve.status == OK
         area = np.full(hi - lo, np.nan)
-        area[ok] = arcs.area
+        area[ok] = solve.arcs.area
         pref = None
         if prefactor:
             pref = np.full(hi - lo, np.nan)
-            pref[ok] = _prefactor_batch(model, arcs, cfg.settings) \
+            pref[ok] = _prefactor_batch(model, solve.arcs, cfg.settings) \
                 / (2.0 * np.pi * cfg.hbar)
         return solve, g, g_fta, area, pref
 
@@ -189,7 +189,7 @@ def _oracle_quartic(cfg: RunConfig, op, grid) -> dict:
     qi = np.flatnonzero(np.abs(grid.q) <= width_q)[::8]
     pi = np.flatnonzero(np.abs(grid.p) <= width_p)[::8]
     qq, pp = np.meshgrid(grid.q[qi], grid.p[pi], indexing="ij")
-    solve, _, g, _, _ = _pseudo_hamiltonian_batch(
+    solve, g, _, _ = _pseudo_hamiltonian_batch(
         model, t, pp.ravel(), qq.ravel(), cfg.hbar_beta, cfg.settings)
     z_g = partition(model, t, cfg.beta, cfg.hbar, cfg.domain, cfg.settings)
     rho_g = np.exp(-cfg.beta * g) / z_g

@@ -315,9 +315,11 @@ def _check_halving(settings, coarse, refine, what) -> None:
     if not settings.richardson_check:
         return
     fine = refine()
-    scale = 1.0 + max(np.max(np.abs(coarse[0])), np.max(np.abs(coarse[1])))
-    gap = max(np.max(np.abs(coarse[0] - fine[0])),
-              np.max(np.abs(coarse[1] - fine[1]))) / scale
+    # initial=0: a solve whose every column failed checks an empty batch
+    scale = 1.0 + max(np.max(np.abs(coarse[0]), initial=0.0),
+                      np.max(np.abs(coarse[1]), initial=0.0))
+    gap = max(np.max(np.abs(coarse[0] - fine[0]), initial=0.0),
+              np.max(np.abs(coarse[1] - fine[1]), initial=0.0)) / scale
     if gap > settings.tolerance:
         raise ToleranceExceeded(
             f"{what} halving gap {gap:.3e} > {settings.tolerance:.3e}")
@@ -366,9 +368,10 @@ def flow_real(model: HamiltonianModel, t_from: float, t_to: float,
 class _ArcBatch:
     """Vectorized arcs sharing one sigma grid (one column per phase point).
 
-    The Simpson sums (``pdq``, ``action``, ``area``, ``area_imag``) are
-    formed on first read and cached: a march reads them at two of its
-    time nodes.
+    The center energy ``h_center`` and the Simpson sums (``pdq``,
+    ``action``, ``area``, ``area_imag``) are formed on first read and
+    cached: a march reads them at two of its time nodes.  ``action`` and
+    the area form of G (``g``) share the one center energy.
     """
 
     model: HamiltonianModel
@@ -389,11 +392,20 @@ class _ArcBatch:
         return weighted_sum(simpson_weights(n_samples, h), integrand)
 
     @cached_property
+    def h_center(self) -> np.ndarray:
+        """H_t at each center, (B,) complex."""
+        return self.model.value(self.t, self.center_p, self.center_q)
+
+    @cached_property
     def action(self) -> np.ndarray:
         """S = int p dq - du H(center), du = -i hbar*beta."""
         du = -1j * self.hbar_beta
-        h_center = self.model.value(self.t, self.center_p, self.center_q)
-        return self.pdq - du * h_center
+        return self.pdq - du * self.h_center
+
+    @property
+    def g(self) -> np.ndarray:
+        """Area form of the pseudo-Hamiltonian, H_t(center) - A / hbar*beta."""
+        return self.h_center.real - self.area / self.hbar_beta
 
     @cached_property
     def _area_c(self) -> np.ndarray:
@@ -450,10 +462,10 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
 
     ``half`` is the (p, q) state path of those plus halves, shape
     (n_sigma_steps + 1, B) each, as the solve that found the centers
-    already integrated it (``SolveBatch.half_p``/``half_q``); without it
-    the halves are integrated here.  Either way the path is checked for
-    finite values and, with ``richardson_check``, against the same flow
-    at twice the steps.
+    already integrated it (``stationary._invert_map_batch`` passes it);
+    without it the halves are integrated here.  Either way the path is
+    checked for finite values and, with ``richardson_check``, against the
+    same flow at twice the steps.
 
     Centers must be real (a complex dtype with zero imaginary parts is
     accepted); a non-real center raises ValueError.  For a real center the

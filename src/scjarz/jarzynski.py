@@ -21,11 +21,10 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .dynamics import DEFAULT_SETTINGS, IntegratorSettings, _build_arc_batch
+from .dynamics import DEFAULT_SETTINGS, IntegratorSettings
 from .errors import DomainTooSmall, NewtonDiverged
 from .models import HamiltonianModel
-from .pseudowork import (_gauss_legendre_nodes, _march, _propagated_g_batch,
-                         _pseudo_work_batch)
+from .pseudowork import _gauss_legendre_nodes, _pseudo_work_batch
 from .stationary import (OK, STATUS_NAMES, _prefactor_batch,
                          _pseudo_hamiltonian_batch)
 
@@ -126,8 +125,8 @@ def _check_domain(model, t, beta, hbar, domain, settings) -> None:
     pp, qq = domain.boundary_probes()
     tp = np.concatenate([pp, [0.0]])
     tq = np.concatenate([qq, [0.0]])
-    _, _, g, _, _ = _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta,
-                                              settings)
+    _, g, _, _ = _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta,
+                                           settings)
     if np.any(np.isnan(g)):
         raise DomainTooSmall(
             "boundary probe solve failed (first caustic reached); shrink "
@@ -151,7 +150,7 @@ def partition(model: HamiltonianModel, t: float, beta: float, hbar: float,
         _check_domain(model, t, beta, hbar, domain, settings)
     hbar_beta = beta * hbar
     P, Q, W = domain.nodes()
-    solve, arcs, g, _, _ = _pseudo_hamiltonian_batch(
+    solve, g, _, _ = _pseudo_hamiltonian_batch(
         model, t, P, Q, hbar_beta, settings)
     if np.any(solve.status != OK):
         failures = _collect_failures(P, Q, solve.status)
@@ -159,7 +158,7 @@ def partition(model: HamiltonianModel, t: float, beta: float, hbar: float,
             f"partition lost {len(failures)} node(s); first: {failures[0]}")
     weight = np.exp(-beta * g)
     if with_prefactor:
-        geom = _prefactor_batch(model, arcs, settings)
+        geom = _prefactor_batch(model, solve.arcs, settings)
         weight = weight * geom / (2.0 * np.pi * hbar)
     return float(np.sum(W * weight))
 
@@ -170,32 +169,26 @@ def propagated_partition(model: HamiltonianModel, t_i: float, t_f: float,
                          check_domain: bool = True) -> float:
     """Partition integral of the propagated pseudo-energy exp(-beta G_prop).
 
-    The t_f solve is reached by one ``pseudowork._march`` over
-    ``_MARCH_STAGES + 1`` equal stage times from t_i, with the work march's
-    predicted warm starts, so it tracks the physical stationary branch; a
-    cold solve at the full span can converge onto a spurious one.  The last
-    stage's solve and arcs give G_prop.  Raises ``NewtonDiverged`` if any
-    node fails at any stage.
+    G_prop is the work march's (``pseudowork._pseudo_work_batch``) over
+    ``_MARCH_STAGES + 1`` equal stage times from t_i, with zero work
+    weights: each stage is warm-started from the centers predicted by the
+    ones before it, so the t_f solve tracks the physical stationary
+    branch; a cold solve at the full span can converge onto a spurious
+    one.  Raises ``NewtonDiverged`` if any node fails at any stage.
     """
     if check_domain:
         _check_domain(model, t_i, beta, hbar, domain, settings)
-    hbar_beta = beta * hbar
     P, Q, W = domain.nodes()
     stages = (np.linspace(t_i, t_f, _MARCH_STAGES + 1) if t_f > t_i
               else np.array([t_i]))
-    status = np.full(P.size, OK, dtype=np.int8)
-    for live, solve in _march(model, t_i, stages, P, Q, hbar_beta, settings):
-        status[live] = solve.status
-    if np.any(status != OK):
-        failures = _collect_failures(P, Q, status)
+    out = _pseudo_work_batch(model, t_i, t_f, P, Q, beta * hbar, settings,
+                             nodes=(stages, np.zeros(stages.size)))
+    if np.any(out["status"] != OK):
+        failures = _collect_failures(P, Q, out["status"])
         raise NewtonDiverged(
             f"propagated partition lost {len(failures)} node(s); "
             f"first: {failures[0]}")
-    arcs = _build_arc_batch(model, t_f, solve.zc_p, solve.zc_q, hbar_beta,
-                            settings, half=solve.half(solve.status == OK))
-    g_prop, _, _ = _propagated_g_batch(
-        model, t_i, t_f, P, Q, hbar_beta, settings, solve, arcs)
-    return float(np.sum(W * np.exp(-beta * g_prop)))
+    return float(np.sum(W * np.exp(-beta * out["g_propagated"])))
 
 
 def _monte_carlo_lhs(model, t_i, t_f, beta, hbar, domain, settings,
@@ -206,7 +199,7 @@ def _monte_carlo_lhs(model, t_i, t_f, beta, hbar, domain, settings,
     # peak estimate for the acceptance bound from a coarse grid scan
     coarse = QuadratureDomain(domain.p_max, domain.q_max, 17, 17, "trapezoid")
     cp, cq, _ = coarse.nodes()
-    _, _, g_coarse, _, _ = _pseudo_hamiltonian_batch(
+    _, g_coarse, _, _ = _pseudo_hamiltonian_batch(
         model, t_i, cp, cq, hbar_beta, settings)
     g_min = float(np.nanmin(g_coarse))
     bound = np.exp(-beta * g_min) * 1.05
@@ -218,7 +211,7 @@ def _monte_carlo_lhs(model, t_i, t_f, beta, hbar, domain, settings,
         qq = rng.uniform(-domain.q_max, domain.q_max, m)
         uu = rng.uniform(0.0, 1.0, m)
         proposals += m
-        solve, _, g, _, _ = _pseudo_hamiltonian_batch(
+        solve, g, _, _ = _pseudo_hamiltonian_batch(
             model, t_i, pp, qq, hbar_beta, settings)
         okm = (solve.status == OK) & (uu * bound < np.exp(-beta * g))
         accepted_p.append(pp[okm])

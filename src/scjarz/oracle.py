@@ -143,10 +143,14 @@ def _wigner_raw(op: FockOperator, q_max: float, n_q: int) -> tuple:
 
     The offset grid spacing is twice the position spacing, so every matrix
     element argument q +/- Q/2 lands on one shared Hermite evaluation grid.
+    The kernel is summed over the eigenvectors of the operator, which must
+    be Hermitian (ValueError otherwise).
     """
     n = int(n_q)
     if n < 8 or n % 2 != 0:
         raise ValueError("n_q must be an even integer >= 8")
+    if not op.is_hermitian():
+        raise ValueError("the Wigner transform expects a Hermitian operator")
     hbar = op.hbar
     dq = 2.0 * q_max / n
     dQ = 2.0 * dq
@@ -166,26 +170,18 @@ def _wigner_raw(op: FockOperator, q_max: float, n_q: int) -> tuple:
             f"basis functions reach {edge:.3e} at the grid edge; "
             "increase q_max")
 
-    rho = op.matrix
     kernel = np.zeros((n, n), dtype=complex)   # kernel[i, j] = <q+Q/2|rho|q-Q/2>
-    herm = op.is_hermitian()
-    if herm:
-        w, v = np.linalg.eigh(rho)
-        keep = np.abs(w) > 1e-16 * np.max(np.abs(w))
-        w, v = w[keep], v[:, keep]
-        u = v.T @ psi                          # (K, 2n), u_k on the shared grid
-        i_idx = np.arange(n)[:, None]
-        j_idx = np.arange(n)[None, :]
-        plus = (i_idx + j_idx)                 # x index of q + Q/2
-        minus = (n + i_idx - j_idx)            # x index of q - Q/2
-        for k in range(w.size):
-            uk = u[k]
-            kernel += w[k] * uk[plus] * uk.conj()[minus]
-    else:
-        for i in range(n):
-            psi_plus = psi[:, i:i + n]                     # x[(i+j) ]
-            psi_minus = psi[:, i + 1:n + i + 1][:, ::-1]   # x[n+i-j]
-            kernel[i] = np.sum((rho.T @ psi_plus) * psi_minus, axis=0)
+    w, v = np.linalg.eigh(op.matrix)
+    keep = np.abs(w) > 1e-16 * np.max(np.abs(w))
+    w, v = w[keep], v[:, keep]
+    u = v.T @ psi                          # (K, 2n), u_k on the shared grid
+    i_idx = np.arange(n)[:, None]
+    j_idx = np.arange(n)[None, :]
+    plus = (i_idx + j_idx)                 # x index of q + Q/2
+    minus = (n + i_idx - j_idx)            # x index of q - Q/2
+    for k in range(w.size):
+        uk = u[k]
+        kernel += w[k] * uk[plus] * uk.conj()[minus]
 
     j = np.arange(n)
     phase_j = np.where(j % 2 == 0, 1.0, -1.0)
@@ -196,7 +192,10 @@ def _wigner_raw(op: FockOperator, q_max: float, n_q: int) -> tuple:
 
 
 def wigner_transform(op: FockOperator, q_max: float, n_q: int) -> WignerGrid:
-    """Wigner transform of a Hermitian operator with density normalization."""
+    """Wigner transform of a Hermitian operator with density normalization.
+
+    Raises ValueError for a non-Hermitian operator.
+    """
     q_axis, p_axis, w_vals, dp, dq = _wigner_raw(op, q_max, n_q)
     imag = float(np.max(np.abs(w_vals.imag)))
     values = w_vals.real.copy()
@@ -353,14 +352,3 @@ def ordering_pairing_check(n_max: int, hbar: float, mass: float, omega: float,
         "deviation": abs(trace_side - integral_side),
     }
 
-
-def laguerre_generating_series(x: float, y: float, n_terms: int = 61) -> float:
-    """Partial sum of sum_n x^n L_n(y), for comparing with the closed form."""
-    from scipy.special import eval_laguerre
-
-    n = np.arange(n_terms)
-    return float(np.sum(x ** n * eval_laguerre(n, y)))
-
-
-def laguerre_generating_closed_form(x: float, y: float) -> float:
-    return float(np.exp(-y * x / (1.0 - x)) / (1.0 - x))

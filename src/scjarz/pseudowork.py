@@ -19,12 +19,11 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
-                       _ArcBatch, _build_arc_batch, _flow_real_batch,
-                       _real_step_count, simpson_weights, weighted_sum)
+                       _ArcBatch, simpson_weights, weighted_sum)
 from .errors import ToleranceExceeded, WorkMismatch
 from .models import ComplexPoint, HamiltonianModel
-from .stationary import (OK, SolveBatch, _composite_map_batch,
-                         _invert_map_batch, _prefactor_batch, _raise_failed)
+from .stationary import (OK, _composite_map_batch, _invert_map_batch,
+                         _prefactor_batch, _propagated_g_batch, _raise_failed)
 
 
 @dataclass(frozen=True)
@@ -104,10 +103,7 @@ def solve_pseudo_state(model: HamiltonianModel, t_i: float, t_f: float,
     solve = _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
                               warm_p=wp, warm_q=wq)
     _raise_failed(t_f, solve.status, solve.det, solve.residual)
-    arcs = _build_arc_batch(model, t_f, solve.zc_p.astype(complex),
-                            solve.zc_q.astype(complex), hbar_beta, settings,
-                            half=solve.half(solve.status == OK))
-    arc = arcs.single(0)
+    arc = solve.arcs.single(0)
     mid = arc.chord_midpoint
     return PseudoState(
         z_c=ComplexPoint(float(solve.zc_p[0]), float(solve.zc_q[0])),
@@ -146,61 +142,6 @@ def pseudo_power(model: HamiltonianModel, arc: ImaginaryArc,
         raise ToleranceExceeded(
             f"pseudo-power imaginary residue {float(imag[0]):.3e}")
     return float(power[0])
-
-
-def _branch_legs(model, t_i, t_f, arcs: _ArcBatch, settings):
-    """Backward real-time branch legs from the arc endpoints to t_i.
-
-    Returns branch endpoints at t_i and the forward-oriented actions
-    (S_plus along the branch joined to the sigma=-hb/2 arc endpoint,
-    S_minus along the branch joined to sigma=+hb/2).
-    """
-    b = arcs.center_p.shape[0]
-    p0 = np.concatenate([arcs.p[0], arcs.p[-1]])   # [plus-branch, minus-branch]
-    q0 = np.concatenate([arcs.q[0], arcs.q[-1]])
-    if t_f == t_i:
-        action = np.zeros(2 * b, dtype=complex)
-        pe, qe = p0, q0
-    else:
-        n = _real_step_count(model, settings, t_f - t_i)
-        pe, qe, acc = _flow_real_batch(model, t_f, t_i, p0, q0, n,
-                                       with_action=True)
-        action = -acc  # accumulated backwards; forward action flips sign
-    plus_end = (pe[:b], qe[:b])
-    minus_end = (pe[b:], qe[b:])
-    return plus_end, minus_end, action[:b], action[b:]
-
-
-def _propagated_g_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
-                        solve: SolveBatch, arcs: _ArcBatch):
-    """Endpoint evaluation of the propagated pseudo-energy G_prop.
-
-    ``solve`` is the composite-map solve at t_f for the targets (tp, tq)
-    and ``arcs`` the frozen-t_f arcs of its OK columns, in column order;
-    only the backward branch legs to t_i are integrated here.  Returns
-    (g_prop, imag_residual, chord_gap), NaN in the columns that are not
-    OK; imag_residual is |Im G_prop| and chord_gap is the distance between
-    the reconstructed t_i chord midpoint and the target.
-    """
-    good = solve.status == OK
-    plus_end, minus_end, s_plus, s_minus = _branch_legs(
-        model, t_i, t_f, arcs, settings)
-    chord = minus_end[1] - plus_end[1]
-    tpg = np.asarray(tp, dtype=float)[good]
-    tqg = np.asarray(tq, dtype=float)[good]
-    s_tot = -(tpg + 0j) * chord + s_plus + arcs.action - s_minus
-    g = s_tot / (1j * hbar_beta)
-    mid_p = 0.5 * (plus_end[0] + minus_end[0])
-    mid_q = 0.5 * (plus_end[1] + minus_end[1])
-    gap = np.hypot(np.abs(mid_p - tpg), np.abs(mid_q - tqg))
-
-    g_prop = np.full(np.shape(tp), np.nan)
-    imag = np.full(np.shape(tp), np.nan)
-    chord_gap = np.full(np.shape(tp), np.nan)
-    g_prop[good] = g.real
-    imag[good] = np.abs(g.imag)
-    chord_gap[good] = gap
-    return g_prop, imag, chord_gap
 
 
 # The warm start of time node j extrapolates the converged centers at up to
@@ -305,12 +246,15 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     """Work along the pseudo-trajectory for a batch of initial points.
 
     One ``_march`` over the time nodes: at most one composite-map solve per
-    column and node, and the t_f node's solve and arcs also give the
-    endpoint G_prop.  ``nodes`` is a ``(times, weights)`` pair running from
-    t_i to t_f, the work being ``weighted_sum(weights, power)``; by default
-    it is the uniform grid of n_time_steps + 1 nodes with composite Simpson
-    weights (the trajectory of ``scjarz work`` and ``pseudo_work``), or the
-    single node t_i when t_f == t_i.  ``_gauss_legendre_nodes`` gives the
+    column and node.  Each solve hands over its arcs (``SolveBatch.arcs``):
+    the power is read from every node's, G_initial (the area form,
+    ``_ArcBatch.g``) and the prefactor from the first node's, and the
+    t_f node's solve gives the endpoint G_prop (``_propagated_g_batch``).
+    ``nodes`` is a ``(times, weights)`` pair running from t_i to t_f, the
+    work being ``weighted_sum(weights, power)``; by default it is the
+    uniform grid of n_time_steps + 1 nodes with composite Simpson weights
+    (the trajectory of ``scjarz work`` and ``pseudo_work``), or the single
+    node t_i when t_f == t_i.  ``_gauss_legendre_nodes`` gives the
     identity's rule.  Returns a dict of arrays; a column whose solve fails
     at a node carries that solve's status and NaN work values.  Per-node
     entries are NaN where a column was not solved (the centers, residuals
@@ -345,7 +289,6 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
 
     march = _march(model, t_i, times, tp, tq, hbar_beta, settings)
     for j, (live, solve) in enumerate(march):
-        tj = times[j]
         ok = solve.status == OK
         good = live[ok]
         status[live] = solve.status
@@ -353,16 +296,14 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
         node_solves += live.size
         center_p[j, live], center_q[j, live] = solve.zc_p, solve.zc_q
         residual[j, live], det[j, live] = solve.residual, solve.det
-        arcs = _build_arc_batch(model, tj, solve.zc_p[ok], solve.zc_q[ok],
-                                hbar_beta, settings, half=solve.half(ok))
+        arcs = solve.arcs
         power[j, good], _ = _pseudo_power_batch(model, arcs)
         plus_p[j, good], plus_q[j, good] = arcs.p[-1], arcs.q[-1]
         minus_p[j, good], minus_q[j, good] = arcs.p[0], arcs.q[0]
         check_p[j, good] = arcs.mid_p.real
         check_q[j, good] = arcs.mid_q.real
         if j == 0:
-            h_center = model.value(tj, arcs.center_p, arcs.center_q).real
-            g_initial[good] = h_center - arcs.area / hbar_beta
+            g_initial[good] = arcs.g
             if with_prefactor:
                 prefactor_initial[good] = _prefactor_batch(model, arcs,
                                                            settings)
@@ -372,10 +313,10 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     else:
         work = np.zeros(b)
 
-    # the march ends at t_f: its last solve and arcs are the endpoint's
+    # the march ends at t_f: its last solve is the endpoint's
     g_prop, g_imag, chord_gap = (np.full(b, np.nan) for _ in range(3))
     g_prop[live], g_imag[live], chord_gap[live] = _propagated_g_batch(
-        model, t_i, t_f, tp[live], tq[live], hbar_beta, settings, solve, arcs)
+        model, t_i, tp[live], tq[live], settings, solve)
 
     return {
         "times": times,

@@ -5,12 +5,15 @@ chord; inverting that map selects, for a requested real phase-space point,
 the unique thermal arc whose chord is centered there.  The map is the
 composite map of the driven construction (frozen-t_f half-flow, then
 backward real-time flow to t_i) at t_f = t_i, so one map and one Newton
-engine serve both.  G is then the center energy minus the enclosed area
-per unit imaginary time,
+engine serve both, and the solve hands over the arcs through its solved
+centers.  G is then the center energy minus the enclosed area per unit
+imaginary time,
 
     G(p, q) = H_t(center) - A / (hbar*beta),
 
-cross-checked against the total-action evaluation of the same quantity.
+cross-checked against the total-action evaluation of the same quantity,
+which is the propagated pseudo-energy at t_f = t_i (branch legs of zero
+length).
 """
 
 from __future__ import annotations
@@ -63,10 +66,10 @@ class PseudoHamiltonianValue:
 class SolveBatch:
     """Vectorized solve record; one entry per target point.
 
-    ``half_p``/``half_q`` (n_sigma_steps + 1, B) are the state path of the
-    full-span imaginary half-flow from each column's final center, as its
-    last accepted map evaluation ran it; ``half(ok)`` hands the OK
-    columns' paths to ``_build_arc_batch``.
+    ``arcs`` holds the frozen-t_f arcs of the OK columns, in column order,
+    with the solve's t_f and hbar*beta: assembled from the imaginary
+    half-flow that each column's last accepted map evaluation ran, so no
+    caller integrates them again.
     """
 
     zc_p: np.ndarray
@@ -76,14 +79,7 @@ class SolveBatch:
     residual: np.ndarray
     status: np.ndarray              # OK / CAUSTIC / DIVERGED
     stage_residuals: list           # per continuation stage, max over batch
-    half_p: np.ndarray
-    half_q: np.ndarray
-
-    def half(self, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Half-paths of the columns selected by the boolean mask ``ok``."""
-        if np.all(ok):
-            return self.half_p, self.half_q
-        return self.half_p[:, ok], self.half_q[:, ok]
+    arcs: _ArcBatch
 
 
 def _raise_failed(t, status, det, residual) -> None:
@@ -230,8 +226,10 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     at the span hbar_beta / 2**continuation_stages and doubles it up to
     hbar_beta, each rung warm-started from the last.  The static midpoint
     solve is the case t_f == t_i.  ``stage_residuals`` records the ladder's
-    largest residual per rung.  The half-paths are the full-span ones: the
-    first stage's, and for re-solved points the last rung's.
+    largest residual per rung.  The OK columns' arcs are assembled once,
+    from the full-span half-paths (the first stage's, and for re-solved
+    points the last rung's), and returned as ``SolveBatch.arcs``; the
+    half-paths themselves are not kept.
     """
     tp = np.asarray(tp, dtype=float)
     tq = np.asarray(tq, dtype=float)
@@ -259,33 +257,86 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
             status[idx] = st_s
         gp[idx], gq[idx] = sp, sq
         hp[:, idx], hq[:, idx] = half_s
+    ok = status == OK
+    half = (hp, hq) if np.all(ok) else (hp[:, ok], hq[:, ok])
+    arcs = _build_arc_batch(model, t_f, gp[ok], gq[ok], hbar_beta, settings,
+                            half=half)
     return SolveBatch(gp, gq, det, iters, resid, status, stage_residuals,
-                      hp, hq)
+                      arcs)
 
 
-def _g_values(model, t, arcs: _ArcBatch, tp, tq):
-    """Both G evaluations from solved arcs; targets are the chord midpoints."""
-    hb = arcs.hbar_beta
-    h_center = model.value(t, arcs.center_p, arcs.center_q).real
-    g_area = h_center - arcs.area / hb
-    s_tot = -(tp + 0j) * arcs.chord + arcs.action
-    g_fta = s_tot / (1j * hb)
-    return g_area, g_fta.real, np.abs(g_fta.imag)
+def _branch_legs(model, t_i, arcs: _ArcBatch, settings):
+    """Backward real-time branch legs from the arc endpoints to t_i.
+
+    Returns branch endpoints at t_i and the forward-oriented actions
+    (S_plus along the branch joined to the sigma=-hb/2 arc endpoint,
+    S_minus along the branch joined to sigma=+hb/2).  At t_i == arcs.t
+    the legs have zero length and zero action.
+    """
+    b = arcs.center_p.shape[0]
+    p0 = np.concatenate([arcs.p[0], arcs.p[-1]])   # [plus-branch, minus-branch]
+    q0 = np.concatenate([arcs.q[0], arcs.q[-1]])
+    if arcs.t == t_i:
+        action = np.zeros(2 * b, dtype=complex)
+        pe, qe = p0, q0
+    else:
+        n = _real_step_count(model, settings, arcs.t - t_i)
+        pe, qe, acc = _flow_real_batch(model, arcs.t, t_i, p0, q0, n,
+                                       with_action=True)
+        action = -acc  # accumulated backwards; forward action flips sign
+    plus_end = (pe[:b], qe[:b])
+    minus_end = (pe[b:], qe[b:])
+    return plus_end, minus_end, action[:b], action[b:]
+
+
+def _propagated_g_batch(model, t_i, tp, tq, settings, solve: SolveBatch):
+    """Total-action evaluation of the pseudo-energy G_prop.
+
+    ``solve`` is the composite-map solve at (t_i, t_f) for the targets
+    (tp, tq); t_f, hbar*beta and the frozen-t_f arcs of its OK columns are
+    read from ``solve.arcs``, and only the backward branch legs to t_i
+    are integrated here.  The total action along branch, arc and branch,
+    less target p times the t_i chord, over i hbar*beta is G_prop; at
+    t_f == t_i the legs vanish and this is the static G from the total
+    action.  Returns (g_prop, imag_residual, chord_gap), NaN in the
+    columns that are not OK; imag_residual is |Im G_prop| and chord_gap is
+    the distance between the reconstructed t_i chord midpoint and the
+    target.
+    """
+    arcs = solve.arcs
+    good = solve.status == OK
+    plus_end, minus_end, s_plus, s_minus = _branch_legs(model, t_i, arcs,
+                                                        settings)
+    chord = minus_end[1] - plus_end[1]
+    tpg = np.asarray(tp, dtype=float)[good]
+    tqg = np.asarray(tq, dtype=float)[good]
+    s_tot = -(tpg + 0j) * chord + s_plus + arcs.action - s_minus
+    g = s_tot / (1j * arcs.hbar_beta)
+    mid_p = 0.5 * (plus_end[0] + minus_end[0])
+    mid_q = 0.5 * (plus_end[1] + minus_end[1])
+    gap = np.hypot(np.abs(mid_p - tpg), np.abs(mid_q - tqg))
+
+    g_prop, imag, chord_gap = (np.full(np.shape(tp), np.nan) for _ in range(3))
+    g_prop[good] = g.real
+    imag[good] = np.abs(g.imag)
+    chord_gap[good] = gap
+    return g_prop, imag, chord_gap
 
 
 def _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta, settings):
-    """Batched G over targets; returns (solve, arcs, G, G_fta, imag_resid)."""
+    """Batched G over real targets at frozen time t.
+
+    Returns (solve, G, G_fta, imag): G is the area form of the solved
+    arcs (``_ArcBatch.g``), G_fta the total-action form, which is
+    ``_propagated_g_batch`` at t_f = t_i, and imag its |Im G_fta|.
+    Columns that are not OK carry NaN; the OK columns' arcs are
+    ``solve.arcs``.
+    """
     solve = _invert_map_batch(model, t, t, tp, tq, hbar_beta, settings)
-    good = solve.status == OK
-    arcs = _build_arc_batch(model, t, solve.zc_p[good].astype(complex),
-                            solve.zc_q[good].astype(complex),
-                            hbar_beta, settings, half=solve.half(good))
-    g_area = np.full(tp.shape, np.nan)
-    g_fta = np.full(tp.shape, np.nan)
-    imag_res = np.full(tp.shape, np.nan)
-    ga, gf, ir = _g_values(model, t, arcs, np.asarray(tp)[good], np.asarray(tq)[good])
-    g_area[good], g_fta[good], imag_res[good] = ga, gf, ir
-    return solve, arcs, g_area, g_fta, imag_res
+    g_fta, imag, _ = _propagated_g_batch(model, t, tp, tq, settings, solve)
+    g = np.full(np.shape(tp), np.nan)
+    g[solve.status == OK] = solve.arcs.g
+    return solve, g, g_fta, imag
 
 
 def pseudo_hamiltonian(model: HamiltonianModel, t: float, target: ComplexPoint,
@@ -295,18 +346,18 @@ def pseudo_hamiltonian(model: HamiltonianModel, t: float, target: ComplexPoint,
     """Stationary-phase pseudo-Hamiltonian at one real target point."""
     if target.p.imag != 0.0 or target.q.imag != 0.0:
         raise ValueError("midpoint inversion expects a real target point")
-    solve, arcs, g_area, g_fta, imag_res = _pseudo_hamiltonian_batch(
+    solve, g_area, g_fta, imag_res = _pseudo_hamiltonian_batch(
         model, t, np.array([target.p.real]), np.array([target.q.real]),
         hbar_beta, settings)
     _raise_failed(t, solve.status, solve.det, solve.residual)
     pref = None
     if with_prefactor:
-        pref = float(_prefactor_batch(model, arcs, settings)[0])
+        pref = float(_prefactor_batch(model, solve.arcs, settings)[0])
     return PseudoHamiltonianValue(
         G=float(g_area[0]),
         G_from_total_action=float(g_fta[0]),
         z_c=ComplexPoint(float(solve.zc_p[0]), float(solve.zc_q[0])),
-        arc=arcs.single(0),
+        arc=solve.arcs.single(0),
         jacobian_det=float(solve.det[0]),
         imag_residual=float(imag_res[0]),
         prefactor=pref,

@@ -52,7 +52,7 @@ def test_criterion_1_harmonic_symbol_exactness():
             hb = beta * hbar
             model = harmonic_model(mass=m, omega=omega)
             settings = IntegratorSettings(n_sigma_steps=arc_steps(omega, hb))
-            solve, _, g, _, _ = _pseudo_hamiltonian_batch(
+            solve, g, _, _ = _pseudo_hamiltonian_batch(
                 model, 0.0, tp, tq, hb, settings)
             assert np.all(solve.status == OK)
             h_vals = tp**2 / (2 * m) + 0.5 * m * omega**2 * tq**2

@@ -11,8 +11,7 @@ from scjarz.models import ramped_model
 from scjarz.oracle import (FockOperator, WignerGrid, _convention_audit,
                            fock_state_wigner,
                            harmonic_closed_forms, hermite_functions,
-                           laguerre_generating_closed_form,
-                           laguerre_generating_series, ladder_operators,
+                           ladder_operators,
                            ordering_pairing_check,
                            position_momentum_matrices, thermal_fock,
                            weyl_convention_audit, wigner_transform)
@@ -108,11 +107,11 @@ def test_grid_too_narrow_guard():
         wigner_transform(op, q_max=4.0, n_q=128)
 
 
-def test_laguerre_generating_function_identity():
-    x, y = np.exp(-1.0), 2.0
-    series = laguerre_generating_series(x, y, n_terms=61)
-    closed = laguerre_generating_closed_form(x, y)
-    assert abs(series - closed) < 1e-10
+def test_wigner_transform_rejects_a_non_hermitian_operator():
+    a, _ = ladder_operators(8)
+    with pytest.raises(ValueError, match="Hermitian"):
+        wigner_transform(FockOperator(a.astype(complex), 1.0, 1.0, 1.0),
+                         q_max=10.0, n_q=256)
 
 
 def test_convention_audit_ground_state():
@@ -205,7 +204,7 @@ def test_log_of_thermal_wigner_recovers_pseudo_hamiltonian():
     qq, pp = np.meshgrid(grid.q[qi], grid.p[pi], indexing="ij")
     model = ramped_model("harmonic", omega_i=1.0, omega_f=1.0,
                          shape="constant")
-    _, _, g, _, _ = _pseudo_hamiltonian_batch(
+    _, g, _, _ = _pseudo_hamiltonian_batch(
         model, 0.0, pp.ravel(), qq.ravel(), beta * hbar,
         IntegratorSettings(n_sigma_steps=96))
     logw = -np.log(rho[np.ix_(qi, pi)].ravel()) / beta
@@ -240,7 +239,7 @@ def test_quartic_pseudo_hamiltonian_gap_shrinks_at_second_order():
         qi = np.flatnonzero(np.abs(grid.q) <= q_w)[::8]
         pi = np.flatnonzero(np.abs(grid.p) <= p_w)[::8]
         qq, pp = np.meshgrid(grid.q[qi], grid.p[pi], indexing="ij")
-        _, _, g, _, _ = _pseudo_hamiltonian_batch(
+        _, g, _, _ = _pseudo_hamiltonian_batch(
             model, 0.0, pp.ravel(), qq.ravel(), beta_hbar, settings)
         logw = -np.log(rho_w[np.ix_(qi, pi)].ravel()) / beta
         diff = logw - g

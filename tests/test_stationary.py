@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scjarz.dynamics import IntegratorSettings, _build_arc_batch, build_arc
+from scjarz.dynamics import DEFAULT_SETTINGS, IntegratorSettings, build_arc
 from scjarz.errors import NewtonDiverged
 from scjarz.models import ComplexPoint, harmonic_model, ramped_model
 from scjarz.pseudowork import composite_map, solve_pseudo_state
@@ -128,7 +128,7 @@ def test_pseudo_hamiltonian_exact_on_quadratics_sample():
         settings = IntegratorSettings(n_sigma_steps=n_sig)
         tp, tq = np.meshgrid(grid, grid, indexing="ij")
         tp, tq = tp.ravel(), tq.ravel()
-        solve, arcs, g, g_fta, _ = _pseudo_hamiltonian_batch(
+        solve, g, g_fta, _ = _pseudo_hamiltonian_batch(
             model, 0.0, tp, tq, hb, settings)
         assert np.all(solve.status == OK)
         h_vals = tp**2 / (2 * m) + 0.5 * m * omega**2 * tq**2
@@ -143,7 +143,7 @@ def test_two_evaluation_consistency_quartic():
     rng = np.random.default_rng(5)
     tp = rng.uniform(-1.0, 1.0, 12)
     tq = rng.uniform(-1.0, 1.0, 12)
-    solve, arcs, g, g_fta, imag = _pseudo_hamiltonian_batch(
+    solve, g, g_fta, imag = _pseudo_hamiltonian_batch(
         model, 0.0, tp, tq, 1.0, SET)
     assert np.all(solve.status == OK)
     np.testing.assert_allclose(g, g_fta, atol=10 * SET.newton_tol)
@@ -258,8 +258,8 @@ def test_pseudo_hamiltonian_classical_limit_is_second_order(points):
         h = model.value(0.0, tp, tq).real
         errs = []
         for hb in (0.2, 0.1, 0.05, 0.025):
-            solve, _, g, _, _ = _pseudo_hamiltonian_batch(model, 0.0, tp, tq,
-                                                          hb, SET)
+            solve, g, _, _ = _pseudo_hamiltonian_batch(model, 0.0, tp, tq,
+                                                       hb, SET)
             assert np.all(solve.status == OK)
             assert np.all(g < h)
             errs.append(h - g)
@@ -317,8 +317,7 @@ def test_arcs_from_the_solve_match_a_fresh_integration(t_f, half_width, n_grid,
     ok = solve.status == OK
     assert np.any(ok & (direct.status == DIVERGED)) == hard
     assert np.all(ok) != hard
-    arcs = _build_arc_batch(model, t_f, solve.zc_p[ok], solve.zc_q[ok],
-                            hbar_beta, settings, half=solve.half(ok))
+    arcs = solve.arcs
     for k, i in enumerate(np.flatnonzero(ok)):
         ref = build_arc(model, t_f, ComplexPoint(solve.zc_p[i], solve.zc_q[i]),
                         hbar_beta, settings)
@@ -326,3 +325,39 @@ def test_arcs_from_the_solve_match_a_fresh_integration(t_f, half_width, n_grid,
         assert got.p_samples.tobytes() == ref.p_samples.tobytes(), i
         assert got.q_samples.tobytes() == ref.q_samples.tobytes(), i
         assert got.action == ref.action and got.area == ref.area, i
+
+
+@pytest.mark.parametrize("model, half_width, n_grid, hbar_beta", [
+    (harmonic_model(), 2.0, 21, 1.0),
+    (ramped_model("quartic", omega_i=1.0, omega_f=2.0, quartic_lambda=0.1),
+     6.0, 13, 3.0)])
+def test_total_action_g_is_the_static_endpoint_formula(model, half_width,
+                                                       n_grid, hbar_beta):
+    # the static G from the total action is the propagated pseudo-energy at
+    # t_f = t_i; its zero-length branch legs must not move a bit (signed
+    # zeros included) against the formula on the arcs alone.  The harmonic
+    # grid holds the origin; on the quartic one some columns fail
+    grid = np.linspace(-half_width, half_width, n_grid)
+    tp, tq = (a.ravel() for a in np.meshgrid(grid, grid))
+    solve, _, g_fta, imag = _pseudo_hamiltonian_batch(
+        model, 0.0, tp, tq, hbar_beta, DEFAULT_SETTINGS)
+    ok = solve.status == OK
+    assert np.all(ok) == (model.kind == "harmonic")
+    arcs = solve.arcs
+    ref = (-(tp[ok] + 0j) * arcs.chord + arcs.action) / (1j * hbar_beta)
+    assert g_fta[ok].tobytes() == ref.real.tobytes()
+    assert imag[ok].tobytes() == np.abs(ref.imag).tobytes()
+    assert np.all(np.isnan(g_fta[~ok])) and np.all(np.isnan(imag[~ok]))
+
+
+def test_failed_solve_with_richardson_check_reports_the_solve():
+    # a solve with no OK column hands over an empty arc batch; the
+    # halving check must pass it, so the failure is the solve's own
+    model = quartic(0.1)
+    settings = IntegratorSettings(n_sigma_steps=192, continuation_stages=2,
+                                  newton_max_iter=25, richardson_check=True)
+    with pytest.raises(NewtonDiverged):
+        solve_pseudo_state(model, 0.0, 0.0, ComplexPoint(0.0, 50.0), 6.0,
+                           settings)
+    with pytest.raises(NewtonDiverged):
+        pseudo_hamiltonian(model, 0.0, ComplexPoint(0.0, 50.0), 6.0, settings)
