@@ -22,7 +22,7 @@ from .jarzynski import partition, verify_identity
 from .oracle import (_convention_audit, harmonic_closed_forms,
                      ordering_pairing_check, thermal_fock, wigner_transform)
 from .pseudowork import _pseudo_work_batch, _raise_failed_start
-from .stationary import (OK, STATUS_NAMES, _prefactor_batch,
+from .stationary import (DIVERGED, OK, STATUS_NAMES, _prefactor_batch,
                          _pseudo_hamiltonian_batch)
 
 EXIT_OK = 0
@@ -72,12 +72,15 @@ def cmd_gibbs(cfg: RunConfig, out_dir: Path, threads: int,
         ok = solve.status == OK
         area = np.full(hi - lo, np.nan)
         area[ok] = solve.arcs.area
-        pref = None
+        status, pref = solve.status, None
         if prefactor:
             pref = np.full(hi - lo, np.nan)
             pref[ok] = _prefactor_batch(model, solve.arcs, cfg.settings) \
                 / (2.0 * np.pi * cfg.hbar)
-        return solve, g, g_fta, area, pref
+            # a solved row whose prefactor flow overflowed is marked, not
+            # dropped, and the scan goes on
+            status = np.where(ok & np.isnan(pref), DIVERGED, status)
+        return status, solve, g, g_fta, area, pref
 
     results = _run_chunked(worker, P.size, threads)
     header = ["q", "p", "G", "G_from_total_action", "z_c_p", "z_c_q",
@@ -88,17 +91,16 @@ def cmd_gibbs(cfg: RunConfig, out_dir: Path, threads: int,
     lines = [f"# config_sha256={cfg.config_hash()}", ",".join(header)]
     n_failed = 0
     row = 0
-    for solve, g, g_fta, area, pref in results:
+    for status, solve, g, g_fta, area, pref in results:
         for i in range(g.shape[0]):
-            status = _status_marker(solve.status[i])
-            if solve.status[i] != OK:
+            if status[i] != OK:
                 n_failed += 1
             cells = [_fmt(Q[row]), _fmt(P[row]), _fmt(g[i]), _fmt(g_fta[i]),
                      _fmt(solve.zc_p[i]), _fmt(solve.zc_q[i]),
                      _fmt(solve.det[i]), _fmt(area[i])]
             if prefactor:
                 cells.append(_fmt(pref[i]))
-            cells.append(status)
+            cells.append(_status_marker(status[i]))
             lines.append(",".join(cells))
             row += 1
     (out_dir / "gibbs.csv").write_text("\n".join(lines) + "\n")

@@ -152,95 +152,127 @@ def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
     (Hairer, Lubich and Wanner, variational equations).  Each stage is one
     array operation over the stack, and row 0 is the same elementwise
     formula either way, so the state is bitwise the same with or without
-    the tangent.  The drive is taken at t0 + k dt in step k (dt = 0
-    freezes it, and the stiffness m w(t0)^2 is then evaluated once).
-    Every stage writes into buffers allocated once per call, with the
+    the tangent.
+
+    Linear flows (quartic_lambda == 0): H_qq = m w(t)^2 does not depend
+    on the state, and every column's tangent starts from the identity, so
+    every column carries the same monodromy.  A batch of more than one
+    column then runs in two parts over the same drive table: the state
+    row alone at the full width, and the tangent rows at width 1 (beside
+    a zero state).  The tangent rows are copied out to every column; they
+    are the same elementwise arithmetic on the same inputs as a stacked
+    run, so every column's monodromy is bitwise the stacked one.
+
+    The drive is a table of the stiffness m w(t)^2 at each step's start,
+    midpoint and end, formed for the whole call in one vectorized pass
+    with the times t0 + k dt, t + dt/2 and t + dt of step k (so an
+    out-of-range time anywhere raises before the first step); dt = 0
+    freezes the drive, and its stiffness is evaluated once.
+    Every stage writes into buffers allocated once per run, with the
     operands and operation order of the textbook expressions
     ``acc += 2 F`` and ``P += (h c / 6) (acc + F)``, so the buffers do not
     change a bit of the result.
     Returns the final stacks and, with ``store``, the state path
     (n_steps + 1, B) of p and q.
     """
-    rows = 3 if tangent else 1
-    P = np.zeros((rows,) + np.shape(p0), dtype=complex)
-    Q = np.zeros_like(P)
-    P[0], Q[0] = p0, q0
-    if tangent:
-        P[1] = Q[2] = 1.0
-    path = (np.empty((2, n_steps + 1) + P.shape[1:], dtype=complex)
-            if store else None)
-    # scalar operands are complex: numpy promotes a float operand of a
-    # complex array to complex anyway, bit for bit, but the promotion costs
-    # more than the whole product of a narrow batch
+    # the drive table, one (start, mid, end) triple per step; the scalars
+    # are complex: numpy promotes a float operand of a complex array to
+    # complex anyway, bit for bit, but the promotion costs more than the
+    # whole product of a narrow batch
+    def stiffness(t):
+        w = model.protocol.omega(t)
+        return model.mass * w * w
+
+    if not n_steps:
+        drive = []
+    elif dt == 0.0:
+        drive = [(complex(stiffness(t0)),) * 3] * n_steps
+    else:
+        t = t0 + np.arange(n_steps) * dt
+        drive = list(zip(*(stiffness(x).astype(complex).tolist()
+                           for x in (t, t + 0.5 * dt, t + dt))))
     lam4, lam12 = (complex(k * model.quartic_lambda) for k in (4.0, 12.0))
     hc, hd = complex(h * c), complex(h * d)
     hc2, hd2, hc6, hd6 = 0.5 * hc, 0.5 * hd, hc / 6.0, hd / 6.0
-    # stage buffers: force rows, stage state, the weighted sums of the
-    # stage forces (p increment) and stage momenta (q increment), and a
-    # scratch stack; then the quartic force's row scratch
-    F, Ps, Qs, acc_f, acc_p, tmp = (np.empty_like(P) for _ in range(6))
-    qq, cube, stiff = (np.empty_like(P[0]) for _ in range(3))
-    f_rows, q_rows, qs_rows = ((X[0], X[1:]) for X in (F, Q, Qs))
 
-    def stiffness(t):
-        w = model.protocol.omega(t)
-        return complex(model.mass * w * w)
-
-    def force(X, x_rows, mw2):
-        """F = (H_q(q), H_qq(q) dq rows) at the state row q of X = Q or
-        Qs; ``x_rows`` is X's (state row, tangent rows) pair of views."""
-        if lam4 == 0.0:
-            np.multiply(X, mw2, out=F)
-            return
-        (q, dq), (f, df) = x_rows, f_rows
-        np.multiply(q, q, out=qq)
-        np.multiply(q, mw2, out=f)
-        np.multiply(lam4, np.multiply(qq, q, out=cube), out=cube)
-        np.add(f, cube, out=f)
+    def run(p0, q0, tangent, store):
+        """Integrate the stack started at (p0, q0) over the drive table."""
+        rows = 3 if tangent else 1
+        P = np.zeros((rows,) + np.shape(p0), dtype=complex)
+        Q = np.zeros_like(P)
+        P[0], Q[0] = p0, q0
         if tangent:
-            np.add(mw2, np.multiply(lam12, qq, out=stiff), out=stiff)
-            np.multiply(dq, stiff, out=df)
+            P[1] = Q[2] = 1.0
+        path = (np.empty((2, n_steps + 1) + P.shape[1:], dtype=complex)
+                if store else None)
+        # stage buffers: force rows, stage state, the weighted sums of the
+        # stage forces (p increment) and stage momenta (q increment), and
+        # a scratch stack; then the quartic force's row scratch
+        F, Ps, Qs, acc_f, acc_p, tmp = (np.empty_like(P) for _ in range(6))
+        qq, cube, stiff = (np.empty_like(P[0]) for _ in range(3))
+        f_rows, q_rows, qs_rows = ((X[0], X[1:]) for X in (F, Q, Qs))
 
-    def stage(a_p, a_q, p_from):
-        """Ps, Qs = P + a_p F, Q + a_q p_from (p_from may be Ps itself)."""
-        np.add(Q, np.multiply(p_from, a_q, out=Qs), out=Qs)
-        np.add(P, np.multiply(F, a_p, out=Ps), out=Ps)
+        def force(X, x_rows, mw2):
+            """F = (H_q(q), H_qq(q) dq rows) at the state row q of X = Q
+            or Qs; ``x_rows`` is X's (state row, tangent rows) pair of
+            views."""
+            if lam4 == 0.0:
+                np.multiply(X, mw2, out=F)
+                return
+            (q, dq), (f, df) = x_rows, f_rows
+            np.multiply(q, q, out=qq)
+            np.multiply(q, mw2, out=f)
+            np.multiply(lam4, np.multiply(qq, q, out=cube), out=cube)
+            np.add(f, cube, out=f)
+            if tangent:
+                np.add(mw2, np.multiply(lam12, qq, out=stiff), out=stiff)
+                np.multiply(dq, stiff, out=df)
 
-    def accumulate(acc, X):
-        """acc += 2 X."""
-        np.add(acc, np.multiply(2.0 + 0j, X, out=tmp), out=acc)
+        def stage(a_p, a_q, p_from):
+            """Ps, Qs = P + a_p F, Q + a_q p_from (p_from may be Ps)."""
+            np.add(Q, np.multiply(p_from, a_q, out=Qs), out=Qs)
+            np.add(P, np.multiply(F, a_p, out=Ps), out=Ps)
 
-    frozen = stiffness(t0) if dt == 0.0 and n_steps else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
+        def accumulate(acc, X):
+            """acc += 2 X."""
+            np.add(acc, np.multiply(2.0 + 0j, X, out=tmp), out=acc)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (m_start, m_mid, m_end) in enumerate(drive):
+                if store:
+                    path[0, k], path[1, k] = P[0], Q[0]
+                force(Q, q_rows, m_start)
+                np.copyto(acc_f, F)
+                np.copyto(acc_p, P)
+                stage(hc2, hd2, P)
+                force(Qs, qs_rows, m_mid)
+                accumulate(acc_f, F)
+                accumulate(acc_p, Ps)
+                stage(hc2, hd2, Ps)
+                force(Qs, qs_rows, m_mid)
+                accumulate(acc_f, F)
+                accumulate(acc_p, Ps)
+                stage(hc, hd, Ps)
+                force(Qs, qs_rows, m_end)
+                np.add(P, np.multiply(hc6, np.add(acc_f, F, out=acc_f),
+                                      out=acc_f), out=P)
+                np.add(Q, np.multiply(hd6, np.add(acc_p, Ps, out=acc_p),
+                                      out=acc_p), out=Q)
             if store:
-                path[0, k], path[1, k] = P[0], Q[0]
-            if frozen is None:
-                t = t0 + k * dt
-                m_mid = stiffness(t + 0.5 * dt)
-                m_start, m_end = stiffness(t), stiffness(t + dt)
-            else:
-                m_start = m_mid = m_end = frozen
-            force(Q, q_rows, m_start)
-            np.copyto(acc_f, F)
-            np.copyto(acc_p, P)
-            stage(hc2, hd2, P)
-            force(Qs, qs_rows, m_mid)
-            accumulate(acc_f, F)
-            accumulate(acc_p, Ps)
-            stage(hc2, hd2, Ps)
-            force(Qs, qs_rows, m_mid)
-            accumulate(acc_f, F)
-            accumulate(acc_p, Ps)
-            stage(hc, hd, Ps)
-            force(Qs, qs_rows, m_end)
-            np.add(P, np.multiply(hc6, np.add(acc_f, F, out=acc_f),
-                                  out=acc_f), out=P)
-            np.add(Q, np.multiply(hd6, np.add(acc_p, Ps, out=acc_p),
-                                  out=acc_p), out=Q)
-        if store:
-            path[0, n_steps], path[1, n_steps] = P[0], Q[0]
-    return P, Q, path
+                path[0, n_steps], path[1, n_steps] = P[0], Q[0]
+        return P, Q, path
+
+    if not (tangent and lam4 == 0.0 and np.size(p0) > 1):
+        return run(p0, q0, tangent, store)
+    # linear flow: the state alone at full width, the one monodromy that
+    # every column shares at width 1
+    P, Q, path = run(p0, q0, False, store)
+    zero = np.zeros(1, dtype=complex)
+    Pt, Qt, _ = run(zero, zero, True, False)
+    tangent_shape = (2,) + P.shape[1:]
+    return (np.concatenate([P, np.broadcast_to(Pt[1:], tangent_shape)]),
+            np.concatenate([Q, np.broadcast_to(Qt[1:], tangent_shape)]),
+            path)
 
 
 def _flow_imaginary_batch(model, t, p0, q0, s_from, s_to, n_steps,

@@ -25,8 +25,8 @@ from .dynamics import DEFAULT_SETTINGS, IntegratorSettings
 from .errors import DomainTooSmall, NewtonDiverged
 from .models import HamiltonianModel
 from .pseudowork import _gauss_legendre_nodes, _pseudo_work_batch
-from .stationary import (OK, STATUS_NAMES, _prefactor_batch,
-                         _pseudo_hamiltonian_batch)
+from .stationary import (OK, STATUS_NAMES, _finite_prefactors,
+                         _prefactor_batch, _pseudo_hamiltonian_batch)
 
 QUADRATURE_RULES = ("gauss-legendre", "trapezoid")
 _MARCH_STAGES = 8
@@ -158,7 +158,8 @@ def partition(model: HamiltonianModel, t: float, beta: float, hbar: float,
             f"partition lost {len(failures)} node(s); first: {failures[0]}")
     weight = np.exp(-beta * g)
     if with_prefactor:
-        geom = _prefactor_batch(model, solve.arcs, settings)
+        geom = _finite_prefactors(_prefactor_batch(model, solve.arcs,
+                                                   settings))
         weight = weight * geom / (2.0 * np.pi * hbar)
     return float(np.sum(W * weight))
 
@@ -295,7 +296,7 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
         # static partitions at both protocol ends with the geometric
         # prefactor restored, to expose the next-order correction; the t_i
         # side reuses the work march's first-node solves and prefactors
-        geom = out["prefactor_initial"][ok]
+        geom = _finite_prefactors(out["prefactor_initial"][ok])
         zn_i = float(np.sum(w_quad * (np.exp(-beta * g_i) * geom
                                       / (2.0 * np.pi * hbar))))
         zn_f = partition(model, t_f, beta, hbar, domain, settings,

@@ -58,19 +58,32 @@ class FrequencyProtocol:
     def duration(self) -> float:
         return self.t_f - self.t_i
 
-    def _check_time(self, t: float) -> None:
+    def _check_time(self, t) -> None:
+        """Raise TimeOutOfRange if t, or any time of an array t, lies
+        outside the protocol span (with a 1e-9 relative slack)."""
         slack = 1e-9 * max(1.0, abs(self.t_i), abs(self.t_f))
-        if t < self.t_i - slack or t > self.t_f + slack:
-            raise TimeOutOfRange(
-                f"t={t} outside protocol span [{self.t_i}, {self.t_f}]"
-            )
+        outside = (t < self.t_i - slack) | (t > self.t_f + slack)
+        if np.any(outside):
+            bad = t if np.ndim(t) == 0 else np.asarray(t)[outside][0]
+            raise TimeOutOfRange(f"t={float(bad)} outside protocol span "
+                                 f"[{self.t_i}, {self.t_f}]")
 
-    def omega(self, t: float) -> float:
+    def _ramp_variable(self, t):
+        """s = (t - t_i) / duration clamped to [0, 1]; elementwise for an
+        array t, with the same operations as for a scalar."""
+        s = (t - self.t_i) / self.duration
+        if np.ndim(s) == 0:
+            return min(max(s, 0.0), 1.0)
+        return np.minimum(np.maximum(s, 0.0), 1.0)
+
+    def omega(self, t):
+        """w(t) at a time or, elementwise and bit for bit the scalar
+        value, at an array of times."""
         self._check_time(t)
         if self.shape == "constant":
-            return self.omega_i
-        s = (t - self.t_i) / self.duration
-        s = min(max(s, 0.0), 1.0)
+            return self.omega_i if np.ndim(t) == 0 else \
+                np.full(np.shape(t), self.omega_i)
+        s = self._ramp_variable(t)
         if self.shape == "linear":
             ramp = s
         else:  # smoothstep
@@ -81,8 +94,7 @@ class FrequencyProtocol:
         self._check_time(t)
         if self.shape == "constant":
             return 0.0
-        s = (t - self.t_i) / self.duration
-        s = min(max(s, 0.0), 1.0)
+        s = self._ramp_variable(t)
         if self.shape == "linear":
             dramp = 1.0
         else:

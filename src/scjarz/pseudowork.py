@@ -262,7 +262,7 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     "newton_iters" counts each column's Newton iterations over the march,
     "node_solves" the column solves run.
     ``with_prefactor`` adds the geometric prefactor of the t_i arcs
-    ("prefactor_initial").
+    ("prefactor_initial"), NaN where its flow overflowed.
     """
     tp = np.asarray(tp, dtype=float)
     tq = np.asarray(tq, dtype=float)

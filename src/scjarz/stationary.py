@@ -25,10 +25,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
-                       _ArcBatch, _build_arc_batch, _check_finite,
-                       _flow_imaginary_batch, _flow_real_batch,
-                       _real_step_count)
-from .errors import CausticEncountered, NewtonDiverged
+                       _ArcBatch, _build_arc_batch, _flow_imaginary_batch,
+                       _flow_real_batch, _real_step_count)
+from .errors import CausticEncountered, IntegratorDiverged, NewtonDiverged
 from .models import ComplexPoint, HamiltonianModel
 
 # status codes for batched solves
@@ -352,7 +351,8 @@ def pseudo_hamiltonian(model: HamiltonianModel, t: float, target: ComplexPoint,
     _raise_failed(t, solve.status, solve.det, solve.residual)
     pref = None
     if with_prefactor:
-        pref = float(_prefactor_batch(model, solve.arcs, settings)[0])
+        pref = float(_finite_prefactors(
+            _prefactor_batch(model, solve.arcs, settings))[0])
     return PseudoHamiltonianValue(
         G=float(g_area[0]),
         G_from_total_action=float(g_fta[0]),
@@ -380,13 +380,31 @@ def _prefactor_batch(model, arcs: _ArcBatch, settings) -> np.ndarray:
     this gives 2 / sqrt|2 + A + D|.  For the harmonic oscillator
     tr M = 2 cosh(beta hbar w), which returns exactly
     1 / cosh(beta hbar w / 2).  The frozen time and the span are the arcs'.
+    A column whose end-to-end flow leaves the representable range (state
+    or monodromy) gets NaN; ``_finite_prefactors`` turns any NaN into an
+    error for the callers that cannot mark a column.
     """
     s_half = 0.5 * arcs.hbar_beta
     pe, qe, jac = _flow_imaginary_batch(
         model, arcs.t, arcs.p[0], arcs.q[0], -s_half, +s_half,
         2 * settings.n_sigma_steps, tangent=True)
-    _check_finite(jac, np.stack([pe, qe]), "prefactor flow")
-    return 2.0 / np.sqrt(np.abs(2.0 + jac[0, 0] + jac[1, 1]))
+    finite = (np.isfinite(pe) & np.isfinite(qe)
+              & np.all(np.isfinite(jac), axis=(0, 1)))
+    with _quiet():
+        geom = 2.0 / np.sqrt(np.abs(2.0 + jac[0, 0] + jac[1, 1]))
+    geom[~finite] = np.nan
+    return geom
+
+
+def _finite_prefactors(geom: np.ndarray) -> np.ndarray:
+    """``geom`` itself if every prefactor is finite; otherwise raise
+    IntegratorDiverged naming how many columns overflowed."""
+    bad = int(np.count_nonzero(np.isnan(geom)))
+    if bad:
+        raise IntegratorDiverged(
+            f"non-finite state during prefactor flow in {bad} of "
+            f"{geom.size} column(s)")
+    return geom
 
 
 def endpoint_action_prefactor(model: HamiltonianModel, arc: ImaginaryArc,
@@ -399,7 +417,8 @@ def endpoint_action_prefactor(model: HamiltonianModel, arc: ImaginaryArc,
     ``hbar`` is None, otherwise the full prefactor
     geometric_factor / (2 pi hbar).
     """
-    geom = float(_prefactor_batch(model, _ArcBatch.of(model, arc), settings)[0])
+    geom = float(_finite_prefactors(
+        _prefactor_batch(model, _ArcBatch.of(model, arc), settings))[0])
     if hbar is None:
         return geom
     return geom / (2.0 * np.pi * hbar)

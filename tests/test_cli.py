@@ -147,6 +147,36 @@ run:
     assert len(markers) >= 1
 
 
+def test_gibbs_prefactor_overflow_marks_its_rows(tmp_path, capsys):
+    # quartic_ramp physics at hbar = 3 on nodes of the 13x13 grid over
+    # [-6, 6]^2: (0, +-6) do not solve, and the solved corners (+-5, +-6)
+    # overflow in the end-to-end prefactor flow; those rows keep their
+    # solved cells, get a nan prefactor and DIVERGED, and the scan goes on
+    # to write every row
+    cfg = yaml.safe_load(QUARTIC_RAMP.read_text())
+    cfg["physics"]["hbar"] = 3.0
+    cfg["run"]["grid"] = {"p_min": -5.0, "p_max": 5.0, "n_p": 3,
+                          "q_min": -6.0, "q_max": 6.0, "n_q": 3}
+    path = tmp_path / "quartic_hbar3.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    assert main(["gibbs", "--config", str(path), "--out", str(out),
+                 "--prefactor"]) == 3
+    assert "gibbs: 6 of 9 grid nodes failed" in capsys.readouterr().err
+    _, header, rows = read_csv(out / "gibbs.csv")
+    g, pref = header.index("G"), header.index("prefactor")
+    kinds = {(float(row[1]), float(row[0])): (row[g] != "nan", row[pref],
+                                              row[-1]) for row in rows}
+    assert len(kinds) == 9
+    for (p, q), (solved, prefactor, status) in kinds.items():
+        if abs(q) == 6.0:
+            assert (solved, prefactor, status) == (p != 0.0, "nan",
+                                                   "DIVERGED"), (p, q)
+        else:
+            assert solved and status == "ok", (p, q)
+            assert np.isfinite(float(prefactor)) and float(prefactor) > 0.0
+
+
 def test_gibbs_deterministic_and_thread_invariant(config_path, tmp_path):
     out1, out2, out3 = (tmp_path / d for d in ("a", "b", "c"))
     assert main(["gibbs", "--config", str(config_path),

@@ -5,8 +5,10 @@ from scjarz.dynamics import (IntegratorSettings, _build_arc_batch,
                              _flow_imaginary_batch, _flow_real_batch,
                              build_arc, flow_imaginary, flow_real,
                              simpson_weights)
-from scjarz.errors import IntegratorDiverged, ToleranceExceeded
-from scjarz.models import ComplexPoint, harmonic_model, ramped_model
+from scjarz.errors import (IntegratorDiverged, TimeOutOfRange,
+                           ToleranceExceeded)
+from scjarz.models import (ComplexPoint, FrequencyProtocol, harmonic_model,
+                           ramped_model)
 
 SET = IntegratorSettings(n_sigma_steps=128, n_time_steps=128)
 
@@ -299,3 +301,89 @@ def test_imaginary_state_path_does_not_depend_on_the_tangent(lam):
         for a, b in zip(bare, with_tangent[:2]):
             assert a.shape == (33, 40)
             assert a.tobytes() == b.tobytes()
+
+
+LINEAR_MODELS = {
+    f"{kind}-{shape}": ramped_model(kind, omega_i=1.0, omega_f=2.0,
+                                    shape=shape, quartic_lambda=0.0)
+    for kind in ("harmonic", "quartic") for shape in ("linear", "smoothstep")
+}
+
+
+def _linear_flow(model, flow, p0, q0, tangent):
+    """Imaginary (stored path) or backward real (with action) flow."""
+    if flow == "imaginary":
+        return _flow_imaginary_batch(model, 0.3, p0, q0, 0.0, 1.5, 16,
+                                     store=True, tangent=tangent)
+    return _flow_real_batch(model, 0.9, 0.1, p0, q0, 12, with_action=True,
+                            tangent=tangent)
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 40])
+@pytest.mark.parametrize("flow", ["imaginary", "real"])
+@pytest.mark.parametrize("name", sorted(LINEAR_MODELS))
+def test_linear_flow_monodromy_is_the_width_one_flow(name, flow, width):
+    # at quartic_lambda = 0 a batch wider than one column runs the state
+    # alone and the tangent rows at width 1; every column's monodromy must
+    # be the stacked width-1 flow's and its state the tangent-free flow's,
+    # bit for bit, and the monodromy an ordinary writable array
+    model = LINEAR_MODELS[name]
+    rng = np.random.default_rng(width)
+    p0 = rng.uniform(-3.0, 3.0, width) + 1j * rng.uniform(-0.5, 0.5, width)
+    q0 = rng.uniform(-3.0, 3.0, width) + 1j * rng.uniform(-0.5, 0.5, width)
+    if width > 1:
+        p0[1] = q0[1] = 1e308 + 1e308j     # this column's state overflows
+    *state, jac = _linear_flow(model, flow, p0, q0, tangent=True)
+    bare = _linear_flow(model, flow, p0, q0, tangent=False)
+    assert len(state) == len(bare)
+    for a, b in zip(bare, state):
+        assert a.tobytes() == b.tobytes()
+    assert jac.shape == (2, 2, width)
+    for i in range(width):
+        one = _linear_flow(model, flow, p0[i:i + 1], q0[i:i + 1],
+                           tangent=True)[-1]
+        assert one.shape == (2, 2, 1)
+        assert jac[:, :, i].tobytes() == one[:, :, 0].tobytes(), i
+    assert np.all(np.isfinite(jac))
+    if width > 1:
+        assert not np.all(np.isfinite(state[0][..., 1]))
+        assert jac.flags.writeable and 0 not in jac.strides
+        before = jac[:, :, 0].copy()
+        jac[:, :, 1] = 0.0
+        assert np.array_equal(jac[:, :, 0], before)
+
+
+def test_drive_table_is_formed_once_at_the_kernel_step_times(monkeypatch):
+    # one array call of omega per table column (start, midpoint, end of
+    # each step), shared by the state run and the width-1 tangent run,
+    # at the times the per-step expressions t0 + k dt, t + dt/2 and t + dt
+    # give, bit for bit
+    seen = []
+    original = FrequencyProtocol.omega
+
+    def recording(self, t):
+        seen.append(np.array(t, dtype=float))
+        return original(self, t)
+
+    monkeypatch.setattr(FrequencyProtocol, "omega", recording)
+    model = ramped_model("harmonic", omega_i=1.0, omega_f=2.0,
+                         shape="smoothstep")
+    p0 = q0 = np.array([0.5 + 0j, 1.0 + 0j])
+    t_from, t_to, n = 0.9, 0.1, 12
+    _flow_real_batch(model, t_from, t_to, p0, q0, n, tangent=True)
+    h = (t_to - t_from) / n
+    starts = [t_from + k * h for k in range(n)]
+    expected = (starts, [t + 0.5 * h for t in starts],
+                [t + h for t in starts])
+    assert len(seen) == 3
+    for got, want in zip(seen, expected):
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_running_drive_checks_every_time_before_the_first_step():
+    # the drive table is formed for the whole flow up front, so a flow
+    # that would leave the protocol span raises before it integrates
+    model = ramped_model("harmonic", omega_i=1.0, omega_f=2.0)
+    p0 = q0 = np.array([0.5 + 0j, 1.0 + 0j])
+    with pytest.raises(TimeOutOfRange, match="outside protocol span"):
+        _flow_real_batch(model, 0.5, 1.25, p0, q0, 8, tangent=True)

@@ -7,7 +7,7 @@ from scjarz import pseudowork
 from scjarz.dynamics import IntegratorSettings
 from scjarz.pseudowork import _gauss_legendre_nodes, _pseudo_work_batch
 from scjarz.stationary import _prefactor_batch, _pseudo_hamiltonian_batch
-from scjarz.errors import DomainTooSmall
+from scjarz.errors import DomainTooSmall, IntegratorDiverged
 from scjarz.jarzynski import (QuadratureDomain, partition,
                               propagated_partition, verify_identity)
 from scjarz.models import harmonic_model, ramped_model
@@ -268,3 +268,33 @@ def test_report_serialization_fields():
     assert set(d) == {"Z_i", "Z_f", "lhs", "rhs", "residual",
                       "prefactor_on", "failures", "diagnostics"}
     assert d["Z_i"] > 0 and d["Z_f"] > 0 and np.isfinite(d["residual"])
+
+
+def test_prefactor_overflow_raises_with_its_column_count(monkeypatch):
+    # at hbar*beta = 3 the quartic arcs through the targets (+-5, +-6)
+    # solve, but their end-to-end prefactor flows overflow; the partition
+    # cannot mark a column, so it raises and says how many overflowed
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    settings = IntegratorSettings(n_sigma_steps=64, n_time_steps=64)
+    corners = QuadratureDomain(5.0, 6.0, 2, 2, "trapezoid")
+    with pytest.raises(IntegratorDiverged,
+                       match="prefactor flow in 4 of 4 column"):
+        partition(model, 0.0, 1.0, 3.0, corners, settings,
+                  check_domain=False, with_prefactor=True)
+    # neither can the identity report: its t_i prefactors come from the
+    # march, here with one column overflowing (the corners above also
+    # fail the march and cost seconds, so the overflow is stood in for)
+    original = pseudowork._prefactor_batch
+
+    def one_overflows(*args):
+        geom = original(*args)
+        geom[3] = np.nan
+        return geom
+
+    monkeypatch.setattr(pseudowork, "_prefactor_batch", one_overflows)
+    domain = QuadratureDomain(p_max=10.5, q_max=10.5, n_p=4, n_q=4)
+    with pytest.raises(IntegratorDiverged,
+                       match="prefactor flow in 1 of 16 column"):
+        verify_identity(ramped_model("harmonic", omega_i=1.0, omega_f=2.0),
+                        1.0, 1.0, domain, SET, with_prefactor=True)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scjarz.errors import TimeOutOfRange
-from scjarz.models import (ComplexPoint, FrequencyProtocol, HamiltonianModel,
-                           harmonic_model, ramped_model)
+from scjarz.models import (PROTOCOL_SHAPES, ComplexPoint, FrequencyProtocol,
+                           HamiltonianModel, harmonic_model, ramped_model)
 
 
 def test_harmonic_value_examples():
@@ -127,3 +128,32 @@ def test_reversed_protocol_swaps_frequencies():
     assert rev.omega(1.0) == pytest.approx(1.0)
     for t in (0.2, 0.5, 0.9):
         assert rev.omega(t) == pytest.approx(proto.omega(1.0 - t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PROTOCOL_SHAPES),
+       st.floats(-2.0, 2.0), st.floats(0.1, 3.0),
+       st.floats(0.2, 3.0), st.floats(0.2, 3.0),
+       st.lists(st.floats(0.0, 1.0), min_size=0, max_size=12))
+def test_array_omega_is_the_scalar_omega_bit_for_bit(shape, t_i, span,
+                                                     w_i, w_f, fractions):
+    # the RK4 kernel forms its drive table with one array call; each entry
+    # must be the scalar value, bit for bit, including the clamped ends
+    if shape == "constant":
+        w_f = w_i
+    proto = FrequencyProtocol(t_i, t_i + span, w_i, w_f, shape)
+    times = np.array([t_i + f * span for f in fractions]
+                     + [t_i, proto.t_f, proto.t_f + 1e-12 * span])
+    values = proto.omega(times)
+    assert values.shape == times.shape and values.dtype == np.float64
+    scalars = np.array([proto.omega(float(t)) for t in times])
+    assert values.tobytes() == scalars.tobytes()
+
+
+def test_array_omega_rejects_any_time_out_of_range():
+    proto = FrequencyProtocol(0.0, 1.0, 1.0, 2.0, "linear")
+    with pytest.raises(TimeOutOfRange, match="t=1.5 outside"):
+        proto.omega(np.array([0.0, 0.5, 1.5, 0.9]))
+    with pytest.raises(TimeOutOfRange, match="t=-0.25 outside"):
+        proto.omega(np.array([[0.5, -0.25]]))
+    assert proto.omega(np.array([])).shape == (0,)

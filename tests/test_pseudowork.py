@@ -277,13 +277,20 @@ def test_composite_map_jacobian_matches_central_differences(t_f):
 HYP_SET = IntegratorSettings(n_sigma_steps=16, n_time_steps=16)
 
 
+# a harmonic batch of more than one column integrates its monodromy once
+# at width 1 (``dynamics._rk4``), a single column stacked with its state;
+# the batch-width properties below must hold across both kernel paths
+WIDTH_MODELS = {"quartic": quartic_ramp, "harmonic": harmonic_ramp}
+
+
+@pytest.mark.parametrize("kind", sorted(WIDTH_MODELS))
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
                 min_size=1, max_size=16))
-def test_composite_inversion_is_batch_width_invariant(targets):
+def test_composite_inversion_is_batch_width_invariant(kind, targets):
     # every Newton step, damping decision and verdict is per point, so a
     # point's solve must not depend on which points share its batch
-    model = quartic_ramp()
+    model = WIDTH_MODELS[kind]()
     tp = np.array([t[0] for t in targets])
     tq = np.array([t[1] for t in targets])
     whole = _invert_map_batch(model, 0.0, 0.6, tp, tq, 0.5, HYP_SET)
@@ -346,18 +353,19 @@ def test_work_march_is_batch_width_invariant(targets, slot):
             assert a == b or (np.isnan(a) and np.isnan(b)), (name, i)
 
 
+@pytest.mark.parametrize("kind", sorted(WIDTH_MODELS))
 @settings(max_examples=8, deadline=None)
 @given(st.lists(st.tuples(st.floats(-4.5, 4.5), st.floats(-4.5, 4.5)),
                 min_size=1, max_size=8).flatmap(
     lambda ts: st.tuples(st.just(ts), st.sets(st.integers(0, len(ts) - 1),
                                               min_size=1))))
-def test_work_march_of_a_subset_is_bitwise_the_full_batch(case):
+def test_work_march_of_a_subset_is_bitwise_the_full_batch(kind, case):
     # a subset of the starts marched on its own reproduces its columns of
     # the full march bit for bit at every node: a trial accepted in every
     # column hands its half-paths over by reference, a partly accepted one
     # copies them in, and neither may change a column's arcs
     targets, subset = case
-    model = quartic_ramp()
+    model = WIDTH_MODELS[kind]()
     tp = np.array([t[0] for t in targets])
     tq = np.array([t[1] for t in targets])
     cols = np.array(sorted(subset))
