@@ -22,7 +22,7 @@ from .jarzynski import partition, verify_identity
 from .oracle import (_convention_audit, harmonic_closed_forms,
                      ordering_pairing_check, thermal_fock, wigner_transform)
 from .pseudowork import _pseudo_work_batch, _raise_failed_start
-from .stationary import (DIVERGED, OK, STATUS_NAMES, _prefactor_batch,
+from .stationary import (DIVERGED, OK, STATUS_NAMES,
                          _pseudo_hamiltonian_batch)
 
 EXIT_OK = 0
@@ -75,9 +75,8 @@ def cmd_gibbs(cfg: RunConfig, out_dir: Path, threads: int,
         status, pref = solve.status, None
         if prefactor:
             pref = np.full(hi - lo, np.nan)
-            pref[ok] = _prefactor_batch(model, solve.arcs, cfg.settings) \
-                / (2.0 * np.pi * cfg.hbar)
-            # a solved row whose prefactor flow overflowed is marked, not
+            pref[ok] = solve.arcs.prefactor / (2.0 * np.pi * cfg.hbar)
+            # a solved row whose monodromy is not finite is marked, not
             # dropped, and the scan goes on
             status = np.where(ok & np.isnan(pref), DIVERGED, status)
         return status, solve, g, g_fta, area, pref

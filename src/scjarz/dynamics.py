@@ -400,10 +400,11 @@ def flow_real(model: HamiltonianModel, t_from: float, t_to: float,
 class _ArcBatch:
     """Vectorized arcs sharing one sigma grid (one column per phase point).
 
-    The center energy ``h_center`` and the Simpson sums (``pdq``,
-    ``action``, ``area``, ``area_imag``) are formed on first read and
-    cached: a march reads them at two of its time nodes.  ``action`` and
-    the area form of G (``g``) share the one center energy.
+    The center energy ``h_center``, the Simpson sums (``pdq``, ``action``,
+    ``area``, ``area_imag``) and the ``prefactor`` are formed on first
+    read and cached: a march reads them at two of its time nodes.
+    ``action`` and the area form of G (``g``) share the one center energy.
+    ``m_plus`` is the plus halves' monodromy (a batch made by ``of`` has none).
     """
 
     model: HamiltonianModel
@@ -414,6 +415,7 @@ class _ArcBatch:
     q: np.ndarray            # (2n+1, B)
     center_p: np.ndarray     # (B,) complex
     center_q: np.ndarray
+    m_plus: np.ndarray | None = None    # (2, 2, B) complex
 
     @cached_property
     def pdq(self) -> np.ndarray:
@@ -438,6 +440,34 @@ class _ArcBatch:
     def g(self) -> np.ndarray:
         """Area form of the pseudo-Hamiltonian, H_t(center) - A / hbar*beta."""
         return self.h_center.real - self.area / self.hbar_beta
+
+    @cached_property
+    def prefactor(self) -> np.ndarray:
+        """Geometric prefactor 2 / sqrt|2 + tr M| per arc, (B,) real.
+
+        M = [[A, B], [C, D]] = d(p, q)_end / d(p, q)_start is the monodromy
+        of the whole arc.  Its minus half is the conjugate flow of its plus
+        half, so M = M_+ conj(M_+)^-1, with the true inverse (RK4 is not
+        symplectic: det M_+ is not exactly 1).  At fixed endpoints q0, q1
+        the initial momentum obeys dq1 = C dp0 + D dq0, so with det M = 1
+        the endpoint action S(q0, q1) has the Hessian
+
+            S_aa = D / C,   S_bb = A / C,   S_ab = -1 / C
+
+        (up to an overall sign that cancels below).  Substituted into the
+        stationary-phase factor sqrt(2 |S_ab| / |S_ab - (S_aa + S_bb) / 2|)
+        this gives 2 / sqrt|2 + A + D|, which for the harmonic oscillator
+        (tr M = 2 cosh(beta hbar w)) is exactly 1 / cosh(beta hbar w / 2).
+        NaN where M_+ is not finite; ``stationary._finite_prefactors``
+        raises for the callers that cannot mark a column.
+        """
+        (a, b), (c, d) = m = self.m_plus
+        (ca, cb), (cc, cd) = np.conjugate(m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = (a * cd - b * cc - c * cb + d * ca) / (ca * cd - cb * cc)
+            geom = 2.0 / np.sqrt(np.abs(2.0 + trace))
+        geom[~np.all(np.isfinite(m), axis=(0, 1))] = np.nan
+        return geom
 
     @cached_property
     def _area_c(self) -> np.ndarray:
@@ -466,7 +496,7 @@ class _ArcBatch:
 
     @classmethod
     def of(cls, model: HamiltonianModel, arc: ImaginaryArc) -> "_ArcBatch":
-        """Width-1 batch holding one arc's samples."""
+        """Width-1 batch holding one arc's samples, without a monodromy."""
         return cls(model=model, t=arc.t, hbar_beta=arc.hbar_beta,
                    sigma=arc.sigma, p=arc.p_samples[:, None],
                    q=arc.q_samples[:, None],
@@ -493,11 +523,12 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
     """Assemble the symmetric arcs from their center -> +hbar*beta/2 halves.
 
     ``half`` is the (p, q) state path of those plus halves, shape
-    (n_sigma_steps + 1, B) each, as the solve that found the centers
-    already integrated it (``stationary._invert_map_batch`` passes it);
-    without it the halves are integrated here.  Either way the path is
-    checked for finite values and, with ``richardson_check``, against the
-    same flow at twice the steps.
+    (n_sigma_steps + 1, B) each, and their monodromy M_+ (2, 2, B), as the
+    solve that found the centers already integrated them
+    (``stationary._invert_map_batch`` passes it); without it the halves
+    are integrated here, with the tangent (the state path is bitwise the
+    same either way).  The path is checked for finite values and, with
+    ``richardson_check``, against the same flow at twice the steps.
 
     Centers must be real (a complex dtype with zero imaginary parts is
     accepted); a non-real center raises ValueError.  For a real center the
@@ -515,8 +546,9 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
     if np.any(cp.imag != 0.0) or np.any(cq.imag != 0.0):
         raise ValueError("arc assembly expects real centers")
     if half is None:
-        half = _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, n, store=True)
-    plus_p, plus_q = half
+        half = _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, n, store=True,
+                                     tangent=True)
+    plus_p, plus_q, m_plus = half
     _check_finite(plus_p, plus_q, "arc integration")
     _check_halving(settings, (plus_p[-1], plus_q[-1]),
                    lambda: _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, 2 * n),
@@ -530,7 +562,8 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
     p_full[n:], q_full[n:] = plus_p, plus_q
     sigma = np.linspace(-s, +s, 2 * n + 1)
     return _ArcBatch(model=model, t=t, hbar_beta=hbar_beta, sigma=sigma,
-                     p=p_full, q=q_full, center_p=cp, center_q=cq)
+                     p=p_full, q=q_full, center_p=cp, center_q=cq,
+                     m_plus=m_plus)
 
 
 def build_arc(model: HamiltonianModel, t: float, z_c: ComplexPoint,

@@ -24,9 +24,10 @@ from numpy.polynomial.legendre import leggauss
 from .dynamics import DEFAULT_SETTINGS, IntegratorSettings
 from .errors import DomainTooSmall, NewtonDiverged
 from .models import HamiltonianModel
-from .pseudowork import _gauss_legendre_nodes, _pseudo_work_batch
+from .pseudowork import (_gauss_legendre_nodes, _last_solved_node,
+                         _pseudo_work_batch)
 from .stationary import (OK, STATUS_NAMES, _finite_prefactors,
-                         _prefactor_batch, _pseudo_hamiltonian_batch)
+                         _pseudo_hamiltonian_batch)
 
 QUADRATURE_RULES = ("gauss-legendre", "trapezoid")
 _MARCH_STAGES = 8
@@ -113,9 +114,12 @@ class JarzynskiReport:
         }
 
 
-def _collect_failures(P, Q, status) -> list:
+def _collect_failures(P, Q, status, t) -> list:
+    """Failed nodes with their t_i coordinates, reason and the time ``t``
+    of the solve that failed (a scalar, or one per node)."""
     bad = np.flatnonzero(status != OK)
-    return [{"p": float(P[i]), "q": float(Q[i]),
+    t = np.broadcast_to(t, status.shape)
+    return [{"p": float(P[i]), "q": float(Q[i]), "t": float(t[i]),
              "reason": STATUS_NAMES[int(status[i])]} for i in bad]
 
 
@@ -153,13 +157,12 @@ def partition(model: HamiltonianModel, t: float, beta: float, hbar: float,
     solve, g, _, _ = _pseudo_hamiltonian_batch(
         model, t, P, Q, hbar_beta, settings)
     if np.any(solve.status != OK):
-        failures = _collect_failures(P, Q, solve.status)
+        failures = _collect_failures(P, Q, solve.status, t)
         raise NewtonDiverged(
             f"partition lost {len(failures)} node(s); first: {failures[0]}")
     weight = np.exp(-beta * g)
     if with_prefactor:
-        geom = _finite_prefactors(_prefactor_batch(model, solve.arcs,
-                                                   settings))
+        geom = _finite_prefactors(solve.arcs.prefactor)
         weight = weight * geom / (2.0 * np.pi * hbar)
     return float(np.sum(W * weight))
 
@@ -185,7 +188,8 @@ def propagated_partition(model: HamiltonianModel, t_i: float, t_f: float,
     out = _pseudo_work_batch(model, t_i, t_f, P, Q, beta * hbar, settings,
                              nodes=(stages, np.zeros(stages.size)))
     if np.any(out["status"] != OK):
-        failures = _collect_failures(P, Q, out["status"])
+        failures = _collect_failures(P, Q, out["status"],
+                                     out["times"][_last_solved_node(out)])
         raise NewtonDiverged(
             f"propagated partition lost {len(failures)} node(s); "
             f"first: {failures[0]}")
@@ -270,9 +274,9 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
     hbar_beta = beta * hbar
     P, Q, W = domain.nodes()
     out = _pseudo_work_batch(model, t_i, t_f, P, Q, hbar_beta, settings,
-                             with_prefactor=with_prefactor,
                              nodes=_gauss_legendre_nodes(t_i, t_f))
-    failures = _collect_failures(P, Q, out["status"])
+    failures = _collect_failures(P, Q, out["status"],
+                                 out["times"][_last_solved_node(out)])
     if len(failures) > failure_budget * P.size:
         raise NewtonDiverged(
             f"{len(failures)} of {P.size} quadrature nodes failed "

@@ -23,7 +23,7 @@ from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
 from .errors import ToleranceExceeded, WorkMismatch
 from .models import ComplexPoint, HamiltonianModel
 from .stationary import (OK, _composite_map_batch, _invert_map_batch,
-                         _prefactor_batch, _propagated_g_batch, _raise_failed)
+                         _propagated_g_batch, _raise_failed)
 
 
 @dataclass(frozen=True)
@@ -242,14 +242,15 @@ def _march(model, t_i, times, tp, tq, hbar_beta, settings):
 
 
 def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
-                       with_prefactor=False, nodes=None):
+                       nodes=None):
     """Work along the pseudo-trajectory for a batch of initial points.
 
     One ``_march`` over the time nodes: at most one composite-map solve per
     column and node.  Each solve hands over its arcs (``SolveBatch.arcs``):
     the power is read from every node's, G_initial (the area form,
-    ``_ArcBatch.g``) and the prefactor from the first node's, and the
-    t_f node's solve gives the endpoint G_prop (``_propagated_g_batch``).
+    ``_ArcBatch.g``) and the prefactor ("prefactor_initial", NaN where it
+    is not finite) from the first node's, and the t_f node's solve gives
+    the endpoint G_prop (``_propagated_g_batch``).
     ``nodes`` is a ``(times, weights)`` pair running from t_i to t_f, the
     work being ``weighted_sum(weights, power)``; by default it is the
     uniform grid of n_time_steps + 1 nodes with composite Simpson weights
@@ -261,8 +262,6 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     and Jacobian determinants "det") or not OK (the arc quantities).
     "newton_iters" counts each column's Newton iterations over the march,
     "node_solves" the column solves run.
-    ``with_prefactor`` adds the geometric prefactor of the t_i arcs
-    ("prefactor_initial"), NaN where its flow overflowed.
     """
     tp = np.asarray(tp, dtype=float)
     tq = np.asarray(tq, dtype=float)
@@ -284,8 +283,7 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     status = np.full(b, OK, dtype=np.int8)
     newton_iters = np.zeros(b, dtype=int)
     node_solves = 0
-    g_initial = np.full(b, np.nan)
-    prefactor_initial = np.full(b, np.nan)
+    g_initial, prefactor_initial = (np.full(b, np.nan) for _ in range(2))
 
     march = _march(model, t_i, times, tp, tq, hbar_beta, settings)
     for j, (live, solve) in enumerate(march):
@@ -304,9 +302,7 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
         check_q[j, good] = arcs.mid_q.real
         if j == 0:
             g_initial[good] = arcs.g
-            if with_prefactor:
-                prefactor_initial[good] = _prefactor_batch(model, arcs,
-                                                           settings)
+            prefactor_initial[good] = arcs.prefactor
 
     if t_f > t_i:
         work = weighted_sum(weights, power)
@@ -340,13 +336,18 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     }
 
 
+def _last_solved_node(out) -> np.ndarray:
+    """Per column of a ``_pseudo_work_batch`` result, the last node index
+    solved: a failed start's failed node (the march stops a start there)."""
+    return np.count_nonzero(~np.isnan(out["center_p"]), axis=0) - 1
+
+
 def _raise_failed_start(out) -> None:
     """Raise for the failed start of a width-1 ``_pseudo_work_batch`` result.
 
-    The march stops a start at its first failed node, its last solved one;
-    the error names that node's time, residual and |det J|.
+    The error names the failed node's time, residual and |det J|.
     """
-    j = np.flatnonzero(~np.isnan(out["center_p"][:, 0]))[-1]
+    j = _last_solved_node(out)[0]
     _raise_failed(out["times"][j], out["status"], out["det"][j],
                   out["residual"][j])
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -35,12 +35,6 @@ OK = 0
 CAUSTIC = 1
 DIVERGED = 2
 STATUS_NAMES = {OK: "ok", CAUSTIC: "caustic", DIVERGED: "diverged"}
-
-# map(P, Q) -> (mp, mq, J, (hp, hq)) with the real 2x2 Jacobians J of
-# shape (2, 2, B) and the imaginary half-flow's state path hp, hq (k, B)
-MapFn = Callable[[np.ndarray, np.ndarray],
-                 tuple[np.ndarray, np.ndarray, np.ndarray,
-                       tuple[np.ndarray, np.ndarray]]]
 
 
 def _quiet():
@@ -103,32 +97,33 @@ def _composite_map_batch(model, t_i, t_f, P, Q, hbar_beta, settings):
     map is holomorphic in a real center, so it is the real part of the
     chained monodromy of the two flows.  At t_f == t_i the real-time leg
     is skipped and this is the chord-midpoint map of the static arc.
-    The fourth value is the half-flow's state path (hp, hq), each
-    (n_sigma_steps + 1, B): the plus half of the frozen-t_f arc through
-    each center, bitwise what ``_build_arc_batch`` would integrate (the
-    kernel's state row does not depend on the tangent rows).
+    The fourth value is the half-flow (hp, hq, m_plus): its state path,
+    each (n_sigma_steps + 1, B), and its complex monodromy (2, 2, B).
+    That is the plus half of the frozen-t_f arc through each center,
+    bitwise what ``_build_arc_batch`` would integrate.
     """
-    hp, hq, jac = _flow_imaginary_batch(
+    hp, hq, m_plus = _flow_imaginary_batch(
         model, t_f, np.asarray(P, dtype=complex), np.asarray(Q, dtype=complex),
         0.0, 0.5 * hbar_beta, settings.n_sigma_steps, store=True, tangent=True)
-    p, q = hp[-1], hq[-1]
+    p, q, jac = hp[-1], hq[-1], m_plus
     if t_f != t_i:
         n = _real_step_count(model, settings, t_f - t_i)
         p, q, m_real = _flow_real_batch(model, t_f, t_i, p, q, n, tangent=True)
         jac = m_real[:, 0, None] * jac[0] + m_real[:, 1, None] * jac[1]
-    return p.real, q.real, jac.real, (hp, hq)
+    return p.real, q.real, jac.real, (hp, hq, m_plus)
 
 
-def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
+def _newton_stage(map_fn, tp, tq, gp, gq, settings):
     """Damped Newton on F(z) = map(z) - target for one batch.
 
-    Each step inverts the Jacobian that came with the last accepted map
-    evaluation, so an iteration costs one map evaluation per trial.  The
-    half-path of that evaluation is kept with it: a trial whose every
-    column is accepted hands its arrays over by reference, any other
-    accepted column is copied in.
-    Returns (gp, gq, det, iters, residual, status, (hp, hq)), det and the
-    half-path taken at the final point; points whose Jacobian there (or
+    ``map_fn(P, Q)`` returns (mp, mq, J, half) as ``_composite_map_batch``
+    does.  Each step inverts the Jacobian J that came with the last
+    accepted map evaluation, so an iteration costs one map evaluation per
+    trial.  The half-flow of that evaluation is kept with it: a trial
+    whose every column is accepted hands its arrays over by reference, any
+    other accepted column is copied in.
+    Returns (gp, gq, det, iters, residual, status, half), det and the
+    half-flow taken at the final point; points whose Jacobian there (or
     at any iterate) is near-singular are flagged CAUSTIC, stalled ones
     DIVERGED.  Trial points whose flows blow up yield NaN residuals, which
     the damping logic rejects like any non-improving step.
@@ -139,7 +134,7 @@ def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
     status = np.full(b, DIVERGED, dtype=np.int8)
     iters = np.zeros(b, dtype=int)
     with _quiet():
-        mp, mq, jac, (hp, hq) = map_fn(gp, gq)
+        mp, mq, jac, half = map_fn(gp, gq)
         jac = np.array(jac, dtype=float)
         fp, fq = mp - tp, mq - tq
         resid = np.maximum(np.abs(fp), np.abs(fq))
@@ -180,7 +175,7 @@ def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
             with _quiet():
                 trial_p = gp[rows] + lam[sub] * dp[sub]
                 trial_q = gq[rows] + lam[sub] * dq[sub]
-                mp_t, mq_t, jac_t, (hp_t, hq_t) = map_fn(trial_p, trial_q)
+                mp_t, mq_t, jac_t, half_t = map_fn(trial_p, trial_q)
                 fp_t, fq_t = mp_t - tp[rows], mq_t - tq[rows]
                 res_t = np.maximum(np.abs(fp_t), np.abs(fq_t))
             improved = res_t < resid[rows]
@@ -192,10 +187,10 @@ def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
             resid[rows_acc] = res_t[improved]
             jac[:, :, rows_acc] = jac_t[:, :, improved]
             if rows_acc.size == b:
-                hp, hq = hp_t, hq_t
+                half = half_t
             elif rows_acc.size:
-                hp[:, rows_acc] = hp_t[:, improved]
-                hq[:, rows_acc] = hq_t[:, improved]
+                for x, x_t in zip(half, half_t):
+                    x[..., rows_acc] = x_t[..., improved]
             pending[acc] = False
             rej = sub[~improved]
             lam[rej] *= 0.5
@@ -213,7 +208,7 @@ def _newton_stage(map_fn: MapFn, tp, tq, gp, gq, settings):
         det_out = jac_det(jac)
     # the verdict also covers points that converged without a step
     status[np.abs(det_out) < settings.caustic_floor] = CAUSTIC
-    return gp, gq, det_out, iters, resid, status, (hp, hq)
+    return gp, gq, det_out, iters, resid, status, half
 
 
 def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
@@ -226,16 +221,16 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     hbar_beta, each rung warm-started from the last.  The static midpoint
     solve is the case t_f == t_i.  ``stage_residuals`` records the ladder's
     largest residual per rung.  The OK columns' arcs are assembled once,
-    from the full-span half-paths (the first stage's, and for re-solved
-    points the last rung's), and returned as ``SolveBatch.arcs``; the
-    half-paths themselves are not kept.
+    from the full-span half-flows (the first stage's, and for re-solved
+    points the last rung's), and returned as ``SolveBatch.arcs`` with
+    their plus-half monodromies; the half-flows themselves are not kept.
     """
     tp = np.asarray(tp, dtype=float)
     tq = np.asarray(tq, dtype=float)
     gp = tp.copy() if warm_p is None else np.asarray(warm_p, dtype=float).copy()
     gq = tq.copy() if warm_q is None else np.asarray(warm_q, dtype=float).copy()
     stage_residuals: list = []
-    gp, gq, det, iters, resid, status, (hp, hq) = _newton_stage(
+    gp, gq, det, iters, resid, status, half = _newton_stage(
         partial(_composite_map_batch, model, t_i, t_f, hbar_beta=hbar_beta,
                 settings=settings),
         tp, tq, gp, gq, settings)
@@ -255,9 +250,11 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
             # status of the final (full span) stage is the verdict
             status[idx] = st_s
         gp[idx], gq[idx] = sp, sq
-        hp[:, idx], hq[:, idx] = half_s
+        for x, x_s in zip(half, half_s):
+            x[..., idx] = x_s
     ok = status == OK
-    half = (hp, hq) if np.all(ok) else (hp[:, ok], hq[:, ok])
+    if not np.all(ok):
+        half = tuple(x[..., ok] for x in half)
     arcs = _build_arc_batch(model, t_f, gp[ok], gq[ok], hbar_beta, settings,
                             half=half)
     return SolveBatch(gp, gq, det, iters, resid, status, stage_residuals,
@@ -349,10 +346,8 @@ def pseudo_hamiltonian(model: HamiltonianModel, t: float, target: ComplexPoint,
         model, t, np.array([target.p.real]), np.array([target.q.real]),
         hbar_beta, settings)
     _raise_failed(t, solve.status, solve.det, solve.residual)
-    pref = None
-    if with_prefactor:
-        pref = float(_finite_prefactors(
-            _prefactor_batch(model, solve.arcs, settings))[0])
+    pref = (float(_finite_prefactors(solve.arcs.prefactor)[0])
+            if with_prefactor else None)
     return PseudoHamiltonianValue(
         G=float(g_area[0]),
         G_from_total_action=float(g_fta[0]),
@@ -364,46 +359,13 @@ def pseudo_hamiltonian(model: HamiltonianModel, t: float, target: ComplexPoint,
     )
 
 
-def _prefactor_batch(model, arcs: _ArcBatch, settings) -> np.ndarray:
-    """Geometric prefactor 2 / sqrt|2 + tr M| per arc.
-
-    M = [[A, B], [C, D]] = d(p, q)_end / d(p, q)_start is the monodromy
-    of the whole arc, flowed from its sigma = -hbar*beta/2 endpoint over
-    2 * n_sigma_steps RK4 steps.  At fixed endpoints q0, q1 the initial
-    momentum obeys dq1 = C dp0 + D dq0, so with det M = 1 the endpoint
-    action S(q0, q1) has the Hessian
-
-        S_aa = D / C,   S_bb = A / C,   S_ab = -1 / C
-
-    (up to an overall sign that cancels below).  Substituted into the
-    stationary-phase factor sqrt(2 |S_ab| / |S_ab - (S_aa + S_bb) / 2|)
-    this gives 2 / sqrt|2 + A + D|.  For the harmonic oscillator
-    tr M = 2 cosh(beta hbar w), which returns exactly
-    1 / cosh(beta hbar w / 2).  The frozen time and the span are the arcs'.
-    A column whose end-to-end flow leaves the representable range (state
-    or monodromy) gets NaN; ``_finite_prefactors`` turns any NaN into an
-    error for the callers that cannot mark a column.
-    """
-    s_half = 0.5 * arcs.hbar_beta
-    pe, qe, jac = _flow_imaginary_batch(
-        model, arcs.t, arcs.p[0], arcs.q[0], -s_half, +s_half,
-        2 * settings.n_sigma_steps, tangent=True)
-    finite = (np.isfinite(pe) & np.isfinite(qe)
-              & np.all(np.isfinite(jac), axis=(0, 1)))
-    with _quiet():
-        geom = 2.0 / np.sqrt(np.abs(2.0 + jac[0, 0] + jac[1, 1]))
-    geom[~finite] = np.nan
-    return geom
-
-
 def _finite_prefactors(geom: np.ndarray) -> np.ndarray:
     """``geom`` itself if every prefactor is finite; otherwise raise
-    IntegratorDiverged naming how many columns overflowed."""
+    IntegratorDiverged naming how many columns are not."""
     bad = int(np.count_nonzero(np.isnan(geom)))
     if bad:
         raise IntegratorDiverged(
-            f"non-finite state during prefactor flow in {bad} of "
-            f"{geom.size} column(s)")
+            f"non-finite prefactor in {bad} of {geom.size} column(s)")
     return geom
 
 
@@ -412,13 +374,14 @@ def endpoint_action_prefactor(model: HamiltonianModel, arc: ImaginaryArc,
                               hbar: Optional[float] = None) -> float:
     """Stationary-phase prefactor from the monodromy trace of one arc.
 
-    The arc is flowed end to end at its own frozen time ``arc.t`` over its
-    own span ``arc.hbar_beta``.  Returns the purely geometric factor when
-    ``hbar`` is None, otherwise the full prefactor
-    geometric_factor / (2 pi hbar).
+    The plus half is flowed from the arc's center at its own frozen time
+    ``arc.t`` over its own span ``arc.hbar_beta`` (``_ArcBatch.prefactor``).
+    Returns the purely geometric factor when ``hbar`` is None, otherwise
+    the full prefactor geometric_factor / (2 pi hbar).
     """
-    geom = float(_finite_prefactors(
-        _prefactor_batch(model, _ArcBatch.of(model, arc), settings))[0])
+    arcs = _build_arc_batch(model, arc.t, np.array([arc.center.p]),
+                            np.array([arc.center.q]), arc.hbar_beta, settings)
+    geom = float(_finite_prefactors(arcs.prefactor)[0])
     if hbar is None:
         return geom
     return geom / (2.0 * np.pi * hbar)

@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 import scjarz.cli
+import scjarz.dynamics
 import scjarz.oracle
 from scjarz.cli import main
 from scjarz.config import config_hash, load_config, parse_config
@@ -147,34 +148,55 @@ run:
     assert len(markers) >= 1
 
 
-def test_gibbs_prefactor_overflow_marks_its_rows(tmp_path, capsys):
+def test_gibbs_non_finite_prefactor_marks_its_rows(tmp_path, capsys,
+                                                   monkeypatch):
     # quartic_ramp physics at hbar = 3 on nodes of the 13x13 grid over
-    # [-6, 6]^2: (0, +-6) do not solve, and the solved corners (+-5, +-6)
-    # overflow in the end-to-end prefactor flow; those rows keep their
-    # solved cells, get a nan prefactor and DIVERGED, and the scan goes on
-    # to write every row
+    # [-6, 6]^2: (0, +-6) do not solve, and the solved corners (+-5, +-6),
+    # whose end-to-end flows overflow, get finite prefactors from the
+    # solve's half-flow monodromy
     cfg = yaml.safe_load(QUARTIC_RAMP.read_text())
     cfg["physics"]["hbar"] = 3.0
     cfg["run"]["grid"] = {"p_min": -5.0, "p_max": 5.0, "n_p": 3,
                           "q_min": -6.0, "q_max": 6.0, "n_q": 3}
     path = tmp_path / "quartic_hbar3.yaml"
     path.write_text(yaml.safe_dump(cfg))
-    out = tmp_path / "out"
-    assert main(["gibbs", "--config", str(path), "--out", str(out),
-                 "--prefactor"]) == 3
-    assert "gibbs: 6 of 9 grid nodes failed" in capsys.readouterr().err
-    _, header, rows = read_csv(out / "gibbs.csv")
-    g, pref = header.index("G"), header.index("prefactor")
-    kinds = {(float(row[1]), float(row[0])): (row[g] != "nan", row[pref],
-                                              row[-1]) for row in rows}
+
+    def scan(out):
+        assert main(["gibbs", "--config", str(path), "--out", str(out),
+                     "--prefactor"]) == 3
+        _, header, rows = read_csv(out / "gibbs.csv")
+        g, pref = header.index("G"), header.index("prefactor")
+        return {(float(row[1]), float(row[0])): (row[g] != "nan", row[pref],
+                                                 row[-1]) for row in rows}
+
+    kinds = scan(tmp_path / "out")
+    assert "gibbs: 2 of 9 grid nodes failed" in capsys.readouterr().err
     assert len(kinds) == 9
     for (p, q), (solved, prefactor, status) in kinds.items():
-        if abs(q) == 6.0:
-            assert (solved, prefactor, status) == (p != 0.0, "nan",
+        if p == 0.0 and abs(q) == 6.0:
+            assert (solved, prefactor, status) == (False, "nan",
                                                    "DIVERGED"), (p, q)
         else:
             assert solved and status == "ok", (p, q)
             assert np.isfinite(float(prefactor)) and float(prefactor) > 0.0
+    # a solved row whose prefactor is not finite (stood in for by a NaN
+    # in the first solved column) keeps its solved cells, gets a nan
+    # prefactor and DIVERGED, and the scan goes on to write every row
+    formula = scjarz.dynamics._ArcBatch.prefactor.func
+
+    def first_nan(arcs):
+        geom = formula(arcs)
+        geom[0] = np.nan
+        return geom
+
+    monkeypatch.setattr(scjarz.dynamics._ArcBatch, "prefactor",
+                        property(first_nan))
+    marked = scan(tmp_path / "marked")
+    assert "gibbs: 3 of 9 grid nodes failed" in capsys.readouterr().err
+    first = next(k for k, v in kinds.items() if v[0])
+    assert marked[first] == (True, "nan", "DIVERGED")
+    assert {k: v for k, v in marked.items() if k != first} == \
+        {k: v for k, v in kinds.items() if k != first}
 
 
 def test_gibbs_deterministic_and_thread_invariant(config_path, tmp_path):

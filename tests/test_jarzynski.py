@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scjarz import pseudowork
-from scjarz.dynamics import IntegratorSettings
+from scjarz import jarzynski, pseudowork
+from scjarz.dynamics import IntegratorSettings, _ArcBatch
 from scjarz.pseudowork import _gauss_legendre_nodes, _pseudo_work_batch
-from scjarz.stationary import _prefactor_batch, _pseudo_hamiltonian_batch
+from scjarz.stationary import _pseudo_hamiltonian_batch
 from scjarz.errors import DomainTooSmall, IntegratorDiverged
 from scjarz.jarzynski import (QuadratureDomain, partition,
                               propagated_partition, verify_identity)
@@ -226,7 +226,7 @@ def test_prefactor_report_reuses_the_t_i_solves():
     out = _pseudo_work_batch(model, 0.0, 1.0, P, Q, 1.0, settings,
                              nodes=_gauss_legendre_nodes(0.0, 1.0))
     solve, _, _, _ = _pseudo_hamiltonian_batch(model, 0.0, P, Q, 1.0, settings)
-    n_weight = _prefactor_batch(model, solve.arcs, settings) / (2 * np.pi)
+    n_weight = solve.arcs.prefactor / (2 * np.pi)
     lhs = float(np.sum(W * n_weight * np.exp(-(out["g_initial"] + out["W"])))
                 / zn_i)
     assert pref == {"Z_i": zn_i, "Z_f": zn_f, "lhs": lhs, "rhs": zn_f / zn_i,
@@ -270,31 +270,56 @@ def test_report_serialization_fields():
     assert d["Z_i"] > 0 and d["Z_f"] > 0 and np.isfinite(d["residual"])
 
 
-def test_prefactor_overflow_raises_with_its_column_count(monkeypatch):
+def test_non_finite_prefactor_raises_with_its_column_count(monkeypatch):
     # at hbar*beta = 3 the quartic arcs through the targets (+-5, +-6)
-    # solve, but their end-to-end prefactor flows overflow; the partition
-    # cannot mark a column, so it raises and says how many overflowed
+    # solve, and their prefactors, taken from the solve's half-flow
+    # monodromy, are finite (an end-to-end flow of these arcs overflows)
     model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
                          quartic_lambda=0.1)
     settings = IntegratorSettings(n_sigma_steps=64, n_time_steps=64)
     corners = QuadratureDomain(5.0, 6.0, 2, 2, "trapezoid")
-    with pytest.raises(IntegratorDiverged,
-                       match="prefactor flow in 4 of 4 column"):
-        partition(model, 0.0, 1.0, 3.0, corners, settings,
+    z = partition(model, 0.0, 1.0, 3.0, corners, settings,
                   check_domain=False, with_prefactor=True)
-    # neither can the identity report: its t_i prefactors come from the
-    # march, here with one column overflowing (the corners above also
-    # fail the march and cost seconds, so the overflow is stood in for)
-    original = pseudowork._prefactor_batch
+    assert np.isfinite(z) and z > 0.0
+    # a partition cannot mark a column, so a non-finite prefactor raises
+    # and says how many there are; neither can the identity report, whose
+    # t_i prefactors come from the march.  A NaN stands in column 3 of
+    # every prefactor batch
+    formula = _ArcBatch.prefactor.func
 
-    def one_overflows(*args):
-        geom = original(*args)
+    def fourth_nan(arcs):
+        geom = formula(arcs)
         geom[3] = np.nan
         return geom
 
-    monkeypatch.setattr(pseudowork, "_prefactor_batch", one_overflows)
+    monkeypatch.setattr(_ArcBatch, "prefactor", property(fourth_nan))
+    with pytest.raises(IntegratorDiverged,
+                       match="non-finite prefactor in 1 of 4 column"):
+        partition(model, 0.0, 1.0, 3.0, corners, settings,
+                  check_domain=False, with_prefactor=True)
     domain = QuadratureDomain(p_max=10.5, q_max=10.5, n_p=4, n_q=4)
     with pytest.raises(IntegratorDiverged,
-                       match="prefactor flow in 1 of 16 column"):
+                       match="non-finite prefactor in 1 of 16 column"):
         verify_identity(ramped_model("harmonic", omega_i=1.0, omega_f=2.0),
                         1.0, 1.0, domain, SET, with_prefactor=True)
+
+
+def test_failures_carry_the_time_of_their_failed_node(monkeypatch):
+    # quartic ramp at hbar*beta = 1 on a 4x4 trapezoid grid over 6 x 4.5:
+    # the starts (-6, -1.5) and (6, 1.5) solve at t_i and fail at work
+    # node 9 of the 18, inside the ramp, and each failure names that
+    # node's time.  The boundary probes of the domain check do not solve
+    # on this domain, so the check is switched off
+    monkeypatch.setattr(jarzynski, "_check_domain", lambda *args: None)
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    domain = QuadratureDomain(6.0, 4.5, 4, 4, "trapezoid")
+    report = verify_identity(model, 1.0, 1.0, domain,
+                             IntegratorSettings(n_sigma_steps=64,
+                                                n_time_steps=64),
+                             failure_budget=0.2)
+    t_fail = float(_gauss_legendre_nodes(0.0, 1.0)[0][9])
+    assert 0.0 < t_fail < 1.0
+    assert report.to_dict()["failures"] == [
+        {"p": -6.0, "q": -1.5, "t": t_fail, "reason": "diverged"},
+        {"p": 6.0, "q": 1.5, "t": t_fail, "reason": "diverged"}]

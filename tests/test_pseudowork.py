@@ -441,7 +441,7 @@ def test_scalar_power_and_prefactor_read_the_arc():
     # batch's power at every node and its t_i prefactor, bitwise
     model = quartic_ramp()
     out = _pseudo_work_batch(model, 0.0, 1.0, np.array([0.3]), np.array([0.9]),
-                             0.8, MARCH_SET, with_prefactor=True)
+                             0.8, MARCH_SET)
     for j, tj in enumerate(out["times"]):
         arc = build_arc(model, tj, ComplexPoint(out["center_p"][j, 0],
                                                 out["center_q"][j, 0]),

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -300,7 +301,8 @@ def test_arcs_from_the_solve_match_a_fresh_integration(t_f, half_width, n_grid,
                                                        hbar_beta, hard):
     # every OK column's arc, assembled from the half-flow that its last
     # accepted map evaluation ran, is bitwise the arc build_arc integrates
-    # afresh from the solved center.  At hbar*beta = 3 on [-6, 6]^2 some
+    # afresh from the solved center, and so is its prefactor, read from
+    # that half-flow's monodromy.  At hbar*beta = 3 on [-6, 6]^2 some
     # columns converge only along the continuation ladder and some fail;
     # on the easy grid (without the origin, which converges at once) every
     # column converges without it, so whole trials are accepted and their
@@ -325,6 +327,8 @@ def test_arcs_from_the_solve_match_a_fresh_integration(t_f, half_width, n_grid,
         assert got.p_samples.tobytes() == ref.p_samples.tobytes(), i
         assert got.q_samples.tobytes() == ref.q_samples.tobytes(), i
         assert got.action == ref.action and got.area == ref.area, i
+        assert (arcs.prefactor[k]
+                == endpoint_action_prefactor(model, got, settings)), i
 
 
 @pytest.mark.parametrize("model, half_width, n_grid, hbar_beta", [
@@ -361,3 +365,45 @@ def test_failed_solve_with_richardson_check_reports_the_solve():
                            settings)
     with pytest.raises(NewtonDiverged):
         pseudo_hamiltonian(model, 0.0, ComplexPoint(0.0, 50.0), 6.0, settings)
+
+
+_WIDTH_CASES = {
+    # hbar*beta = 3 on [-6, 6]^2: columns that converge at different
+    # iterations, along the continuation ladder, or not at all
+    "quartic-hard": (6.0, 7, 3.0),
+    "quartic-easy": (3.0, 7, 0.5),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _width_case(name):
+    """Targets and full-batch columns (G, G_fta, det, prefactor) of a case."""
+    half_width, n_grid, hbar_beta = _WIDTH_CASES[name]
+    grid = np.linspace(-half_width, half_width, n_grid)
+    tp, tq = (a.ravel() for a in np.meshgrid(grid, grid))
+    return tp, tq, _static_columns(tp, tq, hbar_beta)
+
+
+def _static_columns(tp, tq, hbar_beta):
+    solve, g, g_fta, _ = _pseudo_hamiltonian_batch(
+        quartic(0.1), 0.0, tp, tq, hbar_beta, IntegratorSettings(
+            n_sigma_steps=16))
+    prefactor = np.full(tp.shape, np.nan)
+    prefactor[solve.status == OK] = solve.arcs.prefactor
+    return g, g_fta, solve.det, prefactor
+
+
+@pytest.mark.parametrize("name", sorted(_WIDTH_CASES))
+@settings(max_examples=10, deadline=None)
+@given(subset=st.sets(st.integers(0, 48), min_size=1))
+def test_static_solve_of_a_subset_is_bitwise_the_full_batch(name, subset):
+    # the prefactor comes from the M_+ of the Newton trial that each
+    # column was last accepted at, and trials run at every width; a subset
+    # solved on its own must reproduce its columns of the full batch, G,
+    # G from the total action, det J and the prefactor, bit for bit
+    tp, tq, whole = _width_case(name)
+    cols = np.array(sorted(subset))
+    part = _static_columns(tp[cols], tq[cols], _WIDTH_CASES[name][2])
+    for label, got, ref in zip(("G", "G_fta", "det", "prefactor"), part,
+                               whole):
+        assert got.tobytes() == ref[cols].tobytes(), label
