@@ -341,20 +341,24 @@ def _flow_real_batch(model, t_from, t_to, p0, q0, n_steps,
 
 
 def _check_halving(settings, coarse, refine, what) -> None:
-    """With ``richardson_check`` set, compare the coarse endpoint (p, q)
-    with ``refine()``, the same flow at twice the steps; raise
-    ToleranceExceeded if their relative gap exceeds ``tolerance``."""
+    """With ``richardson_check`` set, compare the coarse endpoint (p, q),
+    and an arc's monodromy M_+ if given as a third value, with
+    ``refine()``, the same flow at twice the steps; raise
+    ToleranceExceeded if either gap, relative to its own scale
+    1 + max |coarse|, exceeds ``tolerance``."""
     if not settings.richardson_check:
         return
     fine = refine()
-    # initial=0: a solve whose every column failed checks an empty batch
-    scale = 1.0 + max(np.max(np.abs(coarse[0]), initial=0.0),
-                      np.max(np.abs(coarse[1]), initial=0.0))
-    gap = max(np.max(np.abs(coarse[0] - fine[0]), initial=0.0),
-              np.max(np.abs(coarse[1] - fine[1]), initial=0.0)) / scale
-    if gap > settings.tolerance:
-        raise ToleranceExceeded(
-            f"{what} halving gap {gap:.3e} > {settings.tolerance:.3e}")
+    for part, c, f in ((what, coarse[:2], fine[:2]),
+                       (f"{what} monodromy", coarse[2:], fine[2:])):
+        # initial=0: a solve whose every column failed checks an empty batch
+        scale = 1.0 + max((np.max(np.abs(x), initial=0.0) for x in c),
+                          default=0.0)
+        gap = max((np.max(np.abs(x - y), initial=0.0) for x, y in zip(c, f)),
+                  default=0.0) / scale
+        if gap > settings.tolerance:
+            raise ToleranceExceeded(
+                f"{part} halving gap {gap:.3e} > {settings.tolerance:.3e}")
 
 
 def flow_imaginary(model: HamiltonianModel, t: float, z0: ComplexPoint,
@@ -528,7 +532,9 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
     (``stationary._invert_map_batch`` passes it); without it the halves
     are integrated here, with the tangent (the state path is bitwise the
     same either way).  The path is checked for finite values and, with
-    ``richardson_check``, against the same flow at twice the steps.
+    ``richardson_check``, its endpoint and M_+ against the same flow at
+    twice the steps (M_+ on its own scale: at a center at the origin the
+    state is 0 at every step count).
 
     Centers must be real (a complex dtype with zero imaginary parts is
     accepted); a non-real center raises ValueError.  For a real center the
@@ -550,8 +556,9 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
                                      tangent=True)
     plus_p, plus_q, m_plus = half
     _check_finite(plus_p, plus_q, "arc integration")
-    _check_halving(settings, (plus_p[-1], plus_q[-1]),
-                   lambda: _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, 2 * n),
+    _check_halving(settings, (plus_p[-1], plus_q[-1], m_plus),
+                   lambda: _flow_imaginary_batch(model, t, cp, cq, 0.0, +s,
+                                                 2 * n, tangent=True),
                    "arc")
     # sigma ascending: the conjugate plus half reversed (dropping its
     # center sample), then the plus half

@@ -42,8 +42,9 @@ class PseudoState:
 class PseudoTrajectory:
     """Time-indexed record of one pseudo-trajectory.
 
-    plus/minus are the frozen-time arc endpoints at each node (conjugate
-    pair for a real center); check is the real chord midpoint.
+    plus/minus are the frozen-time arc endpoints at each node; the center
+    is real, so minus is formed as the conjugate of plus (bit for bit the
+    arc's own).  check is the real chord midpoint.
     """
 
     target: ComplexPoint
@@ -279,7 +280,7 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
 
     power, center_p, center_q, check_p, check_q, residual, det = (
         per_node() for _ in range(7))
-    plus_p, plus_q, minus_p, minus_q = (per_node(complex) for _ in range(4))
+    plus_p, plus_q = per_node(complex), per_node(complex)
     status = np.full(b, OK, dtype=np.int8)
     newton_iters = np.zeros(b, dtype=int)
     node_solves = 0
@@ -297,7 +298,6 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
         arcs = solve.arcs
         power[j, good], _ = _pseudo_power_batch(model, arcs)
         plus_p[j, good], plus_q[j, good] = arcs.p[-1], arcs.q[-1]
-        minus_p[j, good], minus_q[j, good] = arcs.p[0], arcs.q[0]
         check_p[j, good] = arcs.mid_p.real
         check_q[j, good] = arcs.mid_q.real
         if j == 0:
@@ -319,7 +319,6 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
         "power": power,
         "center_p": center_p, "center_q": center_q,
         "plus_p": plus_p, "plus_q": plus_q,
-        "minus_p": minus_p, "minus_q": minus_q,
         "check_p": check_p, "check_q": check_q,
         "residual": residual,
         "det": det,
@@ -370,12 +369,13 @@ def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
         raise WorkMismatch(
             f"path work {w:.12e} vs endpoint work {w_end:.12e} "
             f"differ by {abs(w - w_end):.3e} > {tol:.3e}")
+    plus_p, plus_q = out["plus_p"][:, 0], out["plus_q"][:, 0]
     traj = PseudoTrajectory(
         target=target,
         times=out["times"],
         center_p=out["center_p"][:, 0], center_q=out["center_q"][:, 0],
-        plus_p=out["plus_p"][:, 0], plus_q=out["plus_q"][:, 0],
-        minus_p=out["minus_p"][:, 0], minus_q=out["minus_q"][:, 0],
+        plus_p=plus_p, plus_q=plus_q,
+        minus_p=np.conjugate(plus_p), minus_q=np.conjugate(plus_q),
         check_p=out["check_p"][:, 0], check_q=out["check_q"][:, 0],
         power=out["power"][:, 0],
         solve_residual=out["residual"][:, 0],

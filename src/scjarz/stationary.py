@@ -119,14 +119,15 @@ def _newton_stage(map_fn, tp, tq, gp, gq, settings):
     ``map_fn(P, Q)`` returns (mp, mq, J, half) as ``_composite_map_batch``
     does.  Each step inverts the Jacobian J that came with the last
     accepted map evaluation, so an iteration costs one map evaluation per
-    trial.  The half-flow of that evaluation is kept with it: a trial
-    whose every column is accepted hands its arrays over by reference, any
-    other accepted column is copied in.
-    Returns (gp, gq, det, iters, residual, status, half), det and the
-    half-flow taken at the final point; points whose Jacobian there (or
-    at any iterate) is near-singular are flagged CAUSTIC, stalled ones
-    DIVERGED.  Trial points whose flows blow up yield NaN residuals, which
-    the damping logic rejects like any non-improving step.
+    trial.  A column's half-flow is kept from the evaluation it converges
+    at (it is never tried again), so it is copied at most once; a trial at
+    which every column converges hands its arrays over by reference.
+    Returns (gp, gq, det, iters, residual, status, half), det and a
+    converged column's half-flow taken at the final point; points whose
+    Jacobian there (or at any iterate) is near-singular are flagged
+    CAUSTIC, stalled ones DIVERGED.  Trial points whose flows blow up
+    yield NaN residuals, which the damping logic rejects like any
+    non-improving step.
     """
     b = tp.shape[0]
     gp = np.array(gp, dtype=float, copy=True)
@@ -186,11 +187,12 @@ def _newton_stage(map_fn, tp, tq, gp, gq, settings):
             fp[rows_acc], fq[rows_acc] = fp_t[improved], fq_t[improved]
             resid[rows_acc] = res_t[improved]
             jac[:, :, rows_acc] = jac_t[:, :, improved]
-            if rows_acc.size == b:
+            done = improved & (res_t <= tol)
+            if np.count_nonzero(done) == b:
                 half = half_t
-            elif rows_acc.size:
+            elif np.any(done):
                 for x, x_t in zip(half, half_t):
-                    x[..., rows_acc] = x_t[..., improved]
+                    x[..., rows[done]] = x_t[..., done]
             pending[acc] = False
             rej = sub[~improved]
             lam[rej] *= 0.5
@@ -261,55 +263,41 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
                       arcs)
 
 
-def _branch_legs(model, t_i, arcs: _ArcBatch, settings):
-    """Backward real-time branch legs from the arc endpoints to t_i.
-
-    Returns branch endpoints at t_i and the forward-oriented actions
-    (S_plus along the branch joined to the sigma=-hb/2 arc endpoint,
-    S_minus along the branch joined to sigma=+hb/2).  At t_i == arcs.t
-    the legs have zero length and zero action.
-    """
-    b = arcs.center_p.shape[0]
-    p0 = np.concatenate([arcs.p[0], arcs.p[-1]])   # [plus-branch, minus-branch]
-    q0 = np.concatenate([arcs.q[0], arcs.q[-1]])
-    if arcs.t == t_i:
-        action = np.zeros(2 * b, dtype=complex)
-        pe, qe = p0, q0
-    else:
-        n = _real_step_count(model, settings, arcs.t - t_i)
-        pe, qe, acc = _flow_real_batch(model, arcs.t, t_i, p0, q0, n,
-                                       with_action=True)
-        action = -acc  # accumulated backwards; forward action flips sign
-    plus_end = (pe[:b], qe[:b])
-    minus_end = (pe[b:], qe[b:])
-    return plus_end, minus_end, action[:b], action[b:]
-
-
 def _propagated_g_batch(model, t_i, tp, tq, settings, solve: SolveBatch):
     """Total-action evaluation of the pseudo-energy G_prop.
 
     ``solve`` is the composite-map solve at (t_i, t_f) for the targets
     (tp, tq); t_f, hbar*beta and the frozen-t_f arcs of its OK columns are
-    read from ``solve.arcs``, and only the backward branch legs to t_i
-    are integrated here.  The total action along branch, arc and branch,
-    less target p times the t_i chord, over i hbar*beta is G_prop; at
-    t_f == t_i the legs vanish and this is the static G from the total
-    action.  Returns (g_prop, imag_residual, chord_gap), NaN in the
-    columns that are not OK; imag_residual is |Im G_prop| and chord_gap is
-    the distance between the reconstructed t_i chord midpoint and the
-    target.
+    read from ``solve.arcs``.  Only the backward branch leg from each
+    arc's sigma = +hbar*beta/2 endpoint to t_i is integrated here: the
+    other starts at the conjugate endpoint, and the real-time flow has
+    real coefficients, so its endpoint and action are the conjugates of
+    this one's (bit for bit, up to the sign of a zero).
+    The total action along branch, arc and branch, less target p times
+    the t_i chord, over i hbar*beta is G_prop; at t_f == t_i the legs
+    vanish and this is the static G from the total action.  Returns
+    (g_prop, imag_residual, chord_gap), NaN in the columns that are not
+    OK; imag_residual is |Im G_prop| and chord_gap is the distance between
+    the reconstructed t_i chord midpoint and the target.
     """
     arcs = solve.arcs
     good = solve.status == OK
-    plus_end, minus_end, s_plus, s_minus = _branch_legs(model, t_i, arcs,
-                                                        settings)
-    chord = minus_end[1] - plus_end[1]
+    # the leg joined to sigma = +hb/2; the action is accumulated backwards,
+    # so the forward action flips its sign
+    pe, qe = arcs.p[-1], arcs.q[-1]
+    s_minus = np.zeros(pe.shape, dtype=complex)
+    if arcs.t != t_i:
+        n = _real_step_count(model, settings, arcs.t - t_i)
+        pe, qe, acc = _flow_real_batch(model, arcs.t, t_i, pe, qe, n,
+                                       with_action=True)
+        s_minus = -acc
+    chord = qe - np.conjugate(qe)
     tpg = np.asarray(tp, dtype=float)[good]
     tqg = np.asarray(tq, dtype=float)[good]
-    s_tot = -(tpg + 0j) * chord + s_plus + arcs.action - s_minus
+    s_tot = -(tpg + 0j) * chord + np.conjugate(s_minus) + arcs.action - s_minus
     g = s_tot / (1j * arcs.hbar_beta)
-    mid_p = 0.5 * (plus_end[0] + minus_end[0])
-    mid_q = 0.5 * (plus_end[1] + minus_end[1])
+    mid_p = 0.5 * (np.conjugate(pe) + pe)
+    mid_q = 0.5 * (np.conjugate(qe) + qe)
     gap = np.hypot(np.abs(mid_p - tpg), np.abs(mid_q - tqg))
 
     g_prop, imag, chord_gap = (np.full(np.shape(tp), np.nan) for _ in range(3))

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import simpson, solve_ivp
 
 from scjarz import pseudowork
-from scjarz.dynamics import (IntegratorSettings, _build_arc_batch, build_arc,
+from scjarz.dynamics import (IntegratorSettings, _build_arc_batch,
+                             _flow_real_batch, _real_step_count, build_arc,
                              flow_imaginary, flow_real)
 from scjarz.errors import NewtonDiverged, WorkMismatch
 from scjarz.models import ComplexPoint, ramped_model
 from scjarz.pseudowork import (_WORK_NODES, _composite_map_batch,
                                _gauss_legendre_nodes, _lagrange_weights,
-                               _predicted_centers, _pseudo_power_batch,
-                               _pseudo_work_batch, composite_map,
-                               pseudo_power, pseudo_work, solve_pseudo_state)
-from scjarz.stationary import _invert_map_batch, endpoint_action_prefactor
+                               _predicted_centers, _propagated_g_batch,
+                               _pseudo_power_batch, _pseudo_work_batch,
+                               composite_map, pseudo_power, pseudo_work,
+                               solve_pseudo_state)
+from scjarz.stationary import (OK, _invert_map_batch,
+                               endpoint_action_prefactor)
 
 SET = IntegratorSettings(n_sigma_steps=96, n_time_steps=64)
 
@@ -302,6 +305,74 @@ def test_composite_inversion_is_batch_width_invariant(kind, targets):
             assert a == b or (np.isnan(a) and np.isnan(b)), (name, i)
 
 
+@pytest.mark.parametrize("kind", sorted(WIDTH_MODELS))
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(*(st.floats(-3.0, 3.0) for _ in range(4))),
+                min_size=1, max_size=8),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_real_flow_of_conjugate_starts_is_conjugate(kind, starts, t_a, t_b):
+    # the real-time flow has real coefficients, so conjugate starts give
+    # conjugate states, actions and monodromies bit for bit, up to the
+    # sign of a zero (array_equal counts +0 and -0 equal); the endpoint
+    # G_prop integrates one branch leg and reads its twin this way
+    model = WIDTH_MODELS[kind]()
+    z = np.array(starts)
+    p0, q0 = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _flow_real_batch(model, t_a, t_b, p0, q0, 16,
+                               with_action=True, tangent=True)
+        twin = _flow_real_batch(model, t_a, t_b, np.conjugate(p0),
+                                np.conjugate(q0), 16, with_action=True,
+                                tangent=True)
+    keep = np.all([np.isfinite(x).reshape(-1, z.shape[0]).all(axis=0)
+                   for x in out], axis=0)
+    assume(np.any(keep))
+    for name, x, y in zip(("p", "q", "action", "monodromy"), out, twin):
+        assert np.array_equal(np.conjugate(x[..., keep]), y[..., keep]), name
+
+
+def _two_leg_g_prop(model, t_i, tp, tq, settings, solve):
+    """G_prop, |Im G_prop| and chord gap with both branch legs integrated:
+    from the arc's sigma = -hbar*beta/2 endpoint (the plus branch) and
+    from its sigma = +hbar*beta/2 endpoint (the minus branch)."""
+    arcs = solve.arcs
+    ok = solve.status == OK
+    b = arcs.center_p.shape[0]
+    n = _real_step_count(model, settings, arcs.t - t_i)
+    pe, qe, acc = _flow_real_batch(
+        model, arcs.t, t_i, np.concatenate([arcs.p[0], arcs.p[-1]]),
+        np.concatenate([arcs.q[0], arcs.q[-1]]), n, with_action=True)
+    s_plus, s_minus = -acc[:b], -acc[b:]
+    tpg, tqg = tp[ok], tq[ok]
+    s_tot = -(tpg + 0j) * (qe[b:] - qe[:b]) + s_plus + arcs.action - s_minus
+    g = s_tot / (1j * arcs.hbar_beta)
+    gap = np.hypot(np.abs(0.5 * (pe[:b] + pe[b:]) - tpg),
+                   np.abs(0.5 * (qe[:b] + qe[b:]) - tqg))
+    out = [np.full(tp.shape, np.nan) for _ in range(3)]
+    for x, v in zip(out, (g.real, np.abs(g.imag), gap)):
+        x[ok] = v
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(WIDTH_MODELS))
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.tuples(st.floats(-4.5, 4.5), st.floats(-4.5, 4.5)),
+                min_size=1, max_size=12),
+       st.floats(0.05, 1.0))
+def test_one_leg_g_prop_is_the_two_leg_formula(kind, targets, t_f):
+    # the endpoint G_prop integrates only the leg from sigma = +hbar*beta/2
+    # and takes the other as its conjugate; G_prop, |Im G_prop| and the
+    # chord gap must be those of both legs integrated
+    model = WIDTH_MODELS[kind]()
+    tp = np.array([t[0] for t in targets])
+    tq = np.array([t[1] for t in targets])
+    solve = _invert_map_batch(model, 0.0, t_f, tp, tq, 1.0, HYP_SET)
+    got = _propagated_g_batch(model, 0.0, tp, tq, HYP_SET, solve)
+    ref = _two_leg_g_prop(model, 0.0, tp, tq, HYP_SET, solve)
+    for name, x, y in zip(("G_prop", "imag", "chord_gap"), got, ref):
+        assert np.array_equal(x, y, equal_nan=True), name
+
+
 def test_work_march_solves_each_time_node_once(monkeypatch):
     # the t_f node's solve and arcs also serve the endpoint G_prop
     calls = []
@@ -361,9 +432,10 @@ def test_work_march_is_batch_width_invariant(targets, slot):
                                               min_size=1))))
 def test_work_march_of_a_subset_is_bitwise_the_full_batch(kind, case):
     # a subset of the starts marched on its own reproduces its columns of
-    # the full march bit for bit at every node: a trial accepted in every
-    # column hands its half-paths over by reference, a partly accepted one
-    # copies them in, and neither may change a column's arcs
+    # the full march bit for bit at every node: a trial at which every
+    # column converges hands its half-paths over by reference, any other
+    # copies in the columns that converge at it, and neither may change a
+    # column's arcs
     targets, subset = case
     model = WIDTH_MODELS[kind]()
     tp = np.array([t[0] for t in targets])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scjarz.dynamics import DEFAULT_SETTINGS, IntegratorSettings, build_arc
-from scjarz.errors import NewtonDiverged
+from scjarz.errors import NewtonDiverged, ToleranceExceeded
 from scjarz.models import ComplexPoint, harmonic_model, ramped_model
 from scjarz.pseudowork import composite_map, solve_pseudo_state
 from scjarz.stationary import (CAUSTIC, DIVERGED, OK, _invert_map_batch,
@@ -365,6 +365,22 @@ def test_failed_solve_with_richardson_check_reports_the_solve():
                            settings)
     with pytest.raises(NewtonDiverged):
         pseudo_hamiltonian(model, 0.0, ComplexPoint(0.0, 50.0), 6.0, settings)
+
+
+def test_halving_check_covers_the_arc_monodromy():
+    # at the center (0, 0) the arc's state is 0 at every step count, so
+    # only M_+ can show that 8 sigma steps do not resolve the prefactor
+    # (8 steps give 0.26581929 against the exact 1 / cosh 2 = 0.26580223)
+    model = harmonic_model(omega=2.0)
+    origin = ComplexPoint(0.0, 0.0)
+    coarse = IntegratorSettings(n_sigma_steps=8, richardson_check=True)
+    with pytest.raises(ToleranceExceeded, match="arc monodromy halving gap"):
+        pseudo_hamiltonian(model, 0.0, origin, 2.0, coarse,
+                           with_prefactor=True)
+    fine = IntegratorSettings(n_sigma_steps=256, richardson_check=True)
+    value = pseudo_hamiltonian(model, 0.0, origin, 2.0, fine,
+                               with_prefactor=True)
+    assert value.prefactor == pytest.approx(1.0 / np.cosh(2.0), rel=1e-9)
 
 
 _WIDTH_CASES = {
