@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -38,71 +36,41 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _chunk_indices(n: int, chunks: int):
-    bounds = np.linspace(0, n, chunks + 1).astype(int)
-    return [(bounds[i], bounds[i + 1]) for i in range(chunks)
-            if bounds[i + 1] > bounds[i]]
-
-
-def _run_chunked(worker, n_rows: int, threads: int):
-    """Run ``worker(lo, hi)`` over row chunks, in order, optionally threaded."""
-    if threads <= 1 or n_rows < 2 * threads:
-        return [worker(0, n_rows)]
-    spans = _chunk_indices(n_rows, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, lo, hi) for lo, hi in spans]
-        return [f.result() for f in futures]
-
-
 def _status_marker(code: int) -> str:
     """Status name as written to artifacts: failures upper-cased."""
     name = STATUS_NAMES[int(code)]
     return name if code == OK else name.upper()
 
 
-def cmd_gibbs(cfg: RunConfig, out_dir: Path, threads: int,
-              prefactor: bool) -> int:
+def cmd_gibbs(cfg: RunConfig, out_dir: Path, prefactor: bool) -> int:
     P, Q = cfg.grid.points()
-    model, t = cfg.model, cfg.model.protocol.t_i
-    hb = cfg.hbar_beta
-
-    def worker(lo, hi):
-        solve, g, g_fta, _ = _pseudo_hamiltonian_batch(
-            model, t, P[lo:hi], Q[lo:hi], hb, cfg.settings)
-        ok = solve.status == OK
-        area = np.full(hi - lo, np.nan)
-        area[ok] = solve.arcs.area
-        status, pref = solve.status, None
-        if prefactor:
-            pref = np.full(hi - lo, np.nan)
-            pref[ok] = solve.arcs.prefactor / (2.0 * np.pi * cfg.hbar)
-            # a solved row whose monodromy is not finite is marked, not
-            # dropped, and the scan goes on
-            status = np.where(ok & np.isnan(pref), DIVERGED, status)
-        return status, solve, g, g_fta, area, pref
-
-    results = _run_chunked(worker, P.size, threads)
+    solve, g, g_fta, _ = _pseudo_hamiltonian_batch(
+        cfg.model, cfg.model.protocol.t_i, P, Q, cfg.hbar_beta, cfg.settings)
+    ok = solve.status == OK
+    area = np.full(P.size, np.nan)
+    area[ok] = solve.arcs.area
+    status = solve.status
     header = ["q", "p", "G", "G_from_total_action", "z_c_p", "z_c_q",
               "jacobian_det", "area_A"]
     if prefactor:
+        pref = np.full(P.size, np.nan)
+        pref[ok] = solve.arcs.prefactor / (2.0 * np.pi * cfg.hbar)
+        # a solved row whose monodromy is not finite is marked, not
+        # dropped, and the scan goes on
+        status = np.where(ok & np.isnan(pref), DIVERGED, status)
         header.append("prefactor")
     header.append("status")
     lines = [f"# config_sha256={cfg.config_hash()}", ",".join(header)]
-    n_failed = 0
-    row = 0
-    for status, solve, g, g_fta, area, pref in results:
-        for i in range(g.shape[0]):
-            if status[i] != OK:
-                n_failed += 1
-            cells = [_fmt(Q[row]), _fmt(P[row]), _fmt(g[i]), _fmt(g_fta[i]),
-                     _fmt(solve.zc_p[i]), _fmt(solve.zc_q[i]),
-                     _fmt(solve.det[i]), _fmt(area[i])]
-            if prefactor:
-                cells.append(_fmt(pref[i]))
-            cells.append(_status_marker(status[i]))
-            lines.append(",".join(cells))
-            row += 1
+    for i in range(P.size):
+        cells = [_fmt(Q[i]), _fmt(P[i]), _fmt(g[i]), _fmt(g_fta[i]),
+                 _fmt(solve.zc_p[i]), _fmt(solve.zc_q[i]),
+                 _fmt(solve.det[i]), _fmt(area[i])]
+        if prefactor:
+            cells.append(_fmt(pref[i]))
+        cells.append(_status_marker(status[i]))
+        lines.append(",".join(cells))
     (out_dir / "gibbs.csv").write_text("\n".join(lines) + "\n")
+    n_failed = int(np.count_nonzero(status != OK))
     if n_failed:
         print(f"gibbs: {n_failed} of {P.size} grid nodes failed",
               file=sys.stderr)
@@ -149,14 +117,11 @@ def cmd_jarzynski(cfg: RunConfig, out_dir: Path, prefactor: bool,
                              cfg.settings, with_prefactor=prefactor,
                              monte_carlo=monte_carlo,
                              mc_samples=mc_samples, seed=seed)
-    payload = {
+    _write_json(out_dir / "jarzynski.json", {
         "schema_version": SCHEMA_VERSION,
         "config_sha256": cfg.config_hash(),
         **report.to_dict(),
-        "monte_carlo": report.monte_carlo,
-        "n_nodes": report.n_nodes,
-    }
-    _write_json(out_dir / "jarzynski.json", payload)
+    })
     if report.residual > cfg.residual_threshold:
         print(f"jarzynski: residual {report.residual:.3e} above threshold "
               f"{cfg.residual_threshold:.3e}", file=sys.stderr)
@@ -245,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="YAML config path")
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="row-chunk parallelism (default 1 or "
-                              "SCJARZ_THREADS)")
+        # parse-only: the benchmark's job runner still passes --threads 1
+        cmd.add_argument("--threads", type=int, choices=(1,), default=1,
+                         help=argparse.SUPPRESS)
         if name == "gibbs":
             cmd.add_argument("--prefactor", action="store_true",
                              help="add the stationary-phase prefactor column")
@@ -267,21 +232,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("SCJARZ_THREADS", "1"))
     out_dir = Path(args.out if args.out is not None else cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "gibbs":
-            return cmd_gibbs(cfg, out_dir, threads,
-                             args.prefactor or cfg.prefactor)
+            return cmd_gibbs(cfg, out_dir, args.prefactor or cfg.prefactor)
         if args.command == "work":
             return cmd_work(cfg, out_dir)
         if args.command == "jarzynski":

@@ -92,6 +92,28 @@ def _merge(base: dict, override: dict, path: str) -> dict:
     return out
 
 
+def _integer(value) -> int:
+    """int() that refuses booleans and non-integral floats (no truncation)."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise TypeError(value)
+    return int(value)
+
+
+def _real(value) -> float:
+    """float() that refuses booleans."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return float(value)
+
+
+def _boolean(value) -> bool:
+    """Only a YAML boolean: bool('false') is True."""
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
 def _require(conv, value, path, predicate=None, what=""):
     try:
         value = conv(value)
@@ -161,15 +183,15 @@ def config_hash(normalized: dict) -> str:
 
 
 def _build(data: dict) -> RunConfig:
-    version = _require(int, data["schema_version"], "schema_version",
+    version = _require(_integer, data["schema_version"], "schema_version",
                        lambda v: v == SCHEMA_VERSION,
                        f"must be {SCHEMA_VERSION}")
     m = data["model"]
     kind = _require(str, m["kind"], "model.kind",
                     lambda v: v in MODEL_KINDS, f"must be one of {MODEL_KINDS}")
-    mass = _require(float, m["mass"], "model.mass", lambda v: v > 0,
+    mass = _require(_real, m["mass"], "model.mass", lambda v: v > 0,
                     "must be positive")
-    lam = _require(float, m["quartic_lambda"], "model.quartic_lambda",
+    lam = _require(_real, m["quartic_lambda"], "model.quartic_lambda",
                    lambda v: v >= 0, "must be >= 0")
     if kind == "harmonic" and lam != 0.0:
         raise ConfigError("model.quartic_lambda: must be 0 for harmonic kind")
@@ -177,12 +199,12 @@ def _build(data: dict) -> RunConfig:
     shape = _require(str, pr["shape"], "model.protocol.shape",
                      lambda v: v in PROTOCOL_SHAPES,
                      f"must be one of {PROTOCOL_SHAPES}")
-    w_i = _require(float, pr["omega_initial"], "model.protocol.omega_initial",
+    w_i = _require(_real, pr["omega_initial"], "model.protocol.omega_initial",
                    lambda v: v > 0, "must be positive")
-    w_f = _require(float, pr["omega_final"], "model.protocol.omega_final",
+    w_f = _require(_real, pr["omega_final"], "model.protocol.omega_final",
                    lambda v: v > 0, "must be positive")
-    t_i = _require(float, pr["t_initial"], "model.protocol.t_initial")
-    t_f = _require(float, pr["t_final"], "model.protocol.t_final",
+    t_i = _require(_real, pr["t_initial"], "model.protocol.t_initial")
+    t_f = _require(_real, pr["t_final"], "model.protocol.t_final",
                    lambda v: v >= t_i, "must be >= t_initial")
     try:
         protocol = FrequencyProtocol(t_i, t_f, w_i, w_f, shape)
@@ -191,23 +213,24 @@ def _build(data: dict) -> RunConfig:
         raise ConfigError(f"model: {exc}") from None
 
     ph = data["physics"]
-    beta = _require(float, ph["beta"], "physics.beta", lambda v: v > 0,
+    beta = _require(_real, ph["beta"], "physics.beta", lambda v: v > 0,
                     "must be positive")
-    hbar = _require(float, ph["hbar"], "physics.hbar", lambda v: v > 0,
+    hbar = _require(_real, ph["hbar"], "physics.hbar", lambda v: v > 0,
                     "must be positive")
 
     nm = data["numerics"]
     try:
         settings = IntegratorSettings(
-            n_sigma_steps=_require(int, nm["n_sigma_steps"],
+            n_sigma_steps=_require(_integer, nm["n_sigma_steps"],
                                    "numerics.n_sigma_steps"),
-            n_time_steps=_require(int, nm["n_time_steps"],
+            n_time_steps=_require(_integer, nm["n_time_steps"],
                                   "numerics.n_time_steps"),
-            richardson_check=bool(nm["richardson_check"]),
-            tolerance=_require(float, nm["tolerance"], "numerics.tolerance"),
-            newton_tol=_require(float, nm["newton_tol"],
+            richardson_check=_require(_boolean, nm["richardson_check"],
+                                      "numerics.richardson_check"),
+            tolerance=_require(_real, nm["tolerance"], "numerics.tolerance"),
+            newton_tol=_require(_real, nm["newton_tol"],
                                 "numerics.newton_tol"),
-            continuation_stages=_require(int, nm["continuation_stages"],
+            continuation_stages=_require(_integer, nm["continuation_stages"],
                                          "numerics.continuation_stages"),
         )
     except ValueError as exc:
@@ -215,24 +238,24 @@ def _build(data: dict) -> RunConfig:
     dom = nm["domain"]
     try:
         domain = QuadratureDomain(
-            p_max=_require(float, dom["p_max"], "numerics.domain.p_max"),
-            q_max=_require(float, dom["q_max"], "numerics.domain.q_max"),
-            n_p=_require(int, dom["n_p"], "numerics.domain.n_p"),
-            n_q=_require(int, dom["n_q"], "numerics.domain.n_q"),
+            p_max=_require(_real, dom["p_max"], "numerics.domain.p_max"),
+            q_max=_require(_real, dom["q_max"], "numerics.domain.q_max"),
+            n_p=_require(_integer, dom["n_p"], "numerics.domain.n_p"),
+            n_q=_require(_integer, dom["n_q"], "numerics.domain.n_q"),
             rule=_require(str, dom["rule"], "numerics.domain.rule",
                           lambda v: v in QUADRATURE_RULES,
                           f"must be one of {QUADRATURE_RULES}"),
-            boundary_weight_tol=_require(float, dom["boundary_weight_tol"],
+            boundary_weight_tol=_require(_real, dom["boundary_weight_tol"],
                                          "numerics.domain.boundary_weight_tol"),
         )
     except ValueError as exc:
         raise ConfigError(f"numerics.domain: {exc}") from None
-    fock_n_max = _require(int, nm["fock_n_max"], "numerics.fock_n_max",
+    fock_n_max = _require(_integer, nm["fock_n_max"], "numerics.fock_n_max",
                           lambda v: 2 <= v <= 4096, "must be in [2, 4096]")
-    wigner_n_q = _require(int, nm["wigner_n_q"], "numerics.wigner_n_q",
+    wigner_n_q = _require(_integer, nm["wigner_n_q"], "numerics.wigner_n_q",
                           lambda v: v >= 8 and v % 2 == 0,
                           "must be an even integer >= 8")
-    wigner_q_max = _require(float, nm["wigner_q_max"],
+    wigner_q_max = _require(_real, nm["wigner_q_max"],
                             "numerics.wigner_q_max", lambda v: v > 0,
                             "must be positive")
 
@@ -244,20 +267,20 @@ def _build(data: dict) -> RunConfig:
                            f"must be one of {COMMANDS}")
     gr = rn["grid"]
     grid = GridSpec(
-        p_min=_require(float, gr["p_min"], "run.grid.p_min"),
-        p_max=_require(float, gr["p_max"], "run.grid.p_max"),
-        n_p=_require(int, gr["n_p"], "run.grid.n_p", lambda v: v >= 1,
+        p_min=_require(_real, gr["p_min"], "run.grid.p_min"),
+        p_max=_require(_real, gr["p_max"], "run.grid.p_max"),
+        n_p=_require(_integer, gr["n_p"], "run.grid.n_p", lambda v: v >= 1,
                      "must be >= 1 (empty grid)"),
-        q_min=_require(float, gr["q_min"], "run.grid.q_min"),
-        q_max=_require(float, gr["q_max"], "run.grid.q_max"),
-        n_q=_require(int, gr["n_q"], "run.grid.n_q", lambda v: v >= 1,
+        q_min=_require(_real, gr["q_min"], "run.grid.q_min"),
+        q_max=_require(_real, gr["q_max"], "run.grid.q_max"),
+        n_q=_require(_integer, gr["n_q"], "run.grid.n_q", lambda v: v >= 1,
                      "must be >= 1 (empty grid)"),
     )
     target = rn["work_target"]
     if (not isinstance(target, (list, tuple)) or len(target) != 2):
         raise ConfigError("run.work_target: expected [p, q]")
-    work_target = (_require(float, target[0], "run.work_target[0]"),
-                   _require(float, target[1], "run.work_target[1]"))
+    work_target = (_require(_real, target[0], "run.work_target[0]"),
+                   _require(_real, target[1], "run.work_target[1]"))
 
     return RunConfig(
         raw=data,
@@ -271,13 +294,13 @@ def _build(data: dict) -> RunConfig:
         wigner_q_max=wigner_q_max,
         command=command,
         output_dir=str(rn["output_dir"]),
-        seed=_require(int, rn["seed"], "run.seed", lambda v: v >= 0,
+        seed=_require(_integer, rn["seed"], "run.seed", lambda v: v >= 0,
                       "must be >= 0"),
-        prefactor=bool(rn["prefactor"]),
-        monte_carlo=bool(rn["monte_carlo"]),
-        mc_samples=_require(int, rn["mc_samples"], "run.mc_samples",
+        prefactor=_require(_boolean, rn["prefactor"], "run.prefactor"),
+        monte_carlo=_require(_boolean, rn["monte_carlo"], "run.monte_carlo"),
+        mc_samples=_require(_integer, rn["mc_samples"], "run.mc_samples",
                             lambda v: v >= 1, "must be >= 1"),
-        residual_threshold=_require(float, rn["residual_threshold"],
+        residual_threshold=_require(_real, rn["residual_threshold"],
                                     "run.residual_threshold",
                                     lambda v: v > 0, "must be positive"),
         grid=grid,

@@ -46,15 +46,13 @@ class IntegratorSettings:
     newton_tol: float = 1e-11
     newton_max_iter: int = 50
     continuation_stages: int = 4
-    caustic_floor: float = 1e-10
-    damping_floor: float = 2.0 ** -10
 
     def __post_init__(self):
         if self.n_sigma_steps < 8:
             raise ValueError("n_sigma_steps must be >= 8")
         if self.n_time_steps < 2 or self.n_time_steps % 2 != 0:
             raise ValueError("n_time_steps must be a positive even integer")
-        for name in ("tolerance", "newton_tol", "caustic_floor", "damping_floor"):
+        for name in ("tolerance", "newton_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.newton_max_iter < 1 or self.continuation_stages < 0:
@@ -128,8 +126,8 @@ def weighted_sum(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k w[k] * x[k] over the leading axis, accumulated in index order.
 
     Each column's result depends on that column alone, so it is bitwise
-    the same whatever the batch width, row chunking or BLAS threading
-    (a ``w @ x`` matrix-vector product blocks differently in each case).
+    the same whatever the batch width or BLAS threading (a ``w @ x``
+    matrix-vector product blocks differently in each case).
     """
     acc = w[0] * x[0]
     for k in range(1, w.shape[0]):

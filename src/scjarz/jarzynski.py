@@ -9,13 +9,13 @@ The work integrates the arc-averaged power with a fixed Gauss-Legendre rule
 in time (``pseudowork._gauss_legendre_nodes``).  The Simpson sums over arc
 samples and the Gauss-Legendre sum over time nodes accumulate row by row
 in a fixed order (``dynamics.weighted_sum``), so every node's values are
-the same whatever the batch width, row chunking or BLAS threading; the
-sums over quadrature nodes then run once over the full node set.
+the same whatever the batch width or BLAS threading; the sums over
+quadrature nodes then run once over the full node set.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -102,16 +102,8 @@ class JarzynskiReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "Z_i": self.Z_i,
-            "Z_f": self.Z_f,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "prefactor_on": self.prefactor_on,
-            "failures": self.failures,
-            "diagnostics": self.diagnostics,
-        }
+        """Every field, as ``jarzynski.json`` records it."""
+        return asdict(self)
 
 
 def _collect_failures(P, Q, status, t) -> list:

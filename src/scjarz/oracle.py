@@ -11,7 +11,6 @@ provided for pointwise comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -36,10 +35,10 @@ class FockOperator:
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
+    def is_hermitian(self) -> bool:
         gap = np.max(np.abs(self.matrix - self.matrix.conj().T))
         scale = max(1.0, float(np.max(np.abs(self.matrix))))
-        return bool(gap <= tol * scale)
+        return bool(gap <= HERMITIAN_TOL * scale)
 
 
 @dataclass(frozen=True)
@@ -320,9 +319,12 @@ def _convention_audit(op_a: FockOperator, op_b: FockOperator,
     )
 
 
+# unnormalized Fock amplitudes of the ordering check's smooth test state
+_ORDERING_TEST_STATE = np.array([1.0, 1.0 + 1.0j, 0.5, 0.25j])
+
+
 def ordering_pairing_check(n_max: int, hbar: float, mass: float, omega: float,
-                           q_max: float, n_q: int,
-                           coefficients: Optional[np.ndarray] = None) -> dict:
+                           q_max: float, n_q: int) -> dict:
     """Verify that the momentum-position product pairs like pq - i hbar/2.
 
     The raw symbol of the unbounded product oscillates under basis
@@ -330,10 +332,8 @@ def ordering_pairing_check(n_max: int, hbar: float, mass: float, omega: float,
     Tr(p q_op rho) from matrix elements must match the phase-space moment
     integral of (pq - i hbar/2) against the Wigner transform of rho.
     """
-    if coefficients is None:
-        coefficients = np.array([1.0, 1.0 + 1.0j, 0.5, 0.25j])
     psi = np.zeros(n_max + 1, dtype=complex)
-    psi[:coefficients.size] = coefficients
+    psi[:_ORDERING_TEST_STATE.size] = _ORDERING_TEST_STATE
     psi /= np.linalg.norm(psi)
     rho = np.outer(psi, psi.conj())
     qm, pm = position_momentum_matrices(n_max, hbar, mass, omega)

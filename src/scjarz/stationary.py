@@ -18,7 +18,7 @@ length).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
 
@@ -113,6 +113,12 @@ def _composite_map_batch(model, t_i, t_f, P, Q, hbar_beta, settings):
     return p.real, q.real, jac.real, (hp, hq, m_plus)
 
 
+# Newton: a |det J| below _CAUSTIC_FLOOR is a caustic; a step halved below
+# _DAMPING_FLOOR without a residual decrease ends the stage for its column
+_CAUSTIC_FLOOR = 1e-10
+_DAMPING_FLOOR = 2.0 ** -10
+
+
 def _newton_stage(map_fn, tp, tq, gp, gq, settings):
     """Damped Newton on F(z) = map(z) - target for one batch.
 
@@ -153,7 +159,7 @@ def _newton_stage(map_fn, tp, tq, gp, gq, settings):
         idx = np.flatnonzero(active)
         with _quiet():
             det = jac_det(jac[:, :, idx])
-        caustic = np.abs(det) < settings.caustic_floor
+        caustic = np.abs(det) < _CAUSTIC_FLOOR
         if np.any(caustic):
             c_idx = idx[caustic]
             status[c_idx] = CAUSTIC
@@ -196,7 +202,7 @@ def _newton_stage(map_fn, tp, tq, gp, gq, settings):
             pending[acc] = False
             rej = sub[~improved]
             lam[rej] *= 0.5
-            floored = rej[lam[rej] < settings.damping_floor]
+            floored = rej[lam[rej] < _DAMPING_FLOOR]
             if floored.size:
                 # damping floor hit with no decrease: the stage has failed
                 # for these points, stop iterating them
@@ -209,7 +215,7 @@ def _newton_stage(map_fn, tp, tq, gp, gq, settings):
     with _quiet():
         det_out = jac_det(jac)
     # the verdict also covers points that converged without a step
-    status[np.abs(det_out) < settings.caustic_floor] = CAUSTIC
+    status[np.abs(det_out) < _CAUSTIC_FLOOR] = CAUSTIC
     return gp, gq, det_out, iters, resid, status, half
 
 
@@ -358,18 +364,16 @@ def _finite_prefactors(geom: np.ndarray) -> np.ndarray:
 
 
 def endpoint_action_prefactor(model: HamiltonianModel, arc: ImaginaryArc,
-                              settings: IntegratorSettings,
-                              hbar: Optional[float] = None) -> float:
+                              settings: IntegratorSettings) -> float:
     """Stationary-phase prefactor from the monodromy trace of one arc.
 
     The plus half is flowed from the arc's center at its own frozen time
-    ``arc.t`` over its own span ``arc.hbar_beta`` (``_ArcBatch.prefactor``).
-    Returns the purely geometric factor when ``hbar`` is None, otherwise
-    the full prefactor geometric_factor / (2 pi hbar).
+    ``arc.t``, over its own span ``arc.hbar_beta`` and in its own step
+    count (arc.sigma.size - 1) // 2 (``_ArcBatch.prefactor``); the
+    settings contribute only the halving check.  Returns the purely
+    geometric factor, without the 1 / (2 pi hbar).
     """
+    own = replace(settings, n_sigma_steps=(arc.sigma.size - 1) // 2)
     arcs = _build_arc_batch(model, arc.t, np.array([arc.center.p]),
-                            np.array([arc.center.q]), arc.hbar_beta, settings)
-    geom = float(_finite_prefactors(arcs.prefactor)[0])
-    if hbar is None:
-        return geom
-    return geom / (2.0 * np.pi * hbar)
+                            np.array([arc.center.q]), arc.hbar_beta, own)
+    return float(_finite_prefactors(arcs.prefactor)[0])

@@ -69,6 +69,15 @@ def test_config_parsing_and_hash_round_trip(config_path):
     ("numerics:\n  n_time_steps: 7", "numerics"),
     ("physics: {beta: -2.0}", "physics.beta"),
     ("model:\n  unknown_knob: 3", "model.unknown_knob"),
+    # a value that is not of its key's type is refused, not coerced
+    ("numerics: {n_sigma_steps: 64.9}", "numerics.n_sigma_steps"),
+    ("run: {mc_samples: 2.5}", "run.mc_samples"),
+    ("run: {seed: 1.7}", "run.seed"),
+    ("run:\n  grid: {n_p: true}", "run.grid.n_p"),
+    ("physics: {beta: true}", "physics.beta"),
+    ("numerics: {richardson_check: 'false'}", "numerics.richardson_check"),
+    ("run: {prefactor: 'no'}", "run.prefactor"),
+    ("run: {monte_carlo: 1}", "run.monte_carlo"),
 ])
 def test_config_validation_errors_carry_field_paths(tmp_path, snippet, field,
                                                     capsys):
@@ -199,17 +208,34 @@ def test_gibbs_non_finite_prefactor_marks_its_rows(tmp_path, capsys,
         {k: v for k, v in kinds.items() if k != first}
 
 
-def test_gibbs_deterministic_and_thread_invariant(config_path, tmp_path):
-    out1, out2, out3 = (tmp_path / d for d in ("a", "b", "c"))
+def test_gibbs_rerun_is_byte_identical(config_path, tmp_path):
+    out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["gibbs", "--config", str(config_path),
                  "--out", str(out1)]) == 0
     assert main(["gibbs", "--config", str(config_path),
                  "--out", str(out2)]) == 0
-    assert main(["gibbs", "--config", str(config_path), "--out", str(out3),
-                 "--threads", "3"]) == 0
-    ref = (out1 / "gibbs.csv").read_bytes()
-    assert (out2 / "gibbs.csv").read_bytes() == ref
-    assert (out3 / "gibbs.csv").read_bytes() == ref
+    assert (out2 / "gibbs.csv").read_bytes() == \
+        (out1 / "gibbs.csv").read_bytes()
+
+
+def test_gibbs_threads_1_is_parse_only(config_path, tmp_path):
+    # the flag is still accepted with its one value, and changes nothing
+    plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+    assert main(["gibbs", "--config", str(config_path),
+                 "--out", str(plain)]) == 0
+    assert main(["gibbs", "--config", str(config_path), "--out",
+                 str(flagged), "--threads", "1"]) == 0
+    assert (flagged / "gibbs.csv").read_bytes() == \
+        (plain / "gibbs.csv").read_bytes()
+
+
+def test_gibbs_threads_other_than_1_is_a_usage_error(config_path, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["gibbs", "--config", str(config_path), "--out", str(out),
+              "--threads", "2"])
+    assert exc.value.code == scjarz.cli.EXIT_CONFIG
+    assert not (out / "gibbs.csv").exists()
 
 
 def test_work_command_outputs(config_path, tmp_path):
@@ -406,10 +432,9 @@ def test_import_and_config_load_leave_scipy_unimported():
 
 def test_console_entry_point(config_path, tmp_path):
     out = tmp_path / "out"
-    env = dict(os.environ, SCJARZ_THREADS="2")
     proc = subprocess.run(
         [sys.executable, "-m", "scjarz.cli", "gibbs", "--config",
          str(config_path), "--out", str(out)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True)
     assert proc.returncode == 0
     assert (out / "gibbs.csv").exists()

@@ -266,7 +266,8 @@ def test_report_serialization_fields():
                                                 n_time_steps=8))
     d = report.to_dict()
     assert set(d) == {"Z_i", "Z_f", "lhs", "rhs", "residual",
-                      "prefactor_on", "failures", "diagnostics"}
+                      "prefactor_on", "failures", "diagnostics",
+                      "monte_carlo", "n_nodes"}
     assert d["Z_i"] > 0 and d["Z_f"] > 0 and np.isfinite(d["residual"])
 
 

@@ -246,7 +246,7 @@ def test_work_mismatch_raises_when_forced():
 
 def test_arc_reductions_are_batch_width_invariant():
     # the Simpson sums must not depend on how many points share a batch,
-    # or grid scans change in the last digit with --threads
+    # or a point's values change in the last digit with the batch it is in
     model = quartic_ramp()
     rng = np.random.default_rng(67)
     cp = rng.uniform(-2.0, 2.0, 67).astype(complex)

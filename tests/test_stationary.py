@@ -277,6 +277,20 @@ def test_endpoint_action_prefactor_rejects_foreign_span():
     assert geom == val.prefactor
 
 
+def test_endpoint_action_prefactor_uses_the_arcs_own_step_count():
+    # an arc solved at 8 sigma steps (17 samples); re-integrated at the
+    # 256 steps of foreign settings it would give 0.26580223, the number
+    # of another arc, instead of its own 0.26581929
+    model = harmonic_model(omega=2.0)
+    coarse = IntegratorSettings(n_sigma_steps=8)
+    val = pseudo_hamiltonian(model, 0.0, ComplexPoint(0.4, -0.3), 2.0,
+                             coarse, with_prefactor=True)
+    assert val.arc.sigma.size == 17
+    assert val.prefactor == pytest.approx(0.26581929, abs=1e-8)
+    foreign = IntegratorSettings(n_sigma_steps=256)
+    assert endpoint_action_prefactor(model, val.arc, foreign) == val.prefactor
+
+
 def test_beyond_image_target_diverges():
     # quartic arcs at large hbar*beta blow up through finite-time poles, so
     # the midpoint map has a bounded image; far targets must stall cleanly
