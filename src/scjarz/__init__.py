@@ -22,8 +22,7 @@ from .oracle import (FockOperator, WignerGrid, fock_state_wigner,
 from .pseudowork import (PseudoState, PseudoTrajectory, WorkResult,
                          composite_map, pseudo_power, pseudo_work,
                          solve_pseudo_state)
-from .stationary import (PseudoHamiltonianValue, endpoint_action_prefactor,
-                         pseudo_hamiltonian)
+from .stationary import PseudoHamiltonianValue, pseudo_hamiltonian
 
 __version__ = "0.1.0"
 
@@ -33,7 +32,6 @@ __all__ = [
     "IntegratorSettings", "SampledPath", "ImaginaryArc",
     "flow_imaginary", "flow_real", "build_arc",
     "PseudoHamiltonianValue", "pseudo_hamiltonian",
-    "endpoint_action_prefactor",
     "PseudoState", "PseudoTrajectory", "WorkResult",
     "composite_map", "solve_pseudo_state", "pseudo_power", "pseudo_work",
     "QuadratureDomain", "JarzynskiReport",

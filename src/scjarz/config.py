@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -101,10 +102,13 @@ def _integer(value) -> int:
 
 
 def _real(value) -> float:
-    """float() that refuses booleans."""
+    """float() that refuses booleans, NaN and +-inf."""
     if isinstance(value, bool):
         raise TypeError(value)
-    return float(value)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(value)
+    return value
 
 
 def _boolean(value) -> bool:

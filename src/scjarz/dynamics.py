@@ -74,44 +74,6 @@ class SampledPath:
         return ComplexPoint(complex(self.p[-1]), complex(self.q[-1]))
 
 
-@dataclass(frozen=True)
-class ImaginaryArc:
-    """A frozen-time thermal arc built symmetrically about its real center.
-
-    The chord is q_plus - q_minus; the enclosed area A is
-    Re[i (int p dq - p_mid * chord)] and is real for a real center.
-    """
-
-    t: float
-    hbar_beta: float
-    sigma: np.ndarray
-    p_samples: np.ndarray
-    q_samples: np.ndarray
-    center: ComplexPoint
-    action: complex
-    area: float
-    area_imag: float
-
-    @property
-    def z_minus(self) -> ComplexPoint:
-        return ComplexPoint(complex(self.p_samples[0]), complex(self.q_samples[0]))
-
-    @property
-    def z_plus(self) -> ComplexPoint:
-        return ComplexPoint(complex(self.p_samples[-1]), complex(self.q_samples[-1]))
-
-    @property
-    def chord(self) -> complex:
-        return complex(self.q_samples[-1] - self.q_samples[0])
-
-    @property
-    def chord_midpoint(self) -> ComplexPoint:
-        return ComplexPoint(
-            complex(0.5 * (self.p_samples[0] + self.p_samples[-1])),
-            complex(0.5 * (self.q_samples[0] + self.q_samples[-1])),
-        )
-
-
 def simpson_weights(n_samples: int, h: float) -> np.ndarray:
     """Composite Simpson weights for an odd number of uniform samples."""
     if n_samples < 3 or n_samples % 2 == 0:
@@ -399,14 +361,16 @@ def flow_real(model: HamiltonianModel, t_from: float, t_to: float,
 
 
 @dataclass
-class _ArcBatch:
-    """Vectorized arcs sharing one sigma grid (one column per phase point).
+class ImaginaryArc:
+    """Frozen-time thermal arcs sharing one sigma grid, one column per
+    real center; the width-1 views (``build_arc``, ``pseudo_hamiltonian``,
+    ``solve_pseudo_state``) hand over a batch of one column.
 
     The center energy ``h_center``, the Simpson sums (``pdq``, ``action``,
     ``area``, ``area_imag``) and the ``prefactor`` are formed on first
     read and cached: a march reads them at two of its time nodes.
     ``action`` and the area form of G (``g``) share the one center energy.
-    ``m_plus`` is the plus halves' monodromy (a batch made by ``of`` has none).
+    ``m_plus`` is the plus halves' monodromy.
     """
 
     model: HamiltonianModel
@@ -417,7 +381,7 @@ class _ArcBatch:
     q: np.ndarray            # (2n+1, B)
     center_p: np.ndarray     # (B,) complex
     center_q: np.ndarray
-    m_plus: np.ndarray | None = None    # (2, 2, B) complex
+    m_plus: np.ndarray       # (2, 2, B) complex
 
     @cached_property
     def pdq(self) -> np.ndarray:
@@ -496,32 +460,9 @@ class _ArcBatch:
     def mid_q(self) -> np.ndarray:
         return 0.5 * (self.q[0] + self.q[-1])
 
-    @classmethod
-    def of(cls, model: HamiltonianModel, arc: ImaginaryArc) -> "_ArcBatch":
-        """Width-1 batch holding one arc's samples, without a monodromy."""
-        return cls(model=model, t=arc.t, hbar_beta=arc.hbar_beta,
-                   sigma=arc.sigma, p=arc.p_samples[:, None],
-                   q=arc.q_samples[:, None],
-                   center_p=np.array([arc.center.p]),
-                   center_q=np.array([arc.center.q]))
-
-    def single(self, index: int = 0) -> ImaginaryArc:
-        z_c = ComplexPoint(complex(self.center_p[index]), complex(self.center_q[index]))
-        return ImaginaryArc(
-            t=self.t,
-            hbar_beta=self.hbar_beta,
-            sigma=self.sigma.copy(),
-            p_samples=self.p[:, index].copy(),
-            q_samples=self.q[:, index].copy(),
-            center=z_c,
-            action=complex(self.action[index]),
-            area=float(self.area[index]),
-            area_imag=float(self.area_imag[index]),
-        )
-
 
 def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
-                     half=None) -> _ArcBatch:
+                     half=None) -> ImaginaryArc:
     """Assemble the symmetric arcs from their center -> +hbar*beta/2 halves.
 
     ``half`` is the (p, q) state path of those plus halves, shape
@@ -566,16 +507,16 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
     np.conjugate(plus_q[:0:-1], out=q_full[:n])
     p_full[n:], q_full[n:] = plus_p, plus_q
     sigma = np.linspace(-s, +s, 2 * n + 1)
-    return _ArcBatch(model=model, t=t, hbar_beta=hbar_beta, sigma=sigma,
-                     p=p_full, q=q_full, center_p=cp, center_q=cq,
-                     m_plus=m_plus)
+    return ImaginaryArc(model=model, t=t, hbar_beta=hbar_beta, sigma=sigma,
+                        p=p_full, q=q_full, center_p=cp, center_q=cq,
+                        m_plus=m_plus)
 
 
 def build_arc(model: HamiltonianModel, t: float, z_c: ComplexPoint,
               hbar_beta: float,
               settings: IntegratorSettings = DEFAULT_SETTINGS) -> ImaginaryArc:
-    """Thermal arc through the real center z_c at frozen time t."""
-    batch = _build_arc_batch(
+    """Thermal arc through the real center z_c at frozen time t, a width-1
+    batch whose plus half and monodromy are integrated here."""
+    return _build_arc_batch(
         model, t, np.array([z_c.p], dtype=complex),
         np.array([z_c.q], dtype=complex), hbar_beta, settings)
-    return batch.single(0)

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
-                       _ArcBatch, simpson_weights, weighted_sum)
+                       simpson_weights, weighted_sum)
 from .errors import ToleranceExceeded, WorkMismatch
 from .models import ComplexPoint, HamiltonianModel
 from .stationary import (OK, _composite_map_batch, _invert_map_batch,
@@ -28,7 +28,8 @@ from .stationary import (OK, _composite_map_batch, _invert_map_batch,
 
 @dataclass(frozen=True)
 class PseudoState:
-    """Stationary construction for one initial point and final time."""
+    """Stationary construction for one initial point and final time; ``arc``
+    is the solve's own width-1 arc at t_f."""
 
     z_c: ComplexPoint
     arc: ImaginaryArc
@@ -104,19 +105,18 @@ def solve_pseudo_state(model: HamiltonianModel, t_i: float, t_f: float,
     solve = _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
                               warm_p=wp, warm_q=wq)
     _raise_failed(t_f, solve.status, solve.det, solve.residual)
-    arc = solve.arcs.single(0)
-    mid = arc.chord_midpoint
+    arc = solve.arcs
     return PseudoState(
         z_c=ComplexPoint(float(solve.zc_p[0]), float(solve.zc_q[0])),
         arc=arc,
-        check=ComplexPoint(mid.p.real, mid.q.real),
+        check=ComplexPoint(float(arc.mid_p[0].real), float(arc.mid_q[0].real)),
         residual=float(solve.residual[0]),
         jacobian_det=float(solve.det[0]),
         newton_iters=int(solve.iters[0]),
     )
 
 
-def _pseudo_power_batch(model, arcs: _ArcBatch):
+def _pseudo_power_batch(model, arcs: ImaginaryArc):
     """Arc-averaged explicit power (1/hbar*beta) int dH/dt dsigma."""
     n_samples = arcs.sigma.shape[0]
     h = (arcs.sigma[-1] - arcs.sigma[0]) / (n_samples - 1)
@@ -130,14 +130,14 @@ def _pseudo_power_batch(model, arcs: _ArcBatch):
 
 def pseudo_power(model: HamiltonianModel, arc: ImaginaryArc,
                  settings: IntegratorSettings = DEFAULT_SETTINGS) -> float:
-    """Explicit-power average over one frozen-time arc.
+    """Explicit-power average over one frozen-time arc (a width-1 batch).
 
     The drive is taken at the arc's frozen time ``arc.t`` and the average
     over its span ``arc.hbar_beta``.  Raises ToleranceExceeded if the
     average's imaginary part exceeds ``settings.tolerance`` times
     1 + |power|.
     """
-    power, imag = _pseudo_power_batch(model, _ArcBatch.of(model, arc))
+    power, imag = _pseudo_power_batch(model, arc)
     scale = 1.0 + abs(float(power[0]))
     if float(imag[0]) > settings.tolerance * scale:
         raise ToleranceExceeded(
@@ -249,7 +249,7 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     One ``_march`` over the time nodes: at most one composite-map solve per
     column and node.  Each solve hands over its arcs (``SolveBatch.arcs``):
     the power is read from every node's, G_initial (the area form,
-    ``_ArcBatch.g``) and the prefactor ("prefactor_initial", NaN where it
+    ``ImaginaryArc.g``) and the prefactor ("prefactor_initial", NaN where it
     is not finite) from the first node's, and the t_f node's solve gives
     the endpoint G_prop (``_propagated_g_batch``).
     ``nodes`` is a ``(times, weights)`` pair running from t_i to t_f, the

@@ -18,14 +18,13 @@ length).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
 from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
-                       _ArcBatch, _build_arc_batch, _flow_imaginary_batch,
+                       _build_arc_batch, _flow_imaginary_batch,
                        _flow_real_batch, _real_step_count)
 from .errors import CausticEncountered, IntegratorDiverged, NewtonDiverged
 from .models import ComplexPoint, HamiltonianModel
@@ -44,7 +43,8 @@ def _quiet():
 
 @dataclass(frozen=True)
 class PseudoHamiltonianValue:
-    """G evaluated two ways, with the solved arc attached."""
+    """G evaluated two ways, with the solve's own width-1 arc attached
+    (its ``prefactor`` is the geometric stationary-phase factor)."""
 
     G: float
     G_from_total_action: float
@@ -52,7 +52,6 @@ class PseudoHamiltonianValue:
     arc: ImaginaryArc
     jacobian_det: float
     imag_residual: float
-    prefactor: Optional[float] = None
 
 
 @dataclass
@@ -72,7 +71,7 @@ class SolveBatch:
     residual: np.ndarray
     status: np.ndarray              # OK / CAUSTIC / DIVERGED
     stage_residuals: list           # per continuation stage, max over batch
-    arcs: _ArcBatch
+    arcs: ImaginaryArc
 
 
 def _raise_failed(t, status, det, residual) -> None:
@@ -317,7 +316,7 @@ def _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta, settings):
     """Batched G over real targets at frozen time t.
 
     Returns (solve, G, G_fta, imag): G is the area form of the solved
-    arcs (``_ArcBatch.g``), G_fta the total-action form, which is
+    arcs (``ImaginaryArc.g``), G_fta the total-action form, which is
     ``_propagated_g_batch`` at t_f = t_i, and imag its |Im G_fta|.
     Columns that are not OK carry NaN; the OK columns' arcs are
     ``solve.arcs``.
@@ -331,8 +330,8 @@ def _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta, settings):
 
 def pseudo_hamiltonian(model: HamiltonianModel, t: float, target: ComplexPoint,
                        hbar_beta: float,
-                       settings: IntegratorSettings = DEFAULT_SETTINGS,
-                       with_prefactor: bool = False) -> PseudoHamiltonianValue:
+                       settings: IntegratorSettings = DEFAULT_SETTINGS
+                       ) -> PseudoHamiltonianValue:
     """Stationary-phase pseudo-Hamiltonian at one real target point."""
     if target.p.imag != 0.0 or target.q.imag != 0.0:
         raise ValueError("midpoint inversion expects a real target point")
@@ -340,16 +339,13 @@ def pseudo_hamiltonian(model: HamiltonianModel, t: float, target: ComplexPoint,
         model, t, np.array([target.p.real]), np.array([target.q.real]),
         hbar_beta, settings)
     _raise_failed(t, solve.status, solve.det, solve.residual)
-    pref = (float(_finite_prefactors(solve.arcs.prefactor)[0])
-            if with_prefactor else None)
     return PseudoHamiltonianValue(
         G=float(g_area[0]),
         G_from_total_action=float(g_fta[0]),
         z_c=ComplexPoint(float(solve.zc_p[0]), float(solve.zc_q[0])),
-        arc=solve.arcs.single(0),
+        arc=solve.arcs,
         jacobian_det=float(solve.det[0]),
         imag_residual=float(imag_res[0]),
-        prefactor=pref,
     )
 
 
@@ -361,19 +357,3 @@ def _finite_prefactors(geom: np.ndarray) -> np.ndarray:
         raise IntegratorDiverged(
             f"non-finite prefactor in {bad} of {geom.size} column(s)")
     return geom
-
-
-def endpoint_action_prefactor(model: HamiltonianModel, arc: ImaginaryArc,
-                              settings: IntegratorSettings) -> float:
-    """Stationary-phase prefactor from the monodromy trace of one arc.
-
-    The plus half is flowed from the arc's center at its own frozen time
-    ``arc.t``, over its own span ``arc.hbar_beta`` and in its own step
-    count (arc.sigma.size - 1) // 2 (``_ArcBatch.prefactor``); the
-    settings contribute only the halving check.  Returns the purely
-    geometric factor, without the 1 / (2 pi hbar).
-    """
-    own = replace(settings, n_sigma_steps=(arc.sigma.size - 1) // 2)
-    arcs = _build_arc_batch(model, arc.t, np.array([arc.center.p]),
-                            np.array([arc.center.q]), arc.hbar_beta, own)
-    return float(_finite_prefactors(arcs.prefactor)[0])

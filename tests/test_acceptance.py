@@ -19,7 +19,8 @@ from scjarz.models import ComplexPoint, harmonic_model, ramped_model
 from scjarz.oracle import (FockOperator, fock_state_wigner,
                            harmonic_closed_forms, thermal_fock,
                            wigner_transform)
-from scjarz.pseudowork import pseudo_power, pseudo_work, solve_pseudo_state
+from scjarz.pseudowork import (_pseudo_work_batch, pseudo_power,
+                               pseudo_work, solve_pseudo_state)
 from scjarz.stationary import (OK, _pseudo_hamiltonian_batch,
                                pseudo_hamiltonian)
 
@@ -76,9 +77,8 @@ def test_criterion_2_prefactor_closed_form():
             for (p, q) in [(0.0, 0.0), (1.0, 0.5), (-0.7, 1.2),
                            (2.0, -1.0), (0.3, 0.3)]:
                 val = pseudo_hamiltonian(model, 0.0, ComplexPoint(p, q),
-                                         beta * hbar, settings,
-                                         with_prefactor=True)
-                n_got = val.prefactor / (2.0 * np.pi * hbar)
+                                         beta * hbar, settings)
+                n_got = val.arc.prefactor[0] / (2.0 * np.pi * hbar)
                 assert abs(n_got - n_exact) <= 1e-4 * n_exact
 
 
@@ -135,10 +135,14 @@ def test_criterion_5_work_path_endpoint_identity():
         for kind, lam in (("harmonic", 0.0), ("quartic", 0.1)):
             model = ramped_model(kind, omega_i=1.0, omega_f=2.0,
                                  quartic_lambda=lam)
-            for p0, q0 in rng.uniform(-1.2, 1.2, size=(10, 2)):
-                res = pseudo_work(model, 0.0, 1.0, ComplexPoint(p0, q0),
-                                  1.0, settings)
-                assert abs(res.W - res.W_endpoint) <= 1e-6 * (1 + abs(res.W))
+            # the 10 starts in one batch: each column is bitwise its
+            # width-1 pseudo_work march
+            p0, q0 = rng.uniform(-1.2, 1.2, size=(10, 2)).T
+            out = _pseudo_work_batch(model, 0.0, 1.0, p0, q0, 1.0, settings)
+            assert np.all(out["status"] == OK), out["status"]
+            w, w_end = out["W"], out["W_endpoint"]
+            assert np.all(np.abs(w - w_end) <= 1e-6 * (1 + np.abs(w))), (
+                kind, np.abs(w - w_end))
 
 
 def test_criterion_6_jarzynski_identity_harmonic():
@@ -231,8 +235,11 @@ def test_criterion_10_frozen_arc_is_not_analytic_continuation():
         hb = 1.0
         state = solve_pseudo_state(model, 0.0, 0.5, ComplexPoint(0.4, 0.9),
                                    hb, settings)
-        plus_ti = flow_real(model, 0.5, 0.0, state.arc.z_minus, settings)
-        minus_ti = flow_real(model, 0.5, 0.0, state.arc.z_plus, settings)
+        arc = state.arc
+        z_minus = ComplexPoint(complex(arc.p[0, 0]), complex(arc.q[0, 0]))
+        z_plus = ComplexPoint(complex(arc.p[-1, 0]), complex(arc.q[-1, 0]))
+        plus_ti = flow_real(model, 0.5, 0.0, z_minus, settings)
+        minus_ti = flow_real(model, 0.5, 0.0, z_plus, settings)
         wrapped = flow_imaginary(model, 0.0, minus_ti, 0.0, -hb,
                                  settings).endpoint()
         gap = max(abs(wrapped.p - plus_ti.p), abs(wrapped.q - plus_ti.q))

@@ -78,6 +78,11 @@ def test_config_parsing_and_hash_round_trip(config_path):
     ("numerics: {richardson_check: 'false'}", "numerics.richardson_check"),
     ("run: {prefactor: 'no'}", "run.prefactor"),
     ("run: {monte_carlo: 1}", "run.monte_carlo"),
+    # a float key refuses NaN and +-inf
+    ("physics: {beta: .inf}", "physics.beta"),
+    ("run:\n  grid: {p_min: .nan}", "run.grid.p_min"),
+    ("numerics:\n  domain: {p_max: .inf}", "numerics.domain.p_max"),
+    ("model:\n  protocol: {t_final: .inf}", "model.protocol.t_final"),
 ])
 def test_config_validation_errors_carry_field_paths(tmp_path, snippet, field,
                                                     capsys):
@@ -191,14 +196,14 @@ def test_gibbs_non_finite_prefactor_marks_its_rows(tmp_path, capsys,
     # a solved row whose prefactor is not finite (stood in for by a NaN
     # in the first solved column) keeps its solved cells, gets a nan
     # prefactor and DIVERGED, and the scan goes on to write every row
-    formula = scjarz.dynamics._ArcBatch.prefactor.func
+    formula = scjarz.dynamics.ImaginaryArc.prefactor.func
 
     def first_nan(arcs):
         geom = formula(arcs)
         geom[0] = np.nan
         return geom
 
-    monkeypatch.setattr(scjarz.dynamics._ArcBatch, "prefactor",
+    monkeypatch.setattr(scjarz.dynamics.ImaginaryArc, "prefactor",
                         property(first_nan))
     marked = scan(tmp_path / "marked")
     assert "gibbs: 3 of 9 grid nodes failed" in capsys.readouterr().err

@@ -51,9 +51,9 @@ def test_zero_length_flow_is_identity():
 def test_arc_at_fixed_point_is_constant():
     model = harmonic_model()
     arc = build_arc(model, 0.0, ComplexPoint(0.0, 0.0), 1.0, SET)
-    assert abs(arc.chord) < 1e-14
-    assert abs(arc.area) < 1e-14
-    assert abs(arc.action) < 1e-14
+    assert abs(arc.chord[0]) < 1e-14
+    assert abs(arc.area[0]) < 1e-14
+    assert abs(arc.action[0]) < 1e-14
 
 
 def test_arc_conjugation_symmetry():
@@ -61,16 +61,12 @@ def test_arc_conjugation_symmetry():
                          shape="constant", quartic_lambda=0.2)
     arc = build_arc(model, 0.0, ComplexPoint(0.7, 0.6), 0.8, SET)
     # real center: point(-sigma) = conj(point(sigma))
-    n = len(arc.sigma)
-    np.testing.assert_allclose(arc.p_samples[::-1], np.conj(arc.p_samples),
-                               atol=1e-12)
-    np.testing.assert_allclose(arc.q_samples[::-1], np.conj(arc.q_samples),
-                               atol=1e-12)
+    np.testing.assert_allclose(arc.p[::-1], np.conj(arc.p), atol=1e-12)
+    np.testing.assert_allclose(arc.q[::-1], np.conj(arc.q), atol=1e-12)
     # chord midpoint real, chord purely imaginary
-    mid = arc.chord_midpoint
-    assert abs(mid.p.imag) < 1e-12 and abs(mid.q.imag) < 1e-12
-    assert abs(arc.chord.real) < 1e-12
-    assert abs(arc.area_imag) < 1e-12
+    assert abs(arc.mid_p[0].imag) < 1e-12 and abs(arc.mid_q[0].imag) < 1e-12
+    assert abs(arc.chord[0].real) < 1e-12
+    assert abs(arc.area_imag[0]) < 1e-12
 
 
 def test_arc_energy_conservation_at_default_settings():
@@ -79,7 +75,7 @@ def test_arc_energy_conservation_at_default_settings():
     z_c = ComplexPoint(1.1, -0.3)
     arc = build_arc(model, 0.0, z_c, 1.0, DEFAULT_SETTINGS)
     h_ref = model.value(0.0, z_c.p, z_c.q)
-    h_all = model.value(0.0, arc.p_samples, arc.q_samples)
+    h_all = model.value(0.0, arc.p[:, 0], arc.q[:, 0])
     drift = np.max(np.abs(h_all - h_ref))
     assert drift <= 1e-8 * (1.0 + abs(h_ref))
 
@@ -92,9 +88,9 @@ def test_arc_closed_form_area_and_action():
     z_c = ComplexPoint(1.0, 0.5)
     arc = build_arc(model, 0.0, z_c, hb, SET)
     h_c = model.value(0.0, z_c.p, z_c.q).real
-    assert arc.area == pytest.approx(h_c * (hb - np.sinh(hb)), abs=1e-10)
+    assert arc.area[0] == pytest.approx(h_c * (hb - np.sinh(hb)), abs=1e-10)
     s_exact = -1j * (0.5 * 1.0**2 - 0.5 * 0.5**2) * np.sinh(hb)
-    assert arc.action == pytest.approx(s_exact, abs=1e-10)
+    assert arc.action[0] == pytest.approx(s_exact, abs=1e-10)
 
 
 def test_area_imaginary_part_stays_at_roundoff():
@@ -105,7 +101,7 @@ def test_area_imaginary_part_stays_at_roundoff():
     for n in (16, 32, 64, 128):
         s = IntegratorSettings(n_sigma_steps=n)
         arc = build_arc(model, 0.0, z_c, 1.5, s)
-        assert abs(arc.area_imag) < 1e-14
+        assert abs(arc.area_imag[0]) < 1e-14
 
 
 def test_flow_real_identity_and_rotation():

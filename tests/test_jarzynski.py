@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scjarz import jarzynski, pseudowork
-from scjarz.dynamics import IntegratorSettings, _ArcBatch
+from scjarz.dynamics import ImaginaryArc, IntegratorSettings
 from scjarz.pseudowork import _gauss_legendre_nodes, _pseudo_work_batch
 from scjarz.stationary import _pseudo_hamiltonian_batch
 from scjarz.errors import DomainTooSmall, IntegratorDiverged
@@ -286,14 +286,14 @@ def test_non_finite_prefactor_raises_with_its_column_count(monkeypatch):
     # and says how many there are; neither can the identity report, whose
     # t_i prefactors come from the march.  A NaN stands in column 3 of
     # every prefactor batch
-    formula = _ArcBatch.prefactor.func
+    formula = ImaginaryArc.prefactor.func
 
     def fourth_nan(arcs):
         geom = formula(arcs)
         geom[3] = np.nan
         return geom
 
-    monkeypatch.setattr(_ArcBatch, "prefactor", property(fourth_nan))
+    monkeypatch.setattr(ImaginaryArc, "prefactor", property(fourth_nan))
     with pytest.raises(IntegratorDiverged,
                        match="non-finite prefactor in 1 of 4 column"):
         partition(model, 0.0, 1.0, 3.0, corners, settings,

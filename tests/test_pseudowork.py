@@ -15,8 +15,7 @@ from scjarz.pseudowork import (_WORK_NODES, _composite_map_batch,
                                _pseudo_power_batch, _pseudo_work_batch,
                                composite_map, pseudo_power, pseudo_work,
                                solve_pseudo_state)
-from scjarz.stationary import (OK, _invert_map_batch,
-                               endpoint_action_prefactor)
+from scjarz.stationary import OK, _invert_map_batch
 
 SET = IntegratorSettings(n_sigma_steps=96, n_time_steps=64)
 
@@ -29,6 +28,11 @@ def harmonic_ramp(shape="linear", omega_f=2.0, t_f=1.0):
 def quartic_ramp(lam=0.1):
     return ramped_model("quartic", omega_i=1.0, omega_f=2.0,
                         quartic_lambda=lam)
+
+
+def arc_point(arc, k):
+    """Sample k of a width-1 arc (0: sigma = -hbar*beta/2, -1: +hbar*beta/2)."""
+    return ComplexPoint(complex(arc.p[k, 0]), complex(arc.q[k, 0]))
 
 
 def classical_trajectory(model, t_eval, p0, q0):
@@ -70,7 +74,7 @@ def test_pseudo_state_junction_energy_matches():
     model = quartic_ramp()
     state = solve_pseudo_state(model, 0.0, 1.0, ComplexPoint(0.3, 0.9),
                                1.0, SET)
-    z_plus, z_minus = state.arc.z_plus, state.arc.z_minus
+    z_plus, z_minus = arc_point(state.arc, -1), arc_point(state.arc, 0)
     h_plus = model.value(1.0, z_plus.p, z_plus.q)
     h_minus = model.value(1.0, z_minus.p, z_minus.q)
     assert abs(h_plus - h_minus) < 1e-9
@@ -82,10 +86,9 @@ def test_pseudo_state_quartic_self_residual():
                                1.0, SET)
     assert state.residual < 1e-9
     # conjugate branch symmetry at the final time
-    assert state.arc.z_minus.p == pytest.approx(
-        np.conj(state.arc.z_plus.p), abs=1e-10)
-    assert state.arc.z_minus.q == pytest.approx(
-        np.conj(state.arc.z_plus.q), abs=1e-10)
+    z_plus, z_minus = arc_point(state.arc, -1), arc_point(state.arc, 0)
+    assert z_minus.p == pytest.approx(np.conj(z_plus.p), abs=1e-10)
+    assert z_minus.q == pytest.approx(np.conj(z_plus.q), abs=1e-10)
 
 
 def test_pseudo_power_constant_protocol_vanishes():
@@ -217,8 +220,9 @@ def test_frozen_backpropagation_does_not_close_the_triple():
     hb = 1.0
     state = solve_pseudo_state(model, 0.0, 0.5, ComplexPoint(0.4, 0.9),
                                hb, SET)
-    plus_branch_ti = flow_real(model, 0.5, 0.0, state.arc.z_minus, SET)
-    minus_branch_ti = flow_real(model, 0.5, 0.0, state.arc.z_plus, SET)
+    plus_branch_ti = flow_real(model, 0.5, 0.0, arc_point(state.arc, 0), SET)
+    minus_branch_ti = flow_real(model, 0.5, 0.0, arc_point(state.arc, -1),
+                                SET)
     path = flow_imaginary(model, 0.0, minus_branch_ti, 0.0, -hb, SET)
     wrapped = path.endpoint()
     gap = max(abs(wrapped.p - plus_branch_ti.p),
@@ -229,8 +233,8 @@ def test_frozen_backpropagation_does_not_close_the_triple():
                          t_f=0.5, shape="constant")
     state0 = solve_pseudo_state(const, 0.0, 0.5, ComplexPoint(0.4, 0.9),
                                 hb, SET)
-    plus0 = flow_real(const, 0.5, 0.0, state0.arc.z_minus, SET)
-    minus0 = flow_real(const, 0.5, 0.0, state0.arc.z_plus, SET)
+    plus0 = flow_real(const, 0.5, 0.0, arc_point(state0.arc, 0), SET)
+    minus0 = flow_real(const, 0.5, 0.0, arc_point(state0.arc, -1), SET)
     path0 = flow_imaginary(const, 0.0, minus0, 0.0, -hb, SET)
     closed = path0.endpoint()
     gap0 = max(abs(closed.p - plus0.p), abs(closed.q - plus0.q))
@@ -508,9 +512,10 @@ def test_pseudo_work_reports_the_failing_node():
 
 
 def test_scalar_power_and_prefactor_read_the_arc():
-    # pseudo_power and endpoint_action_prefactor take the frozen time and
-    # the span from the arc: on the march's own centers they reproduce the
-    # batch's power at every node and its t_i prefactor, bitwise
+    # pseudo_power takes the frozen time and the span from the arc, and
+    # build_arc integrates the plus half and its monodromy afresh: on the
+    # march's own centers they reproduce the batch's power at every node
+    # and its t_i prefactor (from the solve's M_+), bitwise
     model = quartic_ramp()
     out = _pseudo_work_batch(model, 0.0, 1.0, np.array([0.3]), np.array([0.9]),
                              0.8, MARCH_SET)
@@ -521,8 +526,7 @@ def test_scalar_power_and_prefactor_read_the_arc():
         assert arc.t == tj and arc.hbar_beta == 0.8
         assert pseudo_power(model, arc, MARCH_SET) == out["power"][j, 0], j
         if j == 0:
-            assert (endpoint_action_prefactor(model, arc, MARCH_SET)
-                    == out["prefactor_initial"][0])
+            assert arc.prefactor[0] == out["prefactor_initial"][0]
 
 
 @pytest.mark.parametrize("t0, h", [(0.0, 1.0 / 64), (0.3, 0.7 / 9)])

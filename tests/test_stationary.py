@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scjarz.dynamics import DEFAULT_SETTINGS, IntegratorSettings, build_arc
+from scjarz.dynamics import (DEFAULT_SETTINGS, ImaginaryArc,
+                             IntegratorSettings, build_arc)
 from scjarz.errors import NewtonDiverged, ToleranceExceeded
 from scjarz.models import ComplexPoint, harmonic_model, ramped_model
 from scjarz.pseudowork import composite_map, solve_pseudo_state
 from scjarz.stationary import (CAUSTIC, DIVERGED, OK, _invert_map_batch,
                                _newton_stage, _pseudo_hamiltonian_batch,
-                               endpoint_action_prefactor, pseudo_hamiltonian)
+                               pseudo_hamiltonian)
 
 SET = IntegratorSettings(n_sigma_steps=128)
 
@@ -58,9 +59,8 @@ def test_invert_midpoint_harmonic_closed_form():
     assert solve.jacobian_det == pytest.approx(c * c, rel=1e-6)
     assert solve.residual <= SET.newton_tol
     # chord midpoint reproduces the target
-    mid = solve.arc.chord_midpoint
-    assert mid.p.real == pytest.approx(0.9, abs=1e-10)
-    assert mid.q.real == pytest.approx(-1.1, abs=1e-10)
+    assert solve.arc.mid_p[0].real == pytest.approx(0.9, abs=1e-10)
+    assert solve.arc.mid_q[0].real == pytest.approx(-1.1, abs=1e-10)
 
 
 def test_invert_midpoint_small_span_returns_target():
@@ -73,10 +73,10 @@ def test_invert_midpoint_small_span_returns_target():
 def test_invert_midpoint_quartic_residual():
     solve = solve_pseudo_state(quartic(0.1), 0.0, 0.0,
                                ComplexPoint(0.3, 0.7), 0.5, SET)
-    mid = solve.arc.chord_midpoint
-    assert abs(mid.p.real - 0.3) < 1e-9
-    assert abs(mid.q.real - 0.7) < 1e-9
-    assert abs(mid.p.imag) < 1e-9 and abs(mid.q.imag) < 1e-9
+    mid_p, mid_q = solve.arc.mid_p[0], solve.arc.mid_q[0]
+    assert abs(mid_p.real - 0.3) < 1e-9
+    assert abs(mid_q.real - 0.7) < 1e-9
+    assert abs(mid_p.imag) < 1e-9 and abs(mid_q.imag) < 1e-9
 
 
 def test_invert_midpoint_warm_start_converges_faster():
@@ -97,7 +97,6 @@ def test_pseudo_hamiltonian_harmonic_value():
     assert val.G == pytest.approx(2.0 * np.tanh(0.5), abs=1e-10)
     assert val.G_from_total_action == pytest.approx(val.G, abs=1e-10)
     assert val.imag_residual < 1e-12
-    assert val.prefactor is None
 
 
 def test_pseudo_hamiltonian_at_origin_vanishes():
@@ -157,10 +156,9 @@ def test_prefactor_matches_harmonic_closed_form():
     model = harmonic_model()
     for (p, q) in [(0.0, 0.0), (1.0, 0.5), (-0.7, 1.2), (2.0, -1.0),
                    (0.3, 0.3)]:
-        val = pseudo_hamiltonian(model, 0.0, ComplexPoint(p, q), 1.0, SET,
-                                 with_prefactor=True)
+        val = pseudo_hamiltonian(model, 0.0, ComplexPoint(p, q), 1.0, SET)
         n_exact = 1.0 / (2 * np.pi * hbar * np.cosh(0.5))
-        n_got = val.prefactor / (2 * np.pi * hbar)
+        n_got = val.arc.prefactor[0] / (2 * np.pi * hbar)
         assert abs(n_got - n_exact) < 1e-4 * n_exact
 
 
@@ -175,8 +173,8 @@ def test_prefactor_quartic_regression():
                               ((1.5, -0.5), 0.9626215668527276),
                               ((-2.0, 2.5), 0.8026335171126815)):
         val = pseudo_hamiltonian(model, 0.0, ComplexPoint(p, q), 0.5,
-                                 settings, with_prefactor=True)
-        assert val.prefactor == pytest.approx(reference, rel=1e-6)
+                                 settings)
+        assert val.arc.prefactor[0] == pytest.approx(reference, rel=1e-6)
 
 
 def test_continuation_trace_is_monotone():
@@ -269,26 +267,43 @@ def test_pseudo_hamiltonian_classical_limit_is_second_order(points):
             assert np.all(orders >= 1.9), (model.kind, k, orders)
 
 
-def test_endpoint_action_prefactor_rejects_foreign_span():
-    model = harmonic_model()
-    val = pseudo_hamiltonian(model, 0.0, ComplexPoint(0.4, -0.3), 1.0, SET,
-                             with_prefactor=True)
-    geom = endpoint_action_prefactor(model, val.arc, SET)
-    assert geom == val.prefactor
-
-
-def test_endpoint_action_prefactor_uses_the_arcs_own_step_count():
-    # an arc solved at 8 sigma steps (17 samples); re-integrated at the
-    # 256 steps of foreign settings it would give 0.26580223, the number
-    # of another arc, instead of its own 0.26581929
+def test_prefactor_is_the_arcs_own_at_its_step_count():
+    # an arc solved at 8 sigma steps (17 samples) carries the prefactor of
+    # its own 8-step monodromy, 0.26581929 (256 steps would give
+    # 0.26580223), bitwise the one build_arc integrates afresh
     model = harmonic_model(omega=2.0)
     coarse = IntegratorSettings(n_sigma_steps=8)
-    val = pseudo_hamiltonian(model, 0.0, ComplexPoint(0.4, -0.3), 2.0,
-                             coarse, with_prefactor=True)
+    val = pseudo_hamiltonian(model, 0.0, ComplexPoint(0.4, -0.3), 2.0, coarse)
     assert val.arc.sigma.size == 17
-    assert val.prefactor == pytest.approx(0.26581929, abs=1e-8)
-    foreign = IntegratorSettings(n_sigma_steps=256)
-    assert endpoint_action_prefactor(model, val.arc, foreign) == val.prefactor
+    assert val.arc.prefactor[0] == pytest.approx(0.26581929, abs=1e-8)
+    fresh = build_arc(model, 0.0, val.z_c, 2.0, coarse)
+    assert fresh.prefactor.tobytes() == val.arc.prefactor.tobytes()
+
+
+@pytest.mark.parametrize("t_f", [0.0, 0.4])
+def test_scalar_views_hand_over_the_solves_own_arc(t_f):
+    # pseudo_hamiltonian and solve_pseudo_state return the width-1 arc of
+    # their solve, not a copy or a rebuild: its samples, sums and the
+    # prefactor from the solve's M_+ are bitwise the batch functions'
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    settings = IntegratorSettings(n_sigma_steps=16, n_time_steps=16)
+    target = ComplexPoint(0.8, -1.3)
+    tp, tq = np.array([0.8]), np.array([-1.3])
+    views = [solve_pseudo_state(model, 0.0, t_f, target, 1.5, settings).arc]
+    batches = [_invert_map_batch(model, 0.0, t_f, tp, tq, 1.5,
+                                 settings).arcs]
+    if t_f == 0.0:
+        views.append(pseudo_hamiltonian(model, 0.0, target, 1.5,
+                                        settings).arc)
+        batches.append(_pseudo_hamiltonian_batch(model, 0.0, tp, tq, 1.5,
+                                                 settings)[0].arcs)
+    for view, batch in zip(views, batches):
+        assert isinstance(view, ImaginaryArc) and view.p.shape == (33, 1)
+        assert view.t == t_f and view.hbar_beta == 1.5
+        for name in ("p", "q", "action", "area", "prefactor"):
+            assert (getattr(view, name).tobytes()
+                    == getattr(batch, name).tobytes()), name
 
 
 def test_beyond_image_target_diverges():
@@ -337,12 +352,11 @@ def test_arcs_from_the_solve_match_a_fresh_integration(t_f, half_width, n_grid,
     for k, i in enumerate(np.flatnonzero(ok)):
         ref = build_arc(model, t_f, ComplexPoint(solve.zc_p[i], solve.zc_q[i]),
                         hbar_beta, settings)
-        got = arcs.single(k)
-        assert got.p_samples.tobytes() == ref.p_samples.tobytes(), i
-        assert got.q_samples.tobytes() == ref.q_samples.tobytes(), i
-        assert got.action == ref.action and got.area == ref.area, i
-        assert (arcs.prefactor[k]
-                == endpoint_action_prefactor(model, got, settings)), i
+        assert arcs.p[:, k].tobytes() == ref.p[:, 0].tobytes(), i
+        assert arcs.q[:, k].tobytes() == ref.q[:, 0].tobytes(), i
+        assert arcs.action[k] == ref.action[0], i
+        assert arcs.area[k] == ref.area[0], i
+        assert arcs.prefactor[k] == ref.prefactor[0], i
 
 
 @pytest.mark.parametrize("model, half_width, n_grid, hbar_beta", [
@@ -389,12 +403,11 @@ def test_halving_check_covers_the_arc_monodromy():
     origin = ComplexPoint(0.0, 0.0)
     coarse = IntegratorSettings(n_sigma_steps=8, richardson_check=True)
     with pytest.raises(ToleranceExceeded, match="arc monodromy halving gap"):
-        pseudo_hamiltonian(model, 0.0, origin, 2.0, coarse,
-                           with_prefactor=True)
+        pseudo_hamiltonian(model, 0.0, origin, 2.0, coarse)
     fine = IntegratorSettings(n_sigma_steps=256, richardson_check=True)
-    value = pseudo_hamiltonian(model, 0.0, origin, 2.0, fine,
-                               with_prefactor=True)
-    assert value.prefactor == pytest.approx(1.0 / np.cosh(2.0), rel=1e-9)
+    value = pseudo_hamiltonian(model, 0.0, origin, 2.0, fine)
+    assert value.arc.prefactor[0] == pytest.approx(1.0 / np.cosh(2.0),
+                                                   rel=1e-9)
 
 
 _WIDTH_CASES = {
