@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .dynamics import DEFAULT_SETTINGS, IntegratorSettings
+from .dynamics import DEFAULT_SETTINGS, IntegratorSettings, weighted_sum
 from .errors import DomainTooSmall, NewtonDiverged
 from .models import HamiltonianModel
 from .pseudowork import (_gauss_legendre_nodes, _last_solved_node,
@@ -188,44 +188,41 @@ def propagated_partition(model: HamiltonianModel, t_i: float, t_f: float,
     return float(np.sum(W * np.exp(-beta * out["g_propagated"])))
 
 
-def _monte_carlo_lhs(model, t_i, t_f, beta, hbar, domain, settings,
+def _monte_carlo_lhs(model, t_i, t_f, beta, hbar, P, Q, weight, settings,
                      n_samples: int, seed: int) -> dict:
-    """Rejection-sample the initial thermal weight, then average exp(-bW)."""
-    hbar_beta = beta * hbar
-    rng = np.random.default_rng(seed)
-    # peak estimate for the acceptance bound from a coarse grid scan
-    coarse = QuadratureDomain(domain.p_max, domain.q_max, 17, 17, "trapezoid")
-    cp, cq, _ = coarse.nodes()
-    _, g_coarse, _, _ = _pseudo_hamiltonian_batch(
-        model, t_i, cp, cq, hbar_beta, settings)
-    g_min = float(np.nanmin(g_coarse))
-    bound = np.exp(-beta * g_min) * 1.05
-    accepted_p, accepted_q = [], []
-    proposals = 0
-    while sum(len(a) for a in accepted_p) < n_samples and proposals < 400 * n_samples:
-        m = max(4 * n_samples, 256)
-        pp = rng.uniform(-domain.p_max, domain.p_max, m)
-        qq = rng.uniform(-domain.q_max, domain.q_max, m)
-        uu = rng.uniform(0.0, 1.0, m)
-        proposals += m
-        solve, g, _, _ = _pseudo_hamiltonian_batch(
-            model, t_i, pp, qq, hbar_beta, settings)
-        okm = (solve.status == OK) & (uu * bound < np.exp(-beta * g))
-        accepted_p.append(pp[okm])
-        accepted_q.append(qq[okm])
-    P = np.concatenate(accepted_p)[:n_samples]
-    Q = np.concatenate(accepted_q)[:n_samples]
-    out = _pseudo_work_batch(model, t_i, t_f, P, Q, hbar_beta, settings,
+    """Self-normalized importance sampling of <exp(-beta W)> (Owen, Monte
+    Carlo theory, methods and examples, 2013, ch. 9), one march per sample.
+
+    The proposal q is the Gaussian with the mean and covariance of the
+    quadrature's t_i weight ``weight`` at its nodes ``P``, ``Q``.  Sample k
+    weighs exp(-beta G_initial) / q(z_k), G_initial from the march's t_i
+    node; failed samples are counted and left out of the sums.
+    """
+    wn = weight / np.sum(weight)
+    mp, mq = weighted_sum(wn, np.stack([P, Q], axis=1))
+    dp, dq = P - mp, Q - mq
+    cpp, cpq, cqq = weighted_sum(wn, np.stack([dp * dp, dp * dq, dq * dq], 1))
+    # explicit Cholesky factor [[a, 0], [b, c]] of the covariance
+    a, b = np.sqrt(cpp), cpq / np.sqrt(cpp)
+    c = np.sqrt(cqq - b * b)
+    x = np.random.default_rng(seed).standard_normal((2, n_samples))
+    out = _pseudo_work_batch(model, t_i, t_f, mp + a * x[0],
+                             mq + b * x[0] + c * x[1], beta * hbar, settings,
                              nodes=_gauss_legendre_nodes(t_i, t_f))
     ok = out["status"] == OK
-    lhs = float(np.mean(np.exp(-beta * out["W"][ok])))
-    return {
-        "lhs": lhs,
-        "samples": int(np.sum(ok)),
-        "requested_samples": int(n_samples),
-        "seed": int(seed),
-        "acceptance_rate": float(P.size / max(proposals, 1)),
-    }
+    if not np.any(ok):
+        raise NewtonDiverged(f"all {n_samples} Monte Carlo samples failed")
+    # log w up to the constant log(2 pi a c) of q, which cancels
+    log_w = (-beta * out["g_initial"] + 0.5 * (x[0] ** 2 + x[1] ** 2))[ok]
+    w = np.exp(log_w - np.max(log_w))
+    w /= np.sum(w)
+    f = np.exp(-beta * out["W"][ok])
+    lhs = float(np.sum(w * f))
+    return {"lhs": lhs,
+            "std_error": float(np.sqrt(np.sum(w * w * (f - lhs) ** 2))),
+            "ess": float(1.0 / np.sum(w * w)),
+            "samples": int(w.size), "failed": int(n_samples - w.size),
+            "requested_samples": int(n_samples), "seed": int(seed)}
 
 
 def _march_diagnostics(out: dict, ok: np.ndarray) -> dict:
@@ -263,9 +260,8 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
     """
     t_i, t_f = model.protocol.t_i, model.protocol.t_f
     _check_domain(model, t_i, beta, hbar, domain, settings)
-    hbar_beta = beta * hbar
     P, Q, W = domain.nodes()
-    out = _pseudo_work_batch(model, t_i, t_f, P, Q, hbar_beta, settings,
+    out = _pseudo_work_batch(model, t_i, t_f, P, Q, beta * hbar, settings,
                              nodes=_gauss_legendre_nodes(t_i, t_f))
     failures = _collect_failures(P, Q, out["status"],
                                  out["times"][_last_solved_node(out)])
@@ -307,5 +303,6 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
         }
     if monte_carlo:
         report.monte_carlo = _monte_carlo_lhs(
-            model, t_i, t_f, beta, hbar, domain, settings, mc_samples, seed)
+            model, t_i, t_f, beta, hbar, P[ok], Q[ok],
+            w_quad * np.exp(-beta * g_i), settings, mc_samples, seed)
     return report

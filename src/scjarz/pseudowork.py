@@ -93,8 +93,9 @@ def solve_pseudo_state(model: HamiltonianModel, t_i: float, t_f: float,
 
     At t_f == t_i this is the static chord-midpoint solve: the returned
     ``z_c`` is the real center whose frozen-t_i arc has its chord midpoint
-    at the target.  Raises ValueError for a non-real target,
-    CausticEncountered or NewtonDiverged if the solve fails.
+    at the target.  A warm-started solve climbs no continuation ladder.
+    Raises ValueError for a non-real target, CausticEncountered or
+    NewtonDiverged if the solve fails.
     """
     if target.p.imag != 0.0 or target.q.imag != 0.0:
         raise ValueError("midpoint inversion expects a real target point")
@@ -133,16 +134,16 @@ def pseudo_power(model: HamiltonianModel, arc: ImaginaryArc,
     """Explicit-power average over one frozen-time arc (a width-1 batch).
 
     The drive is taken at the arc's frozen time ``arc.t`` and the average
-    over its span ``arc.hbar_beta``.  Raises ToleranceExceeded if the
-    average's imaginary part exceeds ``settings.tolerance`` times
-    1 + |power|.
+    over its span ``arc.hbar_beta``.  Raises ValueError for a batch of
+    more than one arc, ToleranceExceeded if the average's imaginary part
+    exceeds ``settings.tolerance`` times 1 + |power|.
     """
-    power, imag = _pseudo_power_batch(model, arc)
-    scale = 1.0 + abs(float(power[0]))
-    if float(imag[0]) > settings.tolerance * scale:
-        raise ToleranceExceeded(
-            f"pseudo-power imaginary residue {float(imag[0]):.3e}")
-    return float(power[0])
+    if arc.p.shape[1] != 1:
+        raise ValueError(f"pseudo_power takes one arc, got {arc.p.shape[1]}")
+    (power,), (imag,) = _pseudo_power_batch(model, arc)
+    if imag > settings.tolerance * (1.0 + abs(power)):
+        raise ToleranceExceeded(f"pseudo-power imaginary residue {imag:.3e}")
+    return float(power)
 
 
 # The warm start of time node j extrapolates the converged centers at up to

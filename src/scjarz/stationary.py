@@ -222,10 +222,12 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
                       warm_p=None, warm_q=None) -> SolveBatch:
     """Invert the composite map at (t_i, t_f) for a batch of real targets.
 
-    One damped Newton stage from the warm start (the targets by default);
-    the points it leaves DIVERGED are re-solved along a ladder that starts
-    at the span hbar_beta / 2**continuation_stages and doubles it up to
-    hbar_beta, each rung warm-started from the last.  The static midpoint
+    One damped Newton stage from the warm start (the targets by default).
+    In a cold solve the points it leaves DIVERGED are re-solved along a
+    ladder of spans hbar_beta / 2**continuation_stages, doubled up to
+    hbar_beta, each rung warm-started from the last.  A warm-started
+    solve's DIVERGED column is final: a ladder from the targets can jump
+    to another branch than the warm start's.  The static midpoint
     solve is the case t_f == t_i.  ``stage_residuals`` records the ladder's
     largest residual per rung.  The OK columns' arcs are assembled once,
     from the full-span half-flows (the first stage's, and for re-solved
@@ -243,7 +245,7 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
         tp, tq, gp, gq, settings)
 
     idx = np.flatnonzero(status == DIVERGED)
-    if idx.size and settings.continuation_stages > 0:
+    if idx.size and warm_p is None and settings.continuation_stages > 0:
         sp, sq = tp[idx].copy(), tq[idx].copy()
         for k in range(settings.continuation_stages, -1, -1):
             stage_map = partial(_composite_map_batch, model, t_i, t_f,

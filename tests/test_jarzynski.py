@@ -189,6 +189,62 @@ def test_monte_carlo_mode_is_seeded_and_consistent():
     assert rep1.monte_carlo["samples"] == 400
     # a few-hundred-sample average lands within several percent
     assert rep1.monte_carlo["lhs"] == pytest.approx(rep1.rhs, rel=0.1)
+    assert_monte_carlo_agrees(rep1, 400)
+
+
+MC_KEYS = {"lhs", "std_error", "ess", "samples", "failed",
+           "requested_samples", "seed"}
+
+
+def assert_monte_carlo_agrees(report, n_samples):
+    # the importance-sampling estimate lies within 3 standard errors of the
+    # quadrature lhs, with every sample marched and weighed
+    mc = report.monte_carlo
+    assert set(mc) == MC_KEYS
+    assert abs(mc["lhs"] - report.lhs) <= 3.0 * mc["std_error"]
+    assert 0.0 < mc["ess"] <= n_samples
+    assert mc["failed"] == 0 and mc["samples"] == n_samples
+    assert mc["requested_samples"] == n_samples
+
+
+def test_monte_carlo_mode_quartic():
+    # the proposal is fitted to the quartic t_i weight, which is not
+    # Gaussian, so the sample weights vary and ess < samples
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    dom = QuadratureDomain(p_max=7.5, q_max=4.5, n_p=24, n_q=24)
+    settings = IntegratorSettings(n_sigma_steps=32, n_time_steps=16)
+    rep = verify_identity(model, 1.0, 0.5, dom, settings, monte_carlo=True,
+                          mc_samples=300, seed=0)
+    assert_monte_carlo_agrees(rep, 300)
+    assert rep.monte_carlo["ess"] < 300
+    assert rep.monte_carlo["lhs"] == pytest.approx(rep.rhs, rel=0.1)
+
+
+def test_monte_carlo_marches_each_sample_once(monkeypatch):
+    # beyond the quadrature march, --mc runs one march over the samples
+    # and no other solve
+    marches, statics = [], []
+    original_march = jarzynski._pseudo_work_batch
+    original_static = jarzynski._pseudo_hamiltonian_batch
+
+    def march(model, t_i, t_f, tp, *args, **kwargs):
+        marches.append(tp.size)
+        return original_march(model, t_i, t_f, tp, *args, **kwargs)
+
+    def static(model, t, tp, *args, **kwargs):
+        statics.append(tp.size)
+        return original_static(model, t, tp, *args, **kwargs)
+
+    monkeypatch.setattr(jarzynski, "_pseudo_work_batch", march)
+    monkeypatch.setattr(jarzynski, "_pseudo_hamiltonian_batch", static)
+    model = ramped_model("harmonic", omega_i=1.0, omega_f=2.0)
+    dom = QuadratureDomain(p_max=10.5, q_max=10.5, n_p=6, n_q=6)
+    verify_identity(model, 1.0, 1.0, dom,
+                    IntegratorSettings(n_sigma_steps=32, n_time_steps=8),
+                    monte_carlo=True, mc_samples=50, seed=3)
+    assert marches == [36, 50]
+    assert statics == [9]
 
 
 def test_prefactor_report_exposes_correction():

@@ -15,7 +15,7 @@ from scjarz.pseudowork import (_WORK_NODES, _composite_map_batch,
                                _pseudo_power_batch, _pseudo_work_batch,
                                composite_map, pseudo_power, pseudo_work,
                                solve_pseudo_state)
-from scjarz.stationary import OK, _invert_map_batch
+from scjarz.stationary import DIVERGED, OK, _invert_map_batch
 
 SET = IntegratorSettings(n_sigma_steps=96, n_time_steps=64)
 
@@ -500,15 +500,66 @@ def test_pseudo_work_reports_the_failing_node():
     # real residual and |det| there; later nodes record no solve
     model = quartic_ramp()
     with pytest.raises(NewtonDiverged,
-                       match=r"at t=0\.75 \(residual 2\.830e-01, \|det\|="):
+                       match=r"at t=0\.75 \(residual 4\.042e-01, \|det\|="):
         pseudo_work(model, 0.0, 1.0, ComplexPoint(*FAILS_MID_MARCH), 1.0,
                     MARCH_SET)
     out = _pseudo_work_batch(model, 0.0, 1.0, np.array([FAILS_MID_MARCH[0]]),
                              np.array([FAILS_MID_MARCH[1]]), 1.0, MARCH_SET)
     assert out["times"][6] == 0.75
-    assert out["residual"][6, 0] == pytest.approx(0.283, abs=1e-3)
+    assert out["residual"][6, 0] == pytest.approx(0.404, abs=1e-3)
     assert np.all(np.isfinite(out["det"][:7, 0]))
     assert np.all(np.isnan(out["det"][7:, 0]))
+
+
+# a start whose cold t_i solve the direct Newton stage leaves DIVERGED
+NEEDS_THE_LADDER_AT_T_I = (-4.5, 5.5)
+
+
+def test_only_the_cold_t_i_solve_climbs_the_ladder(monkeypatch):
+    # node 0 is solved from the targets, and the ladder re-solves the start
+    # its direct stage loses; every later node is warm-started, so a column
+    # its direct stage leaves DIVERGED (FAILS_MID_MARCH at t = 0.75) is
+    # final there and no rung is climbed
+    solves = []
+    original = pseudowork._invert_map_batch
+
+    def recorded(*args, warm_p=None, **kwargs):
+        solve = original(*args, warm_p=warm_p, **kwargs)
+        solves.append((warm_p is None, solve))
+        return solve
+
+    monkeypatch.setattr(pseudowork, "_invert_map_batch", recorded)
+    starts = (NEEDS_THE_LADDER_AT_T_I, FAILS_MID_MARCH)
+    out = _pseudo_work_batch(quartic_ramp(), 0.0, 1.0,
+                             np.array([s[0] for s in starts]),
+                             np.array([s[1] for s in starts]), 1.0, MARCH_SET)
+    cold, first = solves[0]
+    assert cold and np.all(first.status == OK)
+    assert len(first.stage_residuals) == MARCH_SET.continuation_stages + 1
+    assert len(solves) == out["times"].size
+    for warm, solve in solves[1:]:
+        assert not warm and solve.stage_residuals == []
+    assert out["times"][6] == 0.75
+    assert solves[6][1].status.tolist() == [OK, DIVERGED]
+    assert out["status"].tolist() == [OK, DIVERGED]
+
+
+def test_pseudo_power_refuses_a_batch_of_arcs():
+    # three columns of one solve hold three different powers; the scalar
+    # view takes only a width-1 arc, and each column's own width-1 solve
+    # gives that column's power
+    model = harmonic_ramp(t_f=0.5)
+    tp, tq = np.array([0.0, 1.0, 2.5]), np.array([1.0, -1.5, 2.0])
+    solve = _invert_map_batch(model, 0.0, 0.5, tp, tq, 1.0, MARCH_SET)
+    assert np.all(solve.status == OK)
+    with pytest.raises(ValueError, match="one arc, got 3"):
+        pseudo_power(model, solve.arcs, MARCH_SET)
+    power, _ = _pseudo_power_batch(model, solve.arcs)
+    assert np.unique(power).size == 3
+    for k in range(3):
+        one = solve_pseudo_state(model, 0.0, 0.5, ComplexPoint(tp[k], tq[k]),
+                                 1.0, MARCH_SET)
+        assert pseudo_power(model, one.arc, MARCH_SET) == power[k]
 
 
 def test_scalar_power_and_prefactor_read_the_arc():
