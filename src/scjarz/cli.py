@@ -196,6 +196,18 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
+def _int_at_least(lower: int):
+    """argparse type: an integer >= ``lower``, the bound of the matching
+    ``run`` config key, so a value out of range is a usage error."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lower:
+            raise argparse.ArgumentTypeError(f"must be >= {lower}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scjarz",
@@ -221,9 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="also report prefactor-corrected partitions")
             cmd.add_argument("--mc", action="store_true",
                              help="add a seeded Monte Carlo estimate")
-            cmd.add_argument("--samples", type=int, default=None,
-                             help="Monte Carlo sample count")
-            cmd.add_argument("--seed", type=int, default=None,
+            cmd.add_argument("--samples", type=_int_at_least(1),
+                             default=None, help="Monte Carlo sample count")
+            cmd.add_argument("--seed", type=_int_at_least(0), default=None,
                              help="Monte Carlo seed")
     return parser
 

@@ -196,7 +196,8 @@ def _monte_carlo_lhs(model, t_i, t_f, beta, hbar, P, Q, weight, settings,
     The proposal q is the Gaussian with the mean and covariance of the
     quadrature's t_i weight ``weight`` at its nodes ``P``, ``Q``.  Sample k
     weighs exp(-beta G_initial) / q(z_k), G_initial from the march's t_i
-    node; failed samples are counted and left out of the sums.
+    node; failed samples are counted and left out of the sums.  The
+    sample march's solver counts are reported as ``diagnostics``.
     """
     wn = weight / np.sum(weight)
     mp, mq = weighted_sum(wn, np.stack([P, Q], axis=1))
@@ -222,7 +223,8 @@ def _monte_carlo_lhs(model, t_i, t_f, beta, hbar, P, Q, weight, settings,
             "std_error": float(np.sqrt(np.sum(w * w * (f - lhs) ** 2))),
             "ess": float(1.0 / np.sum(w * w)),
             "samples": int(w.size), "failed": int(n_samples - w.size),
-            "requested_samples": int(n_samples), "seed": int(seed)}
+            "requested_samples": int(n_samples), "seed": int(seed),
+            "diagnostics": _march_diagnostics(out, ok)}
 
 
 def _march_diagnostics(out: dict, ok: np.ndarray) -> dict:

@@ -94,6 +94,8 @@ def solve_pseudo_state(model: HamiltonianModel, t_i: float, t_f: float,
     At t_f == t_i this is the static chord-midpoint solve: the returned
     ``z_c`` is the real center whose frozen-t_i arc has its chord midpoint
     at the target.  A warm-started solve climbs no continuation ladder.
+    A linear flow (quartic_lambda == 0) ignores ``warm_start``: it starts
+    at the exact solution J^-1 target of its linear map.
     Raises ValueError for a non-real target, CausticEncountered or
     NewtonDiverged if the solve fails.
     """

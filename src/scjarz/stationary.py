@@ -118,6 +118,11 @@ _CAUSTIC_FLOOR = 1e-10
 _DAMPING_FLOOR = 2.0 ** -10
 
 
+def _jac_det(j):
+    """Determinant of a (2, 2, ...) stack of Jacobians."""
+    return j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+
+
 def _newton_stage(map_fn, tp, tq, gp, gq, settings):
     """Damped Newton on F(z) = map(z) - target for one batch.
 
@@ -149,15 +154,12 @@ def _newton_stage(map_fn, tp, tq, gp, gq, settings):
     active = ~converged
     status[converged] = OK
 
-    def jac_det(j):
-        return j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-
     for it in range(settings.newton_max_iter):
         if not np.any(active):
             break
         idx = np.flatnonzero(active)
         with _quiet():
-            det = jac_det(jac[:, :, idx])
+            det = _jac_det(jac[:, :, idx])
         caustic = np.abs(det) < _CAUSTIC_FLOOR
         if np.any(caustic):
             c_idx = idx[caustic]
@@ -212,7 +214,7 @@ def _newton_stage(map_fn, tp, tq, gp, gq, settings):
         status[newly_done] = OK
         active &= ~newly_done
     with _quiet():
-        det_out = jac_det(jac)
+        det_out = _jac_det(jac)
     # the verdict also covers points that converged without a step
     status[np.abs(det_out) < _CAUSTIC_FLOOR] = CAUSTIC
     return gp, gq, det_out, iters, resid, status, half
@@ -223,6 +225,11 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     """Invert the composite map at (t_i, t_f) for a batch of real targets.
 
     One damped Newton stage from the warm start (the targets by default).
+    A linear flow (quartic_lambda == 0) ignores the warm start: its map is
+    J z with one J for every center, so each column starts at the exact
+    solution J^-1 target, J from one width-1 map evaluation at the origin
+    (bitwise every column's J, so the start does not depend on the batch
+    width), and Newton converges at its first evaluation.
     In a cold solve the points it leaves DIVERGED are re-solved along a
     ladder of spans hbar_beta / 2**continuation_stages, doubled up to
     hbar_beta, each rung warm-started from the last.  A warm-started
@@ -236,8 +243,18 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     """
     tp = np.asarray(tp, dtype=float)
     tq = np.asarray(tq, dtype=float)
-    gp = tp.copy() if warm_p is None else np.asarray(warm_p, dtype=float).copy()
-    gq = tq.copy() if warm_q is None else np.asarray(warm_q, dtype=float).copy()
+    if model.quartic_lambda == 0.0:
+        zero = np.zeros(1)
+        jac = _composite_map_batch(model, t_i, t_f, zero, zero, hbar_beta,
+                                   settings)[2][..., 0]
+        (j00, j01), (j10, j11) = jac
+        det = _jac_det(jac)
+        with _quiet():
+            gp = (j11 * tp - j01 * tq) / det
+            gq = (j00 * tq - j10 * tp) / det
+    else:
+        gp = tp if warm_p is None else np.asarray(warm_p, dtype=float)
+        gq = tq if warm_q is None else np.asarray(warm_q, dtype=float)
     stage_residuals: list = []
     gp, gq, det, iters, resid, status, half = _newton_stage(
         partial(_composite_map_batch, model, t_i, t_f, hbar_beta=hbar_beta,

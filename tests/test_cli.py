@@ -289,6 +289,9 @@ def test_jarzynski_command_report(config_path, tmp_path):
     assert rep["failures"] == []
     assert rep["residual"] < 1e-6
     assert rep["prefactor_on"] is None and rep["monte_carlo"] is None
+    # a linear flow starts every node solve at its exact solution
+    assert rep["diagnostics"]["node_solves"] == 18 * 576
+    assert rep["diagnostics"]["newton_iters"] == 0
 
 
 QUARTIC_RAMP_CONFIG = """
@@ -306,6 +309,10 @@ numerics:
 """
 
 
+DIAGNOSTICS_KEYS = {"work_nodes", "node_solves", "newton_iters",
+                    "max_g_imag", "max_chord_gap"}
+
+
 def test_jarzynski_diagnostics_block(tmp_path):
     # solver counts of the work march: one solve per (node, time node),
     # no timings, so the block is byte-identical across reruns
@@ -318,8 +325,7 @@ def test_jarzynski_diagnostics_block(tmp_path):
     b1 = (out1 / "jarzynski.json").read_bytes()
     assert b1 == (out2 / "jarzynski.json").read_bytes()
     diag = json.loads(b1)["diagnostics"]
-    assert set(diag) == {"work_nodes", "node_solves", "newton_iters",
-                         "max_g_imag", "max_chord_gap"}
+    assert set(diag) == DIAGNOSTICS_KEYS
     assert diag["work_nodes"] == 18
     assert diag["node_solves"] == 18 * 144
     assert diag["newton_iters"] == 6162
@@ -347,6 +353,26 @@ def test_jarzynski_monte_carlo_deterministic(config_path, tmp_path):
     rep = json.loads(b1)
     assert rep["monte_carlo"]["samples"] == 64
     assert rep["monte_carlo"]["seed"] == 7
+    # the sample march reports its own counts; harmonic solves take no
+    # Newton step
+    diag = rep["monte_carlo"]["diagnostics"]
+    assert set(diag) == DIAGNOSTICS_KEYS
+    assert diag["node_solves"] == 18 * 64
+    assert diag["newton_iters"] == 0
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"),
+                                         ("--samples", "0")])
+def test_jarzynski_monte_carlo_bounds_are_usage_errors(config_path, tmp_path,
+                                                       capsys, flag, value):
+    # the flags carry the bounds of run.seed (>= 0) and run.mc_samples (>= 1)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["jarzynski", "--config", str(config_path), "--out", str(out),
+              "--mc", flag, value])
+    assert exc.value.code == scjarz.cli.EXIT_CONFIG
+    assert f"argument {flag}: must be >= " in capsys.readouterr().err
+    assert not (out / "jarzynski.json").exists()
 
 
 def test_oracle_command_harmonic(config_path, tmp_path):

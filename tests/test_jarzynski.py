@@ -190,10 +190,11 @@ def test_monte_carlo_mode_is_seeded_and_consistent():
     # a few-hundred-sample average lands within several percent
     assert rep1.monte_carlo["lhs"] == pytest.approx(rep1.rhs, rel=0.1)
     assert_monte_carlo_agrees(rep1, 400)
+    assert rep1.monte_carlo["diagnostics"]["newton_iters"] == 0
 
 
 MC_KEYS = {"lhs", "std_error", "ess", "samples", "failed",
-           "requested_samples", "seed"}
+           "requested_samples", "seed", "diagnostics"}
 
 
 def assert_monte_carlo_agrees(report, n_samples):
@@ -205,6 +206,12 @@ def assert_monte_carlo_agrees(report, n_samples):
     assert 0.0 < mc["ess"] <= n_samples
     assert mc["failed"] == 0 and mc["samples"] == n_samples
     assert mc["requested_samples"] == n_samples
+    # the sample march's own counts: one solve per (sample, time node)
+    assert set(mc["diagnostics"]) == {"work_nodes", "node_solves",
+                                      "newton_iters", "max_g_imag",
+                                      "max_chord_gap"}
+    assert mc["diagnostics"]["work_nodes"] == 18
+    assert mc["diagnostics"]["node_solves"] == 18 * n_samples
 
 
 def test_monte_carlo_mode_quartic():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import simpson, solve_ivp
 
-from scjarz import pseudowork
+from scjarz import pseudowork, stationary
 from scjarz.dynamics import (IntegratorSettings, _build_arc_batch,
                              _flow_real_batch, _real_step_count, build_arc,
                              flow_imaginary, flow_real)
@@ -309,6 +309,54 @@ def test_composite_inversion_is_batch_width_invariant(kind, targets):
             assert a == b or (np.isnan(a) and np.isnan(b)), (name, i)
 
 
+@pytest.mark.parametrize("t_f", [0.0, 0.6])
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.floats(-4.5, 4.5), st.floats(-4.5, 4.5)),
+                min_size=1, max_size=12),
+       st.floats(0.1, 2.0))
+def test_linear_solve_starts_at_its_exact_solution(t_f, targets, hb):
+    # a harmonic map is J z, so every column starts at J^-1 target, cold
+    # or warm-started alike, and converges at Newton's first evaluation;
+    # J here is the map's image of the unit vectors
+    model = harmonic_ramp()
+    tp = np.array([t[0] for t in targets])
+    tq = np.array([t[1] for t in targets])
+    solve = _invert_map_batch(model, 0.0, t_f, tp, tq, hb, HYP_SET)
+    assert np.all(solve.status == OK)
+    assert np.all(solve.iters == 0)
+    assert np.all(solve.residual <= HYP_SET.newton_tol)
+    mp, mq, _, _ = _composite_map_batch(model, 0.0, t_f, np.array([1.0, 0.0]),
+                                        np.array([0.0, 1.0]), hb, HYP_SET)
+    zc = np.linalg.solve(np.array([mp, mq]), np.array([tp, tq]))
+    scale = 1e-12 * (1.0 + np.hypot(tp, tq))
+    assert np.all(np.abs(solve.zc_p - zc[0]) <= scale)
+    assert np.all(np.abs(solve.zc_q - zc[1]) <= scale)
+    warm = _invert_map_batch(model, 0.0, t_f, tp, tq, hb, HYP_SET,
+                             warm_p=tp + 0.5, warm_q=tq - 0.5)
+    for name in ("zc_p", "zc_q", "det", "iters", "residual", "status"):
+        assert getattr(warm, name).tobytes() == \
+            getattr(solve, name).tobytes(), name
+
+
+def test_linear_solve_evaluates_the_map_once_per_column(monkeypatch):
+    # one width-1 evaluation at the origin gives J, and Newton's first
+    # evaluation, at the exact start, converges every column
+    widths = []
+    original = stationary._composite_map_batch
+
+    def recorded(model, t_i, t_f, P, *args, **kwargs):
+        widths.append(np.size(P))
+        return original(model, t_i, t_f, P, *args, **kwargs)
+
+    monkeypatch.setattr(stationary, "_composite_map_batch", recorded)
+    tp = np.array([0.2, -1.7, 2.5, 0.0, -0.4])
+    tq = np.array([0.9, 0.4, -2.2, 1.3, 0.0])
+    solve = _invert_map_batch(harmonic_ramp(), 0.0, 0.6, tp, tq, 1.0,
+                              HYP_SET)
+    assert widths == [1, 5]
+    assert np.all(solve.status == OK) and np.all(solve.iters == 0)
+
+
 @pytest.mark.parametrize("kind", sorted(WIDTH_MODELS))
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(*(st.floats(-3.0, 3.0) for _ in range(4))),
@@ -419,6 +467,26 @@ def test_work_march_is_batch_width_invariant(targets, slot):
     assert whole["status"][failing] != 0
     assert np.isfinite(whole["g_initial"][failing])
     assert np.isnan(whole["power"][6, failing])
+    assert_march_columns_match(model, tp, tq, whole)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+                min_size=1, max_size=6))
+def test_harmonic_work_march_is_batch_width_invariant(targets):
+    # a linear flow starts each solve at its exact solution, not at the
+    # predicted center, so no solve of the march takes a Newton step
+    model = harmonic_ramp()
+    tp = np.array([t[0] for t in targets])
+    tq = np.array([t[1] for t in targets])
+    whole = _pseudo_work_batch(model, 0.0, 1.0, tp, tq, 1.0, MARCH_SET)
+    assert np.all(whole["status"] == OK)
+    assert np.all(whole["newton_iters"] == 0)
+    assert_march_columns_match(model, tp, tq, whole)
+
+
+def assert_march_columns_match(model, tp, tq, whole):
+    """Each start marched alone gives its column of the march ``whole``."""
     for i in range(tp.size):
         one = _pseudo_work_batch(model, 0.0, 1.0, tp[i:i + 1], tq[i:i + 1],
                                  1.0, MARCH_SET)
