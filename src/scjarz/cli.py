@@ -44,7 +44,7 @@ def _status_marker(code: int) -> str:
 
 def cmd_gibbs(cfg: RunConfig, out_dir: Path, prefactor: bool) -> int:
     P, Q = cfg.grid.points()
-    solve, g, g_fta, _ = _pseudo_hamiltonian_batch(
+    solve, g, g_fta = _pseudo_hamiltonian_batch(
         cfg.model, cfg.model.protocol.t_i, P, Q, cfg.hbar_beta, cfg.settings)
     ok = solve.status == OK
     area = np.full(P.size, np.nan)
@@ -155,7 +155,7 @@ def _oracle_quartic(cfg: RunConfig, op, grid) -> dict:
     qi = np.flatnonzero(np.abs(grid.q) <= width_q)[::8]
     pi = np.flatnonzero(np.abs(grid.p) <= width_p)[::8]
     qq, pp = np.meshgrid(grid.q[qi], grid.p[pi], indexing="ij")
-    solve, g, _, _ = _pseudo_hamiltonian_batch(
+    solve, g, _ = _pseudo_hamiltonian_batch(
         model, t, pp.ravel(), qq.ravel(), cfg.hbar_beta, cfg.settings)
     z_g = partition(model, t, cfg.beta, cfg.hbar, cfg.domain, cfg.settings)
     rho_g = np.exp(-cfg.beta * g) / z_g

@@ -366,30 +366,45 @@ class ImaginaryArc:
     real center; the width-1 views (``build_arc``, ``pseudo_hamiltonian``,
     ``solve_pseudo_state``) hand over a batch of one column.
 
-    The center energy ``h_center``, the Simpson sums (``pdq``, ``action``,
-    ``area``, ``area_imag``) and the ``prefactor`` are formed on first
-    read and cached: a march reads them at two of its time nodes.
-    ``action`` and the area form of G (``g``) share the one center energy.
-    ``m_plus`` is the plus halves' monodromy.
+    Each arc is stored as its plus half, from the center (sample 0) to
+    sigma = +hbar*beta/2 (sample -1); the center is real, so the sample at
+    -sigma is the conjugate of the one at +sigma.  The center energy
+    ``h_center``, the Simpson sums (``pdq``, ``action``) and the
+    ``prefactor`` are formed on first read and cached: a march reads them
+    at two of its time nodes.  ``action`` and the area form of G (``g``)
+    share the one center energy.  ``m_plus`` is the plus halves' monodromy.
     """
 
     model: HamiltonianModel
     t: float
     hbar_beta: float
-    sigma: np.ndarray        # (2n+1,)
-    p: np.ndarray            # (2n+1, B)
-    q: np.ndarray            # (2n+1, B)
+    sigma: np.ndarray        # (n+1,), 0 to +hbar*beta/2
+    p: np.ndarray            # (n+1, B), center first
+    q: np.ndarray            # (n+1, B)
     center_p: np.ndarray     # (B,) complex
     center_q: np.ndarray
     m_plus: np.ndarray       # (2, 2, B) complex
 
     @cached_property
+    def half_weights(self) -> np.ndarray:
+        """The plus half's share of the whole arc's composite Simpson rule.
+
+        Rows n..2n of ``simpson_weights(2n + 1, h)``, the center's weight
+        halved, so any n is valid.  With S this sum of f over the plus
+        half, the whole-arc sum is S + conj(S) where f at the conjugate
+        point is conj(f), and S - conj(S) where it is -conj(f).
+        """
+        n = self.sigma.shape[0] - 1
+        w = simpson_weights(2 * n + 1, self.sigma[-1] / n)[n:]
+        w[0] *= 0.5
+        return w
+
+    @cached_property
     def pdq(self) -> np.ndarray:
-        """int p dq along each arc, (B,) complex."""
-        n_samples = self.sigma.shape[0]
-        h = (self.sigma[-1] - self.sigma[0]) / (n_samples - 1)
+        """int p dq along each whole arc, (B,) complex, purely imaginary."""
         integrand = self.p * (-1j) * (self.p / self.model.mass)   # p * dq/dsigma
-        return weighted_sum(simpson_weights(n_samples, h), integrand)
+        half = weighted_sum(self.half_weights, integrand)
+        return half - np.conjugate(half)
 
     @cached_property
     def h_center(self) -> np.ndarray:
@@ -435,35 +450,27 @@ class ImaginaryArc:
         geom[~np.all(np.isfinite(m), axis=(0, 1))] = np.nan
         return geom
 
-    @cached_property
-    def _area_c(self) -> np.ndarray:
-        return 1j * (self.pdq - self.mid_p * self.chord)
-
     @property
     def area(self) -> np.ndarray:
         """Enclosed area Re[i (int p dq - p_mid * chord)], (B,) real."""
-        return self._area_c.real
-
-    @property
-    def area_imag(self) -> np.ndarray:
-        return self._area_c.imag
+        return (1j * (self.pdq - self.mid_p * self.chord)).real
 
     @property
     def chord(self) -> np.ndarray:
-        return self.q[-1] - self.q[0]
+        return self.q[-1] - np.conjugate(self.q[-1])
 
     @property
     def mid_p(self) -> np.ndarray:
-        return 0.5 * (self.p[0] + self.p[-1])
+        return 0.5 * (np.conjugate(self.p[-1]) + self.p[-1])
 
     @property
     def mid_q(self) -> np.ndarray:
-        return 0.5 * (self.q[0] + self.q[-1])
+        return 0.5 * (np.conjugate(self.q[-1]) + self.q[-1])
 
 
 def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
                      half=None) -> ImaginaryArc:
-    """Assemble the symmetric arcs from their center -> +hbar*beta/2 halves.
+    """Record the symmetric arcs by their center -> +hbar*beta/2 halves.
 
     ``half`` is the (p, q) state path of those plus halves, shape
     (n_sigma_steps + 1, B) each, and their monodromy M_+ (2, 2, B), as the
@@ -480,7 +487,7 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
     minus half (center -> -hbar*beta/2) is the complex conjugate of the
     plus half, and bitwise so: the two RK4 runs differ only in the sign of
     the imaginary step factor, and every stage operation commutes exactly
-    with conjugation.  So only the plus half is integrated.
+    with conjugation.  So only the plus half is integrated and stored.
     """
     if not hbar_beta > 0.0:
         raise ValueError("hbar_beta must be positive")
@@ -499,16 +506,9 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
                    lambda: _flow_imaginary_batch(model, t, cp, cq, 0.0, +s,
                                                  2 * n, tangent=True),
                    "arc")
-    # sigma ascending: the conjugate plus half reversed (dropping its
-    # center sample), then the plus half
-    p_full = np.empty((2 * n + 1,) + cp.shape, dtype=complex)
-    q_full = np.empty_like(p_full)
-    np.conjugate(plus_p[:0:-1], out=p_full[:n])
-    np.conjugate(plus_q[:0:-1], out=q_full[:n])
-    p_full[n:], q_full[n:] = plus_p, plus_q
-    sigma = np.linspace(-s, +s, 2 * n + 1)
+    sigma = np.linspace(0.0, s, n + 1)
     return ImaginaryArc(model=model, t=t, hbar_beta=hbar_beta, sigma=sigma,
-                        p=p_full, q=q_full, center_p=cp, center_q=cq,
+                        p=plus_p, q=plus_q, center_p=cp, center_q=cq,
                         m_plus=m_plus)
 
 

@@ -121,8 +121,8 @@ def _check_domain(model, t, beta, hbar, domain, settings) -> None:
     pp, qq = domain.boundary_probes()
     tp = np.concatenate([pp, [0.0]])
     tq = np.concatenate([qq, [0.0]])
-    _, g, _, _ = _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta,
-                                           settings)
+    _, g, _ = _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta,
+                                        settings)
     if np.any(np.isnan(g)):
         raise DomainTooSmall(
             "boundary probe solve failed (first caustic reached); shrink "
@@ -146,7 +146,7 @@ def partition(model: HamiltonianModel, t: float, beta: float, hbar: float,
         _check_domain(model, t, beta, hbar, domain, settings)
     hbar_beta = beta * hbar
     P, Q, W = domain.nodes()
-    solve, g, _, _ = _pseudo_hamiltonian_batch(
+    solve, g, _ = _pseudo_hamiltonian_batch(
         model, t, P, Q, hbar_beta, settings)
     if np.any(solve.status != OK):
         failures = _collect_failures(P, Q, solve.status, t)
@@ -232,15 +232,14 @@ def _march_diagnostics(out: dict, ok: np.ndarray) -> dict:
 
     work_nodes is the number of time nodes the march visited; node_solves
     and newton_iters cover every (quadrature node, time node) solve it ran
-    (a node is not solved again after a failed time node); max_g_imag
-    (|Im G_prop|) and max_chord_gap (distance of the reconstructed t_i
-    chord midpoint from its node) cover the OK nodes.
+    (a node is not solved again after a failed time node); max_chord_gap
+    (distance of the reconstructed t_i chord midpoint from its node)
+    covers the OK nodes.
     """
     return {
         "work_nodes": int(out["times"].size),
         "node_solves": int(out["node_solves"]),
         "newton_iters": int(np.sum(out["newton_iters"])),
-        "max_g_imag": float(np.max(out["g_imag"][ok], initial=0.0)),
         "max_chord_gap": float(np.max(out["chord_gap"][ok], initial=0.0)),
     }
 

@@ -20,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
                        simpson_weights, weighted_sum)
-from .errors import ToleranceExceeded, WorkMismatch
+from .errors import WorkMismatch
 from .models import ComplexPoint, HamiltonianModel
 from .stationary import (OK, _composite_map_batch, _invert_map_batch,
                          _propagated_g_batch, _raise_failed)
@@ -44,8 +44,8 @@ class PseudoTrajectory:
     """Time-indexed record of one pseudo-trajectory.
 
     plus/minus are the frozen-time arc endpoints at each node; the center
-    is real, so minus is formed as the conjugate of plus (bit for bit the
-    arc's own).  check is the real chord midpoint.
+    is real, so minus is the conjugate of plus, formed on read as the arc
+    record forms its minus half.  check is the real chord midpoint.
     """
 
     target: ComplexPoint
@@ -54,12 +54,18 @@ class PseudoTrajectory:
     center_q: np.ndarray
     plus_p: np.ndarray
     plus_q: np.ndarray
-    minus_p: np.ndarray
-    minus_q: np.ndarray
     check_p: np.ndarray
     check_q: np.ndarray
     power: np.ndarray
     solve_residual: np.ndarray
+
+    @property
+    def minus_p(self) -> np.ndarray:
+        return np.conjugate(self.plus_p)
+
+    @property
+    def minus_q(self) -> np.ndarray:
+        return np.conjugate(self.plus_q)
 
 
 @dataclass(frozen=True)
@@ -120,32 +126,24 @@ def solve_pseudo_state(model: HamiltonianModel, t_i: float, t_f: float,
 
 
 def _pseudo_power_batch(model, arcs: ImaginaryArc):
-    """Arc-averaged explicit power (1/hbar*beta) int dH/dt dsigma."""
-    n_samples = arcs.sigma.shape[0]
-    h = (arcs.sigma[-1] - arcs.sigma[0]) / (n_samples - 1)
-    w = simpson_weights(n_samples, h)
+    """Arc-averaged explicit power (1/hbar*beta) int dH/dt dsigma; dH/dt
+    at the conjugate point is the conjugate, so the integral is 2 Re S
+    (``ImaginaryArc.half_weights``)."""
     dth = model.dt(arcs.t, arcs.p, arcs.q)
-    integral = weighted_sum(w, dth)
-    power = integral.real / arcs.hbar_beta
-    imag = np.abs(integral.imag) / arcs.hbar_beta
-    return power, imag
+    half = weighted_sum(arcs.half_weights, dth)
+    return 2.0 * half.real / arcs.hbar_beta
 
 
-def pseudo_power(model: HamiltonianModel, arc: ImaginaryArc,
-                 settings: IntegratorSettings = DEFAULT_SETTINGS) -> float:
+def pseudo_power(model: HamiltonianModel, arc: ImaginaryArc) -> float:
     """Explicit-power average over one frozen-time arc (a width-1 batch).
 
     The drive is taken at the arc's frozen time ``arc.t`` and the average
     over its span ``arc.hbar_beta``.  Raises ValueError for a batch of
-    more than one arc, ToleranceExceeded if the average's imaginary part
-    exceeds ``settings.tolerance`` times 1 + |power|.
+    more than one arc.
     """
     if arc.p.shape[1] != 1:
         raise ValueError(f"pseudo_power takes one arc, got {arc.p.shape[1]}")
-    (power,), (imag,) = _pseudo_power_batch(model, arc)
-    if imag > settings.tolerance * (1.0 + abs(power)):
-        raise ToleranceExceeded(f"pseudo-power imaginary residue {imag:.3e}")
-    return float(power)
+    return float(_pseudo_power_batch(model, arc)[0])
 
 
 # The warm start of time node j extrapolates the converged centers at up to
@@ -169,8 +167,11 @@ def _gauss_legendre_nodes(t_i, t_f):
 
     The nodes are t_i, the ``_WORK_NODES`` Gauss-Legendre times of
     [t_i, t_f] and t_f.  The end nodes carry zero weight: they are marched
-    for G_initial (and the prefactor) and for G_prop.
+    for G_initial (and the prefactor) and for G_prop.  A zero-length
+    window (t_f == t_i) is the single node t_i with weight 0.
     """
+    if t_f == t_i:
+        return np.array([t_i]), np.array([0.0])
     x, w = leggauss(_WORK_NODES)
     half = 0.5 * (t_f - t_i)
     times = np.concatenate([[t_i], t_i + half * (x + 1.0), [t_f]])
@@ -299,7 +300,7 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
         center_p[j, live], center_q[j, live] = solve.zc_p, solve.zc_q
         residual[j, live], det[j, live] = solve.residual, solve.det
         arcs = solve.arcs
-        power[j, good], _ = _pseudo_power_batch(model, arcs)
+        power[j, good] = _pseudo_power_batch(model, arcs)
         plus_p[j, good], plus_q[j, good] = arcs.p[-1], arcs.q[-1]
         check_p[j, good] = arcs.mid_p.real
         check_q[j, good] = arcs.mid_q.real
@@ -313,8 +314,8 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
         work = np.zeros(b)
 
     # the march ends at t_f: its last solve is the endpoint's
-    g_prop, g_imag, chord_gap = (np.full(b, np.nan) for _ in range(3))
-    g_prop[live], g_imag[live], chord_gap[live] = _propagated_g_batch(
+    g_prop, chord_gap = (np.full(b, np.nan) for _ in range(2))
+    g_prop[live], chord_gap[live] = _propagated_g_batch(
         model, t_i, tp[live], tq[live], settings, solve)
 
     return {
@@ -332,7 +333,6 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
         "g_initial": g_initial,
         "prefactor_initial": prefactor_initial,
         "g_propagated": g_prop,
-        "g_imag": g_imag,
         "chord_gap": chord_gap,
         "W_endpoint": g_prop - g_initial,
     }
@@ -372,13 +372,11 @@ def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
         raise WorkMismatch(
             f"path work {w:.12e} vs endpoint work {w_end:.12e} "
             f"differ by {abs(w - w_end):.3e} > {tol:.3e}")
-    plus_p, plus_q = out["plus_p"][:, 0], out["plus_q"][:, 0]
     traj = PseudoTrajectory(
         target=target,
         times=out["times"],
         center_p=out["center_p"][:, 0], center_q=out["center_q"][:, 0],
-        plus_p=plus_p, plus_q=plus_q,
-        minus_p=np.conjugate(plus_p), minus_q=np.conjugate(plus_q),
+        plus_p=out["plus_p"][:, 0], plus_q=out["plus_q"][:, 0],
         check_p=out["check_p"][:, 0], check_q=out["check_q"][:, 0],
         power=out["power"][:, 0],
         solve_residual=out["residual"][:, 0],

@@ -51,7 +51,6 @@ class PseudoHamiltonianValue:
     z_c: ComplexPoint
     arc: ImaginaryArc
     jacobian_det: float
-    imag_residual: float
 
 
 @dataclass
@@ -299,10 +298,11 @@ def _propagated_g_batch(model, t_i, tp, tq, settings, solve: SolveBatch):
     this one's (bit for bit, up to the sign of a zero).
     The total action along branch, arc and branch, less target p times
     the t_i chord, over i hbar*beta is G_prop; at t_f == t_i the legs
-    vanish and this is the static G from the total action.  Returns
-    (g_prop, imag_residual, chord_gap), NaN in the columns that are not
-    OK; imag_residual is |Im G_prop| and chord_gap is the distance between
-    the reconstructed t_i chord midpoint and the target.
+    vanish and this is the static G from the total action.  Every term of
+    that total is a difference of conjugates, so G_prop is real.  Returns
+    (g_prop, chord_gap), NaN in the columns that are not OK; chord_gap is
+    the distance between the reconstructed t_i chord midpoint and the
+    target.
     """
     arcs = solve.arcs
     good = solve.status == OK
@@ -324,27 +324,25 @@ def _propagated_g_batch(model, t_i, tp, tq, settings, solve: SolveBatch):
     mid_q = 0.5 * (np.conjugate(qe) + qe)
     gap = np.hypot(np.abs(mid_p - tpg), np.abs(mid_q - tqg))
 
-    g_prop, imag, chord_gap = (np.full(np.shape(tp), np.nan) for _ in range(3))
+    g_prop, chord_gap = (np.full(np.shape(tp), np.nan) for _ in range(2))
     g_prop[good] = g.real
-    imag[good] = np.abs(g.imag)
     chord_gap[good] = gap
-    return g_prop, imag, chord_gap
+    return g_prop, chord_gap
 
 
 def _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta, settings):
     """Batched G over real targets at frozen time t.
 
-    Returns (solve, G, G_fta, imag): G is the area form of the solved
-    arcs (``ImaginaryArc.g``), G_fta the total-action form, which is
-    ``_propagated_g_batch`` at t_f = t_i, and imag its |Im G_fta|.
-    Columns that are not OK carry NaN; the OK columns' arcs are
-    ``solve.arcs``.
+    Returns (solve, G, G_fta): G is the area form of the solved arcs
+    (``ImaginaryArc.g``) and G_fta the total-action form, which is
+    ``_propagated_g_batch`` at t_f = t_i.  Columns that are not OK carry
+    NaN; the OK columns' arcs are ``solve.arcs``.
     """
     solve = _invert_map_batch(model, t, t, tp, tq, hbar_beta, settings)
-    g_fta, imag, _ = _propagated_g_batch(model, t, tp, tq, settings, solve)
+    g_fta, _ = _propagated_g_batch(model, t, tp, tq, settings, solve)
     g = np.full(np.shape(tp), np.nan)
     g[solve.status == OK] = solve.arcs.g
-    return solve, g, g_fta, imag
+    return solve, g, g_fta
 
 
 def pseudo_hamiltonian(model: HamiltonianModel, t: float, target: ComplexPoint,
@@ -354,7 +352,7 @@ def pseudo_hamiltonian(model: HamiltonianModel, t: float, target: ComplexPoint,
     """Stationary-phase pseudo-Hamiltonian at one real target point."""
     if target.p.imag != 0.0 or target.q.imag != 0.0:
         raise ValueError("midpoint inversion expects a real target point")
-    solve, g_area, g_fta, imag_res = _pseudo_hamiltonian_batch(
+    solve, g_area, g_fta = _pseudo_hamiltonian_batch(
         model, t, np.array([target.p.real]), np.array([target.q.real]),
         hbar_beta, settings)
     _raise_failed(t, solve.status, solve.det, solve.residual)
@@ -364,7 +362,6 @@ def pseudo_hamiltonian(model: HamiltonianModel, t: float, target: ComplexPoint,
         z_c=ComplexPoint(float(solve.zc_p[0]), float(solve.zc_q[0])),
         arc=solve.arcs,
         jacobian_det=float(solve.det[0]),
-        imag_residual=float(imag_res[0]),
     )
 
 

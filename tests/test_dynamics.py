@@ -1,16 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scjarz.dynamics import (IntegratorSettings, _build_arc_batch,
                              _flow_imaginary_batch, _flow_real_batch,
                              build_arc, flow_imaginary, flow_real,
-                             simpson_weights)
+                             simpson_weights, weighted_sum)
 from scjarz.errors import (IntegratorDiverged, TimeOutOfRange,
                            ToleranceExceeded)
 from scjarz.models import (ComplexPoint, FrequencyProtocol, harmonic_model,
                            ramped_model)
+from scjarz.pseudowork import _pseudo_power_batch
 
 SET = IntegratorSettings(n_sigma_steps=128, n_time_steps=128)
+
+
+def full_arc_reference(model, t, cp, cq, hbar_beta, n):
+    """Whole-arc pdq, action, area, G and power of the arcs through the
+    real centers (cp, cq), each half integrated on its own and every sum
+    taken over all 2n + 1 samples; complex, so their imaginary parts show."""
+    s = 0.5 * hbar_beta
+    cp, cq = cp.astype(complex), cq.astype(complex)
+    plus = _flow_imaginary_batch(model, t, cp, cq, 0.0, s, n, store=True)
+    minus = _flow_imaginary_batch(model, t, cp, cq, 0.0, -s, n, store=True)
+    p, q = (np.concatenate([m[:0:-1], x]) for m, x in zip(minus, plus))
+    w = simpson_weights(2 * n + 1, hbar_beta / (2 * n))
+    pdq = weighted_sum(w, p * (-1j) * (p / model.mass))
+    h_c = model.value(t, cp, cq)
+    area = 1j * (pdq - 0.5 * (p[0] + p[-1]) * (q[-1] - q[0]))
+    return {"pdq": pdq, "action": pdq + 1j * hbar_beta * h_c, "area": area,
+            "g": h_c - area / hbar_beta,
+            "power": weighted_sum(w, model.dt(t, p, q)) / hbar_beta}
 
 
 def closed_form_arc_point(p_c, q_c, m, omega, sigma):
@@ -59,14 +79,17 @@ def test_arc_at_fixed_point_is_constant():
 def test_arc_conjugation_symmetry():
     model = ramped_model("quartic", omega_i=1.0, omega_f=1.0,
                          shape="constant", quartic_lambda=0.2)
-    arc = build_arc(model, 0.0, ComplexPoint(0.7, 0.6), 0.8, SET)
-    # real center: point(-sigma) = conj(point(sigma))
-    np.testing.assert_allclose(arc.p[::-1], np.conj(arc.p), atol=1e-12)
-    np.testing.assert_allclose(arc.q[::-1], np.conj(arc.q), atol=1e-12)
-    # chord midpoint real, chord purely imaginary
-    assert abs(arc.mid_p[0].imag) < 1e-12 and abs(arc.mid_q[0].imag) < 1e-12
-    assert abs(arc.chord[0].real) < 1e-12
-    assert abs(arc.area_imag[0]) < 1e-12
+    z_c = ComplexPoint(0.7, 0.6)
+    arc = build_arc(model, 0.0, z_c, 0.8, SET)
+    # real center: point(-sigma) = conj(point(sigma)), so the record holds
+    # the plus half only
+    minus = flow_imaginary(model, 0.0, z_c, 0.0, -0.4, SET)
+    assert arc.p.shape == (SET.n_sigma_steps + 1, 1)
+    np.testing.assert_allclose(minus.p, np.conj(arc.p[:, 0]), atol=1e-12)
+    np.testing.assert_allclose(minus.q, np.conj(arc.q[:, 0]), atol=1e-12)
+    # chord midpoint real, chord and int p dq purely imaginary
+    assert arc.mid_p[0].imag == 0.0 and arc.mid_q[0].imag == 0.0
+    assert arc.chord[0].real == 0.0 and arc.pdq[0].real == 0.0
 
 
 def test_arc_energy_conservation_at_default_settings():
@@ -95,13 +118,18 @@ def test_arc_closed_form_area_and_action():
 
 def test_area_imaginary_part_stays_at_roundoff():
     # the center-outward construction makes conjugation exact for the
-    # symmetric stepper, so Im(A) sits at machine level for every grid
+    # symmetric stepper, so Im(A) of the whole arc, both halves integrated,
+    # sits at machine level for every grid; the record, summing the plus
+    # half and its conjugate, gives that area as a real number
     model = harmonic_model()
-    z_c = ComplexPoint(1.0, 0.8)
+    cp, cq = np.array([1.0]), np.array([0.8])
     for n in (16, 32, 64, 128):
         s = IntegratorSettings(n_sigma_steps=n)
-        arc = build_arc(model, 0.0, z_c, 1.5, s)
-        assert abs(arc.area_imag[0]) < 1e-14
+        arc = _build_arc_batch(model, 0.0, cp, cq, 1.5, s)
+        ref = full_arc_reference(model, 0.0, cp, cq, 1.5, n)["area"][0]
+        assert abs(ref.imag) < 1e-14
+        assert arc.area.dtype == float
+        assert abs(arc.area[0] - ref.real) <= 1e-14 * (1.0 + abs(ref))
 
 
 def test_flow_real_identity_and_rotation():
@@ -215,8 +243,9 @@ def test_flow_real_tangent_is_monodromy(kind):
 
 @pytest.mark.parametrize("kind", sorted(TANGENT_MODELS))
 def test_arc_minus_half_is_the_exact_conjugate_flow(kind):
-    # the arc reuses the plus half for the minus half; it must equal an
-    # explicit integration from the center to -hbar*beta/2 bit for bit
+    # the arc stores the plus half and reads the minus half as its
+    # conjugate; that must be an explicit integration from the center to
+    # -hbar*beta/2 bit for bit
     model = TANGENT_MODELS[kind]
     rng = np.random.default_rng(17)
     cp = rng.uniform(-2.5, 2.5, 64)
@@ -227,8 +256,34 @@ def test_arc_minus_half_is_the_exact_conjugate_flow(kind):
         minus_p, minus_q = _flow_imaginary_batch(
             model, t, cp.astype(complex), cq.astype(complex), 0.0, -0.5, n,
             store=True)
-        assert np.array_equal(arcs.p[n::-1], minus_p)
-        assert np.array_equal(arcs.q[n::-1], minus_q)
+        assert arcs.p.shape == arcs.q.shape == (n + 1, 64)
+        assert np.array_equal(np.conjugate(arcs.p), minus_p)
+        assert np.array_equal(np.conjugate(arcs.q), minus_q)
+
+
+@pytest.mark.parametrize("n", [8, 9, 64])
+@pytest.mark.parametrize("kind", sorted(TANGENT_MODELS))
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+                min_size=1, max_size=8),
+       st.floats(0.0, 1.0), st.floats(0.1, 1.5))
+def test_plus_half_sums_are_the_whole_arc_sums(kind, n, centers, t,
+                                               hbar_beta):
+    # the record sums the plus half with its share of the whole arc's
+    # Simpson rule (center weight halved, so odd n is valid too) and reads
+    # the minus half as the conjugate; every sum must be the whole-arc
+    # rule over both halves integrated on their own, to roundoff
+    model = TANGENT_MODELS[kind]
+    cp = np.array([c[0] for c in centers])
+    cq = np.array([c[1] for c in centers])
+    arcs = _build_arc_batch(model, t, cp, cq, hbar_beta,
+                            IntegratorSettings(n_sigma_steps=n))
+    ref = full_arc_reference(model, t, cp, cq, hbar_beta, n)
+    got = {"pdq": arcs.pdq, "action": arcs.action, "area": arcs.area,
+           "g": arcs.g, "power": _pseudo_power_batch(model, arcs)}
+    for name, x in got.items():
+        assert np.all(np.abs(x - ref[name]) <= 1e-14 * (1.0 + np.abs(x))), \
+            name
 
 
 def test_arc_rejects_a_complex_center():

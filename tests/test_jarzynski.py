@@ -208,8 +208,7 @@ def assert_monte_carlo_agrees(report, n_samples):
     assert mc["requested_samples"] == n_samples
     # the sample march's own counts: one solve per (sample, time node)
     assert set(mc["diagnostics"]) == {"work_nodes", "node_solves",
-                                      "newton_iters", "max_g_imag",
-                                      "max_chord_gap"}
+                                      "newton_iters", "max_chord_gap"}
     assert mc["diagnostics"]["work_nodes"] == 18
     assert mc["diagnostics"]["node_solves"] == 18 * n_samples
 
@@ -288,7 +287,7 @@ def test_prefactor_report_reuses_the_t_i_solves():
                      check_domain=False, with_prefactor=True)
     out = _pseudo_work_batch(model, 0.0, 1.0, P, Q, 1.0, settings,
                              nodes=_gauss_legendre_nodes(0.0, 1.0))
-    solve, _, _, _ = _pseudo_hamiltonian_batch(model, 0.0, P, Q, 1.0, settings)
+    solve, _, _ = _pseudo_hamiltonian_batch(model, 0.0, P, Q, 1.0, settings)
     n_weight = solve.arcs.prefactor / (2 * np.pi)
     lhs = float(np.sum(W * n_weight * np.exp(-(out["g_initial"] + out["W"])))
                 / zn_i)

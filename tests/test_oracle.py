@@ -204,7 +204,7 @@ def test_log_of_thermal_wigner_recovers_pseudo_hamiltonian():
     qq, pp = np.meshgrid(grid.q[qi], grid.p[pi], indexing="ij")
     model = ramped_model("harmonic", omega_i=1.0, omega_f=1.0,
                          shape="constant")
-    _, g, _, _ = _pseudo_hamiltonian_batch(
+    _, g, _ = _pseudo_hamiltonian_batch(
         model, 0.0, pp.ravel(), qq.ravel(), beta * hbar,
         IntegratorSettings(n_sigma_steps=96))
     logw = -np.log(rho[np.ix_(qi, pi)].ravel()) / beta
@@ -239,7 +239,7 @@ def test_quartic_pseudo_hamiltonian_gap_shrinks_at_second_order():
         qi = np.flatnonzero(np.abs(grid.q) <= q_w)[::8]
         pi = np.flatnonzero(np.abs(grid.p) <= p_w)[::8]
         qq, pp = np.meshgrid(grid.q[qi], grid.p[pi], indexing="ij")
-        _, g, _, _ = _pseudo_hamiltonian_batch(
+        _, g, _ = _pseudo_hamiltonian_batch(
             model, 0.0, pp.ravel(), qq.ravel(), beta_hbar, settings)
         logw = -np.log(rho_w[np.ix_(qi, pi)].ravel()) / beta
         diff = logw - g

@@ -30,9 +30,11 @@ def quartic_ramp(lam=0.1):
                         quartic_lambda=lam)
 
 
-def arc_point(arc, k):
-    """Sample k of a width-1 arc (0: sigma = -hbar*beta/2, -1: +hbar*beta/2)."""
-    return ComplexPoint(complex(arc.p[k, 0]), complex(arc.q[k, 0]))
+def arc_endpoint(arc, sign):
+    """Endpoint of a width-1 arc at sigma = sign * hbar*beta/2; the arc
+    stores its plus half, and the minus endpoint is the conjugate."""
+    z = ComplexPoint(complex(arc.p[-1, 0]), complex(arc.q[-1, 0]))
+    return z if sign > 0 else z.conjugate()
 
 
 def classical_trajectory(model, t_eval, p0, q0):
@@ -74,7 +76,7 @@ def test_pseudo_state_junction_energy_matches():
     model = quartic_ramp()
     state = solve_pseudo_state(model, 0.0, 1.0, ComplexPoint(0.3, 0.9),
                                1.0, SET)
-    z_plus, z_minus = arc_point(state.arc, -1), arc_point(state.arc, 0)
+    z_plus, z_minus = arc_endpoint(state.arc, +1), arc_endpoint(state.arc, -1)
     h_plus = model.value(1.0, z_plus.p, z_plus.q)
     h_minus = model.value(1.0, z_minus.p, z_minus.q)
     assert abs(h_plus - h_minus) < 1e-9
@@ -86,7 +88,7 @@ def test_pseudo_state_quartic_self_residual():
                                1.0, SET)
     assert state.residual < 1e-9
     # conjugate branch symmetry at the final time
-    z_plus, z_minus = arc_point(state.arc, -1), arc_point(state.arc, 0)
+    z_plus, z_minus = arc_endpoint(state.arc, +1), arc_endpoint(state.arc, -1)
     assert z_minus.p == pytest.approx(np.conj(z_plus.p), abs=1e-10)
     assert z_minus.q == pytest.approx(np.conj(z_plus.q), abs=1e-10)
 
@@ -96,7 +98,7 @@ def test_pseudo_power_constant_protocol_vanishes():
                          shape="constant")
     solve = solve_pseudo_state(model, 0.0, 0.0, ComplexPoint(0.9, 0.4), 1.0,
                                SET)
-    assert pseudo_power(model, solve.arc, SET) == pytest.approx(0.0, abs=1e-14)
+    assert pseudo_power(model, solve.arc) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_pseudo_power_closed_form_value():
@@ -104,7 +106,7 @@ def test_pseudo_power_closed_form_value():
     model = harmonic_ramp()
     solve = solve_pseudo_state(model, 0.0, 0.0, ComplexPoint(0.0, 1.0), 1.0,
                                SET)
-    val = pseudo_power(model, solve.arc, SET)
+    val = pseudo_power(model, solve.arc)
     exact = (np.sinh(1.0) + 1.0) / (1.0 + np.cosh(1.0))
     assert val == pytest.approx(exact, rel=1e-9)
     assert exact == pytest.approx(0.8553410237, abs=1e-9)
@@ -121,7 +123,7 @@ def test_pseudo_power_random_points_match_closed_form():
         p, q = rng.uniform(-2, 2, size=2)
         solve = solve_pseudo_state(model, 0.0, 0.0, ComplexPoint(p, q), 1.0,
                                    SET)
-        got = pseudo_power(model, solve.arc, SET)
+        got = pseudo_power(model, solve.arc)
         exact = (2.0 / (1.0 + np.cosh(x))) * (
             0.5 * q * q * (ratio + 1.0) + 0.5 * p * p * (1.0 - ratio))
         assert got == pytest.approx(exact, rel=1e-7, abs=1e-12)
@@ -134,7 +136,7 @@ def test_pseudo_power_classical_limit_quadratic_order():
     errs = []
     for hb in (0.2, 0.1, 0.05, 0.025):
         solve = solve_pseudo_state(model, 0.0, 0.0, target, hb, SET)
-        errs.append(abs(pseudo_power(model, solve.arc, SET) - dth))
+        errs.append(abs(pseudo_power(model, solve.arc) - dth))
     orders = [np.log2(errs[k] / errs[k + 1]) for k in range(3)]
     assert all(o > 1.9 for o in orders)
 
@@ -220,8 +222,9 @@ def test_frozen_backpropagation_does_not_close_the_triple():
     hb = 1.0
     state = solve_pseudo_state(model, 0.0, 0.5, ComplexPoint(0.4, 0.9),
                                hb, SET)
-    plus_branch_ti = flow_real(model, 0.5, 0.0, arc_point(state.arc, 0), SET)
-    minus_branch_ti = flow_real(model, 0.5, 0.0, arc_point(state.arc, -1),
+    plus_branch_ti = flow_real(model, 0.5, 0.0, arc_endpoint(state.arc, -1),
+                               SET)
+    minus_branch_ti = flow_real(model, 0.5, 0.0, arc_endpoint(state.arc, +1),
                                 SET)
     path = flow_imaginary(model, 0.0, minus_branch_ti, 0.0, -hb, SET)
     wrapped = path.endpoint()
@@ -233,8 +236,8 @@ def test_frozen_backpropagation_does_not_close_the_triple():
                          t_f=0.5, shape="constant")
     state0 = solve_pseudo_state(const, 0.0, 0.5, ComplexPoint(0.4, 0.9),
                                 hb, SET)
-    plus0 = flow_real(const, 0.5, 0.0, arc_point(state0.arc, 0), SET)
-    minus0 = flow_real(const, 0.5, 0.0, arc_point(state0.arc, -1), SET)
+    plus0 = flow_real(const, 0.5, 0.0, arc_endpoint(state0.arc, -1), SET)
+    minus0 = flow_real(const, 0.5, 0.0, arc_endpoint(state0.arc, +1), SET)
     path0 = flow_imaginary(const, 0.0, minus0, 0.0, -hb, SET)
     closed = path0.endpoint()
     gap0 = max(abs(closed.p - plus0.p), abs(closed.q - plus0.q))
@@ -256,12 +259,12 @@ def test_arc_reductions_are_batch_width_invariant():
     cp = rng.uniform(-2.0, 2.0, 67).astype(complex)
     cq = rng.uniform(-2.0, 2.0, 67).astype(complex)
     whole = _build_arc_batch(model, 0.3, cp, cq, 0.5, SET)
-    power, _ = _pseudo_power_batch(model, whole)
+    power = _pseudo_power_batch(model, whole)
     for i in range(cp.size):
         one = _build_arc_batch(model, 0.3, cp[i:i + 1], cq[i:i + 1], 0.5, SET)
         assert one.area[0] == whole.area[i], i
         assert one.action[0] == whole.action[i], i
-        assert _pseudo_power_batch(model, one)[0][0] == power[i], i
+        assert _pseudo_power_batch(model, one)[0] == power[i], i
 
 
 @pytest.mark.parametrize("t_f", [0.3, 1.0])
@@ -385,15 +388,17 @@ def test_real_flow_of_conjugate_starts_is_conjugate(kind, starts, t_a, t_b):
 
 def _two_leg_g_prop(model, t_i, tp, tq, settings, solve):
     """G_prop, |Im G_prop| and chord gap with both branch legs integrated:
-    from the arc's sigma = -hbar*beta/2 endpoint (the plus branch) and
-    from its sigma = +hbar*beta/2 endpoint (the minus branch)."""
+    from the arc's sigma = -hbar*beta/2 endpoint (the plus branch; the
+    conjugate of the stored plus endpoint) and from its sigma =
+    +hbar*beta/2 endpoint (the minus branch)."""
     arcs = solve.arcs
     ok = solve.status == OK
     b = arcs.center_p.shape[0]
     n = _real_step_count(model, settings, arcs.t - t_i)
+    pe, qe = arcs.p[-1], arcs.q[-1]
     pe, qe, acc = _flow_real_batch(
-        model, arcs.t, t_i, np.concatenate([arcs.p[0], arcs.p[-1]]),
-        np.concatenate([arcs.q[0], arcs.q[-1]]), n, with_action=True)
+        model, arcs.t, t_i, np.concatenate([np.conjugate(pe), pe]),
+        np.concatenate([np.conjugate(qe), qe]), n, with_action=True)
     s_plus, s_minus = -acc[:b], -acc[b:]
     tpg, tqg = tp[ok], tq[ok]
     s_tot = -(tpg + 0j) * (qe[b:] - qe[:b]) + s_plus + arcs.action - s_minus
@@ -413,16 +418,19 @@ def _two_leg_g_prop(model, t_i, tp, tq, settings, solve):
        st.floats(0.05, 1.0))
 def test_one_leg_g_prop_is_the_two_leg_formula(kind, targets, t_f):
     # the endpoint G_prop integrates only the leg from sigma = +hbar*beta/2
-    # and takes the other as its conjugate; G_prop, |Im G_prop| and the
-    # chord gap must be those of both legs integrated
+    # and takes the other as its conjugate; G_prop and the chord gap must
+    # be those of both legs integrated, whose G_prop is real to roundoff
     model = WIDTH_MODELS[kind]()
     tp = np.array([t[0] for t in targets])
     tq = np.array([t[1] for t in targets])
     solve = _invert_map_batch(model, 0.0, t_f, tp, tq, 1.0, HYP_SET)
     got = _propagated_g_batch(model, 0.0, tp, tq, HYP_SET, solve)
-    ref = _two_leg_g_prop(model, 0.0, tp, tq, HYP_SET, solve)
-    for name, x, y in zip(("G_prop", "imag", "chord_gap"), got, ref):
+    g_ref, imag_ref, gap_ref = _two_leg_g_prop(model, 0.0, tp, tq, HYP_SET,
+                                               solve)
+    for name, x, y in zip(("G_prop", "chord_gap"), got, (g_ref, gap_ref)):
         assert np.array_equal(x, y, equal_nan=True), name
+    ok = solve.status == OK
+    assert np.all(imag_ref[ok] <= 1e-14 * (1.0 + np.abs(g_ref[ok])))
 
 
 def test_work_march_solves_each_time_node_once(monkeypatch):
@@ -621,13 +629,13 @@ def test_pseudo_power_refuses_a_batch_of_arcs():
     solve = _invert_map_batch(model, 0.0, 0.5, tp, tq, 1.0, MARCH_SET)
     assert np.all(solve.status == OK)
     with pytest.raises(ValueError, match="one arc, got 3"):
-        pseudo_power(model, solve.arcs, MARCH_SET)
-    power, _ = _pseudo_power_batch(model, solve.arcs)
+        pseudo_power(model, solve.arcs)
+    power = _pseudo_power_batch(model, solve.arcs)
     assert np.unique(power).size == 3
     for k in range(3):
         one = solve_pseudo_state(model, 0.0, 0.5, ComplexPoint(tp[k], tq[k]),
                                  1.0, MARCH_SET)
-        assert pseudo_power(model, one.arc, MARCH_SET) == power[k]
+        assert pseudo_power(model, one.arc) == power[k]
 
 
 def test_scalar_power_and_prefactor_read_the_arc():
@@ -643,7 +651,7 @@ def test_scalar_power_and_prefactor_read_the_arc():
                                                 out["center_q"][j, 0]),
                         0.8, MARCH_SET)
         assert arc.t == tj and arc.hbar_beta == 0.8
-        assert pseudo_power(model, arc, MARCH_SET) == out["power"][j, 0], j
+        assert pseudo_power(model, arc) == out["power"][j, 0], j
         if j == 0:
             assert arc.prefactor[0] == out["prefactor_initial"][0]
 
