@@ -30,18 +30,18 @@ from .stationary import (OK, STATUS_NAMES, _finite_prefactors,
                          _pseudo_hamiltonian_batch)
 
 QUADRATURE_RULES = ("gauss-legendre", "trapezoid")
-_MARCH_STAGES = 8
 
 
 @dataclass(frozen=True)
 class QuadratureDomain:
     """Rectangular phase-space domain with a tensor-product rule.
 
-    boundary_weight_tol bounds the edge-to-peak thermal weight ratio the
-    domain must reach.  The 1e-10 default suits harmonic runs; anharmonic
-    models can hit their first caustic before the weight drops that far,
-    in which case the domain must stop inside the solvable region and the
-    tolerance records the looser truncation certificate.
+    boundary_weight_tol bounds the ratio of the largest thermal weight on
+    the outermost ring of nodes (``ring()``) to the peak, for each weight a
+    sum covers (``_check_domain``).  The 1e-10 default suits harmonic runs;
+    anharmonic models can hit their first caustic before the weight drops
+    that far, in which case the domain must stop inside the solvable region
+    and the tolerance records the looser truncation certificate.
     """
 
     p_max: float
@@ -80,10 +80,11 @@ class QuadratureDomain:
         W = np.outer(wp, wq).ravel()
         return P, Q, W
 
-    def boundary_probes(self):
-        p, q = self.p_max, self.q_max
-        return (np.array([p, -p, 0.0, 0.0, p, p, -p, -p]),
-                np.array([0.0, 0.0, q, -q, q, -q, q, -q]))
+    def ring(self):
+        """Mask of the outermost ring of nodes, in the order of ``nodes()``."""
+        edge_p, edge_q = np.zeros(self.n_p, bool), np.zeros(self.n_q, bool)
+        edge_p[[0, -1]] = edge_q[[0, -1]] = True
+        return np.logical_or.outer(edge_p, edge_q).ravel()
 
 
 @dataclass
@@ -115,39 +116,35 @@ def _collect_failures(P, Q, status, t) -> list:
              "reason": STATUS_NAMES[int(status[i])]} for i in bad]
 
 
-def _check_domain(model, t, beta, hbar, domain, settings) -> None:
-    """Boundary weight must be below the domain's edge-to-peak tolerance."""
-    hbar_beta = beta * hbar
-    pp, qq = domain.boundary_probes()
-    tp = np.concatenate([pp, [0.0]])
-    tq = np.concatenate([qq, [0.0]])
-    _, g, _ = _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta,
-                                        settings)
-    if np.any(np.isnan(g)):
-        raise DomainTooSmall(
-            "boundary probe solve failed (first caustic reached); shrink "
-            "the domain or hbar*beta")
-    g_peak = g[-1]
-    drop = beta * (g[:-1] - g_peak)
+def _check_domain(domain, g, beta, end) -> None:
+    """Certify the truncation of the weight exp(-beta g) at one end.
+
+    ``g`` holds the pseudo-energy at every node of ``domain.nodes()``, NaN
+    where the node did not solve.  Raises DomainTooSmall, naming ``end``,
+    if a node on the outermost ring did not solve or the ring's largest
+    weight exceeds ``boundary_weight_tol`` times the largest one.
+    """
+    g_ring = g[domain.ring()]
+    lost = int(np.count_nonzero(np.isnan(g_ring)))
+    if lost:
+        raise DomainTooSmall(f"{lost} outermost node(s) failed at {end}; "
+                             "shrink the domain or hbar*beta")
+    ratio = np.exp(-beta * (np.min(g_ring) - np.nanmin(g)))
     tol = domain.boundary_weight_tol
-    if np.min(drop) < -np.log(tol):
-        raise DomainTooSmall(
-            f"boundary weight ratio {np.exp(-np.min(drop)):.3e} exceeds "
-            f"{tol:.1e}; enlarge the quadrature domain")
+    if ratio > tol:
+        raise DomainTooSmall(f"boundary weight ratio {ratio:.3e} at {end} "
+                             f"exceeds {tol:.1e}; enlarge the domain")
 
 
 def partition(model: HamiltonianModel, t: float, beta: float, hbar: float,
               domain: QuadratureDomain,
               settings: IntegratorSettings = DEFAULT_SETTINGS,
-              check_domain: bool = True,
               with_prefactor: bool = False) -> float:
-    """Phase-space integral of exp(-beta * G_t) over the domain."""
-    if check_domain:
-        _check_domain(model, t, beta, hbar, domain, settings)
-    hbar_beta = beta * hbar
+    """Phase-space integral of exp(-beta * G_t), its domain certified."""
     P, Q, W = domain.nodes()
     solve, g, _ = _pseudo_hamiltonian_batch(
-        model, t, P, Q, hbar_beta, settings)
+        model, t, P, Q, beta * hbar, settings)
+    _check_domain(domain, g, beta, f"t={t:g}")
     if np.any(solve.status != OK):
         failures = _collect_failures(P, Q, solve.status, t)
         raise NewtonDiverged(
@@ -159,26 +156,31 @@ def partition(model: HamiltonianModel, t: float, beta: float, hbar: float,
     return float(np.sum(W * weight))
 
 
+def _certified_march(model, t_i, t_f, beta, hbar, domain, settings):
+    """The identity's march over the domain's nodes, certified at t_i for
+    exp(-beta G_initial), then at t_f for exp(-beta G_prop): (P, Q, W, out)."""
+    P, Q, W = domain.nodes()
+    out = _pseudo_work_batch(model, t_i, t_f, P, Q, beta * hbar, settings,
+                             nodes=_gauss_legendre_nodes(t_i, t_f))
+    _check_domain(domain, out["g_initial"], beta, "t_i")
+    _check_domain(domain, out["g_propagated"], beta, "t_f")
+    return P, Q, W, out
+
+
 def propagated_partition(model: HamiltonianModel, t_i: float, t_f: float,
                          beta: float, hbar: float, domain: QuadratureDomain,
-                         settings: IntegratorSettings = DEFAULT_SETTINGS,
-                         check_domain: bool = True) -> float:
+                         settings: IntegratorSettings = DEFAULT_SETTINGS
+                         ) -> float:
     """Partition integral of the propagated pseudo-energy exp(-beta G_prop).
 
-    G_prop is the work march's (``pseudowork._pseudo_work_batch``) over
-    ``_MARCH_STAGES + 1`` equal stage times from t_i, with zero work
-    weights: each stage is warm-started from the centers predicted by the
-    ones before it, so the t_f solve tracks the physical stationary
-    branch; a cold solve at the full span can converge onto a spurious
-    one.  Raises ``NewtonDiverged`` if any node fails at any stage.
+    G_prop is read from the t_f node of the identity's march, whose warm
+    starts track the physical branch from t_i (a cold solve at the full
+    span can converge onto a spurious one), so over the model's window this
+    is ``verify_identity(...).Z_f`` bit for bit.  Raises ``DomainTooSmall``
+    (t_i, then t_f), then ``NewtonDiverged`` if any node fails.
     """
-    if check_domain:
-        _check_domain(model, t_i, beta, hbar, domain, settings)
-    P, Q, W = domain.nodes()
-    stages = (np.linspace(t_i, t_f, _MARCH_STAGES + 1) if t_f > t_i
-              else np.array([t_i]))
-    out = _pseudo_work_batch(model, t_i, t_f, P, Q, beta * hbar, settings,
-                             nodes=(stages, np.zeros(stages.size)))
+    P, Q, W, out = _certified_march(model, t_i, t_f, beta, hbar, domain,
+                                    settings)
     if np.any(out["status"] != OK):
         failures = _collect_failures(P, Q, out["status"],
                                      out["times"][_last_solved_node(out)])
@@ -224,23 +226,20 @@ def _monte_carlo_lhs(model, t_i, t_f, beta, hbar, P, Q, weight, settings,
             "ess": float(1.0 / np.sum(w * w)),
             "samples": int(w.size), "failed": int(n_samples - w.size),
             "requested_samples": int(n_samples), "seed": int(seed),
-            "diagnostics": _march_diagnostics(out, ok)}
+            "diagnostics": _march_diagnostics(out)}
 
 
-def _march_diagnostics(out: dict, ok: np.ndarray) -> dict:
-    """Deterministic solver counts and consistency residuals of the march.
+def _march_diagnostics(out: dict) -> dict:
+    """Deterministic solver counts of the march.
 
     work_nodes is the number of time nodes the march visited; node_solves
     and newton_iters cover every (quadrature node, time node) solve it ran
-    (a node is not solved again after a failed time node); max_chord_gap
-    (distance of the reconstructed t_i chord midpoint from its node)
-    covers the OK nodes.
+    (a node is not solved again after a failed time node).
     """
     return {
         "work_nodes": int(out["times"].size),
         "node_solves": int(out["node_solves"]),
         "newton_iters": int(np.sum(out["newton_iters"])),
-        "max_chord_gap": float(np.max(out["chord_gap"][ok], initial=0.0)),
     }
 
 
@@ -256,14 +255,13 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
 
     The protocol window [t_i, t_f] is taken from the model; the work march
     visits t_i, the Gauss-Legendre times of ``_gauss_legendre_nodes`` and
-    t_f.  Node solves that fail are reported with coordinates; more than
-    ``failure_budget`` of them aborts the report.
+    t_f, and its weights certify the domain at both ends (DomainTooSmall
+    names t_i or t_f, and comes first).  Node solves that fail are reported
+    with coordinates; more than ``failure_budget`` of them aborts the report.
     """
     t_i, t_f = model.protocol.t_i, model.protocol.t_f
-    _check_domain(model, t_i, beta, hbar, domain, settings)
-    P, Q, W = domain.nodes()
-    out = _pseudo_work_batch(model, t_i, t_f, P, Q, beta * hbar, settings,
-                             nodes=_gauss_legendre_nodes(t_i, t_f))
+    P, Q, W, out = _certified_march(model, t_i, t_f, beta, hbar, domain,
+                                    settings)
     failures = _collect_failures(P, Q, out["status"],
                                  out["times"][_last_solved_node(out)])
     if len(failures) > failure_budget * P.size:
@@ -283,7 +281,7 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
         Z_i=z_i, Z_f=z_f, lhs=lhs, rhs=rhs,
         residual=abs(lhs - rhs) / abs(rhs),
         failures=failures, n_nodes=int(P.size),
-        diagnostics=_march_diagnostics(out, ok))
+        diagnostics=_march_diagnostics(out))
 
     if with_prefactor:
         # static partitions at both protocol ends with the geometric
@@ -293,7 +291,7 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
         zn_i = float(np.sum(w_quad * (np.exp(-beta * g_i) * geom
                                       / (2.0 * np.pi * hbar))))
         zn_f = partition(model, t_f, beta, hbar, domain, settings,
-                         check_domain=False, with_prefactor=True)
+                         with_prefactor=True)
         n_weight = geom / (2.0 * np.pi * hbar)
         lhs_n = float(np.sum(w_quad * n_weight * np.exp(-beta * (g_i + work)))
                       / zn_i)

@@ -314,9 +314,9 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
         work = np.zeros(b)
 
     # the march ends at t_f: its last solve is the endpoint's
-    g_prop, chord_gap = (np.full(b, np.nan) for _ in range(2))
-    g_prop[live], chord_gap[live] = _propagated_g_batch(
-        model, t_i, tp[live], tq[live], settings, solve)
+    g_prop = np.full(b, np.nan)
+    g_prop[live] = _propagated_g_batch(model, t_i, tp[live], tq[live],
+                                       settings, solve)
 
     return {
         "times": times,
@@ -333,7 +333,6 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
         "g_initial": g_initial,
         "prefactor_initial": prefactor_initial,
         "g_propagated": g_prop,
-        "chord_gap": chord_gap,
         "W_endpoint": g_prop - g_initial,
     }
 

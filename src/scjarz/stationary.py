@@ -300,9 +300,10 @@ def _propagated_g_batch(model, t_i, tp, tq, settings, solve: SolveBatch):
     the t_i chord, over i hbar*beta is G_prop; at t_f == t_i the legs
     vanish and this is the static G from the total action.  Every term of
     that total is a difference of conjugates, so G_prop is real.  Returns
-    (g_prop, chord_gap), NaN in the columns that are not OK; chord_gap is
-    the distance between the reconstructed t_i chord midpoint and the
-    target.
+    G_prop, NaN in the columns that are not OK.  The leg is the one the
+    solve's accepted map evaluation integrated (same start, same drive
+    table), so the t_i chord midpoint misses the target by the solve's
+    own residual, which is not measured again here.
     """
     arcs = solve.arcs
     good = solve.status == OK
@@ -312,22 +313,15 @@ def _propagated_g_batch(model, t_i, tp, tq, settings, solve: SolveBatch):
     s_minus = np.zeros(pe.shape, dtype=complex)
     if arcs.t != t_i:
         n = _real_step_count(model, settings, arcs.t - t_i)
-        pe, qe, acc = _flow_real_batch(model, arcs.t, t_i, pe, qe, n,
-                                       with_action=True)
+        _, qe, acc = _flow_real_batch(model, arcs.t, t_i, pe, qe, n,
+                                      with_action=True)
         s_minus = -acc
     chord = qe - np.conjugate(qe)
     tpg = np.asarray(tp, dtype=float)[good]
-    tqg = np.asarray(tq, dtype=float)[good]
     s_tot = -(tpg + 0j) * chord + np.conjugate(s_minus) + arcs.action - s_minus
-    g = s_tot / (1j * arcs.hbar_beta)
-    mid_p = 0.5 * (np.conjugate(pe) + pe)
-    mid_q = 0.5 * (np.conjugate(qe) + qe)
-    gap = np.hypot(np.abs(mid_p - tpg), np.abs(mid_q - tqg))
-
-    g_prop, chord_gap = (np.full(np.shape(tp), np.nan) for _ in range(2))
-    g_prop[good] = g.real
-    chord_gap[good] = gap
-    return g_prop, chord_gap
+    g_prop = np.full(np.shape(tp), np.nan)
+    g_prop[good] = (s_tot / (1j * arcs.hbar_beta)).real
+    return g_prop
 
 
 def _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta, settings):
@@ -339,7 +333,7 @@ def _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta, settings):
     NaN; the OK columns' arcs are ``solve.arcs``.
     """
     solve = _invert_map_batch(model, t, t, tp, tq, hbar_beta, settings)
-    g_fta, _ = _propagated_g_batch(model, t, tp, tq, settings, solve)
+    g_fta = _propagated_g_batch(model, t, tp, tq, settings, solve)
     g = np.full(np.shape(tp), np.nan)
     g[solve.status == OK] = solve.arcs.g
     return solve, g, g_fta

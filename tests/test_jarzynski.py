@@ -3,11 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scjarz import jarzynski, pseudowork
+from scjarz import jarzynski, pseudowork, stationary
 from scjarz.dynamics import ImaginaryArc, IntegratorSettings
 from scjarz.pseudowork import _gauss_legendre_nodes, _pseudo_work_batch
 from scjarz.stationary import _pseudo_hamiltonian_batch
-from scjarz.errors import DomainTooSmall, IntegratorDiverged
+from scjarz.errors import DomainTooSmall, IntegratorDiverged, NewtonDiverged
 from scjarz.jarzynski import (QuadratureDomain, partition,
                               propagated_partition, verify_identity)
 from scjarz.models import harmonic_model, ramped_model
@@ -47,6 +47,34 @@ def test_small_domain_rejected():
     small = QuadratureDomain(p_max=3.0, q_max=3.0, n_p=16, n_q=16)
     with pytest.raises(DomainTooSmall):
         partition(model, 0.0, 1.0, 1.0, small, SET)
+
+
+@pytest.mark.parametrize("rule", ["gauss-legendre", "trapezoid"])
+def test_ring_is_the_outermost_nodes(rule):
+    dom = QuadratureDomain(p_max=2.0, q_max=3.0, n_p=5, n_q=4, rule=rule)
+    P, Q, _ = dom.nodes()
+    ring = dom.ring()
+    edge = (np.abs(P) == np.max(np.abs(P))) | (np.abs(Q) == np.max(np.abs(Q)))
+    assert np.array_equal(ring, edge)
+    assert np.count_nonzero(ring) == 2 * 5 + 2 * 4 - 4
+
+
+def test_domain_check_reads_the_ring_of_the_given_weights():
+    # a pure check: a failed ring node or a ring weight above the tolerance
+    # raises, naming the end; a failed interior node is left to the caller
+    dom = QuadratureDomain(p_max=1.0, q_max=1.0, n_p=3, n_q=3,
+                           boundary_weight_tol=1e-4)
+    g = np.full(9, 10.0)
+    g[4] = 0.0                          # the center, the one interior node
+    jarzynski._check_domain(dom, g, 1.0, "t_i")
+    with pytest.raises(DomainTooSmall, match="ratio 6.738e-03 at t_f"):
+        jarzynski._check_domain(dom, g, 0.5, "t_f")
+    g[0] = np.nan
+    with pytest.raises(DomainTooSmall, match="1 outermost node.* at t_f"):
+        jarzynski._check_domain(dom, g, 1.0, "t_f")
+    g[0], g[4] = 10.0, np.nan
+    with pytest.raises(DomainTooSmall, match="ratio 1.000e\\+00 at t_i"):
+        jarzynski._check_domain(dom, g, 1.0, "t_i")
 
 
 def test_partition_matches_closed_form():
@@ -138,19 +166,37 @@ def test_identity_harmonic_ramp_closed_form():
     assert report.Z_f == pytest.approx(z_harmonic(1.0, 1.0, 2.0), rel=1e-6)
 
 
+# the reversed drive (omega 2 -> 1) softens the oscillator, so its
+# propagated weight exp(-beta G_prop) reaches further out in p than the
+# t_i weight: on DOMAIN its t_f edge-to-peak ratio is 1.6e-9, on this one
+# 3.5e-12
+WIDE_DOMAIN = QuadratureDomain(p_max=12.0, q_max=10.5, n_p=64, n_q=64)
+
+
 def test_identity_reversed_protocol_inverts_ratio():
     fwd = ramped_model("harmonic", omega_i=1.0, omega_f=2.0)
     rev = ramped_model("harmonic", omega_i=2.0, omega_f=1.0)
     r_fwd = verify_identity(fwd, 1.0, 1.0, DOMAIN, SET)
-    r_rev = verify_identity(rev, 1.0, 1.0, DOMAIN, SET)
+    r_rev = verify_identity(rev, 1.0, 1.0, WIDE_DOMAIN, SET)
     assert r_fwd.rhs * r_rev.rhs == pytest.approx(1.0, abs=1e-6)
 
 
+def test_reversed_ramp_truncation_is_caught_at_t_f():
+    # at p_max = 8 the t_i weight passes (2.8e-11) but the propagated one
+    # does not (8.1e-6), and its rhs would miss the closed form by 1.2e-6
+    rev = ramped_model("harmonic", omega_i=2.0, omega_f=1.0)
+    with pytest.raises(DomainTooSmall, match="at t_f exceeds"):
+        verify_identity(rev, 1.0, 1.0, QuadratureDomain(8.0, 7.5, 48, 48),
+                        SET)
+    report = verify_identity(rev, 1.0, 1.0,
+                             QuadratureDomain(12.0, 7.5, 48, 48), SET)
+    assert abs(report.rhs - np.tanh(1.0) / np.tanh(0.5)) < 1e-6
 
-# on this domain both ratios land within 2e-7 of the closed form at the
-# step counts below; p_max = 8 would truncate the reversed drive's
-# propagated weight at the 1e-6 level
-REVERSAL_DOMAIN = QuadratureDomain(p_max=9.0, q_max=7.5, n_p=40, n_q=40)
+
+# on this domain both ratios land within 3e-7 of the closed form at the
+# step counts below; the reversed drive's t_f edge-to-peak ratio is 3.5e-12
+# (linear) and 1.7e-11 (smoothstep), where p_max = 11.5 reads 1.3e-10
+REVERSAL_DOMAIN = QuadratureDomain(p_max=12.0, q_max=7.5, n_p=40, n_q=40)
 
 
 @pytest.mark.parametrize("shape", ["linear", "smoothstep"])
@@ -208,7 +254,7 @@ def assert_monte_carlo_agrees(report, n_samples):
     assert mc["requested_samples"] == n_samples
     # the sample march's own counts: one solve per (sample, time node)
     assert set(mc["diagnostics"]) == {"work_nodes", "node_solves",
-                                      "newton_iters", "max_chord_gap"}
+                                      "newton_iters"}
     assert mc["diagnostics"]["work_nodes"] == 18
     assert mc["diagnostics"]["node_solves"] == 18 * n_samples
 
@@ -229,7 +275,7 @@ def test_monte_carlo_mode_quartic():
 
 def test_monte_carlo_marches_each_sample_once(monkeypatch):
     # beyond the quadrature march, --mc runs one march over the samples
-    # and no other solve
+    # and no other solve; the domain check reads the march's own weights
     marches, statics = [], []
     original_march = jarzynski._pseudo_work_batch
     original_static = jarzynski._pseudo_hamiltonian_batch
@@ -250,7 +296,7 @@ def test_monte_carlo_marches_each_sample_once(monkeypatch):
                     IntegratorSettings(n_sigma_steps=32, n_time_steps=8),
                     monte_carlo=True, mc_samples=50, seed=3)
     assert marches == [36, 50]
-    assert statics == [9]
+    assert statics == []
 
 
 def test_prefactor_report_exposes_correction():
@@ -282,9 +328,9 @@ def test_prefactor_report_reuses_the_t_i_solves():
                            with_prefactor=True).prefactor_on
     P, Q, W = dom.nodes()
     zn_i = partition(model, 0.0, 1.0, 1.0, dom, settings,
-                     check_domain=False, with_prefactor=True)
+                     with_prefactor=True)
     zn_f = partition(model, 1.0, 1.0, 1.0, dom, settings,
-                     check_domain=False, with_prefactor=True)
+                     with_prefactor=True)
     out = _pseudo_work_batch(model, 0.0, 1.0, P, Q, 1.0, settings,
                              nodes=_gauss_legendre_nodes(0.0, 1.0))
     solve, _, _ = _pseudo_hamiltonian_batch(model, 0.0, P, Q, 1.0, settings)
@@ -337,12 +383,15 @@ def test_non_finite_prefactor_raises_with_its_column_count(monkeypatch):
     # at hbar*beta = 3 the quartic arcs through the targets (+-5, +-6)
     # solve, and their prefactors, taken from the solve's half-flow
     # monodromy, are finite (an end-to-end flow of these arcs overflows)
+    # every node of the 2x2 corner grid is on its outermost ring, so the
+    # domain check is switched off
+    monkeypatch.setattr(jarzynski, "_check_domain", lambda *args: None)
     model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
                          quartic_lambda=0.1)
     settings = IntegratorSettings(n_sigma_steps=64, n_time_steps=64)
     corners = QuadratureDomain(5.0, 6.0, 2, 2, "trapezoid")
     z = partition(model, 0.0, 1.0, 3.0, corners, settings,
-                  check_domain=False, with_prefactor=True)
+                  with_prefactor=True)
     assert np.isfinite(z) and z > 0.0
     # a partition cannot mark a column, so a non-finite prefactor raises
     # and says how many there are; neither can the identity report, whose
@@ -359,7 +408,7 @@ def test_non_finite_prefactor_raises_with_its_column_count(monkeypatch):
     with pytest.raises(IntegratorDiverged,
                        match="non-finite prefactor in 1 of 4 column"):
         partition(model, 0.0, 1.0, 3.0, corners, settings,
-                  check_domain=False, with_prefactor=True)
+                  with_prefactor=True)
     domain = QuadratureDomain(p_max=10.5, q_max=10.5, n_p=4, n_q=4)
     with pytest.raises(IntegratorDiverged,
                        match="non-finite prefactor in 1 of 16 column"):
@@ -371,8 +420,8 @@ def test_failures_carry_the_time_of_their_failed_node(monkeypatch):
     # quartic ramp at hbar*beta = 1 on a 4x4 trapezoid grid over 6 x 4.5:
     # the starts (-6, -1.5) and (6, 1.5) solve at t_i and fail at work
     # node 9 of the 18, inside the ramp, and each failure names that
-    # node's time.  The boundary probes of the domain check do not solve
-    # on this domain, so the check is switched off
+    # node's time.  Both are outermost nodes, so the domain check at t_f
+    # would refuse the domain first; it is switched off
     monkeypatch.setattr(jarzynski, "_check_domain", lambda *args: None)
     model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
                          quartic_lambda=0.1)
@@ -386,3 +435,61 @@ def test_failures_carry_the_time_of_their_failed_node(monkeypatch):
     assert report.to_dict()["failures"] == [
         {"p": -6.0, "q": -1.5, "t": t_fail, "reason": "diverged"},
         {"p": 6.0, "q": 1.5, "t": t_fail, "reason": "diverged"}]
+
+
+def test_failure_budget_refuses_a_caustic_grid(monkeypatch):
+    # the caustic grid (quartic ramp at hbar*beta = 1, 32 sigma and time
+    # steps) shrunk to 8x8 trapezoid starts over 6 x 4.5: 8 of the 64
+    # stall in the march, far more than 1%, so the budget itself raises
+    # once the domain check is switched off.  With it on, the domain is
+    # refused first, at t_i (edge-to-peak weight 1.8e-7)
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    domain = QuadratureDomain(6.0, 4.5, 8, 8, "trapezoid")
+    settings = IntegratorSettings(n_sigma_steps=32, n_time_steps=32)
+    with pytest.raises(DomainTooSmall, match="ratio 1.847e-07 at t_i"):
+        verify_identity(model, 1.0, 1.0, domain, settings)
+    monkeypatch.setattr(jarzynski, "_check_domain", lambda *args: None)
+    with pytest.raises(NewtonDiverged,
+                       match=r"^8 of 64 quadrature nodes failed "
+                             r"\(> 1% budget\)$"):
+        verify_identity(model, 1.0, 1.0, domain, settings)
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "quartic"])
+def test_propagated_partition_is_the_identitys_z_f(kind):
+    # one march rule: Z_prop is read from the identity's own march, so it
+    # is its Z_f bit for bit
+    model = ramped_model(kind, omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1 if kind == "quartic" else 0.0)
+    hbar, dom = ((1.0, QuadratureDomain(10.5, 10.5, 24, 24))
+                 if kind == "harmonic" else
+                 (QUARTIC_HBAR, QuadratureDomain(7.5, 4.5, 24, 24)))
+    settings = IntegratorSettings(n_sigma_steps=32, n_time_steps=16)
+    z_prop = propagated_partition(model, 0.0, 1.0, 1.0, hbar, dom, settings)
+    assert z_prop == verify_identity(model, 1.0, hbar, dom, settings).Z_f
+
+
+def test_domain_check_runs_no_solve(monkeypatch):
+    # the identity solves once per march node (18), --prefactor once more
+    # for its static t_f partition, and a partition once
+    calls = []
+    original = stationary._invert_map_batch
+
+    def counted(model, t_i, t_f, *args, **kwargs):
+        calls.append(t_f)
+        return original(model, t_i, t_f, *args, **kwargs)
+
+    monkeypatch.setattr(pseudowork, "_invert_map_batch", counted)
+    monkeypatch.setattr(stationary, "_invert_map_batch", counted)
+    model = ramped_model("harmonic", omega_i=1.0, omega_f=2.0)
+    dom = QuadratureDomain(p_max=10.5, q_max=10.5, n_p=6, n_q=6)
+    settings = IntegratorSettings(n_sigma_steps=32, n_time_steps=8)
+    verify_identity(model, 1.0, 1.0, dom, settings)
+    assert len(calls) == 18
+    calls.clear()
+    verify_identity(model, 1.0, 1.0, dom, settings, with_prefactor=True)
+    assert len(calls) == 19 and calls[-1] == 1.0
+    calls.clear()
+    partition(model, 0.0, 1.0, 1.0, dom, settings)
+    assert calls == [0.0]

@@ -387,10 +387,11 @@ def test_real_flow_of_conjugate_starts_is_conjugate(kind, starts, t_a, t_b):
 
 
 def _two_leg_g_prop(model, t_i, tp, tq, settings, solve):
-    """G_prop, |Im G_prop| and chord gap with both branch legs integrated:
-    from the arc's sigma = -hbar*beta/2 endpoint (the plus branch; the
-    conjugate of the stored plus endpoint) and from its sigma =
-    +hbar*beta/2 endpoint (the minus branch)."""
+    """G_prop, |Im G_prop| and chord gap (distance of the t_i chord
+    midpoint from the target) with both branch legs integrated: from the
+    arc's sigma = -hbar*beta/2 endpoint (the plus branch; the conjugate of
+    the stored plus endpoint) and from its sigma = +hbar*beta/2 endpoint
+    (the minus branch)."""
     arcs = solve.arcs
     ok = solve.status == OK
     b = arcs.center_p.shape[0]
@@ -418,8 +419,11 @@ def _two_leg_g_prop(model, t_i, tp, tq, settings, solve):
        st.floats(0.05, 1.0))
 def test_one_leg_g_prop_is_the_two_leg_formula(kind, targets, t_f):
     # the endpoint G_prop integrates only the leg from sigma = +hbar*beta/2
-    # and takes the other as its conjugate; G_prop and the chord gap must
-    # be those of both legs integrated, whose G_prop is real to roundoff
+    # and takes the other as its conjugate; G_prop must be that of both
+    # legs integrated, which is real to roundoff.  That leg is the one the
+    # solve's accepted map evaluation integrated, so the t_i chord midpoint
+    # misses the target by the solve's own residual: the distance lies
+    # between that max-norm residual and sqrt(2) times it
     model = WIDTH_MODELS[kind]()
     tp = np.array([t[0] for t in targets])
     tq = np.array([t[1] for t in targets])
@@ -427,10 +431,12 @@ def test_one_leg_g_prop_is_the_two_leg_formula(kind, targets, t_f):
     got = _propagated_g_batch(model, 0.0, tp, tq, HYP_SET, solve)
     g_ref, imag_ref, gap_ref = _two_leg_g_prop(model, 0.0, tp, tq, HYP_SET,
                                                solve)
-    for name, x, y in zip(("G_prop", "chord_gap"), got, (g_ref, gap_ref)):
-        assert np.array_equal(x, y, equal_nan=True), name
+    assert np.array_equal(got, g_ref, equal_nan=True)
     ok = solve.status == OK
     assert np.all(imag_ref[ok] <= 1e-14 * (1.0 + np.abs(g_ref[ok])))
+    res = solve.residual[ok]
+    assert np.all(res <= gap_ref[ok])
+    assert np.all(gap_ref[ok] <= np.sqrt(2.0) * res * (1.0 + 1e-15))
 
 
 def test_work_march_solves_each_time_node_once(monkeypatch):
