@@ -28,12 +28,19 @@ EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _csv_rows(columns, markers=None) -> list:
+    """CSV rows of float columns, each number as ``.17g`` (nan, inf, -0
+    too), then ``markers`` if given; one ``%`` pass of a row template."""
+    cells = [np.asarray(c).tolist() for c in columns]
+    template = ",".join(["%.17g"] * len(cells))
+    if markers is not None:
+        template += ",%s"
+        cells.append(markers)
+    return [template % row for row in zip(*cells)]
 
 
 def _status_marker(code: int) -> str:
@@ -52,6 +59,7 @@ def cmd_gibbs(cfg: RunConfig, out_dir: Path, prefactor: bool) -> int:
     status = solve.status
     header = ["q", "p", "G", "G_from_total_action", "z_c_p", "z_c_q",
               "jacobian_det", "area_A"]
+    columns = [Q, P, g, g_fta, solve.zc_p, solve.zc_q, solve.det, area]
     if prefactor:
         pref = np.full(P.size, np.nan)
         pref[ok] = solve.arcs.prefactor / (2.0 * np.pi * cfg.hbar)
@@ -59,16 +67,11 @@ def cmd_gibbs(cfg: RunConfig, out_dir: Path, prefactor: bool) -> int:
         # dropped, and the scan goes on
         status = np.where(ok & np.isnan(pref), DIVERGED, status)
         header.append("prefactor")
+        columns.append(pref)
     header.append("status")
+    markers = [_status_marker(code) for code in status.tolist()]
     lines = [f"# config_sha256={cfg.config_hash()}", ",".join(header)]
-    for i in range(P.size):
-        cells = [_fmt(Q[i]), _fmt(P[i]), _fmt(g[i]), _fmt(g_fta[i]),
-                 _fmt(solve.zc_p[i]), _fmt(solve.zc_q[i]),
-                 _fmt(solve.det[i]), _fmt(area[i])]
-        if prefactor:
-            cells.append(_fmt(pref[i]))
-        cells.append(_status_marker(status[i]))
-        lines.append(",".join(cells))
+    lines += _csv_rows(columns, markers)
     (out_dir / "gibbs.csv").write_text("\n".join(lines) + "\n")
     n_failed = int(np.count_nonzero(status != OK))
     if n_failed:
@@ -89,11 +92,9 @@ def cmd_work(cfg: RunConfig, out_dir: Path) -> int:
         _raise_failed_start(out)
     lines = [f"# config_sha256={cfg.config_hash()}",
              "t,check_p,check_q,z_c_p,z_c_q,pseudo_power"]
-    for j, tj in enumerate(out["times"]):
-        lines.append(",".join(_fmt(v) for v in (
-            tj, out["check_p"][j, 0], out["check_q"][j, 0],
-            out["center_p"][j, 0], out["center_q"][j, 0],
-            out["power"][j, 0])))
+    lines += _csv_rows([out["times"]] + [
+        out[key][:, 0] for key in ("check_p", "check_q", "center_p",
+                                   "center_q", "power")])
     (out_dir / "work.csv").write_text("\n".join(lines) + "\n")
     w = float(out["W"][0])
     w_end = float(out["W_endpoint"][0])

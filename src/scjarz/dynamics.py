@@ -106,13 +106,23 @@ def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
     """Classical RK4 for dp = c H_q(q), dq = d p on a stacked state.
 
     P and Q are (rows, B) complex stacks.  Row 0 is the state; with
-    ``tangent``, rows 1 and 2 are the tangent columns d/dp0 and d/dq0.
-    They obey dp' = c H_qq(q) dq', dq' = d p' with H_qq at each stage
-    state, so they are the exact derivative of the discrete RK4 map
-    (Hairer, Lubich and Wanner, variational equations).  Each stage is one
-    array operation over the stack, and row 0 is the same elementwise
-    formula either way, so the state is bitwise the same with or without
-    the tangent.
+    ``tangent``, rows 1 and 2 are the tangent columns d/dp0 and d/dq0,
+    which obey dp' = c H_qq(q) dq', dq' = d p' with H_qq at each stage
+    state.  Each stage is one array operation over the stack, and row 0
+    is the same elementwise formula either way, so the state is bitwise
+    the same with or without the tangent.
+
+    The step is in Nystrom form (Hairer, Norsett and Wanner, *Solving
+    Ordinary Differential Equations I*, sec. II.14): stage forces k_j at
+    Q2 = Q + (hd/2) P, Q3 = Q2 + (hc hd/4) k1, Q4 = Q + hd P + (hc hd/2) k2,
+    then P' = P + (hc/6)(k1 + 2 k2 + 2 k3 + k4) and
+    Q' = Q + hd P + (hc hd/6)(k1 + k2 + k3).  The flow is separable, so
+    this is classical RK4 in exact arithmetic without the stage momenta,
+    and the tangent rows are still the exact derivative of the discrete
+    map (Hairer, Lubich and Wanner, variational equations).  hc hd is
+    real for both flows, so every operation commutes exactly with
+    conjugation.  The quartic force q (m w^2 + 4 lam q^2) and the tangent
+    stiffness m w^2 + 12 lam q^2 come from one coefficient stack.
 
     Linear flows (quartic_lambda == 0): H_qq = m w(t)^2 does not depend
     on the state, and every column's tangent starts from the identity, so
@@ -127,13 +137,9 @@ def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
     midpoint and end, formed for the whole call in one vectorized pass
     with the times t0 + k dt, t + dt/2 and t + dt of step k (so an
     out-of-range time anywhere raises before the first step); dt = 0
-    freezes the drive, and its stiffness is evaluated once.
-    Every stage writes into buffers allocated once per run, with the
-    operands and operation order of the textbook expressions
-    ``acc += 2 F`` and ``P += (h c / 6) (acc + F)``, so the buffers do not
-    change a bit of the result.
-    Returns the final stacks and, with ``store``, the state path
-    (n_steps + 1, B) of p and q.
+    freezes the drive, and its stiffness is evaluated once.  Every stage
+    writes into buffers allocated once per run.  Returns the final stacks
+    and, with ``store``, the state path (n_steps + 1, B) of p and q.
     """
     # the drive table, one (start, mid, end) triple per step; the scalars
     # are complex: numpy promotes a float operand of a complex array to
@@ -151,9 +157,11 @@ def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
         t = t0 + np.arange(n_steps) * dt
         drive = list(zip(*(stiffness(x).astype(complex).tolist()
                            for x in (t, t + 0.5 * dt, t + dt))))
-    lam4, lam12 = (complex(k * model.quartic_lambda) for k in (4.0, 12.0))
+    linear = model.quartic_lambda == 0.0
     hc, hd = complex(h * c), complex(h * d)
-    hc2, hd2, hc6, hd6 = 0.5 * hc, 0.5 * hd, hc / 6.0, hd / 6.0
+    hchd = hc * hd
+    hd2, hc6 = 0.5 * hd, hc / 6.0
+    hchd2, hchd4, hchd6 = 0.5 * hchd, 0.25 * hchd, hchd / 6.0
 
     def run(p0, q0, tangent, store):
         """Integrate the stack started at (p0, q0) over the drive table."""
@@ -165,64 +173,54 @@ def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
             P[1] = Q[2] = 1.0
         path = (np.empty((2, n_steps + 1) + P.shape[1:], dtype=complex)
                 if store else None)
-        # stage buffers: force rows, stage state, the weighted sums of the
-        # stage forces (p increment) and stage momenta (q increment), and
-        # a scratch stack; then the quartic force's row scratch
-        F, Ps, Qs, acc_f, acc_p, tmp = (np.empty_like(P) for _ in range(6))
-        qq, cube, stiff = (np.empty_like(P[0]) for _ in range(3))
-        f_rows, q_rows, qs_rows = ((X[0], X[1:]) for X in (F, Q, Qs))
+        # stage buffers: the stage position, the stage forces (k1 then k3,
+        # k2 then k4), their sum and a scratch stack; q^2, and the force and
+        # stiffness coefficients m w^2 + 4 lam q^2 and m w^2 + 12 lam q^2
+        Qs, Ka, Kb, S, tmp = (np.empty_like(P) for _ in range(5))
+        qq, coef = np.empty_like(P[0]), np.empty_like(P[:1 + tangent])
+        lam = model.quartic_lambda * np.array([[4], [12]][:1 + tangent]) + 0j
+        coef_f, coef_s = coef[0], coef[1:]
+        q_rows, qs_rows, ka_rows, kb_rows = (
+            (X, X[0], X[1:]) for X in (Q, Qs, Ka, Kb))
 
-        def force(X, x_rows, mw2):
-            """F = (H_q(q), H_qq(q) dq rows) at the state row q of X = Q
-            or Qs; ``x_rows`` is X's (state row, tangent rows) pair of
-            views."""
-            if lam4 == 0.0:
-                np.multiply(X, mw2, out=F)
+        def force(x_rows, k_rows, mw2):
+            """k = (H_q(q), H_qq(q) dq rows) at the state row q of x, given
+            as (stack, state row, tangent rows) views like k."""
+            (X, q, dq), (K, f, df) = x_rows, k_rows
+            if linear:
+                np.multiply(X, mw2, out=K)
                 return
-            (q, dq), (f, df) = x_rows, f_rows
             np.multiply(q, q, out=qq)
-            np.multiply(q, mw2, out=f)
-            np.multiply(lam4, np.multiply(qq, q, out=cube), out=cube)
-            np.add(f, cube, out=f)
+            np.add(np.multiply(lam, qq, out=coef), mw2, out=coef)
+            np.multiply(q, coef_f, out=f)
             if tangent:
-                np.add(mw2, np.multiply(lam12, qq, out=stiff), out=stiff)
-                np.multiply(dq, stiff, out=df)
-
-        def stage(a_p, a_q, p_from):
-            """Ps, Qs = P + a_p F, Q + a_q p_from (p_from may be Ps)."""
-            np.add(Q, np.multiply(p_from, a_q, out=Qs), out=Qs)
-            np.add(P, np.multiply(F, a_p, out=Ps), out=Ps)
-
-        def accumulate(acc, X):
-            """acc += 2 X."""
-            np.add(acc, np.multiply(2.0 + 0j, X, out=tmp), out=acc)
+                np.multiply(dq, coef_s, out=df)
 
         with np.errstate(over="ignore", invalid="ignore"):
             for k, (m_start, m_mid, m_end) in enumerate(drive):
                 if store:
                     path[0, k], path[1, k] = P[0], Q[0]
-                force(Q, q_rows, m_start)
-                np.copyto(acc_f, F)
-                np.copyto(acc_p, P)
-                stage(hc2, hd2, P)
-                force(Qs, qs_rows, m_mid)
-                accumulate(acc_f, F)
-                accumulate(acc_p, Ps)
-                stage(hc2, hd2, Ps)
-                force(Qs, qs_rows, m_mid)
-                accumulate(acc_f, F)
-                accumulate(acc_p, Ps)
-                stage(hc, hd, Ps)
-                force(Qs, qs_rows, m_end)
-                np.add(P, np.multiply(hc6, np.add(acc_f, F, out=acc_f),
-                                      out=acc_f), out=P)
-                np.add(Q, np.multiply(hd6, np.add(acc_p, Ps, out=acc_p),
-                                      out=acc_p), out=Q)
+                # once Q2 is formed, Q holds Q + hd P, the base of Q4 and Q'
+                force(q_rows, ka_rows, m_start)                 # k1
+                np.add(Q, np.multiply(P, hd2, out=Qs), out=Qs)  # Q2
+                np.add(Q, np.multiply(P, hd, out=tmp), out=Q)
+                force(qs_rows, kb_rows, m_mid)                  # k2
+                np.add(Qs, np.multiply(Ka, hchd4, out=tmp), out=Qs)  # Q3
+                np.add(Ka, Kb, out=S)
+                force(qs_rows, ka_rows, m_mid)                  # k3
+                np.add(Q, np.multiply(Kb, hchd2, out=tmp), out=Qs)   # Q4
+                np.add(Kb, Ka, out=Kb)                          # k2 + k3
+                np.add(S, Ka, out=S)                            # k1 + k2 + k3
+                force(qs_rows, ka_rows, m_end)                  # k4
+                np.add(Q, np.multiply(S, hchd6, out=tmp), out=Q)     # Q'
+                np.add(S, Kb, out=S)
+                np.add(S, Ka, out=S)                # k1 + 2 k2 + 2 k3 + k4
+                np.add(P, np.multiply(S, hc6, out=S), out=P)         # P'
             if store:
                 path[0, n_steps], path[1, n_steps] = P[0], Q[0]
         return P, Q, path
 
-    if not (tangent and lam4 == 0.0 and np.size(p0) > 1):
+    if not (tangent and linear and np.size(p0) > 1):
         return run(p0, q0, tangent, store)
     # linear flow: the state alone at full width, the one monodromy that
     # every column shares at width 1

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from scjarz.dynamics import (IntegratorSettings, _build_arc_batch,
-                             _flow_imaginary_batch, _flow_real_batch,
+                             _flow_imaginary_batch, _flow_real_batch, _rk4,
                              build_arc, flow_imaginary, flow_real,
                              simpson_weights, weighted_sum)
 from scjarz.errors import (IntegratorDiverged, TimeOutOfRange,
@@ -438,3 +438,99 @@ def test_running_drive_checks_every_time_before_the_first_step():
     p0 = q0 = np.array([0.5 + 0j, 1.0 + 0j])
     with pytest.raises(TimeOutOfRange, match="outside protocol span"):
         _flow_real_batch(model, 0.5, 1.25, p0, q0, 8, tangent=True)
+
+
+def textbook_rk4(model, c, d, t0, dt, p0, q0, h, n_steps):
+    """Reference for the kernel: classical RK4 for dp = c H_q(q),
+    dq = d p, stage by stage with explicit stage momenta and positions,
+    and the tangent columns (d/dp0, d/dq0) from the variational equations
+    dp' = c H_qq(q) dq', dq' = d p'.  Returns the state path (p, q) of
+    shape (n_steps + 1, B) each and the monodromy (2, 2, B)."""
+    def rhs(t, p, q, jp, jq):
+        w = model.protocol.omega(t)
+        stiff = model.mass * w * w + 12.0 * model.quartic_lambda * q * q
+        return c * model.grad(t, p, q)[1], d * p, c * stiff * jq, d * jp
+
+    one, zero = np.ones_like(p0), np.zeros_like(p0)
+    y = (p0, q0, np.stack([one, zero]), np.stack([zero, one]))
+    path = [y[:2]]
+    for k in range(n_steps):
+        t = t0 + k * dt
+        k1 = rhs(t, *y)
+        y2 = [x + (0.5 * h) * f for x, f in zip(y, k1)]     # P2, Q2
+        k2 = rhs(t + 0.5 * dt, *y2)
+        y3 = [x + (0.5 * h) * f for x, f in zip(y, k2)]     # P3, Q3
+        k3 = rhs(t + 0.5 * dt, *y3)
+        y4 = [x + h * f for x, f in zip(y, k3)]             # P4, Q4
+        k4 = rhs(t + dt, *y4)
+        y = tuple(x + (h / 6.0) * (a + 2.0 * b + 2.0 * e + g)
+                  for x, a, b, e, g in zip(y, k1, k2, k3, k4))
+        path.append(y[:2])
+    p, q = (np.array(x) for x in zip(*path))
+    return p, q, np.stack([y[2], y[3]])
+
+
+@pytest.mark.parametrize("width", [1, 40])
+@pytest.mark.parametrize("kind", sorted(TANGENT_MODELS))
+def test_kernel_is_classical_rk4(kind, width):
+    # the kernel's step is RK4 rearranged without stage momenta; it must
+    # be the textbook scheme to roundoff: the imaginary flow's stored path
+    # and monodromy, and the backward real flow's endpoint, action and
+    # monodromy
+    model = TANGENT_MODELS[kind]
+    rng = np.random.default_rng(23)
+    p0 = rng.uniform(-2.0, 2.0, width) + 1j * rng.uniform(-0.5, 0.5, width)
+    q0 = rng.uniform(-2.0, 2.0, width) + 1j * rng.uniform(-0.5, 0.5, width)
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+    t, s_to, n = 0.4, 0.5, 32
+    got = _flow_imaginary_batch(model, t, p0, q0, 0.0, s_to, n, store=True,
+                                tangent=True)
+    want = textbook_rk4(model, 1j, -1j / model.mass, t, 0.0, p0, q0,
+                        s_to / n, n)
+    for a, b in zip(got, want):
+        close(a, b)
+
+    t_from, t_to, n = 0.9, 0.1, 24
+    h = (t_to - t_from) / n
+    pe, qe, action, jac = _flow_real_batch(model, t_from, t_to, p0, q0, n,
+                                           with_action=True, tangent=True)
+    p, q, m = textbook_rk4(model, -1.0, 1.0 / model.mass, t_from, h, p0, q0,
+                           h, n)
+    lagrangian = np.stack([pk * pk / model.mass
+                           - model.value(t_from + k * h, pk, qk)
+                           for k, (pk, qk) in enumerate(zip(p, q))])
+    close(pe, p[-1])
+    close(qe, q[-1])
+    close(action, simpson_weights(n + 1, h) @ lagrangian)
+    close(jac, m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(*[st.floats(-3.0, 3.0)] * 4), min_size=1,
+                max_size=12),
+       st.sampled_from(["imaginary", "real"]))
+def test_kernel_columns_are_their_width_one_runs(starts, flow):
+    # every operation of the step is elementwise, so each column of a
+    # quartic batch, stored path and tangent rows included, is its own
+    # width-1 run bit for bit
+    model = TANGENT_MODELS["quartic"]
+    p0 = np.array([complex(a, b) for a, b, _, _ in starts])
+    q0 = np.array([complex(c, d) for _, _, c, d in starts])
+    if flow == "imaginary":
+        args = (1j, -1j / model.mass, 0.3, 0.0)
+        h = 0.6 / 16
+    else:
+        args = (-1.0, 1.0 / model.mass, 0.9, -0.05)
+        h = -0.05
+
+    P, Q, path = _rk4(model, *args, p0, q0, h, 16, tangent=True, store=True)
+    assert P.shape == Q.shape == (3, len(starts))
+    for i in range(len(starts)):
+        Pi, Qi, path_i = _rk4(model, *args, p0[i:i + 1], q0[i:i + 1], h, 16,
+                              tangent=True, store=True)
+        for batch, one in ((P, Pi), (Q, Qi), (path, path_i)):
+            assert batch[..., i].tobytes() == one[..., 0].tobytes(), i
