@@ -1,9 +1,11 @@
 """Semi-classical thermal Weyl symbols via complex-time trajectories.
 
 The package computes the stationary-phase pseudo-Hamiltonian of driven
-oscillator families, integrates pseudo-work along pseudo-trajectories, and
-verifies the resulting semi-classical work identity against quantum-exact
-Fock/Wigner references.
+oscillator families and integrates pseudo-work along pseudo-trajectories.
+It checks the semi-classical work identity internally, lhs
+<exp(-beta W)> against rhs Z_prop / Z_i from one march, and checks the
+static symbol at t_i against quantum-exact Fock/Wigner references.  The
+driven identity is not yet compared with a quantum-exact reference.
 """
 
 from .dynamics import (ImaginaryArc, IntegratorSettings, SampledPath,
@@ -13,7 +15,7 @@ from .errors import (CausticEncountered, ConfigError, DomainTooSmall,
                      ScjarzError, TimeOutOfRange, ToleranceExceeded,
                      TruncationInsufficient, WorkMismatch)
 from .jarzynski import (JarzynskiReport, QuadratureDomain, partition,
-                        propagated_partition, verify_identity)
+                        verify_identity)
 from .models import (ComplexPoint, FrequencyProtocol, HamiltonianModel,
                      harmonic_model, ramped_model)
 from .oracle import (FockOperator, WignerGrid, fock_state_wigner,
@@ -35,7 +37,7 @@ __all__ = [
     "PseudoState", "PseudoTrajectory", "WorkResult",
     "composite_map", "solve_pseudo_state", "pseudo_power", "pseudo_work",
     "QuadratureDomain", "JarzynskiReport",
-    "partition", "propagated_partition", "verify_identity",
+    "partition", "verify_identity",
     "FockOperator", "WignerGrid", "thermal_fock", "wigner_transform",
     "fock_state_wigner", "harmonic_closed_forms", "weyl_convention_audit",
     "ordering_pairing_check",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -17,9 +18,10 @@ import numpy as np
 from .config import SCHEMA_VERSION, RunConfig, load_config
 from .errors import ConfigError, ScjarzError
 from .jarzynski import partition, verify_identity
+from .models import ComplexPoint
 from .oracle import (_convention_audit, harmonic_closed_forms,
                      ordering_pairing_check, thermal_fock, wigner_transform)
-from .pseudowork import _pseudo_work_batch, _raise_failed_start
+from .pseudowork import pseudo_work
 from .stationary import (DIVERGED, OK, STATUS_NAMES,
                          _pseudo_hamiltonian_batch)
 
@@ -82,31 +84,26 @@ def cmd_gibbs(cfg: RunConfig, out_dir: Path, prefactor: bool) -> int:
 
 
 def cmd_work(cfg: RunConfig, out_dir: Path) -> int:
+    # both files are written whatever the mismatch; the verdict is the exit
     model = cfg.model
-    t_i, t_f = model.protocol.t_i, model.protocol.t_f
-    tp = np.array([cfg.work_target[0]])
-    tq = np.array([cfg.work_target[1]])
-    out = _pseudo_work_batch(model, t_i, t_f, tp, tq, cfg.hbar_beta,
-                             cfg.settings)
-    if out["status"][0] != OK:
-        _raise_failed_start(out)
+    res = pseudo_work(model, model.protocol.t_i, model.protocol.t_f,
+                      ComplexPoint(*cfg.work_target), cfg.hbar_beta,
+                      cfg.settings, work_tol=math.inf)
+    traj = res.trajectory
     lines = [f"# config_sha256={cfg.config_hash()}",
              "t,check_p,check_q,z_c_p,z_c_q,pseudo_power"]
-    lines += _csv_rows([out["times"]] + [
-        out[key][:, 0] for key in ("check_p", "check_q", "center_p",
-                                   "center_q", "power")])
+    lines += _csv_rows([traj.times, traj.check_p, traj.check_q,
+                        traj.center_p, traj.center_q, traj.power])
     (out_dir / "work.csv").write_text("\n".join(lines) + "\n")
-    w = float(out["W"][0])
-    w_end = float(out["W_endpoint"][0])
-    mismatch = abs(w - w_end)
+    mismatch = abs(res.W - res.W_endpoint)
     _write_json(out_dir / "work_summary.json", {
         "schema_version": SCHEMA_VERSION,
         "config_sha256": cfg.config_hash(),
-        "W": w,
-        "W_endpoint": w_end,
+        "W": res.W,
+        "W_endpoint": res.W_endpoint,
         "mismatch": mismatch,
     })
-    if mismatch > 1e-6 * (1.0 + abs(w)):
+    if mismatch > 1e-6 * (1.0 + abs(res.W)):
         print(f"work: path/endpoint mismatch {mismatch:.3e}", file=sys.stderr)
         return EXIT_NUMERICS
     return EXIT_OK

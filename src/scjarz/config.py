@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 import yaml
@@ -24,8 +23,6 @@ from .models import (MODEL_KINDS, PROTOCOL_SHAPES, FrequencyProtocol,
                      HamiltonianModel)
 
 SCHEMA_VERSION = 1
-
-COMMANDS = ("gibbs", "work", "jarzynski", "oracle")
 
 _DEFAULTS: dict = {
     "schema_version": SCHEMA_VERSION,
@@ -62,7 +59,6 @@ _DEFAULTS: dict = {
         "wigner_q_max": 10.0,
     },
     "run": {
-        "command": None,
         "output_dir": ".",
         "seed": 0,
         "prefactor": False,
@@ -160,7 +156,6 @@ class RunConfig:
     fock_n_max: int
     wigner_n_q: int
     wigner_q_max: float
-    command: Optional[str]
     output_dir: str
     seed: int
     prefactor: bool
@@ -264,11 +259,6 @@ def _build(data: dict) -> RunConfig:
                             "must be positive")
 
     rn = data["run"]
-    command = rn["command"]
-    if command is not None:
-        command = _require(str, command, "run.command",
-                           lambda v: v in COMMANDS,
-                           f"must be one of {COMMANDS}")
     gr = rn["grid"]
     grid = GridSpec(
         p_min=_require(_real, gr["p_min"], "run.grid.p_min"),
@@ -296,7 +286,6 @@ def _build(data: dict) -> RunConfig:
         fock_n_max=fock_n_max,
         wigner_n_q=wigner_n_q,
         wigner_q_max=wigner_q_max,
-        command=command,
         output_dir=str(rn["output_dir"]),
         seed=_require(_integer, rn["seed"], "run.seed", lambda v: v >= 0,
                       "must be >= 0"),

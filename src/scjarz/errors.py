@@ -22,7 +22,9 @@ class IntegratorDiverged(ScjarzError):
 
 
 class ToleranceExceeded(ScjarzError):
-    """A consistency check (Richardson halving, imaginary residue) failed."""
+    """A consistency check failed: with ``richardson_check`` set, a flow's
+    endpoint or an arc's monodromy moved by more than ``tolerance`` when
+    its step count was doubled."""
 
 
 class CausticEncountered(ScjarzError):

@@ -156,40 +156,6 @@ def partition(model: HamiltonianModel, t: float, beta: float, hbar: float,
     return float(np.sum(W * weight))
 
 
-def _certified_march(model, t_i, t_f, beta, hbar, domain, settings):
-    """The identity's march over the domain's nodes, certified at t_i for
-    exp(-beta G_initial), then at t_f for exp(-beta G_prop): (P, Q, W, out)."""
-    P, Q, W = domain.nodes()
-    out = _pseudo_work_batch(model, t_i, t_f, P, Q, beta * hbar, settings,
-                             nodes=_gauss_legendre_nodes(t_i, t_f))
-    _check_domain(domain, out["g_initial"], beta, "t_i")
-    _check_domain(domain, out["g_propagated"], beta, "t_f")
-    return P, Q, W, out
-
-
-def propagated_partition(model: HamiltonianModel, t_i: float, t_f: float,
-                         beta: float, hbar: float, domain: QuadratureDomain,
-                         settings: IntegratorSettings = DEFAULT_SETTINGS
-                         ) -> float:
-    """Partition integral of the propagated pseudo-energy exp(-beta G_prop).
-
-    G_prop is read from the t_f node of the identity's march, whose warm
-    starts track the physical branch from t_i (a cold solve at the full
-    span can converge onto a spurious one), so over the model's window this
-    is ``verify_identity(...).Z_f`` bit for bit.  Raises ``DomainTooSmall``
-    (t_i, then t_f), then ``NewtonDiverged`` if any node fails.
-    """
-    P, Q, W, out = _certified_march(model, t_i, t_f, beta, hbar, domain,
-                                    settings)
-    if np.any(out["status"] != OK):
-        failures = _collect_failures(P, Q, out["status"],
-                                     out["times"][_last_solved_node(out)])
-        raise NewtonDiverged(
-            f"propagated partition lost {len(failures)} node(s); "
-            f"first: {failures[0]}")
-    return float(np.sum(W * np.exp(-beta * out["g_propagated"])))
-
-
 def _monte_carlo_lhs(model, t_i, t_f, beta, hbar, P, Q, weight, settings,
                      n_samples: int, seed: int) -> dict:
     """Self-normalized importance sampling of <exp(-beta W)> (Owen, Monte
@@ -260,8 +226,11 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
     with coordinates; more than ``failure_budget`` of them aborts the report.
     """
     t_i, t_f = model.protocol.t_i, model.protocol.t_f
-    P, Q, W, out = _certified_march(model, t_i, t_f, beta, hbar, domain,
-                                    settings)
+    P, Q, W = domain.nodes()
+    out = _pseudo_work_batch(model, t_i, t_f, P, Q, beta * hbar, settings,
+                             nodes=_gauss_legendre_nodes(t_i, t_f))
+    _check_domain(domain, out["g_initial"], beta, "t_i")
+    _check_domain(domain, out["g_propagated"], beta, "t_f")
     failures = _collect_failures(P, Q, out["status"],
                                  out["times"][_last_solved_node(out)])
     if len(failures) > failure_budget * P.size:

@@ -343,27 +343,28 @@ def _last_solved_node(out) -> np.ndarray:
     return np.count_nonzero(~np.isnan(out["center_p"]), axis=0) - 1
 
 
-def _raise_failed_start(out) -> None:
-    """Raise for the failed start of a width-1 ``_pseudo_work_batch`` result.
-
-    The error names the failed node's time, residual and |det J|.
-    """
-    j = _last_solved_node(out)[0]
-    _raise_failed(out["times"][j], out["status"], out["det"][j],
-                  out["residual"][j])
-
-
 def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
                 target: ComplexPoint, hbar_beta: float,
                 settings: IntegratorSettings = DEFAULT_SETTINGS,
                 work_tol: Optional[float] = None) -> WorkResult:
-    """Pseudo-work for one initial point, with the endpoint cross-check."""
+    """Pseudo-work for one initial point, with the endpoint cross-check.
+
+    The march runs on the uniform grid of n_time_steps + 1 nodes.  Raises
+    CausticEncountered or NewtonDiverged, naming the failed node's time,
+    if the start fails, and WorkMismatch if |W - W_endpoint| exceeds
+    ``work_tol`` (by default 1e-6 (1 + |W|)); ``work_tol=math.inf`` returns
+    the result whatever the mismatch.
+    """
     if t_f < t_i:
         raise ValueError("pseudo_work requires t_i <= t_f")
     out = _pseudo_work_batch(model, t_i, t_f, np.array([target.p.real]),
                              np.array([target.q.real]), hbar_beta, settings)
     if out["status"][0] != OK:
-        _raise_failed_start(out)
+        # the march stops a failed start at its failed node: name that
+        # node's time, residual and |det J|
+        j = _last_solved_node(out)[0]
+        _raise_failed(out["times"][j], out["status"], out["det"][j],
+                      out["residual"][j])
     w = float(out["W"][0])
     w_end = float(out["W_endpoint"][0])
     tol = work_tol if work_tol is not None else 1e-6 * (1.0 + abs(w))

@@ -83,6 +83,8 @@ def test_config_parsing_and_hash_round_trip(config_path):
     ("run:\n  grid: {p_min: .nan}", "run.grid.p_min"),
     ("numerics:\n  domain: {p_max: .inf}", "numerics.domain.p_max"),
     ("model:\n  protocol: {t_final: .inf}", "model.protocol.t_final"),
+    # the subcommand comes from argv alone; the config has no key for it
+    ("run: {command: work}", "run.command"),
 ])
 def test_config_validation_errors_carry_field_paths(tmp_path, snippet, field,
                                                     capsys):
@@ -258,6 +260,22 @@ def test_work_command_outputs(config_path, tmp_path):
     # default target (0, 1): power at t=0 equals the arc-average closed form
     assert float(rows[0][5]) == pytest.approx(
         (np.sinh(1.0) + 1.0) / (1.0 + np.cosh(1.0)), rel=1e-6)
+
+
+def test_work_mismatch_writes_both_files_and_exits_3(tmp_path, capsys):
+    # two Simpson steps leave the path work 8.7e-2 off the endpoint one:
+    # the verdict is the exit code, and both artifacts are still written
+    path = tmp_path / "coarse.yaml"
+    path.write_text(BASE_CONFIG.replace("n_time_steps: 32",
+                                        "n_time_steps: 2"))
+    out = tmp_path / "out"
+    assert main(["work", "--config", str(path), "--out", str(out)]) \
+        == scjarz.cli.EXIT_NUMERICS
+    assert "path/endpoint mismatch" in capsys.readouterr().err
+    _, _, rows = read_csv(out / "work.csv")
+    assert len(rows) == 3
+    summary = json.loads((out / "work_summary.json").read_text())
+    assert summary["mismatch"] > 1e-6 * (1.0 + abs(summary["W"]))
 
 
 def test_work_failure_names_the_failing_node(tmp_path, capsys):

@@ -8,8 +8,7 @@ from scjarz.dynamics import ImaginaryArc, IntegratorSettings
 from scjarz.pseudowork import _gauss_legendre_nodes, _pseudo_work_batch
 from scjarz.stationary import _pseudo_hamiltonian_batch
 from scjarz.errors import DomainTooSmall, IntegratorDiverged, NewtonDiverged
-from scjarz.jarzynski import (QuadratureDomain, partition,
-                              propagated_partition, verify_identity)
+from scjarz.jarzynski import QuadratureDomain, partition, verify_identity
 from scjarz.models import harmonic_model, ramped_model
 
 SET = IntegratorSettings(n_sigma_steps=64, n_time_steps=32)
@@ -102,18 +101,25 @@ def test_partition_node_doubling_is_converged():
     assert abs(double - base) / base < 1e-8
 
 
-def test_propagated_partition_at_equal_times():
-    model = ramped_model("harmonic", omega_i=1.0, omega_f=2.0)
-    a = propagated_partition(model, 0.0, 0.0, 1.0, 1.0, DOMAIN, SET)
-    b = partition(model, 0.0, 1.0, 1.0, DOMAIN, SET)
-    assert a == pytest.approx(b, rel=1e-10)
+def test_identity_z_f_at_equal_times():
+    # a zero-length window marches the one node t_i: Z_f is the static
+    # partition there, and Z_i to the last ulp (Z_i sums the area form of
+    # G, Z_f the total-action form)
+    model = harmonic_model(t_i=0.0, t_f=0.0)
+    rep = verify_identity(model, 1.0, 1.0, DOMAIN, SET)
+    assert not rep.failures
+    b = partition(ramped_model("harmonic", omega_i=1.0, omega_f=2.0), 0.0,
+                  1.0, 1.0, DOMAIN, SET)
+    assert rep.Z_f == pytest.approx(b, rel=1e-10)
+    assert rep.Z_f == pytest.approx(rep.Z_i, rel=1e-12)
 
 
-def test_propagated_partition_is_unitarily_invariant_harmonic():
+def test_identity_z_f_is_unitarily_invariant_harmonic():
     model = ramped_model("harmonic", omega_i=1.0, omega_f=2.0)
-    z_prop = propagated_partition(model, 0.0, 1.0, 1.0, 1.0, DOMAIN, SET)
+    rep = verify_identity(model, 1.0, 1.0, DOMAIN, SET)
+    assert not rep.failures
     z_direct = partition(model, 1.0, 1.0, 1.0, DOMAIN, SET)
-    assert z_prop == pytest.approx(z_direct, rel=1e-7)
+    assert rep.Z_f == pytest.approx(z_direct, rel=1e-7)
     assert z_direct == pytest.approx(z_harmonic(1.0, 1.0, 2.0), rel=1e-8)
 
 
@@ -123,13 +129,13 @@ QUARTIC_DOMAIN = QuadratureDomain(p_max=7.5, q_max=4.5, n_p=48, n_q=48)
 QUARTIC_HBAR = 0.5
 
 
-def test_propagated_partition_quartic_trace_identity():
+def test_identity_z_f_quartic_trace_identity():
     model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
                          quartic_lambda=0.1)
-    z_prop = propagated_partition(model, 0.0, 1.0, 1.0, QUARTIC_HBAR,
-                                  QUARTIC_DOMAIN, SET)
+    rep = verify_identity(model, 1.0, QUARTIC_HBAR, QUARTIC_DOMAIN, SET)
+    assert not rep.failures
     z_direct = partition(model, 1.0, 1.0, QUARTIC_HBAR, QUARTIC_DOMAIN, SET)
-    assert abs(z_prop - z_direct) / z_direct < 1e-3
+    assert abs(rep.Z_f - z_direct) / z_direct < 1e-3
 
 
 def test_identity_quartic_ramp_residual_refines():
@@ -454,20 +460,6 @@ def test_failure_budget_refuses_a_caustic_grid(monkeypatch):
                        match=r"^8 of 64 quadrature nodes failed "
                              r"\(> 1% budget\)$"):
         verify_identity(model, 1.0, 1.0, domain, settings)
-
-
-@pytest.mark.parametrize("kind", ["harmonic", "quartic"])
-def test_propagated_partition_is_the_identitys_z_f(kind):
-    # one march rule: Z_prop is read from the identity's own march, so it
-    # is its Z_f bit for bit
-    model = ramped_model(kind, omega_i=1.0, omega_f=2.0,
-                         quartic_lambda=0.1 if kind == "quartic" else 0.0)
-    hbar, dom = ((1.0, QuadratureDomain(10.5, 10.5, 24, 24))
-                 if kind == "harmonic" else
-                 (QUARTIC_HBAR, QuadratureDomain(7.5, 4.5, 24, 24)))
-    settings = IntegratorSettings(n_sigma_steps=32, n_time_steps=16)
-    z_prop = propagated_partition(model, 0.0, 1.0, 1.0, hbar, dom, settings)
-    assert z_prop == verify_identity(model, 1.0, hbar, dom, settings).Z_f
 
 
 def test_domain_check_runs_no_solve(monkeypatch):

@@ -12,3 +12,13 @@ def test_readme_library_snippet_runs():
     namespace = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
     assert namespace["rep"].residual < 1e-6
+
+
+def test_star_import_binds_every_public_name():
+    # a name left in __all__ after its definition is gone breaks
+    # `from scjarz import *`
+    import scjarz
+    namespace = {}
+    exec("from scjarz import *", namespace)
+    assert set(scjarz.__all__) <= set(namespace)
+    assert len(scjarz.__all__) == len(set(scjarz.__all__))
