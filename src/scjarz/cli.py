@@ -95,16 +95,16 @@ def cmd_work(cfg: RunConfig, out_dir: Path) -> int:
     lines += _csv_rows([traj.times, traj.check_p, traj.check_q,
                         traj.center_p, traj.center_q, traj.power])
     (out_dir / "work.csv").write_text("\n".join(lines) + "\n")
-    mismatch = abs(res.W - res.W_endpoint)
     _write_json(out_dir / "work_summary.json", {
         "schema_version": SCHEMA_VERSION,
         "config_sha256": cfg.config_hash(),
         "W": res.W,
         "W_endpoint": res.W_endpoint,
-        "mismatch": mismatch,
+        "mismatch": res.mismatch,
     })
-    if mismatch > 1e-6 * (1.0 + abs(res.W)):
-        print(f"work: path/endpoint mismatch {mismatch:.3e}", file=sys.stderr)
+    if res.mismatch > res.mismatch_tol:
+        print(f"work: path/endpoint mismatch {res.mismatch:.3e}",
+              file=sys.stderr)
         return EXIT_NUMERICS
     return EXIT_OK
 
@@ -195,8 +195,8 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _int_at_least(lower: int):
-    """argparse type: an integer >= ``lower``, the bound of the matching
-    ``run`` config key, so a value out of range is a usage error."""
+    """argparse type: an integer >= ``lower``, so a value out of range is
+    a usage error (exit 2) before any config is read."""
     def parse(text: str) -> int:
         value = int(text)
         if value < lower:
@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("oracle", "compare against quantum-exact references")):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="YAML config path")
-        cmd.add_argument("--out", default=None, help="output directory")
+        cmd.add_argument("--out", default=".",
+                         help="output directory (default: .)")
         # parse-only: the benchmark's job runner still passes --threads 1
         cmd.add_argument("--threads", type=int, choices=(1,), default=1,
                          help=argparse.SUPPRESS)
@@ -232,9 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--mc", action="store_true",
                              help="add a seeded Monte Carlo estimate")
             cmd.add_argument("--samples", type=_int_at_least(1),
-                             default=None, help="Monte Carlo sample count")
-            cmd.add_argument("--seed", type=_int_at_least(0), default=None,
-                             help="Monte Carlo seed")
+                             default=2000,
+                             help="Monte Carlo sample count (default: 2000)")
+            cmd.add_argument("--seed", type=_int_at_least(0), default=0,
+                             help="Monte Carlo seed (default: 0)")
     return parser
 
 
@@ -245,21 +247,17 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir = Path(args.out if args.out is not None else cfg.output_dir)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "gibbs":
-            return cmd_gibbs(cfg, out_dir, args.prefactor or cfg.prefactor)
+            return cmd_gibbs(cfg, out_dir, args.prefactor)
         if args.command == "work":
             return cmd_work(cfg, out_dir)
         if args.command == "jarzynski":
-            return cmd_jarzynski(
-                cfg, out_dir,
-                prefactor=args.prefactor or cfg.prefactor,
-                monte_carlo=args.mc or cfg.monte_carlo,
-                mc_samples=args.samples if args.samples is not None
-                else cfg.mc_samples,
-                seed=args.seed if args.seed is not None else cfg.seed)
+            return cmd_jarzynski(cfg, out_dir, prefactor=args.prefactor,
+                                 monte_carlo=args.mc,
+                                 mc_samples=args.samples, seed=args.seed)
         if args.command == "oracle":
             return cmd_oracle(cfg, out_dir)
     except ScjarzError as exc:

@@ -2,7 +2,11 @@
 
 Runs are archived artifacts; every report embeds the SHA-256 of the
 canonical (sorted-key JSON) form of the parsed configuration so outputs can
-be traced back to exact inputs.
+be traced back to exact inputs.  The config holds the model, the physics,
+the numerics and the run's thresholds, grid and work target; the output
+directory and the prefactor and Monte Carlo options come from the command
+line alone, and the artifacts record the prefactor and Monte Carlo options
+they used.
 """
 
 from __future__ import annotations
@@ -59,11 +63,6 @@ _DEFAULTS: dict = {
         "wigner_q_max": 10.0,
     },
     "run": {
-        "output_dir": ".",
-        "seed": 0,
-        "prefactor": False,
-        "monte_carlo": False,
-        "mc_samples": 2000,
         "residual_threshold": 1e-3,
         "grid": {
             "p_min": -2.0, "p_max": 2.0, "n_p": 21,
@@ -145,7 +144,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration for one CLI run."""
+    """Validated configuration for one CLI run: what the config file sets.
+
+    ``--out``, ``--prefactor``, ``--mc``, ``--samples`` and ``--seed`` are
+    flags only, so the hash names no option the run did not use.
+    """
 
     raw: dict = field(repr=False)
     model: HamiltonianModel
@@ -156,11 +159,6 @@ class RunConfig:
     fock_n_max: int
     wigner_n_q: int
     wigner_q_max: float
-    output_dir: str
-    seed: int
-    prefactor: bool
-    monte_carlo: bool
-    mc_samples: int
     residual_threshold: float
     grid: GridSpec
     work_target: tuple[float, float]
@@ -286,13 +284,6 @@ def _build(data: dict) -> RunConfig:
         fock_n_max=fock_n_max,
         wigner_n_q=wigner_n_q,
         wigner_q_max=wigner_q_max,
-        output_dir=str(rn["output_dir"]),
-        seed=_require(_integer, rn["seed"], "run.seed", lambda v: v >= 0,
-                      "must be >= 0"),
-        prefactor=_require(_boolean, rn["prefactor"], "run.prefactor"),
-        monte_carlo=_require(_boolean, rn["monte_carlo"], "run.monte_carlo"),
-        mc_samples=_require(_integer, rn["mc_samples"], "run.mc_samples",
-                            lambda v: v >= 1, "must be >= 1"),
         residual_threshold=_require(_real, rn["residual_threshold"],
                                     "run.residual_threshold",
                                     lambda v: v > 0, "must be positive"),

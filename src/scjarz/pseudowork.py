@@ -78,6 +78,16 @@ class WorkResult:
     g_propagated: float
     trajectory: PseudoTrajectory
 
+    @property
+    def mismatch(self) -> float:
+        """|W - W_endpoint|, the path/endpoint cross-check."""
+        return abs(self.W - self.W_endpoint)
+
+    @property
+    def mismatch_tol(self) -> float:
+        """The path/endpoint gate, 1e-6 (1 + |W|)."""
+        return 1e-6 * (1.0 + abs(self.W))
+
 
 def composite_map(model: HamiltonianModel, t_i: float, t_f: float,
                   z_real: ComplexPoint, hbar_beta: float,
@@ -352,8 +362,8 @@ def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
     The march runs on the uniform grid of n_time_steps + 1 nodes.  Raises
     CausticEncountered or NewtonDiverged, naming the failed node's time,
     if the start fails, and WorkMismatch if |W - W_endpoint| exceeds
-    ``work_tol`` (by default 1e-6 (1 + |W|)); ``work_tol=math.inf`` returns
-    the result whatever the mismatch.
+    ``work_tol`` (by default ``WorkResult.mismatch_tol``, 1e-6 (1 + |W|));
+    ``work_tol=math.inf`` returns the result whatever the mismatch.
     """
     if t_f < t_i:
         raise ValueError("pseudo_work requires t_i <= t_f")
@@ -365,13 +375,6 @@ def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
         j = _last_solved_node(out)[0]
         _raise_failed(out["times"][j], out["status"], out["det"][j],
                       out["residual"][j])
-    w = float(out["W"][0])
-    w_end = float(out["W_endpoint"][0])
-    tol = work_tol if work_tol is not None else 1e-6 * (1.0 + abs(w))
-    if abs(w - w_end) > tol:
-        raise WorkMismatch(
-            f"path work {w:.12e} vs endpoint work {w_end:.12e} "
-            f"differ by {abs(w - w_end):.3e} > {tol:.3e}")
     traj = PseudoTrajectory(
         target=target,
         times=out["times"],
@@ -381,7 +384,14 @@ def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
         power=out["power"][:, 0],
         solve_residual=out["residual"][:, 0],
     )
-    return WorkResult(W=w, W_endpoint=w_end,
-                      g_initial=float(out["g_initial"][0]),
-                      g_propagated=float(out["g_propagated"][0]),
-                      trajectory=traj)
+    res = WorkResult(W=float(out["W"][0]),
+                     W_endpoint=float(out["W_endpoint"][0]),
+                     g_initial=float(out["g_initial"][0]),
+                     g_propagated=float(out["g_propagated"][0]),
+                     trajectory=traj)
+    tol = work_tol if work_tol is not None else res.mismatch_tol
+    if res.mismatch > tol:
+        raise WorkMismatch(
+            f"path work {res.W:.12e} vs endpoint work {res.W_endpoint:.12e} "
+            f"differ by {res.mismatch:.3e} > {tol:.3e}")
+    return res

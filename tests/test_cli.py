@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -12,8 +13,9 @@ import yaml
 import scjarz.cli
 import scjarz.dynamics
 import scjarz.oracle
-from scjarz.cli import main
+from scjarz.cli import build_parser, main
 from scjarz.config import config_hash, load_config, parse_config
+from scjarz.jarzynski import verify_identity
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -71,20 +73,22 @@ def test_config_parsing_and_hash_round_trip(config_path):
     ("model:\n  unknown_knob: 3", "model.unknown_knob"),
     # a value that is not of its key's type is refused, not coerced
     ("numerics: {n_sigma_steps: 64.9}", "numerics.n_sigma_steps"),
-    ("run: {mc_samples: 2.5}", "run.mc_samples"),
-    ("run: {seed: 1.7}", "run.seed"),
     ("run:\n  grid: {n_p: true}", "run.grid.n_p"),
     ("physics: {beta: true}", "physics.beta"),
     ("numerics: {richardson_check: 'false'}", "numerics.richardson_check"),
-    ("run: {prefactor: 'no'}", "run.prefactor"),
-    ("run: {monte_carlo: 1}", "run.monte_carlo"),
     # a float key refuses NaN and +-inf
     ("physics: {beta: .inf}", "physics.beta"),
     ("run:\n  grid: {p_min: .nan}", "run.grid.p_min"),
     ("numerics:\n  domain: {p_max: .inf}", "numerics.domain.p_max"),
     ("model:\n  protocol: {t_final: .inf}", "model.protocol.t_final"),
-    # the subcommand comes from argv alone; the config has no key for it
+    # the subcommand and the run options come from argv alone; the config
+    # has no key for them, even with a well-typed value
     ("run: {command: work}", "run.command"),
+    ("run: {prefactor: true}", "run.prefactor"),
+    ("run: {monte_carlo: true}", "run.monte_carlo"),
+    ("run: {mc_samples: 10}", "run.mc_samples"),
+    ("run: {seed: 3}", "run.seed"),
+    ("run: {output_dir: out}", "run.output_dir"),
 ])
 def test_config_validation_errors_carry_field_paths(tmp_path, snippet, field,
                                                     capsys):
@@ -93,6 +97,26 @@ def test_config_validation_errors_carry_field_paths(tmp_path, snippet, field,
     rc = main(["gibbs", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 2
     assert field in capsys.readouterr().err
+
+
+def test_parser_defaults_match_verify_identity():
+    # the flags are the run options' one source; --samples and --seed
+    # default to verify_identity's own defaults
+    args = build_parser().parse_args(["jarzynski", "--config", "c.yaml"])
+    assert args.out == "."
+    params = inspect.signature(verify_identity).parameters
+    assert args.samples == params["mc_samples"].default == 2000
+    assert args.seed == params["seed"].default == 0
+    assert args.prefactor is False and args.mc is False
+
+
+def test_gibbs_without_out_writes_to_working_directory(config_path, tmp_path,
+                                                       monkeypatch):
+    run_dir = tmp_path / "cwd"
+    run_dir.mkdir()
+    monkeypatch.chdir(run_dir)
+    assert main(["gibbs", "--config", str(config_path)]) == 0
+    assert sorted(p.name for p in run_dir.iterdir()) == ["gibbs.csv"]
 
 
 def test_missing_schema_version_rejected(tmp_path):
@@ -402,7 +426,7 @@ def test_jarzynski_zero_length_window_marches_one_node(tmp_path):
                                          ("--samples", "0")])
 def test_jarzynski_monte_carlo_bounds_are_usage_errors(config_path, tmp_path,
                                                        capsys, flag, value):
-    # the flags carry the bounds of run.seed (>= 0) and run.mc_samples (>= 1)
+    # the flags carry their own bounds: --seed >= 0 and --samples >= 1
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main(["jarzynski", "--config", str(config_path), "--out", str(out),

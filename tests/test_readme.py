@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+from scjarz.config import _DEFAULTS, parse_config
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -22,3 +24,11 @@ def test_star_import_binds_every_public_name():
     exec("from scjarz import *", namespace)
     assert set(scjarz.__all__) <= set(namespace)
     assert len(scjarz.__all__) == len(set(scjarz.__all__))
+
+
+def test_readme_configuration_block_is_the_default_config():
+    # the documented schema is the code's: the README's Configuration
+    # block parses to exactly the defaults, every key and value
+    blocks = re.findall(r"```yaml\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    assert parse_config(blocks[0]).raw == _DEFAULTS
