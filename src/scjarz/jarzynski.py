@@ -9,8 +9,12 @@ The work integrates the arc-averaged power with a fixed Gauss-Legendre rule
 in time (``pseudowork._gauss_legendre_nodes``).  The Simpson sums over arc
 samples and the Gauss-Legendre sum over time nodes accumulate row by row
 in a fixed order (``dynamics.weighted_sum``), so every node's values are
-the same whatever the batch width or BLAS threading; the sums over
-quadrature nodes then run once over the full node set.
+the same whatever the batch width or BLAS threading.  Both model families
+are even in z = (p, q), so a node's march is its point reflection's with
+the centers negated: on a bitwise point-symmetric grid (every
+Gauss-Legendre one) half the nodes are marched and the other half filled
+from their partners.  The sums over quadrature nodes then run once over
+the full node set.
 """
 
 from __future__ import annotations
@@ -72,7 +76,12 @@ class QuadratureDomain:
         return x, w
 
     def nodes(self):
-        """Flattened (P, Q, weight) arrays for the tensor grid."""
+        """Flattened (P, Q, weight) arrays for the tensor grid.
+
+        On a grid symmetric about the origin, node k's point reflection
+        (-P[k], -Q[k]) is node N-1-k: every Gauss-Legendre grid is, bit
+        for bit, so ``verify_identity`` marches half of it.
+        """
         xp, wp = self.axis(self.p_max, self.n_p)
         xq, wq = self.axis(self.q_max, self.n_q)
         P = np.repeat(xp, self.n_q)
@@ -165,7 +174,8 @@ def _monte_carlo_lhs(model, t_i, t_f, beta, hbar, P, Q, weight, settings,
     quadrature's t_i weight ``weight`` at its nodes ``P``, ``Q``.  Sample k
     weighs exp(-beta G_initial) / q(z_k), G_initial from the march's t_i
     node; failed samples are counted and left out of the sums.  The
-    sample march's solver counts are reported as ``diagnostics``.
+    sample march's solver counts and its path/endpoint gap, the mean
+    weighted by the normalized sample weights, are its ``diagnostics``.
     """
     wn = weight / np.sum(weight)
     mp, mq = weighted_sum(wn, np.stack([P, Q], axis=1))
@@ -192,21 +202,75 @@ def _monte_carlo_lhs(model, t_i, t_f, beta, hbar, P, Q, weight, settings,
             "ess": float(1.0 / np.sum(w * w)),
             "samples": int(w.size), "failed": int(n_samples - w.size),
             "requested_samples": int(n_samples), "seed": int(seed),
-            "diagnostics": _march_diagnostics(out)}
+            "diagnostics": _march_diagnostics(out) | _work_gap(out, ok, w)}
 
 
 def _march_diagnostics(out: dict) -> dict:
-    """Deterministic solver counts of the march.
+    """Deterministic solver counts of the march ``out``.
 
     work_nodes is the number of time nodes the march visited; node_solves
-    and newton_iters cover every (quadrature node, time node) solve it ran
-    (a node is not solved again after a failed time node).
+    and newton_iters cover every (column, time node) solve it ran (a column
+    is not solved again after a failed time node).  For the identity's
+    march these are the counts of the marched half (``_mirrored_march``).
     """
     return {
         "work_nodes": int(out["times"].size),
         "node_solves": int(out["node_solves"]),
         "newton_iters": int(np.sum(out["newton_iters"])),
     }
+
+
+def _work_gap(out: dict, ok, weight) -> dict:
+    """The path/endpoint gap |W - W_endpoint| / (1 + |W|) of the OK columns
+    ``ok``: its mean weighted by ``weight`` (one per OK column) and its
+    maximum."""
+    work = out["W"][ok]
+    gap = np.abs(work - out["W_endpoint"][ok]) / (1.0 + np.abs(work))
+    return {"work_gap_mean": float(np.sum(weight * gap) / np.sum(weight)),
+            "work_gap_max": float(np.max(gap))}
+
+
+# Columns of a ``_pseudo_work_batch`` result that a point reflection
+# z -> -z of the target leaves as they are, and those it negates
+_EVEN_COLUMNS = ("W", "W_endpoint", "g_initial", "g_propagated",
+                 "prefactor_initial", "status", "newton_iters", "power",
+                 "residual", "det")
+_ODD_COLUMNS = ("center_p", "center_q", "plus_p", "plus_q",
+                "check_p", "check_q")
+
+
+def _point_symmetric(P, Q) -> bool:
+    """Whether target k's point reflection is target N-1-k, bit for bit."""
+    return bool(np.array_equal(P[::-1], -P) and np.array_equal(Q[::-1], -Q))
+
+
+def _mirrored_march(model, t_i, t_f, P, Q, hbar_beta, settings):
+    """The identity's march of the targets ``P``, ``Q`` and its counts.
+
+    H is even in z = (p, q) (``HamiltonianModel``), so the march of -z is
+    the march of z, bit for bit, with its centers, plus points and checks
+    negated.  When the targets are bitwise point-symmetric, target k's
+    partner being target N-1-k (``QuadratureDomain.nodes``), only the
+    first ceil(N/2) are marched and every other column is filled from its
+    partner's; an odd set's middle target is its own partner.  Any other
+    set of targets is marched in full.  The counts are those of the march
+    run (``_march_diagnostics``), and mirrored_nodes is the number of
+    columns filled from a partner.
+    """
+    n = P.size
+    h = (n + 1) // 2 if _point_symmetric(P, Q) else n
+    out = _pseudo_work_batch(model, t_i, t_f, P[:h], Q[:h], hbar_beta,
+                             settings, nodes=_gauss_legendre_nodes(t_i, t_f))
+    counts = _march_diagnostics(out) | {"mirrored_nodes": n - h}
+    partner = np.concatenate([np.arange(h), np.arange(n - h)[::-1]])
+    for key in _EVEN_COLUMNS + _ODD_COLUMNS:
+        out[key] = out[key][..., partner]
+    for key in _ODD_COLUMNS:
+        # 0 - x, not -x: a zero is +0.0 and a NaN keeps its sign, as in
+        # the partner's own march
+        filled = out[key][..., h:]
+        np.subtract(0.0, filled, out=filled)
+    return out, counts
 
 
 def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
@@ -222,13 +286,18 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
     The protocol window [t_i, t_f] is taken from the model; the work march
     visits t_i, the Gauss-Legendre times of ``_gauss_legendre_nodes`` and
     t_f, and its weights certify the domain at both ends (DomainTooSmall
-    names t_i or t_f, and comes first).  Node solves that fail are reported
-    with coordinates; more than ``failure_budget`` of them aborts the report.
+    names t_i or t_f, and comes first).  A bitwise point-symmetric grid,
+    every Gauss-Legendre one, is marched on its first half and its other
+    half filled by the point reflection (``_mirrored_march``).  Node solves
+    that fail are reported with coordinates; more than ``failure_budget``
+    of them aborts the report.  ``diagnostics`` holds the march's solver
+    counts and its path/endpoint gap |W - W_endpoint| / (1 + |W|) over the
+    OK nodes: the mean weighted by W exp(-beta G_initial) and the maximum.
     """
     t_i, t_f = model.protocol.t_i, model.protocol.t_f
     P, Q, W = domain.nodes()
-    out = _pseudo_work_batch(model, t_i, t_f, P, Q, beta * hbar, settings,
-                             nodes=_gauss_legendre_nodes(t_i, t_f))
+    out, counts = _mirrored_march(model, t_i, t_f, P, Q, beta * hbar,
+                                  settings)
     _check_domain(domain, out["g_initial"], beta, "t_i")
     _check_domain(domain, out["g_propagated"], beta, "t_f")
     failures = _collect_failures(P, Q, out["status"],
@@ -242,7 +311,8 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
     g_i = out["g_initial"][ok]
     g_prop = out["g_propagated"][ok]
     work = out["W"][ok]
-    z_i = float(np.sum(w_quad * np.exp(-beta * g_i)))
+    weight_i = w_quad * np.exp(-beta * g_i)
+    z_i = float(np.sum(weight_i))
     z_f = float(np.sum(w_quad * np.exp(-beta * g_prop)))
     lhs = float(np.sum(w_quad * np.exp(-beta * (g_i + work))) / z_i)
     rhs = z_f / z_i
@@ -250,7 +320,7 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
         Z_i=z_i, Z_f=z_f, lhs=lhs, rhs=rhs,
         residual=abs(lhs - rhs) / abs(rhs),
         failures=failures, n_nodes=int(P.size),
-        diagnostics=_march_diagnostics(out))
+        diagnostics=counts | _work_gap(out, ok, weight_i))
 
     if with_prefactor:
         # static partitions at both protocol ends with the geometric
@@ -271,6 +341,6 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
         }
     if monte_carlo:
         report.monte_carlo = _monte_carlo_lhs(
-            model, t_i, t_f, beta, hbar, P[ok], Q[ok],
-            w_quad * np.exp(-beta * g_i), settings, mc_samples, seed)
+            model, t_i, t_f, beta, hbar, P[ok], Q[ok], weight_i, settings,
+            mc_samples, seed)
     return report

@@ -114,6 +114,11 @@ class HamiltonianModel:
 
     All evaluation methods accept scalars or numpy arrays of complex
     phase-space coordinates and are pure; a model is safe to share.
+    H is even in z = (p, q), and its evaluations are sign-symmetric bit
+    for bit (IEEE rounding is), so every flow and solve of -z is that of
+    z negated.  ``jarzynski.verify_identity`` relies on it: it marches
+    half of a point-symmetric grid and fills the other half by the
+    reflection.  A family that is not even in z would break that mirror.
     """
 
     kind: str

@@ -331,9 +331,12 @@ def test_jarzynski_command_report(config_path, tmp_path):
     assert rep["failures"] == []
     assert rep["residual"] < 1e-6
     assert rep["prefactor_on"] is None and rep["monte_carlo"] is None
-    # a linear flow starts every node solve at its exact solution
-    assert rep["diagnostics"]["node_solves"] == 18 * 576
+    # a linear flow starts every node solve at its exact solution; the
+    # Gauss-Legendre grid is point-symmetric, so half its nodes are marched
+    # and the other half filled from their partners
+    assert rep["diagnostics"]["node_solves"] == 18 * 288
     assert rep["diagnostics"]["newton_iters"] == 0
+    assert rep["diagnostics"]["mirrored_nodes"] == 288
 
 
 QUARTIC_RAMP_CONFIG = """
@@ -351,12 +354,16 @@ numerics:
 """
 
 
-DIAGNOSTICS_KEYS = {"work_nodes", "node_solves", "newton_iters"}
+MARCH_KEYS = {"work_nodes", "node_solves", "newton_iters", "work_gap_mean",
+              "work_gap_max"}
+DIAGNOSTICS_KEYS = MARCH_KEYS | {"mirrored_nodes"}
 
 
 def test_jarzynski_diagnostics_block(tmp_path):
-    # solver counts of the work march: one solve per (node, time node),
-    # no timings, so the block is byte-identical across reruns
+    # solver counts of the work march: one solve per (marched node, time
+    # node), half the grid's nodes being filled from their partners, and
+    # its path/endpoint gap; no timings, so the block is byte-identical
+    # across reruns
     path = tmp_path / "quartic.yaml"
     path.write_text(QUARTIC_RAMP_CONFIG)
     out1, out2 = tmp_path / "d1", tmp_path / "d2"
@@ -368,8 +375,10 @@ def test_jarzynski_diagnostics_block(tmp_path):
     diag = json.loads(b1)["diagnostics"]
     assert set(diag) == DIAGNOSTICS_KEYS
     assert diag["work_nodes"] == 18
-    assert diag["node_solves"] == 18 * 144
-    assert diag["newton_iters"] == 6162
+    assert diag["node_solves"] == 18 * 72
+    assert diag["newton_iters"] == 3081
+    assert diag["mirrored_nodes"] == 72
+    assert 0.0 < diag["work_gap_mean"] < diag["work_gap_max"]
 
 
 def test_jarzynski_threshold_exit_code(tmp_path, config_path):
@@ -395,15 +404,16 @@ def test_jarzynski_monte_carlo_deterministic(config_path, tmp_path):
     # the sample march reports its own counts; harmonic solves take no
     # Newton step
     diag = rep["monte_carlo"]["diagnostics"]
-    assert set(diag) == DIAGNOSTICS_KEYS
+    assert set(diag) == MARCH_KEYS
     assert diag["node_solves"] == 18 * 64
     assert diag["newton_iters"] == 0
 
 
 def test_jarzynski_zero_length_window_marches_one_node(tmp_path):
     # a constant protocol with t_final == t_initial does no work: the
-    # march visits the single node t_i once per quadrature node (and once
-    # per Monte Carlo sample), and every exp(-beta W) is exactly 1
+    # march visits the single node t_i once per marched quadrature node
+    # (half of the point-symmetric grid) and once per Monte Carlo sample,
+    # and every exp(-beta W) is exactly 1
     path = tmp_path / "still.yaml"
     path.write_text(BASE_CONFIG.replace(
         "{shape: linear, omega_initial: 1.0, omega_final: 2.0,\n"
@@ -416,7 +426,7 @@ def test_jarzynski_zero_length_window_marches_one_node(tmp_path):
                  "--mc", "--samples", "32"]) == 0
     rep = json.loads((out / "jarzynski.json").read_text())
     assert rep["n_nodes"] == 256 and rep["lhs"] == 1.0
-    for diag, solves in ((rep["diagnostics"], 256),
+    for diag, solves in ((rep["diagnostics"], 128),
                          (rep["monte_carlo"]["diagnostics"], 32)):
         assert diag["work_nodes"] == 1
         assert diag["node_solves"] == solves

@@ -2,10 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from scjarz import jarzynski, pseudowork, stationary
 from scjarz.dynamics import ImaginaryArc, IntegratorSettings
-from scjarz.pseudowork import _gauss_legendre_nodes, _pseudo_work_batch
+from scjarz.pseudowork import (_gauss_legendre_nodes, _last_solved_node,
+                               _pseudo_work_batch)
 from scjarz.stationary import _pseudo_hamiltonian_batch
 from scjarz.errors import DomainTooSmall, IntegratorDiverged, NewtonDiverged
 from scjarz.jarzynski import QuadratureDomain, partition, verify_identity
@@ -258,9 +260,11 @@ def assert_monte_carlo_agrees(report, n_samples):
     assert 0.0 < mc["ess"] <= n_samples
     assert mc["failed"] == 0 and mc["samples"] == n_samples
     assert mc["requested_samples"] == n_samples
-    # the sample march's own counts: one solve per (sample, time node)
+    # the sample march's own counts, one solve per (sample, time node),
+    # and its path/endpoint gap
     assert set(mc["diagnostics"]) == {"work_nodes", "node_solves",
-                                      "newton_iters"}
+                                      "newton_iters", "work_gap_mean",
+                                      "work_gap_max"}
     assert mc["diagnostics"]["work_nodes"] == 18
     assert mc["diagnostics"]["node_solves"] == 18 * n_samples
 
@@ -280,8 +284,9 @@ def test_monte_carlo_mode_quartic():
 
 
 def test_monte_carlo_marches_each_sample_once(monkeypatch):
-    # beyond the quadrature march, --mc runs one march over the samples
-    # and no other solve; the domain check reads the march's own weights
+    # beyond the quadrature march (half of the point-symmetric 6x6 grid),
+    # --mc runs one march over the samples and no other solve; the domain
+    # check reads the march's own weights
     marches, statics = [], []
     original_march = jarzynski._pseudo_work_batch
     original_static = jarzynski._pseudo_hamiltonian_batch
@@ -301,7 +306,7 @@ def test_monte_carlo_marches_each_sample_once(monkeypatch):
     verify_identity(model, 1.0, 1.0, dom,
                     IntegratorSettings(n_sigma_steps=32, n_time_steps=8),
                     monte_carlo=True, mc_samples=50, seed=3)
-    assert marches == [36, 50]
+    assert marches == [18, 50]
     assert statics == []
 
 
@@ -349,7 +354,8 @@ def test_prefactor_report_reuses_the_t_i_solves():
 
 def test_identity_marches_t_i_gauss_legendre_times_and_t_f(monkeypatch):
     # each of the 18 work nodes is solved once, in order: t_i (G_initial),
-    # the 16 Gauss-Legendre times (power) and t_f (G_prop)
+    # the 16 Gauss-Legendre times (power) and t_f (G_prop), for the 18
+    # marched nodes of the point-symmetric 6x6 grid
     calls = []
     original = pseudowork._invert_map_batch
 
@@ -368,7 +374,113 @@ def test_identity_marches_t_i_gauss_legendre_times_and_t_f(monkeypatch):
     assert calls == list(times)
     assert calls[0] == 0.0 and calls[-1] == 1.0
     assert report.diagnostics["work_nodes"] == 18
-    assert report.diagnostics["node_solves"] == 18 * 36
+    assert report.diagnostics["node_solves"] == 18 * 18
+    assert report.diagnostics["mirrored_nodes"] == 18
+
+
+def assert_mirror_is_the_full_march(model, hbar, domain, settings):
+    """The identity's march of ``domain`` against a march of every node:
+    each per-column array bitwise equal (NaN included) and the same
+    failures.  Returns the number of failed nodes."""
+    P, Q, _ = domain.nodes()
+    full = _pseudo_work_batch(model, 0.0, 1.0, P, Q, hbar, settings,
+                              nodes=_gauss_legendre_nodes(0.0, 1.0))
+    mirrored_march, marched = jarzynski._mirrored_march, []
+
+    def recorded(*args):
+        marched.append(mirrored_march(*args))
+        return marched[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jarzynski, "_check_domain", lambda *args: None)
+        mp.setattr(jarzynski, "_mirrored_march", recorded)
+        report = verify_identity(model, 1.0, hbar, domain, settings,
+                                 failure_budget=1.0)
+    (out, counts), = marched
+    assert counts["mirrored_nodes"] == P.size // 2
+    assert counts["node_solves"] < full["node_solves"]
+    assert set(out) == set(full)
+    for name, value in full.items():
+        if name != "node_solves":
+            assert np.asarray(value).tobytes() == out[name].tobytes(), name
+    assert report.failures == jarzynski._collect_failures(
+        P, Q, full["status"], full["times"][_last_solved_node(full)])
+    return len(report.failures)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([0.0, 0.05, 0.1]), st.integers(2, 7),
+       st.integers(2, 7), st.floats(2.0, 6.0), st.floats(2.0, 4.5),
+       st.floats(0.25, 1.0))
+def test_mirrored_march_is_the_full_march(lam, n_p, n_q, p_max, q_max,
+                                          hbar):
+    # both model families are even in z = (p, q), so on a point-symmetric
+    # Gauss-Legendre grid the filled half is what marching it would give
+    model = ramped_model("quartic" if lam else "harmonic", omega_i=1.0,
+                         omega_f=2.0, quartic_lambda=lam)
+    assert_mirror_is_the_full_march(
+        model, hbar, QuadratureDomain(p_max, q_max, n_p, n_q),
+        IntegratorSettings(n_sigma_steps=16, n_time_steps=8))
+
+
+def test_mirrored_march_keeps_caustic_failures():
+    # quartic ramp at hbar*beta = 1 on an odd 15x13 grid over 6 x 4.5:
+    # 20 starts stall in the march, in partner pairs, and the middle node
+    # is its own partner
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    assert assert_mirror_is_the_full_march(
+        model, 1.0, QuadratureDomain(6.0, 4.5, 15, 13),
+        IntegratorSettings(n_sigma_steps=32, n_time_steps=32)) == 20
+
+
+@pytest.mark.parametrize("n_p, n_q", [(6, 6), (4, 6), (6, 4)])
+def test_asymmetric_trapezoid_grid_is_marched_in_full(n_p, n_q):
+    # linspace(-10.5, 10.5, 6) is not bitwise point-symmetric, while
+    # linspace(-10.5, 10.5, 4) is: a grid with either axis asymmetric is
+    # marched in full
+    model = ramped_model("harmonic", omega_i=1.0, omega_f=2.0)
+    dom = QuadratureDomain(p_max=10.5, q_max=10.5, n_p=n_p, n_q=n_q,
+                           rule="trapezoid")
+    assert not jarzynski._point_symmetric(*dom.nodes()[:2])
+    report = verify_identity(model, 1.0, 1.0, dom,
+                             IntegratorSettings(n_sigma_steps=32,
+                                                n_time_steps=8))
+    assert report.diagnostics["mirrored_nodes"] == 0
+    assert report.diagnostics["node_solves"] == 18 * n_p * n_q
+
+
+def test_gauss_legendre_grids_are_point_symmetric():
+    # the identity halves its march only on a bitwise point-symmetric
+    # grid; a numpy whose leggauss lost that symmetry would silently
+    # double the march
+    for n in range(2, 129):
+        P, Q, _ = QuadratureDomain(p_max=7.5, q_max=4.5, n_p=n,
+                                   n_q=n).nodes()
+        assert jarzynski._point_symmetric(P, Q), n
+
+
+def test_work_gap_is_the_path_endpoint_gap_of_the_march():
+    # the identity's own consistency residual, from every node's W and
+    # W_endpoint: the Boltzmann-weighted mean over the nodes and the
+    # maximum; the Monte Carlo block reports its sample march's gap
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    dom = QuadratureDomain(p_max=7.5, q_max=4.5, n_p=8, n_q=8)
+    settings = IntegratorSettings(n_sigma_steps=32, n_time_steps=8)
+    report = verify_identity(model, 1.0, 0.5, dom, settings,
+                             monte_carlo=True, mc_samples=40, seed=0)
+    P, Q, W = dom.nodes()
+    out = _pseudo_work_batch(model, 0.0, 1.0, P, Q, 0.5, settings,
+                             nodes=_gauss_legendre_nodes(0.0, 1.0))
+    gap = np.abs(out["W"] - out["W_endpoint"]) / (1.0 + np.abs(out["W"]))
+    weight = W * np.exp(-out["g_initial"])
+    assert report.failures == []
+    assert report.diagnostics["work_gap_mean"] == float(
+        np.sum(weight * gap) / np.sum(weight))
+    assert report.diagnostics["work_gap_max"] == float(np.max(gap))
+    mc = report.monte_carlo["diagnostics"]
+    assert 0.0 < mc["work_gap_mean"] <= mc["work_gap_max"]
 
 
 def test_report_serialization_fields():
@@ -402,7 +514,8 @@ def test_non_finite_prefactor_raises_with_its_column_count(monkeypatch):
     # a partition cannot mark a column, so a non-finite prefactor raises
     # and says how many there are; neither can the identity report, whose
     # t_i prefactors come from the march.  A NaN stands in column 3 of
-    # every prefactor batch
+    # every prefactor batch; the identity marches half of its 4x4 grid, so
+    # its NaN also reaches column 3's partner, column 12
     formula = ImaginaryArc.prefactor.func
 
     def fourth_nan(arcs):
@@ -417,7 +530,7 @@ def test_non_finite_prefactor_raises_with_its_column_count(monkeypatch):
                   with_prefactor=True)
     domain = QuadratureDomain(p_max=10.5, q_max=10.5, n_p=4, n_q=4)
     with pytest.raises(IntegratorDiverged,
-                       match="non-finite prefactor in 1 of 16 column"):
+                       match="non-finite prefactor in 2 of 16 column"):
         verify_identity(ramped_model("harmonic", omega_i=1.0, omega_f=2.0),
                         1.0, 1.0, domain, SET, with_prefactor=True)
 
