@@ -248,7 +248,12 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: --out {out_dir} is not a usable directory "
+              f"({exc.strerror})", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         if args.command == "gibbs":
             return cmd_gibbs(cfg, out_dir, args.prefactor)

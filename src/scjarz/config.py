@@ -22,7 +22,7 @@ import yaml
 
 from .dynamics import IntegratorSettings
 from .errors import ConfigError
-from .jarzynski import QUADRATURE_RULES, QuadratureDomain
+from .jarzynski import QuadratureDomain
 from .models import (MODEL_KINDS, PROTOCOL_SHAPES, FrequencyProtocol,
                      HamiltonianModel)
 
@@ -55,7 +55,6 @@ _DEFAULTS: dict = {
             "q_max": 10.5,
             "n_p": 64,
             "n_q": 64,
-            "rule": "gauss-legendre",
             "boundary_weight_tol": 1e-10,
         },
         "fock_n_max": 128,
@@ -239,9 +238,6 @@ def _build(data: dict) -> RunConfig:
             q_max=_require(_real, dom["q_max"], "numerics.domain.q_max"),
             n_p=_require(_integer, dom["n_p"], "numerics.domain.n_p"),
             n_q=_require(_integer, dom["n_q"], "numerics.domain.n_q"),
-            rule=_require(str, dom["rule"], "numerics.domain.rule",
-                          lambda v: v in QUADRATURE_RULES,
-                          f"must be one of {QUADRATURE_RULES}"),
             boundary_weight_tol=_require(_real, dom["boundary_weight_tol"],
                                          "numerics.domain.boundary_weight_tol"),
         )

@@ -379,9 +379,17 @@ class ImaginaryArc:
     sigma: np.ndarray        # (n+1,), 0 to +hbar*beta/2
     p: np.ndarray            # (n+1, B), center first
     q: np.ndarray            # (n+1, B)
-    center_p: np.ndarray     # (B,) complex
-    center_q: np.ndarray
     m_plus: np.ndarray       # (2, 2, B) complex
+
+    @property
+    def center_p(self) -> np.ndarray:
+        """The centers' momenta, (B,) complex: the plus halves' first row."""
+        return self.p[0]
+
+    @property
+    def center_q(self) -> np.ndarray:
+        """The centers' positions, (B,) complex."""
+        return self.q[0]
 
     @cached_property
     def half_weights(self) -> np.ndarray:
@@ -506,8 +514,7 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
                    "arc")
     sigma = np.linspace(0.0, s, n + 1)
     return ImaginaryArc(model=model, t=t, hbar_beta=hbar_beta, sigma=sigma,
-                        p=plus_p, q=plus_q, center_p=cp, center_q=cq,
-                        m_plus=m_plus)
+                        p=plus_p, q=plus_q, m_plus=m_plus)
 
 
 def build_arc(model: HamiltonianModel, t: float, z_c: ComplexPoint,

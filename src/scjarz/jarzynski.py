@@ -11,10 +11,10 @@ samples and the Gauss-Legendre sum over time nodes accumulate row by row
 in a fixed order (``dynamics.weighted_sum``), so every node's values are
 the same whatever the batch width or BLAS threading.  Both model families
 are even in z = (p, q), so a node's march is its point reflection's with
-the centers negated: on a bitwise point-symmetric grid (every
-Gauss-Legendre one) half the nodes are marched and the other half filled
-from their partners.  The sums over quadrature nodes then run once over
-the full node set.
+the centers negated: the Gauss-Legendre grid is point-symmetric bit for
+bit, so half its nodes are marched and the other half filled from their
+partners.  The sums over quadrature nodes then run once over the full
+node set.
 """
 
 from __future__ import annotations
@@ -33,12 +33,10 @@ from .pseudowork import (_gauss_legendre_nodes, _last_solved_node,
 from .stationary import (OK, STATUS_NAMES, _finite_prefactors,
                          _pseudo_hamiltonian_batch)
 
-QUADRATURE_RULES = ("gauss-legendre", "trapezoid")
-
 
 @dataclass(frozen=True)
 class QuadratureDomain:
-    """Rectangular phase-space domain with a tensor-product rule.
+    """Rectangular phase-space domain with a tensor Gauss-Legendre rule.
 
     boundary_weight_tol bounds the ratio of the largest thermal weight on
     the outermost ring of nodes (``ring()``) to the peak, for each weight a
@@ -52,7 +50,6 @@ class QuadratureDomain:
     q_max: float
     n_p: int = 48
     n_q: int = 48
-    rule: str = "gauss-legendre"
     boundary_weight_tol: float = 1e-10
 
     def __post_init__(self):
@@ -60,27 +57,20 @@ class QuadratureDomain:
             raise ValueError("domain half-widths must be positive")
         if self.n_p < 2 or self.n_q < 2:
             raise ValueError("node counts must be >= 2")
-        if self.rule not in QUADRATURE_RULES:
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
         if not 0.0 < self.boundary_weight_tol < 1.0:
             raise ValueError("boundary_weight_tol must be in (0, 1)")
 
     def axis(self, half_width: float, n: int):
-        if self.rule == "gauss-legendre":
-            x, w = leggauss(n)
-            return half_width * x, half_width * w
-        x = np.linspace(-half_width, half_width, n)
-        w = np.full(n, 2.0 * half_width / (n - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return x, w
+        x, w = leggauss(n)
+        return half_width * x, half_width * w
 
     def nodes(self):
         """Flattened (P, Q, weight) arrays for the tensor grid.
 
-        On a grid symmetric about the origin, node k's point reflection
-        (-P[k], -Q[k]) is node N-1-k: every Gauss-Legendre grid is, bit
-        for bit, so ``verify_identity`` marches half of it.
+        Node k's point reflection (-P[k], -Q[k]) is node N-1-k, bit for
+        bit: ``leggauss`` symmetrizes its nodes, scaling by a half-width
+        keeps signs symmetric, and the repeat/tile order maps node k to
+        node N-1-k under reversal.  ``verify_identity`` marches half.
         """
         xp, wp = self.axis(self.p_max, self.n_p)
         xq, wq = self.axis(self.q_max, self.n_q)
@@ -239,26 +229,21 @@ _ODD_COLUMNS = ("center_p", "center_q", "plus_p", "plus_q",
                 "check_p", "check_q")
 
 
-def _point_symmetric(P, Q) -> bool:
-    """Whether target k's point reflection is target N-1-k, bit for bit."""
-    return bool(np.array_equal(P[::-1], -P) and np.array_equal(Q[::-1], -Q))
-
-
 def _mirrored_march(model, t_i, t_f, P, Q, hbar_beta, settings):
-    """The identity's march of the targets ``P``, ``Q`` and its counts.
+    """The identity's march of the quadrature nodes ``P``, ``Q`` and its
+    counts.
 
     H is even in z = (p, q) (``HamiltonianModel``), so the march of -z is
     the march of z, bit for bit, with its centers, plus points and checks
-    negated.  When the targets are bitwise point-symmetric, target k's
-    partner being target N-1-k (``QuadratureDomain.nodes``), only the
-    first ceil(N/2) are marched and every other column is filled from its
-    partner's; an odd set's middle target is its own partner.  Any other
-    set of targets is marched in full.  The counts are those of the march
-    run (``_march_diagnostics``), and mirrored_nodes is the number of
-    columns filled from a partner.
+    negated.  Node k's partner is node N-1-k (``QuadratureDomain.nodes``),
+    so only the first ceil(N/2) are marched and every other column is
+    filled from its partner's; an odd grid's middle node is its own
+    partner.  The counts are those of the march run
+    (``_march_diagnostics``), and mirrored_nodes is the number of columns
+    filled from a partner.
     """
     n = P.size
-    h = (n + 1) // 2 if _point_symmetric(P, Q) else n
+    h = (n + 1) // 2
     out = _pseudo_work_batch(model, t_i, t_f, P[:h], Q[:h], hbar_beta,
                              settings, nodes=_gauss_legendre_nodes(t_i, t_f))
     counts = _march_diagnostics(out) | {"mirrored_nodes": n - h}
@@ -286,13 +271,13 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
     The protocol window [t_i, t_f] is taken from the model; the work march
     visits t_i, the Gauss-Legendre times of ``_gauss_legendre_nodes`` and
     t_f, and its weights certify the domain at both ends (DomainTooSmall
-    names t_i or t_f, and comes first).  A bitwise point-symmetric grid,
-    every Gauss-Legendre one, is marched on its first half and its other
-    half filled by the point reflection (``_mirrored_march``).  Node solves
-    that fail are reported with coordinates; more than ``failure_budget``
-    of them aborts the report.  ``diagnostics`` holds the march's solver
-    counts and its path/endpoint gap |W - W_endpoint| / (1 + |W|) over the
-    OK nodes: the mean weighted by W exp(-beta G_initial) and the maximum.
+    names t_i or t_f, and comes first).  The grid's first half is marched
+    and its other half filled by the point reflection
+    (``_mirrored_march``).  Node solves that fail are reported with
+    coordinates; more than ``failure_budget`` of them aborts the report.
+    ``diagnostics`` holds the march's solver counts and its path/endpoint
+    gap |W - W_endpoint| / (1 + |W|) over the OK nodes: the mean weighted
+    by W exp(-beta G_initial) and the maximum.
     """
     t_i, t_f = model.protocol.t_i, model.protocol.t_f
     P, Q, W = domain.nodes()

@@ -117,7 +117,7 @@ class HamiltonianModel:
     H is even in z = (p, q), and its evaluations are sign-symmetric bit
     for bit (IEEE rounding is), so every flow and solve of -z is that of
     z negated.  ``jarzynski.verify_identity`` relies on it: it marches
-    half of a point-symmetric grid and fills the other half by the
+    half of its Gauss-Legendre grid and fills the other half by the
     reflection.  A family that is not even in z would break that mirror.
     """
 

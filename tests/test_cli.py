@@ -89,6 +89,8 @@ def test_config_parsing_and_hash_round_trip(config_path):
     ("run: {mc_samples: 10}", "run.mc_samples"),
     ("run: {seed: 3}", "run.seed"),
     ("run: {output_dir: out}", "run.output_dir"),
+    # Gauss-Legendre is the one phase-space rule, so it has no key
+    ("numerics: {domain: {rule: gauss-legendre}}", "numerics.domain.rule"),
 ])
 def test_config_validation_errors_carry_field_paths(tmp_path, snippet, field,
                                                     capsys):
@@ -97,6 +99,24 @@ def test_config_validation_errors_carry_field_paths(tmp_path, snippet, field,
     rc = main(["gibbs", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_out_that_names_a_file_is_a_usage_error(config_path, tmp_path, capsys,
+                                                under):
+    # --out naming an existing file, or a path under one, cannot be made a
+    # directory: exit 2 with one line naming the path, and nothing written
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n")
+    out = blocker / "run" if under else blocker
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(["oracle", "--config", str(config_path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out) in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 def test_parser_defaults_match_verify_identity():

@@ -27,8 +27,6 @@ def test_domain_validation():
         QuadratureDomain(p_max=-1.0, q_max=1.0)
     with pytest.raises(ValueError):
         QuadratureDomain(p_max=1.0, q_max=1.0, n_p=1)
-    with pytest.raises(ValueError):
-        QuadratureDomain(p_max=1.0, q_max=1.0, rule="simpson")
 
 
 def test_quadrature_nodes_integrate_gaussian():
@@ -36,11 +34,6 @@ def test_quadrature_nodes_integrate_gaussian():
     P, Q, W = dom.nodes()
     val = np.sum(W * np.exp(-0.5 * (P**2 + Q**2)))
     assert val == pytest.approx(2 * np.pi, rel=1e-12)
-    trap = QuadratureDomain(p_max=8.0, q_max=8.0, n_p=129, n_q=129,
-                            rule="trapezoid")
-    P, Q, W = trap.nodes()
-    val = np.sum(W * np.exp(-0.5 * (P**2 + Q**2)))
-    assert val == pytest.approx(2 * np.pi, rel=1e-6)
 
 
 def test_small_domain_rejected():
@@ -50,9 +43,8 @@ def test_small_domain_rejected():
         partition(model, 0.0, 1.0, 1.0, small, SET)
 
 
-@pytest.mark.parametrize("rule", ["gauss-legendre", "trapezoid"])
-def test_ring_is_the_outermost_nodes(rule):
-    dom = QuadratureDomain(p_max=2.0, q_max=3.0, n_p=5, n_q=4, rule=rule)
+def test_ring_is_the_outermost_nodes():
+    dom = QuadratureDomain(p_max=2.0, q_max=3.0, n_p=5, n_q=4)
     P, Q, _ = dom.nodes()
     ring = dom.ring()
     edge = (np.abs(P) == np.max(np.abs(P))) | (np.abs(Q) == np.max(np.abs(Q)))
@@ -434,30 +426,17 @@ def test_mirrored_march_keeps_caustic_failures():
         IntegratorSettings(n_sigma_steps=32, n_time_steps=32)) == 20
 
 
-@pytest.mark.parametrize("n_p, n_q", [(6, 6), (4, 6), (6, 4)])
-def test_asymmetric_trapezoid_grid_is_marched_in_full(n_p, n_q):
-    # linspace(-10.5, 10.5, 6) is not bitwise point-symmetric, while
-    # linspace(-10.5, 10.5, 4) is: a grid with either axis asymmetric is
-    # marched in full
-    model = ramped_model("harmonic", omega_i=1.0, omega_f=2.0)
-    dom = QuadratureDomain(p_max=10.5, q_max=10.5, n_p=n_p, n_q=n_q,
-                           rule="trapezoid")
-    assert not jarzynski._point_symmetric(*dom.nodes()[:2])
-    report = verify_identity(model, 1.0, 1.0, dom,
-                             IntegratorSettings(n_sigma_steps=32,
-                                                n_time_steps=8))
-    assert report.diagnostics["mirrored_nodes"] == 0
-    assert report.diagnostics["node_solves"] == 18 * n_p * n_q
-
-
 def test_gauss_legendre_grids_are_point_symmetric():
-    # the identity halves its march only on a bitwise point-symmetric
-    # grid; a numpy whose leggauss lost that symmetry would silently
-    # double the march
-    for n in range(2, 129):
-        P, Q, _ = QuadratureDomain(p_max=7.5, q_max=4.5, n_p=n,
-                                   n_q=n).nodes()
-        assert jarzynski._point_symmetric(P, Q), n
+    # the identity marches half of every grid and fills the rest from
+    # node N-1-k, the point reflection of node k; a numpy whose leggauss
+    # lost that symmetry, or a node order that broke it on non-square
+    # grids, would fill wrong columns
+    shapes = [(n, n) for n in range(2, 129)] + [(48, 64), (7, 4), (2, 9)]
+    for n_p, n_q in shapes:
+        P, Q, _ = QuadratureDomain(p_max=7.5, q_max=4.5, n_p=n_p,
+                                   n_q=n_q).nodes()
+        assert np.array_equal(P[::-1], -P), (n_p, n_q)
+        assert np.array_equal(Q[::-1], -Q), (n_p, n_q)
 
 
 def test_work_gap_is_the_path_endpoint_gap_of_the_march():
@@ -500,14 +479,18 @@ def test_report_serialization_fields():
 def test_non_finite_prefactor_raises_with_its_column_count(monkeypatch):
     # at hbar*beta = 3 the quartic arcs through the targets (+-5, +-6)
     # solve, and their prefactors, taken from the solve's half-flow
-    # monodromy, are finite (an end-to-end flow of these arcs overflows)
-    # every node of the 2x2 corner grid is on its outermost ring, so the
-    # domain check is switched off
+    # monodromy, are finite (an end-to-end flow of these arcs overflows).
+    # The 2x2 Gauss-Legendre grid over half-widths sqrt(3) (5, 6) has its
+    # nodes there; each is on its outermost ring, so the domain check is
+    # switched off
     monkeypatch.setattr(jarzynski, "_check_domain", lambda *args: None)
     model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
                          quartic_lambda=0.1)
     settings = IntegratorSettings(n_sigma_steps=64, n_time_steps=64)
-    corners = QuadratureDomain(5.0, 6.0, 2, 2, "trapezoid")
+    corners = QuadratureDomain(5.0 * 3 ** 0.5, 6.0 * 3 ** 0.5, 2, 2)
+    P, Q, _ = corners.nodes()
+    assert np.abs(P) == pytest.approx(np.full(4, 5.0), rel=1e-15)
+    assert np.abs(Q) == pytest.approx(np.full(4, 6.0), rel=1e-15)
     z = partition(model, 0.0, 1.0, 3.0, corners, settings,
                   with_prefactor=True)
     assert np.isfinite(z) and z > 0.0
@@ -536,41 +519,44 @@ def test_non_finite_prefactor_raises_with_its_column_count(monkeypatch):
 
 
 def test_failures_carry_the_time_of_their_failed_node(monkeypatch):
-    # quartic ramp at hbar*beta = 1 on a 4x4 trapezoid grid over 6 x 4.5:
-    # the starts (-6, -1.5) and (6, 1.5) solve at t_i and fail at work
-    # node 9 of the 18, inside the ramp, and each failure names that
-    # node's time.  Both are outermost nodes, so the domain check at t_f
-    # would refuse the domain first; it is switched off
+    # quartic ramp at hbar*beta = 1 on a 6x6 grid over 6 x 4.5: the
+    # starts 2 and 8 (p at axis nodes 0 and 1, q at axis node 2) and
+    # their partners 33 and 27 solve at t_i and fail inside the ramp, at
+    # work nodes 9 and 11 of the 18, and each failure names its own
+    # node's time.  Starts 2 and 33 are outermost nodes, so the domain
+    # check at t_f would refuse the domain first; it is switched off
     monkeypatch.setattr(jarzynski, "_check_domain", lambda *args: None)
     model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
                          quartic_lambda=0.1)
-    domain = QuadratureDomain(6.0, 4.5, 4, 4, "trapezoid")
+    domain = QuadratureDomain(6.0, 4.5, 6, 6)
     report = verify_identity(model, 1.0, 1.0, domain,
                              IntegratorSettings(n_sigma_steps=64,
                                                 n_time_steps=64),
                              failure_budget=0.2)
-    t_fail = float(_gauss_legendre_nodes(0.0, 1.0)[0][9])
-    assert 0.0 < t_fail < 1.0
+    times = _gauss_legendre_nodes(0.0, 1.0)[0]
+    assert 0.0 < times[9] < times[11] < 1.0
+    P, Q, _ = domain.nodes()
     assert report.to_dict()["failures"] == [
-        {"p": -6.0, "q": -1.5, "t": t_fail, "reason": "diverged"},
-        {"p": 6.0, "q": 1.5, "t": t_fail, "reason": "diverged"}]
+        {"p": float(P[k]), "q": float(Q[k]), "t": float(times[j]),
+         "reason": "diverged"} for k, j in [(2, 9), (8, 11), (27, 11),
+                                            (33, 9)]]
 
 
 def test_failure_budget_refuses_a_caustic_grid(monkeypatch):
     # the caustic grid (quartic ramp at hbar*beta = 1, 32 sigma and time
-    # steps) shrunk to 8x8 trapezoid starts over 6 x 4.5: 8 of the 64
-    # stall in the march, far more than 1%, so the budget itself raises
-    # once the domain check is switched off.  With it on, the domain is
-    # refused first, at t_i (edge-to-peak weight 1.8e-7)
+    # steps) shrunk to 8x8 starts over 6 x 4.5: 6 of the 64 stall in the
+    # march, far more than 1%, so the budget itself raises once the
+    # domain check is switched off.  With it on, the domain is refused
+    # first, at t_i (edge-to-peak weight 3.6e-7)
     model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
                          quartic_lambda=0.1)
-    domain = QuadratureDomain(6.0, 4.5, 8, 8, "trapezoid")
+    domain = QuadratureDomain(6.0, 4.5, 8, 8)
     settings = IntegratorSettings(n_sigma_steps=32, n_time_steps=32)
-    with pytest.raises(DomainTooSmall, match="ratio 1.847e-07 at t_i"):
+    with pytest.raises(DomainTooSmall, match="ratio 3.568e-07 at t_i"):
         verify_identity(model, 1.0, 1.0, domain, settings)
     monkeypatch.setattr(jarzynski, "_check_domain", lambda *args: None)
     with pytest.raises(NewtonDiverged,
-                       match=r"^8 of 64 quadrature nodes failed "
+                       match=r"^6 of 64 quadrature nodes failed "
                              r"\(> 1% budget\)$"):
         verify_identity(model, 1.0, 1.0, domain, settings)
 

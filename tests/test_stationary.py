@@ -347,6 +347,9 @@ def test_arcs_from_the_solve_match_a_fresh_integration(t_f, half_width, n_grid,
     assert np.any(ok & (direct.status == DIVERGED)) == hard
     assert np.all(ok) != hard
     arcs = solve.arcs
+    # an arc's center is its plus half's first sample: the solved center
+    assert arcs.center_p.tobytes() == solve.zc_p[ok].astype(complex).tobytes()
+    assert arcs.center_q.tobytes() == solve.zc_q[ok].astype(complex).tobytes()
     for k, i in enumerate(np.flatnonzero(ok)):
         ref = build_arc(model, t_f, ComplexPoint(solve.zc_p[i], solve.zc_q[i]),
                         hbar_beta, settings)
