@@ -32,11 +32,9 @@ class IntegratorSettings:
     """Step counts and tolerances shared by the integrator and the solvers.
 
     n_sigma_steps counts RK4 steps per half-arc (center to one endpoint);
-    n_time_steps sets the real-time step density (steps per full protocol
-    duration) and the uniform trajectory grid of ``pseudo_work`` and
-    ``scjarz work`` (n_time_steps + 1 nodes, Simpson work sum).  The
-    identity's work integral uses a fixed Gauss-Legendre rule in time
-    (``pseudowork._gauss_legendre_nodes``) instead.
+    n_time_steps sets only the real-time step density (steps per full
+    protocol duration).  The work's time nodes are a fixed Gauss-Legendre
+    rule (``pseudowork._gauss_legendre_nodes``).
     """
 
     n_sigma_steps: int = 64

@@ -28,8 +28,7 @@ from numpy.polynomial.legendre import leggauss
 from .dynamics import DEFAULT_SETTINGS, IntegratorSettings, weighted_sum
 from .errors import DomainTooSmall, NewtonDiverged
 from .models import HamiltonianModel
-from .pseudowork import (_gauss_legendre_nodes, _last_solved_node,
-                         _pseudo_work_batch)
+from .pseudowork import _last_solved_node, _pseudo_work_batch
 from .stationary import (OK, STATUS_NAMES, _finite_prefactors,
                          _pseudo_hamiltonian_batch)
 
@@ -176,8 +175,7 @@ def _monte_carlo_lhs(model, t_i, t_f, beta, hbar, P, Q, weight, settings,
     c = np.sqrt(cqq - b * b)
     x = np.random.default_rng(seed).standard_normal((2, n_samples))
     out = _pseudo_work_batch(model, t_i, t_f, mp + a * x[0],
-                             mq + b * x[0] + c * x[1], beta * hbar, settings,
-                             nodes=_gauss_legendre_nodes(t_i, t_f))
+                             mq + b * x[0] + c * x[1], beta * hbar, settings)
     ok = out["status"] == OK
     if not np.any(ok):
         raise NewtonDiverged(f"all {n_samples} Monte Carlo samples failed")
@@ -245,7 +243,7 @@ def _mirrored_march(model, t_i, t_f, P, Q, hbar_beta, settings):
     n = P.size
     h = (n + 1) // 2
     out = _pseudo_work_batch(model, t_i, t_f, P[:h], Q[:h], hbar_beta,
-                             settings, nodes=_gauss_legendre_nodes(t_i, t_f))
+                             settings)
     counts = _march_diagnostics(out) | {"mirrored_nodes": n - h}
     partner = np.concatenate([np.arange(h), np.arange(n - h)[::-1]])
     for key in _EVEN_COLUMNS + _ODD_COLUMNS:
@@ -258,14 +256,18 @@ def _mirrored_march(model, t_i, t_f, P, Q, hbar_beta, settings):
     return out, counts
 
 
+# Share of the quadrature nodes whose solves may fail before
+# ``verify_identity`` refuses to report
+_FAILURE_BUDGET = 0.01
+
+
 def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
                     domain: QuadratureDomain,
                     settings: IntegratorSettings = DEFAULT_SETTINGS,
                     with_prefactor: bool = False,
                     monte_carlo: bool = False,
                     mc_samples: int = 2000,
-                    seed: int = 0,
-                    failure_budget: float = 0.01) -> JarzynskiReport:
+                    seed: int = 0) -> JarzynskiReport:
     """Check lhs = <exp(-beta W)> against rhs = Z_prop / Z_i numerically.
 
     The protocol window [t_i, t_f] is taken from the model; the work march
@@ -274,7 +276,7 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
     names t_i or t_f, and comes first).  The grid's first half is marched
     and its other half filled by the point reflection
     (``_mirrored_march``).  Node solves that fail are reported with
-    coordinates; more than ``failure_budget`` of them aborts the report.
+    coordinates; more than ``_FAILURE_BUDGET`` of them aborts the report.
     ``diagnostics`` holds the march's solver counts and its path/endpoint
     gap |W - W_endpoint| / (1 + |W|) over the OK nodes: the mean weighted
     by W exp(-beta G_initial) and the maximum.
@@ -287,10 +289,10 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
     _check_domain(domain, out["g_propagated"], beta, "t_f")
     failures = _collect_failures(P, Q, out["status"],
                                  out["times"][_last_solved_node(out)])
-    if len(failures) > failure_budget * P.size:
+    if len(failures) > _FAILURE_BUDGET * P.size:
         raise NewtonDiverged(
             f"{len(failures)} of {P.size} quadrature nodes failed "
-            f"(> {100 * failure_budget:.0f}% budget)")
+            f"(> {100 * _FAILURE_BUDGET:.0f}% budget)")
     ok = out["status"] == OK
     w_quad = W[ok]
     g_i = out["g_initial"][ok]

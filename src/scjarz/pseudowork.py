@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
-                       simpson_weights, weighted_sum)
+                       weighted_sum)
 from .errors import WorkMismatch
 from .models import ComplexPoint, HamiltonianModel
 from .stationary import (OK, _composite_map_batch, _invert_map_batch,
@@ -158,22 +158,25 @@ def pseudo_power(model: HamiltonianModel, arc: ImaginaryArc) -> float:
 
 # The warm start of time node j extrapolates the converged centers at up to
 # this many preceding nodes with the polynomial through them.  The quartic
-# rule (five nodes) is the measured choice: on configs/quartic_ramp.yaml,
-# on the uniform grid, the Newton iterations per node solve are 3.08 with
-# the last center alone and 2.03 / 1.83 / 1.32 / 1.14 with the quadratic /
-# cubic / quartic / quintic rule; the quintic rule's few saved iterations
-# did not make the march faster.
+# rule (five nodes) is the measured choice: over the 20,736 node solves of
+# the identity march of configs/quartic_ramp.yaml, the Newton iterations
+# per node solve are 3.656 with the last center alone and 2.988 / 2.672 /
+# 2.502 / 2.395 / 2.311 with the polynomial through 2 / 3 / 4 / 5 / 6
+# centers; the sixth center's saved iterations did not measurably shorten
+# the march.
 _PREDICTOR_NODES = 5
 
-# Gauss-Legendre nodes of the identity's work integral over [t_i, t_f].
-# 16 nodes keep every accuracy figure of both shipped configs at or below
-# the 65-node Simpson rule's: with 8 nodes the all-node path/endpoint
-# mismatch of quartic_ramp rises from 2.1e-5 to 3.1e-5.
+# Gauss-Legendre nodes of the work integral over [t_i, t_f]: of the
+# identity, of pseudo_work and of scjarz work, whose work.csv has a row for
+# each of the _WORK_NODES + 2 march nodes.  16 nodes keep every accuracy
+# figure of both shipped configs at or below the 65-node Simpson rule's:
+# with 8 nodes the all-node path/endpoint mismatch of quartic_ramp rises
+# from 2.1e-5 to 3.1e-5.
 _WORK_NODES = 16
 
 
 def _gauss_legendre_nodes(t_i, t_f):
-    """Time nodes and work weights of the identity's march.
+    """Time nodes and work weights of the work march.
 
     The nodes are t_i, the ``_WORK_NODES`` Gauss-Legendre times of
     [t_i, t_f] and t_f.  The end nodes carry zero weight: they are marched
@@ -192,9 +195,10 @@ def _gauss_legendre_nodes(t_i, t_f):
 def _lagrange_weights(t_next, hist_t):
     """Weights at ``t_next`` of the polynomial through the nodes ``hist_t``.
 
-    Numerator and denominator products are formed separately, so on a
-    uniform dyadic grid (every shipped one) both are exact and the weights
-    are exactly the binomial ones (1; 2, -1; 3, -3, 1; ...).
+    Numerator and denominator products are formed separately; on a uniform
+    dyadic grid both are exact and the weights are exactly the binomial
+    ones (1; 2, -1; 3, -3, 1; ...).  The march's Gauss-Legendre times are
+    not uniform, and the weights are exact only to rounding.
     """
     weights = []
     for j, tj in enumerate(hist_t):
@@ -256,38 +260,28 @@ def _march(model, t_i, times, tp, tq, hbar_beta, settings):
         hist_q = [solve.zc_q[ok]] + [c[ok] for c in hist_q[older]]
 
 
-def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
-                       nodes=None):
+def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
     """Work along the pseudo-trajectory for a batch of initial points.
 
-    One ``_march`` over the time nodes: at most one composite-map solve per
-    column and node.  Each solve hands over its arcs (``SolveBatch.arcs``):
-    the power is read from every node's, G_initial (the area form,
-    ``ImaginaryArc.g``) and the prefactor ("prefactor_initial", NaN where it
-    is not finite) from the first node's, and the t_f node's solve gives
-    the endpoint G_prop (``_propagated_g_batch``).
-    ``nodes`` is a ``(times, weights)`` pair running from t_i to t_f, the
-    work being ``weighted_sum(weights, power)``; by default it is the
-    uniform grid of n_time_steps + 1 nodes with composite Simpson weights
-    (the trajectory of ``scjarz work`` and ``pseudo_work``), or the single
-    node t_i when t_f == t_i.  ``_gauss_legendre_nodes`` gives the
-    identity's rule.  Returns a dict of arrays; a column whose solve fails
-    at a node carries that solve's status and NaN work values.  Per-node
-    entries are NaN where a column was not solved (the centers, residuals
-    and Jacobian determinants "det") or not OK (the arc quantities).
-    "newton_iters" counts each column's Newton iterations over the march,
-    "node_solves" the column solves run.
+    One ``_march`` over the time nodes of ``_gauss_legendre_nodes``: at
+    most one composite-map solve per column and node, the work being the
+    Gauss-Legendre sum of the power.  A column's march does not depend on
+    the batch it is in.  Each solve hands over its arcs
+    (``SolveBatch.arcs``): the power is read from every node's, G_initial
+    (the area form, ``ImaginaryArc.g``) and the prefactor
+    ("prefactor_initial", NaN where it is not finite) from the first
+    node's, and the t_f node's solve gives the endpoint G_prop
+    (``_propagated_g_batch``).  Returns a dict of arrays; a column whose
+    solve fails at a node carries that solve's status and NaN work values.
+    Per-node entries are NaN where a column was not solved (the centers,
+    residuals and Jacobian determinants "det") or not OK (the arc
+    quantities).  "newton_iters" counts each column's Newton iterations
+    over the march, "node_solves" the column solves run.
     """
     tp = np.asarray(tp, dtype=float)
     tq = np.asarray(tq, dtype=float)
     b = tp.shape[0]
-    if nodes is None and t_f == t_i:
-        nodes = (np.array([t_i]), np.array([0.0]))
-    elif nodes is None:
-        n_t = settings.n_time_steps
-        nodes = (np.linspace(t_i, t_f, n_t + 1),
-                 simpson_weights(n_t + 1, (t_f - t_i) / n_t))
-    times, weights = nodes
+    times, weights = _gauss_legendre_nodes(t_i, t_f)
 
     def per_node(dtype=float):
         return np.full((times.size, b), np.nan, dtype=dtype)
@@ -359,11 +353,13 @@ def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
                 work_tol: Optional[float] = None) -> WorkResult:
     """Pseudo-work for one initial point, with the endpoint cross-check.
 
-    The march runs on the uniform grid of n_time_steps + 1 nodes.  Raises
-    CausticEncountered or NewtonDiverged, naming the failed node's time,
-    if the start fails, and WorkMismatch if |W - W_endpoint| exceeds
-    ``work_tol`` (by default ``WorkResult.mismatch_tol``, 1e-6 (1 + |W|));
-    ``work_tol=math.inf`` returns the result whatever the mismatch.
+    The width-1 march of the identity (``_pseudo_work_batch``): the
+    trajectory's times are its nodes, and W and W_endpoint are the
+    identity's for this start, bit for bit.  Raises CausticEncountered or
+    NewtonDiverged, naming the failed node's time, if the start fails, and
+    WorkMismatch if |W - W_endpoint| exceeds ``work_tol`` (by default
+    ``WorkResult.mismatch_tol``, 1e-6 (1 + |W|)); ``work_tol=math.inf``
+    returns the result whatever the mismatch.
     """
     if t_f < t_i:
         raise ValueError("pseudo_work requires t_i <= t_f")

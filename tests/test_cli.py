@@ -296,7 +296,9 @@ def test_work_command_outputs(config_path, tmp_path):
     _, header, rows = read_csv(out / "work.csv")
     assert header == ["t", "check_p", "check_q", "z_c_p", "z_c_q",
                       "pseudo_power"]
-    assert len(rows) == 33
+    # the march nodes: t_i, the 16 Gauss-Legendre times and t_f
+    assert len(rows) == 18
+    assert [float(r[0]) for r in rows[::17]] == [0.0, 1.0]
     summary = json.loads((out / "work_summary.json").read_text())
     assert set(summary) >= {"W", "W_endpoint", "mismatch", "schema_version",
                             "config_sha256"}
@@ -307,8 +309,9 @@ def test_work_command_outputs(config_path, tmp_path):
 
 
 def test_work_mismatch_writes_both_files_and_exits_3(tmp_path, capsys):
-    # two Simpson steps leave the path work 8.7e-2 off the endpoint one:
-    # the verdict is the exit code, and both artifacts are still written
+    # two real-time steps per protocol leave the path work 6.7e-2 off the
+    # endpoint one: the verdict is the exit code, and both artifacts are
+    # still written, one row per march node
     path = tmp_path / "coarse.yaml"
     path.write_text(BASE_CONFIG.replace("n_time_steps: 32",
                                         "n_time_steps: 2"))
@@ -317,15 +320,16 @@ def test_work_mismatch_writes_both_files_and_exits_3(tmp_path, capsys):
         == scjarz.cli.EXIT_NUMERICS
     assert "path/endpoint mismatch" in capsys.readouterr().err
     _, _, rows = read_csv(out / "work.csv")
-    assert len(rows) == 3
+    assert len(rows) == 18
     summary = json.loads((out / "work_summary.json").read_text())
     assert summary["mismatch"] > 1e-6 * (1.0 + abs(summary["W"]))
 
 
 def test_work_failure_names_the_failing_node(tmp_path, capsys):
-    # at hbar = 3 the quartic ramp's start (-4, -1) loses its solve at the
-    # uniform march's node t = 0.5625; the report names that node with its
-    # residual and |det|, in the library's wording, and writes no artifact
+    # at hbar = 3 the quartic ramp's start (-4, -1) loses its solve at
+    # march node 13 of the 18, t = 0.877702; the report names that node
+    # with its residual and |det|, in the library's wording, and writes no
+    # artifact
     data = yaml.safe_load(QUARTIC_RAMP.read_text())
     data["physics"]["hbar"] = 3.0
     data["run"]["work_target"] = [-4.0, -1.0]
@@ -335,7 +339,7 @@ def test_work_failure_names_the_failing_node(tmp_path, capsys):
     assert main(["work", "--config", str(path), "--out", str(out)]) \
         == scjarz.cli.EXIT_NUMERICS
     err = capsys.readouterr().err
-    assert re.search(r"midpoint inversion stalled at t=0\.5625 "
+    assert re.search(r"midpoint inversion stalled at t=0\.877702 "
                      r"\(residual \d\.\d{3}e[+-]\d\d, \|det\|=\d\.\d{3}e", err), err
     assert not (out / "work.csv").exists()
 

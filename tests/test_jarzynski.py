@@ -334,8 +334,7 @@ def test_prefactor_report_reuses_the_t_i_solves():
                      with_prefactor=True)
     zn_f = partition(model, 1.0, 1.0, 1.0, dom, settings,
                      with_prefactor=True)
-    out = _pseudo_work_batch(model, 0.0, 1.0, P, Q, 1.0, settings,
-                             nodes=_gauss_legendre_nodes(0.0, 1.0))
+    out = _pseudo_work_batch(model, 0.0, 1.0, P, Q, 1.0, settings)
     solve, _, _ = _pseudo_hamiltonian_batch(model, 0.0, P, Q, 1.0, settings)
     n_weight = solve.arcs.prefactor / (2 * np.pi)
     lhs = float(np.sum(W * n_weight * np.exp(-(out["g_initial"] + out["W"])))
@@ -375,8 +374,7 @@ def assert_mirror_is_the_full_march(model, hbar, domain, settings):
     each per-column array bitwise equal (NaN included) and the same
     failures.  Returns the number of failed nodes."""
     P, Q, _ = domain.nodes()
-    full = _pseudo_work_batch(model, 0.0, 1.0, P, Q, hbar, settings,
-                              nodes=_gauss_legendre_nodes(0.0, 1.0))
+    full = _pseudo_work_batch(model, 0.0, 1.0, P, Q, hbar, settings)
     mirrored_march, marched = jarzynski._mirrored_march, []
 
     def recorded(*args):
@@ -386,8 +384,8 @@ def assert_mirror_is_the_full_march(model, hbar, domain, settings):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jarzynski, "_check_domain", lambda *args: None)
         mp.setattr(jarzynski, "_mirrored_march", recorded)
-        report = verify_identity(model, 1.0, hbar, domain, settings,
-                                 failure_budget=1.0)
+        mp.setattr(jarzynski, "_FAILURE_BUDGET", 1.0)
+        report = verify_identity(model, 1.0, hbar, domain, settings)
     (out, counts), = marched
     assert counts["mirrored_nodes"] == P.size // 2
     assert counts["node_solves"] < full["node_solves"]
@@ -450,8 +448,7 @@ def test_work_gap_is_the_path_endpoint_gap_of_the_march():
     report = verify_identity(model, 1.0, 0.5, dom, settings,
                              monte_carlo=True, mc_samples=40, seed=0)
     P, Q, W = dom.nodes()
-    out = _pseudo_work_batch(model, 0.0, 1.0, P, Q, 0.5, settings,
-                             nodes=_gauss_legendre_nodes(0.0, 1.0))
+    out = _pseudo_work_batch(model, 0.0, 1.0, P, Q, 0.5, settings)
     gap = np.abs(out["W"] - out["W_endpoint"]) / (1.0 + np.abs(out["W"]))
     weight = W * np.exp(-out["g_initial"])
     assert report.failures == []
@@ -526,13 +523,13 @@ def test_failures_carry_the_time_of_their_failed_node(monkeypatch):
     # node's time.  Starts 2 and 33 are outermost nodes, so the domain
     # check at t_f would refuse the domain first; it is switched off
     monkeypatch.setattr(jarzynski, "_check_domain", lambda *args: None)
+    monkeypatch.setattr(jarzynski, "_FAILURE_BUDGET", 0.2)
     model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
                          quartic_lambda=0.1)
     domain = QuadratureDomain(6.0, 4.5, 6, 6)
     report = verify_identity(model, 1.0, 1.0, domain,
                              IntegratorSettings(n_sigma_steps=64,
-                                                n_time_steps=64),
-                             failure_budget=0.2)
+                                                n_time_steps=64))
     times = _gauss_legendre_nodes(0.0, 1.0)[0]
     assert 0.0 < times[9] < times[11] < 1.0
     P, Q, _ = domain.nodes()

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,6 +11,7 @@ from scjarz.dynamics import (IntegratorSettings, _build_arc_batch,
                              _flow_real_batch, _real_step_count, build_arc,
                              flow_imaginary, flow_real)
 from scjarz.errors import NewtonDiverged, WorkMismatch
+from scjarz.jarzynski import QuadratureDomain, _mirrored_march
 from scjarz.models import ComplexPoint, ramped_model
 from scjarz.pseudowork import (_WORK_NODES, _composite_map_batch,
                                _gauss_legendre_nodes, _lagrange_weights,
@@ -169,7 +173,8 @@ def test_pseudo_work_against_closed_form_power_oracle():
     power = (1.0 / w_t) * (2.0 / (1.0 + np.cosh(x))) * (
         0.5 * w_t**2 * q_cl**2 * (ratio + 1.0)
         + 0.5 * p_cl**2 * (1.0 - ratio))
-    w_oracle = simpson(power, x=ts)
+    _, weights = _gauss_legendre_nodes(0.0, 1.0)
+    w_oracle = np.sum(weights * power)
     assert res.W == pytest.approx(w_oracle, abs=5e-9)
 
 
@@ -440,7 +445,8 @@ def test_one_leg_g_prop_is_the_two_leg_formula(kind, targets, t_f):
 
 
 def test_work_march_solves_each_time_node_once(monkeypatch):
-    # the t_f node's solve and arcs also serve the endpoint G_prop
+    # t_i, the Gauss-Legendre times and t_f, each solved once: the t_f
+    # node's solve and arcs also serve the endpoint G_prop
     calls = []
     original = pseudowork._invert_map_batch
 
@@ -452,14 +458,15 @@ def test_work_march_solves_each_time_node_once(monkeypatch):
     model = quartic_ramp()
     out = _pseudo_work_batch(model, 0.0, 1.0, np.array([0.2, -0.7]),
                              np.array([0.9, 0.4]), 1.0, HYP_SET)
-    assert len(calls) == HYP_SET.n_time_steps + 1
+    assert len(calls) == _WORK_NODES + 2
     assert calls == list(out["times"])
     assert np.all(out["status"] == 0)
     assert np.all(out["newton_iters"] > 0)
 
 
 # at hbar*beta = 1 this quartic start solves at t_i and fails at time node
-# 6 of 8; its status is then final, and nodes 7 and 8 do not solve it
+# 11 of the 18 (t = 0.729); its status is then final, and nodes 12 to 17
+# do not solve it
 MARCH_SET = IntegratorSettings(n_sigma_steps=16, n_time_steps=8)
 FAILS_MID_MARCH = (-4.0, -1.0)
 
@@ -480,7 +487,7 @@ def test_work_march_is_batch_width_invariant(targets, slot):
     failing = min(slot, len(targets) - 1)
     assert whole["status"][failing] != 0
     assert np.isfinite(whole["g_initial"][failing])
-    assert np.isnan(whole["power"][6, failing])
+    assert np.isnan(whole["power"][11, failing])
     assert_march_columns_match(model, tp, tq, whole)
 
 
@@ -555,16 +562,16 @@ def test_failed_column_stops_marching(monkeypatch):
     tp = np.array([t[0] for t in targets])
     tq = np.array([t[1] for t in targets])
     whole = _pseudo_work_batch(model, 0.0, 1.0, tp, tq, 1.0, MARCH_SET)
-    assert len(solved) == MARCH_SET.n_time_steps + 1
+    assert len(solved) == _WORK_NODES + 2
     assert [FAILS_MID_MARCH in node for node in solved] == [
-        j <= 6 for j in range(MARCH_SET.n_time_steps + 1)]
+        j <= 11 for j in range(_WORK_NODES + 2)]
     assert list(whole["status"] != 0) == [False, True, False]
     assert whole["newton_iters"][1] == sum(node[FAILS_MID_MARCH]
-                                           for node in solved[:7])
+                                           for node in solved[:12])
     assert whole["node_solves"] == sum(len(node) for node in solved)
-    assert whole["node_solves"] == 7 * 3 + 2 * 2
-    assert np.all(np.isnan(whole["power"][6:, 1]))
-    assert np.all(np.isnan(whole["center_p"][7:, 1]))
+    assert whole["node_solves"] == 12 * 3 + 6 * 2
+    assert np.all(np.isnan(whole["power"][11:, 1]))
+    assert np.all(np.isnan(whole["center_p"][12:, 1]))
 
     monkeypatch.undo()
     for i in (0, 2):
@@ -582,15 +589,16 @@ def test_pseudo_work_reports_the_failing_node():
     # real residual and |det| there; later nodes record no solve
     model = quartic_ramp()
     with pytest.raises(NewtonDiverged,
-                       match=r"at t=0\.75 \(residual 4\.042e-01, \|det\|="):
+                       match=r"at t=0\.729008 \(residual 2\.567e-01, "
+                             r"\|det\|="):
         pseudo_work(model, 0.0, 1.0, ComplexPoint(*FAILS_MID_MARCH), 1.0,
                     MARCH_SET)
     out = _pseudo_work_batch(model, 0.0, 1.0, np.array([FAILS_MID_MARCH[0]]),
                              np.array([FAILS_MID_MARCH[1]]), 1.0, MARCH_SET)
-    assert out["times"][6] == 0.75
-    assert out["residual"][6, 0] == pytest.approx(0.404, abs=1e-3)
-    assert np.all(np.isfinite(out["det"][:7, 0]))
-    assert np.all(np.isnan(out["det"][7:, 0]))
+    assert out["times"][11] == _gauss_legendre_nodes(0.0, 1.0)[0][11]
+    assert out["residual"][11, 0] == pytest.approx(0.257, abs=1e-3)
+    assert np.all(np.isfinite(out["det"][:12, 0]))
+    assert np.all(np.isnan(out["det"][12:, 0]))
 
 
 # a start whose cold t_i solve the direct Newton stage leaves DIVERGED
@@ -600,7 +608,7 @@ NEEDS_THE_LADDER_AT_T_I = (-4.5, 5.5)
 def test_only_the_cold_t_i_solve_climbs_the_ladder(monkeypatch):
     # node 0 is solved from the targets, and the ladder re-solves the start
     # its direct stage loses; every later node is warm-started, so a column
-    # its direct stage leaves DIVERGED (FAILS_MID_MARCH at t = 0.75) is
+    # its direct stage leaves DIVERGED (FAILS_MID_MARCH at t = 0.729) is
     # final there and no rung is climbed
     solves = []
     original = pseudowork._invert_map_batch
@@ -621,8 +629,7 @@ def test_only_the_cold_t_i_solve_climbs_the_ladder(monkeypatch):
     assert len(solves) == out["times"].size
     for warm, solve in solves[1:]:
         assert not warm and solve.stage_residuals == []
-    assert out["times"][6] == 0.75
-    assert solves[6][1].status.tolist() == [OK, DIVERGED]
+    assert solves[11][1].status.tolist() == [OK, DIVERGED]
     assert out["status"].tolist() == [OK, DIVERGED]
 
 
@@ -716,32 +723,65 @@ def test_gauss_legendre_work_matches_endpoint(kind, lam):
     model = ramped_model(kind, omega_i=1.0, omega_f=2.0, quartic_lambda=lam)
     settings = IntegratorSettings(n_sigma_steps=96, n_time_steps=64)
     tp, tq = np.random.default_rng(17).uniform(-1.2, 1.2, size=(2, 10))
-    out = _pseudo_work_batch(model, 0.0, 1.0, tp, tq, 1.0, settings,
-                             nodes=_gauss_legendre_nodes(0.0, 1.0))
+    out = _pseudo_work_batch(model, 0.0, 1.0, tp, tq, 1.0, settings)
     assert np.all(out["status"] == 0)
     assert out["times"].size == _WORK_NODES + 2
     w, w_end = out["W"], out["W_endpoint"]
     assert np.all(np.abs(w - w_end) <= 1e-6 * (1.0 + np.abs(w)))
 
 
+@pytest.mark.parametrize("kind, lam", [("harmonic", 0.0), ("quartic", 0.1)])
+def test_pseudo_work_is_one_column_of_the_identity_march(kind, lam):
+    # pseudo_work (and scjarz work) march the identity's nodes with its
+    # rule, and a column's march does not depend on its batch: at each
+    # node of a phase-space grid, the single-start work is bit for bit
+    # that column of the identity's march of the grid, the half of it
+    # filled from partners included
+    model = ramped_model(kind, omega_i=1.0, omega_f=2.0, quartic_lambda=lam)
+    P, Q, _ = QuadratureDomain(p_max=2.0, q_max=2.0, n_p=4, n_q=4).nodes()
+    whole, _ = _mirrored_march(model, 0.0, 1.0, P, Q, 1.0, MARCH_SET)
+    assert np.all(whole["status"] == OK)
+    for k in range(P.size):
+        res = pseudo_work(model, 0.0, 1.0, ComplexPoint(P[k], Q[k]), 1.0,
+                          MARCH_SET, work_tol=math.inf)
+        assert res.W == whole["W"][k], k
+        assert res.W_endpoint == whole["W_endpoint"][k], k
+        assert np.array_equal(res.trajectory.times, whole["times"])
+
+
 def test_zero_length_window_marches_on_the_last_center():
-    # t_f == t_i marches the single node t_i by default; explicit repeated
-    # node times must not make the predictor divide by the zero node
-    # spacing, so every node after the first starts at the converged center
-    # and takes no Newton iteration
+    # t_f == t_i marches the single node t_i, once per start, and does no
+    # work
     model = ramped_model("harmonic", omega_i=1.0, omega_f=1.0,
                          shape="constant", t_f=0.0)
     tp, tq = np.array([0.3, -0.8]), np.array([0.5, 1.1])
     first = _invert_map_batch(model, 0.0, 0.0, tp, tq, 1.0, MARCH_SET)
-    single = _pseudo_work_batch(model, 0.0, 0.0, tp, tq, 1.0, MARCH_SET)
-    assert single["node_solves"] == tp.size
-    assert single["times"].size == 1
-    repeated = _pseudo_work_batch(model, 0.0, 0.0, tp, tq, 1.0, MARCH_SET,
-                                  nodes=(np.zeros(9), np.zeros(9)))
-    assert repeated["node_solves"] == 9 * tp.size
-    for out in (single, repeated):
-        assert np.all(out["status"] == 0)
-        np.testing.assert_array_equal(out["newton_iters"], first.iters)
-        assert np.all(out["W"] == 0.0)
-        assert np.all(np.abs(out["W_endpoint"]) < 1e-9)
-        assert np.all(out["center_p"] == out["center_p"][0])
+    out = _pseudo_work_batch(model, 0.0, 0.0, tp, tq, 1.0, MARCH_SET)
+    assert out["node_solves"] == tp.size
+    assert out["times"].size == 1
+    assert np.all(out["status"] == 0)
+    np.testing.assert_array_equal(out["newton_iters"], first.iters)
+    assert np.all(out["W"] == 0.0)
+    assert np.all(np.abs(out["W_endpoint"]) < 1e-9)
+
+
+def test_one_ulp_window_marches_repeated_node_times():
+    # a ramp over one ulp collapses the 18 march times to t_i and t_f;
+    # each repeated time replaces its twin in the predictor's history, so
+    # no extrapolation divides by a zero node spacing.  The march still
+    # finishes, but 16 nodes on two distinct times cannot integrate the
+    # sudden quench's power, and the path/endpoint gate refuses the work
+    t_i = 1.0
+    t_f = math.nextafter(t_i, 2.0)
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0, t_i=t_i,
+                         t_f=t_f, quartic_lambda=0.1)
+    tp, tq = np.array([0.3, -0.8]), np.array([0.5, 1.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = _pseudo_work_batch(model, t_i, t_f, tp, tq, 1.0, MARCH_SET)
+    assert np.unique(out["times"]).tolist() == [t_i, t_f]
+    assert out["node_solves"] == (_WORK_NODES + 2) * tp.size
+    assert np.all(out["status"] == OK)
+    assert np.all(np.isfinite(out["W"]))
+    with pytest.raises(WorkMismatch, match=r"differ by 1\.018e-02 > "):
+        pseudo_work(model, t_i, t_f, ComplexPoint(0.3, 0.5), 1.0, MARCH_SET)
