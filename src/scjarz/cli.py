@@ -102,7 +102,7 @@ def cmd_work(cfg: RunConfig, out_dir: Path) -> int:
         "W_endpoint": res.W_endpoint,
         "mismatch": res.mismatch,
     })
-    if res.mismatch > res.mismatch_tol:
+    if not (res.mismatch <= res.mismatch_tol):
         print(f"work: path/endpoint mismatch {res.mismatch:.3e}",
               file=sys.stderr)
         return EXIT_NUMERICS
@@ -120,7 +120,7 @@ def cmd_jarzynski(cfg: RunConfig, out_dir: Path, prefactor: bool,
         "config_sha256": cfg.config_hash(),
         **report.to_dict(),
     })
-    if report.residual > cfg.residual_threshold:
+    if not (report.residual <= cfg.residual_threshold):
         print(f"jarzynski: residual {report.residual:.3e} above threshold "
               f"{cfg.residual_threshold:.3e}", file=sys.stderr)
         return EXIT_NUMERICS

@@ -10,11 +10,12 @@ in time (``pseudowork._gauss_legendre_nodes``).  The Simpson sums over arc
 samples and the Gauss-Legendre sum over time nodes accumulate row by row
 in a fixed order (``dynamics.weighted_sum``), so every node's values are
 the same whatever the batch width or BLAS threading.  Both model families
-are even in z = (p, q), so a node's march is its point reflection's with
-the centers negated: the Gauss-Legendre grid is point-symmetric bit for
-bit, so half its nodes are marched and the other half filled from their
-partners.  The sums over quadrature nodes then run once over the full
-node set.
+are even in z = (p, q), so a node's march or static solve is its point
+reflection's with the centers negated: the Gauss-Legendre grid is
+point-symmetric bit for bit, so the identity's march and ``partition``
+each solve half its nodes and fill the other half from their partners
+(``_mirror``).  The sums over quadrature nodes then run once over the
+full node set.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ class QuadratureDomain:
         Node k's point reflection (-P[k], -Q[k]) is node N-1-k, bit for
         bit: ``leggauss`` symmetrizes its nodes, scaling by a half-width
         keeps signs symmetric, and the repeat/tile order maps node k to
-        node N-1-k under reversal.  ``verify_identity`` marches half.
+        node N-1-k under reversal.  ``verify_identity`` and ``partition``
+        solve the ``_half`` and ``_mirror`` the rest.
         """
         xp, wp = self.axis(self.p_max, self.n_p)
         xq, wq = self.axis(self.q_max, self.n_q)
@@ -138,18 +140,26 @@ def partition(model: HamiltonianModel, t: float, beta: float, hbar: float,
               domain: QuadratureDomain,
               settings: IntegratorSettings = DEFAULT_SETTINGS,
               with_prefactor: bool = False) -> float:
-    """Phase-space integral of exp(-beta * G_t), its domain certified."""
+    """Phase-space integral of exp(-beta * G_t), its domain certified.
+
+    H is even in z = (p, q) (``HamiltonianModel``), so the static solve
+    covers the ``_half`` of the grid and ``_mirror`` fills the rest.  The
+    fill comes first, so the domain check, the count of lost nodes and
+    the prefactor check each read all N nodes.
+    """
     P, Q, W = domain.nodes()
+    half = _half(P.size)
     solve, g, _ = _pseudo_hamiltonian_batch(
-        model, t, P, Q, beta * hbar, settings)
+        model, t, P[half], Q[half], beta * hbar, settings)
+    g, status = _mirror(P.size, g, solve.status)
     _check_domain(domain, g, beta, f"t={t:g}")
-    if np.any(solve.status != OK):
-        failures = _collect_failures(P, Q, solve.status, t)
+    if np.any(status != OK):
+        failures = _collect_failures(P, Q, status, t)
         raise NewtonDiverged(
             f"partition lost {len(failures)} node(s); first: {failures[0]}")
     weight = np.exp(-beta * g)
     if with_prefactor:
-        geom = _finite_prefactors(solve.arcs.prefactor)
+        geom = _finite_prefactors(*_mirror(P.size, solve.arcs.prefactor))
         weight = weight * geom / (2.0 * np.pi * hbar)
     return float(np.sum(W * weight))
 
@@ -218,6 +228,29 @@ def _work_gap(out: dict, ok, weight) -> dict:
             "work_gap_max": float(np.max(gap))}
 
 
+def _half(n: int) -> slice:
+    """The nodes of an N-node Gauss-Legendre grid that are solved: the
+    first ceil(N/2).  Node k's point reflection is node N-1-k
+    (``QuadratureDomain.nodes``), so ``_mirror`` fills the others; an odd
+    grid's middle node is its own partner."""
+    return slice((n + 1) // 2)
+
+
+def _mirror(n: int, *half, odd: bool = False) -> tuple:
+    """Each array of ``half``, whose last axis holds the ``_half(n)``
+    nodes, filled out to all ``n``: node k >= ceil(N/2) is a copy of its
+    partner N-1-k, negated when ``odd``."""
+    h = _half(n).stop
+    partner = np.concatenate([np.arange(h), np.arange(n - h)[::-1]])
+    full = tuple(x[..., partner] for x in half)
+    if odd:
+        for x in full:
+            # 0 - x, not -x: a zero is +0.0 and a NaN keeps its sign, as
+            # in the partner's own solve
+            np.subtract(0.0, x[..., h:], out=x[..., h:])
+    return full
+
+
 # Columns of a ``_pseudo_work_batch`` result that a point reflection
 # z -> -z of the target leaves as they are, and those it negates
 _EVEN_COLUMNS = ("W", "W_endpoint", "g_initial", "g_propagated",
@@ -233,26 +266,18 @@ def _mirrored_march(model, t_i, t_f, P, Q, hbar_beta, settings):
 
     H is even in z = (p, q) (``HamiltonianModel``), so the march of -z is
     the march of z, bit for bit, with its centers, plus points and checks
-    negated.  Node k's partner is node N-1-k (``QuadratureDomain.nodes``),
-    so only the first ceil(N/2) are marched and every other column is
-    filled from its partner's; an odd grid's middle node is its own
-    partner.  The counts are those of the march run
-    (``_march_diagnostics``), and mirrored_nodes is the number of columns
-    filled from a partner.
+    negated.  Only the ``_half`` of the nodes is marched, and ``_mirror``
+    fills every other column from its partner's.  The counts are those of
+    the march run (``_march_diagnostics``), and mirrored_nodes is the
+    number of columns filled from a partner.
     """
     n = P.size
-    h = (n + 1) // 2
-    out = _pseudo_work_batch(model, t_i, t_f, P[:h], Q[:h], hbar_beta,
+    half = _half(n)
+    out = _pseudo_work_batch(model, t_i, t_f, P[half], Q[half], hbar_beta,
                              settings)
-    counts = _march_diagnostics(out) | {"mirrored_nodes": n - h}
-    partner = np.concatenate([np.arange(h), np.arange(n - h)[::-1]])
+    counts = _march_diagnostics(out) | {"mirrored_nodes": n - half.stop}
     for key in _EVEN_COLUMNS + _ODD_COLUMNS:
-        out[key] = out[key][..., partner]
-    for key in _ODD_COLUMNS:
-        # 0 - x, not -x: a zero is +0.0 and a NaN keeps its sign, as in
-        # the partner's own march
-        filled = out[key][..., h:]
-        np.subtract(0.0, filled, out=filled)
+        out[key], = _mirror(n, out[key], odd=key in _ODD_COLUMNS)
     return out, counts
 
 

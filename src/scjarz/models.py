@@ -116,9 +116,11 @@ class HamiltonianModel:
     phase-space coordinates and are pure; a model is safe to share.
     H is even in z = (p, q), and its evaluations are sign-symmetric bit
     for bit (IEEE rounding is), so every flow and solve of -z is that of
-    z negated.  ``jarzynski.verify_identity`` relies on it: it marches
-    half of its Gauss-Legendre grid and fills the other half by the
-    reflection.  A family that is not even in z would break that mirror.
+    z negated.  Every Gauss-Legendre sum relies on it
+    (``jarzynski.verify_identity`` and ``jarzynski.partition``): each
+    solves half of its grid and fills the other half by the reflection
+    (``jarzynski._mirror``).  A family that is not even in z would break
+    that mirror.
     """
 
     kind: str

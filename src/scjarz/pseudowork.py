@@ -357,9 +357,10 @@ def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
     trajectory's times are its nodes, and W and W_endpoint are the
     identity's for this start, bit for bit.  Raises CausticEncountered or
     NewtonDiverged, naming the failed node's time, if the start fails, and
-    WorkMismatch if |W - W_endpoint| exceeds ``work_tol`` (by default
-    ``WorkResult.mismatch_tol``, 1e-6 (1 + |W|)); ``work_tol=math.inf``
-    returns the result whatever the mismatch.
+    WorkMismatch unless |W - W_endpoint| is at most ``work_tol`` (by
+    default ``WorkResult.mismatch_tol``, 1e-6 (1 + |W|)), so a NaN
+    mismatch raises; ``work_tol=math.inf`` returns any result whose
+    mismatch is a number.
     """
     if t_f < t_i:
         raise ValueError("pseudo_work requires t_i <= t_f")
@@ -386,7 +387,7 @@ def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
                      g_propagated=float(out["g_propagated"][0]),
                      trajectory=traj)
     tol = work_tol if work_tol is not None else res.mismatch_tol
-    if res.mismatch > tol:
+    if not (res.mismatch <= tol):
         raise WorkMismatch(
             f"path work {res.W:.12e} vs endpoint work {res.W_endpoint:.12e} "
             f"differ by {res.mismatch:.3e} > {tol:.3e}")

@@ -414,6 +414,28 @@ def test_jarzynski_threshold_exit_code(tmp_path, config_path):
                  "--out", str(out)]) == 3
 
 
+@pytest.mark.parametrize("command, message", [
+    ("jarzynski", "jarzynski: residual nan above threshold 1.000e-03"),
+    ("work", "numerical failure: path work nan vs endpoint work "),
+], ids=["jarzynski", "work"])
+def test_subnormal_window_fails_closed(tmp_path, capsys, command, message):
+    # the quartic ramp over [0, 5e-324]: the drive's rate overflows and
+    # the path work is NaN.  A NaN residual or mismatch passes no
+    # threshold, so both commands exit 3 with one line on stderr
+    data = yaml.safe_load(QUARTIC_RAMP.read_text())
+    data["model"]["protocol"]["t_final"] = 5e-324
+    data["numerics"]["domain"].update(n_p=12, n_q=12)
+    path = tmp_path / "subnormal.yaml"
+    path.write_text(yaml.safe_dump(data))
+    with np.errstate(invalid="ignore"):
+        code = main([command, "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == scjarz.cli.EXIT_NUMERICS
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_jarzynski_monte_carlo_deterministic(config_path, tmp_path):
     out1, out2 = tmp_path / "m1", tmp_path / "m2"
     args = ["jarzynski", "--config", str(config_path), "--mc",

@@ -424,6 +424,60 @@ def test_mirrored_march_keeps_caustic_failures():
         IntegratorSettings(n_sigma_steps=32, n_time_steps=32)) == 20
 
 
+def assert_partition_is_the_full_sum(model, t, hbar, domain, settings):
+    """``partition`` against a static solve of every node, with and
+    without the prefactor: the same sum to the last bit, or the same
+    refusal.  Returns the number of failed nodes."""
+    P, Q, W = domain.nodes()
+    solve, g, _ = _pseudo_hamiltonian_batch(model, t, P, Q, hbar, settings)
+    failures = jarzynski._collect_failures(P, Q, solve.status, t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jarzynski, "_check_domain", lambda *args: None)
+        for with_prefactor in (False, True):
+            if failures:
+                message = (f"partition lost {len(failures)} node(s); "
+                           f"first: {failures[0]}")
+                with pytest.raises(NewtonDiverged) as exc:
+                    partition(model, t, 1.0, hbar, domain, settings,
+                              with_prefactor)
+                assert str(exc.value) == message
+                continue
+            weight = np.exp(-g)
+            if with_prefactor:
+                weight = weight * solve.arcs.prefactor / (2.0 * np.pi * hbar)
+            z = partition(model, t, 1.0, hbar, domain, settings,
+                          with_prefactor)
+            assert z.hex() == float(np.sum(W * weight)).hex()
+    return len(failures)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([0.0, 0.05, 0.1]), st.integers(2, 7),
+       st.integers(2, 7), st.floats(2.0, 6.0), st.floats(2.0, 4.5),
+       st.floats(0.25, 1.0))
+def test_mirrored_partition_is_the_full_partition(lam, n_p, n_q, p_max,
+                                                  q_max, hbar):
+    # the static twin of the mirrored march: partition solves half of the
+    # point-symmetric grid, at either end of the ramp, and fills the rest
+    model = ramped_model("quartic" if lam else "harmonic", omega_i=1.0,
+                         omega_f=2.0, quartic_lambda=lam)
+    for t in (0.0, 1.0):
+        assert_partition_is_the_full_sum(
+            model, t, hbar, QuadratureDomain(p_max, q_max, n_p, n_q),
+            IntegratorSettings(n_sigma_steps=16, n_time_steps=8))
+
+
+def test_mirrored_partition_counts_every_lost_node():
+    # quartic at hbar*beta = 3 on a 13x13 grid over [-6, 6]^2: 108 static
+    # solves fail, in partner pairs, and the refusal counts and names them
+    # as a solve of every node would
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    assert assert_partition_is_the_full_sum(
+        model, 0.0, 3.0, QuadratureDomain(6.0, 6.0, 13, 13),
+        IntegratorSettings(n_sigma_steps=16, n_time_steps=8)) == 108
+
+
 def test_gauss_legendre_grids_are_point_symmetric():
     # the identity marches half of every grid and fills the rest from
     # node N-1-k, the point reflection of node k; a numpy whose leggauss
@@ -493,19 +547,20 @@ def test_non_finite_prefactor_raises_with_its_column_count(monkeypatch):
     assert np.isfinite(z) and z > 0.0
     # a partition cannot mark a column, so a non-finite prefactor raises
     # and says how many there are; neither can the identity report, whose
-    # t_i prefactors come from the march.  A NaN stands in column 3 of
-    # every prefactor batch; the identity marches half of its 4x4 grid, so
-    # its NaN also reaches column 3's partner, column 12
+    # t_i prefactors come from the march.  A NaN stands in column 1 of
+    # every prefactor batch.  Both solve half of their grid, so the NaN
+    # also reaches column 1's partner: column 2 of the partition's 2x2
+    # grid and column 14 of the identity's 4x4 grid
     formula = ImaginaryArc.prefactor.func
 
-    def fourth_nan(arcs):
+    def second_nan(arcs):
         geom = formula(arcs)
-        geom[3] = np.nan
+        geom[1] = np.nan
         return geom
 
-    monkeypatch.setattr(ImaginaryArc, "prefactor", property(fourth_nan))
+    monkeypatch.setattr(ImaginaryArc, "prefactor", property(second_nan))
     with pytest.raises(IntegratorDiverged,
-                       match="non-finite prefactor in 1 of 4 column"):
+                       match="non-finite prefactor in 2 of 4 column"):
         partition(model, 0.0, 1.0, 3.0, corners, settings,
                   with_prefactor=True)
     domain = QuadratureDomain(p_max=10.5, q_max=10.5, n_p=4, n_q=4)
@@ -560,13 +615,15 @@ def test_failure_budget_refuses_a_caustic_grid(monkeypatch):
 
 def test_domain_check_runs_no_solve(monkeypatch):
     # the identity solves once per march node (18), --prefactor once more
-    # for its static t_f partition, and a partition once
-    calls = []
+    # for its static t_f partition, and a partition once; each solves the
+    # first ceil(N/2) nodes of the grid and mirrors the rest
+    calls, widths = [], []
     original = stationary._invert_map_batch
 
-    def counted(model, t_i, t_f, *args, **kwargs):
+    def counted(model, t_i, t_f, tp, *args, **kwargs):
         calls.append(t_f)
-        return original(model, t_i, t_f, *args, **kwargs)
+        widths.append(tp.size)
+        return original(model, t_i, t_f, tp, *args, **kwargs)
 
     monkeypatch.setattr(pseudowork, "_invert_map_batch", counted)
     monkeypatch.setattr(stationary, "_invert_map_batch", counted)
@@ -576,8 +633,14 @@ def test_domain_check_runs_no_solve(monkeypatch):
     verify_identity(model, 1.0, 1.0, dom, settings)
     assert len(calls) == 18
     calls.clear()
+    widths.clear()
     verify_identity(model, 1.0, 1.0, dom, settings, with_prefactor=True)
     assert len(calls) == 19 and calls[-1] == 1.0
-    calls.clear()
-    partition(model, 0.0, 1.0, 1.0, dom, settings)
-    assert calls == [0.0]
+    assert widths == [18] * 19
+    for n, width in ((6, 18), (5, 13)):
+        calls.clear()
+        widths.clear()
+        partition(model, 0.0, 1.0, 1.0,
+                  QuadratureDomain(p_max=10.5, q_max=10.5, n_p=n, n_q=n),
+                  settings)
+        assert calls == [0.0] and widths == [width]

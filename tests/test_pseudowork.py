@@ -785,3 +785,16 @@ def test_one_ulp_window_marches_repeated_node_times():
     assert np.all(np.isfinite(out["W"]))
     with pytest.raises(WorkMismatch, match=r"differ by 1\.018e-02 > "):
         pseudo_work(model, t_i, t_f, ComplexPoint(0.3, 0.5), 1.0, MARCH_SET)
+
+
+@pytest.mark.parametrize("work_tol", [None, math.inf])
+def test_subnormal_window_nan_work_fails_closed(work_tol):
+    # a ramp over [0, 5e-324] makes the drive's rate overflow, so the path
+    # work is 0 * inf = NaN.  No tolerance, not even an infinite one,
+    # admits a NaN mismatch: the verdict fails closed
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0, t_i=0.0,
+                         t_f=5e-324, quartic_lambda=0.1)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            WorkMismatch, match=r"^path work nan vs .* differ by nan > "):
+        pseudo_work(model, 0.0, 5e-324, ComplexPoint(0.0, 1.0), 1.0,
+                    MARCH_SET, work_tol=work_tol)
