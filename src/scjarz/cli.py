@@ -1,7 +1,7 @@
 """Batch driver: grid scans, work protocols, identity checks, oracle reports.
 
-Outputs are deterministic: CSV numbers carry 17 significant digits, JSON is
-sorted, and every artifact embeds the configuration hash.  Exit codes:
+Outputs are deterministic: CSV numbers carry 17 significant digits, strict
+JSON is sorted, and every artifact embeds the configuration hash.  Exit codes:
 0 success, 2 configuration problem, 3 numerical failure.
 """
 
@@ -19,8 +19,8 @@ from .config import SCHEMA_VERSION, RunConfig, load_config
 from .errors import ConfigError, ScjarzError
 from .jarzynski import partition, verify_identity
 from .models import ComplexPoint
-from .oracle import (_convention_audit, harmonic_closed_forms,
-                     ordering_pairing_check, thermal_fock, wigner_transform)
+from .oracle import (harmonic_closed_forms, ordering_pairing_check,
+                     thermal_fock, weyl_convention_audit, wigner_transform)
 from .pseudowork import pseudo_work
 from .stationary import (DIVERGED, OK, STATUS_NAMES,
                          _pseudo_hamiltonian_batch)
@@ -31,7 +31,12 @@ EXIT_NUMERICS = 3
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Strict JSON; a NaN or infinity raises ScjarzError, writing nothing."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ScjarzError(f"{path} would hold NaN or infinity") from None
+    path.write_text(text + "\n")
 
 
 def _csv_rows(columns, markers=None) -> list:
@@ -178,7 +183,7 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
     grid.write_csv(out_dir / "wigner.csv")
     body = (_oracle_harmonic(cfg, op, grid) if model.kind == "harmonic"
             else _oracle_quartic(cfg, op, grid))
-    audit = _convention_audit(op, op, grid, grid)
+    audit = weyl_convention_audit(op, op, grid, grid)
     ordering = ordering_pairing_check(
         min(cfg.fock_n_max, 64), cfg.hbar, model.mass, omega,
         cfg.wigner_q_max, cfg.wigner_n_q)

@@ -34,7 +34,8 @@ class IntegratorSettings:
     n_sigma_steps counts RK4 steps per half-arc (center to one endpoint);
     n_time_steps sets only the real-time step density (steps per full
     protocol duration).  The work's time nodes are a fixed Gauss-Legendre
-    rule (``pseudowork._gauss_legendre_nodes``).
+    rule (``pseudowork._gauss_legendre_nodes``); the Newton budget and
+    floors are module constants of ``stationary``.
     """
 
     n_sigma_steps: int = 64
@@ -42,7 +43,6 @@ class IntegratorSettings:
     richardson_check: bool = False
     tolerance: float = 1e-8
     newton_tol: float = 1e-11
-    newton_max_iter: int = 50
     continuation_stages: int = 4
 
     def __post_init__(self):
@@ -53,8 +53,8 @@ class IntegratorSettings:
         for name in ("tolerance", "newton_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.newton_max_iter < 1 or self.continuation_stages < 0:
-            raise ValueError("iteration budgets must be positive")
+        if self.continuation_stages < 0:
+            raise ValueError("continuation_stages must be >= 0")
 
 
 DEFAULT_SETTINGS = IntegratorSettings()

@@ -86,19 +86,18 @@ def position_momentum_matrices(n_max: int, hbar: float, mass: float,
 
 
 def thermal_fock(kind: str, mass: float, omega: float, quartic_lambda: float,
-                 beta: float, hbar: float, n_max: int,
-                 enforce_truncation: bool = True) -> FockOperator:
+                 beta: float, hbar: float, n_max: int) -> FockOperator:
     """Unnormalized thermal matrix exp(-beta H) in the ladder basis.
 
     The harmonic kind is diagonal; the quartic kind diagonalizes
     H = p^2/2m + m w^2 q^2/2 + lam q^4 built from ladder operators.
-    The top-level occupation must stay below 1e-10 of the trace unless
-    ``enforce_truncation`` is disabled.
+    The top-level occupation must stay below 1e-10 of the trace
+    (TruncationInsufficient otherwise).
     """
     if kind == "harmonic":
         energies = hbar * omega * (np.arange(n_max + 1) + 0.5)
-        rho = np.diag(np.exp(-beta * energies)).astype(complex)
-        top_weight = np.exp(-beta * energies[-1])
+        weights = np.exp(-beta * energies)
+        rho = np.diag(weights).astype(complex)
     elif kind == "quartic":
         qm, pm = position_momentum_matrices(n_max, hbar, mass, omega)
         h = pm @ pm / (2.0 * mass) + 0.5 * mass * omega**2 * (qm @ qm)
@@ -108,13 +107,12 @@ def thermal_fock(kind: str, mass: float, omega: float, quartic_lambda: float,
         energies, vecs = np.linalg.eigh(h)
         weights = np.exp(-beta * energies)
         rho = (vecs * weights) @ vecs.conj().T
-        top_weight = weights[-1]
     else:
         raise ValueError(f"unknown model kind {kind!r}")
-    z = float(np.sum(np.exp(-beta * energies)))
-    if enforce_truncation and top_weight / z >= 1e-10:
+    top = weights[-1] / float(np.sum(weights))
+    if top >= 1e-10:
         raise TruncationInsufficient(
-            f"top-level occupation {top_weight / z:.3e} >= 1e-10 at "
+            f"top-level occupation {top:.3e} >= 1e-10 at "
             f"n_max={n_max}; raise the cutoff")
     return FockOperator(matrix=rho, hbar=hbar, mass=mass, omega=omega)
 
@@ -283,40 +281,30 @@ class ConventionAuditReport:
 
 
 def weyl_convention_audit(op_a: FockOperator, op_b: FockOperator,
-                          q_max: float, n_q: int) -> ConventionAuditReport:
+                          grid_a: WignerGrid,
+                          grid_b: WignerGrid) -> ConventionAuditReport:
     """Pin down the trace-overlap pairing constant numerically.
 
     Tr(A B) is computed in the ladder basis; the overlap integral uses the
-    density-normalized symbols of both operators, so the expected constant
-    is 2 pi hbar (and exactly 1 when one factor drops its normalization).
-    Each distinct operator is transformed once: ``op_b is op_a`` reuses the
-    first grid.
+    density-normalized symbols ``grid_a`` and ``grid_b`` of the two
+    operators (``wigner_transform``), so the expected constant is 2 pi hbar
+    (and exactly 1 when one factor drops its normalization).  Raises
+    ValueError unless the operators share hbar and the grids their q and
+    p axes.
     """
     if op_a.hbar != op_b.hbar:
         raise ValueError("operators must share hbar")
-    grid_a = wigner_transform(op_a, q_max, n_q)
-    grid_b = (grid_a if op_b is op_a
-              else wigner_transform(op_b, q_max, n_q))
-    return _convention_audit(op_a, op_b, grid_a, grid_b)
-
-
-def _convention_audit(op_a: FockOperator, op_b: FockOperator,
-                      grid_a: WignerGrid,
-                      grid_b: WignerGrid) -> ConventionAuditReport:
-    """``weyl_convention_audit`` from the operators' grids on one FFT grid."""
+    if not (np.array_equal(grid_a.q, grid_b.q)
+            and np.array_equal(grid_a.p, grid_b.p)):
+        raise ValueError("Wigner grids must share their q and p axes")
     tr = complex(np.trace(op_a.matrix @ op_b.matrix))
     dp = grid_a.p[1] - grid_a.p[0]
     dq = grid_a.q[1] - grid_a.q[0]
     overlap = float(np.sum(grid_a.values * grid_b.values) * dp * dq)
     measured = tr.real / overlap
     two_pi_hbar = 2.0 * np.pi * op_a.hbar
-    return ConventionAuditReport(
-        trace_product=tr,
-        overlap_integral=overlap,
-        measured_constant=measured,
-        mixed_constant=measured / two_pi_hbar,
-        two_pi_hbar=two_pi_hbar,
-    )
+    return ConventionAuditReport(tr, overlap, measured,
+                                 measured / two_pi_hbar, two_pi_hbar)
 
 
 # unnormalized Fock amplitudes of the ordering check's smooth test state

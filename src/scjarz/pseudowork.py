@@ -22,8 +22,8 @@ from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
                        weighted_sum)
 from .errors import WorkMismatch
 from .models import ComplexPoint, HamiltonianModel
-from .stationary import (OK, _composite_map_batch, _invert_map_batch,
-                         _propagated_g_batch, _raise_failed)
+from .stationary import (NON_FINITE, OK, _composite_map_batch,
+                         _invert_map_batch, _propagated_g_batch, _raise_failed)
 
 
 @dataclass(frozen=True)
@@ -135,25 +135,25 @@ def solve_pseudo_state(model: HamiltonianModel, t_i: float, t_f: float,
     )
 
 
-def _pseudo_power_batch(model, arcs: ImaginaryArc):
-    """Arc-averaged explicit power (1/hbar*beta) int dH/dt dsigma; dH/dt
-    at the conjugate point is the conjugate, so the integral is 2 Re S
-    (``ImaginaryArc.half_weights``)."""
-    dth = model.dt(arcs.t, arcs.p, arcs.q)
+def _pseudo_power_batch(arcs: ImaginaryArc):
+    """Arc-averaged explicit power (1/hbar*beta) int dH/dt dsigma of the
+    arcs' model; dH/dt at the conjugate point is the conjugate, so the
+    integral is 2 Re S (``ImaginaryArc.half_weights``)."""
+    dth = arcs.model.dt(arcs.t, arcs.p, arcs.q)
     half = weighted_sum(arcs.half_weights, dth)
     return 2.0 * half.real / arcs.hbar_beta
 
 
-def pseudo_power(model: HamiltonianModel, arc: ImaginaryArc) -> float:
+def pseudo_power(arc: ImaginaryArc) -> float:
     """Explicit-power average over one frozen-time arc (a width-1 batch).
 
-    The drive is taken at the arc's frozen time ``arc.t`` and the average
-    over its span ``arc.hbar_beta``.  Raises ValueError for a batch of
-    more than one arc.
+    The model is the arc's own (``arc.model``), the drive is taken at its
+    frozen time ``arc.t`` and the average over its span ``arc.hbar_beta``.
+    Raises ValueError for a batch of more than one arc.
     """
     if arc.p.shape[1] != 1:
         raise ValueError(f"pseudo_power takes one arc, got {arc.p.shape[1]}")
-    return float(_pseudo_power_batch(model, arc)[0])
+    return float(_pseudo_power_batch(arc)[0])
 
 
 # The warm start of time node j extrapolates the converged centers at up to
@@ -271,12 +271,14 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
     (the area form, ``ImaginaryArc.g``) and the prefactor
     ("prefactor_initial", NaN where it is not finite) from the first
     node's, and the t_f node's solve gives the endpoint G_prop
-    (``_propagated_g_batch``).  Returns a dict of arrays; a column whose
-    solve fails at a node carries that solve's status and NaN work values.
-    Per-node entries are NaN where a column was not solved (the centers,
-    residuals and Jacobian determinants "det") or not OK (the arc
-    quantities).  "newton_iters" counts each column's Newton iterations
-    over the march, "node_solves" the column solves run.
+    (``_propagated_g_batch``).  A solved column whose power at a node is
+    not finite is NON_FINITE there, and the march stops it as it stops a
+    failed solve; one whose W is not finite is NON_FINITE at t_f.  Returns
+    a dict of arrays; a failed column carries its status and a W that is
+    not finite.  Per-node entries are NaN where a column was not solved
+    (the centers, residuals and Jacobian determinants "det") or not OK
+    (the arc quantities).  "newton_iters" counts each column's Newton
+    iterations over the march, "node_solves" the column solves run.
     """
     tp = np.asarray(tp, dtype=float)
     tq = np.asarray(tq, dtype=float)
@@ -292,35 +294,36 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
     status = np.full(b, OK, dtype=np.int8)
     newton_iters = np.zeros(b, dtype=int)
     node_solves = 0
-    g_initial, prefactor_initial = (np.full(b, np.nan) for _ in range(2))
+    g_initial, prefactor_initial, g_prop = np.full((3, b), np.nan)
 
     march = _march(model, t_i, times, tp, tq, hbar_beta, settings)
     for j, (live, solve) in enumerate(march):
         ok = solve.status == OK
         good = live[ok]
-        status[live] = solve.status
         newton_iters[live] += solve.iters
         node_solves += live.size
         center_p[j, live], center_q[j, live] = solve.zc_p, solve.zc_q
         residual[j, live], det[j, live] = solve.residual, solve.det
         arcs = solve.arcs
-        power[j, good] = _pseudo_power_batch(model, arcs)
+        power[j, good] = _pseudo_power_batch(arcs)
         plus_p[j, good], plus_q[j, good] = arcs.p[-1], arcs.q[-1]
         check_p[j, good] = arcs.mid_p.real
         check_q[j, good] = arcs.mid_q.real
         if j == 0:
             g_initial[good] = arcs.g
             prefactor_initial[good] = arcs.prefactor
+        if j == times.size - 1:
+            # the march ends at t_f: its last solve is the endpoint's
+            g_prop[live] = _propagated_g_batch(t_i, tp[live], tq[live],
+                                               settings, solve)
+        # a power that is not finite fails its column here: set before the
+        # march resumes, so that it stops the column
+        solve.status[ok & ~np.isfinite(power[j, live])] = NON_FINITE
+        status[live] = solve.status
 
-    if t_f > t_i:
-        work = weighted_sum(weights, power)
-    else:
-        work = np.zeros(b)
-
-    # the march ends at t_f: its last solve is the endpoint's
-    g_prop = np.full(b, np.nan)
-    g_prop[live] = _propagated_g_batch(model, t_i, tp[live], tq[live],
-                                       settings, solve)
+    work = weighted_sum(weights, power) if t_f > t_i else np.zeros(b)
+    # finite powers can still sum to a W that is not finite: fails at t_f
+    status[(status == OK) & ~np.isfinite(work)] = NON_FINITE
 
     return {
         "times": times,
@@ -355,9 +358,10 @@ def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
 
     The width-1 march of the identity (``_pseudo_work_batch``): the
     trajectory's times are its nodes, and W and W_endpoint are the
-    identity's for this start, bit for bit.  Raises CausticEncountered or
-    NewtonDiverged, naming the failed node's time, if the start fails, and
-    WorkMismatch unless |W - W_endpoint| is at most ``work_tol`` (by
+    identity's for this start, bit for bit.  Raises CausticEncountered,
+    NewtonDiverged or (for a power or W that is not finite)
+    IntegratorDiverged, naming the failed node's time, if the start fails,
+    and WorkMismatch unless |W - W_endpoint| is at most ``work_tol`` (by
     default ``WorkResult.mismatch_tol``, 1e-6 (1 + |W|)), so a NaN
     mismatch raises; ``work_tol=math.inf`` returns any result whose
     mismatch is a number.

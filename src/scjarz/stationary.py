@@ -29,11 +29,13 @@ from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
 from .errors import CausticEncountered, IntegratorDiverged, NewtonDiverged
 from .models import ComplexPoint, HamiltonianModel
 
-# status codes for batched solves
+# status codes for batched solves; the work march sets NON_FINITE
 OK = 0
 CAUSTIC = 1
 DIVERGED = 2
-STATUS_NAMES = {OK: "ok", CAUSTIC: "caustic", DIVERGED: "diverged"}
+NON_FINITE = 3
+STATUS_NAMES = {OK: "ok", CAUSTIC: "caustic", DIVERGED: "diverged",
+                NON_FINITE: "non_finite"}
 
 
 def _quiet():
@@ -57,10 +59,11 @@ class PseudoHamiltonianValue:
 class SolveBatch:
     """Vectorized solve record; one entry per target point.
 
-    ``arcs`` holds the frozen-t_f arcs of the OK columns, in column order,
-    with the solve's t_f and hbar*beta: assembled from the imaginary
-    half-flow that each column's last accepted map evaluation ran, so no
-    caller integrates them again.
+    ``status`` is OK, CAUSTIC or DIVERGED (``_pseudo_work_batch`` marks
+    a column NON_FINITE).  ``arcs`` holds the frozen-t_f arcs of the OK
+    columns, in column order, with the solve's t_f and hbar*beta:
+    assembled from the imaginary half-flow that each column's last
+    accepted map evaluation ran, so no caller integrates them again.
     """
 
     zc_p: np.ndarray
@@ -68,20 +71,20 @@ class SolveBatch:
     det: np.ndarray
     iters: np.ndarray
     residual: np.ndarray
-    status: np.ndarray              # OK / CAUSTIC / DIVERGED
-    stage_residuals: list           # per continuation stage, max over batch
+    status: np.ndarray
     arcs: ImaginaryArc
 
 
 def _raise_failed(t, status, det, residual) -> None:
     """Raise for the first failed column of a solve at time ``t``.
 
-    A caustic column takes precedence over a stalled one; the message
-    names the time, the column's residual and its |det J|.
+    Caustic columns come first, then stalled ones, then NON_FINITE ones;
+    the message names the time, the column's residual and its |det J|.
     """
     for code, error, what in (
             (CAUSTIC, CausticEncountered, "stationary-phase Jacobian degenerate"),
-            (DIVERGED, NewtonDiverged, "midpoint inversion stalled")):
+            (DIVERGED, NewtonDiverged, "midpoint inversion stalled"),
+            (NON_FINITE, IntegratorDiverged, "non-finite power or work")):
         if np.any(status == code):
             idx = int(np.argmax(status == code))
             raise error(f"{what} at t={t:g} (residual {residual[idx]:.3e}, "
@@ -111,8 +114,10 @@ def _composite_map_batch(model, t_i, t_f, P, Q, hbar_beta, settings):
     return p.real, q.real, jac.real, (hp, hq, m_plus)
 
 
-# Newton: a |det J| below _CAUSTIC_FLOOR is a caustic; a step halved below
-# _DAMPING_FLOOR without a residual decrease ends the stage for its column
+# Newton: a stage runs up to _NEWTON_MAX_ITER iterations; a |det J| below
+# _CAUSTIC_FLOOR is a caustic; a step halved below _DAMPING_FLOOR without
+# a residual decrease ends the stage for its column
+_NEWTON_MAX_ITER = 50
 _CAUSTIC_FLOOR = 1e-10
 _DAMPING_FLOOR = 2.0 ** -10
 
@@ -153,7 +158,7 @@ def _newton_stage(map_fn, tp, tq, gp, gq, settings):
     active = ~converged
     status[converged] = OK
 
-    for it in range(settings.newton_max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if not np.any(active):
             break
         idx = np.flatnonzero(active)
@@ -234,8 +239,7 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     hbar_beta, each rung warm-started from the last.  A warm-started
     solve's DIVERGED column is final: a ladder from the targets can jump
     to another branch than the warm start's.  The static midpoint
-    solve is the case t_f == t_i.  ``stage_residuals`` records the ladder's
-    largest residual per rung.  The OK columns' arcs are assembled once,
+    solve is the case t_f == t_i.  The OK columns' arcs are assembled once,
     from the full-span half-flows (the first stage's, and for re-solved
     points the last rung's), and returned as ``SolveBatch.arcs`` with
     their plus-half monodromies; the half-flows themselves are not kept.
@@ -254,7 +258,6 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     else:
         gp = tp if warm_p is None else np.asarray(warm_p, dtype=float)
         gq = tq if warm_q is None else np.asarray(warm_q, dtype=float)
-    stage_residuals: list = []
     gp, gq, det, iters, resid, status, half = _newton_stage(
         partial(_composite_map_batch, model, t_i, t_f, hbar_beta=hbar_beta,
                 settings=settings),
@@ -269,7 +272,6 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
                                 settings=settings)
             sp, sq, det_s, it_s, res_s, st_s, half_s = _newton_stage(
                 stage_map, tp[idx], tq[idx], sp, sq, settings)
-            stage_residuals.append(float(np.max(res_s)))
             det[idx], resid[idx] = det_s, res_s
             iters[idx] += it_s
             # status of the final (full span) stage is the verdict
@@ -282,20 +284,19 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
         half = tuple(x[..., ok] for x in half)
     arcs = _build_arc_batch(model, t_f, gp[ok], gq[ok], hbar_beta, settings,
                             half=half)
-    return SolveBatch(gp, gq, det, iters, resid, status, stage_residuals,
-                      arcs)
+    return SolveBatch(gp, gq, det, iters, resid, status, arcs)
 
 
-def _propagated_g_batch(model, t_i, tp, tq, settings, solve: SolveBatch):
+def _propagated_g_batch(t_i, tp, tq, settings, solve: SolveBatch):
     """Total-action evaluation of the pseudo-energy G_prop.
 
     ``solve`` is the composite-map solve at (t_i, t_f) for the targets
-    (tp, tq); t_f, hbar*beta and the frozen-t_f arcs of its OK columns are
-    read from ``solve.arcs``.  Only the backward branch leg from each
-    arc's sigma = +hbar*beta/2 endpoint to t_i is integrated here: the
-    other starts at the conjugate endpoint, and the real-time flow has
-    real coefficients, so its endpoint and action are the conjugates of
-    this one's (bit for bit, up to the sign of a zero).
+    (tp, tq); the model, t_f, hbar*beta and the frozen-t_f arcs of its OK
+    columns are read from ``solve.arcs``.  Only the backward branch leg
+    from each arc's sigma = +hbar*beta/2 endpoint to t_i is integrated
+    here: the other starts at the conjugate endpoint, and the real-time
+    flow has real coefficients, so its endpoint and action are the
+    conjugates of this one's (bit for bit, up to the sign of a zero).
     The total action along branch, arc and branch, less target p times
     the t_i chord, over i hbar*beta is G_prop; at t_f == t_i the legs
     vanish and this is the static G from the total action.  Every term of
@@ -312,8 +313,8 @@ def _propagated_g_batch(model, t_i, tp, tq, settings, solve: SolveBatch):
     pe, qe = arcs.p[-1], arcs.q[-1]
     s_minus = np.zeros(pe.shape, dtype=complex)
     if arcs.t != t_i:
-        n = _real_step_count(model, settings, arcs.t - t_i)
-        _, qe, acc = _flow_real_batch(model, arcs.t, t_i, pe, qe, n,
+        n = _real_step_count(arcs.model, settings, arcs.t - t_i)
+        _, qe, acc = _flow_real_batch(arcs.model, arcs.t, t_i, pe, qe, n,
                                       with_action=True)
         s_minus = -acc
     chord = qe - np.conjugate(qe)
@@ -333,7 +334,7 @@ def _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta, settings):
     NaN; the OK columns' arcs are ``solve.arcs``.
     """
     solve = _invert_map_batch(model, t, t, tp, tq, hbar_beta, settings)
-    g_fta = _propagated_g_batch(model, t, tp, tq, settings, solve)
+    g_fta = _propagated_g_batch(t, tp, tq, settings, solve)
     g = np.full(np.shape(tp), np.nan)
     g[solve.status == OK] = solve.arcs.g
     return solve, g, g_fta

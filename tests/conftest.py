@@ -1,3 +1,25 @@
+import numpy as np
+import pytest
+
+from scjarz import stationary
+
+
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: long-running numerical studies")
+
+
+@pytest.fixture()
+def newton_rungs(monkeypatch):
+    """(hbar_beta, largest residual) of every ``_newton_stage`` run, in
+    order: a solve's direct stage, then each rung of its ladder."""
+    rungs = []
+    stage = stationary._newton_stage
+
+    def recorded(map_fn, *args):
+        out = stage(map_fn, *args)
+        rungs.append((map_fn.keywords["hbar_beta"], float(np.max(out[4]))))
+        return out
+
+    monkeypatch.setattr(stationary, "_newton_stage", recorded)
+    return rungs

@@ -95,13 +95,13 @@ def test_criterion_3_pseudo_power_closed_form():
         for p, q in pts:
             arc = pseudo_hamiltonian(model, 0.0, ComplexPoint(p, q), 1.0,
                                      settings).arc
-            got = pseudo_power(model, arc)
+            got = pseudo_power(arc)
             exact = (2.0 / (1.0 + np.cosh(x))) * (
                 0.5 * q * q * (ratio + 1.0) + 0.5 * p * p * (1.0 - ratio))
             assert abs(got - exact) <= 1e-7 * abs(exact), (p, q)
         arc = pseudo_hamiltonian(model, 0.0, ComplexPoint(0.0, 1.0), 1.0,
                                  settings).arc
-        val = pseudo_power(model, arc)
+        val = pseudo_power(arc)
         exact = (np.sinh(1.0) + 1.0) / (1.0 + np.cosh(1.0))
         assert abs(val - exact) <= 1e-7 * exact
         assert exact == pytest.approx(0.8553410237, abs=1e-9)
@@ -120,7 +120,7 @@ def test_criterion_4_classical_limits_second_order():
         for hb in (0.2, 0.1, 0.05, 0.025):
             arcs_g = pseudo_hamiltonian(model, 0.0, target, hb, settings)
             g_errs.append(abs(arcs_g.G - h_val))
-            p_errs.append(abs(pseudo_power(model, arcs_g.arc) - dth))
+            p_errs.append(abs(pseudo_power(arcs_g.arc) - dth))
         for errs in (g_errs, p_errs):
             orders = [np.log2(errs[k] / errs[k + 1]) for k in range(3)]
             assert all(o >= 1.9 for o in orders), (errs, orders)

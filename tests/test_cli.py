@@ -39,6 +39,19 @@ run:
 """
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+@pytest.fixture(autouse=True)
+def strict_json_artifacts(tmp_path):
+    """Every ``*.json`` a test writes must parse as strict JSON: no NaN,
+    Infinity or -Infinity token."""
+    yield
+    for path in tmp_path.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     path = tmp_path / "run.yaml"
@@ -415,13 +428,15 @@ def test_jarzynski_threshold_exit_code(tmp_path, config_path):
 
 
 @pytest.mark.parametrize("command, message", [
-    ("jarzynski", "jarzynski: residual nan above threshold 1.000e-03"),
-    ("work", "numerical failure: path work nan vs endpoint work "),
+    ("jarzynski", "numerical failure: 44 outermost node(s) failed at t_f; "),
+    ("work", "numerical failure: non-finite power or work at t=0 ("),
 ], ids=["jarzynski", "work"])
 def test_subnormal_window_fails_closed(tmp_path, capsys, command, message):
     # the quartic ramp over [0, 5e-324]: the drive's rate overflows and
-    # the path work is NaN.  A NaN residual or mismatch passes no
-    # threshold, so both commands exit 3 with one line on stderr
+    # the power at t_i is not finite, so every start fails there.  `work`
+    # names that node; `jarzynski` has lost every node by t_f, where the
+    # domain check refuses.  Both exit 3 with one line on stderr and write
+    # nothing
     data = yaml.safe_load(QUARTIC_RAMP.read_text())
     data["model"]["protocol"]["t_final"] = 5e-324
     data["numerics"]["domain"].update(n_p=12, n_q=12)
@@ -434,6 +449,28 @@ def test_subnormal_window_fails_closed(tmp_path, capsys, command, message):
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1, err
     assert "Traceback" not in err
+    assert not any((tmp_path / "out").iterdir())
+
+
+def test_non_finite_json_is_a_numerical_failure(config_path, tmp_path,
+                                                capsys, monkeypatch):
+    # a report holding NaN or infinity is not written: strict JSON has no
+    # token for it, so the run exits 3 naming the file
+    report = scjarz.cli.verify_identity
+
+    def infinite_lhs(*args, **kwargs):
+        out = report(*args, **kwargs)
+        out.lhs = float("inf")
+        return out
+
+    monkeypatch.setattr(scjarz.cli, "verify_identity", infinite_lhs)
+    out = tmp_path / "out"
+    assert main(["jarzynski", "--config", str(config_path),
+                 "--out", str(out)]) == scjarz.cli.EXIT_NUMERICS
+    err = capsys.readouterr().err
+    assert err == (f"numerical failure: {out / 'jarzynski.json'} would hold "
+                   "NaN or infinity\n")
+    assert not (out / "jarzynski.json").exists()
 
 
 def test_jarzynski_monte_carlo_deterministic(config_path, tmp_path):
@@ -560,6 +597,33 @@ def test_oracle_builds_one_operator_and_one_grid(kind, config_path, tmp_path,
     assert main(["oracle", "--config", str(config_path),
                  "--out", str(tmp_path / "out")]) == 0
     assert counts == {"transform": 2, "thermal": 1}
+
+
+def test_oracle_audits_its_one_grid(config_path, tmp_path, monkeypatch):
+    # scjarz oracle runs the public convention audit once, with its one
+    # thermal operator and that operator's one Wigner grid as both factors
+    built, audits = {}, []
+    audit = scjarz.cli.weyl_convention_audit
+
+    def kept(name, fn):
+        def call(*args):
+            built[name] = fn(*args)
+            return built[name]
+        return call
+
+    def recorded(*args):
+        audits.append(args)
+        return audit(*args)
+
+    for name, attr in (("op", "thermal_fock"), ("grid", "wigner_transform")):
+        monkeypatch.setattr(scjarz.cli, attr,
+                            kept(name, getattr(scjarz.cli, attr)))
+    monkeypatch.setattr(scjarz.cli, "weyl_convention_audit", recorded)
+    assert main(["oracle", "--config", str(config_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    op, grid = built["op"], built["grid"]
+    assert [[id(x) for x in args] for args in audits] == [
+        [id(op), id(op), id(grid), id(grid)]]
 
 
 def test_import_and_config_load_leave_scipy_unimported():

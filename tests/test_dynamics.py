@@ -280,7 +280,7 @@ def test_plus_half_sums_are_the_whole_arc_sums(kind, n, centers, t,
                             IntegratorSettings(n_sigma_steps=n))
     ref = full_arc_reference(model, t, cp, cq, hbar_beta, n)
     got = {"pdq": arcs.pdq, "action": arcs.action, "area": arcs.area,
-           "g": arcs.g, "power": _pseudo_power_batch(model, arcs)}
+           "g": arcs.g, "power": _pseudo_power_batch(arcs)}
     for name, x in got.items():
         assert np.all(np.abs(x - ref[name]) <= 1e-14 * (1.0 + np.abs(x))), \
             name

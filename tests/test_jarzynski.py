@@ -594,6 +594,34 @@ def test_failures_carry_the_time_of_their_failed_node(monkeypatch):
                                             (33, 9)]]
 
 
+def test_subnormal_window_failures_are_non_finite(monkeypatch):
+    # the quartic ramp over [0, 5e-324]: the drive's rate overflows, so
+    # every start's power at t_i is not finite and every node fails there,
+    # non_finite.  Every node is then lost at t_f, where the domain check
+    # would refuse first, so it is switched off.  The budget is left on:
+    # with no node OK there is no ratio to report, and the budget refuses
+    # after the failures are collected
+    monkeypatch.setattr(jarzynski, "_check_domain", lambda *args: None)
+    collected = []
+    collect = jarzynski._collect_failures
+
+    def recorded(*args):
+        collected.extend(collect(*args))
+        return collected
+
+    monkeypatch.setattr(jarzynski, "_collect_failures", recorded)
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0, t_f=5e-324,
+                         quartic_lambda=0.1)
+    domain = QuadratureDomain(6.0, 4.5, 4, 4)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NewtonDiverged, match=r"^16 of 16 quadrature nodes failed"):
+        verify_identity(model, 1.0, 1.0, domain,
+                        IntegratorSettings(n_sigma_steps=32, n_time_steps=32))
+    P, Q, _ = domain.nodes()
+    assert collected == [{"p": float(p), "q": float(q), "t": 0.0,
+                          "reason": "non_finite"} for p, q in zip(P, Q)]
+
+
 def test_failure_budget_refuses_a_caustic_grid(monkeypatch):
     # the caustic grid (quartic ramp at hbar*beta = 1, 32 sigma and time
     # steps) shrunk to 8x8 starts over 6 x 4.5: 6 of the 64 stall in the

@@ -1,15 +1,11 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
-import scjarz.oracle
 from scjarz.dynamics import IntegratorSettings
 from scjarz.errors import GridTooNarrow, TruncationInsufficient
 from scjarz.jarzynski import QuadratureDomain, partition
 from scjarz.models import ramped_model
-from scjarz.oracle import (FockOperator, WignerGrid, _convention_audit,
-                           fock_state_wigner,
+from scjarz.oracle import (FockOperator, WignerGrid, fock_state_wigner,
                            harmonic_closed_forms, hermite_functions,
                            ladder_operators,
                            ordering_pairing_check,
@@ -32,11 +28,12 @@ def test_thermal_trace_closed_form():
     assert exact == pytest.approx(0.9595173757, abs=1e-9)
 
 
-def test_thermal_beta_zero_is_identity():
-    op = thermal_fock("harmonic", 1.0, 1.0, 0.0, 0.0, 1.0, 12,
-                      enforce_truncation=False)
-    assert op.trace().real == pytest.approx(13.0)
-    np.testing.assert_allclose(op.matrix, np.eye(13), atol=1e-15)
+def test_thermal_beta_zero_fails_the_truncation_guard():
+    # at beta = 0 every level has weight 1, so the top level holds 1/13 of
+    # the trace whatever the cutoff: the guard, which is always on, refuses
+    with pytest.raises(TruncationInsufficient,
+                       match=r"^top-level occupation 7\.692e-02 >= 1e-10"):
+        thermal_fock("harmonic", 1.0, 1.0, 0.0, 0.0, 1.0, 12)
 
 
 def test_truncation_guard():
@@ -114,8 +111,15 @@ def test_wigner_transform_rejects_a_non_hermitian_operator():
                          q_max=10.0, n_q=256)
 
 
+def audit(op_a, op_b, q_max, n_q):
+    """The convention audit of two operators on their own Wigner grids."""
+    return weyl_convention_audit(op_a, op_b,
+                                 wigner_transform(op_a, q_max, n_q),
+                                 wigner_transform(op_b, q_max, n_q))
+
+
 def test_convention_audit_ground_state():
-    rep = weyl_convention_audit(projector(0), projector(0), 10.0, 256)
+    rep = audit(projector(0), projector(0), 10.0, 256)
     assert rep.trace_product.real == pytest.approx(1.0, abs=1e-12)
     assert rep.overlap_integral == pytest.approx(1.0 / (2 * np.pi), rel=1e-9)
     assert rep.measured_constant == pytest.approx(2 * np.pi, rel=1e-9)
@@ -126,40 +130,24 @@ def test_convention_audit_identity_with_thermal():
     dim = 40
     ident = FockOperator(np.eye(dim + 1, dtype=complex), 1.0, 1.0, 1.0)
     thermal = thermal_fock("harmonic", 1.0, 1.0, 0.0, 1.0, 1.0, dim)
-    rep = weyl_convention_audit(ident, thermal, 12.0, 512)
+    rep = audit(ident, thermal, 12.0, 512)
     assert rep.trace_product.real == pytest.approx(thermal.trace().real,
                                                    rel=1e-12)
     assert rep.measured_constant == pytest.approx(2 * np.pi, rel=1e-6)
 
 
-def count_transforms(monkeypatch):
-    calls = []
-    raw = scjarz.oracle._wigner_raw
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return raw(*args, **kwargs)
-
-    monkeypatch.setattr(scjarz.oracle, "_wigner_raw", counted)
-    return calls
-
-
-def test_convention_audit_of_one_operator_reuses_its_grid(monkeypatch):
-    # op_b is op_a: one transform, and the report is bitwise the helper's
-    # on that grid passed twice
-    op = thermal_fock("quartic", 1.0, 1.0, 0.1, 1.0, 0.5, 48)
-    calls = count_transforms(monkeypatch)
-    rep = weyl_convention_audit(op, op, 8.0, 128)
-    assert len(calls) == 1
-    grid = wigner_transform(op, 8.0, 128)
-    ref = _convention_audit(op, op, grid, grid)
-    for f in fields(rep):
-        a, b = getattr(rep, f.name), getattr(ref, f.name)
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
-    other = thermal_fock("quartic", 1.0, 1.0, 0.1, 1.0, 0.5, 48)
-    calls.clear()
-    weyl_convention_audit(op, other, 8.0, 128)
-    assert len(calls) == 2
+def test_convention_audit_refuses_grids_on_other_axes():
+    # the overlap is a sum over grid points, so both symbols must sit on
+    # the same q and p axes; so must the operators share hbar
+    op = projector(0)
+    grid = wigner_transform(op, 10.0, 256)
+    for other in (wigner_transform(op, 10.0, 128),
+                  wigner_transform(op, 12.0, 256),
+                  wigner_transform(projector(0, hbar=0.5), 10.0, 256)):
+        with pytest.raises(ValueError, match="share their q and p axes"):
+            weyl_convention_audit(op, op, grid, other)
+    with pytest.raises(ValueError, match="share hbar"):
+        weyl_convention_audit(op, projector(0, hbar=0.5), grid, grid)
 
 
 def test_write_csv_matches_row_by_row_reference(tmp_path):

@@ -10,16 +10,16 @@ from scjarz import pseudowork, stationary
 from scjarz.dynamics import (IntegratorSettings, _build_arc_batch,
                              _flow_real_batch, _real_step_count, build_arc,
                              flow_imaginary, flow_real)
-from scjarz.errors import NewtonDiverged, WorkMismatch
+from scjarz.errors import IntegratorDiverged, NewtonDiverged, WorkMismatch
 from scjarz.jarzynski import QuadratureDomain, _mirrored_march
 from scjarz.models import ComplexPoint, ramped_model
 from scjarz.pseudowork import (_WORK_NODES, _composite_map_batch,
                                _gauss_legendre_nodes, _lagrange_weights,
-                               _predicted_centers, _propagated_g_batch,
-                               _pseudo_power_batch, _pseudo_work_batch,
-                               composite_map, pseudo_power, pseudo_work,
-                               solve_pseudo_state)
-from scjarz.stationary import DIVERGED, OK, _invert_map_batch
+                               _last_solved_node, _predicted_centers,
+                               _propagated_g_batch, _pseudo_power_batch,
+                               _pseudo_work_batch, composite_map,
+                               pseudo_power, pseudo_work, solve_pseudo_state)
+from scjarz.stationary import DIVERGED, NON_FINITE, OK, _invert_map_batch
 
 SET = IntegratorSettings(n_sigma_steps=96, n_time_steps=64)
 
@@ -102,7 +102,7 @@ def test_pseudo_power_constant_protocol_vanishes():
                          shape="constant")
     solve = solve_pseudo_state(model, 0.0, 0.0, ComplexPoint(0.9, 0.4), 1.0,
                                SET)
-    assert pseudo_power(model, solve.arc) == pytest.approx(0.0, abs=1e-14)
+    assert pseudo_power(solve.arc) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_pseudo_power_closed_form_value():
@@ -110,7 +110,7 @@ def test_pseudo_power_closed_form_value():
     model = harmonic_ramp()
     solve = solve_pseudo_state(model, 0.0, 0.0, ComplexPoint(0.0, 1.0), 1.0,
                                SET)
-    val = pseudo_power(model, solve.arc)
+    val = pseudo_power(solve.arc)
     exact = (np.sinh(1.0) + 1.0) / (1.0 + np.cosh(1.0))
     assert val == pytest.approx(exact, rel=1e-9)
     assert exact == pytest.approx(0.8553410237, abs=1e-9)
@@ -127,7 +127,7 @@ def test_pseudo_power_random_points_match_closed_form():
         p, q = rng.uniform(-2, 2, size=2)
         solve = solve_pseudo_state(model, 0.0, 0.0, ComplexPoint(p, q), 1.0,
                                    SET)
-        got = pseudo_power(model, solve.arc)
+        got = pseudo_power(solve.arc)
         exact = (2.0 / (1.0 + np.cosh(x))) * (
             0.5 * q * q * (ratio + 1.0) + 0.5 * p * p * (1.0 - ratio))
         assert got == pytest.approx(exact, rel=1e-7, abs=1e-12)
@@ -140,7 +140,7 @@ def test_pseudo_power_classical_limit_quadratic_order():
     errs = []
     for hb in (0.2, 0.1, 0.05, 0.025):
         solve = solve_pseudo_state(model, 0.0, 0.0, target, hb, SET)
-        errs.append(abs(pseudo_power(model, solve.arc) - dth))
+        errs.append(abs(pseudo_power(solve.arc) - dth))
     orders = [np.log2(errs[k] / errs[k + 1]) for k in range(3)]
     assert all(o > 1.9 for o in orders)
 
@@ -264,12 +264,12 @@ def test_arc_reductions_are_batch_width_invariant():
     cp = rng.uniform(-2.0, 2.0, 67).astype(complex)
     cq = rng.uniform(-2.0, 2.0, 67).astype(complex)
     whole = _build_arc_batch(model, 0.3, cp, cq, 0.5, SET)
-    power = _pseudo_power_batch(model, whole)
+    power = _pseudo_power_batch(whole)
     for i in range(cp.size):
         one = _build_arc_batch(model, 0.3, cp[i:i + 1], cq[i:i + 1], 0.5, SET)
         assert one.area[0] == whole.area[i], i
         assert one.action[0] == whole.action[i], i
-        assert _pseudo_power_batch(model, one)[0] == power[i], i
+        assert _pseudo_power_batch(one)[0] == power[i], i
 
 
 @pytest.mark.parametrize("t_f", [0.3, 1.0])
@@ -433,7 +433,7 @@ def test_one_leg_g_prop_is_the_two_leg_formula(kind, targets, t_f):
     tp = np.array([t[0] for t in targets])
     tq = np.array([t[1] for t in targets])
     solve = _invert_map_batch(model, 0.0, t_f, tp, tq, 1.0, HYP_SET)
-    got = _propagated_g_batch(model, 0.0, tp, tq, HYP_SET, solve)
+    got = _propagated_g_batch(0.0, tp, tq, HYP_SET, solve)
     g_ref, imag_ref, gap_ref = _two_leg_g_prop(model, 0.0, tp, tq, HYP_SET,
                                                solve)
     assert np.array_equal(got, g_ref, equal_nan=True)
@@ -605,7 +605,8 @@ def test_pseudo_work_reports_the_failing_node():
 NEEDS_THE_LADDER_AT_T_I = (-4.5, 5.5)
 
 
-def test_only_the_cold_t_i_solve_climbs_the_ladder(monkeypatch):
+def test_only_the_cold_t_i_solve_climbs_the_ladder(monkeypatch,
+                                                  newton_rungs):
     # node 0 is solved from the targets, and the ladder re-solves the start
     # its direct stage loses; every later node is warm-started, so a column
     # its direct stage leaves DIVERGED (FAILS_MID_MARCH at t = 0.729) is
@@ -614,8 +615,10 @@ def test_only_the_cold_t_i_solve_climbs_the_ladder(monkeypatch):
     original = pseudowork._invert_map_batch
 
     def recorded(*args, warm_p=None, **kwargs):
+        start = len(newton_rungs)
         solve = original(*args, warm_p=warm_p, **kwargs)
-        solves.append((warm_p is None, solve))
+        spans = [hb for hb, _ in newton_rungs[start:]]
+        solves.append((warm_p is None, solve, spans))
         return solve
 
     monkeypatch.setattr(pseudowork, "_invert_map_batch", recorded)
@@ -623,12 +626,13 @@ def test_only_the_cold_t_i_solve_climbs_the_ladder(monkeypatch):
     out = _pseudo_work_batch(quartic_ramp(), 0.0, 1.0,
                              np.array([s[0] for s in starts]),
                              np.array([s[1] for s in starts]), 1.0, MARCH_SET)
-    cold, first = solves[0]
+    cold, first, spans = solves[0]
     assert cold and np.all(first.status == OK)
-    assert len(first.stage_residuals) == MARCH_SET.continuation_stages + 1
+    assert spans == [1.0] + [0.5 ** k for k in
+                             range(MARCH_SET.continuation_stages, -1, -1)]
     assert len(solves) == out["times"].size
-    for warm, solve in solves[1:]:
-        assert not warm and solve.stage_residuals == []
+    for warm, solve, spans in solves[1:]:
+        assert not warm and spans == [1.0]
     assert solves[11][1].status.tolist() == [OK, DIVERGED]
     assert out["status"].tolist() == [OK, DIVERGED]
 
@@ -642,13 +646,13 @@ def test_pseudo_power_refuses_a_batch_of_arcs():
     solve = _invert_map_batch(model, 0.0, 0.5, tp, tq, 1.0, MARCH_SET)
     assert np.all(solve.status == OK)
     with pytest.raises(ValueError, match="one arc, got 3"):
-        pseudo_power(model, solve.arcs)
-    power = _pseudo_power_batch(model, solve.arcs)
+        pseudo_power(solve.arcs)
+    power = _pseudo_power_batch(solve.arcs)
     assert np.unique(power).size == 3
     for k in range(3):
         one = solve_pseudo_state(model, 0.0, 0.5, ComplexPoint(tp[k], tq[k]),
                                  1.0, MARCH_SET)
-        assert pseudo_power(model, one.arc) == power[k]
+        assert pseudo_power(one.arc) == power[k]
 
 
 def test_scalar_power_and_prefactor_read_the_arc():
@@ -664,7 +668,7 @@ def test_scalar_power_and_prefactor_read_the_arc():
                                                 out["center_q"][j, 0]),
                         0.8, MARCH_SET)
         assert arc.t == tj and arc.hbar_beta == 0.8
-        assert pseudo_power(model, arc) == out["power"][j, 0], j
+        assert pseudo_power(arc) == out["power"][j, 0], j
         if j == 0:
             assert arc.prefactor[0] == out["prefactor_initial"][0]
 
@@ -789,12 +793,39 @@ def test_one_ulp_window_marches_repeated_node_times():
 
 @pytest.mark.parametrize("work_tol", [None, math.inf])
 def test_subnormal_window_nan_work_fails_closed(work_tol):
-    # a ramp over [0, 5e-324] makes the drive's rate overflow, so the path
-    # work is 0 * inf = NaN.  No tolerance, not even an infinite one,
-    # admits a NaN mismatch: the verdict fails closed
+    # a ramp over [0, 5e-324] makes the drive's rate overflow, so the power
+    # at t_i is not finite.  The column fails there, NON_FINITE, and the
+    # march stops it, so no tolerance, not even an infinite one, is asked
+    # about a NaN work: pseudo_work names t_i
     model = ramped_model("quartic", omega_i=1.0, omega_f=2.0, t_i=0.0,
                          t_f=5e-324, quartic_lambda=0.1)
-    with np.errstate(invalid="ignore"), pytest.raises(
-            WorkMismatch, match=r"^path work nan vs .* differ by nan > "):
-        pseudo_work(model, 0.0, 5e-324, ComplexPoint(0.0, 1.0), 1.0,
-                    MARCH_SET, work_tol=work_tol)
+    with np.errstate(invalid="ignore"):
+        out = _pseudo_work_batch(model, 0.0, 5e-324, np.array([0.0]),
+                                 np.array([1.0]), 1.0, MARCH_SET)
+        with pytest.raises(IntegratorDiverged,
+                           match=r"^non-finite power or work at t=0 "):
+            pseudo_work(model, 0.0, 5e-324, ComplexPoint(0.0, 1.0), 1.0,
+                        MARCH_SET, work_tol=work_tol)
+    assert out["status"].tolist() == [NON_FINITE]
+    assert out["node_solves"] == 1
+    assert _last_solved_node(out).tolist() == [0]
+
+
+def test_non_finite_work_fails_at_t_f(monkeypatch):
+    # every power finite, but an infinite work weight makes W infinite: the
+    # column is NON_FINITE at t_f, and pseudo_work names t_f
+    def infinite_weight(t_i, t_f):
+        times, weights = _gauss_legendre_nodes(t_i, t_f)
+        weights[1] = math.inf
+        return times, weights
+
+    monkeypatch.setattr(pseudowork, "_gauss_legendre_nodes", infinite_weight)
+    model = quartic_ramp()
+    out = _pseudo_work_batch(model, 0.0, 1.0, np.array([0.3]),
+                             np.array([0.9]), 1.0, MARCH_SET)
+    assert np.all(np.isfinite(out["power"]))
+    assert out["status"].tolist() == [NON_FINITE]
+    assert _last_solved_node(out).tolist() == [_WORK_NODES + 1]
+    with pytest.raises(IntegratorDiverged,
+                       match=r"^non-finite power or work at t=1 "):
+        pseudo_work(model, 0.0, 1.0, ComplexPoint(0.3, 0.9), 1.0, MARCH_SET)

@@ -175,9 +175,10 @@ def test_prefactor_quartic_regression():
         assert val.arc.prefactor[0] == pytest.approx(reference, rel=1e-6)
 
 
-def test_continuation_trace_is_monotone():
+def test_continuation_trace_is_monotone(newton_rungs):
     # a target the direct solve loses, so the ladder engages on its own;
-    # the accepted-stage residuals must then be tame
+    # its rungs double the span up to hbar*beta, and the accepted-stage
+    # residuals must then be tame
     model = quartic(0.4)
     settings = IntegratorSettings(n_sigma_steps=96, continuation_stages=4,
                                   newton_tol=1e-11)
@@ -189,12 +190,14 @@ def test_continuation_trace_is_monotone():
         IntegratorSettings(n_sigma_steps=96, continuation_stages=0,
                            newton_tol=1e-11))
     assert direct.status[0] == DIVERGED
-    assert direct.stage_residuals == []
+    assert [hb for hb, _ in newton_rungs] == [1.5]
 
+    newton_rungs.clear()
     solve = _invert_map_batch(model, 0.0, 0.0, tp, tq, 1.5, settings)
     assert solve.status[0] == OK
-    trace = solve.stage_residuals
-    assert len(trace) == settings.continuation_stages + 1
+    assert [hb for hb, _ in newton_rungs] == [1.5] + [
+        0.5 ** k * 1.5 for k in range(settings.continuation_stages, -1, -1)]
+    trace = [res for _, res in newton_rungs[1:]]
     assert max(trace) <= settings.newton_tol
     # every accepted stage converged; the path never worsens between stages
     for r_prev, r_next in zip(trace, trace[1:]):
@@ -308,8 +311,7 @@ def test_beyond_image_target_diverges():
     # quartic arcs at large hbar*beta blow up through finite-time poles, so
     # the midpoint map has a bounded image; far targets must stall cleanly
     model = quartic(0.1)
-    settings = IntegratorSettings(n_sigma_steps=192, continuation_stages=2,
-                                  newton_max_iter=25)
+    settings = IntegratorSettings(n_sigma_steps=192, continuation_stages=2)
     with pytest.raises(NewtonDiverged):
         solve_pseudo_state(model, 0.0, 0.0, ComplexPoint(0.0, 50.0), 6.0,
                            settings)
@@ -389,7 +391,7 @@ def test_failed_solve_with_richardson_check_reports_the_solve():
     # halving check must pass it, so the failure is the solve's own
     model = quartic(0.1)
     settings = IntegratorSettings(n_sigma_steps=192, continuation_stages=2,
-                                  newton_max_iter=25, richardson_check=True)
+                                  richardson_check=True)
     with pytest.raises(NewtonDiverged):
         solve_pseudo_state(model, 0.0, 0.0, ComplexPoint(0.0, 50.0), 6.0,
                            settings)
