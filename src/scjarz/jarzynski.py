@@ -298,10 +298,13 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
     The protocol window [t_i, t_f] is taken from the model; the work march
     visits t_i, the Gauss-Legendre times of ``_gauss_legendre_nodes`` and
     t_f, and its weights certify the domain at both ends (DomainTooSmall
-    names t_i or t_f, and comes first).  The grid's first half is marched
-    and its other half filled by the point reflection
-    (``_mirrored_march``).  Node solves that fail are reported with
-    coordinates; more than ``_FAILURE_BUDGET`` of them aborts the report.
+    names t_i or t_f).  The grid's first half is marched and its other
+    half filled by the point reflection (``_mirrored_march``).  Node solves
+    that fail are reported with coordinates; more than ``_FAILURE_BUDGET``
+    of them aborts the report, counting them by reason.  The budget is
+    checked after the t_i certificate and before the t_f one: a start lost
+    in the march has no t_f weight, so the t_f check would otherwise blame
+    the domain for a failure with another cause.
     ``diagnostics`` holds the march's solver counts and its path/endpoint
     gap |W - W_endpoint| / (1 + |W|) over the OK nodes: the mean weighted
     by W exp(-beta G_initial) and the maximum.
@@ -311,13 +314,17 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
     out, counts = _mirrored_march(model, t_i, t_f, P, Q, beta * hbar,
                                   settings)
     _check_domain(domain, out["g_initial"], beta, "t_i")
-    _check_domain(domain, out["g_propagated"], beta, "t_f")
     failures = _collect_failures(P, Q, out["status"],
                                  out["times"][_last_solved_node(out)])
     if len(failures) > _FAILURE_BUDGET * P.size:
+        reasons = [f["reason"] for f in failures]
+        by_reason = ", ".join(f"{reasons.count(name)} {name}"
+                              for name in STATUS_NAMES.values()
+                              if name in reasons)
         raise NewtonDiverged(
             f"{len(failures)} of {P.size} quadrature nodes failed "
-            f"(> {100 * _FAILURE_BUDGET:.0f}% budget)")
+            f"(> {100 * _FAILURE_BUDGET:.0f}% budget): {by_reason}")
+    _check_domain(domain, out["g_propagated"], beta, "t_f")
     ok = out["status"] == OK
     w_quad = W[ok]
     g_i = out["g_initial"][ok]

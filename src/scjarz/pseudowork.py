@@ -23,7 +23,8 @@ from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
 from .errors import WorkMismatch
 from .models import ComplexPoint, HamiltonianModel
 from .stationary import (NON_FINITE, OK, _composite_map_batch,
-                         _invert_map_batch, _propagated_g_batch, _raise_failed)
+                         _invert_map_batch, _propagated_g_batch, _quiet,
+                         _raise_failed)
 
 
 @dataclass(frozen=True)
@@ -158,21 +159,33 @@ def pseudo_power(arc: ImaginaryArc) -> float:
 
 # The warm start of time node j extrapolates the converged centers at up to
 # this many preceding nodes with the polynomial through them.  The quartic
-# rule (five nodes) is the measured choice: over the 20,736 node solves of
+# rule (five nodes) is the measured choice: over the 16,128 node solves of
 # the identity march of configs/quartic_ramp.yaml, the Newton iterations
-# per node solve are 3.656 with the last center alone and 2.988 / 2.672 /
-# 2.502 / 2.395 / 2.311 with the polynomial through 2 / 3 / 4 / 5 / 6
-# centers; the sixth center's saved iterations did not measurably shorten
-# the march.
+# per node solve are 3.791 with the last center alone and 3.206 / 2.858 /
+# 2.746 / 2.686 / 2.675 with the polynomial through 2 / 3 / 4 / 5 / 6
+# centers; the sixth center saves 0.4% of the iterations.
 _PREDICTOR_NODES = 5
 
 # Gauss-Legendre nodes of the work integral over [t_i, t_f]: of the
 # identity, of pseudo_work and of scjarz work, whose work.csv has a row for
-# each of the _WORK_NODES + 2 march nodes.  16 nodes keep every accuracy
-# figure of both shipped configs at or below the 65-node Simpson rule's:
-# with 8 nodes the all-node path/endpoint mismatch of quartic_ramp rises
-# from 2.1e-5 to 3.1e-5.
-_WORK_NODES = 16
+# each of the _WORK_NODES + 2 march nodes.  The arc-averaged power is
+# analytic in t on the shipped ramps, so the rule converges geometrically
+# until W meets the floor that the sigma and real-time steps set.  Measured
+# with `scjarz jarzynski` on configs/harmonic_ramp.yaml (h) and
+# configs/quartic_ramp.yaml (q): identity residual, all-node path/endpoint
+# mismatch work_gap_max, node solves and quartic Newton iterations:
+#
+#   nodes  residual h / q       work_gap_max h / q     solves h / q    iters q
+#     16   3.592e-10/2.1549e-10  1.81996e-6/2.10039e-5  36,864/20,736   49,660
+#     12   3.596e-10/2.1536e-10  1.81987e-6/2.10040e-5  28,672/16,128   43,323
+#     10   3.586e-10/2.1189e-10  1.82061e-6/2.10200e-5  24,576/13,824   39,975
+#      8   3.579e-10/2.1240e-10  1.82005e-6/3.10733e-5  20,480/11,520   35,711
+#
+# Every figure must stay at or below the 65-node Simpson rule's (residual
+# 2.43e-9 / 2.18e-9, work_gap_max 2.233e-6 / 2.1050e-5).  12 nodes match
+# 16 to four digits; 10 raise quartic's work_gap_max by 0.08%, to within
+# 0.14% of that bound, and 8 by 48%, past it.
+_WORK_NODES = 12
 
 
 def _gauss_legendre_nodes(t_i, t_f):
@@ -305,7 +318,10 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
         center_p[j, live], center_q[j, live] = solve.zc_p, solve.zc_q
         residual[j, live], det[j, live] = solve.residual, solve.det
         arcs = solve.arcs
-        power[j, good] = _pseudo_power_batch(arcs)
+        with _quiet():
+            # a power that is not finite is a column status (below), not a
+            # warning
+            power[j, good] = _pseudo_power_batch(arcs)
         plus_p[j, good], plus_q[j, good] = arcs.p[-1], arcs.q[-1]
         check_p[j, good] = arcs.mid_p.real
         check_q[j, good] = arcs.mid_q.real
@@ -314,14 +330,16 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
             prefactor_initial[good] = arcs.prefactor
         if j == times.size - 1:
             # the march ends at t_f: its last solve is the endpoint's
-            g_prop[live] = _propagated_g_batch(t_i, tp[live], tq[live],
-                                               settings, solve)
+            g_prop[live] = _propagated_g_batch(t_i, tp[live], settings,
+                                               solve)
         # a power that is not finite fails its column here: set before the
         # march resumes, so that it stops the column
         solve.status[ok & ~np.isfinite(power[j, live])] = NON_FINITE
         status[live] = solve.status
 
-    work = weighted_sum(weights, power) if t_f > t_i else np.zeros(b)
+    with _quiet():
+        # a weight meets a power that is not finite in a failed column
+        work = weighted_sum(weights, power) if t_f > t_i else np.zeros(b)
     # finite powers can still sum to a W that is not finite: fails at t_f
     status[(status == OK) & ~np.isfinite(work)] = NON_FINITE
 

@@ -287,16 +287,16 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     return SolveBatch(gp, gq, det, iters, resid, status, arcs)
 
 
-def _propagated_g_batch(t_i, tp, tq, settings, solve: SolveBatch):
+def _propagated_g_batch(t_i, tp, settings, solve: SolveBatch):
     """Total-action evaluation of the pseudo-energy G_prop.
 
-    ``solve`` is the composite-map solve at (t_i, t_f) for the targets
-    (tp, tq); the model, t_f, hbar*beta and the frozen-t_f arcs of its OK
-    columns are read from ``solve.arcs``.  Only the backward branch leg
-    from each arc's sigma = +hbar*beta/2 endpoint to t_i is integrated
-    here: the other starts at the conjugate endpoint, and the real-time
-    flow has real coefficients, so its endpoint and action are the
-    conjugates of this one's (bit for bit, up to the sign of a zero).
+    ``solve`` is the composite-map solve at (t_i, t_f) for targets whose
+    momenta are ``tp``; the model, t_f, hbar*beta and the frozen-t_f arcs
+    of its OK columns are read from ``solve.arcs``.  Only the backward
+    branch leg from each arc's sigma = +hbar*beta/2 endpoint to t_i is
+    integrated here: the other starts at the conjugate endpoint, and the
+    real-time flow has real coefficients, so its endpoint and action are
+    the conjugates of this one's (bit for bit, up to the sign of a zero).
     The total action along branch, arc and branch, less target p times
     the t_i chord, over i hbar*beta is G_prop; at t_f == t_i the legs
     vanish and this is the static G from the total action.  Every term of
@@ -334,7 +334,7 @@ def _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta, settings):
     NaN; the OK columns' arcs are ``solve.arcs``.
     """
     solve = _invert_map_batch(model, t, t, tp, tq, hbar_beta, settings)
-    g_fta = _propagated_g_batch(t, tp, tq, settings, solve)
+    g_fta = _propagated_g_batch(t, tp, settings, solve)
     g = np.full(np.shape(tp), np.nan)
     g[solve.status == OK] = solve.arcs.g
     return solve, g, g_fta

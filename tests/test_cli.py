@@ -16,6 +16,7 @@ import scjarz.oracle
 from scjarz.cli import build_parser, main
 from scjarz.config import config_hash, load_config, parse_config
 from scjarz.jarzynski import verify_identity
+from scjarz.pseudowork import _WORK_NODES
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -309,9 +310,9 @@ def test_work_command_outputs(config_path, tmp_path):
     _, header, rows = read_csv(out / "work.csv")
     assert header == ["t", "check_p", "check_q", "z_c_p", "z_c_q",
                       "pseudo_power"]
-    # the march nodes: t_i, the 16 Gauss-Legendre times and t_f
-    assert len(rows) == 18
-    assert [float(r[0]) for r in rows[::17]] == [0.0, 1.0]
+    # the march nodes: t_i, the _WORK_NODES Gauss-Legendre times and t_f
+    assert len(rows) == _WORK_NODES + 2
+    assert [float(r[0]) for r in (rows[0], rows[-1])] == [0.0, 1.0]
     summary = json.loads((out / "work_summary.json").read_text())
     assert set(summary) >= {"W", "W_endpoint", "mismatch", "schema_version",
                             "config_sha256"}
@@ -333,14 +334,14 @@ def test_work_mismatch_writes_both_files_and_exits_3(tmp_path, capsys):
         == scjarz.cli.EXIT_NUMERICS
     assert "path/endpoint mismatch" in capsys.readouterr().err
     _, _, rows = read_csv(out / "work.csv")
-    assert len(rows) == 18
+    assert len(rows) == _WORK_NODES + 2
     summary = json.loads((out / "work_summary.json").read_text())
     assert summary["mismatch"] > 1e-6 * (1.0 + abs(summary["W"]))
 
 
 def test_work_failure_names_the_failing_node(tmp_path, capsys):
     # at hbar = 3 the quartic ramp's start (-4, -1) loses its solve at
-    # march node 13 of the 18, t = 0.877702; the report names that node
+    # march node 7 of the 14, t = 0.562617; the report names that node
     # with its residual and |det|, in the library's wording, and writes no
     # artifact
     data = yaml.safe_load(QUARTIC_RAMP.read_text())
@@ -352,7 +353,7 @@ def test_work_failure_names_the_failing_node(tmp_path, capsys):
     assert main(["work", "--config", str(path), "--out", str(out)]) \
         == scjarz.cli.EXIT_NUMERICS
     err = capsys.readouterr().err
-    assert re.search(r"midpoint inversion stalled at t=0\.877702 "
+    assert re.search(r"midpoint inversion stalled at t=0\.562617 "
                      r"\(residual \d\.\d{3}e[+-]\d\d, \|det\|=\d\.\d{3}e", err), err
     assert not (out / "work.csv").exists()
 
@@ -371,7 +372,7 @@ def test_jarzynski_command_report(config_path, tmp_path):
     # a linear flow starts every node solve at its exact solution; the
     # Gauss-Legendre grid is point-symmetric, so half its nodes are marched
     # and the other half filled from their partners
-    assert rep["diagnostics"]["node_solves"] == 18 * 288
+    assert rep["diagnostics"]["node_solves"] == (_WORK_NODES + 2) * 288
     assert rep["diagnostics"]["newton_iters"] == 0
     assert rep["diagnostics"]["mirrored_nodes"] == 288
 
@@ -411,9 +412,9 @@ def test_jarzynski_diagnostics_block(tmp_path):
     assert b1 == (out2 / "jarzynski.json").read_bytes()
     diag = json.loads(b1)["diagnostics"]
     assert set(diag) == DIAGNOSTICS_KEYS
-    assert diag["work_nodes"] == 18
-    assert diag["node_solves"] == 18 * 72
-    assert diag["newton_iters"] == 3081
+    assert diag["work_nodes"] == _WORK_NODES + 2
+    assert diag["node_solves"] == (_WORK_NODES + 2) * 72
+    assert diag["newton_iters"] == 2699
     assert diag["mirrored_nodes"] == 72
     assert 0.0 < diag["work_gap_mean"] < diag["work_gap_max"]
 
@@ -428,23 +429,24 @@ def test_jarzynski_threshold_exit_code(tmp_path, config_path):
 
 
 @pytest.mark.parametrize("command, message", [
-    ("jarzynski", "numerical failure: 44 outermost node(s) failed at t_f; "),
+    ("jarzynski", "numerical failure: 144 of 144 quadrature nodes failed "
+                  "(> 1% budget): 144 non_finite\n"),
     ("work", "numerical failure: non-finite power or work at t=0 ("),
 ], ids=["jarzynski", "work"])
 def test_subnormal_window_fails_closed(tmp_path, capsys, command, message):
     # the quartic ramp over [0, 5e-324]: the drive's rate overflows and
     # the power at t_i is not finite, so every start fails there.  `work`
-    # names that node; `jarzynski` has lost every node by t_f, where the
-    # domain check refuses.  Both exit 3 with one line on stderr and write
-    # nothing
+    # names that node; `jarzynski` passes the t_i domain check and then
+    # refuses on the failure budget, naming the reason, before the t_f
+    # check can blame the domain.  Both exit 3 with one line on stderr,
+    # no warning, and write nothing
     data = yaml.safe_load(QUARTIC_RAMP.read_text())
     data["model"]["protocol"]["t_final"] = 5e-324
     data["numerics"]["domain"].update(n_p=12, n_q=12)
     path = tmp_path / "subnormal.yaml"
     path.write_text(yaml.safe_dump(data))
-    with np.errstate(invalid="ignore"):
-        code = main([command, "--config", str(path),
-                     "--out", str(tmp_path / "out")])
+    code = main([command, "--config", str(path),
+                 "--out", str(tmp_path / "out")])
     assert code == scjarz.cli.EXIT_NUMERICS
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1, err
@@ -488,7 +490,7 @@ def test_jarzynski_monte_carlo_deterministic(config_path, tmp_path):
     # Newton step
     diag = rep["monte_carlo"]["diagnostics"]
     assert set(diag) == MARCH_KEYS
-    assert diag["node_solves"] == 18 * 64
+    assert diag["node_solves"] == (_WORK_NODES + 2) * 64
     assert diag["newton_iters"] == 0
 
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from scjarz import jarzynski, pseudowork, stationary
 from scjarz.dynamics import ImaginaryArc, IntegratorSettings
-from scjarz.pseudowork import (_gauss_legendre_nodes, _last_solved_node,
-                               _pseudo_work_batch)
+from scjarz.pseudowork import (_WORK_NODES, _gauss_legendre_nodes,
+                               _last_solved_node, _pseudo_work_batch)
 from scjarz.stationary import _pseudo_hamiltonian_batch
 from scjarz.errors import DomainTooSmall, IntegratorDiverged, NewtonDiverged
 from scjarz.jarzynski import QuadratureDomain, partition, verify_identity
@@ -257,8 +257,8 @@ def assert_monte_carlo_agrees(report, n_samples):
     assert set(mc["diagnostics"]) == {"work_nodes", "node_solves",
                                       "newton_iters", "work_gap_mean",
                                       "work_gap_max"}
-    assert mc["diagnostics"]["work_nodes"] == 18
-    assert mc["diagnostics"]["node_solves"] == 18 * n_samples
+    assert mc["diagnostics"]["work_nodes"] == _WORK_NODES + 2
+    assert mc["diagnostics"]["node_solves"] == (_WORK_NODES + 2) * n_samples
 
 
 def test_monte_carlo_mode_quartic():
@@ -344,9 +344,9 @@ def test_prefactor_report_reuses_the_t_i_solves():
 
 
 def test_identity_marches_t_i_gauss_legendre_times_and_t_f(monkeypatch):
-    # each of the 18 work nodes is solved once, in order: t_i (G_initial),
-    # the 16 Gauss-Legendre times (power) and t_f (G_prop), for the 18
-    # marched nodes of the point-symmetric 6x6 grid
+    # each of the _WORK_NODES + 2 work nodes is solved once, in order: t_i
+    # (G_initial), the _WORK_NODES Gauss-Legendre times (power) and t_f
+    # (G_prop), for the 18 marched nodes of the point-symmetric 6x6 grid
     calls = []
     original = pseudowork._invert_map_batch
 
@@ -361,11 +361,11 @@ def test_identity_marches_t_i_gauss_legendre_times_and_t_f(monkeypatch):
                              IntegratorSettings(n_sigma_steps=32,
                                                 n_time_steps=8))
     times, _ = _gauss_legendre_nodes(0.0, 1.0)
-    assert len(calls) == 18
+    assert len(calls) == _WORK_NODES + 2
     assert calls == list(times)
     assert calls[0] == 0.0 and calls[-1] == 1.0
-    assert report.diagnostics["work_nodes"] == 18
-    assert report.diagnostics["node_solves"] == 18 * 18
+    assert report.diagnostics["work_nodes"] == _WORK_NODES + 2
+    assert report.diagnostics["node_solves"] == (_WORK_NODES + 2) * 18
     assert report.diagnostics["mirrored_nodes"] == 18
 
 
@@ -574,7 +574,7 @@ def test_failures_carry_the_time_of_their_failed_node(monkeypatch):
     # quartic ramp at hbar*beta = 1 on a 6x6 grid over 6 x 4.5: the
     # starts 2 and 8 (p at axis nodes 0 and 1, q at axis node 2) and
     # their partners 33 and 27 solve at t_i and fail inside the ramp, at
-    # work nodes 9 and 11 of the 18, and each failure names its own
+    # work nodes 7 and 9 of the 14, and each failure names its own
     # node's time.  Starts 2 and 33 are outermost nodes, so the domain
     # check at t_f would refuse the domain first; it is switched off
     monkeypatch.setattr(jarzynski, "_check_domain", lambda *args: None)
@@ -586,22 +586,21 @@ def test_failures_carry_the_time_of_their_failed_node(monkeypatch):
                              IntegratorSettings(n_sigma_steps=64,
                                                 n_time_steps=64))
     times = _gauss_legendre_nodes(0.0, 1.0)[0]
-    assert 0.0 < times[9] < times[11] < 1.0
+    assert 0.0 < times[7] < times[9] < 1.0
     P, Q, _ = domain.nodes()
     assert report.to_dict()["failures"] == [
         {"p": float(P[k]), "q": float(Q[k]), "t": float(times[j]),
-         "reason": "diverged"} for k, j in [(2, 9), (8, 11), (27, 11),
-                                            (33, 9)]]
+         "reason": "diverged"} for k, j in [(2, 7), (8, 9), (27, 9),
+                                            (33, 7)]]
 
 
 def test_subnormal_window_failures_are_non_finite(monkeypatch):
-    # the quartic ramp over [0, 5e-324]: the drive's rate overflows, so
-    # every start's power at t_i is not finite and every node fails there,
-    # non_finite.  Every node is then lost at t_f, where the domain check
-    # would refuse first, so it is switched off.  The budget is left on:
-    # with no node OK there is no ratio to report, and the budget refuses
-    # after the failures are collected
-    monkeypatch.setattr(jarzynski, "_check_domain", lambda *args: None)
+    # the quartic ramp over [0, 5e-324] on configs/quartic_ramp.yaml's
+    # domain at 12x12 nodes (hbar*beta = 0.5): the drive's rate overflows,
+    # so every start's power at t_i is not finite and every node fails
+    # there, non_finite.  The t_i weights are those of solved arcs and pass
+    # the domain check; the budget then refuses, naming the reason, before
+    # the t_f check could blame the domain for the lost nodes
     collected = []
     collect = jarzynski._collect_failures
 
@@ -612,10 +611,11 @@ def test_subnormal_window_failures_are_non_finite(monkeypatch):
     monkeypatch.setattr(jarzynski, "_collect_failures", recorded)
     model = ramped_model("quartic", omega_i=1.0, omega_f=2.0, t_f=5e-324,
                          quartic_lambda=0.1)
-    domain = QuadratureDomain(6.0, 4.5, 4, 4)
-    with np.errstate(invalid="ignore"), pytest.raises(
-            NewtonDiverged, match=r"^16 of 16 quadrature nodes failed"):
-        verify_identity(model, 1.0, 1.0, domain,
+    domain = QuadratureDomain(7.5, 4.5, 12, 12)
+    with pytest.raises(NewtonDiverged,
+                       match=r"^144 of 144 quadrature nodes failed "
+                             r"\(> 1% budget\): 144 non_finite$"):
+        verify_identity(model, 1.0, 0.5, domain,
                         IntegratorSettings(n_sigma_steps=32, n_time_steps=32))
     P, Q, _ = domain.nodes()
     assert collected == [{"p": float(p), "q": float(q), "t": 0.0,
@@ -637,14 +637,15 @@ def test_failure_budget_refuses_a_caustic_grid(monkeypatch):
     monkeypatch.setattr(jarzynski, "_check_domain", lambda *args: None)
     with pytest.raises(NewtonDiverged,
                        match=r"^6 of 64 quadrature nodes failed "
-                             r"\(> 1% budget\)$"):
+                             r"\(> 1% budget\): 6 diverged$"):
         verify_identity(model, 1.0, 1.0, domain, settings)
 
 
 def test_domain_check_runs_no_solve(monkeypatch):
-    # the identity solves once per march node (18), --prefactor once more
-    # for its static t_f partition, and a partition once; each solves the
-    # first ceil(N/2) nodes of the grid and mirrors the rest
+    # the identity solves once per march node (_WORK_NODES + 2),
+    # --prefactor once more for its static t_f partition, and a partition
+    # once; each solves the first ceil(N/2) nodes of the grid and mirrors
+    # the rest
     calls, widths = [], []
     original = stationary._invert_map_batch
 
@@ -659,12 +660,12 @@ def test_domain_check_runs_no_solve(monkeypatch):
     dom = QuadratureDomain(p_max=10.5, q_max=10.5, n_p=6, n_q=6)
     settings = IntegratorSettings(n_sigma_steps=32, n_time_steps=8)
     verify_identity(model, 1.0, 1.0, dom, settings)
-    assert len(calls) == 18
+    assert len(calls) == _WORK_NODES + 2
     calls.clear()
     widths.clear()
     verify_identity(model, 1.0, 1.0, dom, settings, with_prefactor=True)
-    assert len(calls) == 19 and calls[-1] == 1.0
-    assert widths == [18] * 19
+    assert len(calls) == _WORK_NODES + 3 and calls[-1] == 1.0
+    assert widths == [18] * (_WORK_NODES + 3)
     for n, width in ((6, 18), (5, 13)):
         calls.clear()
         widths.clear()

@@ -433,7 +433,7 @@ def test_one_leg_g_prop_is_the_two_leg_formula(kind, targets, t_f):
     tp = np.array([t[0] for t in targets])
     tq = np.array([t[1] for t in targets])
     solve = _invert_map_batch(model, 0.0, t_f, tp, tq, 1.0, HYP_SET)
-    got = _propagated_g_batch(0.0, tp, tq, HYP_SET, solve)
+    got = _propagated_g_batch(0.0, tp, HYP_SET, solve)
     g_ref, imag_ref, gap_ref = _two_leg_g_prop(model, 0.0, tp, tq, HYP_SET,
                                                solve)
     assert np.array_equal(got, g_ref, equal_nan=True)
@@ -465,7 +465,7 @@ def test_work_march_solves_each_time_node_once(monkeypatch):
 
 
 # at hbar*beta = 1 this quartic start solves at t_i and fails at time node
-# 11 of the 18 (t = 0.729); its status is then final, and nodes 12 to 17
+# 9 of the 14 (t = 0.794); its status is then final, and nodes 10 to 13
 # do not solve it
 MARCH_SET = IntegratorSettings(n_sigma_steps=16, n_time_steps=8)
 FAILS_MID_MARCH = (-4.0, -1.0)
@@ -564,14 +564,14 @@ def test_failed_column_stops_marching(monkeypatch):
     whole = _pseudo_work_batch(model, 0.0, 1.0, tp, tq, 1.0, MARCH_SET)
     assert len(solved) == _WORK_NODES + 2
     assert [FAILS_MID_MARCH in node for node in solved] == [
-        j <= 11 for j in range(_WORK_NODES + 2)]
+        j <= 9 for j in range(_WORK_NODES + 2)]
     assert list(whole["status"] != 0) == [False, True, False]
     assert whole["newton_iters"][1] == sum(node[FAILS_MID_MARCH]
-                                           for node in solved[:12])
+                                           for node in solved[:10])
     assert whole["node_solves"] == sum(len(node) for node in solved)
-    assert whole["node_solves"] == 12 * 3 + 6 * 2
-    assert np.all(np.isnan(whole["power"][11:, 1]))
-    assert np.all(np.isnan(whole["center_p"][12:, 1]))
+    assert whole["node_solves"] == 10 * 3 + (_WORK_NODES + 2 - 10) * 2
+    assert np.all(np.isnan(whole["power"][9:, 1]))
+    assert np.all(np.isnan(whole["center_p"][10:, 1]))
 
     monkeypatch.undo()
     for i in (0, 2):
@@ -589,16 +589,16 @@ def test_pseudo_work_reports_the_failing_node():
     # real residual and |det| there; later nodes record no solve
     model = quartic_ramp()
     with pytest.raises(NewtonDiverged,
-                       match=r"at t=0\.729008 \(residual 2\.567e-01, "
+                       match=r"at t=0\.793659 \(residual 5\.048e-01, "
                              r"\|det\|="):
         pseudo_work(model, 0.0, 1.0, ComplexPoint(*FAILS_MID_MARCH), 1.0,
                     MARCH_SET)
     out = _pseudo_work_batch(model, 0.0, 1.0, np.array([FAILS_MID_MARCH[0]]),
                              np.array([FAILS_MID_MARCH[1]]), 1.0, MARCH_SET)
-    assert out["times"][11] == _gauss_legendre_nodes(0.0, 1.0)[0][11]
-    assert out["residual"][11, 0] == pytest.approx(0.257, abs=1e-3)
-    assert np.all(np.isfinite(out["det"][:12, 0]))
-    assert np.all(np.isnan(out["det"][12:, 0]))
+    assert out["times"][9] == _gauss_legendre_nodes(0.0, 1.0)[0][9]
+    assert out["residual"][9, 0] == pytest.approx(0.505, abs=1e-3)
+    assert np.all(np.isfinite(out["det"][:10, 0]))
+    assert np.all(np.isnan(out["det"][10:, 0]))
 
 
 # a start whose cold t_i solve the direct Newton stage leaves DIVERGED
@@ -609,7 +609,7 @@ def test_only_the_cold_t_i_solve_climbs_the_ladder(monkeypatch,
                                                   newton_rungs):
     # node 0 is solved from the targets, and the ladder re-solves the start
     # its direct stage loses; every later node is warm-started, so a column
-    # its direct stage leaves DIVERGED (FAILS_MID_MARCH at t = 0.729) is
+    # its direct stage leaves DIVERGED (FAILS_MID_MARCH at t = 0.794) is
     # final there and no rung is climbed
     solves = []
     original = pseudowork._invert_map_batch
@@ -633,7 +633,7 @@ def test_only_the_cold_t_i_solve_climbs_the_ladder(monkeypatch,
     assert len(solves) == out["times"].size
     for warm, solve, spans in solves[1:]:
         assert not warm and spans == [1.0]
-    assert solves[11][1].status.tolist() == [OK, DIVERGED]
+    assert solves[9][1].status.tolist() == [OK, DIVERGED]
     assert out["status"].tolist() == [OK, DIVERGED]
 
 
@@ -716,9 +716,31 @@ def test_gauss_legendre_work_nodes():
     assert times[0] == 0.25 and times[-1] == 1.5
     assert np.all(np.diff(times) > 0.0)
     assert weights[0] == weights[-1] == 0.0
-    f = times ** 31 - 2.0 * times ** 5
-    exact = (1.5 ** 32 - 0.25 ** 32) / 32 - (1.5 ** 6 - 0.25 ** 6) / 3
+    degree = 2 * _WORK_NODES - 1
+    f = times ** degree - 2.0 * times ** 5
+    exact = ((1.5 ** (degree + 1) - 0.25 ** (degree + 1)) / (degree + 1)
+             - (1.5 ** 6 - 0.25 ** 6) / 3)
     assert np.sum(weights * f) == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("kind, lam, p_max, q_max, hbar_beta", [
+    ("harmonic", 0.0, 3.0, 3.0, 1.0),
+    ("quartic", 0.1, 3.0, 2.0, 0.5),
+], ids=["harmonic", "quartic"])
+def test_work_rule_is_converged(monkeypatch, kind, lam, p_max, q_max,
+                                hbar_beta):
+    # the shipped rule's W on a 4x4 grid of starts lies within 1e-8 of a
+    # 32-node rule's (1.7e-10 harmonic, 8.6e-10 quartic at 12 nodes): more
+    # nodes would add solves and no accuracy
+    model = ramped_model(kind, omega_i=1.0, omega_f=2.0, quartic_lambda=lam)
+    settings = IntegratorSettings(n_sigma_steps=64, n_time_steps=64)
+    P, Q, _ = QuadratureDomain(p_max, q_max, 4, 4).nodes()
+    shipped = _pseudo_work_batch(model, 0.0, 1.0, P, Q, hbar_beta, settings)
+    monkeypatch.setattr(pseudowork, "_WORK_NODES", 32)
+    fine = _pseudo_work_batch(model, 0.0, 1.0, P, Q, hbar_beta, settings)
+    assert shipped["times"].size == _WORK_NODES + 2 < fine["times"].size
+    assert np.all(shipped["status"] == OK) and np.all(fine["status"] == OK)
+    assert np.max(np.abs(shipped["W"] - fine["W"])) <= 1e-8
 
 
 @pytest.mark.parametrize("kind, lam", [("harmonic", 0.0), ("quartic", 0.1)])
@@ -770,11 +792,12 @@ def test_zero_length_window_marches_on_the_last_center():
 
 
 def test_one_ulp_window_marches_repeated_node_times():
-    # a ramp over one ulp collapses the 18 march times to t_i and t_f;
-    # each repeated time replaces its twin in the predictor's history, so
-    # no extrapolation divides by a zero node spacing.  The march still
-    # finishes, but 16 nodes on two distinct times cannot integrate the
-    # sudden quench's power, and the path/endpoint gate refuses the work
+    # a ramp over one ulp collapses the _WORK_NODES + 2 march times to t_i
+    # and t_f; each repeated time replaces its twin in the predictor's
+    # history, so no extrapolation divides by a zero node spacing.  The
+    # march still finishes, but Gauss-Legendre nodes on two distinct
+    # times cannot integrate the sudden quench's power, and the
+    # path/endpoint gate refuses the work
     t_i = 1.0
     t_f = math.nextafter(t_i, 2.0)
     model = ramped_model("quartic", omega_i=1.0, omega_f=2.0, t_i=t_i,
@@ -799,13 +822,12 @@ def test_subnormal_window_nan_work_fails_closed(work_tol):
     # about a NaN work: pseudo_work names t_i
     model = ramped_model("quartic", omega_i=1.0, omega_f=2.0, t_i=0.0,
                          t_f=5e-324, quartic_lambda=0.1)
-    with np.errstate(invalid="ignore"):
-        out = _pseudo_work_batch(model, 0.0, 5e-324, np.array([0.0]),
-                                 np.array([1.0]), 1.0, MARCH_SET)
-        with pytest.raises(IntegratorDiverged,
-                           match=r"^non-finite power or work at t=0 "):
-            pseudo_work(model, 0.0, 5e-324, ComplexPoint(0.0, 1.0), 1.0,
-                        MARCH_SET, work_tol=work_tol)
+    out = _pseudo_work_batch(model, 0.0, 5e-324, np.array([0.0]),
+                             np.array([1.0]), 1.0, MARCH_SET)
+    with pytest.raises(IntegratorDiverged,
+                       match=r"^non-finite power or work at t=0 "):
+        pseudo_work(model, 0.0, 5e-324, ComplexPoint(0.0, 1.0), 1.0,
+                    MARCH_SET, work_tol=work_tol)
     assert out["status"].tolist() == [NON_FINITE]
     assert out["node_solves"] == 1
     assert _last_solved_node(out).tolist() == [0]
