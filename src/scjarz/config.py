@@ -46,8 +46,6 @@ _DEFAULTS: dict = {
     "numerics": {
         "n_sigma_steps": 64,
         "n_time_steps": 64,
-        "newton_tol": 1e-11,
-        "continuation_stages": 4,
         "richardson_check": False,
         "tolerance": 1e-8,
         "domain": {
@@ -224,10 +222,6 @@ def _build(data: dict) -> RunConfig:
             richardson_check=_require(_boolean, nm["richardson_check"],
                                       "numerics.richardson_check"),
             tolerance=_require(_real, nm["tolerance"], "numerics.tolerance"),
-            newton_tol=_require(_real, nm["newton_tol"],
-                                "numerics.newton_tol"),
-            continuation_stages=_require(_integer, nm["continuation_stages"],
-                                         "numerics.continuation_stages"),
         )
     except ValueError as exc:
         raise ConfigError(f"numerics: {exc}") from None

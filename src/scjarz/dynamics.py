@@ -29,32 +29,30 @@ from .models import ComplexPoint, HamiltonianModel
 
 @dataclass(frozen=True)
 class IntegratorSettings:
-    """Step counts and tolerances shared by the integrator and the solvers.
+    """The integrator's step counts and its Richardson check.
 
     n_sigma_steps counts RK4 steps per half-arc (center to one endpoint);
     n_time_steps sets only the real-time step density (steps per full
-    protocol duration).  The work's time nodes are a fixed Gauss-Legendre
-    rule (``pseudowork._gauss_legendre_nodes``); the Newton budget and
-    floors are module constants of ``stationary``.
+    protocol duration).  With richardson_check, an arc's endpoint and
+    monodromy must agree with twice the steps within ``tolerance``.  The
+    work's time nodes are a fixed Gauss-Legendre rule
+    (``pseudowork._gauss_legendre_nodes``); the Newton policy (tolerance,
+    budget, floors and continuation ladder) is module constants of
+    ``stationary``.
     """
 
     n_sigma_steps: int = 64
     n_time_steps: int = 64
     richardson_check: bool = False
     tolerance: float = 1e-8
-    newton_tol: float = 1e-11
-    continuation_stages: int = 4
 
     def __post_init__(self):
         if self.n_sigma_steps < 8:
             raise ValueError("n_sigma_steps must be >= 8")
         if self.n_time_steps < 2 or self.n_time_steps % 2 != 0:
             raise ValueError("n_time_steps must be a positive even integer")
-        for name in ("tolerance", "newton_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
-        if self.continuation_stages < 0:
-            raise ValueError("continuation_stages must be >= 0")
+        if not self.tolerance > 0.0:
+            raise ValueError("tolerance must be positive")
 
 
 DEFAULT_SETTINGS = IntegratorSettings()

@@ -29,7 +29,7 @@ from numpy.polynomial.legendre import leggauss
 from .dynamics import DEFAULT_SETTINGS, IntegratorSettings, weighted_sum
 from .errors import DomainTooSmall, NewtonDiverged
 from .models import HamiltonianModel
-from .pseudowork import _last_solved_node, _pseudo_work_batch
+from .pseudowork import _pseudo_work_batch
 from .stationary import (OK, STATUS_NAMES, _finite_prefactors,
                          _pseudo_hamiltonian_batch)
 
@@ -236,28 +236,20 @@ def _half(n: int) -> slice:
     return slice((n + 1) // 2)
 
 
-def _mirror(n: int, *half, odd: bool = False) -> tuple:
+def _mirror(n: int, *half) -> tuple:
     """Each array of ``half``, whose last axis holds the ``_half(n)``
     nodes, filled out to all ``n``: node k >= ceil(N/2) is a copy of its
-    partner N-1-k, negated when ``odd``."""
+    partner N-1-k."""
     h = _half(n).stop
     partner = np.concatenate([np.arange(h), np.arange(n - h)[::-1]])
-    full = tuple(x[..., partner] for x in half)
-    if odd:
-        for x in full:
-            # 0 - x, not -x: a zero is +0.0 and a NaN keeps its sign, as
-            # in the partner's own solve
-            np.subtract(0.0, x[..., h:], out=x[..., h:])
-    return full
+    return tuple(x[..., partner] for x in half)
 
 
-# Columns of a ``_pseudo_work_batch`` result that a point reflection
-# z -> -z of the target leaves as they are, and those it negates
-_EVEN_COLUMNS = ("W", "W_endpoint", "g_initial", "g_propagated",
-                 "prefactor_initial", "status", "newton_iters", "power",
-                 "residual", "det")
-_ODD_COLUMNS = ("center_p", "center_q", "plus_p", "plus_q",
-                "check_p", "check_q")
+# The per-start results of a ``_pseudo_work_batch`` march that the
+# identity reads; the point reflection z -> -z of a start leaves each one
+# as it is
+_PER_START = ("W", "W_endpoint", "g_initial", "g_propagated",
+              "prefactor_initial", "status", "last_node")
 
 
 def _mirrored_march(model, t_i, t_f, P, Q, hbar_beta, settings):
@@ -265,20 +257,20 @@ def _mirrored_march(model, t_i, t_f, P, Q, hbar_beta, settings):
     counts.
 
     H is even in z = (p, q) (``HamiltonianModel``), so the march of -z is
-    the march of z, bit for bit, with its centers, plus points and checks
-    negated.  Only the ``_half`` of the nodes is marched, and ``_mirror``
-    fills every other column from its partner's.  The counts are those of
-    the march run (``_march_diagnostics``), and mirrored_nodes is the
-    number of columns filled from a partner.
+    the march of z, bit for bit, with its centers negated.  Only the
+    ``_half`` of the nodes is marched; the result holds the march's
+    ``times`` and its ``_PER_START`` results, which ``_mirror`` fills out
+    to every node from its partner's.  The counts are those of the march
+    run (``_march_diagnostics``), and mirrored_nodes is the number of
+    columns filled from a partner.
     """
     n = P.size
     half = _half(n)
     out = _pseudo_work_batch(model, t_i, t_f, P[half], Q[half], hbar_beta,
                              settings)
     counts = _march_diagnostics(out) | {"mirrored_nodes": n - half.stop}
-    for key in _EVEN_COLUMNS + _ODD_COLUMNS:
-        out[key], = _mirror(n, out[key], odd=key in _ODD_COLUMNS)
-    return out, counts
+    full = _mirror(n, *(out[key] for key in _PER_START))
+    return {"times": out["times"], **dict(zip(_PER_START, full))}, counts
 
 
 # Share of the quadrature nodes whose solves may fail before
@@ -315,7 +307,7 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
                                   settings)
     _check_domain(domain, out["g_initial"], beta, "t_i")
     failures = _collect_failures(P, Q, out["status"],
-                                 out["times"][_last_solved_node(out)])
+                                 out["times"][out["last_node"]])
     if len(failures) > _FAILURE_BUDGET * P.size:
         reasons = [f["reason"] for f in failures]
         by_reason = ", ".join(f"{reasons.count(name)} {name}"

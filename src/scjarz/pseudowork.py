@@ -24,7 +24,7 @@ from .errors import WorkMismatch
 from .models import ComplexPoint, HamiltonianModel
 from .stationary import (NON_FINITE, OK, _composite_map_batch,
                          _invert_map_batch, _propagated_g_batch, _quiet,
-                         _raise_failed)
+                         _raise_failed, _width1)
 
 
 @dataclass(frozen=True)
@@ -93,12 +93,12 @@ class WorkResult:
 def composite_map(model: HamiltonianModel, t_i: float, t_f: float,
                   z_real: ComplexPoint, hbar_beta: float,
                   settings: IntegratorSettings = DEFAULT_SETTINGS) -> ComplexPoint:
-    """Image of a real center under the propagated-construction map."""
+    """Image of a real center under the propagated-construction map; a
+    non-real center raises ValueError."""
     if t_f < t_i:
         raise ValueError("composite map requires t_i <= t_f")
-    mp, mq, _, _ = _composite_map_batch(
-        model, t_i, t_f, np.array([z_real.p]), np.array([z_real.q]),
-        hbar_beta, settings)
+    mp, mq, _, _ = _composite_map_batch(model, t_i, t_f, *_width1(z_real),
+                                        hbar_beta, settings)
     return ComplexPoint(float(mp[0]), float(mq[0]))
 
 
@@ -113,15 +113,11 @@ def solve_pseudo_state(model: HamiltonianModel, t_i: float, t_f: float,
     at the target.  A warm-started solve climbs no continuation ladder.
     A linear flow (quartic_lambda == 0) ignores ``warm_start``: it starts
     at the exact solution J^-1 target of its linear map.
-    Raises ValueError for a non-real target, CausticEncountered or
-    NewtonDiverged if the solve fails.
+    Raises ValueError for a non-real target or warm start,
+    CausticEncountered or NewtonDiverged if the solve fails.
     """
-    if target.p.imag != 0.0 or target.q.imag != 0.0:
-        raise ValueError("midpoint inversion expects a real target point")
-    tp = np.array([target.p.real])
-    tq = np.array([target.q.real])
-    wp = None if warm_start is None else np.array([warm_start.p.real])
-    wq = None if warm_start is None else np.array([warm_start.q.real])
+    tp, tq = _width1(target)
+    wp, wq = (None, None) if warm_start is None else _width1(warm_start)
     solve = _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
                               warm_p=wp, warm_q=wq)
     _raise_failed(t_f, solve.status, solve.det, solve.residual)
@@ -290,8 +286,10 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
     a dict of arrays; a failed column carries its status and a W that is
     not finite.  Per-node entries are NaN where a column was not solved
     (the centers, residuals and Jacobian determinants "det") or not OK
-    (the arc quantities).  "newton_iters" counts each column's Newton
-    iterations over the march, "node_solves" the column solves run.
+    (the arc quantities).  "last_node" is the index of each column's last
+    solved node: a failed column's failed node, since the march stops it
+    there.  "newton_iters" counts each column's Newton iterations over
+    the march, "node_solves" the column solves run.
     """
     tp = np.asarray(tp, dtype=float)
     tq = np.asarray(tq, dtype=float)
@@ -305,6 +303,7 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
         per_node() for _ in range(7))
     plus_p, plus_q = per_node(complex), per_node(complex)
     status = np.full(b, OK, dtype=np.int8)
+    last_node = np.zeros(b, dtype=int)
     newton_iters = np.zeros(b, dtype=int)
     node_solves = 0
     g_initial, prefactor_initial, g_prop = np.full((3, b), np.nan)
@@ -313,6 +312,7 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
     for j, (live, solve) in enumerate(march):
         ok = solve.status == OK
         good = live[ok]
+        last_node[live] = j
         newton_iters[live] += solve.iters
         node_solves += live.size
         center_p[j, live], center_q[j, live] = solve.zc_p, solve.zc_q
@@ -352,6 +352,7 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
         "residual": residual,
         "det": det,
         "status": status,
+        "last_node": last_node,
         "newton_iters": newton_iters,
         "node_solves": node_solves,
         "W": work,
@@ -362,12 +363,6 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
     }
 
 
-def _last_solved_node(out) -> np.ndarray:
-    """Per column of a ``_pseudo_work_batch`` result, the last node index
-    solved: a failed start's failed node (the march stops a start there)."""
-    return np.count_nonzero(~np.isnan(out["center_p"]), axis=0) - 1
-
-
 def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
                 target: ComplexPoint, hbar_beta: float,
                 settings: IntegratorSettings = DEFAULT_SETTINGS,
@@ -376,22 +371,22 @@ def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
 
     The width-1 march of the identity (``_pseudo_work_batch``): the
     trajectory's times are its nodes, and W and W_endpoint are the
-    identity's for this start, bit for bit.  Raises CausticEncountered,
-    NewtonDiverged or (for a power or W that is not finite)
-    IntegratorDiverged, naming the failed node's time, if the start fails,
-    and WorkMismatch unless |W - W_endpoint| is at most ``work_tol`` (by
-    default ``WorkResult.mismatch_tol``, 1e-6 (1 + |W|)), so a NaN
-    mismatch raises; ``work_tol=math.inf`` returns any result whose
-    mismatch is a number.
+    identity's for this start, bit for bit.  Raises ValueError for a
+    non-real target; CausticEncountered, NewtonDiverged or (for a power or
+    W that is not finite) IntegratorDiverged, naming the failed node's
+    time, if the start fails; and WorkMismatch unless |W - W_endpoint| is
+    at most ``work_tol`` (by default ``WorkResult.mismatch_tol``,
+    1e-6 (1 + |W|)), so a NaN mismatch raises; ``work_tol=math.inf``
+    returns any result whose mismatch is a number.
     """
     if t_f < t_i:
         raise ValueError("pseudo_work requires t_i <= t_f")
-    out = _pseudo_work_batch(model, t_i, t_f, np.array([target.p.real]),
-                             np.array([target.q.real]), hbar_beta, settings)
+    out = _pseudo_work_batch(model, t_i, t_f, *_width1(target), hbar_beta,
+                             settings)
     if out["status"][0] != OK:
         # the march stops a failed start at its failed node: name that
         # node's time, residual and |det J|
-        j = _last_solved_node(out)[0]
+        j = out["last_node"][0]
         _raise_failed(out["times"][j], out["status"], out["det"][j],
                       out["residual"][j])
     traj = PseudoTrajectory(

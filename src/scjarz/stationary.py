@@ -114,12 +114,18 @@ def _composite_map_batch(model, t_i, t_f, P, Q, hbar_beta, settings):
     return p.real, q.real, jac.real, (hp, hq, m_plus)
 
 
-# Newton: a stage runs up to _NEWTON_MAX_ITER iterations; a |det J| below
-# _CAUSTIC_FLOOR is a caustic; a step halved below _DAMPING_FLOOR without
-# a residual decrease ends the stage for its column
+# Newton: a column converges at a residual max(|F_p|, |F_q|) of at most
+# _NEWTON_TOL; a stage runs up to _NEWTON_MAX_ITER iterations; a |det J|
+# below _CAUSTIC_FLOOR is a caustic; a step halved below _DAMPING_FLOOR
+# without a residual decrease ends the stage for its column.  A cold
+# solve re-solves the columns it leaves DIVERGED along a ladder of
+# _CONTINUATION_STAGES + 1 rungs, hbar_beta / 2**_CONTINUATION_STAGES
+# doubled up to hbar_beta
+_NEWTON_TOL = 1e-11
 _NEWTON_MAX_ITER = 50
 _CAUSTIC_FLOOR = 1e-10
 _DAMPING_FLOOR = 2.0 ** -10
+_CONTINUATION_STAGES = 4
 
 
 def _jac_det(j):
@@ -127,7 +133,7 @@ def _jac_det(j):
     return j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
 
 
-def _newton_stage(map_fn, tp, tq, gp, gq, settings):
+def _newton_stage(map_fn, tp, tq, gp, gq):
     """Damped Newton on F(z) = map(z) - target for one batch.
 
     ``map_fn(P, Q)`` returns (mp, mq, J, half) as ``_composite_map_batch``
@@ -153,8 +159,7 @@ def _newton_stage(map_fn, tp, tq, gp, gq, settings):
         jac = np.array(jac, dtype=float)
         fp, fq = mp - tp, mq - tq
         resid = np.maximum(np.abs(fp), np.abs(fq))
-    tol = settings.newton_tol
-    converged = resid <= tol          # NaN residuals stay active
+    converged = resid <= _NEWTON_TOL   # NaN residuals stay active
     active = ~converged
     status[converged] = OK
 
@@ -198,7 +203,7 @@ def _newton_stage(map_fn, tp, tq, gp, gq, settings):
             fp[rows_acc], fq[rows_acc] = fp_t[improved], fq_t[improved]
             resid[rows_acc] = res_t[improved]
             jac[:, :, rows_acc] = jac_t[:, :, improved]
-            done = improved & (res_t <= tol)
+            done = improved & (res_t <= _NEWTON_TOL)
             if np.count_nonzero(done) == b:
                 half = half_t
             elif np.any(done):
@@ -214,7 +219,7 @@ def _newton_stage(map_fn, tp, tq, gp, gq, settings):
                 pending[floored] = False
                 active[idx[floored]] = False
         iters[idx] += 1
-        newly_done = active & (resid <= tol)
+        newly_done = active & (resid <= _NEWTON_TOL)
         status[newly_done] = OK
         active &= ~newly_done
     with _quiet():
@@ -235,7 +240,7 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     (bitwise every column's J, so the start does not depend on the batch
     width), and Newton converges at its first evaluation.
     In a cold solve the points it leaves DIVERGED are re-solved along a
-    ladder of spans hbar_beta / 2**continuation_stages, doubled up to
+    ladder of spans hbar_beta / 2**_CONTINUATION_STAGES, doubled up to
     hbar_beta, each rung warm-started from the last.  A warm-started
     solve's DIVERGED column is final: a ladder from the targets can jump
     to another branch than the warm start's.  The static midpoint
@@ -243,6 +248,9 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     from the full-span half-flows (the first stage's, and for re-solved
     points the last rung's), and returned as ``SolveBatch.arcs`` with
     their plus-half monodromies; the half-flows themselves are not kept.
+    The Newton policy is the module's constants (``_NEWTON_TOL`` and the
+    rest); ``settings`` sets the flows' step counts and the arcs' halving
+    check.
     """
     tp = np.asarray(tp, dtype=float)
     tq = np.asarray(tq, dtype=float)
@@ -261,17 +269,17 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     gp, gq, det, iters, resid, status, half = _newton_stage(
         partial(_composite_map_batch, model, t_i, t_f, hbar_beta=hbar_beta,
                 settings=settings),
-        tp, tq, gp, gq, settings)
+        tp, tq, gp, gq)
 
     idx = np.flatnonzero(status == DIVERGED)
-    if idx.size and warm_p is None and settings.continuation_stages > 0:
+    if idx.size and warm_p is None:
         sp, sq = tp[idx].copy(), tq[idx].copy()
-        for k in range(settings.continuation_stages, -1, -1):
+        for k in range(_CONTINUATION_STAGES, -1, -1):
             stage_map = partial(_composite_map_batch, model, t_i, t_f,
                                 hbar_beta=0.5 ** k * hbar_beta,
                                 settings=settings)
             sp, sq, det_s, it_s, res_s, st_s, half_s = _newton_stage(
-                stage_map, tp[idx], tq[idx], sp, sq, settings)
+                stage_map, tp[idx], tq[idx], sp, sq)
             det[idx], resid[idx] = det_s, res_s
             iters[idx] += it_s
             # status of the final (full span) stage is the verdict
@@ -340,16 +348,22 @@ def _pseudo_hamiltonian_batch(model, t, tp, tq, hbar_beta, settings):
     return solve, g, g_fta
 
 
+def _width1(z: ComplexPoint):
+    """The real point ``z`` as the width-1 batch (p, q) of a scalar view;
+    a point with an imaginary part raises ValueError."""
+    if z.p.imag != 0.0 or z.q.imag != 0.0:
+        raise ValueError(f"expected a real phase-space point, got {z}")
+    return np.array([z.p.real]), np.array([z.q.real])
+
+
 def pseudo_hamiltonian(model: HamiltonianModel, t: float, target: ComplexPoint,
                        hbar_beta: float,
                        settings: IntegratorSettings = DEFAULT_SETTINGS
                        ) -> PseudoHamiltonianValue:
-    """Stationary-phase pseudo-Hamiltonian at one real target point."""
-    if target.p.imag != 0.0 or target.q.imag != 0.0:
-        raise ValueError("midpoint inversion expects a real target point")
+    """Stationary-phase pseudo-Hamiltonian at one real target point; a
+    non-real one raises ValueError."""
     solve, g_area, g_fta = _pseudo_hamiltonian_batch(
-        model, t, np.array([target.p.real]), np.array([target.q.real]),
-        hbar_beta, settings)
+        model, t, *_width1(target), hbar_beta, settings)
     _raise_failed(t, solve.status, solve.det, solve.residual)
     return PseudoHamiltonianValue(
         G=float(g_area[0]),

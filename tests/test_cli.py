@@ -105,6 +105,10 @@ def test_config_parsing_and_hash_round_trip(config_path):
     ("run: {output_dir: out}", "run.output_dir"),
     # Gauss-Legendre is the one phase-space rule, so it has no key
     ("numerics: {domain: {rule: gauss-legendre}}", "numerics.domain.rule"),
+    # the Newton tolerance and the continuation ladder are the solver's
+    # own constants (stationary._NEWTON_TOL, _CONTINUATION_STAGES)
+    ("numerics: {newton_tol: 1.0e-11}", "numerics.newton_tol"),
+    ("numerics: {continuation_stages: 4}", "numerics.continuation_stages"),
 ])
 def test_config_validation_errors_carry_field_paths(tmp_path, snippet, field,
                                                     capsys):
@@ -209,7 +213,6 @@ model:
 physics: {beta: 6.0, hbar: 1.0}
 numerics:
   n_sigma_steps: 96
-  continuation_stages: 1
 run:
   grid: {p_min: 0.0, p_max: 0.0, n_p: 1, q_min: 30.0, q_max: 60.0, n_q: 4}
 """)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scjarz import jarzynski, pseudowork, stationary
 from scjarz.dynamics import ImaginaryArc, IntegratorSettings
 from scjarz.pseudowork import (_WORK_NODES, _gauss_legendre_nodes,
-                               _last_solved_node, _pseudo_work_batch)
+                               _pseudo_work_batch)
 from scjarz.stationary import _pseudo_hamiltonian_batch
 from scjarz.errors import DomainTooSmall, IntegratorDiverged, NewtonDiverged
 from scjarz.jarzynski import QuadratureDomain, partition, verify_identity
@@ -371,8 +371,8 @@ def test_identity_marches_t_i_gauss_legendre_times_and_t_f(monkeypatch):
 
 def assert_mirror_is_the_full_march(model, hbar, domain, settings):
     """The identity's march of ``domain`` against a march of every node:
-    each per-column array bitwise equal (NaN included) and the same
-    failures.  Returns the number of failed nodes."""
+    the times and each per-start result bitwise equal (NaN included) and
+    the same failures.  Returns the number of failed nodes."""
     P, Q, _ = domain.nodes()
     full = _pseudo_work_batch(model, 0.0, 1.0, P, Q, hbar, settings)
     mirrored_march, marched = jarzynski._mirrored_march, []
@@ -389,12 +389,11 @@ def assert_mirror_is_the_full_march(model, hbar, domain, settings):
     (out, counts), = marched
     assert counts["mirrored_nodes"] == P.size // 2
     assert counts["node_solves"] < full["node_solves"]
-    assert set(out) == set(full)
-    for name, value in full.items():
-        if name != "node_solves":
-            assert np.asarray(value).tobytes() == out[name].tobytes(), name
+    assert set(out) == {"times", *jarzynski._PER_START}
+    for name, value in out.items():
+        assert full[name].tobytes() == value.tobytes(), name
     assert report.failures == jarzynski._collect_failures(
-        P, Q, full["status"], full["times"][_last_solved_node(full)])
+        P, Q, full["status"], full["times"][full["last_node"]])
     return len(report.failures)
 
 

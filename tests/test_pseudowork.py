@@ -15,10 +15,10 @@ from scjarz.jarzynski import QuadratureDomain, _mirrored_march
 from scjarz.models import ComplexPoint, ramped_model
 from scjarz.pseudowork import (_WORK_NODES, _composite_map_batch,
                                _gauss_legendre_nodes, _lagrange_weights,
-                               _last_solved_node, _predicted_centers,
-                               _propagated_g_batch, _pseudo_power_batch,
-                               _pseudo_work_batch, composite_map,
-                               pseudo_power, pseudo_work, solve_pseudo_state)
+                               _predicted_centers, _propagated_g_batch,
+                               _pseudo_power_batch, _pseudo_work_batch,
+                               composite_map, pseudo_power, pseudo_work,
+                               solve_pseudo_state)
 from scjarz.stationary import DIVERGED, NON_FINITE, OK, _invert_map_batch
 
 SET = IntegratorSettings(n_sigma_steps=96, n_time_steps=64)
@@ -198,7 +198,7 @@ def test_pseudo_trajectory_starts_at_target_with_conjugate_branches():
     assert tr.check_q[0] == pytest.approx(0.6, abs=1e-9)
     np.testing.assert_allclose(tr.minus_p, np.conj(tr.plus_p), atol=1e-9)
     np.testing.assert_allclose(tr.minus_q, np.conj(tr.plus_q), atol=1e-9)
-    assert np.all(tr.solve_residual <= SET.newton_tol)
+    assert np.all(tr.solve_residual <= stationary._NEWTON_TOL)
 
 
 def test_pseudo_work_classical_limit():
@@ -332,7 +332,7 @@ def test_linear_solve_starts_at_its_exact_solution(t_f, targets, hb):
     solve = _invert_map_batch(model, 0.0, t_f, tp, tq, hb, HYP_SET)
     assert np.all(solve.status == OK)
     assert np.all(solve.iters == 0)
-    assert np.all(solve.residual <= HYP_SET.newton_tol)
+    assert np.all(solve.residual <= stationary._NEWTON_TOL)
     mp, mq, _, _ = _composite_map_batch(model, 0.0, t_f, np.array([1.0, 0.0]),
                                         np.array([0.0, 1.0]), hb, HYP_SET)
     zc = np.linalg.solve(np.array([mp, mq]), np.array([tp, tq]))
@@ -487,7 +487,9 @@ def test_work_march_is_batch_width_invariant(targets, slot):
     failing = min(slot, len(targets) - 1)
     assert whole["status"][failing] != 0
     assert np.isfinite(whole["g_initial"][failing])
-    assert np.isnan(whole["power"][11, failing])
+    j = whole["last_node"][failing]
+    assert np.isnan(whole["power"][j, failing])
+    assert np.all(np.isfinite(whole["power"][:j, failing]))
     assert_march_columns_match(model, tp, tq, whole)
 
 
@@ -512,7 +514,7 @@ def assert_march_columns_match(model, tp, tq, whole):
         one = _pseudo_work_batch(model, 0.0, 1.0, tp[i:i + 1], tq[i:i + 1],
                                  1.0, MARCH_SET)
         for name in ("W", "g_initial", "g_propagated", "status",
-                     "newton_iters"):
+                     "last_node", "newton_iters"):
             a, b = one[name][0], whole[name][i]
             assert a == b or (np.isnan(a) and np.isnan(b)), (name, i)
 
@@ -570,16 +572,21 @@ def test_failed_column_stops_marching(monkeypatch):
                                            for node in solved[:10])
     assert whole["node_solves"] == sum(len(node) for node in solved)
     assert whole["node_solves"] == 10 * 3 + (_WORK_NODES + 2 - 10) * 2
-    assert np.all(np.isnan(whole["power"][9:, 1]))
-    assert np.all(np.isnan(whole["center_p"][10:, 1]))
+    j = whole["last_node"][1]
+    assert j == max(k for k, node in enumerate(solved)
+                    if FAILS_MID_MARCH in node)
+    assert np.all(np.isnan(whole["power"][j:, 1]))
+    assert np.isfinite(whole["center_p"][j, 1])
+    assert np.all(np.isnan(whole["center_p"][j + 1:, 1]))
 
     monkeypatch.undo()
     for i in (0, 2):
         one = _pseudo_work_batch(model, 0.0, 1.0, tp[i:i + 1], tq[i:i + 1],
                                  1.0, MARCH_SET)
         for name in ("W", "W_endpoint", "g_initial", "g_propagated",
-                     "status", "newton_iters", "power", "center_p",
-                     "center_q", "residual", "check_p", "check_q"):
+                     "status", "last_node", "newton_iters", "power",
+                     "center_p", "center_q", "residual", "check_p",
+                     "check_q"):
             np.testing.assert_array_equal(one[name][..., 0],
                                           whole[name][..., i], err_msg=name)
 
@@ -629,7 +636,7 @@ def test_only_the_cold_t_i_solve_climbs_the_ladder(monkeypatch,
     cold, first, spans = solves[0]
     assert cold and np.all(first.status == OK)
     assert spans == [1.0] + [0.5 ** k for k in
-                             range(MARCH_SET.continuation_stages, -1, -1)]
+                             range(stationary._CONTINUATION_STAGES, -1, -1)]
     assert len(solves) == out["times"].size
     for warm, solve, spans in solves[1:]:
         assert not warm and spans == [1.0]
@@ -830,7 +837,7 @@ def test_subnormal_window_nan_work_fails_closed(work_tol):
                     MARCH_SET, work_tol=work_tol)
     assert out["status"].tolist() == [NON_FINITE]
     assert out["node_solves"] == 1
-    assert _last_solved_node(out).tolist() == [0]
+    assert out["last_node"].tolist() == [0]
 
 
 def test_non_finite_work_fails_at_t_f(monkeypatch):
@@ -847,7 +854,7 @@ def test_non_finite_work_fails_at_t_f(monkeypatch):
                              np.array([0.9]), 1.0, MARCH_SET)
     assert np.all(np.isfinite(out["power"]))
     assert out["status"].tolist() == [NON_FINITE]
-    assert _last_solved_node(out).tolist() == [_WORK_NODES + 1]
+    assert out["last_node"].tolist() == [_WORK_NODES + 1]
     with pytest.raises(IntegratorDiverged,
                        match=r"^non-finite power or work at t=1 "):
         pseudo_work(model, 0.0, 1.0, ComplexPoint(0.3, 0.9), 1.0, MARCH_SET)

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 
@@ -6,14 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scjarz import stationary
 from scjarz.dynamics import (DEFAULT_SETTINGS, ImaginaryArc,
                              IntegratorSettings, build_arc)
 from scjarz.errors import NewtonDiverged, ToleranceExceeded
 from scjarz.models import ComplexPoint, harmonic_model, ramped_model
-from scjarz.pseudowork import composite_map, solve_pseudo_state
-from scjarz.stationary import (CAUSTIC, DIVERGED, OK, _invert_map_batch,
-                               _newton_stage, _pseudo_hamiltonian_batch,
-                               pseudo_hamiltonian)
+from scjarz.pseudowork import composite_map, pseudo_work, solve_pseudo_state
+from scjarz.stationary import (_CONTINUATION_STAGES, _NEWTON_TOL, CAUSTIC,
+                               DIVERGED, OK, _composite_map_batch,
+                               _invert_map_batch, _newton_stage,
+                               _pseudo_hamiltonian_batch, pseudo_hamiltonian)
 
 SET = IntegratorSettings(n_sigma_steps=128)
 
@@ -21,6 +22,14 @@ SET = IntegratorSettings(n_sigma_steps=128)
 def quartic(lam=0.1, omega=1.0):
     return ramped_model("quartic", omega_i=omega, omega_f=omega,
                         shape="constant", quartic_lambda=lam)
+
+
+def direct_stage_status(model, t_f, tp, tq, hbar_beta, settings):
+    """Status of a cold nonlinear solve's first Newton stage, from the
+    targets at the full span, before any continuation rung."""
+    stage_map = functools.partial(_composite_map_batch, model, 0.0, t_f,
+                                  hbar_beta=hbar_beta, settings=settings)
+    return _newton_stage(stage_map, tp, tq, tp, tq)[5]
 
 
 def test_midpoint_map_harmonic_is_cosh_scaling():
@@ -57,7 +66,7 @@ def test_invert_midpoint_harmonic_closed_form():
     assert solve.z_c.p == pytest.approx(0.9 / c, abs=1e-10)
     assert solve.z_c.q == pytest.approx(-1.1 / c, abs=1e-10)
     assert solve.jacobian_det == pytest.approx(c * c, rel=1e-6)
-    assert solve.residual <= SET.newton_tol
+    assert solve.residual <= _NEWTON_TOL
     # chord midpoint reproduces the target
     assert solve.arc.mid_p[0].real == pytest.approx(0.9, abs=1e-10)
     assert solve.arc.mid_q[0].real == pytest.approx(-1.1, abs=1e-10)
@@ -145,7 +154,7 @@ def test_two_evaluation_consistency_quartic():
     solve, g, g_fta = _pseudo_hamiltonian_batch(
         model, 0.0, tp, tq, 1.0, SET)
     assert np.all(solve.status == OK)
-    np.testing.assert_allclose(g, g_fta, atol=10 * SET.newton_tol)
+    np.testing.assert_allclose(g, g_fta, atol=10 * _NEWTON_TOL)
 
 
 def test_prefactor_matches_harmonic_closed_form():
@@ -180,35 +189,29 @@ def test_continuation_trace_is_monotone(newton_rungs):
     # its rungs double the span up to hbar*beta, and the accepted-stage
     # residuals must then be tame
     model = quartic(0.4)
-    settings = IntegratorSettings(n_sigma_steps=96, continuation_stages=4,
-                                  newton_tol=1e-11)
+    settings = IntegratorSettings(n_sigma_steps=96)
     tp = np.array([-2.0])
     tq = np.array([-2.5])
 
-    direct = _invert_map_batch(
-        model, 0.0, 0.0, tp, tq, 1.5,
-        IntegratorSettings(n_sigma_steps=96, continuation_stages=0,
-                           newton_tol=1e-11))
-    assert direct.status[0] == DIVERGED
-    assert [hb for hb, _ in newton_rungs] == [1.5]
-
-    newton_rungs.clear()
+    assert direct_stage_status(model, 0.0, tp, tq, 1.5,
+                               settings).tolist() == [DIVERGED]
     solve = _invert_map_batch(model, 0.0, 0.0, tp, tq, 1.5, settings)
     assert solve.status[0] == OK
     assert [hb for hb, _ in newton_rungs] == [1.5] + [
-        0.5 ** k * 1.5 for k in range(settings.continuation_stages, -1, -1)]
+        0.5 ** k * 1.5 for k in range(_CONTINUATION_STAGES, -1, -1)]
+    assert newton_rungs[0][1] > _NEWTON_TOL
     trace = [res for _, res in newton_rungs[1:]]
-    assert max(trace) <= settings.newton_tol
+    assert max(trace) <= _NEWTON_TOL
     # every accepted stage converged; the path never worsens between stages
     for r_prev, r_next in zip(trace, trace[1:]):
-        assert r_next <= max(r_prev, settings.newton_tol * 1.001)
+        assert r_next <= max(r_prev, _NEWTON_TOL * 1.001)
 
 
-def test_caustic_floor_raises():
+def test_caustic_floor_raises(monkeypatch):
     # synthetic fold: map (p, q) -> (p^3, q) has the Jacobian diag(3 p^2, 1),
     # degenerate at p = 0; starting on the fold (det 3e-12) triggers the
     # caustic guard
-    settings = IntegratorSettings(newton_tol=1e-13, continuation_stages=0)
+    monkeypatch.setattr(stationary, "_NEWTON_TOL", 1e-13)
 
     def fold_map(P, Q):
         jac = np.zeros((2, 2) + P.shape)
@@ -218,13 +221,13 @@ def test_caustic_floor_raises():
     gp = np.array([1e-6])
     gq = np.array([0.0])
     _, _, _, _, _, status, _ = _newton_stage(
-        fold_map, np.array([-1e-3]), np.array([0.0]), gp, gq, settings)
+        fold_map, np.array([-1e-3]), np.array([0.0]), gp, gq)
     assert status[0] == CAUSTIC
     # a start that already solves the fold gets the same verdict, with
     # the determinant of its first evaluation reported
     _, _, det, iters, _, status, _ = _newton_stage(
         fold_map, np.array([0.0]), np.array([0.0]), np.array([0.0]),
-        np.array([0.0]), settings)
+        np.array([0.0]))
     assert iters[0] == 0 and det[0] == 0.0 and status[0] == CAUSTIC
 
 
@@ -307,20 +310,40 @@ def test_scalar_views_hand_over_the_solves_own_arc(t_f):
                     == getattr(batch, name).tobytes()), name
 
 
-def test_beyond_image_target_diverges():
+def test_beyond_image_target_diverges(monkeypatch):
     # quartic arcs at large hbar*beta blow up through finite-time poles, so
     # the midpoint map has a bounded image; far targets must stall cleanly
+    # (a ladder from hbar*beta / 4 keeps the failing solve short)
+    monkeypatch.setattr(stationary, "_CONTINUATION_STAGES", 2)
     model = quartic(0.1)
-    settings = IntegratorSettings(n_sigma_steps=192, continuation_stages=2)
+    settings = IntegratorSettings(n_sigma_steps=192)
     with pytest.raises(NewtonDiverged):
         solve_pseudo_state(model, 0.0, 0.0, ComplexPoint(0.0, 50.0), 6.0,
                            settings)
 
 
-def test_non_real_target_rejected():
-    with pytest.raises(ValueError):
-        solve_pseudo_state(harmonic_model(), 0.0, 0.0, ComplexPoint(1j, 0.0),
-                           1.0, SET)
+_SCALAR_VIEWS = {
+    "pseudo_hamiltonian": lambda z: pseudo_hamiltonian(
+        harmonic_model(), 0.0, z, 1.0, SET),
+    "solve_pseudo_state": lambda z: solve_pseudo_state(
+        harmonic_model(), 0.0, 0.0, z, 1.0, SET),
+    "solve_pseudo_state-warm_start": lambda z: solve_pseudo_state(
+        quartic(), 0.0, 0.0, ComplexPoint(0.7, 1.0), 1.0, SET, warm_start=z),
+    "composite_map": lambda z: composite_map(
+        harmonic_model(), 0.0, 0.4, z, 1.0, SET),
+    "pseudo_work": lambda z: pseudo_work(
+        ramped_model("harmonic", omega_i=1.0, omega_f=2.0), 0.0, 1.0, z,
+        1.0, SET),
+}
+
+
+@pytest.mark.parametrize("view", sorted(_SCALAR_VIEWS))
+def test_non_real_target_rejected(view):
+    # every width-1 view solves or maps real points only; an imaginary
+    # part in either coordinate is refused, not dropped
+    for z in (ComplexPoint(0.7j, 1.0), ComplexPoint(0.7, 1.0 + 1e-300j)):
+        with pytest.raises(ValueError, match="expected a real phase-space"):
+            _SCALAR_VIEWS[view](z)
 
 
 @pytest.mark.parametrize("t_f, half_width, n_grid, hbar_beta, hard", [
@@ -342,11 +365,9 @@ def test_arcs_from_the_solve_match_a_fresh_integration(t_f, half_width, n_grid,
     grid = np.linspace(-half_width, half_width, n_grid)
     tp, tq = (a.ravel() for a in np.meshgrid(grid, grid))
     solve = _invert_map_batch(model, 0.0, t_f, tp, tq, hbar_beta, settings)
-    direct = _invert_map_batch(
-        model, 0.0, t_f, tp, tq, hbar_beta,
-        dataclasses.replace(settings, continuation_stages=0))
+    direct = direct_stage_status(model, t_f, tp, tq, hbar_beta, settings)
     ok = solve.status == OK
-    assert np.any(ok & (direct.status == DIVERGED)) == hard
+    assert np.any(ok & (direct == DIVERGED)) == hard
     assert np.all(ok) != hard
     arcs = solve.arcs
     # an arc's center is its plus half's first sample: the solved center
@@ -386,12 +407,12 @@ def test_total_action_g_is_the_static_endpoint_formula(model, half_width,
     assert np.all(np.isnan(g_fta[~ok]))
 
 
-def test_failed_solve_with_richardson_check_reports_the_solve():
+def test_failed_solve_with_richardson_check_reports_the_solve(monkeypatch):
     # a solve with no OK column hands over an empty arc batch; the
     # halving check must pass it, so the failure is the solve's own
+    monkeypatch.setattr(stationary, "_CONTINUATION_STAGES", 2)
     model = quartic(0.1)
-    settings = IntegratorSettings(n_sigma_steps=192, continuation_stages=2,
-                                  richardson_check=True)
+    settings = IntegratorSettings(n_sigma_steps=192, richardson_check=True)
     with pytest.raises(NewtonDiverged):
         solve_pseudo_state(model, 0.0, 0.0, ComplexPoint(0.0, 50.0), 6.0,
                            settings)
