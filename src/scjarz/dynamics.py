@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -99,14 +99,110 @@ def _check_finite(p: np.ndarray, q: np.ndarray, what: str) -> None:
 
 
 def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
-    """Classical RK4 for dp = c H_q(q), dq = d p on a stacked state.
+    """Classical RK4 for dp = c H_q(q), dq = d p from the (B,) starts p0, q0.
 
-    P and Q are (rows, B) complex stacks.  Row 0 is the state; with
-    ``tangent``, rows 1 and 2 are the tangent columns d/dp0 and d/dq0,
-    which obey dp' = c H_qq(q) dq', dq' = d p' with H_qq at each stage
-    state.  Each stage is one array operation over the stack, and row 0
-    is the same elementwise formula either way, so the state is bitwise
-    the same with or without the tangent.
+    Returns the final (rows, B) complex stacks P and Q and, with
+    ``store``, the state path (2, n_steps + 1, B): its p and q.  Row 0 is
+    the state; with ``tangent``, rows 1 and 2 are the tangent columns
+    d/dp0 and d/dq0, which obey dp' = c H_qq(q) dq', dq' = d p' (the exact
+    derivative of the discrete map: Hairer, Norsett and Wanner, *Solving
+    Ordinary Differential Equations I*, variational equations).  The state
+    is bitwise the same with or without the tangent.
+
+    A quartic flow steps the stack at the batch width (``_rk4_steps``).
+    A linear flow (quartic_lambda == 0) does not: H_qq = m w(t)^2 does not
+    depend on the state, so each RK4 step is one 2x2 matrix, the same for
+    every column, and the discrete state after k steps is the product M_k
+    of those matrices applied to the start,
+
+        p_k = A_k p0 + B_k q0,   q_k = C_k p0 + D_k q0,
+
+    M_k = [[A_k, B_k], [C_k, D_k]] being the tangent rows after k steps.
+    Only the width-1 run from the identity is integrated
+    (``_linear_monodromy``, memoized, so a map evaluation at the origin
+    and the Newton evaluation that follows it share one run per leg); the
+    states, and with ``store`` every sample of the path, are that formula
+    written into buffers allocated once per call, and the tangent rows are
+    M copied out to every column.  This runs at every width, width 1
+    included, and every operation is elementwise, so each column is its
+    own width-1 result bit for bit.
+    """
+    if model.quartic_lambda != 0.0:
+        rows = 3 if tangent else 1
+        P = np.zeros((rows,) + np.shape(p0), dtype=complex)
+        Q = np.zeros_like(P)
+        P[0], Q[0] = p0, q0
+        if tangent:
+            P[1] = Q[2] = 1.0
+        return P, Q, _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store)
+    m_p, m_q, m_path = _linear_monodromy(model, c, d, t0, dt, h, n_steps,
+                                         store)
+    p0 = np.asarray(p0, dtype=complex)
+    q0 = np.asarray(q0, dtype=complex)
+    P = np.empty((3 if tangent else 1,) + p0.shape, dtype=complex)
+    Q = np.empty_like(P)
+    path = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if store:
+            path = np.empty((2, n_steps + 1) + p0.shape, dtype=complex)
+            _apply_monodromy(m_path[0], m_path[1], p0, q0, path[0], path[1])
+            P[0], Q[0] = path[:, -1]
+        else:
+            _apply_monodromy(m_p, m_q, p0, q0, P[0], Q[0])
+    if tangent:
+        P[1:], Q[1:] = m_p, m_q
+    return P, Q, path
+
+
+def _apply_monodromy(m_p, m_q, p0, q0, p, q):
+    """p = A p0 + B q0 and q = C p0 + D q0, written into p and q.
+
+    m_p and m_q are (..., 2, 1) stacks whose axis -2 holds the rows d/dp0
+    and d/dq0 of a width-1 linear flow's p and q: m_p[..., 0, :] = A,
+    m_p[..., 1, :] = B, m_q[..., 0, :] = C, m_q[..., 1, :] = D; the
+    leading axes (none, or the path's samples) broadcast against (B,)
+    starts.  Each product is written into the output or into one scratch
+    buffer, so no temporary is allocated per product.
+    """
+    tmp = np.empty_like(p)
+    for m, out in ((m_p, p), (m_q, q)):
+        np.multiply(m[..., 0, :], p0, out=out)
+        np.add(out, np.multiply(m[..., 1, :], q0, out=tmp), out=out)
+
+
+# 32 entries hold every leg of one identity march (its _WORK_NODES + 2
+# nodes, at most two legs each), so a second march over the same nodes,
+# such as the Monte Carlo samples', integrates none of them again
+@lru_cache(maxsize=32)
+def _linear_monodromy(model, c, d, t0, dt, h, n_steps, store):
+    """The linear flow's tangent rows, integrated once at width 1.
+
+    Returns the (2, 1) stacks of p and q after n_steps steps from the
+    identity (row 0 started at (p, q) = (1, 0), row 1 at (0, 1)) and, with
+    ``store``, their path (2, n_steps + 1, 2, 1), else None.  The arrays
+    are read-only: every caller of the memo shares them.  The key is every
+    input of the run, and the model (its mass and drive) is part of it,
+    so two ramps never share an entry.
+    """
+    P = np.array([[1.0], [0.0]], dtype=complex)
+    Q = np.array([[0.0], [1.0]], dtype=complex)
+    path = _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store)
+    for x in (P, Q, path):
+        if x is not None:
+            x.flags.writeable = False
+    return P, Q, path
+
+
+def _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store):
+    """Step the (rows, B) complex stacks P and Q in place, n_steps times.
+
+    For a quartic model row 0 is the state and, in a 3-row stack, rows 1
+    and 2 are the tangent columns, with H_qq at each stage state.  For a
+    linear model the force m w^2 q is linear in each row, so every row is
+    a flow of its own (``_linear_monodromy`` steps the identity's two).
+    Each stage is one array operation over the stack.  With ``store``,
+    returns the path (2, n_steps + 1) + the shape of the recorded rows:
+    row 0 of a quartic stack, the whole stack of a linear one; else None.
 
     The step is in Nystrom form (Hairer, Norsett and Wanner, *Solving
     Ordinary Differential Equations I*, sec. II.14): stage forces k_j at
@@ -115,27 +211,17 @@ def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
     Q' = Q + hd P + (hc hd/6)(k1 + k2 + k3).  The flow is separable, so
     this is classical RK4 in exact arithmetic without the stage momenta,
     and the tangent rows are still the exact derivative of the discrete
-    map (Hairer, Lubich and Wanner, variational equations).  hc hd is
-    real for both flows, so every operation commutes exactly with
-    conjugation.  The quartic force q (m w^2 + 4 lam q^2) and the tangent
-    stiffness m w^2 + 12 lam q^2 come from one coefficient stack.
-
-    Linear flows (quartic_lambda == 0): H_qq = m w(t)^2 does not depend
-    on the state, and every column's tangent starts from the identity, so
-    every column carries the same monodromy.  A batch of more than one
-    column then runs in two parts over the same drive table: the state
-    row alone at the full width, and the tangent rows at width 1 (beside
-    a zero state).  The tangent rows are copied out to every column; they
-    are the same elementwise arithmetic on the same inputs as a stacked
-    run, so every column's monodromy is bitwise the stacked one.
+    map.  hc hd is real for both flows, so every operation commutes
+    exactly with conjugation.  The quartic force q (m w^2 + 4 lam q^2) and
+    the tangent stiffness m w^2 + 12 lam q^2 come from one coefficient
+    stack.
 
     The drive is a table of the stiffness m w(t)^2 at each step's start,
     midpoint and end, formed for the whole call in one vectorized pass
     with the times t0 + k dt, t + dt/2 and t + dt of step k (so an
     out-of-range time anywhere raises before the first step); dt = 0
     freezes the drive, and its stiffness is evaluated once.  Every stage
-    writes into buffers allocated once per run.  Returns the final stacks
-    and, with ``store``, the state path (n_steps + 1, B) of p and q.
+    writes into buffers allocated once per run.
     """
     # the drive table, one (start, mid, end) triple per step; the scalars
     # are complex: numpy promotes a float operand of a complex array to
@@ -154,79 +240,61 @@ def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
         drive = list(zip(*(stiffness(x).astype(complex).tolist()
                            for x in (t, t + 0.5 * dt, t + dt))))
     linear = model.quartic_lambda == 0.0
+    tangent = not linear and P.shape[0] > 1
     hc, hd = complex(h * c), complex(h * d)
     hchd = hc * hd
     hd2, hc6 = 0.5 * hd, hc / 6.0
     hchd2, hchd4, hchd6 = 0.5 * hchd, 0.25 * hchd, hchd / 6.0
 
-    def run(p0, q0, tangent, store):
-        """Integrate the stack started at (p0, q0) over the drive table."""
-        rows = 3 if tangent else 1
-        P = np.zeros((rows,) + np.shape(p0), dtype=complex)
-        Q = np.zeros_like(P)
-        P[0], Q[0] = p0, q0
+    rec = slice(None) if linear else 0
+    path = (np.empty((2, n_steps + 1) + P[rec].shape, dtype=complex)
+            if store else None)
+    # stage buffers: the stage position, the stage forces (k1 then k3,
+    # k2 then k4), their sum and a scratch stack; q^2, and the force and
+    # stiffness coefficients m w^2 + 4 lam q^2 and m w^2 + 12 lam q^2
+    Qs, Ka, Kb, S, tmp = (np.empty_like(P) for _ in range(5))
+    qq, coef = np.empty_like(P[0]), np.empty_like(P[:1 + tangent])
+    lam = model.quartic_lambda * np.array([[4], [12]][:1 + tangent]) + 0j
+    coef_f, coef_s = coef[0], coef[1:]
+    q_rows, qs_rows, ka_rows, kb_rows = (
+        (X, X[0], X[1:]) for X in (Q, Qs, Ka, Kb))
+
+    def force(x_rows, k_rows, mw2):
+        """k = (H_q(q), H_qq(q) dq rows) at the state row q of x, given
+        as (stack, state row, tangent rows) views like k."""
+        (X, q, dq), (K, f, df) = x_rows, k_rows
+        if linear:
+            np.multiply(X, mw2, out=K)
+            return
+        np.multiply(q, q, out=qq)
+        np.add(np.multiply(lam, qq, out=coef), mw2, out=coef)
+        np.multiply(q, coef_f, out=f)
         if tangent:
-            P[1] = Q[2] = 1.0
-        path = (np.empty((2, n_steps + 1) + P.shape[1:], dtype=complex)
-                if store else None)
-        # stage buffers: the stage position, the stage forces (k1 then k3,
-        # k2 then k4), their sum and a scratch stack; q^2, and the force and
-        # stiffness coefficients m w^2 + 4 lam q^2 and m w^2 + 12 lam q^2
-        Qs, Ka, Kb, S, tmp = (np.empty_like(P) for _ in range(5))
-        qq, coef = np.empty_like(P[0]), np.empty_like(P[:1 + tangent])
-        lam = model.quartic_lambda * np.array([[4], [12]][:1 + tangent]) + 0j
-        coef_f, coef_s = coef[0], coef[1:]
-        q_rows, qs_rows, ka_rows, kb_rows = (
-            (X, X[0], X[1:]) for X in (Q, Qs, Ka, Kb))
+            np.multiply(dq, coef_s, out=df)
 
-        def force(x_rows, k_rows, mw2):
-            """k = (H_q(q), H_qq(q) dq rows) at the state row q of x, given
-            as (stack, state row, tangent rows) views like k."""
-            (X, q, dq), (K, f, df) = x_rows, k_rows
-            if linear:
-                np.multiply(X, mw2, out=K)
-                return
-            np.multiply(q, q, out=qq)
-            np.add(np.multiply(lam, qq, out=coef), mw2, out=coef)
-            np.multiply(q, coef_f, out=f)
-            if tangent:
-                np.multiply(dq, coef_s, out=df)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, (m_start, m_mid, m_end) in enumerate(drive):
-                if store:
-                    path[0, k], path[1, k] = P[0], Q[0]
-                # once Q2 is formed, Q holds Q + hd P, the base of Q4 and Q'
-                force(q_rows, ka_rows, m_start)                 # k1
-                np.add(Q, np.multiply(P, hd2, out=Qs), out=Qs)  # Q2
-                np.add(Q, np.multiply(P, hd, out=tmp), out=Q)
-                force(qs_rows, kb_rows, m_mid)                  # k2
-                np.add(Qs, np.multiply(Ka, hchd4, out=tmp), out=Qs)  # Q3
-                np.add(Ka, Kb, out=S)
-                force(qs_rows, ka_rows, m_mid)                  # k3
-                np.add(Q, np.multiply(Kb, hchd2, out=tmp), out=Qs)   # Q4
-                np.add(Kb, Ka, out=Kb)                          # k2 + k3
-                np.add(S, Ka, out=S)                            # k1 + k2 + k3
-                force(qs_rows, ka_rows, m_end)                  # k4
-                np.add(Q, np.multiply(S, hchd6, out=tmp), out=Q)     # Q'
-                np.add(S, Kb, out=S)
-                np.add(S, Ka, out=S)                # k1 + 2 k2 + 2 k3 + k4
-                np.add(P, np.multiply(S, hc6, out=S), out=P)         # P'
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (m_start, m_mid, m_end) in enumerate(drive):
             if store:
-                path[0, n_steps], path[1, n_steps] = P[0], Q[0]
-        return P, Q, path
-
-    if not (tangent and linear and np.size(p0) > 1):
-        return run(p0, q0, tangent, store)
-    # linear flow: the state alone at full width, the one monodromy that
-    # every column shares at width 1
-    P, Q, path = run(p0, q0, False, store)
-    zero = np.zeros(1, dtype=complex)
-    Pt, Qt, _ = run(zero, zero, True, False)
-    tangent_shape = (2,) + P.shape[1:]
-    return (np.concatenate([P, np.broadcast_to(Pt[1:], tangent_shape)]),
-            np.concatenate([Q, np.broadcast_to(Qt[1:], tangent_shape)]),
-            path)
+                path[0, k], path[1, k] = P[rec], Q[rec]
+            # once Q2 is formed, Q holds Q + hd P, the base of Q4 and Q'
+            force(q_rows, ka_rows, m_start)                 # k1
+            np.add(Q, np.multiply(P, hd2, out=Qs), out=Qs)  # Q2
+            np.add(Q, np.multiply(P, hd, out=tmp), out=Q)
+            force(qs_rows, kb_rows, m_mid)                  # k2
+            np.add(Qs, np.multiply(Ka, hchd4, out=tmp), out=Qs)  # Q3
+            np.add(Ka, Kb, out=S)
+            force(qs_rows, ka_rows, m_mid)                  # k3
+            np.add(Q, np.multiply(Kb, hchd2, out=tmp), out=Qs)   # Q4
+            np.add(Kb, Ka, out=Kb)                          # k2 + k3
+            np.add(S, Ka, out=S)                            # k1 + k2 + k3
+            force(qs_rows, ka_rows, m_end)                  # k4
+            np.add(Q, np.multiply(S, hchd6, out=tmp), out=Q)     # Q'
+            np.add(S, Kb, out=S)
+            np.add(S, Ka, out=S)                # k1 + 2 k2 + 2 k3 + k4
+            np.add(P, np.multiply(S, hc6, out=S), out=P)         # P'
+        if store:
+            path[0, n_steps], path[1, n_steps] = P[rec], Q[rec]
+    return path
 
 
 def _flow_imaginary_batch(model, t, p0, q0, s_from, s_to, n_steps,
@@ -284,10 +352,15 @@ def _flow_real_batch(model, t_from, t_to, p0, q0, n_steps,
     if with_action:
         action = np.zeros(P.shape[1:], dtype=complex)
         if n_steps:
+            # one model.value call over the step-time column t_from + k h;
+            # H is formed first, so numpy reuses each later temporary in
+            # place and the peak stays near two (n_steps + 1, B) arrays
+            # beside the path
+            p, q = path
+            t = t_from + np.arange(n_steps + 1)[:, None] * h
             with np.errstate(over="ignore", invalid="ignore"):
-                lagrangian = np.stack([
-                    p * (p / model.mass) - model.value(t_from + k * h, p, q)
-                    for k, (p, q) in enumerate(zip(*path))])
+                h_t = model.value(t, p, q)
+                lagrangian = p * (p / model.mass) - h_t
                 action = weighted_sum(simpson_weights(n_steps + 1, h),
                                       lagrangian)
         out += (action,)

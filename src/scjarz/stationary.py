@@ -238,7 +238,10 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     J z with one J for every center, so each column starts at the exact
     solution J^-1 target, J from one width-1 map evaluation at the origin
     (bitwise every column's J, so the start does not depend on the batch
-    width), and Newton converges at its first evaluation.
+    width), and Newton converges at its first evaluation.  Both
+    evaluations read the same memoized width-1 flows of the identity
+    (``dynamics._linear_monodromy``), so each leg is integrated once per
+    solve, at width 1; Newton's evaluation applies them to its columns.
     In a cold solve the points it leaves DIVERGED are re-solved along a
     ladder of spans hbar_beta / 2**_CONTINUATION_STAGES, doubled up to
     hbar_beta, each rung warm-started from the last.  A warm-started

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from scjarz import stationary
+from scjarz import dynamics, stationary
 
 
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: long-running numerical studies")
+
+
+@pytest.fixture(autouse=True)
+def cold_linear_memo():
+    """Every test starts with an empty memo of width-1 linear flows
+    (``dynamics._linear_monodromy``), so no kernel count or cache count
+    depends on which tests ran before it."""
+    dynamics._linear_monodromy.cache_clear()
 
 
 @pytest.fixture()

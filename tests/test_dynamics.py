@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scjarz import dynamics
 from scjarz.dynamics import (IntegratorSettings, _build_arc_batch,
-                             _flow_imaginary_batch, _flow_real_batch, _rk4,
-                             build_arc, flow_imaginary, flow_real,
-                             simpson_weights, weighted_sum)
+                             _flow_imaginary_batch, _flow_real_batch,
+                             _linear_monodromy, _rk4, build_arc,
+                             flow_imaginary, flow_real, simpson_weights,
+                             weighted_sum)
 from scjarz.errors import (IntegratorDiverged, TimeOutOfRange,
                            ToleranceExceeded)
 from scjarz.models import (ComplexPoint, FrequencyProtocol, harmonic_model,
                            ramped_model)
-from scjarz.pseudowork import _pseudo_power_batch
+from scjarz.pseudowork import _pseudo_power_batch, _pseudo_work_batch
 
 SET = IntegratorSettings(n_sigma_steps=128, n_time_steps=128)
 
@@ -374,10 +376,12 @@ def _linear_flow(model, flow, p0, q0, tangent):
 @pytest.mark.parametrize("flow", ["imaginary", "real"])
 @pytest.mark.parametrize("name", sorted(LINEAR_MODELS))
 def test_linear_flow_monodromy_is_the_width_one_flow(name, flow, width):
-    # at quartic_lambda = 0 a batch wider than one column runs the state
-    # alone and the tangent rows at width 1; every column's monodromy must
-    # be the stacked width-1 flow's and its state the tangent-free flow's,
-    # bit for bit, and the monodromy an ordinary writable array
+    # at quartic_lambda = 0 the kernel integrates only the width-1 flow
+    # of the identity and applies its monodromy to every column; each
+    # column's monodromy must be its width-1 flow's and its state the
+    # tangent-free flow's, bit for bit, a column that overflows must not
+    # touch the others, and the monodromy must be an ordinary writable
+    # array, not a view of the shared width-1 run
     model = LINEAR_MODELS[name]
     rng = np.random.default_rng(width)
     p0 = rng.uniform(-3.0, 3.0, width) + 1j * rng.uniform(-0.5, 0.5, width)
@@ -391,10 +395,12 @@ def test_linear_flow_monodromy_is_the_width_one_flow(name, flow, width):
         assert a.tobytes() == b.tobytes()
     assert jac.shape == (2, 2, width)
     for i in range(width):
-        one = _linear_flow(model, flow, p0[i:i + 1], q0[i:i + 1],
-                           tangent=True)[-1]
+        *one_state, one = _linear_flow(model, flow, p0[i:i + 1],
+                                       q0[i:i + 1], tangent=True)
         assert one.shape == (2, 2, 1)
         assert jac[:, :, i].tobytes() == one[:, :, 0].tobytes(), i
+        for a, b in zip(state, one_state):
+            assert a[..., i].tobytes() == b[..., 0].tobytes(), i
     assert np.all(np.isfinite(jac))
     if width > 1:
         assert not np.all(np.isfinite(state[0][..., 1]))
@@ -406,9 +412,9 @@ def test_linear_flow_monodromy_is_the_width_one_flow(name, flow, width):
 
 def test_drive_table_is_formed_once_at_the_kernel_step_times(monkeypatch):
     # one array call of omega per table column (start, midpoint, end of
-    # each step), shared by the state run and the width-1 tangent run,
-    # at the times the per-step expressions t0 + k dt, t + dt/2 and t + dt
-    # give, bit for bit
+    # each step), for the one width-1 run of the identity that a linear
+    # flow integrates, at the times the per-step expressions t0 + k dt,
+    # t + dt/2 and t + dt give, bit for bit
     seen = []
     original = FrequencyProtocol.omega
 
@@ -429,6 +435,79 @@ def test_drive_table_is_formed_once_at_the_kernel_step_times(monkeypatch):
     assert len(seen) == 3
     for got, want in zip(seen, expected):
         assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_linear_flows_step_only_at_width_one(monkeypatch, lam):
+    # a whole march over 16 starts: at quartic_lambda = 0 every RK4 step
+    # runs on the width-1 flow of the identity, at any batch width; the
+    # quartic control steps its starts at the batch width
+    widths = []
+    steps = dynamics._rk4_steps
+
+    def recorded(model, c, d, t0, dt, P, *args):
+        widths.append(P.shape[-1])
+        return steps(model, c, d, t0, dt, P, *args)
+
+    monkeypatch.setattr(dynamics, "_rk4_steps", recorded)
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=lam)
+    rng = np.random.default_rng(5)
+    tp, tq = rng.uniform(-2.0, 2.0, (2, 16))
+    out = _pseudo_work_batch(model, 0.0, 1.0, tp, tq, 0.5,
+                             IntegratorSettings(n_sigma_steps=16,
+                                                n_time_steps=16))
+    assert np.all(out["status"] == 0)
+    assert widths
+    if lam:
+        assert max(widths) == 16
+    else:
+        assert set(widths) == {1}
+
+
+def test_linear_memo_arrays_refuse_writes():
+    # every caller of the memo shares its arrays, so none may write them;
+    # what the kernel hands out is the caller's own
+    model = LINEAR_MODELS["harmonic-linear"]
+    m_p, m_q, path = _linear_monodromy(model, -1.0, 1.0, 0.9, -0.1, -0.1, 8,
+                                       True)
+    assert m_p.shape == m_q.shape == (2, 1) and path.shape == (2, 9, 2, 1)
+    for x in (m_p, m_q, path):
+        with pytest.raises(ValueError, match="read-only"):
+            x[...] = 0.0
+    p0 = q0 = np.array([0.5 + 0j, 1.0 + 0j])
+    P, Q, state_path = _rk4(model, -1.0, 1.0, 0.9, -0.1, p0, q0, -0.1, 8,
+                            tangent=True, store=True)
+    assert dynamics._linear_monodromy.cache_info().hits == 1
+    for x in (P, Q, state_path):
+        assert x.flags.writeable
+    assert np.array_equal(P[1:], np.broadcast_to(m_p, (2, 2)))
+
+
+def test_ramps_with_different_drives_never_share_a_memo_entry():
+    # the model is part of the key: a ramp run after another one, with
+    # the other's entries in the memo, is its own cold run bit for bit
+    ramps = [ramped_model("harmonic", omega_i=1.0, omega_f=w)
+             for w in (2.0, 3.0)]
+    p0 = np.array([0.7 + 0.2j, -0.4 + 0.5j, 1.5 - 0.8j])
+    q0 = np.array([0.3 - 0.1j, 1.1 + 0.3j, -0.6 + 0.4j])
+
+    def run(model):
+        return _flow_real_batch(model, 0.9, 0.1, p0, q0, 12,
+                                with_action=True, tangent=True)
+
+    cold = []
+    for model in ramps:
+        dynamics._linear_monodromy.cache_clear()
+        cold.append(run(model))
+    dynamics._linear_monodromy.cache_clear()
+    warm = [run(model) for model in ramps]
+    assert dynamics._linear_monodromy.cache_info().currsize == 2
+    for a, b in zip(cold, warm):
+        for x, y in zip(a, b):
+            assert x.tobytes() == y.tobytes()
+    assert not np.array_equal(warm[0][0], warm[1][0])
+    assert not np.array_equal(warm[0][-1], warm[1][-1])
 
 
 def test_running_drive_checks_every_time_before_the_first_step():
@@ -470,14 +549,18 @@ def textbook_rk4(model, c, d, t0, dt, p0, q0, h, n_steps):
     return p, q, np.stack([y[2], y[3]])
 
 
+KERNEL_MODELS = TANGENT_MODELS | LINEAR_MODELS
+
+
 @pytest.mark.parametrize("width", [1, 40])
-@pytest.mark.parametrize("kind", sorted(TANGENT_MODELS))
+@pytest.mark.parametrize("kind", sorted(KERNEL_MODELS))
 def test_kernel_is_classical_rk4(kind, width):
-    # the kernel's step is RK4 rearranged without stage momenta; it must
-    # be the textbook scheme to roundoff: the imaginary flow's stored path
-    # and monodromy, and the backward real flow's endpoint, action and
-    # monodromy
-    model = TANGENT_MODELS[kind]
+    # the kernel's step is RK4 rearranged without stage momenta, and a
+    # linear flow's states are its width-1 monodromy applied to the
+    # starts; both must be the textbook scheme to roundoff: the imaginary
+    # flow's stored path and monodromy, and the backward real flow's
+    # stored path, endpoint, action and monodromy
+    model = KERNEL_MODELS[kind]
     rng = np.random.default_rng(23)
     p0 = rng.uniform(-2.0, 2.0, width) + 1j * rng.uniform(-0.5, 0.5, width)
     q0 = rng.uniform(-2.0, 2.0, width) + 1j * rng.uniform(-0.5, 0.5, width)
@@ -507,6 +590,10 @@ def test_kernel_is_classical_rk4(kind, width):
     close(qe, q[-1])
     close(action, simpson_weights(n + 1, h) @ lagrangian)
     close(jac, m)
+    _, _, (path_p, path_q) = _rk4(model, -1.0, 1.0 / model.mass, t_from, h,
+                                  p0, q0, h, n, store=True)
+    close(path_p, p)
+    close(path_q, q)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,10 +1,11 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scjarz import jarzynski, pseudowork, stationary
+from scjarz import dynamics, jarzynski, pseudowork, stationary
 from scjarz.dynamics import ImaginaryArc, IntegratorSettings
 from scjarz.pseudowork import (_WORK_NODES, _gauss_legendre_nodes,
                                _pseudo_work_batch)
@@ -510,6 +511,20 @@ def test_work_gap_is_the_path_endpoint_gap_of_the_march():
     assert report.diagnostics["work_gap_max"] == float(np.max(gap))
     mc = report.monte_carlo["diagnostics"]
     assert 0.0 < mc["work_gap_mean"] <= mc["work_gap_max"]
+
+
+def test_identity_report_is_the_same_with_the_linear_memo_cold_or_warm():
+    # the memo only skips integrations: a harmonic report computed with
+    # every width-1 flow already in it is the cold report byte for byte
+    model = ramped_model("harmonic", omega_i=1.0, omega_f=2.0)
+    dom = QuadratureDomain(p_max=10.5, q_max=10.5, n_p=16, n_q=16)
+    settings = IntegratorSettings(n_sigma_steps=16, n_time_steps=16)
+    memo = dynamics._linear_monodromy
+    cold = verify_identity(model, 1.0, 1.0, dom, settings)
+    misses = memo.cache_info().misses
+    warm = verify_identity(model, 1.0, 1.0, dom, settings)
+    assert memo.cache_info().misses == misses
+    assert json.dumps(warm.to_dict()) == json.dumps(cold.to_dict())
 
 
 def test_report_serialization_fields():

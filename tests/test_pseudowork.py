@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import simpson, solve_ivp
 
-from scjarz import pseudowork, stationary
+from scjarz import dynamics, pseudowork, stationary
 from scjarz.dynamics import (IntegratorSettings, _build_arc_batch,
                              _flow_real_batch, _real_step_count, build_arc,
                              flow_imaginary, flow_real)
@@ -363,6 +363,31 @@ def test_linear_solve_evaluates_the_map_once_per_column(monkeypatch):
                               HYP_SET)
     assert widths == [1, 5]
     assert np.all(solve.status == OK) and np.all(solve.iters == 0)
+
+
+def test_linear_solve_integrates_each_leg_once(monkeypatch):
+    # the origin evaluation and Newton's evaluation share the memoized
+    # width-1 flows: one imaginary run (c = i) and one real run (c = -1)
+    # per solve at t_f > t_i, and none at all for a repeated solve
+    runs = []
+    steps = dynamics._rk4_steps
+
+    def recorded(model, c, d, t0, dt, P, *args):
+        runs.append((c, P.shape[-1]))
+        return steps(model, c, d, t0, dt, P, *args)
+
+    monkeypatch.setattr(dynamics, "_rk4_steps", recorded)
+    model = harmonic_ramp()
+    tp = np.array([0.2, -1.7, 2.5, 0.0, -0.4])
+    tq = np.array([0.9, 0.4, -2.2, 1.3, 0.0])
+    for t_f in (0.6, 0.9):
+        solve = _invert_map_batch(model, 0.0, t_f, tp, tq, 1.0, HYP_SET)
+        assert np.all(solve.status == OK)
+        assert runs == [(1j, 1), (-1.0, 1)], t_f
+        again = _invert_map_batch(model, 0.0, t_f, tp, tq, 1.0, HYP_SET)
+        assert runs == [(1j, 1), (-1.0, 1)], t_f
+        assert again.zc_p.tobytes() == solve.zc_p.tobytes()
+        runs.clear()
 
 
 @pytest.mark.parametrize("kind", sorted(WIDTH_MODELS))
