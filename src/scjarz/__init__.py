@@ -18,9 +18,9 @@ from .jarzynski import (JarzynskiReport, QuadratureDomain, partition,
                         verify_identity)
 from .models import (ComplexPoint, FrequencyProtocol, HamiltonianModel,
                      harmonic_model, ramped_model)
-from .oracle import (FockOperator, WignerGrid, fock_state_wigner,
-                     harmonic_closed_forms, ordering_pairing_check,
-                     thermal_fock, weyl_convention_audit, wigner_transform)
+from .oracle import (FockOperator, WignerGrid, harmonic_closed_forms,
+                     ordering_pairing_check, thermal_fock,
+                     weyl_convention_audit, wigner_transform)
 from .pseudowork import (PseudoState, PseudoTrajectory, WorkResult,
                          composite_map, pseudo_power, pseudo_work,
                          solve_pseudo_state)
@@ -39,8 +39,7 @@ __all__ = [
     "QuadratureDomain", "JarzynskiReport",
     "partition", "verify_identity",
     "FockOperator", "WignerGrid", "thermal_fock", "wigner_transform",
-    "fock_state_wigner", "harmonic_closed_forms", "weyl_convention_audit",
-    "ordering_pairing_check",
+    "harmonic_closed_forms", "weyl_convention_audit", "ordering_pairing_check",
     "ScjarzError", "ConfigError", "TimeOutOfRange", "IntegratorDiverged",
     "ToleranceExceeded", "CausticEncountered", "NewtonDiverged",
     "WorkMismatch", "DomainTooSmall", "TruncationInsufficient",

@@ -119,13 +119,15 @@ def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
 
     M_k = [[A_k, B_k], [C_k, D_k]] being the tangent rows after k steps.
     Only the width-1 run from the identity is integrated
-    (``_linear_monodromy``, memoized, so a map evaluation at the origin
-    and the Newton evaluation that follows it share one run per leg); the
-    states, and with ``store`` every sample of the path, are that formula
-    written into buffers allocated once per call, and the tangent rows are
-    M copied out to every column.  This runs at every width, width 1
-    included, and every operation is elementwise, so each column is its
-    own width-1 result bit for bit.
+    (``_linear_monodromy``, memoized with its path whether or not this
+    call stores one, so a map evaluation at the origin, the Newton
+    evaluation that follows it and the endpoint action's stored leg share
+    one run per leg); the states, and with ``store`` every sample of the
+    path, are that formula written into buffers allocated once per call,
+    and the tangent rows are M_n, the path's last sample, copied out to
+    every column.  This runs at every width, width 1 included, and every
+    operation is elementwise, so each column is its own width-1 result
+    bit for bit.
     """
     if model.quartic_lambda != 0.0:
         rows = 3 if tangent else 1
@@ -135,8 +137,8 @@ def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
         if tangent:
             P[1] = Q[2] = 1.0
         return P, Q, _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store)
-    m_p, m_q, m_path = _linear_monodromy(model, c, d, t0, dt, h, n_steps,
-                                         store)
+    m_path = _linear_monodromy(model, c, d, t0, dt, h, n_steps)
+    m_p, m_q = m_path[:, -1]
     p0 = np.asarray(p0, dtype=complex)
     q0 = np.asarray(q0, dtype=complex)
     P = np.empty((3 if tangent else 1,) + p0.shape, dtype=complex)
@@ -174,23 +176,22 @@ def _apply_monodromy(m_p, m_q, p0, q0, p, q):
 # nodes, at most two legs each), so a second march over the same nodes,
 # such as the Monte Carlo samples', integrates none of them again
 @lru_cache(maxsize=32)
-def _linear_monodromy(model, c, d, t0, dt, h, n_steps, store):
+def _linear_monodromy(model, c, d, t0, dt, h, n_steps):
     """The linear flow's tangent rows, integrated once at width 1.
 
-    Returns the (2, 1) stacks of p and q after n_steps steps from the
-    identity (row 0 started at (p, q) = (1, 0), row 1 at (0, 1)) and, with
-    ``store``, their path (2, n_steps + 1, 2, 1), else None.  The arrays
-    are read-only: every caller of the memo shares them.  The key is every
-    input of the run, and the model (its mass and drive) is part of it,
-    so two ramps never share an entry.
+    Returns the path (2, n_steps + 1, 2, 1) of the p and q stacks from
+    the identity (row 0 started at (p, q) = (1, 0), row 1 at (0, 1)); its
+    last sample is bitwise the final stacks.  The path is always recorded
+    (4 KB at 64 steps), so a stored and an unstored run of one leg share
+    an entry.  The array is read-only: every caller of the memo shares
+    it.  The key is every input of the run, and the model (its mass and
+    drive) is part of it, so two ramps never share an entry.
     """
     P = np.array([[1.0], [0.0]], dtype=complex)
     Q = np.array([[0.0], [1.0]], dtype=complex)
-    path = _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store)
-    for x in (P, Q, path):
-        if x is not None:
-            x.flags.writeable = False
-    return P, Q, path
+    path = _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, True)
+    path.flags.writeable = False
+    return path
 
 
 def _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store):

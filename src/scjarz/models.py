@@ -59,12 +59,13 @@ class FrequencyProtocol:
         return self.t_f - self.t_i
 
     def _check_time(self, t) -> None:
-        """Raise TimeOutOfRange if t, or any time of an array t, lies
-        outside the protocol span (with a 1e-9 relative slack)."""
+        """Raise TimeOutOfRange unless t, or every time of an array t, lies
+        inside the protocol span (with a 1e-9 relative slack); a NaN time
+        is inside no span."""
         slack = 1e-9 * max(1.0, abs(self.t_i), abs(self.t_f))
-        outside = (t < self.t_i - slack) | (t > self.t_f + slack)
-        if np.any(outside):
-            bad = t if np.ndim(t) == 0 else np.asarray(t)[outside][0]
+        inside = (t >= self.t_i - slack) & (t <= self.t_f + slack)
+        if not np.all(inside):
+            bad = t if np.ndim(t) == 0 else np.asarray(t)[~inside][0]
             raise TimeOutOfRange(f"t={float(bad)} outside protocol span "
                                  f"[{self.t_i}, {self.t_f}]")
 
@@ -145,15 +146,6 @@ class HamiltonianModel:
         if self.quartic_lambda != 0.0:
             h = h + self.quartic_lambda * q * q * q * q
         return h
-
-    def grad(self, t: float, p, q):
-        """(dH/dp, dH/dq) as exact polynomial derivatives."""
-        w = self.protocol.omega(t)
-        dp = p / self.mass
-        dq = self.mass * w * w * q
-        if self.quartic_lambda != 0.0:
-            dq = dq + 4.0 * self.quartic_lambda * q * q * q
-        return dp, dq
 
     def dt(self, t: float, p, q):
         """Explicit time derivative dH/dt = m w wdot q^2 (lam term is static)."""

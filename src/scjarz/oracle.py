@@ -201,16 +201,6 @@ def wigner_transform(op: FockOperator, q_max: float, n_q: int) -> WignerGrid:
                       imag_residual=imag, norm=norm)
 
 
-def fock_state_wigner(n: int, p, q, hbar: float, mass: float, omega: float):
-    """Closed-form Wigner function of the |n><n| projector."""
-    from scipy.special import eval_laguerre
-
-    h = p * p / (2.0 * mass) + 0.5 * mass * omega**2 * q * q
-    y = 4.0 * h / (hbar * omega)
-    sign = -1.0 if n % 2 else 1.0
-    return sign / (np.pi * hbar) * np.exp(-0.5 * y) * eval_laguerre(n, y)
-
-
 @dataclass(frozen=True)
 class HarmonicClosedForms:
     """Exact oscillator formulas used as oracles for the trajectory code."""

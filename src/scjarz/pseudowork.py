@@ -94,9 +94,7 @@ def composite_map(model: HamiltonianModel, t_i: float, t_f: float,
                   z_real: ComplexPoint, hbar_beta: float,
                   settings: IntegratorSettings = DEFAULT_SETTINGS) -> ComplexPoint:
     """Image of a real center under the propagated-construction map; a
-    non-real center raises ValueError."""
-    if t_f < t_i:
-        raise ValueError("composite map requires t_i <= t_f")
+    non-real center or a window with t_f < t_i raises ValueError."""
     mp, mq, _, _ = _composite_map_batch(model, t_i, t_f, *_width1(z_real),
                                         hbar_beta, settings)
     return ComplexPoint(float(mp[0]), float(mq[0]))
@@ -113,8 +111,8 @@ def solve_pseudo_state(model: HamiltonianModel, t_i: float, t_f: float,
     at the target.  A warm-started solve climbs no continuation ladder.
     A linear flow (quartic_lambda == 0) ignores ``warm_start``: it starts
     at the exact solution J^-1 target of its linear map.
-    Raises ValueError for a non-real target or warm start,
-    CausticEncountered or NewtonDiverged if the solve fails.
+    Raises ValueError for a non-real target or warm start or for
+    t_f < t_i, CausticEncountered or NewtonDiverged if the solve fails.
     """
     tp, tq = _width1(target)
     wp, wq = (None, None) if warm_start is None else _width1(warm_start)
@@ -372,15 +370,14 @@ def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
     The width-1 march of the identity (``_pseudo_work_batch``): the
     trajectory's times are its nodes, and W and W_endpoint are the
     identity's for this start, bit for bit.  Raises ValueError for a
-    non-real target; CausticEncountered, NewtonDiverged or (for a power or
-    W that is not finite) IntegratorDiverged, naming the failed node's
-    time, if the start fails; and WorkMismatch unless |W - W_endpoint| is
-    at most ``work_tol`` (by default ``WorkResult.mismatch_tol``,
-    1e-6 (1 + |W|)), so a NaN mismatch raises; ``work_tol=math.inf``
-    returns any result whose mismatch is a number.
+    non-real target or for t_f < t_i; CausticEncountered, NewtonDiverged
+    or (for a power or W that is not finite) IntegratorDiverged, naming
+    the failed node's time, if the start fails; and WorkMismatch unless
+    |W - W_endpoint| is at most ``work_tol`` (by default
+    ``WorkResult.mismatch_tol``, 1e-6 (1 + |W|)), so a NaN mismatch
+    raises; ``work_tol=math.inf`` returns any result whose mismatch is a
+    number.
     """
-    if t_f < t_i:
-        raise ValueError("pseudo_work requires t_i <= t_f")
     out = _pseudo_work_batch(model, t_i, t_f, *_width1(target), hbar_beta,
                              settings)
     if out["status"][0] != OK:

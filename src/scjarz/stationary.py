@@ -101,8 +101,12 @@ def _composite_map_batch(model, t_i, t_f, P, Q, hbar_beta, settings):
     The fourth value is the half-flow (hp, hq, m_plus): its state path,
     each (n_sigma_steps + 1, B), and its complex monodromy (2, 2, B).
     That is the plus half of the frozen-t_f arc through each center,
-    bitwise what ``_build_arc_batch`` would integrate.
+    bitwise what ``_build_arc_batch`` would integrate.  Every view of the
+    map (the scalar map, the solve and the work march) reaches this
+    function, and a window with t_f < t_i raises ValueError here.
     """
+    if t_f < t_i:
+        raise ValueError("composite map requires t_i <= t_f")
     hp, hq, m_plus = _flow_imaginary_batch(
         model, t_f, np.asarray(P, dtype=complex), np.asarray(Q, dtype=complex),
         0.0, 0.5 * hbar_beta, settings.n_sigma_steps, store=True, tangent=True)

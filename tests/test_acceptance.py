@@ -16,13 +16,14 @@ from scipy.integrate import solve_ivp
 from scjarz.dynamics import IntegratorSettings, flow_imaginary, flow_real
 from scjarz.jarzynski import QuadratureDomain, verify_identity
 from scjarz.models import ComplexPoint, harmonic_model, ramped_model
-from scjarz.oracle import (FockOperator, fock_state_wigner,
-                           harmonic_closed_forms, thermal_fock,
+from scjarz.oracle import (FockOperator, harmonic_closed_forms, thermal_fock,
                            wigner_transform)
 from scjarz.pseudowork import (_pseudo_work_batch, pseudo_power,
                                pseudo_work, solve_pseudo_state)
 from scjarz.stationary import (OK, _pseudo_hamiltonian_batch,
                                pseudo_hamiltonian)
+
+from references import fock_state_wigner, grad
 
 
 @contextmanager
@@ -211,7 +212,7 @@ def test_criterion_9_pseudo_trajectory_is_classical():
         rng = np.random.default_rng(13)
 
         def rhs(t, y):
-            dp, dq = model.grad(t, y[0], y[1])
+            dp, dq = grad(model, t, y[0], y[1])
             return [-dq, dp]
 
         for p0, q0 in rng.uniform(-1.5, 1.5, size=(5, 2)):

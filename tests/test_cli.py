@@ -631,20 +631,37 @@ def test_oracle_audits_its_one_grid(config_path, tmp_path, monkeypatch):
         [id(op), id(op), id(grid), id(grid)]]
 
 
-def test_import_and_config_load_leave_scipy_unimported():
-    # scipy is only needed by closed forms that no command reaches
-    code = ("import sys, scjarz, scjarz.cli\n"
+def test_every_command_runs_with_scipy_blocked(config_path, tmp_path):
+    # the package depends on numpy and PyYAML only: with scipy made
+    # unimportable, the package and a config load, and every command runs
+    # to exit 0 (the quartic oracle's Z is a ``partition``)
+    quartic = tmp_path / "quartic.yaml"
+    quartic.write_text(QUARTIC_ORACLE_CONFIG.replace(
+        "n_p: 48, n_q: 48", "n_p: 16, n_q: 16"))
+    runs = [["gibbs", "--prefactor", "--config", str(config_path)],
+            ["work", "--config", str(config_path)],
+            ["jarzynski", "--prefactor", "--mc", "--samples", "50",
+             "--config", str(config_path)],
+            ["oracle", "--config", str(config_path)],
+            ["oracle", "--config", str(quartic)]]
+    runs = [argv + ["--out", str(tmp_path / f"out{k}")]
+            for k, argv in enumerate(runs)]
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import scjarz\n"
+            "from scjarz.cli import main\n"
             "from scjarz.config import load_config\n"
             f"load_config({str(QUARTIC_RAMP)!r})\n"
-            "print('scipy' in sys.modules)\n")
+            "runs = json.loads(sys.argv[1])\n"
+            "print(json.dumps([main(argv) for argv in runs]))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
                       if p])
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(runs)
 
 
 def test_console_entry_point(config_path, tmp_path):

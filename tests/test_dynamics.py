@@ -13,6 +13,9 @@ from scjarz.errors import (IntegratorDiverged, TimeOutOfRange,
 from scjarz.models import (ComplexPoint, FrequencyProtocol, harmonic_model,
                            ramped_model)
 from scjarz.pseudowork import _pseudo_power_batch, _pseudo_work_batch
+from scjarz.stationary import pseudo_hamiltonian
+
+from references import grad
 
 SET = IntegratorSettings(n_sigma_steps=128, n_time_steps=128)
 
@@ -469,9 +472,9 @@ def test_linear_memo_arrays_refuse_writes():
     # every caller of the memo shares its arrays, so none may write them;
     # what the kernel hands out is the caller's own
     model = LINEAR_MODELS["harmonic-linear"]
-    m_p, m_q, path = _linear_monodromy(model, -1.0, 1.0, 0.9, -0.1, -0.1, 8,
-                                       True)
-    assert m_p.shape == m_q.shape == (2, 1) and path.shape == (2, 9, 2, 1)
+    path = _linear_monodromy(model, -1.0, 1.0, 0.9, -0.1, -0.1, 8)
+    assert path.shape == (2, 9, 2, 1)
+    m_p, m_q = path[:, -1]
     for x in (m_p, m_q, path):
         with pytest.raises(ValueError, match="read-only"):
             x[...] = 0.0
@@ -482,6 +485,28 @@ def test_linear_memo_arrays_refuse_writes():
     for x in (P, Q, state_path):
         assert x.flags.writeable
     assert np.array_equal(P[1:], np.broadcast_to(m_p, (2, 2)))
+
+
+@pytest.mark.parametrize("c,d,t0,dt,h", [
+    (1j, -1j, 0.3, 0.0, 0.05),      # an imaginary leg: the drive frozen
+    (-1.0, 1.0, 0.9, -0.1, -0.1),   # a real leg, backwards
+    (-1.0, 1.0, 0.1, 0.05, 0.05),   # a real leg, forwards
+])
+def test_a_recorded_path_leaves_the_final_stacks_unchanged(c, d, t0, dt, h):
+    # the memo always records the width-1 path and reads the final stacks
+    # from its last sample, so one entry serves a stored and an unstored
+    # run of a leg only if recording changes no bit of the stepping
+    model = LINEAR_MODELS["harmonic-linear"]
+    runs = []
+    for store in (False, True):
+        P = np.array([[1.0], [0.0]], dtype=complex)
+        Q = np.array([[0.0], [1.0]], dtype=complex)
+        path = dynamics._rk4_steps(model, c, d, t0, dt, P, Q, h, 8, store)
+        runs.append((P, Q, path))
+    (P, Q, none), (P_s, Q_s, path) = runs
+    assert none is None
+    for x, y in ((P, P_s), (Q, Q_s), (P, path[0, -1]), (Q, path[1, -1])):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_ramps_with_different_drives_never_share_a_memo_entry():
@@ -519,6 +544,20 @@ def test_running_drive_checks_every_time_before_the_first_step():
         _flow_real_batch(model, 0.5, 1.25, p0, q0, 8, tangent=True)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_a_nan_time_is_out_of_range(lam):
+    # a NaN time is inside no span, so each public flow refuses it by name
+    # before it integrates or counts steps
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=lam)
+    nan, z = float("nan"), ComplexPoint(0.5, 0.5)
+    for call in (lambda: flow_real(model, 0.0, nan, z),
+                 lambda: build_arc(model, nan, z, 1.0),
+                 lambda: pseudo_hamiltonian(model, nan, z, 1.0)):
+        with pytest.raises(TimeOutOfRange, match="^t=nan outside"):
+            call()
+
+
 def textbook_rk4(model, c, d, t0, dt, p0, q0, h, n_steps):
     """Reference for the kernel: classical RK4 for dp = c H_q(q),
     dq = d p, stage by stage with explicit stage momenta and positions,
@@ -528,7 +567,7 @@ def textbook_rk4(model, c, d, t0, dt, p0, q0, h, n_steps):
     def rhs(t, p, q, jp, jq):
         w = model.protocol.omega(t)
         stiff = model.mass * w * w + 12.0 * model.quartic_lambda * q * q
-        return c * model.grad(t, p, q)[1], d * p, c * stiff * jq, d * jp
+        return c * grad(model, t, p, q)[1], d * p, c * stiff * jq, d * jp
 
     one, zero = np.ones_like(p0), np.zeros_like(p0)
     y = (p0, q0, np.stack([one, zero]), np.stack([zero, one]))

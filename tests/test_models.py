@@ -6,6 +6,8 @@ from scjarz.errors import TimeOutOfRange
 from scjarz.models import (PROTOCOL_SHAPES, ComplexPoint, FrequencyProtocol,
                            HamiltonianModel, harmonic_model, ramped_model)
 
+from references import grad
+
 
 def test_harmonic_value_examples():
     model = harmonic_model(mass=1.0, omega=1.0)
@@ -19,7 +21,7 @@ def test_harmonic_value_examples():
 
 def test_harmonic_gradient_is_linear():
     model = harmonic_model(mass=1.0, omega=1.0)
-    dp, dq = model.grad(0.0, 2.0, 3.0)
+    dp, dq = grad(model, 0.0, 2.0, 3.0)
     assert dp == pytest.approx(2.0)
     assert dq == pytest.approx(3.0)
 
@@ -45,7 +47,7 @@ def test_quartic_value_and_gradient():
     z = ComplexPoint(0.5, 2.0)
     assert model.value(0.0, z.p, z.q) == pytest.approx(
         0.125 + 2.0 + 0.25 * 16.0)
-    dp, dq = model.grad(0.0, z.p, z.q)
+    dp, dq = grad(model, 0.0, z.p, z.q)
     assert dp == pytest.approx(0.5)
     assert dq == pytest.approx(2.0 + 4.0 * 0.25 * 8.0)
 
@@ -60,7 +62,7 @@ def test_finite_difference_consistency(kind, lam):
     for _ in range(100):
         p, q = rng.uniform(-2, 2, size=2)
         t = rng.uniform(0.0 + 2 * h, 2.0 - 2 * h)
-        dp, dq = model.grad(t, p, q)
+        dp, dq = grad(model, t, p, q)
         dt = model.dt(t, p, q)
         fd_p = (model.value(t, p + h, q) - model.value(t, p - h, q)) / (2 * h)
         fd_q = (model.value(t, p, q + h) - model.value(t, p, q - h)) / (2 * h)
@@ -78,17 +80,21 @@ def test_real_arguments_give_real_values():
         p, q = rng.uniform(-3, 3, size=2)
         t = rng.uniform(0, 1)
         assert np.imag(model.value(t, complex(p), complex(q))) == 0.0
-        dp, dq = model.grad(t, complex(p), complex(q))
+        dp, dq = grad(model, t, complex(p), complex(q))
         assert np.imag(dp) == 0.0 and np.imag(dq) == 0.0
         assert np.imag(model.dt(t, complex(p), complex(q))) == 0.0
 
 
 def test_time_out_of_range_rejected():
-    model = harmonic_model(t_i=0.0, t_f=1.0)
-    with pytest.raises(TimeOutOfRange):
-        model.value(1.5, 0.0, 0.0)
-    with pytest.raises(TimeOutOfRange):
-        model.grad(-0.5, 0.0, 0.0)
+    # a NaN time is inside no span: it is refused, not evaluated to NaN
+    model = ramped_model("harmonic", omega_i=1.0, omega_f=2.0)
+    for t in (1.5, -0.5, float("nan")):
+        for call in (lambda: model.value(t, 0.0, 0.0),
+                     lambda: model.dt(t, 0.0, 0.0),
+                     lambda: model.protocol.omega(t),
+                     lambda: model.protocol.omega_dot(t)):
+            with pytest.raises(TimeOutOfRange, match=f"^t={t} outside"):
+                call()
 
 
 def test_protocol_endpoint_values_and_derivative():
@@ -156,4 +162,6 @@ def test_array_omega_rejects_any_time_out_of_range():
         proto.omega(np.array([0.0, 0.5, 1.5, 0.9]))
     with pytest.raises(TimeOutOfRange, match="t=-0.25 outside"):
         proto.omega(np.array([[0.5, -0.25]]))
+    with pytest.raises(TimeOutOfRange, match="t=nan outside"):
+        proto.omega(np.array([0.5, np.nan, 0.9]))
     assert proto.omega(np.array([])).shape == (0,)

@@ -5,12 +5,13 @@ from scjarz.dynamics import IntegratorSettings
 from scjarz.errors import GridTooNarrow, TruncationInsufficient
 from scjarz.jarzynski import QuadratureDomain, partition
 from scjarz.models import ramped_model
-from scjarz.oracle import (FockOperator, WignerGrid, fock_state_wigner,
-                           harmonic_closed_forms, hermite_functions,
-                           ladder_operators,
+from scjarz.oracle import (FockOperator, WignerGrid, harmonic_closed_forms,
+                           hermite_functions, ladder_operators,
                            ordering_pairing_check,
                            position_momentum_matrices, thermal_fock,
                            weyl_convention_audit, wigner_transform)
+
+from references import fock_state_wigner
 
 
 def projector(n, dim=8, hbar=1.0, mass=1.0, omega=1.0):

@@ -21,6 +21,8 @@ from scjarz.pseudowork import (_WORK_NODES, _composite_map_batch,
                                solve_pseudo_state)
 from scjarz.stationary import DIVERGED, NON_FINITE, OK, _invert_map_batch
 
+from references import grad
+
 SET = IntegratorSettings(n_sigma_steps=96, n_time_steps=64)
 
 
@@ -43,7 +45,7 @@ def arc_endpoint(arc, sign):
 
 def classical_trajectory(model, t_eval, p0, q0):
     def rhs(t, y):
-        dp, dq = model.grad(t, y[0], y[1])
+        dp, dq = grad(model, t, y[0], y[1])
         return [-dq, dp]
 
     sol = solve_ivp(rhs, (t_eval[0], t_eval[-1]), [p0, q0], t_eval=t_eval,
@@ -388,6 +390,58 @@ def test_linear_solve_integrates_each_leg_once(monkeypatch):
         assert runs == [(1j, 1), (-1.0, 1)], t_f
         assert again.zc_p.tobytes() == solve.zc_p.tobytes()
         runs.clear()
+
+
+def test_linear_march_integrates_each_distinct_leg_once(monkeypatch):
+    # a harmonic march of _WORK_NODES + 2 = 14 nodes has 27 distinct
+    # width-1 legs: the imaginary leg at each node and the real leg back
+    # to t_i at every node but t_i.  The memo records every leg's path, so
+    # the t_f endpoint action's stored leg is the t_f solve's own, and no
+    # leg is stepped twice
+    legs = []
+    steps = dynamics._rk4_steps
+
+    def recorded(model, c, d, t0, dt, P, Q, h, n_steps, store):
+        legs.append((c, t0, dt, n_steps))
+        return steps(model, c, d, t0, dt, P, Q, h, n_steps, store)
+
+    monkeypatch.setattr(dynamics, "_rk4_steps", recorded)
+    tp = np.array([0.2, -1.7, 2.5, 0.0, -0.4])
+    tq = np.array([0.9, 0.4, -2.2, 1.3, 0.0])
+    out = _pseudo_work_batch(harmonic_ramp(), 0.0, 1.0, tp, tq, 1.0, HYP_SET)
+    assert np.all(out["status"] == OK)
+    assert out["times"].size == _WORK_NODES + 2 == 14
+    assert len(legs) == len(set(legs)) == 27
+
+
+def test_endpoint_g_after_a_linear_solve_steps_no_kernel(monkeypatch):
+    # the t_f solve's map evaluation integrated the real leg from t_f to
+    # t_i, and the memo kept its path, so the endpoint action reads it
+    model = harmonic_ramp()
+    tp = np.array([0.2, -1.7, 2.5])
+    tq = np.array([0.9, 0.4, -2.2])
+    solve = _invert_map_batch(model, 0.0, 1.0, tp, tq, 1.0, HYP_SET)
+    assert np.all(solve.status == OK)
+
+    def refused(*args):
+        raise AssertionError("the kernel stepped a leg the solve had run")
+
+    monkeypatch.setattr(dynamics, "_rk4_steps", refused)
+    g_prop = _propagated_g_batch(0.0, tp, HYP_SET, solve)
+    assert np.all(np.isfinite(g_prop))
+
+
+@pytest.mark.parametrize("model", [harmonic_ramp(), quartic_ramp()],
+                         ids=["harmonic", "quartic"])
+@pytest.mark.parametrize("view", ["composite_map", "solve_pseudo_state",
+                                  "pseudo_work"])
+def test_a_reversed_window_is_refused_by_every_view(model, view):
+    # the window check is the composite map's, and every view reaches it
+    fn = {"composite_map": composite_map,
+          "solve_pseudo_state": solve_pseudo_state,
+          "pseudo_work": pseudo_work}[view]
+    with pytest.raises(ValueError, match="t_i <= t_f"):
+        fn(model, 1.0, 0.0, ComplexPoint(0.5, 0.5), 1.0, HYP_SET)
 
 
 @pytest.mark.parametrize("kind", sorted(WIDTH_MODELS))
