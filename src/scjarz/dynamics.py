@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -121,13 +122,14 @@ def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
     Only the width-1 run from the identity is integrated
     (``_linear_monodromy``, memoized with its path whether or not this
     call stores one, so a map evaluation at the origin, the Newton
-    evaluation that follows it and the endpoint action's stored leg share
-    one run per leg); the states, and with ``store`` every sample of the
-    path, are that formula written into buffers allocated once per call,
-    and the tangent rows are M_n, the path's last sample, copied out to
-    every column.  This runs at every width, width 1 included, and every
-    operation is elementwise, so each column is its own width-1 result
-    bit for bit.
+    evaluation that follows it and the endpoint action's leg share one
+    run per leg); the final states are M_n applied to the starts, and the
+    tangent rows are M_n copied out to every column.  Only ``store``
+    writes the (n_steps + 1, B) path (``_linear_states``): the march
+    never asks for it, since every sum it reads of a linear path is a
+    quadratic form in the start (``_arc_moments``, ``_action_moments``).
+    This runs at every width, width 1 included, and every operation is
+    elementwise, so each column is its own width-1 result bit for bit.
     """
     if model.quartic_lambda != 0.0:
         rows = 3 if tangent else 1
@@ -144,16 +146,25 @@ def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
     P = np.empty((3 if tangent else 1,) + p0.shape, dtype=complex)
     Q = np.empty_like(P)
     path = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        if store:
-            path = np.empty((2, n_steps + 1) + p0.shape, dtype=complex)
-            _apply_monodromy(m_path[0], m_path[1], p0, q0, path[0], path[1])
-            P[0], Q[0] = path[:, -1]
-        else:
+    if store:
+        path = _linear_states(m_path, p0, q0)
+        P[0], Q[0] = path[:, -1]
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
             _apply_monodromy(m_p, m_q, p0, q0, P[0], Q[0])
     if tangent:
         P[1:], Q[1:] = m_p, m_q
     return P, Q, path
+
+
+def _linear_states(m_path, p0, q0):
+    """The state path (2, n_steps + 1, B) of a linear flow from the (B,)
+    complex starts: its width-1 tangent path ``m_path`` (a
+    ``_linear_monodromy`` entry) applied to them sample by sample."""
+    path = np.empty((2,) + m_path.shape[1:2] + p0.shape, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _apply_monodromy(m_path[0], m_path[1], p0, q0, path[0], path[1])
+    return path
 
 
 def _apply_monodromy(m_p, m_q, p0, q0, p, q):
@@ -183,15 +194,76 @@ def _linear_monodromy(model, c, d, t0, dt, h, n_steps):
     the identity (row 0 started at (p, q) = (1, 0), row 1 at (0, 1)); its
     last sample is bitwise the final stacks.  The path is always recorded
     (4 KB at 64 steps), so a stored and an unstored run of one leg share
-    an entry.  The array is read-only: every caller of the memo shares
-    it.  The key is every input of the run, and the model (its mass and
-    drive) is part of it, so two ramps never share an entry.
+    an entry, and the leg's Simpson moments are reduced from it
+    (``_arc_moments``, ``_action_moments``, memoized on the same leg).
+    The array is read-only: every caller of the memo shares it.  The key
+    is every input of the run, and the model (its mass and drive) is part
+    of it, so two ramps never share an entry.
     """
     P = np.array([[1.0], [0.0]], dtype=complex)
     Q = np.array([[0.0], [1.0]], dtype=complex)
     path = _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, True)
     path.flags.writeable = False
     return path
+
+
+def _square_terms(rows):
+    """(a^2, 2 a b, b^2) at each sample, (n + 1, 3), of one coordinate's
+    width-1 tangent rows (n + 1, 2, 1), a = d/dp0 and b = d/dq0: their
+    weighted sums are the coefficients of sum_k w_k x_k^2, x_k =
+    a_k p0 + b_k q0, as a quadratic form in the start
+    (``_quadratic_form``)."""
+    a, b = rows[:, 0], rows[:, 1]
+    return np.concatenate([a * a, 2.0 * a * b, b * b], axis=1)
+
+
+def _quadratic_form(mom, p0, q0):
+    """mom[0] p0^2 + mom[1] p0 q0 + mom[2] q0^2 for the (B,) starts.
+
+    The coefficients are width-1 data and every operation is
+    elementwise, so each column's value is its width-1 value bit for bit.
+    """
+    return (mom[0] * p0 + mom[1] * q0) * p0 + mom[2] * (q0 * q0)
+
+
+@lru_cache(maxsize=32)
+def _arc_moments(model, t, h, n_steps):
+    """The Simpson sums over a linear arc's plus half, as moments.
+
+    The plus half is the imaginary flow frozen at t from sigma = 0 in
+    n_steps steps of h; its p_k and q_k are linear in the center, so
+    sum_k w_k p_k^2 and sum_k w_k q_k^2 (w the arc's half weights,
+    ``_arc_half_weights``) are quadratic forms in it.  Returns their
+    coefficients, read-only (2, 3) complex: row 0 for p^2, row 1 for q^2.
+    Reduced once per leg from the memo's path (same leg, same entry).
+    """
+    path = _linear_monodromy(model, 1j, -1j / model.mass, t, 0.0, h, n_steps)
+    terms = np.concatenate([_square_terms(path[0]), _square_terms(path[1])],
+                           axis=1)
+    mom = weighted_sum(_arc_half_weights(n_steps, h), terms).reshape(2, 3)
+    mom.flags.writeable = False
+    return mom
+
+
+@lru_cache(maxsize=32)
+def _action_moments(model, t_from, h, n_steps):
+    """The Simpson sum of the Lagrangian over a linear real leg, as moments.
+
+    The leg is the real flow from t_from in n_steps steps of h, and its
+    Lagrangian p^2/2m - m w(t)^2 q^2/2 is a quadratic form in the start at
+    each sample, so the composite Simpson sum is one: each sample's
+    p terms carry 1/2m and its q terms its own m w(t_k)^2 / 2.  Returns
+    the (3,) read-only coefficients (``_quadratic_form``).
+    """
+    path = _linear_monodromy(model, -1.0, 1.0 / model.mass, t_from, h, h,
+                             n_steps)
+    omega = model.protocol.omega(t_from + np.arange(n_steps + 1) * h)
+    stiffness = (model.mass * omega * omega)[:, None]
+    terms = (_square_terms(path[0]) / (2.0 * model.mass)
+             - 0.5 * stiffness * _square_terms(path[1]))
+    mom = weighted_sum(simpson_weights(n_steps + 1, h), terms)
+    mom.flags.writeable = False
+    return mom
 
 
 def _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store):
@@ -340,26 +412,35 @@ def _flow_real_batch(model, t_from, t_to, p0, q0, n_steps,
     The action is accumulated with the composite Simpson pattern on the
     step grid (n_steps must be even when with_action is set) and is signed
     with the integration direction: integrating backwards returns the
-    negative of the forward action.
+    negative of the forward action.  A quartic leg stores its path and
+    sums the Lagrangian over it; a linear leg's sum is a quadratic form in
+    the start (``_action_moments``), so no path is written.
     """
     if t_to == t_from:
         n_steps = 0
     elif with_action and n_steps % 2 != 0:
         raise ValueError("action accumulation requires an even step count")
     h = (t_to - t_from) / n_steps if n_steps else 0.0
+    linear = model.quartic_lambda == 0.0
     P, Q, path = _rk4(model, -1.0, 1.0 / model.mass, t_from, h, p0, q0, h,
-                      n_steps, tangent, store=with_action and n_steps > 0)
+                      n_steps, tangent,
+                      store=with_action and n_steps > 0 and not linear)
     out = (P[0], Q[0])
     if with_action:
         action = np.zeros(P.shape[1:], dtype=complex)
-        if n_steps:
-            # one model.value call over the step-time column t_from + k h;
-            # H is formed first, so numpy reuses each later temporary in
-            # place and the peak stays near two (n_steps + 1, B) arrays
-            # beside the path
-            p, q = path
-            t = t_from + np.arange(n_steps + 1)[:, None] * h
-            with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n_steps and linear:
+                action = _quadratic_form(
+                    _action_moments(model, t_from, h, n_steps),
+                    np.asarray(p0, dtype=complex),
+                    np.asarray(q0, dtype=complex))
+            elif n_steps:
+                # one model.value call over the step-time column
+                # t_from + k h; H is formed first, so numpy reuses each
+                # later temporary in place and the peak stays near two
+                # (n_steps + 1, B) arrays beside the path
+                p, q = path
+                t = t_from + np.arange(n_steps + 1)[:, None] * h
                 h_t = model.value(t, p, q)
                 lagrangian = p * (p / model.mass) - h_t
                 action = weighted_sum(simpson_weights(n_steps + 1, h),
@@ -428,15 +509,34 @@ def flow_real(model: HamiltonianModel, t_from: float, t_to: float,
     return ComplexPoint(complex(p[0]), complex(q[0]))
 
 
+def _arc_half_weights(n_steps, h):
+    """The plus half's share of the whole arc's composite Simpson rule.
+
+    Rows n..2n of ``simpson_weights(2n + 1, h)``, the center's weight
+    halved, so any n is valid.  With S this sum of f over the plus half,
+    the whole-arc sum is S + conj(S) where f at the conjugate point is
+    conj(f), and S - conj(S) where it is -conj(f).
+    """
+    w = simpson_weights(2 * n_steps + 1, h)[n_steps:]
+    w[0] *= 0.5
+    return w
+
+
 @dataclass
 class ImaginaryArc:
     """Frozen-time thermal arcs sharing one sigma grid, one column per
     real center; the width-1 views (``build_arc``, ``pseudo_hamiltonian``,
     ``solve_pseudo_state``) hand over a batch of one column.
 
-    Each arc is stored as its plus half, from the center (sample 0) to
+    Each arc is its plus half, from the center (sample 0) to
     sigma = +hbar*beta/2 (sample -1); the center is real, so the sample at
-    -sigma is the conjugate of the one at +sigma.  The center energy
+    -sigma is the conjugate of the one at +sigma.  A quartic arc stores
+    the plus halves' state paths (``path``).  A linear arc
+    (quartic_lambda == 0) stores none: it keeps its centers, its
+    endpoints and the memo's width-1 tangent path (``tangent_path``,
+    ``_linear_monodromy``), each Simpson sum is a quadratic form in the
+    center (``_arc_moments``), and ``p`` and ``q`` are formed on first
+    read, bitwise the path the kernel stores.  The center energy
     ``h_center``, the Simpson sums (``pdq``, ``action``) and the
     ``prefactor`` are formed on first read and cached: a march reads them
     at two of its time nodes.  ``action`` and the area form of G (``g``)
@@ -447,39 +547,57 @@ class ImaginaryArc:
     t: float
     hbar_beta: float
     sigma: np.ndarray        # (n+1,), 0 to +hbar*beta/2
-    p: np.ndarray            # (n+1, B), center first
-    q: np.ndarray            # (n+1, B)
+    center_p: np.ndarray     # (B,) complex, zero imaginary parts
+    center_q: np.ndarray     # (B,)
+    end_p: np.ndarray        # (B,) complex, at sigma = +hbar*beta/2
+    end_q: np.ndarray        # (B,)
     m_plus: np.ndarray       # (2, 2, B) complex
+    path: Optional[tuple] = None   # quartic: (p, q), (n+1, B) each
+    tangent_path: Optional[np.ndarray] = None   # linear: (2, n+1, 2, 1)
 
     @property
-    def center_p(self) -> np.ndarray:
-        """The centers' momenta, (B,) complex: the plus halves' first row."""
-        return self.p[0]
+    def p(self) -> np.ndarray:
+        """The plus halves' momenta, (n+1, B) complex, center first."""
+        return self._states[0]
 
     @property
-    def center_q(self) -> np.ndarray:
-        """The centers' positions, (B,) complex."""
-        return self.q[0]
+    def q(self) -> np.ndarray:
+        """The plus halves' positions, (n+1, B) complex."""
+        return self._states[1]
+
+    @cached_property
+    def _states(self):
+        """(p, q): a quartic arc's stored paths, a linear arc's formed
+        here from its centers and width-1 tangent path."""
+        if self.tangent_path is None:
+            return self.path
+        return tuple(_linear_states(self.tangent_path, self.center_p,
+                                    self.center_q))
 
     @cached_property
     def half_weights(self) -> np.ndarray:
-        """The plus half's share of the whole arc's composite Simpson rule.
-
-        Rows n..2n of ``simpson_weights(2n + 1, h)``, the center's weight
-        halved, so any n is valid.  With S this sum of f over the plus
-        half, the whole-arc sum is S + conj(S) where f at the conjugate
-        point is conj(f), and S - conj(S) where it is -conj(f).
-        """
+        """The plus half's share of the whole arc's Simpson rule
+        (``_arc_half_weights``)."""
         n = self.sigma.shape[0] - 1
-        w = simpson_weights(2 * n + 1, self.sigma[-1] / n)[n:]
-        w[0] *= 0.5
-        return w
+        return _arc_half_weights(n, self.sigma[-1] / n)
+
+    def linear_square_sum(self, row: int) -> np.ndarray:
+        """sum_k w_k x_k^2 over each linear arc's plus half, (B,) complex:
+        x = p for row 0, q for row 1, w the half weights.  A quadratic
+        form in the center with the memo's moments (``_arc_moments``)."""
+        n = self.sigma.shape[0] - 1
+        mom = _arc_moments(self.model, self.t, self.sigma[-1] / n, n)
+        return _quadratic_form(mom[row], self.center_p, self.center_q)
 
     @cached_property
     def pdq(self) -> np.ndarray:
         """int p dq along each whole arc, (B,) complex, purely imaginary."""
-        integrand = self.p * (-1j) * (self.p / self.model.mass)   # p * dq/dsigma
-        half = weighted_sum(self.half_weights, integrand)
+        m = self.model.mass
+        if self.tangent_path is not None:
+            half = (-1j / m) * self.linear_square_sum(0)
+        else:
+            integrand = self.p * (-1j) * (self.p / m)   # p * dq/dsigma
+            half = weighted_sum(self.half_weights, integrand)
         return half - np.conjugate(half)
 
     @cached_property
@@ -533,37 +651,41 @@ class ImaginaryArc:
 
     @property
     def chord(self) -> np.ndarray:
-        return self.q[-1] - np.conjugate(self.q[-1])
+        return self.end_q - np.conjugate(self.end_q)
 
     @property
     def mid_p(self) -> np.ndarray:
-        return 0.5 * (np.conjugate(self.p[-1]) + self.p[-1])
+        return 0.5 * (np.conjugate(self.end_p) + self.end_p)
 
     @property
     def mid_q(self) -> np.ndarray:
-        return 0.5 * (np.conjugate(self.q[-1]) + self.q[-1])
+        return 0.5 * (np.conjugate(self.end_q) + self.end_q)
 
 
 def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
                      half=None) -> ImaginaryArc:
     """Record the symmetric arcs by their center -> +hbar*beta/2 halves.
 
-    ``half`` is the (p, q) state path of those plus halves, shape
-    (n_sigma_steps + 1, B) each, and their monodromy M_+ (2, 2, B), as the
-    solve that found the centers already integrated them
-    (``stationary._invert_map_batch`` passes it); without it the halves
-    are integrated here, with the tangent (the state path is bitwise the
-    same either way).  The path is checked for finite values and, with
-    ``richardson_check``, its endpoint and M_+ against the same flow at
-    twice the steps (M_+ on its own scale: at a center at the origin the
-    state is 0 at every step count).
+    ``half`` is the plus halves' flow with its monodromy M_+ (2, 2, B), as
+    ``_flow_imaginary_batch`` returns it with the tangent, stored for a
+    quartic model (the (n_sigma_steps + 1, B) state paths) and unstored
+    for a linear one (the (B,) endpoints), as the solve that found the
+    centers already integrated it (``stationary._invert_map_batch``
+    passes it); without it the halves are integrated here (the states are
+    bitwise the same either way).  A linear arc keeps the memo's width-1
+    tangent path of its plus half instead of a state path.  The endpoints
+    are checked for finite values (a sample that is not finite stays so
+    to the end of a quartic path; a linear arc's sums are forms that carry
+    it) and, with ``richardson_check``, the endpoints and M_+ against the
+    same flow at twice the steps (M_+ on its own scale: at a center at the
+    origin the state is 0 at every step count).
 
     Centers must be real (a complex dtype with zero imaginary parts is
     accepted); a non-real center raises ValueError.  For a real center the
     minus half (center -> -hbar*beta/2) is the complex conjugate of the
     plus half, and bitwise so: the two RK4 runs differ only in the sign of
     the imaginary step factor, and every stage operation commutes exactly
-    with conjugation.  So only the plus half is integrated and stored.
+    with conjugation.  So only the plus half is integrated and recorded.
     """
     if not hbar_beta > 0.0:
         raise ValueError("hbar_beta must be positive")
@@ -573,18 +695,27 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
     cq = np.asarray(center_q, dtype=complex)
     if np.any(cp.imag != 0.0) or np.any(cq.imag != 0.0):
         raise ValueError("arc assembly expects real centers")
+    linear = model.quartic_lambda == 0.0
     if half is None:
-        half = _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, n, store=True,
-                                     tangent=True)
+        half = _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, n,
+                                     store=not linear, tangent=True)
     plus_p, plus_q, m_plus = half
-    _check_finite(plus_p, plus_q, "arc integration")
-    _check_halving(settings, (plus_p[-1], plus_q[-1], m_plus),
+    if linear:
+        end_p, end_q, path = plus_p, plus_q, None
+        tangent_path = _linear_monodromy(model, 1j, -1j / model.mass, t, 0.0,
+                                         s / n, n)
+    else:
+        end_p, end_q, path = plus_p[-1], plus_q[-1], (plus_p, plus_q)
+        tangent_path = None
+    _check_finite(end_p, end_q, "arc integration")
+    _check_halving(settings, (end_p, end_q, m_plus),
                    lambda: _flow_imaginary_batch(model, t, cp, cq, 0.0, +s,
                                                  2 * n, tangent=True),
                    "arc")
     sigma = np.linspace(0.0, s, n + 1)
     return ImaginaryArc(model=model, t=t, hbar_beta=hbar_beta, sigma=sigma,
-                        p=plus_p, q=plus_q, m_plus=m_plus)
+                        center_p=cp, center_q=cq, end_p=end_p, end_q=end_q,
+                        m_plus=m_plus, path=path, tangent_path=tangent_path)
 
 
 def build_arc(model: HamiltonianModel, t: float, z_c: ComplexPoint,

@@ -133,9 +133,16 @@ def solve_pseudo_state(model: HamiltonianModel, t_i: float, t_f: float,
 def _pseudo_power_batch(arcs: ImaginaryArc):
     """Arc-averaged explicit power (1/hbar*beta) int dH/dt dsigma of the
     arcs' model; dH/dt at the conjugate point is the conjugate, so the
-    integral is 2 Re S (``ImaginaryArc.half_weights``)."""
-    dth = arcs.model.dt(arcs.t, arcs.p, arcs.q)
-    half = weighted_sum(arcs.half_weights, dth)
+    integral is 2 Re S (``ImaginaryArc.half_weights``).  dH/dt is
+    m w wdot q^2, so a linear arc's S is m w wdot times its q^2 form
+    (``ImaginaryArc.linear_square_sum``), O(1) per column; a quartic
+    arc's is summed over its stored path."""
+    if arcs.tangent_path is not None:
+        # dt at q = 1 is the rate m w wdot that multiplies q^2
+        half = arcs.model.dt(arcs.t, 0.0, 1.0) * arcs.linear_square_sum(1)
+    else:
+        dth = arcs.model.dt(arcs.t, arcs.p, arcs.q)
+        half = weighted_sum(arcs.half_weights, dth)
     return 2.0 * half.real / arcs.hbar_beta
 
 
@@ -146,8 +153,9 @@ def pseudo_power(arc: ImaginaryArc) -> float:
     frozen time ``arc.t`` and the average over its span ``arc.hbar_beta``.
     Raises ValueError for a batch of more than one arc.
     """
-    if arc.p.shape[1] != 1:
-        raise ValueError(f"pseudo_power takes one arc, got {arc.p.shape[1]}")
+    width = arc.center_p.shape[0]
+    if width != 1:
+        raise ValueError(f"pseudo_power takes one arc, got {width}")
     return float(_pseudo_power_batch(arc)[0])
 
 
@@ -317,15 +325,15 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
         residual[j, live], det[j, live] = solve.residual, solve.det
         arcs = solve.arcs
         with _quiet():
-            # a power that is not finite is a column status (below), not a
-            # warning
+            # a power, G or prefactor that is not finite is a column
+            # status (below) or a NaN entry, not a warning
             power[j, good] = _pseudo_power_batch(arcs)
-        plus_p[j, good], plus_q[j, good] = arcs.p[-1], arcs.q[-1]
+            if j == 0:
+                g_initial[good] = arcs.g
+                prefactor_initial[good] = arcs.prefactor
+        plus_p[j, good], plus_q[j, good] = arcs.end_p, arcs.end_q
         check_p[j, good] = arcs.mid_p.real
         check_q[j, good] = arcs.mid_q.real
-        if j == 0:
-            g_initial[good] = arcs.g
-            prefactor_initial[good] = arcs.prefactor
         if j == times.size - 1:
             # the march ends at t_f: its last solve is the endpoint's
             g_prop[live] = _propagated_g_batch(t_i, tp[live], settings,

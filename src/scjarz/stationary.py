@@ -98,19 +98,24 @@ def _composite_map_batch(model, t_i, t_f, P, Q, hbar_beta, settings):
     map is holomorphic in a real center, so it is the real part of the
     chained monodromy of the two flows.  At t_f == t_i the real-time leg
     is skipped and this is the chord-midpoint map of the static arc.
-    The fourth value is the half-flow (hp, hq, m_plus): its state path,
-    each (n_sigma_steps + 1, B), and its complex monodromy (2, 2, B).
-    That is the plus half of the frozen-t_f arc through each center,
-    bitwise what ``_build_arc_batch`` would integrate.  Every view of the
-    map (the scalar map, the solve and the work march) reaches this
-    function, and a window with t_f < t_i raises ValueError here.
+    The fourth value is the half-flow (hp, hq, m_plus), the plus half of
+    the frozen-t_f arc through each center, bitwise what
+    ``_build_arc_batch`` would integrate, with its complex monodromy
+    (2, 2, B).  For a quartic model hp and hq are the state paths, each
+    (n_sigma_steps + 1, B); a linear model's are the endpoints (B,), since
+    its arc needs no path (``ImaginaryArc``).  Every view of the map (the
+    scalar map, the solve and the work march) reaches this function, and
+    a window with t_f < t_i raises ValueError here.
     """
     if t_f < t_i:
         raise ValueError("composite map requires t_i <= t_f")
+    store = model.quartic_lambda != 0.0
     hp, hq, m_plus = _flow_imaginary_batch(
         model, t_f, np.asarray(P, dtype=complex), np.asarray(Q, dtype=complex),
-        0.0, 0.5 * hbar_beta, settings.n_sigma_steps, store=True, tangent=True)
-    p, q, jac = hp[-1], hq[-1], m_plus
+        0.0, 0.5 * hbar_beta, settings.n_sigma_steps, store=store,
+        tangent=True)
+    p, q = (hp[-1], hq[-1]) if store else (hp, hq)
+    jac = m_plus
     if t_f != t_i:
         n = _real_step_count(model, settings, t_f - t_i)
         p, q, m_real = _flow_real_batch(model, t_f, t_i, p, q, n, tangent=True)
@@ -245,7 +250,8 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     width), and Newton converges at its first evaluation.  Both
     evaluations read the same memoized width-1 flows of the identity
     (``dynamics._linear_monodromy``), so each leg is integrated once per
-    solve, at width 1; Newton's evaluation applies them to its columns.
+    solve, at width 1; Newton's evaluation applies them to its columns,
+    and its half-flows are the columns' endpoints, not state paths.
     In a cold solve the points it leaves DIVERGED are re-solved along a
     ladder of spans hbar_beta / 2**_CONTINUATION_STAGES, doubled up to
     hbar_beta, each rung warm-started from the last.  A warm-started
@@ -254,7 +260,7 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     solve is the case t_f == t_i.  The OK columns' arcs are assembled once,
     from the full-span half-flows (the first stage's, and for re-solved
     points the last rung's), and returned as ``SolveBatch.arcs`` with
-    their plus-half monodromies; the half-flows themselves are not kept.
+    their plus-half monodromies.
     The Newton policy is the module's constants (``_NEWTON_TOL`` and the
     rest); ``settings`` sets the flows' step counts and the arcs' halving
     check.
@@ -312,6 +318,8 @@ def _propagated_g_batch(t_i, tp, settings, solve: SolveBatch):
     integrated here: the other starts at the conjugate endpoint, and the
     real-time flow has real coefficients, so its endpoint and action are
     the conjugates of this one's (bit for bit, up to the sign of a zero).
+    A linear leg's action is a quadratic form in its start, the arc's
+    endpoint (``dynamics._action_moments``), so no leg path is written.
     The total action along branch, arc and branch, less target p times
     the t_i chord, over i hbar*beta is G_prop; at t_f == t_i the legs
     vanish and this is the static G from the total action.  Every term of
@@ -325,7 +333,7 @@ def _propagated_g_batch(t_i, tp, settings, solve: SolveBatch):
     good = solve.status == OK
     # the leg joined to sigma = +hb/2; the action is accumulated backwards,
     # so the forward action flips its sign
-    pe, qe = arcs.p[-1], arcs.q[-1]
+    pe, qe = arcs.end_p, arcs.end_q
     s_minus = np.zeros(pe.shape, dtype=complex)
     if arcs.t != t_i:
         n = _real_step_count(arcs.model, settings, arcs.t - t_i)

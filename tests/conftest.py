@@ -12,9 +12,12 @@ def pytest_configure(config):
 @pytest.fixture(autouse=True)
 def cold_linear_memo():
     """Every test starts with an empty memo of width-1 linear flows
-    (``dynamics._linear_monodromy``), so no kernel count or cache count
-    depends on which tests ran before it."""
-    dynamics._linear_monodromy.cache_clear()
+    (``dynamics._linear_monodromy``) and of their moments
+    (``_arc_moments``, ``_action_moments``), so no kernel count or cache
+    count depends on which tests ran before it."""
+    for memo in (dynamics._linear_monodromy, dynamics._arc_moments,
+                 dynamics._action_moments):
+        memo.cache_clear()
 
 
 @pytest.fixture()

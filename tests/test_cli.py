@@ -21,6 +21,7 @@ from scjarz.pseudowork import _WORK_NODES
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 QUARTIC_RAMP = ROOT / "configs" / "quartic_ramp.yaml"
+HARMONIC_RAMP = ROOT / "configs" / "harmonic_ramp.yaml"
 
 BASE_CONFIG = """
 schema_version: 1
@@ -455,6 +456,30 @@ def test_subnormal_window_fails_closed(tmp_path, capsys, command, message):
     assert err.startswith(message) and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert not any((tmp_path / "out").iterdir())
+
+
+def test_overflowing_harmonic_start_fails_closed(tmp_path):
+    # a harmonic start at p = 1e155 solves, but its power (and its G) at
+    # t_i overflow, so `work` fails there: exit 3 with one line on stderr
+    # and no numpy warning, and no artifact.  A fresh interpreter runs it,
+    # so a warning would reach stderr as it does for a user
+    data = yaml.safe_load(HARMONIC_RAMP.read_text())
+    data["run"]["work_target"] = [1.0e155, 0.0]
+    path = tmp_path / "overflow.yaml"
+    path.write_text(yaml.safe_dump(data))
+    out = tmp_path / "out"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep)
+                      if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "scjarz.cli", "work", "--config", str(path),
+         "--out", str(out)], capture_output=True, text=True, env=env)
+    assert proc.returncode == scjarz.cli.EXIT_NUMERICS
+    assert proc.stderr.startswith(
+        "numerical failure: non-finite power or work at t=0 (")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_non_finite_json_is_a_numerical_failure(config_path, tmp_path,

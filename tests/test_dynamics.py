@@ -535,6 +535,71 @@ def test_ramps_with_different_drives_never_share_a_memo_entry():
     assert not np.array_equal(warm[0][-1], warm[1][-1])
 
 
+@pytest.mark.parametrize("name", sorted(LINEAR_MODELS))
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+                min_size=1, max_size=6),
+       st.floats(0.25, 2.0),
+       st.lists(st.tuples(*[st.floats(-3.0, 3.0)] * 4), min_size=1,
+                max_size=6))
+def test_linear_sums_are_quadratic_forms_of_the_path(name, centers,
+                                                     hbar_beta, starts):
+    # a linear arc's pdq and power and a linear real leg's action are
+    # quadratic forms in the start with width-1 moments; each must be the
+    # Simpson sum over the path (the arc's formed on read, the leg's
+    # stored by the kernel) within 1e-12 of the sum of the |terms|, and
+    # each column's form must be its width-1 form bit for bit
+    model = LINEAR_MODELS[name]
+    m = model.mass
+    cp = np.array([c[0] for c in centers], dtype=complex)
+    cq = np.array([c[1] for c in centers], dtype=complex)
+    p0 = np.array([complex(a, b) for a, b, _, _ in starts])
+    q0 = np.array([complex(c, d) for _, _, c, d in starts])
+    t, t_from, t_to, n = 0.3, 0.9, 0.1, 12
+    h = (t_to - t_from) / n
+    settings = IntegratorSettings(n_sigma_steps=16, n_time_steps=16)
+
+    def close(form, path_sum, scale):
+        # plus a few subnormal spacings: products of starts near 1e-160
+        # underflow, where every sum rounds in absolute, not relative, steps
+        tiny = 256 * np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(form - path_sum) <= 1e-12 * scale + tiny)
+
+    arcs = _build_arc_batch(model, t, cp, cq, hbar_beta, settings)
+    forms = {"pdq": arcs.pdq, "power": _pseudo_power_batch(arcs)}
+    w = arcs.half_weights
+    p, q = arcs.p, arcs.q
+    # the whole-arc sums are half - conj(half) and 2 Re(half) / hbar*beta
+    terms = p * (-1j) * (p / m)
+    half = weighted_sum(w, terms)
+    close(forms["pdq"], half - np.conjugate(half),
+          2.0 * weighted_sum(np.abs(w), np.abs(terms)))
+    terms = model.dt(t, p, q)
+    close(forms["power"], 2.0 * weighted_sum(w, terms).real / hbar_beta,
+          2.0 * weighted_sum(np.abs(w), np.abs(terms)) / hbar_beta)
+
+    _, _, action = _flow_real_batch(model, t_from, t_to, p0, q0, n,
+                                    with_action=True)
+    _, _, (lp, lq) = _rk4(model, -1.0, 1.0 / m, t_from, h, p0, q0, h, n,
+                          store=True)
+    times = t_from + np.arange(n + 1)[:, None] * h
+    stiffness = m * model.protocol.omega(times) ** 2
+    kinetic, potential = lp * lp / (2.0 * m), 0.5 * stiffness * lq * lq
+    w = simpson_weights(n + 1, h)
+    close(action, weighted_sum(w, kinetic - potential),
+          weighted_sum(np.abs(w), np.abs(kinetic) + np.abs(potential)))
+
+    for i in range(cp.size):
+        one = _build_arc_batch(model, t, cp[i:i + 1], cq[i:i + 1], hbar_beta,
+                               settings)
+        assert one.pdq[0] == forms["pdq"][i], i
+        assert _pseudo_power_batch(one)[0] == forms["power"][i], i
+    for i in range(p0.size):
+        one = _flow_real_batch(model, t_from, t_to, p0[i:i + 1],
+                               q0[i:i + 1], n, with_action=True)[2]
+        assert one.tobytes() == action[i:i + 1].tobytes(), i
+
+
 def test_running_drive_checks_every_time_before_the_first_step():
     # the drive table is formed for the whole flow up front, so a flow
     # that would leave the protocol span raises before it integrates

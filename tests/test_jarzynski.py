@@ -527,6 +527,42 @@ def test_identity_report_is_the_same_with_the_linear_memo_cold_or_warm():
     assert json.dumps(warm.to_dict()) == json.dumps(cold.to_dict())
 
 
+def test_harmonic_march_forms_no_batch_wide_path(monkeypatch):
+    # every sum a linear march reads is a quadratic form in the start, so
+    # no monodromy application during the identity writes a sample axis
+    # wider than one column; an arc's path, formed when it is read, is
+    # bitwise the path the kernel stores for the same centers
+    model = ramped_model("harmonic", omega_i=1.0, omega_f=2.0)
+    dom = QuadratureDomain(p_max=10.5, q_max=10.5, n_p=8, n_q=8)
+    settings = IntegratorSettings(n_sigma_steps=16, n_time_steps=16)
+    widths, arcs = [], []
+    apply, power = dynamics._apply_monodromy, pseudowork._pseudo_power_batch
+
+    def applied(m_p, m_q, p0, q0, p, q):
+        widths.append(p.shape[-1] if m_p.ndim > 2 else 0)
+        apply(m_p, m_q, p0, q0, p, q)
+
+    def recorded(batch):
+        arcs.append(batch)
+        return power(batch)
+
+    monkeypatch.setattr(dynamics, "_apply_monodromy", applied)
+    monkeypatch.setattr(pseudowork, "_pseudo_power_batch", recorded)
+    report = verify_identity(model, 1.0, 1.0, dom, settings)
+    assert report.failures == []
+    assert widths and max(widths) <= 1
+    assert len(arcs) == _WORK_NODES + 2
+    n = settings.n_sigma_steps
+    for batch in (arcs[0], arcs[-1]):
+        assert batch.center_p.size == dom.n_p * dom.n_q // 2
+        h = 0.5 / n
+        _, _, path = dynamics._rk4(model, 1j, -1j / model.mass, batch.t, 0.0,
+                                   batch.center_p, batch.center_q, h, n,
+                                   store=True)
+        assert batch.p.tobytes() == path[0].tobytes()
+        assert batch.q.tobytes() == path[1].tobytes()
+
+
 def test_report_serialization_fields():
     model = ramped_model("harmonic", omega_i=1.0, omega_f=1.0,
                          shape="constant")

@@ -723,10 +723,15 @@ def test_only_the_cold_t_i_solve_climbs_the_ladder(monkeypatch,
     assert out["status"].tolist() == [OK, DIVERGED]
 
 
-def test_pseudo_power_refuses_a_batch_of_arcs():
+def test_pseudo_power_refuses_a_batch_of_arcs(monkeypatch):
     # three columns of one solve hold three different powers; the scalar
     # view takes only a width-1 arc, and each column's own width-1 solve
-    # gives that column's power
+    # gives that column's power.  A linear arc forms its path only when
+    # it is read, and neither the width check nor the power reads it
+    def formed(*args):
+        raise AssertionError("a linear arc's path was formed")
+
+    monkeypatch.setattr(dynamics, "_linear_states", formed)
     model = harmonic_ramp(t_f=0.5)
     tp, tq = np.array([0.0, 1.0, 2.5]), np.array([1.0, -1.5, 2.0])
     solve = _invert_map_batch(model, 0.0, 0.5, tp, tq, 1.0, MARCH_SET)
@@ -917,6 +922,19 @@ def test_subnormal_window_nan_work_fails_closed(work_tol):
     assert out["status"].tolist() == [NON_FINITE]
     assert out["node_solves"] == 1
     assert out["last_node"].tolist() == [0]
+
+
+def test_overflowing_harmonic_start_fails_without_a_warning():
+    # at p = 1e155 the harmonic solve succeeds, but the power, G and the
+    # arc sums at t_i overflow; the march reads them quietly and fails the
+    # column NON_FINITE there, so even with RuntimeWarning an error the
+    # failure is IntegratorDiverged naming t=0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IntegratorDiverged,
+                           match=r"^non-finite power or work at t=0 "):
+            pseudo_work(harmonic_ramp(), 0.0, 1.0, ComplexPoint(1e155, 0.0),
+                        1.0, IntegratorSettings(16, 8))
 
 
 def test_non_finite_work_fails_at_t_f(monkeypatch):
