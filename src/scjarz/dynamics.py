@@ -119,17 +119,19 @@ def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
         p_k = A_k p0 + B_k q0,   q_k = C_k p0 + D_k q0,
 
     M_k = [[A_k, B_k], [C_k, D_k]] being the tangent rows after k steps.
-    Only the width-1 run from the identity is integrated
-    (``_linear_monodromy``, memoized with its path whether or not this
-    call stores one, so a map evaluation at the origin, the Newton
-    evaluation that follows it and the endpoint action's leg share one
-    run per leg); the final states are M_n applied to the starts, and the
-    tangent rows are M_n copied out to every column.  Only ``store``
-    writes the (n_steps + 1, B) path (``_linear_states``): the march
-    never asks for it, since every sum it reads of a linear path is a
-    quadratic form in the start (``_arc_moments``, ``_action_moments``).
-    This runs at every width, width 1 included, and every operation is
-    elementwise, so each column is its own width-1 result bit for bit.
+    Only the width-1 run from the identity is integrated, as a recurrence
+    on Python complex scalars (``_linear_steps``), and memoized with its
+    path whether or not this call stores one (``_linear_monodromy``), so a
+    map evaluation at the origin, the Newton evaluation that follows it
+    and the endpoint action's leg share one run per leg; the array kernel
+    steps only quartic stacks.  The final states are M_n applied to the
+    starts, and the tangent rows are M_n copied out to every column.
+    Only ``store`` writes the (n_steps + 1, B) path (``_linear_states``):
+    the march never asks for it, since every sum it reads of a linear
+    path is a quadratic form in the start (``_arc_moments``,
+    ``_action_moments``).  This runs at every width, width 1 included,
+    and every operation is elementwise, so each column is its own width-1
+    result bit for bit.
     """
     if model.quartic_lambda != 0.0:
         rows = 3 if tangent else 1
@@ -191,19 +193,53 @@ def _linear_monodromy(model, c, d, t0, dt, h, n_steps):
     """The linear flow's tangent rows, integrated once at width 1.
 
     Returns the path (2, n_steps + 1, 2, 1) of the p and q stacks from
-    the identity (row 0 started at (p, q) = (1, 0), row 1 at (0, 1)); its
-    last sample is bitwise the final stacks.  The path is always recorded
-    (4 KB at 64 steps), so a stored and an unstored run of one leg share
-    an entry, and the leg's Simpson moments are reduced from it
-    (``_arc_moments``, ``_action_moments``, memoized on the same leg).
-    The array is read-only: every caller of the memo shares it.  The key
-    is every input of the run, and the model (its mass and drive) is part
-    of it, so two ramps never share an entry.
+    the identity (row 0 started at (p, q) = (1, 0), row 1 at (0, 1)),
+    stepped by the scalar recurrence ``_linear_steps``; its last sample
+    is the final stacks.  The path is always recorded (4 KB at 64 steps),
+    so a stored and an unstored run of one leg share an entry, and the
+    leg's Simpson moments are reduced from it (``_arc_moments``,
+    ``_action_moments``, memoized on the same leg).  The array is
+    read-only: every caller of the memo shares it.  The key is every
+    input of the run, and the model (its mass and drive) is part of it,
+    so two ramps never share an entry.
     """
-    P = np.array([[1.0], [0.0]], dtype=complex)
-    Q = np.array([[0.0], [1.0]], dtype=complex)
-    path = _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, True)
+    path = _linear_steps(model, c, d, t0, dt, h, n_steps)
     path.flags.writeable = False
+    return path
+
+
+def _linear_steps(model, c, d, t0, dt, h, n_steps):
+    """Step the identity's two tangent rows of a linear flow n_steps times
+    on Python complex scalars; returns their path (2, n_steps + 1, 2, 1).
+
+    The force m w^2 q is linear in each row, so each row is a flow of its
+    own, and each runs ``_rk4_steps``'s Nystrom stage sequence: the same
+    operations in the same order, on the same drive table and stage
+    constants (``_nystrom_table``).  So the path is bit for bit what the
+    array stages would give a (2, 1) stack, at a fraction of the cost: at
+    width 1 a numpy call costs more than its arithmetic.  Python complex
+    multiplication and addition raise nothing on overflow, so a sample
+    that is not finite propagates as it would in the array stages.
+    """
+    drive, (hd, hd2, hc6, hchd2, hchd4, hchd6) = _nystrom_table(
+        model, c, d, t0, dt, h, n_steps)
+    path = np.empty((2, n_steps + 1, 2, 1), dtype=complex)
+    for row, (p, q) in enumerate(((1 + 0j, 0j), (0j, 1 + 0j))):
+        ps, qs = [p], [q]
+        for m_start, m_mid, m_end in drive:
+            k1 = q * m_start
+            q2 = q + p * hd2
+            q = q + p * hd                  # the base of Q4 and Q'
+            k2 = q2 * m_mid
+            k3 = (q2 + k1 * hchd4) * m_mid  # at Q3
+            k4 = (q + k2 * hchd2) * m_end   # at Q4
+            s = (k1 + k2) + k3
+            q = q + s * hchd6
+            p = p + ((s + (k2 + k3)) + k4) * hc6
+            ps.append(p)
+            qs.append(q)
+        path[0, :, row, 0] = ps
+        path[1, :, row, 0] = qs
     return path
 
 
@@ -266,40 +302,21 @@ def _action_moments(model, t_from, h, n_steps):
     return mom
 
 
-def _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store):
-    """Step the (rows, B) complex stacks P and Q in place, n_steps times.
+def _nystrom_table(model, c, d, t0, dt, h, n_steps):
+    """The drive table and stage constants of an RK4 run in Nystrom form.
 
-    For a quartic model row 0 is the state and, in a 3-row stack, rows 1
-    and 2 are the tangent columns, with H_qq at each stage state.  For a
-    linear model the force m w^2 q is linear in each row, so every row is
-    a flow of its own (``_linear_monodromy`` steps the identity's two).
-    Each stage is one array operation over the stack.  With ``store``,
-    returns the path (2, n_steps + 1) + the shape of the recorded rows:
-    row 0 of a quartic stack, the whole stack of a linear one; else None.
-
-    The step is in Nystrom form (Hairer, Norsett and Wanner, *Solving
-    Ordinary Differential Equations I*, sec. II.14): stage forces k_j at
-    Q2 = Q + (hd/2) P, Q3 = Q2 + (hc hd/4) k1, Q4 = Q + hd P + (hc hd/2) k2,
-    then P' = P + (hc/6)(k1 + 2 k2 + 2 k3 + k4) and
-    Q' = Q + hd P + (hc hd/6)(k1 + k2 + k3).  The flow is separable, so
-    this is classical RK4 in exact arithmetic without the stage momenta,
-    and the tangent rows are still the exact derivative of the discrete
-    map.  hc hd is real for both flows, so every operation commutes
-    exactly with conjugation.  The quartic force q (m w^2 + 4 lam q^2) and
-    the tangent stiffness m w^2 + 12 lam q^2 come from one coefficient
-    stack.
-
-    The drive is a table of the stiffness m w(t)^2 at each step's start,
-    midpoint and end, formed for the whole call in one vectorized pass
+    The drive is a list of the stiffness m w(t)^2 at each step's start,
+    midpoint and end, formed for the whole run in one vectorized pass
     with the times t0 + k dt, t + dt/2 and t + dt of step k (so an
     out-of-range time anywhere raises before the first step); dt = 0
-    freezes the drive, and its stiffness is evaluated once.  Every stage
-    writes into buffers allocated once per run.
+    freezes the drive, and its stiffness is evaluated once.  The
+    constants are (hd, hd/2, hc/6, hc hd/2, hc hd/4, hc hd/6) with
+    hc = h c and hd = h d.  Both steppers (``_rk4_steps``,
+    ``_linear_steps``) read their numbers from here.
     """
-    # the drive table, one (start, mid, end) triple per step; the scalars
-    # are complex: numpy promotes a float operand of a complex array to
-    # complex anyway, bit for bit, but the promotion costs more than the
-    # whole product of a narrow batch
+    # the scalars are complex: numpy promotes a float operand of a complex
+    # array to complex anyway, bit for bit, but the promotion costs more
+    # than the whole product of a narrow batch
     def stiffness(t):
         w = model.protocol.omega(t)
         return model.mass * w * w
@@ -312,15 +329,39 @@ def _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store):
         t = t0 + np.arange(n_steps) * dt
         drive = list(zip(*(stiffness(x).astype(complex).tolist()
                            for x in (t, t + 0.5 * dt, t + dt))))
-    linear = model.quartic_lambda == 0.0
-    tangent = not linear and P.shape[0] > 1
     hc, hd = complex(h * c), complex(h * d)
     hchd = hc * hd
-    hd2, hc6 = 0.5 * hd, hc / 6.0
-    hchd2, hchd4, hchd6 = 0.5 * hchd, 0.25 * hchd, hchd / 6.0
+    return drive, (hd, 0.5 * hd, hc / 6.0, 0.5 * hchd, 0.25 * hchd,
+                   hchd / 6.0)
 
-    rec = slice(None) if linear else 0
-    path = (np.empty((2, n_steps + 1) + P[rec].shape, dtype=complex)
+
+def _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store):
+    """Step a quartic model's (rows, B) complex stacks P and Q in place,
+    n_steps times.
+
+    Row 0 is the state and, in a 3-row stack, rows 1 and 2 are the
+    tangent columns, with H_qq at each stage state.  A linear model never
+    comes here: its flow is the scalar recurrence ``_linear_steps``.
+    Each stage is one array operation over the stack.  With ``store``,
+    returns the path (2, n_steps + 1, B) of row 0; else None.
+
+    The step is in Nystrom form (Hairer, Norsett and Wanner, *Solving
+    Ordinary Differential Equations I*, sec. II.14): stage forces k_j at
+    Q2 = Q + (hd/2) P, Q3 = Q2 + (hc hd/4) k1, Q4 = Q + hd P + (hc hd/2) k2,
+    then P' = P + (hc/6)(k1 + 2 k2 + 2 k3 + k4) and
+    Q' = Q + hd P + (hc hd/6)(k1 + k2 + k3).  The flow is separable, so
+    this is classical RK4 in exact arithmetic without the stage momenta,
+    and the tangent rows are still the exact derivative of the discrete
+    map.  hc hd is real for both flows, so every operation commutes
+    exactly with conjugation.  The quartic force q (m w^2 + 4 lam q^2) and
+    the tangent stiffness m w^2 + 12 lam q^2 come from one coefficient
+    stack.  The drive table and stage constants are ``_nystrom_table``'s.
+    Every stage writes into buffers allocated once per run.
+    """
+    drive, (hd, hd2, hc6, hchd2, hchd4, hchd6) = _nystrom_table(
+        model, c, d, t0, dt, h, n_steps)
+    tangent = P.shape[0] > 1
+    path = (np.empty((2, n_steps + 1) + P[0].shape, dtype=complex)
             if store else None)
     # stage buffers: the stage position, the stage forces (k1 then k3,
     # k2 then k4), their sum and a scratch stack; q^2, and the force and
@@ -330,15 +371,12 @@ def _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store):
     lam = model.quartic_lambda * np.array([[4], [12]][:1 + tangent]) + 0j
     coef_f, coef_s = coef[0], coef[1:]
     q_rows, qs_rows, ka_rows, kb_rows = (
-        (X, X[0], X[1:]) for X in (Q, Qs, Ka, Kb))
+        (X[0], X[1:]) for X in (Q, Qs, Ka, Kb))
 
     def force(x_rows, k_rows, mw2):
         """k = (H_q(q), H_qq(q) dq rows) at the state row q of x, given
-        as (stack, state row, tangent rows) views like k."""
-        (X, q, dq), (K, f, df) = x_rows, k_rows
-        if linear:
-            np.multiply(X, mw2, out=K)
-            return
+        as (state row, tangent rows) views like k."""
+        (q, dq), (f, df) = x_rows, k_rows
         np.multiply(q, q, out=qq)
         np.add(np.multiply(lam, qq, out=coef), mw2, out=coef)
         np.multiply(q, coef_f, out=f)
@@ -348,7 +386,7 @@ def _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store):
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (m_start, m_mid, m_end) in enumerate(drive):
             if store:
-                path[0, k], path[1, k] = P[rec], Q[rec]
+                path[0, k], path[1, k] = P[0], Q[0]
             # once Q2 is formed, Q holds Q + hd P, the base of Q4 and Q'
             force(q_rows, ka_rows, m_start)                 # k1
             np.add(Q, np.multiply(P, hd2, out=Qs), out=Qs)  # Q2
@@ -366,7 +404,7 @@ def _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store):
             np.add(S, Ka, out=S)                # k1 + 2 k2 + 2 k3 + k4
             np.add(P, np.multiply(S, hc6, out=S), out=P)         # P'
         if store:
-            path[0, n_steps], path[1, n_steps] = P[rec], Q[rec]
+            path[0, n_steps], path[1, n_steps] = P[0], Q[0]
     return path
 
 

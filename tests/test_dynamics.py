@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from scjarz.models import (ComplexPoint, FrequencyProtocol, harmonic_model,
 from scjarz.pseudowork import _pseudo_power_batch, _pseudo_work_batch
 from scjarz.stationary import pseudo_hamiltonian
 
-from references import grad
+from references import grad, linear_monodromy_path
 
 SET = IntegratorSettings(n_sigma_steps=128, n_time_steps=128)
 
@@ -443,16 +445,23 @@ def test_drive_table_is_formed_once_at_the_kernel_step_times(monkeypatch):
 @pytest.mark.parametrize("lam", [0.0, 0.1])
 def test_linear_flows_step_only_at_width_one(monkeypatch, lam):
     # a whole march over 16 starts: at quartic_lambda = 0 every RK4 step
-    # runs on the width-1 flow of the identity, at any batch width; the
-    # quartic control steps its starts at the batch width
-    widths = []
-    steps = dynamics._rk4_steps
+    # runs in the scalar recurrence on the width-1 flow of the identity,
+    # at any batch width, and the array kernel steps nothing; the quartic
+    # control steps its starts in the kernel at the batch width
+    widths = {"kernel": [], "recurrence": []}
+    steps, recurrence = dynamics._rk4_steps, dynamics._linear_steps
 
-    def recorded(model, c, d, t0, dt, P, *args):
-        widths.append(P.shape[-1])
+    def recorded_steps(model, c, d, t0, dt, P, *args):
+        widths["kernel"].append(P.shape[-1])
         return steps(model, c, d, t0, dt, P, *args)
 
-    monkeypatch.setattr(dynamics, "_rk4_steps", recorded)
+    def recorded_recurrence(*args):
+        path = recurrence(*args)
+        widths["recurrence"].append(path.shape[-1])
+        return path
+
+    monkeypatch.setattr(dynamics, "_rk4_steps", recorded_steps)
+    monkeypatch.setattr(dynamics, "_linear_steps", recorded_recurrence)
     model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
                          quartic_lambda=lam)
     rng = np.random.default_rng(5)
@@ -461,11 +470,12 @@ def test_linear_flows_step_only_at_width_one(monkeypatch, lam):
                              IntegratorSettings(n_sigma_steps=16,
                                                 n_time_steps=16))
     assert np.all(out["status"] == 0)
-    assert widths
     if lam:
-        assert max(widths) == 16
+        assert max(widths["kernel"]) == 16
+        assert widths["recurrence"] == []
     else:
-        assert set(widths) == {1}
+        assert widths["kernel"] == []
+        assert set(widths["recurrence"]) == {1}
 
 
 def test_linear_memo_arrays_refuse_writes():
@@ -493,20 +503,69 @@ def test_linear_memo_arrays_refuse_writes():
     (-1.0, 1.0, 0.1, 0.05, 0.05),   # a real leg, forwards
 ])
 def test_a_recorded_path_leaves_the_final_stacks_unchanged(c, d, t0, dt, h):
-    # the memo always records the width-1 path and reads the final stacks
-    # from its last sample, so one entry serves a stored and an unstored
-    # run of a leg only if recording changes no bit of the stepping
+    # a quartic flow stores its state path only when asked, and the
+    # stored and unstored runs must step the same bits: recording row 0
+    # changes no bit of the final stacks, of a state stack (1 row) or of
+    # a tangent one (3 rows)
+    model = TANGENT_MODELS["quartic"]
+    for rows in (1, 3):
+        runs = []
+        for store in (False, True):
+            P = np.zeros((rows, 2), dtype=complex)
+            Q = np.zeros_like(P)
+            P[0], Q[0] = [0.7 + 0.2j, -1.5 + 0.1j], [0.3 - 0.4j, 1.1 + 0.0j]
+            if rows == 3:
+                P[1] = Q[2] = 1.0
+            path = dynamics._rk4_steps(model, c, d, t0, dt, P, Q, h, 8, store)
+            runs.append((P, Q, path))
+        (P, Q, none), (P_s, Q_s, path) = runs
+        assert none is None and path.shape == (2, 9, 2)
+        for x, y in ((P, P_s), (Q, Q_s), (P[0], path[0, -1]),
+                     (Q[0], path[1, -1])):
+            assert x.tobytes() == y.tobytes(), rows
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_MODELS))
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1j, -1.0]), st.sampled_from([1.0, -1.0]),
+       st.booleans(), st.sampled_from([0, 1, 2, 7, 8, 13, 16, 33]),
+       st.floats(0.0, 1.0), st.floats(0.01, 1.0))
+def test_linear_recurrence_is_the_array_stepping(name, c, sign, running,
+                                                 n_steps, t0, fraction):
+    # the scalar recurrence runs the array kernel's stage sequence on
+    # Python complex scalars, so its tangent path must be the array
+    # stepping of the identity stack byte for byte: imaginary (c = i) and
+    # real (c = -1) coefficients, a frozen drive (dt = 0) and a running
+    # one forwards and backwards (dt = h of either sign, inside the
+    # protocol span), empty and odd step counts
+    model = LINEAR_MODELS[name]
+    d = (-1j if c == 1j else 1.0) / model.mass
+    span = 1.0 - t0 if sign > 0.0 else t0
+    h = sign * fraction * span / max(n_steps, 1)
+    dt = h if running else 0.0
+    got = dynamics._linear_steps(model, c, d, t0, dt, h, n_steps)
+    want = linear_monodromy_path(model, c, d, t0, dt, h, n_steps)
+    assert got.shape == want.shape == (2, n_steps + 1, 2, 1)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_an_overflowing_linear_leg_matches_the_array_stepping():
+    # a step of 1e30 overflows the tangent rows at the third step, into
+    # both infinities and NaNs; the recurrence must raise nothing (no
+    # warning either) and give the same non-finite samples as the array
+    # stepping, and the finite ones bitwise
     model = LINEAR_MODELS["harmonic-linear"]
-    runs = []
-    for store in (False, True):
-        P = np.array([[1.0], [0.0]], dtype=complex)
-        Q = np.array([[0.0], [1.0]], dtype=complex)
-        path = dynamics._rk4_steps(model, c, d, t0, dt, P, Q, h, 8, store)
-        runs.append((P, Q, path))
-    (P, Q, none), (P_s, Q_s, path) = runs
-    assert none is None
-    for x, y in ((P, P_s), (Q, Q_s), (P, path[0, -1]), (Q, path[1, -1])):
-        assert x.tobytes() == y.tobytes()
+    args = (model, 1j, -1j / model.mass, 0.3, 0.0, 1e30, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dynamics._linear_steps(*args)
+    want = linear_monodromy_path(*args)
+    assert np.any(np.isnan(got)) and np.any(np.isinf(got))
+    for mask in (np.isnan, np.isinf):
+        assert np.array_equal(mask(got), mask(want))
+    finite = np.isfinite(want)
+    assert np.any(finite[:, 1:])
+    assert got[finite].tobytes() == want[finite].tobytes()
 
 
 def test_ramps_with_different_drives_never_share_a_memo_entry():

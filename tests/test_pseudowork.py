@@ -370,15 +370,17 @@ def test_linear_solve_evaluates_the_map_once_per_column(monkeypatch):
 def test_linear_solve_integrates_each_leg_once(monkeypatch):
     # the origin evaluation and Newton's evaluation share the memoized
     # width-1 flows: one imaginary run (c = i) and one real run (c = -1)
-    # per solve at t_f > t_i, and none at all for a repeated solve
+    # of the scalar recurrence per solve at t_f > t_i, and none at all
+    # for a repeated solve
     runs = []
-    steps = dynamics._rk4_steps
+    recurrence = dynamics._linear_steps
 
-    def recorded(model, c, d, t0, dt, P, *args):
-        runs.append((c, P.shape[-1]))
-        return steps(model, c, d, t0, dt, P, *args)
+    def recorded(model, c, *args):
+        path = recurrence(model, c, *args)
+        runs.append((c, path.shape[-1]))
+        return path
 
-    monkeypatch.setattr(dynamics, "_rk4_steps", recorded)
+    monkeypatch.setattr(dynamics, "_linear_steps", recorded)
     model = harmonic_ramp()
     tp = np.array([0.2, -1.7, 2.5, 0.0, -0.4])
     tq = np.array([0.9, 0.4, -2.2, 1.3, 0.0])
@@ -397,15 +399,15 @@ def test_linear_march_integrates_each_distinct_leg_once(monkeypatch):
     # width-1 legs: the imaginary leg at each node and the real leg back
     # to t_i at every node but t_i.  The memo records every leg's path, so
     # the t_f endpoint action's stored leg is the t_f solve's own, and no
-    # leg is stepped twice
+    # leg is stepped twice by the scalar recurrence
     legs = []
-    steps = dynamics._rk4_steps
+    recurrence = dynamics._linear_steps
 
-    def recorded(model, c, d, t0, dt, P, Q, h, n_steps, store):
+    def recorded(model, c, d, t0, dt, h, n_steps):
         legs.append((c, t0, dt, n_steps))
-        return steps(model, c, d, t0, dt, P, Q, h, n_steps, store)
+        return recurrence(model, c, d, t0, dt, h, n_steps)
 
-    monkeypatch.setattr(dynamics, "_rk4_steps", recorded)
+    monkeypatch.setattr(dynamics, "_linear_steps", recorded)
     tp = np.array([0.2, -1.7, 2.5, 0.0, -0.4])
     tq = np.array([0.9, 0.4, -2.2, 1.3, 0.0])
     out = _pseudo_work_batch(harmonic_ramp(), 0.0, 1.0, tp, tq, 1.0, HYP_SET)
@@ -424,9 +426,10 @@ def test_endpoint_g_after_a_linear_solve_steps_no_kernel(monkeypatch):
     assert np.all(solve.status == OK)
 
     def refused(*args):
-        raise AssertionError("the kernel stepped a leg the solve had run")
+        raise AssertionError("a leg the solve had run was stepped again")
 
-    monkeypatch.setattr(dynamics, "_rk4_steps", refused)
+    for stepper in ("_linear_steps", "_rk4_steps"):
+        monkeypatch.setattr(dynamics, stepper, refused)
     g_prop = _propagated_g_batch(0.0, tp, HYP_SET, solve)
     assert np.all(np.isfinite(g_prop))
 
