@@ -81,16 +81,19 @@ def simpson_weights(n_samples: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def weighted_sum(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k w[k] * x[k] over the leading axis, accumulated in index order.
+def weighted_sum(w: np.ndarray, rows) -> np.ndarray:
+    """sum_k w[k] * rows[k], accumulated in index order; ``rows`` is an
+    array (over its leading axis) or an iterable of as many rows, such as
+    a generator that forms each row as it is added.
 
     Each column's result depends on that column alone, so it is bitwise
     the same whatever the batch width or BLAS threading (a ``w @ x``
     matrix-vector product blocks differently in each case).
     """
-    acc = w[0] * x[0]
-    for k in range(1, w.shape[0]):
-        acc += w[k] * x[k]
+    terms = (wk * x for wk, x in zip(w, rows, strict=True))
+    acc = next(terms)
+    for term in terms:
+        acc += term
     return acc
 
 
@@ -634,8 +637,9 @@ class ImaginaryArc:
         if self.tangent_path is not None:
             half = (-1j / m) * self.linear_square_sum(0)
         else:
-            integrand = self.p * (-1j) * (self.p / m)   # p * dq/dsigma
-            half = weighted_sum(self.half_weights, integrand)
+            # p * dq/dsigma, one sample row at a time: no (n + 1, B) stack
+            half = weighted_sum(self.half_weights,
+                                (p * (-1j) * (p / m) for p in self.p))
         return half - np.conjugate(half)
 
     @cached_property
@@ -704,19 +708,19 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
                      half=None) -> ImaginaryArc:
     """Record the symmetric arcs by their center -> +hbar*beta/2 halves.
 
-    ``half`` is the plus halves' flow with its monodromy M_+ (2, 2, B), as
-    ``_flow_imaginary_batch`` returns it with the tangent, stored for a
-    quartic model (the (n_sigma_steps + 1, B) state paths) and unstored
-    for a linear one (the (B,) endpoints), as the solve that found the
-    centers already integrated it (``stationary._invert_map_batch``
-    passes it); without it the halves are integrated here (the states are
-    bitwise the same either way).  A linear arc keeps the memo's width-1
-    tangent path of its plus half instead of a state path.  The endpoints
-    are checked for finite values (a sample that is not finite stays so
-    to the end of a quartic path; a linear arc's sums are forms that carry
-    it) and, with ``richardson_check``, the endpoints and M_+ against the
-    same flow at twice the steps (M_+ on its own scale: at a center at the
-    origin the state is 0 at every step count).
+    ``half`` is the plus halves' (B,) endpoints and monodromy M_+
+    (2, 2, B), as the solve that found the centers integrated them
+    (``stationary._invert_map_batch`` passes it); without it they are
+    integrated here.  A quartic arc's state paths, (n_sigma_steps + 1, B)
+    each, are stepped here once, state row only: the kernel's state row
+    does not depend on its tangent rows, so they are bit for bit row 0 of
+    that tangent run, and no Newton trial writes a path.  A linear arc
+    keeps the memo's width-1 tangent path of its plus half instead.  The
+    endpoints are checked for finite values (a sample that is not finite
+    stays so to the end of a quartic path; a linear arc's sums are forms
+    that carry it) and, with ``richardson_check``, the endpoints and M_+
+    against the same flow at twice the steps (M_+ on its own scale: at a
+    center at the origin the state is 0 at every step count).
 
     Centers must be real (a complex dtype with zero imaginary parts is
     accepted); a non-real center raises ValueError.  For a real center the
@@ -733,23 +737,21 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
     cq = np.asarray(center_q, dtype=complex)
     if np.any(cp.imag != 0.0) or np.any(cq.imag != 0.0):
         raise ValueError("arc assembly expects real centers")
-    linear = model.quartic_lambda == 0.0
     if half is None:
         half = _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, n,
-                                     store=not linear, tangent=True)
-    plus_p, plus_q, m_plus = half
-    if linear:
-        end_p, end_q, path = plus_p, plus_q, None
-        tangent_path = _linear_monodromy(model, 1j, -1j / model.mass, t, 0.0,
-                                         s / n, n)
-    else:
-        end_p, end_q, path = plus_p[-1], plus_q[-1], (plus_p, plus_q)
-        tangent_path = None
+                                     tangent=True)
+    end_p, end_q, m_plus = half
     _check_finite(end_p, end_q, "arc integration")
     _check_halving(settings, (end_p, end_q, m_plus),
                    lambda: _flow_imaginary_batch(model, t, cp, cq, 0.0, +s,
                                                  2 * n, tangent=True),
                    "arc")
+    path = tangent_path = None
+    if model.quartic_lambda == 0.0:
+        tangent_path = _linear_monodromy(model, 1j, -1j / model.mass, t, 0.0,
+                                         s / n, n)
+    else:
+        path = _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, n, store=True)
     sigma = np.linspace(0.0, s, n + 1)
     return ImaginaryArc(model=model, t=t, hbar_beta=hbar_beta, sigma=sigma,
                         center_p=cp, center_q=cq, end_p=end_p, end_q=end_q,

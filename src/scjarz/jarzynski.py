@@ -60,10 +60,6 @@ class QuadratureDomain:
         if not 0.0 < self.boundary_weight_tol < 1.0:
             raise ValueError("boundary_weight_tol must be in (0, 1)")
 
-    def axis(self, half_width: float, n: int):
-        x, w = leggauss(n)
-        return half_width * x, half_width * w
-
     def nodes(self):
         """Flattened (P, Q, weight) arrays for the tensor grid.
 
@@ -71,10 +67,12 @@ class QuadratureDomain:
         bit: ``leggauss`` symmetrizes its nodes, scaling by a half-width
         keeps signs symmetric, and the repeat/tile order maps node k to
         node N-1-k under reversal.  ``verify_identity`` and ``partition``
-        solve the ``_half`` and ``_mirror`` the rest.
+        solve the ``_half`` and ``_mirror`` the rest.  Each distinct node
+        count's rule is computed once: a square grid shares one.
         """
-        xp, wp = self.axis(self.p_max, self.n_p)
-        xq, wq = self.axis(self.q_max, self.n_q)
+        rules = {n: leggauss(n) for n in {self.n_p, self.n_q}}
+        xp, wp = (self.p_max * a for a in rules[self.n_p])
+        xq, wq = (self.q_max * a for a in rules[self.n_q])
         P = np.repeat(xp, self.n_q)
         Q = np.tile(xq, self.n_p)
         W = np.outer(wp, wq).ravel()

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridTooNarrow, TruncationInsufficient
 
@@ -141,7 +142,9 @@ def _wigner_raw(op: FockOperator, q_max: float, n_q: int) -> tuple:
     The offset grid spacing is twice the position spacing, so every matrix
     element argument q +/- Q/2 lands on one shared Hermite evaluation grid.
     The kernel is summed over the eigenvectors of the operator, which must
-    be Hermitian (ValueError otherwise).
+    be Hermitian (ValueError otherwise).  Each eigenvector's term is formed
+    in one buffer from strided views of u_k and of conj(u_k) reversed, no
+    gathered copies: an index gather's operations, bit for bit.
     """
     n = int(n_q)
     if n < 8 or n % 2 != 0:
@@ -172,18 +175,21 @@ def _wigner_raw(op: FockOperator, q_max: float, n_q: int) -> tuple:
     keep = np.abs(w) > 1e-16 * np.max(np.abs(w))
     w, v = w[keep], v[:, keep]
     u = v.T @ psi                          # (K, 2n), u_k on the shared grid
-    i_idx = np.arange(n)[:, None]
-    j_idx = np.arange(n)[None, :]
-    plus = (i_idx + j_idx)                 # x index of q + Q/2
-    minus = (n + i_idx - j_idx)            # x index of q - Q/2
+    term = np.empty_like(kernel)
     for k in range(w.size):
-        uk = u[k]
-        kernel += w[k] * uk[plus] * uk.conj()[minus]
+        # u_k[i + j] at q + Q/2; conj(u_k)[n + i - j] = reversed[n-1-i+j]
+        plus = sliding_window_view(u[k], n)[:n]
+        minus = sliding_window_view(u[k].conj()[::-1], n)[n - 1::-1]
+        np.multiply(w[k], plus, out=term)
+        np.multiply(term, minus, out=term)
+        kernel += term
+    del term
 
     j = np.arange(n)
     phase_j = np.where(j % 2 == 0, 1.0, -1.0)
     phase_k = np.where(j % 2 == 0, 1.0, -1.0) * np.exp(-0.5j * np.pi * n)
-    w_vals = np.fft.fft(kernel * phase_j[None, :], axis=1)
+    kernel *= phase_j[None, :]
+    w_vals = np.fft.fft(kernel, axis=1)
     w_vals *= phase_k[None, :] * (dQ / (2.0 * np.pi * hbar))
     return q_axis, p_axis, w_vals, dp, dq
 

@@ -136,13 +136,13 @@ def _pseudo_power_batch(arcs: ImaginaryArc):
     integral is 2 Re S (``ImaginaryArc.half_weights``).  dH/dt is
     m w wdot q^2, so a linear arc's S is m w wdot times its q^2 form
     (``ImaginaryArc.linear_square_sum``), O(1) per column; a quartic
-    arc's is summed over its stored path."""
+    arc's is summed over its stored path one sample row at a time
+    (``weighted_sum``), so no (n + 1, B) stack of dH/dt is formed."""
+    rate = arcs.model.dt(arcs.t, 0.0, 1.0)   # m w wdot: dt is (rate q) q
     if arcs.tangent_path is not None:
-        # dt at q = 1 is the rate m w wdot that multiplies q^2
-        half = arcs.model.dt(arcs.t, 0.0, 1.0) * arcs.linear_square_sum(1)
+        half = rate * arcs.linear_square_sum(1)
     else:
-        dth = arcs.model.dt(arcs.t, arcs.p, arcs.q)
-        half = weighted_sum(arcs.half_weights, dth)
+        half = weighted_sum(arcs.half_weights, (rate * q * q for q in arcs.q))
     return 2.0 * half.real / arcs.hbar_beta
 
 

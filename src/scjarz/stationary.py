@@ -62,8 +62,8 @@ class SolveBatch:
     ``status`` is OK, CAUSTIC or DIVERGED (``_pseudo_work_batch`` marks
     a column NON_FINITE).  ``arcs`` holds the frozen-t_f arcs of the OK
     columns, in column order, with the solve's t_f and hbar*beta:
-    assembled from the imaginary half-flow that each column's last
-    accepted map evaluation ran, so no caller integrates them again.
+    assembled from the half-flow endpoints and monodromies of each
+    column's last accepted map evaluation (``_build_arc_batch``).
     """
 
     zc_p: np.ndarray
@@ -98,29 +98,24 @@ def _composite_map_batch(model, t_i, t_f, P, Q, hbar_beta, settings):
     map is holomorphic in a real center, so it is the real part of the
     chained monodromy of the two flows.  At t_f == t_i the real-time leg
     is skipped and this is the chord-midpoint map of the static arc.
-    The fourth value is the half-flow (hp, hq, m_plus), the plus half of
-    the frozen-t_f arc through each center, bitwise what
-    ``_build_arc_batch`` would integrate, with its complex monodromy
-    (2, 2, B).  For a quartic model hp and hq are the state paths, each
-    (n_sigma_steps + 1, B); a linear model's are the endpoints (B,), since
-    its arc needs no path (``ImaginaryArc``).  Every view of the map (the
-    scalar map, the solve and the work march) reaches this function, and
-    a window with t_f < t_i raises ValueError here.
+    The fourth value is the half-flow (end_p, end_q, m_plus) of the plus
+    half of the frozen-t_f arc through each center, bitwise what
+    ``_build_arc_batch`` would integrate: endpoints (B,) and complex
+    monodromy (2, 2, B), and no path (an arc steps its own from the solved
+    centers).  Every view of the map (the scalar map, the solve and the
+    work march) reaches this function, and a window with t_f < t_i
+    raises ValueError here.
     """
     if t_f < t_i:
         raise ValueError("composite map requires t_i <= t_f")
-    store = model.quartic_lambda != 0.0
-    hp, hq, m_plus = _flow_imaginary_batch(
+    p, q, jac = half = _flow_imaginary_batch(
         model, t_f, np.asarray(P, dtype=complex), np.asarray(Q, dtype=complex),
-        0.0, 0.5 * hbar_beta, settings.n_sigma_steps, store=store,
-        tangent=True)
-    p, q = (hp[-1], hq[-1]) if store else (hp, hq)
-    jac = m_plus
+        0.0, 0.5 * hbar_beta, settings.n_sigma_steps, tangent=True)
     if t_f != t_i:
         n = _real_step_count(model, settings, t_f - t_i)
         p, q, m_real = _flow_real_batch(model, t_f, t_i, p, q, n, tangent=True)
         jac = m_real[:, 0, None] * jac[0] + m_real[:, 1, None] * jac[1]
-    return p.real, q.real, jac.real, (hp, hq, m_plus)
+    return p.real, q.real, jac.real, half
 
 
 # Newton: a column converges at a residual max(|F_p|, |F_q|) of at most
@@ -148,9 +143,8 @@ def _newton_stage(map_fn, tp, tq, gp, gq):
     ``map_fn(P, Q)`` returns (mp, mq, J, half) as ``_composite_map_batch``
     does.  Each step inverts the Jacobian J that came with the last
     accepted map evaluation, so an iteration costs one map evaluation per
-    trial.  A column's half-flow is kept from the evaluation it converges
-    at (it is never tried again), so it is copied at most once; a trial at
-    which every column converges hands its arrays over by reference.
+    trial.  A column's half-flow, its endpoints and monodromy, is copied
+    once, from the evaluation it converges at (it is never tried again).
     Returns (gp, gq, det, iters, residual, status, half), det and a
     converged column's half-flow taken at the final point; points whose
     Jacobian there (or at any iterate) is near-singular are flagged
@@ -213,11 +207,8 @@ def _newton_stage(map_fn, tp, tq, gp, gq):
             resid[rows_acc] = res_t[improved]
             jac[:, :, rows_acc] = jac_t[:, :, improved]
             done = improved & (res_t <= _NEWTON_TOL)
-            if np.count_nonzero(done) == b:
-                half = half_t
-            elif np.any(done):
-                for x, x_t in zip(half, half_t):
-                    x[..., rows[done]] = x_t[..., done]
+            for x, x_t in zip(half, half_t):
+                x[..., rows[done]] = x_t[..., done]
             pending[acc] = False
             rej = sub[~improved]
             lam[rej] *= 0.5
@@ -250,8 +241,8 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     width), and Newton converges at its first evaluation.  Both
     evaluations read the same memoized width-1 flows of the identity
     (``dynamics._linear_monodromy``), so each leg is integrated once per
-    solve, at width 1; Newton's evaluation applies them to its columns,
-    and its half-flows are the columns' endpoints, not state paths.
+    solve, at width 1, and Newton's evaluation applies them to its
+    columns.  No evaluation of either family stores a state path.
     In a cold solve the points it leaves DIVERGED are re-solved along a
     ladder of spans hbar_beta / 2**_CONTINUATION_STAGES, doubled up to
     hbar_beta, each rung warm-started from the last.  A warm-started
@@ -260,7 +251,8 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     solve is the case t_f == t_i.  The OK columns' arcs are assembled once,
     from the full-span half-flows (the first stage's, and for re-solved
     points the last rung's), and returned as ``SolveBatch.arcs`` with
-    their plus-half monodromies.
+    their plus-half monodromies; a quartic arc steps its state path there
+    once, state row only, at the OK columns' width.
     The Newton policy is the module's constants (``_NEWTON_TOL`` and the
     rest); ``settings`` sets the flows' step counts and the arcs' halving
     check.

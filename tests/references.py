@@ -1,13 +1,15 @@
 """Independent references that the tests check the package against.
 
 The package never calls these: each is written apart from the code it
-checks (a closed form, or the array stepping that a scalar recurrence
-must reproduce bit for bit), so a test that compares the two compares two
-derivations, not one.
+checks (a closed form, the array stepping that a scalar recurrence must
+reproduce bit for bit, or the index gathers that strided views must), so
+a test that compares the two compares two derivations, not one.
 """
 
 import numpy as np
 from numpy.polynomial.laguerre import lagval
+
+from scjarz.oracle import hermite_functions
 
 
 def fock_state_wigner(n, p, q, hbar, mass, omega):
@@ -74,3 +76,42 @@ def linear_monodromy_path(model, c, d, t0, dt, h, n_steps):
             P = np.add(P, np.multiply(S, hc / 6.0))
         path[0, n_steps], path[1, n_steps] = P, Q
     return path
+
+
+def wigner_raw_gather(op, q_max, n_q):
+    """``oracle._wigner_raw`` of a Hermitian ``op`` whose basis functions
+    vanish at the grid edge, with each eigenvector's kernel term gathered
+    by index arrays: u_k[i + j] at q + Q/2 times conj(u_k)[n + i - j] at
+    q - Q/2, weighted by the eigenvalue and summed in eigenvector order,
+    then the kernel times the alternating phase, Fourier transformed over
+    the offset.  Returns (q axis, p axis, complex values, dp, dq).  The
+    reference for the package's strided kernel, which must match it bit
+    for bit."""
+    n = int(n_q)
+    hbar = op.hbar
+    dq = 2.0 * q_max / n
+    dQ = 2.0 * dq
+    q_axis = (np.arange(n) - n / 2) * dq
+    dp = 2.0 * np.pi * hbar / (n * dQ)
+    p_axis = (np.arange(n) - n / 2) * dp
+    scale = np.sqrt(op.mass * op.omega / hbar)
+    x_phys = (np.arange(2 * n) - n) * dq
+    psi = hermite_functions(op.dimension - 1, scale * x_phys) * np.sqrt(scale)
+    kernel = np.zeros((n, n), dtype=complex)
+    w, v = np.linalg.eigh(op.matrix)
+    keep = np.abs(w) > 1e-16 * np.max(np.abs(w))
+    w, v = w[keep], v[:, keep]
+    u = v.T @ psi
+    i_idx = np.arange(n)[:, None]
+    j_idx = np.arange(n)[None, :]
+    plus = i_idx + j_idx
+    minus = n + i_idx - j_idx
+    for k in range(w.size):
+        uk = u[k]
+        kernel += w[k] * uk[plus] * uk.conj()[minus]
+    j = np.arange(n)
+    phase_j = np.where(j % 2 == 0, 1.0, -1.0)
+    phase_k = np.where(j % 2 == 0, 1.0, -1.0) * np.exp(-0.5j * np.pi * n)
+    w_vals = np.fft.fft(kernel * phase_j[None, :], axis=1)
+    w_vals *= phase_k[None, :] * (dQ / (2.0 * np.pi * hbar))
+    return q_axis, p_axis, w_vals, dp, dq

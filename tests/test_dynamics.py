@@ -342,9 +342,9 @@ def test_simpson_weights_integrate_cubics_exactly():
 
 @pytest.mark.parametrize("lam", [0.0, 0.1])
 def test_imaginary_state_path_does_not_depend_on_the_tangent(lam):
-    # the composite map stores its half-flow with the tangent rows riding
-    # along; arcs reuse that path, so row 0 must be the tangent-free flow
-    # bit for bit, at complex starts too
+    # the solve keeps the endpoints and monodromy of its tangent run, and
+    # the arc steps its state path again without the tangent rows; so
+    # row 0 must be the tangent-free flow bit for bit, at complex starts too
     model = ramped_model("quartic" if lam else "harmonic", omega_i=1.0,
                          omega_f=2.0, quartic_lambda=lam)
     rng = np.random.default_rng(11)

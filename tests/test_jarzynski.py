@@ -37,6 +37,23 @@ def test_quadrature_nodes_integrate_gaussian():
     assert val == pytest.approx(2 * np.pi, rel=1e-12)
 
 
+def test_nodes_compute_each_distinct_legendre_rule_once(monkeypatch):
+    # a square grid shares one rule; the nodes are the per-axis rules'
+    # tensor product bit for bit
+    calls = []
+    rule = jarzynski.leggauss
+    monkeypatch.setattr(jarzynski, "leggauss",
+                        lambda n: calls.append(n) or rule(n))
+    for n_p, n_q, counts in ((6, 6, [6]), (6, 4, [4, 6])):
+        calls.clear()
+        P, Q, W = QuadratureDomain(2.0, 3.0, n_p, n_q).nodes()
+        assert sorted(calls) == counts
+        (xp, wp), (xq, wq) = rule(n_p), rule(n_q)
+        assert P.tobytes() == np.repeat(2.0 * xp, n_q).tobytes()
+        assert Q.tobytes() == np.tile(3.0 * xq, n_p).tobytes()
+        assert W.tobytes() == np.outer(2.0 * wp, 3.0 * wq).ravel().tobytes()
+
+
 def test_small_domain_rejected():
     model = harmonic_model()
     small = QuadratureDomain(p_max=3.0, q_max=3.0, n_p=16, n_q=16)

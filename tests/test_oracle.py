@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from scjarz.dynamics import IntegratorSettings
 from scjarz.errors import GridTooNarrow, TruncationInsufficient
 from scjarz.jarzynski import QuadratureDomain, partition
 from scjarz.models import ramped_model
+from scjarz import oracle
 from scjarz.oracle import (FockOperator, WignerGrid, harmonic_closed_forms,
                            hermite_functions, ladder_operators,
                            ordering_pairing_check,
                            position_momentum_matrices, thermal_fock,
                            weyl_convention_audit, wigner_transform)
 
-from references import fock_state_wigner
+from references import fock_state_wigner, wigner_raw_gather
 
 
 def projector(n, dim=8, hbar=1.0, mass=1.0, omega=1.0):
@@ -179,6 +183,51 @@ def test_ordering_pairing_identity():
         rep = ordering_pairing_check(48, hbar, 1.0, 1.0, 10.0, 256)
         assert rep["deviation"] < 1e-12
         assert rep["trace_side"].imag == pytest.approx(-0.5 * hbar, abs=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["hermitian", "rank_one", "ordering_state"]),
+       st.integers(1, 10), st.sampled_from([8, 16, 64]),
+       st.integers(0, 2**32 - 1))
+@example("rank_one", 1, 8, 0)       # K = 1: one eigenvector, one term
+@example("ordering_state", 4, 64, 0)
+def test_wigner_kernel_is_the_index_gather(kind, dim, n_q, seed):
+    # the kernel reads each eigenvector through strided views; it must be
+    # the index-gathering loop bit for bit, grid, values and spacings
+    rng = np.random.default_rng(seed)
+    if kind == "ordering_state":
+        # the ordering check's smooth complex test state as a projector
+        psi = np.zeros(max(dim, oracle._ORDERING_TEST_STATE.size),
+                       dtype=complex)
+        psi[:oracle._ORDERING_TEST_STATE.size] = oracle._ORDERING_TEST_STATE
+        psi /= np.linalg.norm(psi)
+        mat = np.outer(psi, psi.conj())
+    else:
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        if kind == "rank_one":
+            mat = np.outer(x[0], x[0].conj())
+        else:
+            mat = x + x.conj().T
+    op = FockOperator(mat, 1.0, 1.0, 1.0)
+    got = oracle._wigner_raw(op, 6.0, n_q)
+    ref = wigner_raw_gather(op, 6.0, n_q)
+    for a, b in zip(got, ref, strict=True):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_wigner_transform_holds_under_three_grids():
+    # the kernel accumulates in one term buffer and transforms in place:
+    # the quartic thermal state at 512 points peaks at 2.4 (n, n) complex
+    # grids of traced numpy memory (4.4 when each term gathered copies)
+    n = 512
+    op = thermal_fock("quartic", 1.0, 1.0, 0.1, 1.0, 0.5, 96)
+    tracemalloc.start()
+    try:
+        wigner_transform(op, 8.0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * n * 16, peak / (n * n * 16)
 
 
 def test_log_of_thermal_wigner_recovers_pseudo_hamiltonian():

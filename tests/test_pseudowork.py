@@ -274,6 +274,21 @@ def test_arc_reductions_are_batch_width_invariant():
         assert _pseudo_power_batch(one)[0] == power[i], i
 
 
+def test_quartic_arc_sums_by_row_are_the_stacked_sums():
+    # p dq and the power reduce the stored path one sample row at a time;
+    # each row runs the operations of the whole (n + 1, B) integrand, so
+    # both are its sums bit for bit
+    model = quartic_ramp()
+    rng = np.random.default_rng(5)
+    cp, cq = rng.uniform(-2.0, 2.0, (2, 30))
+    arcs = _build_arc_batch(model, 0.3, cp, cq, 0.5, SET)
+    w, p, q = arcs.half_weights, arcs.p, arcs.q
+    half = dynamics.weighted_sum(w, p * (-1j) * (p / model.mass))
+    assert arcs.pdq.tobytes() == (half - np.conjugate(half)).tobytes()
+    power = 2.0 * dynamics.weighted_sum(w, model.dt(0.3, p, q)).real / 0.5
+    assert _pseudo_power_batch(arcs).tobytes() == power.tobytes()
+
+
 @pytest.mark.parametrize("t_f", [0.3, 1.0])
 def test_composite_map_jacobian_matches_central_differences(t_f):
     model = quartic_ramp()

@@ -1,11 +1,12 @@
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scjarz import stationary
+from scjarz import dynamics, stationary
 from scjarz.dynamics import (DEFAULT_SETTINGS, ImaginaryArc,
                              IntegratorSettings, build_arc)
 from scjarz.errors import NewtonDiverged, ToleranceExceeded
@@ -357,8 +358,9 @@ def test_arcs_from_the_solve_match_a_fresh_integration(t_f, half_width, n_grid,
     # that half-flow's monodromy.  At hbar*beta = 3 on [-6, 6]^2 some
     # columns converge only along the continuation ladder and some fail;
     # on the easy grid (without the origin, which converges at once) every
-    # column converges without it, so whole trials are accepted and their
-    # half-paths taken over by reference
+    # column converges without it, so whole trials are accepted.  The arc's
+    # state path is stepped once more from the solved centers, state row
+    # only, and must be the tangent run's row 0
     model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
                          quartic_lambda=0.1)
     settings = IntegratorSettings(n_sigma_steps=16, n_time_steps=16)
@@ -381,6 +383,63 @@ def test_arcs_from_the_solve_match_a_fresh_integration(t_f, half_width, n_grid,
         assert arcs.action[k] == ref.action[0], i
         assert arcs.area[k] == ref.area[0], i
         assert arcs.prefactor[k] == ref.prefactor[0], i
+
+
+def test_newton_trials_store_no_path(monkeypatch):
+    # a trial keeps its half-flow's endpoints and monodromy only: no
+    # tangent (3-row) run stores a path, and the one stored run of a solve
+    # is its arcs' state path, stepped once, state row only, at the OK
+    # columns' width.  Cold at t_f = t_i on the hard grid (some columns
+    # climb the ladder, some fail), then warm from its centers with the
+    # real-time leg to t_f = 0.4
+    calls = []
+    kernel = dynamics._rk4_steps
+
+    def spy(model, c, d, t0, dt, P, Q, h, n_steps, store):
+        calls.append((P.shape, store))
+        return kernel(model, c, d, t0, dt, P, Q, h, n_steps, store)
+
+    monkeypatch.setattr(dynamics, "_rk4_steps", spy)
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    settings = IntegratorSettings(n_sigma_steps=16, n_time_steps=16)
+    grid = np.linspace(-6.0, 6.0, 7)
+    tp, tq = (a.ravel() for a in np.meshgrid(grid, grid))
+    cold = _invert_map_batch(model, 0.0, 0.0, tp, tq, 3.0, settings)
+    ok = cold.status == OK
+    assert 0 < np.count_nonzero(ok) < tp.size
+    solves = [(cold, calls[:])]
+    calls.clear()
+    warm = _invert_map_batch(model, 0.0, 0.4, tp[ok], tq[ok], 3.0, settings,
+                             warm_p=cold.zc_p[ok], warm_q=cold.zc_q[ok])
+    solves.append((warm, calls[:]))
+    for solve, runs in solves:
+        assert any(shape[0] == 3 for shape, _ in runs)
+        assert not any(store for shape, store in runs if shape[0] == 3)
+        width = np.count_nonzero(solve.status == OK)
+        assert [shape for shape, store in runs if store] == [(1, width)]
+
+
+def test_a_static_solve_holds_about_one_state_path():
+    # the solve's trials write no path, and the arc sums reduce the one
+    # stored path row by row: G over a 41x41 grid of the quartic_ramp
+    # domain, with the arcs' p dq read, peaks at 1.19 path sets of traced
+    # numpy memory (3.39 when each trial stored its path)
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    settings = IntegratorSettings(n_sigma_steps=64, n_time_steps=64)
+    P, Q = np.meshgrid(np.linspace(-7.5, 7.5, 41), np.linspace(-4.5, 4.5, 41))
+    tracemalloc.start()
+    try:
+        solve, _, _ = _pseudo_hamiltonian_batch(model, 0.0, P.ravel(),
+                                                Q.ravel(), 0.5, settings)
+        solve.arcs.pdq
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(solve.status == OK)
+    path_set = 2 * (settings.n_sigma_steps + 1) * P.size * 16
+    assert peak <= 1.5 * path_set, peak / path_set
 
 
 @pytest.mark.parametrize("model, half_width, n_grid, hbar_beta", [
