@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -454,8 +453,10 @@ def _flow_real_batch(model, t_from, t_to, p0, q0, n_steps,
     step grid (n_steps must be even when with_action is set) and is signed
     with the integration direction: integrating backwards returns the
     negative of the forward action.  A quartic leg stores its path and
-    sums the Lagrangian over it; a linear leg's sum is a quadratic form in
-    the start (``_action_moments``), so no path is written.
+    sums the Lagrangian over it one sample row at a time
+    (``weighted_sum``), so the sum adds no (n_steps + 1, B) stack to the
+    path; a linear leg's sum is a quadratic form in the start
+    (``_action_moments``), so no path is written.
     """
     if t_to == t_from:
         n_steps = 0
@@ -476,16 +477,13 @@ def _flow_real_batch(model, t_from, t_to, p0, q0, n_steps,
                     np.asarray(p0, dtype=complex),
                     np.asarray(q0, dtype=complex))
             elif n_steps:
-                # one model.value call over the step-time column
-                # t_from + k h; H is formed first, so numpy reuses each
-                # later temporary in place and the peak stays near two
-                # (n_steps + 1, B) arrays beside the path
-                p, q = path
-                t = t_from + np.arange(n_steps + 1)[:, None] * h
-                h_t = model.value(t, p, q)
-                lagrangian = p * (p / model.mass) - h_t
-                action = weighted_sum(simpson_weights(n_steps + 1, h),
-                                      lagrangian)
+                # the Lagrangian at t_k = t_from + k h, one sample row at
+                # a time: no (n_steps + 1, B) stack beside the path
+                t = t_from + np.arange(n_steps + 1) * h
+                action = weighted_sum(
+                    simpson_weights(n_steps + 1, h),
+                    (p * (p / model.mass) - model.value(t_k, p, q)
+                     for t_k, p, q in zip(t, *path)))
         out += (action,)
     return out + (np.stack([P[1:], Q[1:]]),) if tangent else out
 
@@ -571,17 +569,19 @@ class ImaginaryArc:
 
     Each arc is its plus half, from the center (sample 0) to
     sigma = +hbar*beta/2 (sample -1); the center is real, so the sample at
-    -sigma is the conjugate of the one at +sigma.  A quartic arc stores
-    the plus halves' state paths (``path``).  A linear arc
-    (quartic_lambda == 0) stores none: it keeps its centers, its
-    endpoints and the memo's width-1 tangent path (``tangent_path``,
-    ``_linear_monodromy``), each Simpson sum is a quadratic form in the
-    center (``_arc_moments``), and ``p`` and ``q`` are formed on first
-    read, bitwise the path the kernel stores.  The center energy
-    ``h_center``, the Simpson sums (``pdq``, ``action``) and the
-    ``prefactor`` are formed on first read and cached: a march reads them
-    at two of its time nodes.  ``action`` and the area form of G (``g``)
-    share the one center energy.  ``m_plus`` is the plus halves' monodromy.
+    -sigma is the conjugate of the one at +sigma.  An arc of either family
+    keeps its centers, its endpoints and the plus halves' monodromy
+    ``m_plus``, and nothing else of its flow.  The state paths ``p`` and
+    ``q`` are stepped from the centers on first read, by the one flow call
+    that stores them (``_flow_imaginary_batch``): a quartic arc runs the
+    kernel at its width, state row only, a linear arc applies the memo's
+    width-1 tangent path (``_linear_states``).  The Simpson sums over the
+    plus half are ``square_sum``, the one place that knows which of the
+    two an arc needs: a linear arc's is a quadratic form in the center
+    and reads no path.  The center energy ``h_center``, ``pdq``,
+    ``action`` and the ``prefactor`` are formed on first read and cached:
+    a march reads them at two of its time nodes.  ``action`` and the area
+    form of G (``g``) share the one center energy.
     """
 
     model: HamiltonianModel
@@ -593,8 +593,6 @@ class ImaginaryArc:
     end_p: np.ndarray        # (B,) complex, at sigma = +hbar*beta/2
     end_q: np.ndarray        # (B,)
     m_plus: np.ndarray       # (2, 2, B) complex
-    path: Optional[tuple] = None   # quartic: (p, q), (n+1, B) each
-    tangent_path: Optional[np.ndarray] = None   # linear: (2, n+1, 2, 1)
 
     @property
     def p(self) -> np.ndarray:
@@ -608,12 +606,11 @@ class ImaginaryArc:
 
     @cached_property
     def _states(self):
-        """(p, q): a quartic arc's stored paths, a linear arc's formed
-        here from its centers and width-1 tangent path."""
-        if self.tangent_path is None:
-            return self.path
-        return tuple(_linear_states(self.tangent_path, self.center_p,
-                                    self.center_q))
+        """(p, q), the plus halves' state paths stepped from the centers:
+        bitwise the path of the flow that integrated the endpoints."""
+        return _flow_imaginary_batch(
+            self.model, self.t, self.center_p, self.center_q, 0.0,
+            0.5 * self.hbar_beta, self.sigma.shape[0] - 1, store=True)
 
     @cached_property
     def half_weights(self) -> np.ndarray:
@@ -622,24 +619,28 @@ class ImaginaryArc:
         n = self.sigma.shape[0] - 1
         return _arc_half_weights(n, self.sigma[-1] / n)
 
-    def linear_square_sum(self, row: int) -> np.ndarray:
-        """sum_k w_k x_k^2 over each linear arc's plus half, (B,) complex:
-        x = p for row 0, q for row 1, w the half weights.  A quadratic
-        form in the center with the memo's moments (``_arc_moments``)."""
-        n = self.sigma.shape[0] - 1
-        mom = _arc_moments(self.model, self.t, self.sigma[-1] / n, n)
-        return _quadratic_form(mom[row], self.center_p, self.center_q)
+    def square_sum(self, row: int, coef) -> np.ndarray:
+        """sum_k w_k (coef x_k) x_k over each arc's plus half, (B,) complex:
+        x = p for row 0, q for row 1, w the half weights.
+
+        A linear arc's is coef times a quadratic form in the center with
+        the memo's moments (``_arc_moments``), O(1) per column.  A quartic
+        arc's is summed over its state path one sample row at a time
+        (``weighted_sum``), so no (n + 1, B) stack of terms is formed.
+        """
+        if self.model.quartic_lambda == 0.0:
+            n = self.sigma.shape[0] - 1
+            mom = _arc_moments(self.model, self.t, self.sigma[-1] / n, n)
+            return coef * _quadratic_form(mom[row], self.center_p,
+                                          self.center_q)
+        return weighted_sum(self.half_weights,
+                            ((coef * x) * x for x in self._states[row]))
 
     @cached_property
     def pdq(self) -> np.ndarray:
-        """int p dq along each whole arc, (B,) complex, purely imaginary."""
-        m = self.model.mass
-        if self.tangent_path is not None:
-            half = (-1j / m) * self.linear_square_sum(0)
-        else:
-            # p * dq/dsigma, one sample row at a time: no (n + 1, B) stack
-            half = weighted_sum(self.half_weights,
-                                (p * (-1j) * (p / m) for p in self.p))
+        """int p dq along each whole arc, (B,) complex, purely imaginary:
+        dq/dsigma = -i p / m, so the plus half's share is the p^2 sum."""
+        half = self.square_sum(0, -1j / self.model.mass)
         return half - np.conjugate(half)
 
     @cached_property
@@ -711,16 +712,15 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
     ``half`` is the plus halves' (B,) endpoints and monodromy M_+
     (2, 2, B), as the solve that found the centers integrated them
     (``stationary._invert_map_batch`` passes it); without it they are
-    integrated here.  A quartic arc's state paths, (n_sigma_steps + 1, B)
-    each, are stepped here once, state row only: the kernel's state row
-    does not depend on its tangent rows, so they are bit for bit row 0 of
-    that tangent run, and no Newton trial writes a path.  A linear arc
-    keeps the memo's width-1 tangent path of its plus half instead.  The
-    endpoints are checked for finite values (a sample that is not finite
-    stays so to the end of a quartic path; a linear arc's sums are forms
-    that carry it) and, with ``richardson_check``, the endpoints and M_+
-    against the same flow at twice the steps (M_+ on its own scale: at a
-    center at the origin the state is 0 at every step count).
+    integrated here.  No state path is stepped here: the arc steps its
+    own from the centers on first read (``ImaginaryArc.p``, and a quartic
+    arc's ``square_sum``), state row only, so no Newton trial and no arc
+    whose sums are never read writes one.  The endpoints are checked for
+    finite values (a sample that is not finite stays so to the end of a
+    quartic path; a linear arc's sums are forms that carry it) and, with
+    ``richardson_check``, the endpoints and M_+ against the same flow at
+    twice the steps (M_+ on its own scale: at a center at the origin the
+    state is 0 at every step count).
 
     Centers must be real (a complex dtype with zero imaginary parts is
     accepted); a non-real center raises ValueError.  For a real center the
@@ -746,16 +746,10 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
                    lambda: _flow_imaginary_batch(model, t, cp, cq, 0.0, +s,
                                                  2 * n, tangent=True),
                    "arc")
-    path = tangent_path = None
-    if model.quartic_lambda == 0.0:
-        tangent_path = _linear_monodromy(model, 1j, -1j / model.mass, t, 0.0,
-                                         s / n, n)
-    else:
-        path = _flow_imaginary_batch(model, t, cp, cq, 0.0, +s, n, store=True)
     sigma = np.linspace(0.0, s, n + 1)
     return ImaginaryArc(model=model, t=t, hbar_beta=hbar_beta, sigma=sigma,
                         center_p=cp, center_q=cq, end_p=end_p, end_q=end_q,
-                        m_plus=m_plus, path=path, tangent_path=tangent_path)
+                        m_plus=m_plus)
 
 
 def build_arc(model: HamiltonianModel, t: float, z_c: ComplexPoint,

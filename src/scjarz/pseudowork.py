@@ -133,17 +133,10 @@ def solve_pseudo_state(model: HamiltonianModel, t_i: float, t_f: float,
 def _pseudo_power_batch(arcs: ImaginaryArc):
     """Arc-averaged explicit power (1/hbar*beta) int dH/dt dsigma of the
     arcs' model; dH/dt at the conjugate point is the conjugate, so the
-    integral is 2 Re S (``ImaginaryArc.half_weights``).  dH/dt is
-    m w wdot q^2, so a linear arc's S is m w wdot times its q^2 form
-    (``ImaginaryArc.linear_square_sum``), O(1) per column; a quartic
-    arc's is summed over its stored path one sample row at a time
-    (``weighted_sum``), so no (n + 1, B) stack of dH/dt is formed."""
-    rate = arcs.model.dt(arcs.t, 0.0, 1.0)   # m w wdot: dt is (rate q) q
-    if arcs.tangent_path is not None:
-        half = rate * arcs.linear_square_sum(1)
-    else:
-        half = weighted_sum(arcs.half_weights, (rate * q * q for q in arcs.q))
-    return 2.0 * half.real / arcs.hbar_beta
+    integral is 2 Re S over the plus half.  dH/dt is (m w wdot q) q, so S
+    is the arc's q^2 sum with that rate (``ImaginaryArc.square_sum``)."""
+    rate = arcs.model.dt(arcs.t, 0.0, 1.0)   # m w wdot
+    return 2.0 * arcs.square_sum(1, rate).real / arcs.hbar_beta
 
 
 def pseudo_power(arc: ImaginaryArc) -> float:

@@ -102,9 +102,9 @@ def _composite_map_batch(model, t_i, t_f, P, Q, hbar_beta, settings):
     half of the frozen-t_f arc through each center, bitwise what
     ``_build_arc_batch`` would integrate: endpoints (B,) and complex
     monodromy (2, 2, B), and no path (an arc steps its own from the solved
-    centers).  Every view of the map (the scalar map, the solve and the
-    work march) reaches this function, and a window with t_f < t_i
-    raises ValueError here.
+    centers on first read).  Every view of the map (the scalar map, the
+    solve and the work march) reaches this function, and a window with
+    t_f < t_i raises ValueError here.
     """
     if t_f < t_i:
         raise ValueError("composite map requires t_i <= t_f")
@@ -251,8 +251,8 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     solve is the case t_f == t_i.  The OK columns' arcs are assembled once,
     from the full-span half-flows (the first stage's, and for re-solved
     points the last rung's), and returned as ``SolveBatch.arcs`` with
-    their plus-half monodromies; a quartic arc steps its state path there
-    once, state row only, at the OK columns' width.
+    their plus-half monodromies.  The solve steps no state path: an arc
+    steps its own from its centers on first read (``ImaginaryArc.p``).
     The Newton policy is the module's constants (``_NEWTON_TOL`` and the
     rest); ``settings`` sets the flows' step counts and the arcs' halving
     check.

@@ -250,7 +250,7 @@ def test_flow_real_tangent_is_monodromy(kind):
 
 @pytest.mark.parametrize("kind", sorted(TANGENT_MODELS))
 def test_arc_minus_half_is_the_exact_conjugate_flow(kind):
-    # the arc stores the plus half and reads the minus half as its
+    # the arc records the plus half and reads the minus half as its
     # conjugate; that must be an explicit integration from the center to
     # -hbar*beta/2 bit for bit
     model = TANGENT_MODELS[kind]
@@ -757,6 +757,30 @@ def test_kernel_is_classical_rk4(kind, width):
                                   p0, q0, h, n, store=True)
     close(path_p, p)
     close(path_q, q)
+
+
+@pytest.mark.parametrize("mass", [1.0, 1.5])
+def test_quartic_leg_action_by_row_is_the_stacked_sum(mass):
+    # a quartic real leg sums its Lagrangian one sample row at a time, at
+    # t_k = t_from + k h; each row runs the operations of the whole
+    # (n + 1, B) integrand over the stored path, so the action is that
+    # integrand's Simpson sum bit for bit (at m = 1.5, where p (p/m) and
+    # p^2/m round differently, too)
+    model = ramped_model("quartic", mass=mass, omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    rng = np.random.default_rng(29)
+    p0 = rng.uniform(-2.0, 2.0, 30) + 1j * rng.uniform(-0.5, 0.5, 30)
+    q0 = rng.uniform(-2.0, 2.0, 30) + 1j * rng.uniform(-0.5, 0.5, 30)
+    t_from, t_to, n = 0.9, 0.1, 24
+    h = (t_to - t_from) / n
+    _, _, action = _flow_real_batch(model, t_from, t_to, p0, q0, n,
+                                    with_action=True)
+    _, _, (p, q) = _rk4(model, -1.0, 1.0 / mass, t_from, h, p0, q0, h, n,
+                        store=True)
+    t = t_from + np.arange(n + 1)[:, None] * h
+    lagrangian = p * (p / mass) - model.value(t, p, q)
+    want = weighted_sum(simpson_weights(n + 1, h), lagrangian)
+    assert action.tobytes() == want.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -38,7 +38,7 @@ def quartic_ramp(lam=0.1):
 
 def arc_endpoint(arc, sign):
     """Endpoint of a width-1 arc at sigma = sign * hbar*beta/2; the arc
-    stores its plus half, and the minus endpoint is the conjugate."""
+    records its plus half, and the minus endpoint is the conjugate."""
     z = ComplexPoint(complex(arc.p[-1, 0]), complex(arc.q[-1, 0]))
     return z if sign > 0 else z.conjugate()
 
@@ -274,19 +274,63 @@ def test_arc_reductions_are_batch_width_invariant():
         assert _pseudo_power_batch(one)[0] == power[i], i
 
 
-def test_quartic_arc_sums_by_row_are_the_stacked_sums():
-    # p dq and the power reduce the stored path one sample row at a time;
-    # each row runs the operations of the whole (n + 1, B) integrand, so
-    # both are its sums bit for bit
-    model = quartic_ramp()
+@pytest.mark.parametrize("mass", [1.0, 1.5])
+def test_quartic_arc_sums_by_row_are_the_stacked_sums(mass):
+    # p dq and the power are the arc's square_sum: the plus half's path
+    # reduced one sample row at a time, each row (coef x) x with
+    # coef = -i/m for p dq and m w wdot for the power.  Each row runs the
+    # operations of the whole (n + 1, B) integrand, so both are its sums
+    # bit for bit.  At m = 1.5, 1/m is not exact: the p^2 rows round as
+    # ((-i/m) p) p, and p (-i) (p/m) gives other real parts in 4 of these
+    # 30 half sums
+    model = ramped_model("quartic", mass=mass, omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
     rng = np.random.default_rng(5)
     cp, cq = rng.uniform(-2.0, 2.0, (2, 30))
     arcs = _build_arc_batch(model, 0.3, cp, cq, 0.5, SET)
     w, p, q = arcs.half_weights, arcs.p, arcs.q
-    half = dynamics.weighted_sum(w, p * (-1j) * (p / model.mass))
-    assert arcs.pdq.tobytes() == (half - np.conjugate(half)).tobytes()
-    power = 2.0 * dynamics.weighted_sum(w, model.dt(0.3, p, q)).real / 0.5
+    coef, rate = -1j / mass, model.dt(0.3, 0.0, 1.0)
+    half_p = dynamics.weighted_sum(w, (coef * p) * p)
+    half_q = dynamics.weighted_sum(w, (rate * q) * q)
+    assert arcs.square_sum(0, coef).tobytes() == half_p.tobytes()
+    assert arcs.square_sum(1, rate).tobytes() == half_q.tobytes()
+    assert arcs.pdq.tobytes() == (half_p - np.conjugate(half_p)).tobytes()
+    power = 2.0 * half_q.real / 0.5
     assert _pseudo_power_batch(arcs).tobytes() == power.tobytes()
+
+
+ARC_READS = {"p": lambda arc: arc.p, "pdq": lambda arc: arc.pdq,
+             "power": _pseudo_power_batch}
+
+
+@pytest.mark.parametrize("read", sorted(ARC_READS))
+@pytest.mark.parametrize("view", ["solve_pseudo_state", "build_arc"])
+def test_a_quartic_arc_steps_its_path_on_first_read(monkeypatch, view, read):
+    # a width-1 view's quartic arc keeps its center, endpoint and M_+: no
+    # run stores a path until its p, p dq or power is read, the first read
+    # steps the state path in one stored run at width 1, and no later
+    # read steps it again
+    calls = []
+    kernel = dynamics._rk4_steps
+
+    def spy(model, c, d, t0, dt, P, Q, h, n_steps, store):
+        calls.append((P.shape, store))
+        return kernel(model, c, d, t0, dt, P, Q, h, n_steps, store)
+
+    monkeypatch.setattr(dynamics, "_rk4_steps", spy)
+    model = quartic_ramp()
+    z = ComplexPoint(0.6, -0.4)
+    if view == "build_arc":
+        arc = build_arc(model, 0.3, z, 0.5, MARCH_SET)
+    else:
+        arc = solve_pseudo_state(model, 0.0, 0.3, z, 0.5, MARCH_SET).arc
+    assert calls and not any(store for _, store in calls)
+    calls.clear()
+    ARC_READS[read](arc)
+    assert calls == [((1, 1), True)]
+    for again in ARC_READS.values():
+        again(arc)
+    assert calls == [((1, 1), True)]
 
 
 @pytest.mark.parametrize("t_f", [0.3, 1.0])

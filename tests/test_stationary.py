@@ -8,14 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from scjarz import dynamics, stationary
 from scjarz.dynamics import (DEFAULT_SETTINGS, ImaginaryArc,
-                             IntegratorSettings, build_arc)
+                             IntegratorSettings, _real_step_count, build_arc)
 from scjarz.errors import NewtonDiverged, ToleranceExceeded
 from scjarz.models import ComplexPoint, harmonic_model, ramped_model
-from scjarz.pseudowork import composite_map, pseudo_work, solve_pseudo_state
+from scjarz.pseudowork import (_pseudo_power_batch, composite_map, pseudo_work,
+                               solve_pseudo_state)
 from scjarz.stationary import (_CONTINUATION_STAGES, _NEWTON_TOL, CAUSTIC,
                                DIVERGED, OK, _composite_map_batch,
                                _invert_map_batch, _newton_stage,
-                               _pseudo_hamiltonian_batch, pseudo_hamiltonian)
+                               _propagated_g_batch, _pseudo_hamiltonian_batch,
+                               pseudo_hamiltonian)
 
 SET = IntegratorSettings(n_sigma_steps=128)
 
@@ -387,11 +389,12 @@ def test_arcs_from_the_solve_match_a_fresh_integration(t_f, half_width, n_grid,
 
 def test_newton_trials_store_no_path(monkeypatch):
     # a trial keeps its half-flow's endpoints and monodromy only: no
-    # tangent (3-row) run stores a path, and the one stored run of a solve
-    # is its arcs' state path, stepped once, state row only, at the OK
-    # columns' width.  Cold at t_f = t_i on the hard grid (some columns
-    # climb the ladder, some fail), then warm from its centers with the
-    # real-time leg to t_f = 0.4
+    # tangent (3-row) run stores a path, and the solve stores none at
+    # all.  Reading the arcs' p dq and power then steps their state path
+    # in exactly one stored run, state row only, at the OK columns'
+    # width.  Cold at t_f = t_i on the hard grid (some columns climb the
+    # ladder, some fail), then warm from its centers with the real-time
+    # leg to t_f = 0.4
     calls = []
     kernel = dynamics._rk4_steps
 
@@ -415,9 +418,12 @@ def test_newton_trials_store_no_path(monkeypatch):
     solves.append((warm, calls[:]))
     for solve, runs in solves:
         assert any(shape[0] == 3 for shape, _ in runs)
-        assert not any(store for shape, store in runs if shape[0] == 3)
+        assert not any(store for _, store in runs)
+        calls.clear()
+        solve.arcs.pdq
+        _pseudo_power_batch(solve.arcs)
         width = np.count_nonzero(solve.status == OK)
-        assert [shape for shape, store in runs if store] == [(1, width)]
+        assert calls == [((1, width), True)]
 
 
 def test_a_static_solve_holds_about_one_state_path():
@@ -439,6 +445,31 @@ def test_a_static_solve_holds_about_one_state_path():
         tracemalloc.stop()
     assert np.all(solve.status == OK)
     path_set = 2 * (settings.n_sigma_steps + 1) * P.size * 16
+    assert peak <= 1.5 * path_set, peak / path_set
+
+
+def test_the_real_leg_action_holds_about_one_leg_path():
+    # a quartic branch leg stores its path and sums the Lagrangian over it
+    # one sample row at a time: G_prop over 1,156 columns of the
+    # quartic_ramp domain at t_f = 1 (the arcs' action read beforehand)
+    # peaks at 1.09 leg path sets of traced numpy memory (2.09 when H was
+    # formed over the whole path)
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    settings = IntegratorSettings(n_sigma_steps=64, n_time_steps=64)
+    grid = np.linspace(-3.0, 3.0, 34)
+    tp, tq = (a.ravel() for a in np.meshgrid(grid, grid))
+    solve = _invert_map_batch(model, 0.0, 1.0, tp, tq, 0.5, settings)
+    assert np.all(solve.status == OK)
+    solve.arcs.action
+    tracemalloc.start()
+    try:
+        _propagated_g_batch(0.0, tp, settings, solve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = _real_step_count(model, settings, 1.0)
+    path_set = 2 * (n + 1) * tp.size * 16
     assert peak <= 1.5 * path_set, peak / path_set
 
 
