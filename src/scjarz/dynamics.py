@@ -8,7 +8,7 @@ Imaginary-time arcs are parametrized by the real variable sigma in
 with the drive held fixed at t.  Real-time flows solve the usual
 dp/dt = -dH_t/dq, dq/dt = +dH_t/dp with complex state and running drive.
 
-Everything is a fixed-step classical RK4 so that the stored samples line up
+Everything is a fixed-step classical RK4 so that the samples line up
 with the composite-Simpson grids used for actions and powers.  The private
 ``*_batch`` functions operate on 1-D complex arrays (one entry per phase
 point) and are what the grid scans build on; the public operations wrap a
@@ -87,7 +87,9 @@ def weighted_sum(w: np.ndarray, rows) -> np.ndarray:
 
     Each column's result depends on that column alone, so it is bitwise
     the same whatever the batch width or BLAS threading (a ``w @ x``
-    matrix-vector product blocks differently in each case).
+    matrix-vector product blocks differently in each case).  A sum over a
+    flow's samples runs the same loop as the kernel steps
+    (``_accumulator``), so it needs no stored path.
     """
     terms = (wk * x for wk, x in zip(w, rows, strict=True))
     acc = next(terms)
@@ -96,21 +98,58 @@ def weighted_sum(w: np.ndarray, rows) -> np.ndarray:
     return acc
 
 
+def _recorder(n_steps, shape):
+    """A sample hook that records a run's state path, and that path:
+    (2, n_steps + 1) + shape complex, its p and q, filled as the kernel
+    hands over each sample."""
+    path = np.empty((2, n_steps + 1) + shape, dtype=complex)
+
+    def record(k, p, q):
+        path[0, k], path[1, k] = p, q
+    return path, record
+
+
+def _accumulator(w, terms):
+    """A sample hook that forms the sums sum_k w[k] * term(k, p_k, q_k),
+    one per term, as the kernel hands over each sample, and the list that
+    holds them (filled once the run is over).
+
+    Each sum is ``weighted_sum``'s loop: w[0] times the first term, then
+    w[k] times each term added in index order, so it is bitwise the
+    weighted sum of the terms over a stored path, and the run keeps no
+    (n_steps + 1, B) stack.
+    """
+    sums = [None] * len(terms)
+
+    def add(k, p, q):
+        for i, term in enumerate(terms):
+            x = w[k] * term(k, p, q)
+            if k:
+                sums[i] += x
+            else:
+                sums[i] = x
+    return sums, add
+
+
 def _check_finite(p: np.ndarray, q: np.ndarray, what: str) -> None:
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise IntegratorDiverged(f"non-finite state during {what}")
 
 
-def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
+def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, sample=None):
     """Classical RK4 for dp = c H_q(q), dq = d p from the (B,) starts p0, q0.
 
-    Returns the final (rows, B) complex stacks P and Q and, with
-    ``store``, the state path (2, n_steps + 1, B): its p and q.  Row 0 is
-    the state; with ``tangent``, rows 1 and 2 are the tangent columns
-    d/dp0 and d/dq0, which obey dp' = c H_qq(q) dq', dq' = d p' (the exact
+    Returns the final (rows, B) complex stacks P and Q.  Row 0 is the
+    state; with ``tangent``, rows 1 and 2 are the tangent columns d/dp0
+    and d/dq0, which obey dp' = c H_qq(q) dq', dq' = d p' (the exact
     derivative of the discrete map: Hairer, Norsett and Wanner, *Solving
     Ordinary Differential Equations I*, variational equations).  The state
-    is bitwise the same with or without the tangent.
+    is bitwise the same with or without the tangent.  ``sample(k, p, q)``,
+    if given, is called with the state row at each sample k = 0 ..
+    n_steps, in order; p and q are (B,) views valid during the call only.
+    A hook records the path (``_recorder``) or sums over it as the run
+    goes (``_accumulator``); the final stacks are the same with or
+    without one.
 
     A quartic flow steps the stack at the batch width (``_rk4_steps``).
     A linear flow (quartic_lambda == 0) does not: H_qq = m w(t)^2 does not
@@ -123,17 +162,16 @@ def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
     M_k = [[A_k, B_k], [C_k, D_k]] being the tangent rows after k steps.
     Only the width-1 run from the identity is integrated, as a recurrence
     on Python complex scalars (``_linear_steps``), and memoized with its
-    path whether or not this call stores one (``_linear_monodromy``), so a
-    map evaluation at the origin, the Newton evaluation that follows it
-    and the endpoint action's leg share one run per leg; the array kernel
-    steps only quartic stacks.  The final states are M_n applied to the
-    starts, and the tangent rows are M_n copied out to every column.
-    Only ``store`` writes the (n_steps + 1, B) path (``_linear_states``):
-    the march never asks for it, since every sum it reads of a linear
-    path is a quadratic form in the start (``_arc_moments``,
-    ``_action_moments``).  This runs at every width, width 1 included,
-    and every operation is elementwise, so each column is its own width-1
-    result bit for bit.
+    path (``_linear_monodromy``), so a map evaluation at the origin, the
+    Newton evaluation that follows it and the endpoint action's leg share
+    one run per leg; the array kernel steps only quartic stacks.  The
+    final states are M_n applied to the starts, and the tangent rows are
+    M_n copied out to every column.  Only a hook makes the samples
+    M_k (p0, q0), one at a time: the march never asks for them, since
+    every sum it reads of a linear path is a quadratic form in the start
+    (``_arc_moments``, ``_action_moments``).  This runs at every width,
+    width 1 included, and every operation is elementwise, so each column
+    is its own width-1 result bit for bit.
     """
     if model.quartic_lambda != 0.0:
         rows = 3 if tangent else 1
@@ -142,49 +180,39 @@ def _rk4(model, c, d, t0, dt, p0, q0, h, n_steps, tangent=False, store=False):
         P[0], Q[0] = p0, q0
         if tangent:
             P[1] = Q[2] = 1.0
-        return P, Q, _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store)
+        _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, sample)
+        return P, Q
     m_path = _linear_monodromy(model, c, d, t0, dt, h, n_steps)
     m_p, m_q = m_path[:, -1]
     p0 = np.asarray(p0, dtype=complex)
     q0 = np.asarray(q0, dtype=complex)
     P = np.empty((3 if tangent else 1,) + p0.shape, dtype=complex)
     Q = np.empty_like(P)
-    path = None
-    if store:
-        path = _linear_states(m_path, p0, q0)
-        P[0], Q[0] = path[:, -1]
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            _apply_monodromy(m_p, m_q, p0, q0, P[0], Q[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sample is not None:
+            p, q = np.empty_like(p0), np.empty_like(q0)
+            for k, (m_pk, m_qk) in enumerate(zip(*m_path)):
+                _apply_monodromy(m_pk, m_qk, p0, q0, p, q)
+                sample(k, p, q)
+        _apply_monodromy(m_p, m_q, p0, q0, P[0], Q[0])
     if tangent:
         P[1:], Q[1:] = m_p, m_q
-    return P, Q, path
-
-
-def _linear_states(m_path, p0, q0):
-    """The state path (2, n_steps + 1, B) of a linear flow from the (B,)
-    complex starts: its width-1 tangent path ``m_path`` (a
-    ``_linear_monodromy`` entry) applied to them sample by sample."""
-    path = np.empty((2,) + m_path.shape[1:2] + p0.shape, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _apply_monodromy(m_path[0], m_path[1], p0, q0, path[0], path[1])
-    return path
+    return P, Q
 
 
 def _apply_monodromy(m_p, m_q, p0, q0, p, q):
     """p = A p0 + B q0 and q = C p0 + D q0, written into p and q.
 
-    m_p and m_q are (..., 2, 1) stacks whose axis -2 holds the rows d/dp0
-    and d/dq0 of a width-1 linear flow's p and q: m_p[..., 0, :] = A,
-    m_p[..., 1, :] = B, m_q[..., 0, :] = C, m_q[..., 1, :] = D; the
-    leading axes (none, or the path's samples) broadcast against (B,)
-    starts.  Each product is written into the output or into one scratch
-    buffer, so no temporary is allocated per product.
+    m_p and m_q are (2, 1) stacks whose rows are d/dp0 and d/dq0 of a
+    width-1 linear flow's p and q at one sample: m_p = (A, B),
+    m_q = (C, D), broadcast against the (B,) starts.  Each product is
+    written into the output or into one scratch buffer, so no temporary
+    is allocated per product.
     """
     tmp = np.empty_like(p)
     for m, out in ((m_p, p), (m_q, q)):
-        np.multiply(m[..., 0, :], p0, out=out)
-        np.add(out, np.multiply(m[..., 1, :], q0, out=tmp), out=out)
+        np.multiply(m[0], p0, out=out)
+        np.add(out, np.multiply(m[1], q0, out=tmp), out=out)
 
 
 # 32 entries hold every leg of one identity march (its _WORK_NODES + 2
@@ -198,8 +226,8 @@ def _linear_monodromy(model, c, d, t0, dt, h, n_steps):
     the identity (row 0 started at (p, q) = (1, 0), row 1 at (0, 1)),
     stepped by the scalar recurrence ``_linear_steps``; its last sample
     is the final stacks.  The path is always recorded (4 KB at 64 steps),
-    so a stored and an unstored run of one leg share an entry, and the
-    leg's Simpson moments are reduced from it (``_arc_moments``,
+    so runs of one leg with and without a sample hook share an entry, and
+    the leg's Simpson moments are reduced from it (``_arc_moments``,
     ``_action_moments``, memoized on the same leg).  The array is
     read-only: every caller of the memo shares it.  The key is every
     input of the run, and the model (its mass and drive) is part of it,
@@ -337,15 +365,19 @@ def _nystrom_table(model, c, d, t0, dt, h, n_steps):
                    hchd / 6.0)
 
 
-def _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store):
+def _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, sample=None):
     """Step a quartic model's (rows, B) complex stacks P and Q in place,
     n_steps times.
 
     Row 0 is the state and, in a 3-row stack, rows 1 and 2 are the
     tangent columns, with H_qq at each stage state.  A linear model never
     comes here: its flow is the scalar recurrence ``_linear_steps``.
-    Each stage is one array operation over the stack.  With ``store``,
-    returns the path (2, n_steps + 1, B) of row 0; else None.
+    Each stage is one array operation over the stack.  ``sample(k, p, q)``,
+    if given, is handed row 0 at each sample k = 0 .. n_steps, before
+    step k + 1 and after the last step; p and q are views of the live
+    stack, valid during the call only.  No path is kept here: a hook
+    that needs one records it (``_recorder``), and a sum over the samples
+    accumulates as the run goes (``_accumulator``).
 
     The step is in Nystrom form (Hairer, Norsett and Wanner, *Solving
     Ordinary Differential Equations I*, sec. II.14): stage forces k_j at
@@ -363,8 +395,6 @@ def _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store):
     drive, (hd, hd2, hc6, hchd2, hchd4, hchd6) = _nystrom_table(
         model, c, d, t0, dt, h, n_steps)
     tangent = P.shape[0] > 1
-    path = (np.empty((2, n_steps + 1) + P[0].shape, dtype=complex)
-            if store else None)
     # stage buffers: the stage position, the stage forces (k1 then k3,
     # k2 then k4), their sum and a scratch stack; q^2, and the force and
     # stiffness coefficients m w^2 + 4 lam q^2 and m w^2 + 12 lam q^2
@@ -374,6 +404,7 @@ def _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store):
     coef_f, coef_s = coef[0], coef[1:]
     q_rows, qs_rows, ka_rows, kb_rows = (
         (X[0], X[1:]) for X in (Q, Qs, Ka, Kb))
+    p_state, q_state = P[0], Q[0]
 
     def force(x_rows, k_rows, mw2):
         """k = (H_q(q), H_qq(q) dq rows) at the state row q of x, given
@@ -387,8 +418,8 @@ def _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store):
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (m_start, m_mid, m_end) in enumerate(drive):
-            if store:
-                path[0, k], path[1, k] = P[0], Q[0]
+            if sample is not None:
+                sample(k, p_state, q_state)
             # once Q2 is formed, Q holds Q + hd P, the base of Q4 and Q'
             force(q_rows, ka_rows, m_start)                 # k1
             np.add(Q, np.multiply(P, hd2, out=Qs), out=Qs)  # Q2
@@ -405,19 +436,20 @@ def _rk4_steps(model, c, d, t0, dt, P, Q, h, n_steps, store):
             np.add(S, Kb, out=S)
             np.add(S, Ka, out=S)                # k1 + 2 k2 + 2 k3 + k4
             np.add(P, np.multiply(S, hc6, out=S), out=P)         # P'
-        if store:
-            path[0, n_steps], path[1, n_steps] = P[0], Q[0]
-    return path
+        if sample is not None:
+            sample(n_steps, p_state, q_state)
 
 
 def _flow_imaginary_batch(model, t, p0, q0, s_from, s_to, n_steps,
-                          store=False, tangent=False):
-    """RK4 for the frozen-time arc ODE; returns endpoints or full paths.
+                          sample=None, tangent=False):
+    """RK4 for the frozen-time arc ODE; returns the endpoints (p, q).
 
     The arc ODE is the kernel's c = i, d = -i/m with the drive frozen at t.
-    With ``tangent`` set, a third value is returned: the monodromy matrix
+    ``sample`` is the kernel's per-sample hook (``_rk4``): a recorder for
+    the state path, or an accumulator of sums over it.  With ``tangent``
+    set, a third value is returned: the monodromy matrix
     M = d(p, q)_end / d(p0, q0) of shape (2, 2) + p0.shape, rows (p, q),
-    columns (p0, q0); the state path is unchanged by the option.
+    columns (p0, q0); the state is unchanged by either option.
 
     States that leave the representable range propagate as non-finite
     values; callers decide whether that is an error (public wrappers) or a
@@ -426,10 +458,9 @@ def _flow_imaginary_batch(model, t, p0, q0, s_from, s_to, n_steps,
     if s_to == s_from:
         n_steps = 0
     h = (s_to - s_from) / n_steps if n_steps else 0.0
-    P, Q, path = _rk4(model, 1j, -1j / model.mass, t, 0.0, p0, q0, h,
-                      n_steps, tangent, store)
-    p, q = path if store else (P[0], Q[0])
-    return (p, q, np.stack([P[1:], Q[1:]])) if tangent else (p, q)
+    P, Q = _rk4(model, 1j, -1j / model.mass, t, 0.0, p0, q0, h, n_steps,
+                tangent, sample)
+    return (P[0], Q[0], np.stack([P[1:], Q[1:]])) if tangent else (P[0], Q[0])
 
 
 def _real_step_count(model: HamiltonianModel, settings: IntegratorSettings,
@@ -452,11 +483,10 @@ def _flow_real_batch(model, t_from, t_to, p0, q0, n_steps,
     The action is accumulated with the composite Simpson pattern on the
     step grid (n_steps must be even when with_action is set) and is signed
     with the integration direction: integrating backwards returns the
-    negative of the forward action.  A quartic leg stores its path and
-    sums the Lagrangian over it one sample row at a time
-    (``weighted_sum``), so the sum adds no (n_steps + 1, B) stack to the
-    path; a linear leg's sum is a quadratic form in the start
-    (``_action_moments``), so no path is written.
+    negative of the forward action.  A quartic leg sums its Lagrangian
+    p (p/m) - H(t_k) at t_k = t_from + k h as the kernel steps
+    (``_accumulator``), so no path of the leg is stored; a linear leg's
+    sum is a quadratic form in the start (``_action_moments``).
     """
     if t_to == t_from:
         n_steps = 0
@@ -464,26 +494,26 @@ def _flow_real_batch(model, t_from, t_to, p0, q0, n_steps,
         raise ValueError("action accumulation requires an even step count")
     h = (t_to - t_from) / n_steps if n_steps else 0.0
     linear = model.quartic_lambda == 0.0
-    P, Q, path = _rk4(model, -1.0, 1.0 / model.mass, t_from, h, p0, q0, h,
-                      n_steps, tangent,
-                      store=with_action and n_steps > 0 and not linear)
+    sums = sample = None
+    if with_action and n_steps and not linear:
+        t = t_from + np.arange(n_steps + 1) * h
+        sums, sample = _accumulator(
+            simpson_weights(n_steps + 1, h),
+            (lambda k, p, q: p * (p / model.mass) - model.value(t[k], p, q),))
+    P, Q = _rk4(model, -1.0, 1.0 / model.mass, t_from, h, p0, q0, h,
+                n_steps, tangent, sample)
     out = (P[0], Q[0])
     if with_action:
-        action = np.zeros(P.shape[1:], dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if n_steps and linear:
+        if sums is not None:
+            action = sums[0]
+        elif n_steps:
+            with np.errstate(over="ignore", invalid="ignore"):
                 action = _quadratic_form(
                     _action_moments(model, t_from, h, n_steps),
                     np.asarray(p0, dtype=complex),
                     np.asarray(q0, dtype=complex))
-            elif n_steps:
-                # the Lagrangian at t_k = t_from + k h, one sample row at
-                # a time: no (n_steps + 1, B) stack beside the path
-                t = t_from + np.arange(n_steps + 1) * h
-                action = weighted_sum(
-                    simpson_weights(n_steps + 1, h),
-                    (p * (p / model.mass) - model.value(t_k, p, q)
-                     for t_k, p, q in zip(t, *path)))
+        else:
+            action = np.zeros(P.shape[1:], dtype=complex)
         out += (action,)
     return out + (np.stack([P[1:], Q[1:]]),) if tangent else out
 
@@ -518,8 +548,8 @@ def flow_imaginary(model: HamiltonianModel, t: float, z0: ComplexPoint,
     if sigma_to == sigma_from:
         return SampledPath(np.array([sigma_from]), p0, q0)
     n = settings.n_sigma_steps
-    p_path, q_path = _flow_imaginary_batch(
-        model, t, p0, q0, sigma_from, sigma_to, n, store=True)
+    (p_path, q_path), record = _recorder(n, p0.shape)
+    _flow_imaginary_batch(model, t, p0, q0, sigma_from, sigma_to, n, record)
     _check_finite(p_path, q_path, "imaginary-time flow")
     _check_halving(settings, (p_path[-1], q_path[-1]),
                    lambda: _flow_imaginary_batch(model, t, p0, q0, sigma_from,
@@ -571,17 +601,20 @@ class ImaginaryArc:
     sigma = +hbar*beta/2 (sample -1); the center is real, so the sample at
     -sigma is the conjugate of the one at +sigma.  An arc of either family
     keeps its centers, its endpoints and the plus halves' monodromy
-    ``m_plus``, and nothing else of its flow.  The state paths ``p`` and
-    ``q`` are stepped from the centers on first read, by the one flow call
-    that stores them (``_flow_imaginary_batch``): a quartic arc runs the
-    kernel at its width, state row only, a linear arc applies the memo's
-    width-1 tangent path (``_linear_states``).  The Simpson sums over the
-    plus half are ``square_sum``, the one place that knows which of the
-    two an arc needs: a linear arc's is a quadratic form in the center
-    and reads no path.  The center energy ``h_center``, ``pdq``,
-    ``action`` and the ``prefactor`` are formed on first read and cached:
-    a march reads them at two of its time nodes.  ``action`` and the area
-    form of G (``g``) share the one center energy.
+    ``m_plus``, and nothing else of its flow.  Every run over the plus
+    halves is one state-only ``_flow_imaginary_batch`` call from the
+    centers (``_step``), and what the run keeps is its sample hook's
+    choice: the state paths ``p`` and ``q`` are recorded on first read
+    (``_recorder``), and a quartic arc's Simpson sums are accumulated as
+    the kernel steps (``_accumulator``), with no path stored.  The sums
+    over the plus half are ``square_sum``, the one place that knows which
+    of the two families an arc is: a linear arc's is a quadratic form in
+    the center and steps nothing, and a quartic arc forms both of the sums
+    its readers take (p dq's and the power's) in its one run.  The center
+    energy ``h_center``, ``pdq``, ``action`` and the ``prefactor`` are
+    formed on first read and cached: a march reads them at two of its
+    time nodes.  ``action`` and the area form of G (``g``) share the one
+    center energy.
     """
 
     model: HamiltonianModel
@@ -604,13 +637,21 @@ class ImaginaryArc:
         """The plus halves' positions, (n+1, B) complex."""
         return self._states[1]
 
+    def _step(self, sample):
+        """Step the plus halves from the centers, state row only, handing
+        each sample to the hook ``sample``: bitwise the state of the flow
+        that integrated the endpoints."""
+        _flow_imaginary_batch(self.model, self.t, self.center_p,
+                              self.center_q, 0.0, 0.5 * self.hbar_beta,
+                              self.sigma.shape[0] - 1, sample)
+
     @cached_property
     def _states(self):
-        """(p, q), the plus halves' state paths stepped from the centers:
-        bitwise the path of the flow that integrated the endpoints."""
-        return _flow_imaginary_batch(
-            self.model, self.t, self.center_p, self.center_q, 0.0,
-            0.5 * self.hbar_beta, self.sigma.shape[0] - 1, store=True)
+        """(p, q), the plus halves' state paths, recorded from one run."""
+        path, record = _recorder(self.sigma.shape[0] - 1,
+                                 self.center_p.shape)
+        self._step(record)
+        return path
 
     @cached_property
     def half_weights(self) -> np.ndarray:
@@ -619,20 +660,45 @@ class ImaginaryArc:
         n = self.sigma.shape[0] - 1
         return _arc_half_weights(n, self.sigma[-1] / n)
 
+    @cached_property
+    def _square_coefs(self) -> tuple:
+        """The coefficient of each row's square sum as the arc's readers
+        take it: -i/m for p (``pdq``) and dH/dt's rate m w wdot for q (the
+        pseudo-power, ``pseudowork._pseudo_power_batch``)."""
+        return -1j / self.model.mass, self.model.dt(self.t, 0.0, 1.0)
+
+    @cached_property
+    def _square_sums(self) -> list:
+        """A quartic arc's two square sums at ``_square_coefs``, both
+        accumulated in one state-only run as the kernel steps."""
+        c_p, c_q = self._square_coefs
+        sums, add = _accumulator(self.half_weights,
+                                 (lambda k, p, q: (c_p * p) * p,
+                                  lambda k, p, q: (c_q * q) * q))
+        self._step(add)
+        return sums
+
     def square_sum(self, row: int, coef) -> np.ndarray:
         """sum_k w_k (coef x_k) x_k over each arc's plus half, (B,) complex:
         x = p for row 0, q for row 1, w the half weights.
 
         A linear arc's is coef times a quadratic form in the center with
         the memo's moments (``_arc_moments``), O(1) per column.  A quartic
-        arc's is summed over its state path one sample row at a time
-        (``weighted_sum``), so no (n + 1, B) stack of terms is formed.
+        arc's, at the coefficient its readers take (``_square_coefs``), is
+        one of ``_square_sums``, both formed in one state-only run that
+        stores no path.  Once the path is recorded (``p`` or ``q`` was
+        read), and at any other coefficient, it is summed over the
+        recorded path instead, so no read steps the plus halves twice.
+        Both are ``weighted_sum``'s loop over the same (coef x) x rows, so
+        they agree bit for bit.
         """
         if self.model.quartic_lambda == 0.0:
             n = self.sigma.shape[0] - 1
             mom = _arc_moments(self.model, self.t, self.sigma[-1] / n, n)
             return coef * _quadratic_form(mom[row], self.center_p,
                                           self.center_q)
+        if coef == self._square_coefs[row] and "_states" not in self.__dict__:
+            return self._square_sums[row]
         return weighted_sum(self.half_weights,
                             ((coef * x) * x for x in self._states[row]))
 
@@ -712,10 +778,11 @@ def _build_arc_batch(model, t, center_p, center_q, hbar_beta, settings,
     ``half`` is the plus halves' (B,) endpoints and monodromy M_+
     (2, 2, B), as the solve that found the centers integrated them
     (``stationary._invert_map_batch`` passes it); without it they are
-    integrated here.  No state path is stepped here: the arc steps its
-    own from the centers on first read (``ImaginaryArc.p``, and a quartic
-    arc's ``square_sum``), state row only, so no Newton trial and no arc
-    whose sums are never read writes one.  The endpoints are checked for
+    integrated here.  Nothing is stepped here from the centers: a quartic
+    arc runs its state row once when its sums are first read, summing as
+    the kernel steps (``ImaginaryArc.square_sum``), and records a path
+    only if ``p`` or ``q`` is read, so no Newton trial and no arc of the
+    march stores one.  The endpoints are checked for
     finite values (a sample that is not finite stays so to the end of a
     quartic path; a linear arc's sums are forms that carry it) and, with
     ``richardson_check``, the endpoints and M_+ against the same flow at

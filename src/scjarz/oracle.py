@@ -136,15 +136,26 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+# rows of the kernel formed and transformed at a time by _wigner_raw: a
+# block's term buffer is this many rows of the n_q-point offset axis
+_WIGNER_BLOCK_ROWS = 32
+
+
 def _wigner_raw(op: FockOperator, q_max: float, n_q: int) -> tuple:
     """Complex Wigner values on the FFT grid, plus the q and p axes.
 
     The offset grid spacing is twice the position spacing, so every matrix
     element argument q +/- Q/2 lands on one shared Hermite evaluation grid.
     The kernel is summed over the eigenvectors of the operator, which must
-    be Hermitian (ValueError otherwise).  Each eigenvector's term is formed
-    in one buffer from strided views of u_k and of conj(u_k) reversed, no
-    gathered copies: an index gather's operations, bit for bit.
+    be Hermitian (ValueError otherwise).  The kernel is formed in blocks
+    of ``_WIGNER_BLOCK_ROWS`` position rows, in the (n_q, n_q) output
+    itself: each eigenvector's term for the block goes into one
+    block-sized buffer from strided views of u_k and of conj(u_k)
+    reversed, no gathered copies, and is added in eigenvector order; the
+    block is then phased and Fourier transformed over the offset in
+    place.  Each row's transform is its own, so this is an index gather's
+    operations on the whole grid, bit for bit, with one grid and a block
+    of scratch.
     """
     n = int(n_q)
     if n < 8 or n % 2 != 0:
@@ -170,37 +181,46 @@ def _wigner_raw(op: FockOperator, q_max: float, n_q: int) -> tuple:
             f"basis functions reach {edge:.3e} at the grid edge; "
             "increase q_max")
 
-    kernel = np.zeros((n, n), dtype=complex)   # kernel[i, j] = <q+Q/2|rho|q-Q/2>
     w, v = np.linalg.eigh(op.matrix)
     keep = np.abs(w) > 1e-16 * np.max(np.abs(w))
     w, v = w[keep], v[:, keep]
     u = v.T @ psi                          # (K, 2n), u_k on the shared grid
-    term = np.empty_like(kernel)
-    for k in range(w.size):
-        # u_k[i + j] at q + Q/2; conj(u_k)[n + i - j] = reversed[n-1-i+j]
-        plus = sliding_window_view(u[k], n)[:n]
-        minus = sliding_window_view(u[k].conj()[::-1], n)[n - 1::-1]
-        np.multiply(w[k], plus, out=term)
-        np.multiply(term, minus, out=term)
-        kernel += term
-    del term
+    # row i of the views is u_k[i + j] at q + Q/2 and
+    # conj(u_k)[n + i - j] = reversed[n-1-i+j] at q - Q/2
+    plus = [sliding_window_view(uk, n)[:n] for uk in u]
+    minus = [sliding_window_view(uk.conj()[::-1], n)[n - 1::-1] for uk in u]
 
     j = np.arange(n)
     phase_j = np.where(j % 2 == 0, 1.0, -1.0)
-    phase_k = np.where(j % 2 == 0, 1.0, -1.0) * np.exp(-0.5j * np.pi * n)
-    kernel *= phase_j[None, :]
-    w_vals = np.fft.fft(kernel, axis=1)
-    w_vals *= phase_k[None, :] * (dQ / (2.0 * np.pi * hbar))
+    phase_k = (np.where(j % 2 == 0, 1.0, -1.0) * np.exp(-0.5j * np.pi * n)
+               * (dQ / (2.0 * np.pi * hbar)))
+    # w_vals[i, j] = <q+Q/2|rho|q-Q/2> until its block is transformed
+    w_vals = np.zeros((n, n), dtype=complex)
+    buffer = np.empty((_WIGNER_BLOCK_ROWS, n), dtype=complex)
+    for start in range(0, n, _WIGNER_BLOCK_ROWS):
+        rows = slice(start, start + _WIGNER_BLOCK_ROWS)
+        block = w_vals[rows]
+        term = buffer[:block.shape[0]]   # the last block may be shorter
+        for wk, pk, mk in zip(w, plus, minus):
+            np.multiply(wk, pk[rows], out=term)
+            np.multiply(term, mk[rows], out=term)
+            block += term
+        block *= phase_j
+        np.fft.fft(block, axis=1, out=block)
+        block *= phase_k
     return q_axis, p_axis, w_vals, dp, dq
 
 
 def wigner_transform(op: FockOperator, q_max: float, n_q: int) -> WignerGrid:
     """Wigner transform of a Hermitian operator with density normalization.
 
-    Raises ValueError for a non-Hermitian operator.
+    Raises ValueError for a non-Hermitian operator.  The imaginary
+    residual max |Im W| is read as max(max Im W, -min Im W), with no
+    (n_q, n_q) temporary beside the values.
     """
     q_axis, p_axis, w_vals, dp, dq = _wigner_raw(op, q_max, n_q)
-    imag = float(np.max(np.abs(w_vals.imag)))
+    im = w_vals.imag
+    imag = abs(float(max(im.max(), -im.min())))
     values = w_vals.real.copy()
     norm = float(np.sum(values) * dp * dq)
     return WignerGrid(q=q_axis, p=p_axis, values=values,
@@ -325,9 +345,10 @@ def ordering_pairing_check(n_max: int, hbar: float, mass: float, omega: float,
     grid = wigner_transform(FockOperator(rho, hbar, mass, omega), q_max, n_q)
     dp = grid.p[1] - grid.p[0]
     dq = grid.q[1] - grid.q[0]
-    pp = grid.p[None, :]
-    qq = grid.q[:, None]
-    moment = np.sum(pp * qq * grid.values) * dp * dq
+    # (p q) W in one (n_q, n_q) temporary, p q formed first
+    moment_density = grid.p[None, :] * grid.q[:, None]
+    moment = np.sum(np.multiply(moment_density, grid.values,
+                                out=moment_density)) * dp * dq
     norm = np.sum(grid.values) * dp * dq
     integral_side = complex(moment - 0.5j * hbar * norm)
     return {

@@ -101,10 +101,10 @@ def _composite_map_batch(model, t_i, t_f, P, Q, hbar_beta, settings):
     The fourth value is the half-flow (end_p, end_q, m_plus) of the plus
     half of the frozen-t_f arc through each center, bitwise what
     ``_build_arc_batch`` would integrate: endpoints (B,) and complex
-    monodromy (2, 2, B), and no path (an arc steps its own from the solved
-    centers on first read).  Every view of the map (the scalar map, the
-    solve and the work march) reaches this function, and a window with
-    t_f < t_i raises ValueError here.
+    monodromy (2, 2, B), and no path (an arc runs its own state row from
+    the solved centers when its sums or path are read).  Every view of
+    the map (the scalar map, the solve and the work march) reaches this
+    function, and a window with t_f < t_i raises ValueError here.
     """
     if t_f < t_i:
         raise ValueError("composite map requires t_i <= t_f")
@@ -252,7 +252,8 @@ def _invert_map_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
     from the full-span half-flows (the first stage's, and for re-solved
     points the last rung's), and returned as ``SolveBatch.arcs`` with
     their plus-half monodromies.  The solve steps no state path: an arc
-    steps its own from its centers on first read (``ImaginaryArc.p``).
+    runs its own from its centers when its sums or path are first read
+    (``ImaginaryArc.square_sum``, ``ImaginaryArc.p``).
     The Newton policy is the module's constants (``_NEWTON_TOL`` and the
     rest); ``settings`` sets the flows' step counts and the arcs' halving
     check.
@@ -310,8 +311,9 @@ def _propagated_g_batch(t_i, tp, settings, solve: SolveBatch):
     integrated here: the other starts at the conjugate endpoint, and the
     real-time flow has real coefficients, so its endpoint and action are
     the conjugates of this one's (bit for bit, up to the sign of a zero).
-    A linear leg's action is a quadratic form in its start, the arc's
-    endpoint (``dynamics._action_moments``), so no leg path is written.
+    A quartic leg's action is summed as the kernel steps, and a linear
+    leg's is a quadratic form in its start, the arc's endpoint
+    (``dynamics._action_moments``), so no leg path is written.
     The total action along branch, arc and branch, less target p times
     the t_i chord, over i hbar*beta is G_prop; at t_f == t_i the legs
     vanish and this is the static G from the total action.  Every term of

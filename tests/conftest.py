@@ -34,3 +34,27 @@ def newton_rungs(monkeypatch):
 
     monkeypatch.setattr(stationary, "_newton_stage", recorded)
     return rungs
+
+
+@pytest.fixture()
+def kernel_runs(monkeypatch):
+    """(stack shape, hook) of every array-kernel run (``_rk4_steps``), in
+    order: the hook is None for a run without one, True for a path
+    recorder (``_recorder``) and False for any other, such as a sum
+    accumulated as the kernel steps."""
+    runs, recorders = [], []
+    kernel, recorder = dynamics._rk4_steps, dynamics._recorder
+
+    def spy(model, c, d, t0, dt, P, Q, h, n_steps, sample=None):
+        runs.append((P.shape, None if sample is None
+                     else any(sample is r for r in recorders)))
+        return kernel(model, c, d, t0, dt, P, Q, h, n_steps, sample)
+
+    def recording(*args):
+        path, record = recorder(*args)
+        recorders.append(record)
+        return path, record
+
+    monkeypatch.setattr(dynamics, "_rk4_steps", spy)
+    monkeypatch.setattr(dynamics, "_recorder", recording)
+    return runs

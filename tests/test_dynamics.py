@@ -22,14 +22,31 @@ from references import grad, linear_monodromy_path
 SET = IntegratorSettings(n_sigma_steps=128, n_time_steps=128)
 
 
+def stored_imaginary(model, t, p0, q0, s_from, s_to, n, tangent=False):
+    """An imaginary flow's state path (p, q), (n + 1, B) each, recorded by
+    its sample hook, and with ``tangent`` the flow's monodromy."""
+    path, record = dynamics._recorder(n, np.shape(p0))
+    out = _flow_imaginary_batch(model, t, p0, q0, s_from, s_to, n, record,
+                                tangent)
+    return (path[0], path[1]) + out[2:]
+
+
+def stored_rk4(model, c, d, t0, dt, p0, q0, h, n, tangent=False):
+    """``_rk4``'s final stacks and its state path (2, n + 1, B), recorded
+    by its sample hook."""
+    path, record = dynamics._recorder(n, np.shape(p0))
+    P, Q = _rk4(model, c, d, t0, dt, p0, q0, h, n, tangent, record)
+    return P, Q, path
+
+
 def full_arc_reference(model, t, cp, cq, hbar_beta, n):
     """Whole-arc pdq, action, area, G and power of the arcs through the
     real centers (cp, cq), each half integrated on its own and every sum
     taken over all 2n + 1 samples; complex, so their imaginary parts show."""
     s = 0.5 * hbar_beta
     cp, cq = cp.astype(complex), cq.astype(complex)
-    plus = _flow_imaginary_batch(model, t, cp, cq, 0.0, s, n, store=True)
-    minus = _flow_imaginary_batch(model, t, cp, cq, 0.0, -s, n, store=True)
+    plus = stored_imaginary(model, t, cp, cq, 0.0, s, n)
+    minus = stored_imaginary(model, t, cp, cq, 0.0, -s, n)
     p, q = (np.concatenate([m[:0:-1], x]) for m, x in zip(minus, plus))
     w = simpson_weights(2 * n + 1, hbar_beta / (2 * n))
     pdq = weighted_sum(w, p * (-1j) * (p / model.mass))
@@ -260,9 +277,8 @@ def test_arc_minus_half_is_the_exact_conjugate_flow(kind):
     n = SET.n_sigma_steps
     for t in (0.0, 0.37, 1.0):
         arcs = _build_arc_batch(model, t, cp, cq, 1.0, SET)
-        minus_p, minus_q = _flow_imaginary_batch(
-            model, t, cp.astype(complex), cq.astype(complex), 0.0, -0.5, n,
-            store=True)
+        minus_p, minus_q = stored_imaginary(
+            model, t, cp.astype(complex), cq.astype(complex), 0.0, -0.5, n)
         assert arcs.p.shape == arcs.q.shape == (n + 1, 64)
         assert np.array_equal(np.conjugate(arcs.p), minus_p)
         assert np.array_equal(np.conjugate(arcs.q), minus_q)
@@ -351,10 +367,9 @@ def test_imaginary_state_path_does_not_depend_on_the_tangent(lam):
     p0 = rng.uniform(-3.0, 3.0, 40) + 1j * rng.uniform(-0.5, 0.5, 40)
     q0 = rng.uniform(-3.0, 3.0, 40) + 1j * rng.uniform(-0.5, 0.5, 40)
     for t, s_to in ((0.0, 0.5), (0.7, -1.5)):
-        bare = _flow_imaginary_batch(model, t, p0, q0, 0.0, s_to, 32,
-                                     store=True)
-        with_tangent = _flow_imaginary_batch(model, t, p0, q0, 0.0, s_to, 32,
-                                             store=True, tangent=True)
+        bare = stored_imaginary(model, t, p0, q0, 0.0, s_to, 32)
+        with_tangent = stored_imaginary(model, t, p0, q0, 0.0, s_to, 32,
+                                        tangent=True)
         assert len(with_tangent) == 3 and with_tangent[2].shape == (2, 2, 40)
         for a, b in zip(bare, with_tangent[:2]):
             assert a.shape == (33, 40)
@@ -371,8 +386,8 @@ LINEAR_MODELS = {
 def _linear_flow(model, flow, p0, q0, tangent):
     """Imaginary (stored path) or backward real (with action) flow."""
     if flow == "imaginary":
-        return _flow_imaginary_batch(model, 0.3, p0, q0, 0.0, 1.5, 16,
-                                     store=True, tangent=tangent)
+        return stored_imaginary(model, 0.3, p0, q0, 0.0, 1.5, 16,
+                                tangent=tangent)
     return _flow_real_batch(model, 0.9, 0.1, p0, q0, 12, with_action=True,
                             tangent=tangent)
 
@@ -489,8 +504,8 @@ def test_linear_memo_arrays_refuse_writes():
         with pytest.raises(ValueError, match="read-only"):
             x[...] = 0.0
     p0 = q0 = np.array([0.5 + 0j, 1.0 + 0j])
-    P, Q, state_path = _rk4(model, -1.0, 1.0, 0.9, -0.1, p0, q0, -0.1, 8,
-                            tangent=True, store=True)
+    P, Q, state_path = stored_rk4(model, -1.0, 1.0, 0.9, -0.1, p0, q0, -0.1,
+                                  8, tangent=True)
     assert dynamics._linear_monodromy.cache_info().hits == 1
     for x in (P, Q, state_path):
         assert x.flags.writeable
@@ -503,23 +518,25 @@ def test_linear_memo_arrays_refuse_writes():
     (-1.0, 1.0, 0.1, 0.05, 0.05),   # a real leg, forwards
 ])
 def test_a_recorded_path_leaves_the_final_stacks_unchanged(c, d, t0, dt, h):
-    # a quartic flow stores its state path only when asked, and the
-    # stored and unstored runs must step the same bits: recording row 0
-    # changes no bit of the final stacks, of a state stack (1 row) or of
+    # a quartic flow hands its samples to a hook only when given one, and
+    # the runs with and without it must step the same bits: recording row
+    # 0 changes no bit of the final stacks, of a state stack (1 row) or of
     # a tangent one (3 rows)
     model = TANGENT_MODELS["quartic"]
     for rows in (1, 3):
         runs = []
-        for store in (False, True):
+        for hooked in (False, True):
             P = np.zeros((rows, 2), dtype=complex)
             Q = np.zeros_like(P)
             P[0], Q[0] = [0.7 + 0.2j, -1.5 + 0.1j], [0.3 - 0.4j, 1.1 + 0.0j]
             if rows == 3:
                 P[1] = Q[2] = 1.0
-            path = dynamics._rk4_steps(model, c, d, t0, dt, P, Q, h, 8, store)
+            path, record = dynamics._recorder(8, (2,))
+            assert dynamics._rk4_steps(model, c, d, t0, dt, P, Q, h, 8,
+                                       record if hooked else None) is None
             runs.append((P, Q, path))
-        (P, Q, none), (P_s, Q_s, path) = runs
-        assert none is None and path.shape == (2, 9, 2)
+        (P, Q, _), (P_s, Q_s, path) = runs
+        assert path.shape == (2, 9, 2)
         for x, y in ((P, P_s), (Q, Q_s), (P[0], path[0, -1]),
                      (Q[0], path[1, -1])):
             assert x.tobytes() == y.tobytes(), rows
@@ -606,8 +623,8 @@ def test_linear_sums_are_quadratic_forms_of_the_path(name, centers,
     # a linear arc's pdq and power and a linear real leg's action are
     # quadratic forms in the start with width-1 moments; each must be the
     # Simpson sum over the path (the arc's formed on read, the leg's
-    # stored by the kernel) within 1e-12 of the sum of the |terms|, and
-    # each column's form must be its width-1 form bit for bit
+    # recorded by the kernel's hook) within 1e-12 of the sum of the
+    # |terms|, and each column's form must be its width-1 form bit for bit
     model = LINEAR_MODELS[name]
     m = model.mass
     cp = np.array([c[0] for c in centers], dtype=complex)
@@ -639,8 +656,8 @@ def test_linear_sums_are_quadratic_forms_of_the_path(name, centers,
 
     _, _, action = _flow_real_batch(model, t_from, t_to, p0, q0, n,
                                     with_action=True)
-    _, _, (lp, lq) = _rk4(model, -1.0, 1.0 / m, t_from, h, p0, q0, h, n,
-                          store=True)
+    _, _, (lp, lq) = stored_rk4(model, -1.0, 1.0 / m, t_from, h, p0, q0, h,
+                                n)
     times = t_from + np.arange(n + 1)[:, None] * h
     stiffness = m * model.protocol.omega(times) ** 2
     kinetic, potential = lp * lp / (2.0 * m), 0.5 * stiffness * lq * lq
@@ -733,8 +750,7 @@ def test_kernel_is_classical_rk4(kind, width):
         assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
 
     t, s_to, n = 0.4, 0.5, 32
-    got = _flow_imaginary_batch(model, t, p0, q0, 0.0, s_to, n, store=True,
-                                tangent=True)
+    got = stored_imaginary(model, t, p0, q0, 0.0, s_to, n, tangent=True)
     want = textbook_rk4(model, 1j, -1j / model.mass, t, 0.0, p0, q0,
                         s_to / n, n)
     for a, b in zip(got, want):
@@ -753,8 +769,8 @@ def test_kernel_is_classical_rk4(kind, width):
     close(qe, q[-1])
     close(action, simpson_weights(n + 1, h) @ lagrangian)
     close(jac, m)
-    _, _, (path_p, path_q) = _rk4(model, -1.0, 1.0 / model.mass, t_from, h,
-                                  p0, q0, h, n, store=True)
+    _, _, (path_p, path_q) = stored_rk4(model, -1.0, 1.0 / model.mass,
+                                        t_from, h, p0, q0, h, n)
     close(path_p, p)
     close(path_q, q)
 
@@ -775,8 +791,8 @@ def test_quartic_leg_action_by_row_is_the_stacked_sum(mass):
     h = (t_to - t_from) / n
     _, _, action = _flow_real_batch(model, t_from, t_to, p0, q0, n,
                                     with_action=True)
-    _, _, (p, q) = _rk4(model, -1.0, 1.0 / mass, t_from, h, p0, q0, h, n,
-                        store=True)
+    _, _, (p, q) = stored_rk4(model, -1.0, 1.0 / mass, t_from, h, p0, q0, h,
+                              n)
     t = t_from + np.arange(n + 1)[:, None] * h
     lagrangian = p * (p / mass) - model.value(t, p, q)
     want = weighted_sum(simpson_weights(n + 1, h), lagrangian)
@@ -801,10 +817,10 @@ def test_kernel_columns_are_their_width_one_runs(starts, flow):
         args = (-1.0, 1.0 / model.mass, 0.9, -0.05)
         h = -0.05
 
-    P, Q, path = _rk4(model, *args, p0, q0, h, 16, tangent=True, store=True)
+    P, Q, path = stored_rk4(model, *args, p0, q0, h, 16, tangent=True)
     assert P.shape == Q.shape == (3, len(starts))
     for i in range(len(starts)):
-        Pi, Qi, path_i = _rk4(model, *args, p0[i:i + 1], q0[i:i + 1], h, 16,
-                              tangent=True, store=True)
+        Pi, Qi, path_i = stored_rk4(model, *args, p0[i:i + 1], q0[i:i + 1],
+                                    h, 16, tangent=True)
         for batch, one in ((P, Pi), (Q, Qi), (path, path_i)):
             assert batch[..., i].tobytes() == one[..., 0].tobytes(), i

@@ -1,11 +1,14 @@
 import json
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scjarz import dynamics, jarzynski, pseudowork, stationary
+from scjarz.config import load_config
 from scjarz.dynamics import ImaginaryArc, IntegratorSettings
 from scjarz.pseudowork import (_WORK_NODES, _gauss_legendre_nodes,
                                _pseudo_work_batch)
@@ -162,6 +165,28 @@ def test_identity_quartic_ramp_residual_refines():
                            IntegratorSettings(n_sigma_steps=96,
                                               n_time_steps=64))
     assert fine.residual < coarse.residual
+
+
+def test_the_quartic_identity_march_holds_no_arc_or_leg_path():
+    # every sum of the march (the arcs' p dq and power, the t_f leg's
+    # action) accumulates as the kernel steps, so no arc or leg stores its
+    # path: the identity on configs/quartic_ramp.yaml peaks at 1.51 sets
+    # of its arcs' (2, n + 1, B) state paths, B its mirrored half of the
+    # domain's columns, in traced numpy memory (2.90 when every arc and
+    # the t_f leg stored theirs)
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
+                      / "quartic_ramp.yaml")
+    tracemalloc.start()
+    try:
+        report = verify_identity(cfg.model, cfg.beta, cfg.hbar, cfg.domain,
+                                 cfg.settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.failures == []
+    columns = cfg.domain.n_p * cfg.domain.n_q // 2
+    path_set = 2 * (cfg.settings.n_sigma_steps + 1) * columns * 16
+    assert peak <= 1.8 * path_set, peak / path_set
 
 
 def test_identity_constant_protocol_is_trivial():
@@ -548,7 +573,7 @@ def test_harmonic_march_forms_no_batch_wide_path(monkeypatch):
     # every sum a linear march reads is a quadratic form in the start, so
     # no monodromy application during the identity writes a sample axis
     # wider than one column; an arc's path, formed when it is read, is
-    # bitwise the path the kernel stores for the same centers
+    # bitwise the path the kernel's hook records for the same centers
     model = ramped_model("harmonic", omega_i=1.0, omega_f=2.0)
     dom = QuadratureDomain(p_max=10.5, q_max=10.5, n_p=8, n_q=8)
     settings = IntegratorSettings(n_sigma_steps=16, n_time_steps=16)
@@ -573,9 +598,9 @@ def test_harmonic_march_forms_no_batch_wide_path(monkeypatch):
     for batch in (arcs[0], arcs[-1]):
         assert batch.center_p.size == dom.n_p * dom.n_q // 2
         h = 0.5 / n
-        _, _, path = dynamics._rk4(model, 1j, -1j / model.mass, batch.t, 0.0,
-                                   batch.center_p, batch.center_q, h, n,
-                                   store=True)
+        path, record = dynamics._recorder(n, batch.center_p.shape)
+        dynamics._rk4(model, 1j, -1j / model.mass, batch.t, 0.0,
+                      batch.center_p, batch.center_q, h, n, sample=record)
         assert batch.p.tobytes() == path[0].tobytes()
         assert batch.q.tobytes() == path[1].tobytes()
 

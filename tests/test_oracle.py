@@ -187,13 +187,15 @@ def test_ordering_pairing_identity():
 
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(["hermitian", "rank_one", "ordering_state"]),
-       st.integers(1, 10), st.sampled_from([8, 16, 64]),
+       st.integers(1, 10), st.sampled_from([8, 16, 64, 72]),
        st.integers(0, 2**32 - 1))
 @example("rank_one", 1, 8, 0)       # K = 1: one eigenvector, one term
 @example("ordering_state", 4, 64, 0)
+@example("hermitian", 6, 72, 0)     # a last row block shorter than the rest
 def test_wigner_kernel_is_the_index_gather(kind, dim, n_q, seed):
-    # the kernel reads each eigenvector through strided views; it must be
-    # the index-gathering loop bit for bit, grid, values and spacings
+    # the kernel reads each eigenvector through strided views, in blocks
+    # of rows; it must be the index-gathering loop bit for bit, grid,
+    # values and spacings
     rng = np.random.default_rng(seed)
     if kind == "ordering_state":
         # the ordering check's smooth complex test state as a projector
@@ -216,9 +218,12 @@ def test_wigner_kernel_is_the_index_gather(kind, dim, n_q, seed):
 
 
 def test_wigner_transform_holds_under_three_grids():
-    # the kernel accumulates in one term buffer and transforms in place:
-    # the quartic thermal state at 512 points peaks at 2.4 (n, n) complex
-    # grids of traced numpy memory (4.4 when each term gathered copies)
+    # the kernel is formed and transformed in row blocks inside the one
+    # output grid, and the imaginary residual takes no grid of its own:
+    # the quartic thermal state at 512 points peaks at 1.64 (n, n)
+    # complex grids of traced numpy memory (2.41 with one kernel-wide
+    # term buffer and a separate transform, 4.4 when each term gathered
+    # copies)
     n = 512
     op = thermal_fock("quartic", 1.0, 1.0, 0.1, 1.0, 0.5, 96)
     tracemalloc.start()
@@ -227,7 +232,7 @@ def test_wigner_transform_holds_under_three_grids():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * n * n * 16, peak / (n * n * 16)
+    assert peak <= 1.8 * n * n * 16, peak / (n * n * 16)
 
 
 def test_log_of_thermal_wigner_recovers_pseudo_hamiltonian():

@@ -299,38 +299,57 @@ def test_quartic_arc_sums_by_row_are_the_stacked_sums(mass):
     assert _pseudo_power_batch(arcs).tobytes() == power.tobytes()
 
 
+@pytest.mark.parametrize("mass", [1.0, 1.5])
+def test_quartic_arc_sums_accumulated_in_the_run_are_the_stacked_sums(mass):
+    # read before the path, p dq and the power accumulate as the arc's one
+    # state run steps, and no path is stored; each row runs the stacked
+    # integrand's operations, so both must be the sums over a path
+    # recorded afterwards bit for bit
+    model = ramped_model("quartic", mass=mass, omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    rng = np.random.default_rng(5)
+    cp, cq = rng.uniform(-2.0, 2.0, (2, 30))
+    arcs = _build_arc_batch(model, 0.3, cp, cq, 0.5, SET)
+    pdq, power = arcs.pdq, _pseudo_power_batch(arcs)
+    w, p, q = arcs.half_weights, arcs.p, arcs.q
+    half_p = dynamics.weighted_sum(w, ((-1j / mass) * p) * p)
+    half_q = dynamics.weighted_sum(w, (model.dt(0.3, 0.0, 1.0) * q) * q)
+    assert pdq.tobytes() == (half_p - np.conjugate(half_p)).tobytes()
+    assert power.tobytes() == (2.0 * half_q.real / 0.5).tobytes()
+
+
 ARC_READS = {"p": lambda arc: arc.p, "pdq": lambda arc: arc.pdq,
              "power": _pseudo_power_batch}
 
 
 @pytest.mark.parametrize("read", sorted(ARC_READS))
 @pytest.mark.parametrize("view", ["solve_pseudo_state", "build_arc"])
-def test_a_quartic_arc_steps_its_path_on_first_read(monkeypatch, view, read):
+def test_a_quartic_arc_steps_its_path_on_first_read(kernel_runs, view,
+                                                    read):
     # a width-1 view's quartic arc keeps its center, endpoint and M_+: no
-    # run stores a path until its p, p dq or power is read, the first read
-    # steps the state path in one stored run at width 1, and no later
-    # read steps it again
-    calls = []
-    kernel = dynamics._rk4_steps
-
-    def spy(model, c, d, t0, dt, P, Q, h, n_steps, store):
-        calls.append((P.shape, store))
-        return kernel(model, c, d, t0, dt, P, Q, h, n_steps, store)
-
-    monkeypatch.setattr(dynamics, "_rk4_steps", spy)
+    # run hands its samples to a hook until the arc's p, p dq or power is
+    # read.  The first read makes one 1-row run at width 1, which records
+    # the path only for p; p dq and the power sum as that run steps.  No
+    # read steps the plus half twice: p dq and the power share one run,
+    # a sum read after p is summed over the recorded path, and p after
+    # the sums is the one recorded run
+    calls = kernel_runs
     model = quartic_ramp()
     z = ComplexPoint(0.6, -0.4)
     if view == "build_arc":
         arc = build_arc(model, 0.3, z, 0.5, MARCH_SET)
     else:
         arc = solve_pseudo_state(model, 0.0, 0.3, z, 0.5, MARCH_SET).arc
-    assert calls and not any(store for _, store in calls)
+    assert calls and all(hook is None for _, hook in calls)
     calls.clear()
     ARC_READS[read](arc)
-    assert calls == [((1, 1), True)]
-    for again in ARC_READS.values():
-        again(arc)
-    assert calls == [((1, 1), True)]
+    first = [((1, 1), read == "p")]
+    assert calls == first
+    expected = first + ([] if read == "p" else [((1, 1), True)])
+    for _ in range(2):
+        for again in ARC_READS.values():
+            again(arc)
+        assert calls == expected
 
 
 @pytest.mark.parametrize("t_f", [0.3, 1.0])
@@ -788,12 +807,12 @@ def test_only_the_cold_t_i_solve_climbs_the_ladder(monkeypatch,
 def test_pseudo_power_refuses_a_batch_of_arcs(monkeypatch):
     # three columns of one solve hold three different powers; the scalar
     # view takes only a width-1 arc, and each column's own width-1 solve
-    # gives that column's power.  A linear arc forms its path only when
+    # gives that column's power.  A linear arc records its path only when
     # it is read, and neither the width check nor the power reads it
     def formed(*args):
-        raise AssertionError("a linear arc's path was formed")
+        raise AssertionError("a linear arc's path was recorded")
 
-    monkeypatch.setattr(dynamics, "_linear_states", formed)
+    monkeypatch.setattr(dynamics, "_recorder", formed)
     model = harmonic_ramp(t_f=0.5)
     tp, tq = np.array([0.0, 1.0, 2.5]), np.array([1.0, -1.5, 2.0])
     solve = _invert_map_batch(model, 0.0, 0.5, tp, tq, 1.0, MARCH_SET)
