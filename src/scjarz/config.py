@@ -288,14 +288,9 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(text)
 
 
-# libyaml's loader where PyYAML was built with it: the safe schema and the
-# same results as yaml.SafeLoader, at about a seventh of the load time
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 def parse_config(text: str) -> RunConfig:
     try:
-        data = yaml.load(text, Loader=_YAML_LOADER)
+        data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML: {exc}") from None
     if data is None:

@@ -662,8 +662,8 @@ class ImaginaryArc:
 
     @cached_property
     def _square_coefs(self) -> tuple:
-        """The coefficient of each row's square sum as the arc's readers
-        take it: -i/m for p (``pdq``) and dH/dt's rate m w wdot for q (the
+        """The coefficient of each row's square sum, the one place it is
+        defined: -i/m for p (``pdq``) and dH/dt's rate m w wdot for q (the
         pseudo-power, ``pseudowork._pseudo_power_batch``)."""
         return -1j / self.model.mass, self.model.dt(self.t, 0.0, 1.0)
 
@@ -678,35 +678,35 @@ class ImaginaryArc:
         self._step(add)
         return sums
 
-    def square_sum(self, row: int, coef) -> np.ndarray:
-        """sum_k w_k (coef x_k) x_k over each arc's plus half, (B,) complex:
-        x = p for row 0, q for row 1, w the half weights.
+    def square_sum(self, row: int) -> np.ndarray:
+        """sum_k w_k (c x_k) x_k over each arc's plus half, (B,) complex:
+        x = p for row 0, q for row 1, w the half weights and c the row's
+        coefficient in ``_square_coefs``.
 
-        A linear arc's is coef times a quadratic form in the center with
-        the memo's moments (``_arc_moments``), O(1) per column.  A quartic
-        arc's, at the coefficient its readers take (``_square_coefs``), is
-        one of ``_square_sums``, both formed in one state-only run that
-        stores no path.  Once the path is recorded (``p`` or ``q`` was
-        read), and at any other coefficient, it is summed over the
-        recorded path instead, so no read steps the plus halves twice.
-        Both are ``weighted_sum``'s loop over the same (coef x) x rows, so
-        they agree bit for bit.
+        A linear arc's is c times a quadratic form in the center with the
+        memo's moments (``_arc_moments``), O(1) per column.  A quartic
+        arc's is one of ``_square_sums``, both formed in one state-only
+        run that stores no path; once the path is recorded (``p`` or ``q``
+        was read), it is summed over the recorded path instead, so no read
+        steps the plus halves twice.  Both are ``weighted_sum``'s loop over
+        the same (c x) x rows, so they agree bit for bit.
         """
+        coef = self._square_coefs[row]
         if self.model.quartic_lambda == 0.0:
             n = self.sigma.shape[0] - 1
             mom = _arc_moments(self.model, self.t, self.sigma[-1] / n, n)
             return coef * _quadratic_form(mom[row], self.center_p,
                                           self.center_q)
-        if coef == self._square_coefs[row] and "_states" not in self.__dict__:
-            return self._square_sums[row]
-        return weighted_sum(self.half_weights,
-                            ((coef * x) * x for x in self._states[row]))
+        if "_states" in self.__dict__:
+            return weighted_sum(self.half_weights,
+                                ((coef * x) * x for x in self._states[row]))
+        return self._square_sums[row]
 
     @cached_property
     def pdq(self) -> np.ndarray:
         """int p dq along each whole arc, (B,) complex, purely imaginary:
         dq/dsigma = -i p / m, so the plus half's share is the p^2 sum."""
-        half = self.square_sum(0, -1j / self.model.mass)
+        half = self.square_sum(0)
         return half - np.conjugate(half)
 
     @cached_property

@@ -152,10 +152,10 @@ def _wigner_raw(op: FockOperator, q_max: float, n_q: int) -> tuple:
     itself: each eigenvector's term for the block goes into one
     block-sized buffer from strided views of u_k and of conj(u_k)
     reversed, no gathered copies, and is added in eigenvector order; the
-    block is then phased and Fourier transformed over the offset in
-    place.  Each row's transform is its own, so this is an index gather's
-    operations on the whole grid, bit for bit, with one grid and a block
-    of scratch.
+    block is then phased, Fourier transformed over the offset and
+    written back.  Each row's transform is its own, so this is an index
+    gather's operations on the whole grid, bit for bit, with one grid and
+    two blocks of scratch.
     """
     n = int(n_q)
     if n < 8 or n % 2 != 0:
@@ -206,7 +206,7 @@ def _wigner_raw(op: FockOperator, q_max: float, n_q: int) -> tuple:
             np.multiply(term, mk[rows], out=term)
             block += term
         block *= phase_j
-        np.fft.fft(block, axis=1, out=block)
+        block[...] = np.fft.fft(block, axis=1)
         block *= phase_k
     return q_axis, p_axis, w_vals, dp, dq
 

@@ -134,9 +134,9 @@ def _pseudo_power_batch(arcs: ImaginaryArc):
     """Arc-averaged explicit power (1/hbar*beta) int dH/dt dsigma of the
     arcs' model; dH/dt at the conjugate point is the conjugate, so the
     integral is 2 Re S over the plus half.  dH/dt is (m w wdot q) q, so S
-    is the arc's q^2 sum with that rate (``ImaginaryArc.square_sum``)."""
-    rate = arcs.model.dt(arcs.t, 0.0, 1.0)   # m w wdot
-    return 2.0 * arcs.square_sum(1, rate).real / arcs.hbar_beta
+    is the arc's q^2 sum with that rate m w wdot
+    (``ImaginaryArc.square_sum(1)``)."""
+    return 2.0 * arcs.square_sum(1).real / arcs.hbar_beta
 
 
 def pseudo_power(arc: ImaginaryArc) -> float:

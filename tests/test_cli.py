@@ -11,7 +11,6 @@ import pytest
 import yaml
 
 import scjarz.cli
-import scjarz.config
 import scjarz.dynamics
 import scjarz.oracle
 from scjarz.cli import build_parser, main
@@ -175,46 +174,6 @@ def test_a_yaml_syntax_error_is_a_config_error(tmp_path, capsys):
     assert main(["gibbs", "--config", str(path), "--out", str(out)]) == 2
     assert "invalid YAML" in capsys.readouterr().err
     assert not out.exists()
-
-
-HAS_LIBYAML = hasattr(yaml, "CSafeLoader")
-
-
-@pytest.mark.skipif(not HAS_LIBYAML, reason="PyYAML has no libyaml")
-@pytest.mark.parametrize("name", ["harmonic_ramp.yaml", "quartic_ramp.yaml"])
-def test_shipped_configs_parse_alike_with_either_yaml_loader(monkeypatch,
-                                                             name):
-    # configs load with libyaml's safe loader where PyYAML has it; the
-    # pure-Python SafeLoader must give the same document and hash
-    text = (ROOT / "configs" / name).read_text()
-    parsed = []
-    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
-        monkeypatch.setattr(scjarz.config, "_YAML_LOADER", loader)
-        parsed.append(parse_config(text))
-    assert parsed[0].raw == parsed[1].raw
-    assert parsed[0].config_hash() == parsed[1].config_hash()
-
-
-@pytest.mark.skipif(not HAS_LIBYAML, reason="PyYAML has no libyaml")
-@pytest.mark.parametrize("text", [
-    "a: 1\na: 2\n",                 # a duplicate key: the last wins
-    "x: 1e-3\n",                    # YAML 1.1 reads this as a string
-    "x: 1.0e-3\ny: .inf\nz: -.inf\n",
-    "x: 0o17\ny: 017\nz: 1_000\n",
-    "x: [1, 2\n",                   # an unclosed flow sequence
-    "x: {a: 1\n",                   # an unclosed flow mapping
-    "\tx: 1\n",                     # a tab as indentation
-    "x: !!python/object:os.system {}\n",
-    "",
-])
-def test_both_yaml_loaders_agree_on_edge_inputs(text):
-    results = []
-    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
-        try:
-            results.append(yaml.load(text, Loader=loader))
-        except yaml.YAMLError as exc:
-            results.append(type(exc))
-    assert results[0] == results[1]
 
 
 def test_missing_config_file(tmp_path):

@@ -220,8 +220,8 @@ def test_wigner_kernel_is_the_index_gather(kind, dim, n_q, seed):
 def test_wigner_transform_holds_under_three_grids():
     # the kernel is formed and transformed in row blocks inside the one
     # output grid, and the imaginary residual takes no grid of its own:
-    # the quartic thermal state at 512 points peaks at 1.64 (n, n)
-    # complex grids of traced numpy memory (2.41 with one kernel-wide
+    # the quartic thermal state at 512 points peaks at 1.70 (n, n)
+    # complex grids of traced numpy memory (2.44 with one kernel-wide
     # term buffer and a separate transform, 4.4 when each term gathered
     # copies)
     n = 512

@@ -292,8 +292,8 @@ def test_quartic_arc_sums_by_row_are_the_stacked_sums(mass):
     coef, rate = -1j / mass, model.dt(0.3, 0.0, 1.0)
     half_p = dynamics.weighted_sum(w, (coef * p) * p)
     half_q = dynamics.weighted_sum(w, (rate * q) * q)
-    assert arcs.square_sum(0, coef).tobytes() == half_p.tobytes()
-    assert arcs.square_sum(1, rate).tobytes() == half_q.tobytes()
+    assert arcs.square_sum(0).tobytes() == half_p.tobytes()
+    assert arcs.square_sum(1).tobytes() == half_q.tobytes()
     assert arcs.pdq.tobytes() == (half_p - np.conjugate(half_p)).tobytes()
     power = 2.0 * half_q.real / 0.5
     assert _pseudo_power_batch(arcs).tobytes() == power.tobytes()
