@@ -147,10 +147,11 @@ def _oracle_harmonic(cfg: RunConfig, op, grid) -> dict:
 
 
 def _oracle_quartic(cfg: RunConfig, op, grid) -> dict:
+    """Compare the normalized Wigner density with exp(-beta G) / Z_G on a
+    sample of the thermal bulk; no normalized copy of the grid is made."""
     model = cfg.model
     t = model.protocol.t_i
     omega = model.protocol.omega(t)
-    rho_w = grid.values / grid.norm
     # compare on the thermal bulk (~2.5 sigma); the far tail only probes
     # the transform's noise floor
     width_q = 2.5 / (np.sqrt(cfg.beta * model.mass) * omega)
@@ -162,8 +163,11 @@ def _oracle_quartic(cfg: RunConfig, op, grid) -> dict:
         model, t, pp.ravel(), qq.ravel(), cfg.hbar_beta, cfg.settings)
     z_g = partition(model, t, cfg.beta, cfg.hbar, cfg.domain, cfg.settings)
     rho_g = np.exp(-cfg.beta * g) / z_g
-    w_vals = rho_w[np.ix_(qi, pi)].ravel()
-    density_gap = float(np.max(np.abs(w_vals - rho_g)) / np.max(rho_w))
+    # the density W / norm is read only where it is sampled; its peak is
+    # max(W) / norm, since dividing by the positive norm keeps the order
+    w_vals = grid.values[np.ix_(qi, pi)].ravel() / grid.norm
+    peak = np.max(grid.values) / grid.norm
+    density_gap = float(np.max(np.abs(w_vals - rho_g)) / peak)
     diff = -np.log(w_vals) / cfg.beta + np.log(rho_g) / cfg.beta
     log_gap = float(np.max(np.abs(diff - np.mean(diff))))
     return {"kind": "quartic",
@@ -174,19 +178,21 @@ def _oracle_quartic(cfg: RunConfig, op, grid) -> dict:
 
 def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
     # one thermal operator and one Wigner grid serve the CSV, the
-    # model-specific comparison and both factors of the convention audit
+    # model-specific comparison and both factors of the convention audit.
+    # The operator comes first, so a truncation failure is the first error;
+    # the ordering check's own grid is gone before the thermal grid exists
     model = cfg.model
     omega = model.protocol.omega(model.protocol.t_i)
     op = thermal_fock(model.kind, model.mass, omega, model.quartic_lambda,
                       cfg.beta, cfg.hbar, cfg.fock_n_max)
-    grid = wigner_transform(op, cfg.wigner_q_max, cfg.wigner_n_q)
-    grid.write_csv(out_dir / "wigner.csv")
-    body = (_oracle_harmonic(cfg, op, grid) if model.kind == "harmonic"
-            else _oracle_quartic(cfg, op, grid))
-    audit = weyl_convention_audit(op, op, grid, grid)
     ordering = ordering_pairing_check(
         min(cfg.fock_n_max, 64), cfg.hbar, model.mass, omega,
         cfg.wigner_q_max, cfg.wigner_n_q)
+    grid = wigner_transform(op, cfg.wigner_q_max, cfg.wigner_n_q)
+    audit = weyl_convention_audit(op, op, grid, grid)
+    grid.write_csv(out_dir / "wigner.csv")
+    body = (_oracle_harmonic(cfg, op, grid) if model.kind == "harmonic"
+            else _oracle_quartic(cfg, op, grid))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config_sha256": cfg.config_hash(),

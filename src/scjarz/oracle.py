@@ -137,25 +137,30 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
 
 
 # rows of the kernel formed and transformed at a time by _wigner_raw: a
-# block's term buffer is this many rows of the n_q-point offset axis
+# block's accumulator and term buffer are this many rows of the n_q-point
+# offset axis
 _WIGNER_BLOCK_ROWS = 32
 
 
 def _wigner_raw(op: FockOperator, q_max: float, n_q: int) -> tuple:
-    """Complex Wigner values on the FFT grid, plus the q and p axes.
+    """Complex Wigner values on the FFT grid in row blocks, plus the axes.
+
+    Returns (q axis, p axis, blocks, dp, dq), where ``blocks`` yields
+    (row slice, complex values of those rows) in row order, blocks of
+    ``_WIGNER_BLOCK_ROWS`` position rows.  The checks run before it
+    returns; each block is formed only when it is read, and no (n_q, n_q)
+    array is held.
 
     The offset grid spacing is twice the position spacing, so every matrix
     element argument q +/- Q/2 lands on one shared Hermite evaluation grid.
     The kernel is summed over the eigenvectors of the operator, which must
-    be Hermitian (ValueError otherwise).  The kernel is formed in blocks
-    of ``_WIGNER_BLOCK_ROWS`` position rows, in the (n_q, n_q) output
-    itself: each eigenvector's term for the block goes into one
-    block-sized buffer from strided views of u_k and of conj(u_k)
-    reversed, no gathered copies, and is added in eigenvector order; the
-    block is then phased, Fourier transformed over the offset and
-    written back.  Each row's transform is its own, so this is an index
-    gather's operations on the whole grid, bit for bit, with one grid and
-    two blocks of scratch.
+    be Hermitian (ValueError otherwise).  Each eigenvector's term for the
+    block goes into one block-sized buffer from strided views of u_k and
+    of conj(u_k) reversed, no gathered copies, and is added in
+    eigenvector order to a zeroed block accumulator; the block is then
+    phased, Fourier transformed over the offset and phased again.  Each
+    row's transform is its own, so the blocks are an index gather's
+    operations on the whole grid, bit for bit.
     """
     n = int(n_q)
     if n < 8 or n % 2 != 0:
@@ -185,6 +190,7 @@ def _wigner_raw(op: FockOperator, q_max: float, n_q: int) -> tuple:
     keep = np.abs(w) > 1e-16 * np.max(np.abs(w))
     w, v = w[keep], v[:, keep]
     u = v.T @ psi                          # (K, 2n), u_k on the shared grid
+    del psi
     # row i of the views is u_k[i + j] at q + Q/2 and
     # conj(u_k)[n + i - j] = reversed[n-1-i+j] at q - Q/2
     plus = [sliding_window_view(uk, n)[:n] for uk in u]
@@ -194,34 +200,48 @@ def _wigner_raw(op: FockOperator, q_max: float, n_q: int) -> tuple:
     phase_j = np.where(j % 2 == 0, 1.0, -1.0)
     phase_k = (np.where(j % 2 == 0, 1.0, -1.0) * np.exp(-0.5j * np.pi * n)
                * (dQ / (2.0 * np.pi * hbar)))
-    # w_vals[i, j] = <q+Q/2|rho|q-Q/2> until its block is transformed
-    w_vals = np.zeros((n, n), dtype=complex)
-    buffer = np.empty((_WIGNER_BLOCK_ROWS, n), dtype=complex)
-    for start in range(0, n, _WIGNER_BLOCK_ROWS):
-        rows = slice(start, start + _WIGNER_BLOCK_ROWS)
-        block = w_vals[rows]
-        term = buffer[:block.shape[0]]   # the last block may be shorter
-        for wk, pk, mk in zip(w, plus, minus):
-            np.multiply(wk, pk[rows], out=term)
-            np.multiply(term, mk[rows], out=term)
-            block += term
-        block *= phase_j
-        block[...] = np.fft.fft(block, axis=1)
-        block *= phase_k
-    return q_axis, p_axis, w_vals, dp, dq
+
+    def blocks():
+        # acc[i, j] = <q+Q/2|rho|q-Q/2> for the block's rows
+        acc_buffer = np.empty((_WIGNER_BLOCK_ROWS, n), dtype=complex)
+        term_buffer = np.empty_like(acc_buffer)
+        for start in range(0, n, _WIGNER_BLOCK_ROWS):
+            stop = min(start + _WIGNER_BLOCK_ROWS, n)
+            rows = slice(start, stop)
+            acc = acc_buffer[:stop - start]   # the last may be shorter
+            term = term_buffer[:stop - start]
+            acc.fill(0.0)
+            for wk, pk, mk in zip(w, plus, minus):
+                np.multiply(wk, pk[rows], out=term)
+                np.multiply(term, mk[rows], out=term)
+                acc += term
+            acc *= phase_j
+            block = np.fft.fft(acc, axis=1)
+            block *= phase_k
+            yield rows, block
+
+    return q_axis, p_axis, blocks(), dp, dq
 
 
 def wigner_transform(op: FockOperator, q_max: float, n_q: int) -> WignerGrid:
     """Wigner transform of a Hermitian operator with density normalization.
 
-    Raises ValueError for a non-Hermitian operator.  The imaginary
-    residual max |Im W| is read as max(max Im W, -min Im W), with no
-    (n_q, n_q) temporary beside the values.
+    Raises ValueError for a non-Hermitian operator.  Each complex row
+    block of ``_wigner_raw`` leaves its real part in the one real
+    (n_q, n_q) grid this returns and its max and min of Im W; the
+    imaginary residual max |Im W| is max(max of maxes, -min of mins).
+    No complex grid is held.
     """
-    q_axis, p_axis, w_vals, dp, dq = _wigner_raw(op, q_max, n_q)
-    im = w_vals.imag
-    imag = abs(float(max(im.max(), -im.min())))
-    values = w_vals.real.copy()
+    q_axis, p_axis, blocks, dp, dq = _wigner_raw(op, q_max, n_q)
+    values = np.empty((q_axis.size, p_axis.size))
+    im_max, im_min = -np.inf, np.inf
+    for rows, block in blocks:
+        values[rows] = block.real
+        im = block.imag
+        # np.maximum and np.minimum carry a NaN through, as one max would
+        im_max = np.maximum(im_max, im.max())
+        im_min = np.minimum(im_min, im.min())
+    imag = abs(float(max(im_max, -im_min)))
     norm = float(np.sum(values) * dp * dq)
     return WignerGrid(q=q_axis, p=p_axis, values=values,
                       imag_residual=imag, norm=norm)
@@ -334,7 +354,9 @@ def ordering_pairing_check(n_max: int, hbar: float, mass: float, omega: float,
     The raw symbol of the unbounded product oscillates under basis
     truncation, so the identity is checked against smooth test states:
     Tr(p q_op rho) from matrix elements must match the phase-space moment
-    integral of (pq - i hbar/2) against the Wigner transform of rho.
+    integral of (pq - i hbar/2) against the Wigner transform of rho.  The
+    moment density (p q) W is formed in place, in the check's own Wigner
+    grid, after the norm is summed, so the check holds one real grid.
     """
     psi = np.zeros(n_max + 1, dtype=complex)
     psi[:_ORDERING_TEST_STATE.size] = _ORDERING_TEST_STATE
@@ -345,11 +367,14 @@ def ordering_pairing_check(n_max: int, hbar: float, mass: float, omega: float,
     grid = wigner_transform(FockOperator(rho, hbar, mass, omega), q_max, n_q)
     dp = grid.p[1] - grid.p[0]
     dq = grid.q[1] - grid.q[0]
-    # (p q) W in one (n_q, n_q) temporary, p q formed first
-    moment_density = grid.p[None, :] * grid.q[:, None]
-    moment = np.sum(np.multiply(moment_density, grid.values,
-                                out=moment_density)) * dp * dq
     norm = np.sum(grid.values) * dp * dq
+    # the grid is this check's own, so (p q) W is formed in it, a row
+    # block at a time: W (p q) is (p q) W element for element
+    density = grid.values
+    for start in range(0, density.shape[0], _WIGNER_BLOCK_ROWS):
+        rows = slice(start, start + _WIGNER_BLOCK_ROWS)
+        density[rows] *= grid.p[None, :] * grid.q[rows, None]
+    moment = np.sum(density) * dp * dq
     integral_side = complex(moment - 0.5j * hbar * norm)
     return {
         "trace_side": trace_side,

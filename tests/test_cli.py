@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -665,6 +666,47 @@ def test_oracle_audits_its_one_grid(config_path, tmp_path, monkeypatch):
     op, grid = built["op"], built["grid"]
     assert [[id(x) for x in args] for args in audits] == [
         [id(op), id(op), id(grid), id(grid)]]
+
+
+def test_oracle_holds_about_one_real_grid_at_a_time(tmp_path):
+    # the ordering check's grid is gone before the thermal grid exists,
+    # and each transform writes only its real grid: scjarz oracle on
+    # configs/quartic_ramp.yaml peaks at 2.40 real (n_q, n_q) grids of
+    # traced memory, in the thermal grid's transform (4.25 with a complex
+    # grid per transform and the ordering check run last)
+    n = load_config(QUARTIC_RAMP).wigner_n_q
+    tracemalloc.start()
+    try:
+        code = main(["oracle", "--config", str(QUARTIC_RAMP),
+                     "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 2.6 * n * n * 8, peak / (n * n * 8)
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({"wigner_q_max: 8.0": "wigner_q_max: 3.0"}, "at the grid edge"),
+    ({"fock_n_max: 96": "fock_n_max: 8"}, "raise the cutoff"),
+    # the thermal operator is built before either transform, so its
+    # truncation failure is the one reported
+    ({"wigner_q_max: 8.0": "wigner_q_max: 3.0",
+      "fock_n_max: 96": "fock_n_max: 8"}, "raise the cutoff"),
+])
+def test_oracle_failure_writes_no_artifact(edits, message, tmp_path, capsys):
+    text = QUARTIC_RAMP.read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1, err
+    assert not (out / "wigner.csv").exists()
+    assert not (out / "oracle.json").exists()
 
 
 def test_every_command_runs_with_scipy_blocked(config_path, tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 from dataclasses import replace
@@ -187,6 +188,47 @@ def test_the_quartic_identity_march_holds_no_arc_or_leg_path():
     columns = cfg.domain.n_p * cfg.domain.n_q // 2
     path_set = 2 * (cfg.settings.n_sigma_steps + 1) * columns * 16
     assert peak <= 1.8 * path_set, peak / path_set
+
+
+@functools.lru_cache(maxsize=None)
+def _small_domain_identity(name, n_sigma_steps, n_time_steps):
+    """The identity of a shipped config on a 16x16 domain over the
+    config's extent, at the given step counts."""
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
+                      / f"{name}.yaml")
+    domain = QuadratureDomain(cfg.domain.p_max, cfg.domain.q_max, 16, 16)
+    report = verify_identity(cfg.model, cfg.beta, cfg.hbar, domain,
+                             IntegratorSettings(n_sigma_steps=n_sigma_steps,
+                                                n_time_steps=n_time_steps))
+    assert report.failures == []
+    return report
+
+
+@pytest.mark.parametrize("name, gaps", [
+    ("quartic_ramp", ("work_gap_mean", "work_gap_max")),
+    # the harmonic max gap's ratio per doubling falls to 11.4 from 64 to
+    # 128 steps, so only its mean is held to RK4's order
+    ("harmonic_ramp", ("work_gap_mean",)),
+])
+def test_identity_path_endpoint_gap_falls_at_rk4_order(name, gaps):
+    # the path/endpoint gap |W - W_endpoint| / (1 + |W|) is time-step
+    # error: doubling n_time_steps from 32 to 64 divides it by 16.0-16.3
+    # (observed order 4.0), RK4's order
+    coarse = _small_domain_identity(name, 64, 32)
+    fine = _small_domain_identity(name, 64, 64)
+    for key in gaps:
+        order = np.log2(coarse.diagnostics[key] / fine.diagnostics[key])
+        assert order >= 3.5, (key, order)
+
+
+def test_quartic_identity_step_error_is_in_the_time_steps():
+    # halving n_sigma_steps moves the quartic lhs by 1.2e-10, halving
+    # n_time_steps by 1.35e-9: the step budget's error is in time
+    ref = _small_domain_identity("quartic_ramp", 64, 64)
+    half_time = _small_domain_identity("quartic_ramp", 64, 32)
+    half_sigma = _small_domain_identity("quartic_ramp", 32, 64)
+    assert (abs(half_sigma.lhs - ref.lhs)
+            < 0.25 * abs(half_time.lhs - ref.lhs))
 
 
 def test_identity_constant_protocol_is_trivial():

@@ -193,9 +193,11 @@ def test_ordering_pairing_identity():
 @example("ordering_state", 4, 64, 0)
 @example("hermitian", 6, 72, 0)     # a last row block shorter than the rest
 def test_wigner_kernel_is_the_index_gather(kind, dim, n_q, seed):
-    # the kernel reads each eigenvector through strided views, in blocks
-    # of rows; it must be the index-gathering loop bit for bit, grid,
-    # values and spacings
+    # the kernel reads each eigenvector through strided views and gives
+    # out its rows in blocks; the blocks, put back together in row order,
+    # must be the index-gathering loop's complex grid bit for bit, with
+    # its axes and spacings, and the transform's real grid, norm and
+    # imaginary residual must be read from that grid bit for bit
     rng = np.random.default_rng(seed)
     if kind == "ordering_state":
         # the ordering check's smooth complex test state as a projector
@@ -211,19 +213,31 @@ def test_wigner_kernel_is_the_index_gather(kind, dim, n_q, seed):
         else:
             mat = x + x.conj().T
     op = FockOperator(mat, 1.0, 1.0, 1.0)
-    got = oracle._wigner_raw(op, 6.0, n_q)
+    q_axis, p_axis, blocks, dp, dq = oracle._wigner_raw(op, 6.0, n_q)
     ref = wigner_raw_gather(op, 6.0, n_q)
-    for a, b in zip(got, ref, strict=True):
+    values, rows_seen = np.empty((n_q, n_q), dtype=complex), []
+    for rows, block in blocks:
+        values[rows] = block
+        rows_seen += range(n_q)[rows]
+    assert rows_seen == list(range(n_q))
+    for a, b in zip((q_axis, p_axis, values, dp, dq), ref, strict=True):
         assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    ref_values, ref_dp, ref_dq = ref[2:]
+    grid = wigner_transform(op, 6.0, n_q)
+    assert grid.values.tobytes() == ref_values.real.tobytes()
+    assert grid.norm == float(np.sum(ref_values.real) * ref_dp * ref_dq)
+    im = ref_values.imag
+    assert grid.imag_residual == abs(float(max(im.max(), -im.min())))
 
 
 def test_wigner_transform_holds_under_three_grids():
-    # the kernel is formed and transformed in row blocks inside the one
-    # output grid, and the imaginary residual takes no grid of its own:
-    # the quartic thermal state at 512 points peaks at 1.70 (n, n)
-    # complex grids of traced numpy memory (2.44 with one kernel-wide
-    # term buffer and a separate transform, 4.4 when each term gathered
-    # copies)
+    # the kernel is formed and transformed in row blocks, each block's
+    # real part goes straight into the one real output grid, and the
+    # imaginary residual is kept per block: the quartic thermal state at
+    # 512 points peaks at 1.16 (n, n) complex grids of traced numpy
+    # memory, half of it the real grid (1.70 with a complex grid and its
+    # real copy, 2.44 with one kernel-wide term buffer and a separate
+    # transform, 4.4 when each term gathered copies)
     n = 512
     op = thermal_fock("quartic", 1.0, 1.0, 0.1, 1.0, 0.5, 96)
     tracemalloc.start()
@@ -232,7 +246,23 @@ def test_wigner_transform_holds_under_three_grids():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.8 * n * n * 16, peak / (n * n * 16)
+    assert peak <= 1.3 * n * n * 16, peak / (n * n * 16)
+
+
+def test_ordering_check_forms_its_moment_in_its_own_grid():
+    # the moment density (p q) W is formed in place, in row blocks, in the
+    # check's own Wigner grid: at 512 points the check peaks at 1.75 real
+    # (n, n) grids of traced numpy memory (2.21 with the density as a grid
+    # of its own, 3.15 with a complex grid in the transform as well)
+    n = 512
+    tracemalloc.start()
+    try:
+        rep = ordering_pairing_check(64, 0.5, 1.0, 1.0, 8.0, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["deviation"] < 1e-10
+    assert peak <= 2.0 * n * n * 8, peak / (n * n * 8)
 
 
 def test_log_of_thermal_wigner_recovers_pseudo_hamiltonian():
