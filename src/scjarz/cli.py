@@ -30,8 +30,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Strict JSON; a NaN or infinity raises ScjarzError, writing nothing."""
+def _write_json(path: Path, cfg: RunConfig, payload: dict) -> None:
+    """Strict JSON of ``payload`` under the artifact header; a NaN or
+    infinity raises ScjarzError, writing nothing."""
+    payload = {"schema_version": SCHEMA_VERSION,
+               "config_sha256": cfg.config_hash(), **payload}
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError:
@@ -39,14 +42,23 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
+def _write_csv(path: Path, cfg: RunConfig, header: str, rows) -> None:
+    """``# config_sha256=<hash>``, the column ``header``, then the lines of
+    ``rows`` as they come: an iterator's are written as they are made."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# config_sha256={cfg.config_hash()}\n{header}\n")
+        fh.writelines(rows)
+
+
 def _csv_rows(columns, markers=None) -> list:
-    """CSV rows of float columns, each number as ``.17g`` (nan, inf, -0
-    too), then ``markers`` if given; one ``%`` pass of a row template."""
+    """CSV lines of float columns, each number as ``.17g`` (nan, inf, -0
+    too), then ``markers`` if given; one ``%`` pass of a line template."""
     cells = [np.asarray(c).tolist() for c in columns]
     template = ",".join(["%.17g"] * len(cells))
     if markers is not None:
         template += ",%s"
         cells.append(markers)
+    template += "\n"
     return [template % row for row in zip(*cells)]
 
 
@@ -77,9 +89,8 @@ def cmd_gibbs(cfg: RunConfig, out_dir: Path, prefactor: bool) -> int:
         columns.append(pref)
     header.append("status")
     markers = [_status_marker(code) for code in status.tolist()]
-    lines = [f"# config_sha256={cfg.config_hash()}", ",".join(header)]
-    lines += _csv_rows(columns, markers)
-    (out_dir / "gibbs.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out_dir / "gibbs.csv", cfg, ",".join(header),
+               _csv_rows(columns, markers))
     n_failed = int(np.count_nonzero(status != OK))
     if n_failed:
         print(f"gibbs: {n_failed} of {P.size} grid nodes failed",
@@ -95,18 +106,12 @@ def cmd_work(cfg: RunConfig, out_dir: Path) -> int:
                       ComplexPoint(*cfg.work_target), cfg.hbar_beta,
                       cfg.settings, work_tol=math.inf)
     traj = res.trajectory
-    lines = [f"# config_sha256={cfg.config_hash()}",
-             "t,check_p,check_q,z_c_p,z_c_q,pseudo_power"]
-    lines += _csv_rows([traj.times, traj.check_p, traj.check_q,
-                        traj.center_p, traj.center_q, traj.power])
-    (out_dir / "work.csv").write_text("\n".join(lines) + "\n")
-    _write_json(out_dir / "work_summary.json", {
-        "schema_version": SCHEMA_VERSION,
-        "config_sha256": cfg.config_hash(),
-        "W": res.W,
-        "W_endpoint": res.W_endpoint,
-        "mismatch": res.mismatch,
-    })
+    _write_csv(out_dir / "work.csv", cfg,
+               "t,check_p,check_q,z_c_p,z_c_q,pseudo_power",
+               _csv_rows([traj.times, traj.check_p, traj.check_q,
+                          traj.center_p, traj.center_q, traj.power]))
+    _write_json(out_dir / "work_summary.json", cfg, {
+        "W": res.W, "W_endpoint": res.W_endpoint, "mismatch": res.mismatch})
     if not (res.mismatch <= res.mismatch_tol):
         print(f"work: path/endpoint mismatch {res.mismatch:.3e}",
               file=sys.stderr)
@@ -120,11 +125,7 @@ def cmd_jarzynski(cfg: RunConfig, out_dir: Path, prefactor: bool,
                              cfg.settings, with_prefactor=prefactor,
                              monte_carlo=monte_carlo,
                              mc_samples=mc_samples, seed=seed)
-    _write_json(out_dir / "jarzynski.json", {
-        "schema_version": SCHEMA_VERSION,
-        "config_sha256": cfg.config_hash(),
-        **report.to_dict(),
-    })
+    _write_json(out_dir / "jarzynski.json", cfg, report.to_dict())
     if not (report.residual <= cfg.residual_threshold):
         print(f"jarzynski: residual {report.residual:.3e} above threshold "
               f"{cfg.residual_threshold:.3e}", file=sys.stderr)
@@ -190,18 +191,15 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
         cfg.wigner_q_max, cfg.wigner_n_q)
     grid = wigner_transform(op, cfg.wigner_q_max, cfg.wigner_n_q)
     audit = weyl_convention_audit(op, op, grid, grid)
-    grid.write_csv(out_dir / "wigner.csv")
+    _write_csv(out_dir / "wigner.csv", cfg, "q,p,W", grid.csv_rows())
     body = (_oracle_harmonic(cfg, op, grid) if model.kind == "harmonic"
             else _oracle_quartic(cfg, op, grid))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "config_sha256": cfg.config_hash(),
+    _write_json(out_dir / "oracle.json", cfg, {
         **body,
         "convention_constant": audit.measured_constant,
         "convention_expected": audit.two_pi_hbar,
         "ordering_deviation": ordering["deviation"],
-    }
-    _write_json(out_dir / "oracle.json", payload)
+    })
     return EXIT_OK
 
 

@@ -7,6 +7,11 @@ the numerics and the run's thresholds, grid and work target; the output
 directory and the prefactor and Monte Carlo options come from the command
 line alone, and the artifacts record the prefactor and Monte Carlo options
 they used.
+
+A key's type is its default's in ``_DEFAULTS``.  Types are checked first,
+in ``_DEFAULTS`` order, then the single-key ranges in ``_RANGES``, then the
+cross-key rules and each object's own checks; the first failure is the
+error reported.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -110,14 +116,55 @@ def _boolean(value) -> bool:
     return value
 
 
-def _require(conv, value, path, predicate=None, what=""):
+def _pair(value) -> tuple:
+    """A [p, q] pair of finite reals."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise TypeError(value)
+    return _real(value[0]), _real(value[1])
+
+
+# a key's converter is picked by the type of its default
+_CONVERTERS = {bool: _boolean, int: _integer, float: _real, str: str,
+               list: _pair}
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONEMPTY = (lambda v: v >= 1, "must be >= 1 (empty grid)")
+
+# every single-key range, in _DEFAULTS order: (predicate, wording)
+_RANGES = {
+    "schema_version": (lambda v: v == SCHEMA_VERSION,
+                       f"must be {SCHEMA_VERSION}"),
+    "model.kind": (lambda v: v in MODEL_KINDS,
+                   f"must be one of {MODEL_KINDS}"),
+    "model.mass": _POSITIVE,
+    "model.quartic_lambda": (lambda v: v >= 0, "must be >= 0"),
+    "model.protocol.shape": (lambda v: v in PROTOCOL_SHAPES,
+                             f"must be one of {PROTOCOL_SHAPES}"),
+    "model.protocol.omega_initial": _POSITIVE,
+    "model.protocol.omega_final": _POSITIVE,
+    "physics.beta": _POSITIVE,
+    "physics.hbar": _POSITIVE,
+    "numerics.fock_n_max": (lambda v: 2 <= v <= 4096,
+                            "must be in [2, 4096]"),
+    "numerics.wigner_n_q": (lambda v: v >= 8 and v % 2 == 0,
+                            "must be an even integer >= 8"),
+    "numerics.wigner_q_max": _POSITIVE,
+    "run.residual_threshold": _POSITIVE,
+    "run.grid.n_p": _NONEMPTY,
+    "run.grid.n_q": _NONEMPTY,
+}
+
+
+def _typed(default, value, path: str):
+    """``value`` converted to its default's type, mapping by mapping, in
+    ``_DEFAULTS`` order; a value that does not convert names its path."""
+    if isinstance(default, dict):
+        return {key: _typed(sub, value[key], f"{path}.{key}" if path else key)
+                for key, sub in default.items()}
     try:
-        value = conv(value)
+        return _CONVERTERS[type(default)](value)
     except (TypeError, ValueError):
         raise ConfigError(f"{path}: cannot interpret {value!r}") from None
-    if predicate is not None and not predicate(value):
-        raise ConfigError(f"{path}: {value!r} {what}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -167,118 +214,54 @@ class RunConfig:
     def config_hash(self) -> str:
         return config_hash(self.raw)
 
-    def to_yaml(self) -> str:
-        return yaml.safe_dump(self.raw, sort_keys=True)
-
 
 def config_hash(normalized: dict) -> str:
     canon = json.dumps(normalized, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _build(data: dict) -> RunConfig:
-    version = _require(_integer, data["schema_version"], "schema_version",
-                       lambda v: v == SCHEMA_VERSION,
-                       f"must be {SCHEMA_VERSION}")
-    m = data["model"]
-    kind = _require(str, m["kind"], "model.kind",
-                    lambda v: v in MODEL_KINDS, f"must be one of {MODEL_KINDS}")
-    mass = _require(_real, m["mass"], "model.mass", lambda v: v > 0,
-                    "must be positive")
-    lam = _require(_real, m["quartic_lambda"], "model.quartic_lambda",
-                   lambda v: v >= 0, "must be >= 0")
-    if kind == "harmonic" and lam != 0.0:
+def _build(raw: dict, values: dict) -> RunConfig:
+    """The run's objects from the typed ``values``: the two cross-key
+    rules, then each object's own checks, reported under its group."""
+    m, pr = values["model"], values["model"]["protocol"]
+    if m["kind"] == "harmonic" and m["quartic_lambda"] != 0.0:
         raise ConfigError("model.quartic_lambda: must be 0 for harmonic kind")
-    pr = m["protocol"]
-    shape = _require(str, pr["shape"], "model.protocol.shape",
-                     lambda v: v in PROTOCOL_SHAPES,
-                     f"must be one of {PROTOCOL_SHAPES}")
-    w_i = _require(_real, pr["omega_initial"], "model.protocol.omega_initial",
-                   lambda v: v > 0, "must be positive")
-    w_f = _require(_real, pr["omega_final"], "model.protocol.omega_final",
-                   lambda v: v > 0, "must be positive")
-    t_i = _require(_real, pr["t_initial"], "model.protocol.t_initial")
-    t_f = _require(_real, pr["t_final"], "model.protocol.t_final",
-                   lambda v: v >= t_i, "must be >= t_initial")
+    if pr["t_final"] < pr["t_initial"]:
+        raise ConfigError(f"model.protocol.t_final: {pr['t_final']!r} "
+                          "must be >= t_initial")
     try:
-        protocol = FrequencyProtocol(t_i, t_f, w_i, w_f, shape)
-        model = HamiltonianModel(kind, mass, protocol, lam)
+        protocol = FrequencyProtocol(pr["t_initial"], pr["t_final"],
+                                     pr["omega_initial"], pr["omega_final"],
+                                     pr["shape"])
+        model = HamiltonianModel(m["kind"], m["mass"], protocol,
+                                 m["quartic_lambda"])
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from None
-
-    ph = data["physics"]
-    beta = _require(_real, ph["beta"], "physics.beta", lambda v: v > 0,
-                    "must be positive")
-    hbar = _require(_real, ph["hbar"], "physics.hbar", lambda v: v > 0,
-                    "must be positive")
-
-    nm = data["numerics"]
+    nm = values["numerics"]
     try:
         settings = IntegratorSettings(
-            n_sigma_steps=_require(_integer, nm["n_sigma_steps"],
-                                   "numerics.n_sigma_steps"),
-            n_time_steps=_require(_integer, nm["n_time_steps"],
-                                  "numerics.n_time_steps"),
-            richardson_check=_require(_boolean, nm["richardson_check"],
-                                      "numerics.richardson_check"),
-            tolerance=_require(_real, nm["tolerance"], "numerics.tolerance"),
-        )
+            nm["n_sigma_steps"], nm["n_time_steps"], nm["richardson_check"],
+            nm["tolerance"])
     except ValueError as exc:
         raise ConfigError(f"numerics: {exc}") from None
-    dom = nm["domain"]
     try:
-        domain = QuadratureDomain(
-            p_max=_require(_real, dom["p_max"], "numerics.domain.p_max"),
-            q_max=_require(_real, dom["q_max"], "numerics.domain.q_max"),
-            n_p=_require(_integer, dom["n_p"], "numerics.domain.n_p"),
-            n_q=_require(_integer, dom["n_q"], "numerics.domain.n_q"),
-            boundary_weight_tol=_require(_real, dom["boundary_weight_tol"],
-                                         "numerics.domain.boundary_weight_tol"),
-        )
+        domain = QuadratureDomain(**nm["domain"])
     except ValueError as exc:
         raise ConfigError(f"numerics.domain: {exc}") from None
-    fock_n_max = _require(_integer, nm["fock_n_max"], "numerics.fock_n_max",
-                          lambda v: 2 <= v <= 4096, "must be in [2, 4096]")
-    wigner_n_q = _require(_integer, nm["wigner_n_q"], "numerics.wigner_n_q",
-                          lambda v: v >= 8 and v % 2 == 0,
-                          "must be an even integer >= 8")
-    wigner_q_max = _require(_real, nm["wigner_q_max"],
-                            "numerics.wigner_q_max", lambda v: v > 0,
-                            "must be positive")
-
-    rn = data["run"]
-    gr = rn["grid"]
-    grid = GridSpec(
-        p_min=_require(_real, gr["p_min"], "run.grid.p_min"),
-        p_max=_require(_real, gr["p_max"], "run.grid.p_max"),
-        n_p=_require(_integer, gr["n_p"], "run.grid.n_p", lambda v: v >= 1,
-                     "must be >= 1 (empty grid)"),
-        q_min=_require(_real, gr["q_min"], "run.grid.q_min"),
-        q_max=_require(_real, gr["q_max"], "run.grid.q_max"),
-        n_q=_require(_integer, gr["n_q"], "run.grid.n_q", lambda v: v >= 1,
-                     "must be >= 1 (empty grid)"),
-    )
-    target = rn["work_target"]
-    if (not isinstance(target, (list, tuple)) or len(target) != 2):
-        raise ConfigError("run.work_target: expected [p, q]")
-    work_target = (_require(_real, target[0], "run.work_target[0]"),
-                   _require(_real, target[1], "run.work_target[1]"))
-
+    rn = values["run"]
     return RunConfig(
-        raw=data,
+        raw=raw,
         model=model,
-        beta=beta,
-        hbar=hbar,
+        beta=values["physics"]["beta"],
+        hbar=values["physics"]["hbar"],
         settings=settings,
         domain=domain,
-        fock_n_max=fock_n_max,
-        wigner_n_q=wigner_n_q,
-        wigner_q_max=wigner_q_max,
-        residual_threshold=_require(_real, rn["residual_threshold"],
-                                    "run.residual_threshold",
-                                    lambda v: v > 0, "must be positive"),
-        grid=grid,
-        work_target=work_target,
+        fock_n_max=nm["fock_n_max"],
+        wigner_n_q=nm["wigner_n_q"],
+        wigner_q_max=nm["wigner_q_max"],
+        residual_threshold=rn["residual_threshold"],
+        grid=GridSpec(**rn["grid"]),
+        work_target=rn["work_target"],
     )
 
 
@@ -300,5 +283,10 @@ def parse_config(text: str) -> RunConfig:
     if "schema_version" not in data:
         raise ConfigError("schema_version: required field is missing")
     merged = _merge(_DEFAULTS, data, "")
-    return _build(merged)
+    values = _typed(_DEFAULTS, merged, "")
+    for path, (ok, what) in _RANGES.items():
+        value = reduce(dict.__getitem__, path.split("."), values)
+        if not ok(value):
+            raise ConfigError(f"{path}: {value!r} {what}")
+    return _build(merged, values)
 

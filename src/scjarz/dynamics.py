@@ -610,10 +610,10 @@ class ImaginaryArc:
     over the plus half are ``square_sum``, the one place that knows which
     of the two families an arc is: a linear arc's is a quadratic form in
     the center and steps nothing, and a quartic arc forms both of the sums
-    its readers take (p dq's and the power's) in its one run.  The center
-    energy ``h_center``, ``pdq``, ``action`` and the ``prefactor`` are
-    formed on first read and cached: a march reads them at two of its
-    time nodes.  ``action`` and the area form of G (``g``) share the one
+    its readers take (p dq's and the power's) in its one accumulating run,
+    never from a recorded path.  The center energy ``h_center``, ``pdq``,
+    ``action`` and the ``prefactor`` are formed on first read and cached:
+    a march reads them at two of its time nodes.  ``action`` and the area form of G (``g``) share the one
     center energy.
     """
 
@@ -686,20 +686,15 @@ class ImaginaryArc:
         A linear arc's is c times a quadratic form in the center with the
         memo's moments (``_arc_moments``), O(1) per column.  A quartic
         arc's is one of ``_square_sums``, both formed in one state-only
-        run that stores no path; once the path is recorded (``p`` or ``q``
-        was read), it is summed over the recorded path instead, so no read
-        steps the plus halves twice.  Both are ``weighted_sum``'s loop over
-        the same (c x) x rows, so they agree bit for bit.
+        run that stores no path, whether or not ``p`` or ``q`` was read:
+        ``weighted_sum``'s loop over the (c x) x rows, so it is the sum
+        over a recorded path bit for bit.
         """
-        coef = self._square_coefs[row]
         if self.model.quartic_lambda == 0.0:
             n = self.sigma.shape[0] - 1
             mom = _arc_moments(self.model, self.t, self.sigma[-1] / n, n)
-            return coef * _quadratic_form(mom[row], self.center_p,
-                                          self.center_q)
-        if "_states" in self.__dict__:
-            return weighted_sum(self.half_weights,
-                                ((coef * x) * x for x in self._states[row]))
+            return self._square_coefs[row] * _quadratic_form(
+                mom[row], self.center_p, self.center_q)
         return self._square_sums[row]
 
     @cached_property

@@ -52,21 +52,18 @@ class WignerGrid:
     imag_residual: float
     norm: float                 # sum W dp dq, compare with Tr
 
-    def write_csv(self, path) -> None:
-        """UTF-8 CSV of (q, p, W) triples at full precision, q-major.
+    def csv_rows(self):
+        """CSV lines of (q, p, W) triples at full precision, q-major, one
+        string per q row, made as it is read.
 
         Every number is formatted once with ``.17g``.  The p column is
         formatted up front into a row template, each q value is put into it
-        once per row, and each row's W values fill it in one ``%`` pass, so
-        the file goes out as one string per q row.
+        once per row, and each row's W values fill it in one ``%`` pass.
         """
         # "\0" marks the q cell; no formatted number contains it or "%"
         template = "".join(f"\0,{pv:.17g},%.17g\n" for pv in self.p.tolist())
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("q,p,W\n")
-            for qv, row in zip(self.q.tolist(), self.values):
-                fh.write(template.replace("\0", f"{qv:.17g}")
-                         % tuple(row.tolist()))
+        for qv, row in zip(self.q.tolist(), self.values):
+            yield template.replace("\0", f"{qv:.17g}") % tuple(row.tolist())
 
 
 def ladder_operators(n_max: int):

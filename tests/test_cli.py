@@ -76,7 +76,7 @@ def test_config_parsing_and_hash_round_trip(config_path):
     assert cfg.settings.n_sigma_steps == 64
     h1 = cfg.config_hash()
     # re-parse the canonical dump; the hash must be stable
-    cfg2 = parse_config(cfg.to_yaml())
+    cfg2 = parse_config(yaml.safe_dump(cfg.raw, sort_keys=True))
     assert cfg2.config_hash() == h1
     assert config_hash(cfg.raw) == h1
 
@@ -581,9 +581,10 @@ def test_oracle_command_harmonic(config_path, tmp_path):
     assert rep["convention_constant"] == pytest.approx(2 * np.pi, rel=1e-6)
     assert rep["ordering_deviation"] < 1e-10
     lines = (out / "wigner.csv").read_text().strip().splitlines()
-    assert lines[0] == "q,p,W"
-    assert len(lines) == 1 + 256 * 256
-    q0, p0, w0 = (float(x) for x in lines[1].split(","))
+    assert lines[:2] == [f"# config_sha256={load_config(config_path).config_hash()}",
+                         "q,p,W"]
+    assert len(lines) == 2 + 256 * 256
+    q0, p0, w0 = (float(x) for x in lines[2].split(","))
     assert q0 == -10.0 and w0 == pytest.approx(0.0, abs=1e-12)
 
 

@@ -154,20 +154,6 @@ def test_identity_z_f_quartic_trace_identity():
     assert abs(rep.Z_f - z_direct) / z_direct < 1e-3
 
 
-def test_identity_quartic_ramp_residual_refines():
-    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
-                         quartic_lambda=0.1)
-    coarse = verify_identity(model, 1.0, QUARTIC_HBAR, QUARTIC_DOMAIN,
-                             IntegratorSettings(n_sigma_steps=48,
-                                                n_time_steps=32))
-    assert coarse.failures == []
-    assert coarse.residual < 1e-3
-    fine = verify_identity(model, 1.0, QUARTIC_HBAR, QUARTIC_DOMAIN,
-                           IntegratorSettings(n_sigma_steps=96,
-                                              n_time_steps=64))
-    assert fine.residual < coarse.residual
-
-
 def test_the_quartic_identity_march_holds_no_arc_or_leg_path():
     # every sum of the march (the arcs' p dq and power, the t_f leg's
     # action) accumulates as the kernel steps, so no arc or leg stores its

@@ -329,10 +329,10 @@ def test_a_quartic_arc_steps_its_path_on_first_read(kernel_runs, view,
     # a width-1 view's quartic arc keeps its center, endpoint and M_+: no
     # run hands its samples to a hook until the arc's p, p dq or power is
     # read.  The first read makes one 1-row run at width 1, which records
-    # the path only for p; p dq and the power sum as that run steps.  No
-    # read steps the plus half twice: p dq and the power share one run,
-    # a sum read after p is summed over the recorded path, and p after
-    # the sums is the one recorded run
+    # the path only for p; p dq and the power sum as that run steps.  The
+    # sums always come from their own accumulating run, so the other kind
+    # of read adds one more 1-row run, and no later read steps again: p dq
+    # and the power share one run, and p is recorded once
     calls = kernel_runs
     model = quartic_ramp()
     z = ComplexPoint(0.6, -0.4)
@@ -345,7 +345,7 @@ def test_a_quartic_arc_steps_its_path_on_first_read(kernel_runs, view,
     ARC_READS[read](arc)
     first = [((1, 1), read == "p")]
     assert calls == first
-    expected = first + ([] if read == "p" else [((1, 1), True)])
+    expected = first + [((1, 1), read != "p")]
     for _ in range(2):
         for again in ARC_READS.values():
             again(arc)
