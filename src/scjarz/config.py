@@ -92,15 +92,18 @@ def _merge(base: dict, override: dict, path: str) -> dict:
 
 
 def _integer(value) -> int:
-    """int() that refuses booleans and non-integral floats (no truncation)."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
+    """int() that refuses booleans, strings ("64" is quoted, not an
+    integer) and non-integral floats (no truncation); 64.0 reads as 64."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float)
+                                          and not value.is_integer()):
         raise TypeError(value)
     return int(value)
 
 
 def _real(value) -> float:
-    """float() that refuses booleans, NaN and +-inf."""
+    """float() that refuses booleans, NaN and +-inf.  It reads an integer
+    and a string: PyYAML loads a plain 1e-8 (no dot) as the string
+    '1e-8'."""
     if isinstance(value, bool):
         raise TypeError(value)
     value = float(value)

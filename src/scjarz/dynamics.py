@@ -112,7 +112,9 @@ def _recorder(n_steps, shape):
 def _accumulator(w, terms):
     """A sample hook that forms the sums sum_k w[k] * term(k, p_k, q_k),
     one per term, as the kernel hands over each sample, and the list that
-    holds them (filled once the run is over).
+    holds them (filled once the run is over).  The work march hands it
+    each time node's power row the same way
+    (``pseudowork._pseudo_work_batch``), so W is summed as it goes.
 
     Each sum is ``weighted_sum``'s loop: w[0] times the first term, then
     w[k] times each term added in index order, so it is bitwise the

@@ -256,9 +256,10 @@ def _mirrored_march(model, t_i, t_f, P, Q, hbar_beta, settings):
 
     H is even in z = (p, q) (``HamiltonianModel``), so the march of -z is
     the march of z, bit for bit, with its centers negated.  Only the
-    ``_half`` of the nodes is marched; the result holds the march's
-    ``times`` and its ``_PER_START`` results, which ``_mirror`` fills out
-    to every node from its partner's.  The counts are those of the march
+    ``_half`` of the nodes is marched, with no node hook, so the march
+    holds one value per column and no per-node array; the result holds
+    its ``times`` and its ``_PER_START`` results, which ``_mirror`` fills
+    out to every node from its partner's.  The counts are those of the march
     run (``_march_diagnostics``), and mirrored_nodes is the number of
     columns filled from a partner.
     """

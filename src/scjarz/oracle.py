@@ -153,7 +153,9 @@ def _wigner_raw(op: FockOperator, q_max: float, n_q: int) -> tuple:
     The kernel is summed over the eigenvectors of the operator, which must
     be Hermitian (ValueError otherwise).  Each eigenvector's term for the
     block goes into one block-sized buffer from strided views of u_k and
-    of conj(u_k) reversed, no gathered copies, and is added in
+    of the block's slice of conj(u_k) reversed, conjugated into one block
+    buffer (conjugation is exact, so no copy of every conj(u_k) is held
+    and the values are the same), and is added in
     eigenvector order to a zeroed block accumulator; the block is then
     phased, Fourier transformed over the offset and phased again.  Each
     row's transform is its own, so the blocks are an index gather's
@@ -188,10 +190,9 @@ def _wigner_raw(op: FockOperator, q_max: float, n_q: int) -> tuple:
     w, v = w[keep], v[:, keep]
     u = v.T @ psi                          # (K, 2n), u_k on the shared grid
     del psi
-    # row i of the views is u_k[i + j] at q + Q/2 and
-    # conj(u_k)[n + i - j] = reversed[n-1-i+j] at q - Q/2
+    # row i of the views is u_k[i + j] at q + Q/2; at q - Q/2 it reads
+    # conj(u_k)[n + i - j], conjugated block by block below
     plus = [sliding_window_view(uk, n)[:n] for uk in u]
-    minus = [sliding_window_view(uk.conj()[::-1], n)[n - 1::-1] for uk in u]
 
     j = np.arange(n)
     phase_j = np.where(j % 2 == 0, 1.0, -1.0)
@@ -202,15 +203,21 @@ def _wigner_raw(op: FockOperator, q_max: float, n_q: int) -> tuple:
         # acc[i, j] = <q+Q/2|rho|q-Q/2> for the block's rows
         acc_buffer = np.empty((_WIGNER_BLOCK_ROWS, n), dtype=complex)
         term_buffer = np.empty_like(acc_buffer)
+        conj_buffer = np.empty(n + _WIGNER_BLOCK_ROWS - 1, dtype=complex)
         for start in range(0, n, _WIGNER_BLOCK_ROWS):
             stop = min(start + _WIGNER_BLOCK_ROWS, n)
             rows = slice(start, stop)
             acc = acc_buffer[:stop - start]   # the last may be shorter
             term = term_buffer[:stop - start]
+            # the block's rows read conj(u_k)[start + 1 : n + stop]; with
+            # that slice reversed into r, row i is r[stop - 1 - i:][:n]
+            r = conj_buffer[:n + stop - start - 1]
+            minus = sliding_window_view(r, n)[::-1]
             acc.fill(0.0)
-            for wk, pk, mk in zip(w, plus, minus):
+            for wk, uk, pk in zip(w, u, plus):
+                np.conjugate(uk[start + 1:n + stop][::-1], out=r)
                 np.multiply(wk, pk[rows], out=term)
-                np.multiply(term, mk[rows], out=term)
+                np.multiply(term, minus, out=term)
                 acc += term
             acc *= phase_j
             block = np.fft.fft(acc, axis=1)

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .dynamics import (DEFAULT_SETTINGS, ImaginaryArc, IntegratorSettings,
-                       weighted_sum)
+                       _accumulator)
 from .errors import WorkMismatch
 from .models import ComplexPoint, HamiltonianModel
 from .stationary import (NON_FINITE, OK, _composite_map_batch,
@@ -268,7 +268,8 @@ def _march(model, t_i, times, tp, tq, hbar_beta, settings):
         hist_q = [solve.zc_q[ok]] + [c[ok] for c in hist_q[older]]
 
 
-def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
+def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
+                       node=None):
     """Work along the pseudo-trajectory for a batch of initial points.
 
     One ``_march`` over the time nodes of ``_gauss_legendre_nodes``: at
@@ -281,31 +282,33 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
     node's, and the t_f node's solve gives the endpoint G_prop
     (``_propagated_g_batch``).  A solved column whose power at a node is
     not finite is NON_FINITE there, and the march stops it as it stops a
-    failed solve; one whose W is not finite is NON_FINITE at t_f.  Returns
-    a dict of arrays; a failed column carries its status and a W that is
-    not finite.  Per-node entries are NaN where a column was not solved
-    (the centers, residuals and Jacobian determinants "det") or not OK
-    (the arc quantities).  "last_node" is the index of each column's last
-    solved node: a failed column's failed node, since the march stops it
-    there.  "newton_iters" counts each column's Newton iterations over
-    the march, "node_solves" the column solves run.
+    failed solve; one whose W is not finite is NON_FINITE at t_f.
+
+    The march holds O(B) state: each node's power row, NaN outside the
+    node's OK columns, is added into W as soon as the node is solved
+    (``_accumulator``, ``weighted_sum``'s order, so W is bitwise the sum
+    over a stored (nodes, B) power array), and nothing per node is kept.
+    ``node(j, live, solve, power)``, if given, is called once per node
+    with its index, the columns it solved (indices into tp, tq), their
+    solve and the node's (B,) power row, before a power that is not
+    finite changes the solve's status; ``_node_recorder`` is such a hook.
+
+    Returns "times" and "node_solves" (the column solves run) and (B,)
+    arrays: a failed column carries its status and a W that is not
+    finite.  "last_node" is the index of each column's last solved node:
+    a failed column's failed node, since the march stops it there.
+    "newton_iters" counts each column's Newton iterations over the march.
     """
     tp = np.asarray(tp, dtype=float)
     tq = np.asarray(tq, dtype=float)
     b = tp.shape[0]
     times, weights = _gauss_legendre_nodes(t_i, t_f)
-
-    def per_node(dtype=float):
-        return np.full((times.size, b), np.nan, dtype=dtype)
-
-    power, center_p, center_q, check_p, check_q, residual, det = (
-        per_node() for _ in range(7))
-    plus_p, plus_q = per_node(complex), per_node(complex)
     status = np.full(b, OK, dtype=np.int8)
     last_node = np.zeros(b, dtype=int)
     newton_iters = np.zeros(b, dtype=int)
     node_solves = 0
     g_initial, prefactor_initial, g_prop = np.full((3, b), np.nan)
+    sums, add = _accumulator(weights, (lambda j, power, _: power,))
 
     march = _march(model, t_i, times, tp, tq, hbar_beta, settings)
     for j, (live, solve) in enumerate(march):
@@ -314,42 +317,34 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
         last_node[live] = j
         newton_iters[live] += solve.iters
         node_solves += live.size
-        center_p[j, live], center_q[j, live] = solve.zc_p, solve.zc_q
-        residual[j, live], det[j, live] = solve.residual, solve.det
         arcs = solve.arcs
+        power = np.full(b, np.nan)
         with _quiet():
             # a power, G or prefactor that is not finite is a column
-            # status (below) or a NaN entry, not a warning
-            power[j, good] = _pseudo_power_batch(arcs)
+            # status (below) or a NaN entry, and a weight meets a power
+            # that is not finite in a failed column: neither is a warning
+            power[good] = _pseudo_power_batch(arcs)
             if j == 0:
                 g_initial[good] = arcs.g
                 prefactor_initial[good] = arcs.prefactor
-        plus_p[j, good], plus_q[j, good] = arcs.end_p, arcs.end_q
-        check_p[j, good] = arcs.mid_p.real
-        check_q[j, good] = arcs.mid_q.real
+            add(j, power, None)
+        if node is not None:
+            node(j, live, solve, power)
         if j == times.size - 1:
             # the march ends at t_f: its last solve is the endpoint's
             g_prop[live] = _propagated_g_batch(t_i, tp[live], settings,
                                                solve)
         # a power that is not finite fails its column here: set before the
         # march resumes, so that it stops the column
-        solve.status[ok & ~np.isfinite(power[j, live])] = NON_FINITE
+        solve.status[ok & ~np.isfinite(power[live])] = NON_FINITE
         status[live] = solve.status
 
-    with _quiet():
-        # a weight meets a power that is not finite in a failed column
-        work = weighted_sum(weights, power) if t_f > t_i else np.zeros(b)
+    work = sums[0] if t_f > t_i else np.zeros(b)
     # finite powers can still sum to a W that is not finite: fails at t_f
     status[(status == OK) & ~np.isfinite(work)] = NON_FINITE
 
     return {
         "times": times,
-        "power": power,
-        "center_p": center_p, "center_q": center_q,
-        "plus_p": plus_p, "plus_q": plus_q,
-        "check_p": check_p, "check_q": check_q,
-        "residual": residual,
-        "det": det,
         "status": status,
         "last_node": last_node,
         "newton_iters": newton_iters,
@@ -362,6 +357,35 @@ def _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings):
     }
 
 
+def _node_recorder(n_nodes, width):
+    """A node hook for ``_pseudo_work_batch`` that records the march's
+    per-node trajectory, and that record: a dict of (n_nodes, width)
+    arrays, filled as the march hands over each node.  "center_p",
+    "center_q", "residual" and "det" (the Jacobian determinant) are NaN
+    where a column was not solved at a node, and "power", the complex
+    endpoints "plus_p" and "plus_q" and the real chord midpoints "check_p"
+    and "check_q" where it was not OK."""
+    track = {name: np.full((n_nodes, width), np.nan)
+             for name in ("power", "center_p", "center_q", "check_p",
+                          "check_q", "residual", "det")}
+    track["plus_p"], track["plus_q"] = np.full((2, n_nodes, width), np.nan,
+                                               dtype=complex)
+
+    def record(j, live, solve, power):
+        good = live[solve.status == OK]
+        arcs = solve.arcs
+        track["power"][j] = power
+        track["center_p"][j, live] = solve.zc_p
+        track["center_q"][j, live] = solve.zc_q
+        track["residual"][j, live] = solve.residual
+        track["det"][j, live] = solve.det
+        track["plus_p"][j, good] = arcs.end_p
+        track["plus_q"][j, good] = arcs.end_q
+        track["check_p"][j, good] = arcs.mid_p.real
+        track["check_q"][j, good] = arcs.mid_q.real
+    return track, record
+
+
 def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
                 target: ComplexPoint, hbar_beta: float,
                 settings: IntegratorSettings = DEFAULT_SETTINGS,
@@ -370,7 +394,10 @@ def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
 
     The width-1 march of the identity (``_pseudo_work_batch``): the
     trajectory's times are its nodes, and W and W_endpoint are the
-    identity's for this start, bit for bit.  Raises ValueError for a
+    identity's for this start, bit for bit.  The trajectory, and the
+    failed node's residual and |det J|, come from the march's node hook
+    (``_node_recorder``), the one caller that records per node: the
+    identity's marches keep no per-node array.  Raises ValueError for a
     non-real target or for t_f < t_i; CausticEncountered, NewtonDiverged
     or (for a power or W that is not finite) IntegratorDiverged, naming
     the failed node's time, if the start fails; and WorkMismatch unless
@@ -379,22 +406,24 @@ def pseudo_work(model: HamiltonianModel, t_i: float, t_f: float,
     raises; ``work_tol=math.inf`` returns any result whose mismatch is a
     number.
     """
+    track, record = _node_recorder(_gauss_legendre_nodes(t_i, t_f)[0].size,
+                                   1)
     out = _pseudo_work_batch(model, t_i, t_f, *_width1(target), hbar_beta,
-                             settings)
+                             settings, node=record)
     if out["status"][0] != OK:
         # the march stops a failed start at its failed node: name that
         # node's time, residual and |det J|
         j = out["last_node"][0]
-        _raise_failed(out["times"][j], out["status"], out["det"][j],
-                      out["residual"][j])
+        _raise_failed(out["times"][j], out["status"], track["det"][j],
+                      track["residual"][j])
     traj = PseudoTrajectory(
         target=target,
         times=out["times"],
-        center_p=out["center_p"][:, 0], center_q=out["center_q"][:, 0],
-        plus_p=out["plus_p"][:, 0], plus_q=out["plus_q"][:, 0],
-        check_p=out["check_p"][:, 0], check_q=out["check_q"][:, 0],
-        power=out["power"][:, 0],
-        solve_residual=out["residual"][:, 0],
+        center_p=track["center_p"][:, 0], center_q=track["center_q"][:, 0],
+        plus_p=track["plus_p"][:, 0], plus_q=track["plus_q"][:, 0],
+        check_p=track["check_p"][:, 0], check_q=track["check_q"][:, 0],
+        power=track["power"][:, 0],
+        solve_residual=track["residual"][:, 0],
     )
     res = WorkResult(W=float(out["W"][0]),
                      W_endpoint=float(out["W_endpoint"][0]),

@@ -48,13 +48,13 @@ def _config_error(tmp_path, capsys, edits: dict) -> str:
     return err[len("config error: "):-1]
 
 
-# values not of each default type's kind: an integer refuses booleans and
-# fractions, a float booleans and non-finite values, a boolean anything but
-# a YAML boolean, a pair anything but two finite reals; a string key's
-# converter takes any value, so a non-string fails its range
+# values not of each default type's kind: an integer refuses booleans,
+# fractions and strings, a float booleans and non-finite values, a boolean
+# anything but a YAML boolean, a pair anything but two finite reals; a
+# string key's converter takes any value, so a non-string fails its range
 WRONG_TYPED = {
     bool: ["false", 1, None],
-    int: [64.9, True, "x", [8]],
+    int: [64.9, True, "x", "64", " 96 ", [8]],
     float: [True, "x", math.nan, math.inf, None],
     str: [3, [1]],
     list: ["x", [1.0], [1.0, 2.0, 3.0], [1.0, True], [math.nan, 0.0]],
@@ -150,6 +150,24 @@ def test_every_range_and_cross_key_rule_exits_2(edits, message, tmp_path,
 def test_the_first_failing_check_is_reported(edits, message, tmp_path,
                                              capsys):
     assert _config_error(tmp_path, capsys, edits) == message
+
+
+def test_a_float_key_still_reads_yaml_s_dotless_exponent():
+    # PyYAML loads a plain 1e-8 (no dot) as the string '1e-8', so a float
+    # key must still convert a string; an integral float is an integer
+    text = ("schema_version: 1\n"
+            "numerics: {tolerance: 1e-8, n_sigma_steps: 32.0}\n"
+            "physics: {beta: 2, hbar: 5e-1}\n")
+    loaded = yaml.safe_load(text)
+    assert loaded["numerics"]["tolerance"] == "1e-8"
+    assert loaded["physics"]["hbar"] == "5e-1"
+    cfg = parse_config(text)
+    assert type(cfg.settings.tolerance) is float
+    assert cfg.settings.tolerance == 1e-8
+    assert cfg.hbar == 0.5
+    assert type(cfg.settings.n_sigma_steps) is int
+    assert cfg.settings.n_sigma_steps == 32
+    assert type(cfg.beta) is float and cfg.beta == 2.0
 
 
 def _static_quartic() -> str:

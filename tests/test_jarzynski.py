@@ -154,15 +154,11 @@ def test_identity_z_f_quartic_trace_identity():
     assert abs(rep.Z_f - z_direct) / z_direct < 1e-3
 
 
-def test_the_quartic_identity_march_holds_no_arc_or_leg_path():
-    # every sum of the march (the arcs' p dq and power, the t_f leg's
-    # action) accumulates as the kernel steps, so no arc or leg stores its
-    # path: the identity on configs/quartic_ramp.yaml peaks at 1.51 sets
-    # of its arcs' (2, n + 1, B) state paths, B its mirrored half of the
-    # domain's columns, in traced numpy memory (2.90 when every arc and
-    # the t_f leg stored theirs)
+def _traced_identity(name):
+    """A shipped config, its identity report and the report's traced
+    peak of numpy memory."""
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
-                      / "quartic_ramp.yaml")
+                      / f"{name}.yaml")
     tracemalloc.start()
     try:
         report = verify_identity(cfg.model, cfg.beta, cfg.hbar, cfg.domain,
@@ -171,9 +167,34 @@ def test_the_quartic_identity_march_holds_no_arc_or_leg_path():
     finally:
         tracemalloc.stop()
     assert report.failures == []
+    return cfg, peak
+
+
+def test_the_quartic_identity_march_holds_no_arc_or_leg_path():
+    # every sum of the march (the arcs' p dq and power, the t_f leg's
+    # action, W over the nodes) accumulates as it is formed, so no arc or
+    # leg stores its path and no per-node array is kept: the identity on
+    # configs/quartic_ramp.yaml peaks at 0.93 sets of its arcs'
+    # (2, n + 1, B) state paths, B its mirrored half of the domain's
+    # columns, in traced numpy memory (1.51 when the march kept nine
+    # (nodes, B) arrays, 2.90 when every arc and the t_f leg stored theirs)
+    cfg, peak = _traced_identity("quartic_ramp")
     columns = cfg.domain.n_p * cfg.domain.n_q // 2
     path_set = 2 * (cfg.settings.n_sigma_steps + 1) * columns * 16
-    assert peak <= 1.8 * path_set, peak / path_set
+    assert peak <= 1.2 * path_set, peak / path_set
+
+
+def test_the_harmonic_identity_march_keeps_no_per_node_array():
+    # W is summed as each node is solved, so the march's memory does not
+    # grow with its _WORK_NODES + 2 nodes: the identity on
+    # configs/harmonic_ramp.yaml peaks at 10.3 (nodes, B) float arrays, B
+    # its mirrored half of the domain's columns, in traced numpy memory
+    # (21.2 when the march kept the power, centers, endpoints, chord
+    # midpoints, residuals and determinants of every node)
+    cfg, peak = _traced_identity("harmonic_ramp")
+    columns = cfg.domain.n_p * cfg.domain.n_q // 2
+    per_node_array = (_WORK_NODES + 2) * columns * 8
+    assert peak <= 14.0 * per_node_array, peak / per_node_array
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,9 +15,10 @@ from scjarz.jarzynski import QuadratureDomain, _mirrored_march
 from scjarz.models import ComplexPoint, ramped_model
 from scjarz.pseudowork import (_WORK_NODES, _composite_map_batch,
                                _gauss_legendre_nodes, _lagrange_weights,
-                               _predicted_centers, _propagated_g_batch,
-                               _pseudo_power_batch, _pseudo_work_batch,
-                               composite_map, pseudo_power, pseudo_work,
+                               _node_recorder, _predicted_centers,
+                               _propagated_g_batch, _pseudo_power_batch,
+                               _pseudo_work_batch, composite_map,
+                               pseudo_power, pseudo_work,
                                solve_pseudo_state)
 from scjarz.stationary import DIVERGED, NON_FINITE, OK, _invert_map_batch
 
@@ -624,6 +625,16 @@ def test_work_march_solves_each_time_node_once(monkeypatch):
     assert np.all(out["newton_iters"] > 0)
 
 
+def recorded_march(model, t_i, t_f, tp, tq, hbar_beta, settings):
+    """The work march with ``_node_recorder``'s hook: its result and its
+    per-node record."""
+    times, _ = _gauss_legendre_nodes(t_i, t_f)
+    track, record = _node_recorder(times.size, np.size(tp))
+    out = _pseudo_work_batch(model, t_i, t_f, tp, tq, hbar_beta, settings,
+                             node=record)
+    return out, track
+
+
 # at hbar*beta = 1 this quartic start solves at t_i and fails at time node
 # 9 of the 14 (t = 0.794); its status is then final, and nodes 10 to 13
 # do not solve it
@@ -643,13 +654,13 @@ def test_work_march_is_batch_width_invariant(targets, slot):
     targets.insert(min(slot, len(targets)), FAILS_MID_MARCH)
     tp = np.array([t[0] for t in targets])
     tq = np.array([t[1] for t in targets])
-    whole = _pseudo_work_batch(model, 0.0, 1.0, tp, tq, 1.0, MARCH_SET)
+    whole, track = recorded_march(model, 0.0, 1.0, tp, tq, 1.0, MARCH_SET)
     failing = min(slot, len(targets) - 1)
     assert whole["status"][failing] != 0
     assert np.isfinite(whole["g_initial"][failing])
     j = whole["last_node"][failing]
-    assert np.isnan(whole["power"][j, failing])
-    assert np.all(np.isfinite(whole["power"][:j, failing]))
+    assert np.isnan(track["power"][j, failing])
+    assert np.all(np.isfinite(track["power"][:j, failing]))
     assert_march_columns_match(model, tp, tq, whole)
 
 
@@ -696,14 +707,52 @@ def test_work_march_of_a_subset_is_bitwise_the_full_batch(kind, case):
     tp = np.array([t[0] for t in targets])
     tq = np.array([t[1] for t in targets])
     cols = np.array(sorted(subset))
-    whole = _pseudo_work_batch(model, 0.0, 1.0, tp, tq, 1.0, MARCH_SET)
-    part = _pseudo_work_batch(model, 0.0, 1.0, tp[cols], tq[cols], 1.0,
-                              MARCH_SET)
+    whole, whole_track = recorded_march(model, 0.0, 1.0, tp, tq, 1.0,
+                                        MARCH_SET)
+    part, part_track = recorded_march(model, 0.0, 1.0, tp[cols], tq[cols],
+                                      1.0, MARCH_SET)
     for name in ("power", "center_p", "center_q"):
-        assert part[name].tobytes() == \
-            np.ascontiguousarray(whole[name][:, cols]).tobytes(), name
+        assert part_track[name].tobytes() == np.ascontiguousarray(
+            whole_track[name][:, cols]).tobytes(), name
     for name in ("W", "g_initial", "g_propagated", "status"):
         assert part[name].tobytes() == whole[name][cols].tobytes(), name
+
+
+@pytest.mark.parametrize("kind", sorted(WIDTH_MODELS))
+def test_work_march_returns_no_per_node_array(kind):
+    # W is summed as each node is solved, so the march hands back its
+    # times and one value per column, and nothing per (node, column)
+    model = WIDTH_MODELS[kind]()
+    tp, tq = np.array([0.2, FAILS_MID_MARCH[0]]), np.array([0.9, -1.0])
+    out = _pseudo_work_batch(model, 0.0, 1.0, tp, tq, 1.0, MARCH_SET)
+    assert out["times"].shape == (_WORK_NODES + 2,)
+    for name, value in out.items():
+        assert np.ndim(value) <= 1, name
+        if name not in ("times", "node_solves"):
+            assert np.shape(value) == tp.shape, name
+
+
+@pytest.mark.parametrize("kind", sorted(WIDTH_MODELS))
+def test_recorded_power_rows_sum_to_the_march_work(kind):
+    # the march adds each node's power row into W in weighted_sum's order,
+    # so the recorder's rows summed with the work weights are W bit for
+    # bit, NaN in a failed column included; and the hook changes nothing
+    model = WIDTH_MODELS[kind]()
+    tp = np.array([0.2, FAILS_MID_MARCH[0], -0.7])
+    tq = np.array([0.9, FAILS_MID_MARCH[1], 0.4])
+    plain = _pseudo_work_batch(model, 0.0, 1.0, tp, tq, 1.0, MARCH_SET)
+    out, track = recorded_march(model, 0.0, 1.0, tp, tq, 1.0, MARCH_SET)
+    # the quartic march fails the middle start at node 9; the harmonic
+    # march solves it to the end
+    assert (out["status"][1] == OK) == (kind == "harmonic")
+    _, weights = _gauss_legendre_nodes(0.0, 1.0)
+    with np.errstate(invalid="ignore"):
+        summed = dynamics.weighted_sum(weights, track["power"])
+    assert summed.tobytes() == out["W"].tobytes()
+    assert plain.keys() == out.keys()
+    for name, value in plain.items():
+        assert np.asarray(value).tobytes() == \
+            np.asarray(out[name]).tobytes(), name
 
 
 def test_failed_column_stops_marching(monkeypatch):
@@ -723,7 +772,7 @@ def test_failed_column_stops_marching(monkeypatch):
     targets = [(0.2, 0.9), FAILS_MID_MARCH, (-0.7, 0.4)]
     tp = np.array([t[0] for t in targets])
     tq = np.array([t[1] for t in targets])
-    whole = _pseudo_work_batch(model, 0.0, 1.0, tp, tq, 1.0, MARCH_SET)
+    whole, track = recorded_march(model, 0.0, 1.0, tp, tq, 1.0, MARCH_SET)
     assert len(solved) == _WORK_NODES + 2
     assert [FAILS_MID_MARCH in node for node in solved] == [
         j <= 9 for j in range(_WORK_NODES + 2)]
@@ -735,20 +784,22 @@ def test_failed_column_stops_marching(monkeypatch):
     j = whole["last_node"][1]
     assert j == max(k for k, node in enumerate(solved)
                     if FAILS_MID_MARCH in node)
-    assert np.all(np.isnan(whole["power"][j:, 1]))
-    assert np.isfinite(whole["center_p"][j, 1])
-    assert np.all(np.isnan(whole["center_p"][j + 1:, 1]))
+    assert np.all(np.isnan(track["power"][j:, 1]))
+    assert np.isfinite(track["center_p"][j, 1])
+    assert np.all(np.isnan(track["center_p"][j + 1:, 1]))
 
     monkeypatch.undo()
     for i in (0, 2):
-        one = _pseudo_work_batch(model, 0.0, 1.0, tp[i:i + 1], tq[i:i + 1],
-                                 1.0, MARCH_SET)
+        one, one_track = recorded_march(model, 0.0, 1.0, tp[i:i + 1],
+                                        tq[i:i + 1], 1.0, MARCH_SET)
         for name in ("W", "W_endpoint", "g_initial", "g_propagated",
-                     "status", "last_node", "newton_iters", "power",
-                     "center_p", "center_q", "residual", "check_p",
+                     "status", "last_node", "newton_iters"):
+            np.testing.assert_array_equal(one[name][0], whole[name][i],
+                                          err_msg=name)
+        for name in ("power", "center_p", "center_q", "residual", "check_p",
                      "check_q"):
-            np.testing.assert_array_equal(one[name][..., 0],
-                                          whole[name][..., i], err_msg=name)
+            np.testing.assert_array_equal(one_track[name][:, 0],
+                                          track[name][:, i], err_msg=name)
 
 
 def test_pseudo_work_reports_the_failing_node():
@@ -760,12 +811,14 @@ def test_pseudo_work_reports_the_failing_node():
                              r"\|det\|="):
         pseudo_work(model, 0.0, 1.0, ComplexPoint(*FAILS_MID_MARCH), 1.0,
                     MARCH_SET)
-    out = _pseudo_work_batch(model, 0.0, 1.0, np.array([FAILS_MID_MARCH[0]]),
-                             np.array([FAILS_MID_MARCH[1]]), 1.0, MARCH_SET)
+    out, track = recorded_march(model, 0.0, 1.0,
+                                np.array([FAILS_MID_MARCH[0]]),
+                                np.array([FAILS_MID_MARCH[1]]), 1.0,
+                                MARCH_SET)
     assert out["times"][9] == _gauss_legendre_nodes(0.0, 1.0)[0][9]
-    assert out["residual"][9, 0] == pytest.approx(0.505, abs=1e-3)
-    assert np.all(np.isfinite(out["det"][:10, 0]))
-    assert np.all(np.isnan(out["det"][10:, 0]))
+    assert track["residual"][9, 0] == pytest.approx(0.505, abs=1e-3)
+    assert np.all(np.isfinite(track["det"][:10, 0]))
+    assert np.all(np.isnan(track["det"][10:, 0]))
 
 
 # a start whose cold t_i solve the direct Newton stage leaves DIVERGED
@@ -833,14 +886,14 @@ def test_scalar_power_and_prefactor_read_the_arc():
     # march's own centers they reproduce the batch's power at every node
     # and its t_i prefactor (from the solve's M_+), bitwise
     model = quartic_ramp()
-    out = _pseudo_work_batch(model, 0.0, 1.0, np.array([0.3]), np.array([0.9]),
-                             0.8, MARCH_SET)
+    out, track = recorded_march(model, 0.0, 1.0, np.array([0.3]),
+                                np.array([0.9]), 0.8, MARCH_SET)
     for j, tj in enumerate(out["times"]):
-        arc = build_arc(model, tj, ComplexPoint(out["center_p"][j, 0],
-                                                out["center_q"][j, 0]),
+        arc = build_arc(model, tj, ComplexPoint(track["center_p"][j, 0],
+                                                track["center_q"][j, 0]),
                         0.8, MARCH_SET)
         assert arc.t == tj and arc.hbar_beta == 0.8
-        assert pseudo_power(arc) == out["power"][j, 0], j
+        assert pseudo_power(arc) == track["power"][j, 0], j
         if j == 0:
             assert arc.prefactor[0] == out["prefactor_initial"][0]
 
@@ -1028,9 +1081,9 @@ def test_non_finite_work_fails_at_t_f(monkeypatch):
 
     monkeypatch.setattr(pseudowork, "_gauss_legendre_nodes", infinite_weight)
     model = quartic_ramp()
-    out = _pseudo_work_batch(model, 0.0, 1.0, np.array([0.3]),
-                             np.array([0.9]), 1.0, MARCH_SET)
-    assert np.all(np.isfinite(out["power"]))
+    out, track = recorded_march(model, 0.0, 1.0, np.array([0.3]),
+                                np.array([0.9]), 1.0, MARCH_SET)
+    assert np.all(np.isfinite(track["power"]))
     assert out["status"].tolist() == [NON_FINITE]
     assert out["last_node"].tolist() == [_WORK_NODES + 1]
     with pytest.raises(IntegratorDiverged,
