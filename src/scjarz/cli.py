@@ -1,17 +1,20 @@
 """Batch driver: grid scans, work protocols, identity checks, oracle reports.
 
 Outputs are deterministic: CSV numbers carry 17 significant digits, strict
-JSON is sorted, and every artifact embeds the configuration hash.  Exit codes:
-0 success, 2 configuration problem, 3 numerical failure.
+JSON is sorted, and each text artifact embeds the configuration hash, which
+``oracle.json`` ties to the exact ``wigner.npy`` by that file's sha256.
+Exit codes: 0 success, 2 configuration problem, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,6 +51,27 @@ def _write_csv(path: Path, cfg: RunConfig, header: str, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config_sha256={cfg.config_hash()}\n{header}\n")
         fh.writelines(rows)
+
+
+def _write_wigner(path: Path, grid) -> str:
+    """``np.save``'s bytes of the float64 table [[nan, p], [q, W]] of shape
+    (n_q + 1, n_p + 1), streamed through one row buffer so no second grid
+    is made; returns their sha256, hashed as they are written."""
+    sha = hashlib.sha256()
+    row = np.empty(grid.p.size + 1)
+    with open(path, "wb") as fh:
+        def write(data) -> None:
+            sha.update(data)
+            fh.write(data)
+        np.lib.format.write_array_header_1_0(SimpleNamespace(write=write), {
+            "descr": np.lib.format.dtype_to_descr(row.dtype),
+            "fortran_order": False, "shape": (grid.q.size + 1, row.size)})
+        row[0], row[1:] = np.nan, grid.p
+        write(row)
+        for qv, values in zip(grid.q, grid.values):
+            row[0], row[1:] = qv, values
+            write(row)
+    return sha.hexdigest()
 
 
 def _csv_rows(columns, markers=None) -> list:
@@ -178,10 +202,12 @@ def _oracle_quartic(cfg: RunConfig, op, grid) -> dict:
 
 
 def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
-    # one thermal operator and one Wigner grid serve the CSV, the
+    # one thermal operator and one Wigner grid serve the grid file, the
     # model-specific comparison and both factors of the convention audit.
     # The operator comes first, so a truncation failure is the first error;
-    # the ordering check's own grid is gone before the thermal grid exists
+    # the ordering check's own grid is gone before the thermal grid exists.
+    # Every check runs before a file is written, and a refused oracle.json
+    # takes the grid file with it: both files are written or neither
     model = cfg.model
     omega = model.protocol.omega(model.protocol.t_i)
     op = thermal_fock(model.kind, model.mass, omega, model.quartic_lambda,
@@ -191,15 +217,21 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
         cfg.wigner_q_max, cfg.wigner_n_q)
     grid = wigner_transform(op, cfg.wigner_q_max, cfg.wigner_n_q)
     audit = weyl_convention_audit(op, op, grid, grid)
-    _write_csv(out_dir / "wigner.csv", cfg, "q,p,W", grid.csv_rows())
     body = (_oracle_harmonic(cfg, op, grid) if model.kind == "harmonic"
             else _oracle_quartic(cfg, op, grid))
-    _write_json(out_dir / "oracle.json", cfg, {
-        **body,
-        "convention_constant": audit.measured_constant,
-        "convention_expected": audit.two_pi_hbar,
-        "ordering_deviation": ordering["deviation"],
-    })
+    grid_path = out_dir / "wigner.npy"
+    sha = _write_wigner(grid_path, grid)
+    try:
+        _write_json(out_dir / "oracle.json", cfg, {
+            **body,
+            "convention_constant": audit.measured_constant,
+            "convention_expected": audit.two_pi_hbar,
+            "ordering_deviation": ordering["deviation"],
+            "wigner_sha256": sha,
+        })
+    except ScjarzError:
+        grid_path.unlink()
+        raise
     return EXIT_OK
 
 

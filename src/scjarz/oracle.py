@@ -44,26 +44,15 @@ class FockOperator:
 
 @dataclass(frozen=True)
 class WignerGrid:
-    """Phase-space samples of a Wigner transform on an FFT-conjugate grid."""
+    """Phase-space samples of a Wigner transform on an FFT-conjugate grid;
+    ``scjarz oracle`` writes one exactly, as the float64 ``wigner.npy``
+    table [[nan, p], [q, values]] of shape (n_q + 1, n_p + 1)."""
 
     q: np.ndarray
     p: np.ndarray
     values: np.ndarray          # (n_q, n_p) real, W[i_q, i_p]
     imag_residual: float
     norm: float                 # sum W dp dq, compare with Tr
-
-    def csv_rows(self):
-        """CSV lines of (q, p, W) triples at full precision, q-major, one
-        string per q row, made as it is read.
-
-        Every number is formatted once with ``.17g``.  The p column is
-        formatted up front into a row template, each q value is put into it
-        once per row, and each row's W values fill it in one ``%`` pass.
-        """
-        # "\0" marks the q cell; no formatted number contains it or "%"
-        template = "".join(f"\0,{pv:.17g},%.17g\n" for pv in self.p.tolist())
-        for qv, row in zip(self.q.tolist(), self.values):
-            yield template.replace("\0", f"{qv:.17g}") % tuple(row.tolist())
 
 
 def ladder_operators(n_max: int):

@@ -35,6 +35,27 @@ def grad(model, t, p, q):
     return dp, dq
 
 
+def linear_flow_matrix(model, n_steps=200):
+    """The 2x2 matrix of the classical flow of a linear drive from t_i to
+    t_f on z = (p, q): plain RK4 on dp/dt = -m w(t)^2 q, dq/dt = p / m,
+    both columns at once."""
+    pr, m = model.protocol, model.mass
+    h = (pr.t_f - pr.t_i) / n_steps
+
+    def f(t, z):
+        return np.array([[0.0, -m * pr.omega(t) ** 2], [1.0 / m, 0.0]]) @ z
+
+    z, t = np.eye(2), pr.t_i
+    for _ in range(n_steps):
+        k1 = f(t, z)
+        k2 = f(t + 0.5 * h, z + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, z + 0.5 * h * k2)
+        k4 = f(t + h, z + h * k3)
+        z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+    return z
+
+
 def linear_monodromy_path(model, c, d, t0, dt, h, n_steps):
     """The tangent path (2, n_steps + 1, 2, 1) of a linear flow from the
     identity, stepped as arrays: the p and q stacks (2, 1), row 0 started

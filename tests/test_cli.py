@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -17,6 +18,7 @@ import scjarz.oracle
 from scjarz.cli import build_parser, main
 from scjarz.config import config_hash, load_config, parse_config
 from scjarz.jarzynski import verify_identity
+from scjarz.oracle import thermal_fock, wigner_transform
 from scjarz.pseudowork import _WORK_NODES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -580,12 +582,24 @@ def test_oracle_command_harmonic(config_path, tmp_path):
     assert rep["wigner_max_abs_dev"] < 1e-6
     assert rep["convention_constant"] == pytest.approx(2 * np.pi, rel=1e-6)
     assert rep["ordering_deviation"] < 1e-10
-    lines = (out / "wigner.csv").read_text().strip().splitlines()
-    assert lines[:2] == [f"# config_sha256={load_config(config_path).config_hash()}",
-                         "q,p,W"]
-    assert len(lines) == 2 + 256 * 256
-    q0, p0, w0 = (float(x) for x in lines[2].split(","))
-    assert q0 == -10.0 and w0 == pytest.approx(0.0, abs=1e-12)
+    # the grid file is tied to its config through oracle.json, which holds
+    # both the config hash and the file's sha256
+    cfg = load_config(config_path)
+    data = (out / "wigner.npy").read_bytes()
+    assert rep["config_sha256"] == cfg.config_hash()
+    assert rep["wigner_sha256"] == hashlib.sha256(data).hexdigest()
+    table = np.load(out / "wigner.npy")
+    assert table.shape == (257, 257) and np.isnan(table[0, 0])
+    omega = cfg.model.protocol.omega(cfg.model.protocol.t_i)
+    grid = wigner_transform(
+        thermal_fock("harmonic", cfg.model.mass, omega, 0.0, cfg.beta,
+                     cfg.hbar, cfg.fock_n_max),
+        cfg.wigner_q_max, cfg.wigner_n_q)
+    assert table[0, 1:].tobytes() == grid.p.tobytes()
+    assert table[1:, 0].tobytes() == grid.q.tobytes()
+    assert table[1:, 1:].tobytes() == grid.values.tobytes()
+    assert table[1, 0] == -10.0
+    assert table[1, 1] == pytest.approx(0.0, abs=1e-12)
 
 
 QUARTIC_ORACLE_CONFIG = """
@@ -694,6 +708,11 @@ def test_oracle_holds_about_one_real_grid_at_a_time(tmp_path):
     # truncation failure is the one reported
     ({"wigner_q_max: 8.0": "wigner_q_max: 3.0",
       "fock_n_max: 96": "fock_n_max: 8"}, "raise the cutoff"),
+    # the quartic comparison's Z is refused after the grid exists; the
+    # grid is written only once the comparison holds
+    ({"domain: {p_max: 7.5, q_max: 4.5, n_p: 48, n_q: 48}":
+      "domain: {p_max: 2.0, q_max: 2.0, n_p: 16, n_q: 16}"},
+     "enlarge the domain"),
 ])
 def test_oracle_failure_writes_no_artifact(edits, message, tmp_path, capsys):
     text = QUARTIC_RAMP.read_text()
@@ -706,8 +725,24 @@ def test_oracle_failure_writes_no_artifact(edits, message, tmp_path, capsys):
     assert main(["oracle", "--config", str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert message in err and err.count("\n") == 1, err
-    assert not (out / "wigner.csv").exists()
-    assert not (out / "oracle.json").exists()
+    assert not (out / "wigner.npy").exists()
+    assert list(out.iterdir()) == []
+
+
+def test_a_refused_oracle_report_takes_its_grid_with_it(config_path,
+                                                        tmp_path, capsys,
+                                                        monkeypatch):
+    # oracle.json refuses a NaN after the grid file is written; the grid
+    # file is removed, so the oracle writes both files or neither
+    harmonic = scjarz.cli._oracle_harmonic
+    monkeypatch.setattr(scjarz.cli, "_oracle_harmonic", lambda *args: {
+        **harmonic(*args), "wigner_max_abs_dev": float("nan")})
+    out = tmp_path / "out"
+    assert main(["oracle", "--config", str(config_path),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "would hold NaN or infinity" in err and err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 def test_every_command_runs_with_scipy_blocked(config_path, tmp_path):

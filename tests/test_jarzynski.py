@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from scjarz import dynamics, jarzynski, pseudowork, stationary
 from scjarz.config import load_config
@@ -17,6 +17,8 @@ from scjarz.stationary import _pseudo_hamiltonian_batch
 from scjarz.errors import DomainTooSmall, IntegratorDiverged, NewtonDiverged
 from scjarz.jarzynski import QuadratureDomain, partition, verify_identity
 from scjarz.models import harmonic_model, ramped_model
+
+from references import linear_flow_matrix
 
 SET = IntegratorSettings(n_sigma_steps=64, n_time_steps=32)
 DOMAIN = QuadratureDomain(p_max=10.5, q_max=10.5, n_p=64, n_q=64)
@@ -305,6 +307,66 @@ def test_protocol_reversal_inverts_the_ratio(shape):
     assert r_fwd.rhs * r_rev.rhs == pytest.approx(1.0, abs=1e-6)
     assert r_fwd.rhs == pytest.approx(ratio, rel=1e-6)
     assert r_rev.rhs == pytest.approx(1.0 / ratio, rel=1e-6)
+
+
+def exact_case_domain(model, beta, hbar):
+    """A quadrature domain for a harmonic protocol, sized from its three
+    weights exp(-beta z^T A z / 2) on z = (p, q): the static ones at t_i
+    and t_f, A = (tanh(b) / b) diag(1/m, m w^2) with b = beta hbar w / 2,
+    and the propagated one, A_f carried back by the classical flow M
+    (G_prop(z) = G_f(M z)).  A softening ramp shears the propagated
+    weight, so it is the widest in p.  Each half-width puts every form's
+    edge below the ring tolerance (the smallest G over a line p = p_max
+    is p_max^2 / (2 (A^-1)_pp)), with a 5% margin; each axis gets 4 nodes
+    per narrowest conditional width 1 / sqrt(beta A_jj), and at least 16."""
+    def form(t):
+        w = model.protocol.omega(t)
+        b = 0.5 * beta * hbar * w
+        return np.tanh(b) / b * np.diag([1.0 / model.mass, model.mass * w * w])
+
+    flow = linear_flow_matrix(model)
+    a_f = form(model.protocol.t_f)
+    forms = [form(model.protocol.t_i), a_f, flow.T @ a_f @ flow]
+    tol = QuadratureDomain(1.0, 1.0).boundary_weight_tol
+    half = 1.05 * np.max([np.sqrt(-2.0 * np.log(tol) / beta
+                                  * np.diag(np.linalg.inv(a)))
+                          for a in forms], axis=0)
+    narrow = np.max([np.sqrt(beta * np.diag(a)) for a in forms], axis=0)
+    n_p, n_q = np.maximum(16, np.ceil(4.0 * half * narrow)).astype(int)
+    return QuadratureDomain(p_max=float(half[0]), q_max=float(half[1]),
+                            n_p=int(n_p), n_q=int(n_q))
+
+
+# a sweep of 300 random protocols and the 16 corners of the ranges below
+# put lhs and rhs within 8.8e-8 (relative) of the tanh ratio, worst at the
+# corner 2.5 -> 0.5, hbar*beta = 2 (smoothstep), and the prefactor rhs
+# within 3.1e-9 of the sinh ratio
+EXACT_CASE_SET = IntegratorSettings(n_sigma_steps=128, n_time_steps=64)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.5, 2.5), st.floats(0.5, 2.5), st.floats(0.25, 2.0),
+       st.sampled_from(["linear", "smoothstep"]))
+@example(2.5, 0.5, 2.0, "smoothstep")
+def test_harmonic_identity_is_exact_over_protocols(omega_i, omega_f,
+                                                   hbar_beta, shape):
+    # the paper's exactly solvable case: for every harmonic protocol the
+    # semi-classical lhs and rhs are tanh(b_i) / tanh(b_f), and with the
+    # prefactor the static ratio is the quantum sinh(b_i) / sinh(b_f),
+    # b = beta hbar w / 2; a DomainTooSmall here fails the test
+    model = ramped_model("harmonic", omega_i=omega_i, omega_f=omega_f,
+                         shape=shape)
+    report = verify_identity(model, 1.0, hbar_beta,
+                             exact_case_domain(model, 1.0, hbar_beta),
+                             EXACT_CASE_SET, with_prefactor=True)
+    b_i, b_f = 0.5 * hbar_beta * omega_i, 0.5 * hbar_beta * omega_f
+    ratio = np.tanh(b_i) / np.tanh(b_f)
+    assert report.failures == []
+    assert report.lhs == pytest.approx(ratio, rel=1e-6)
+    assert report.rhs == pytest.approx(ratio, rel=1e-6)
+    assert report.prefactor_on["rhs"] == pytest.approx(
+        np.sinh(b_i) / np.sinh(b_f), rel=3e-8)
+
 
 def test_identity_depends_only_on_beta_hbar_product():
     # same beta*hbar and frequencies leave the arc geometry unchanged, so

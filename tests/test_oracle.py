@@ -1,9 +1,11 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from scjarz.cli import _write_wigner
 from scjarz.dynamics import IntegratorSettings
 from scjarz.errors import GridTooNarrow, TruncationInsufficient
 from scjarz.jarzynski import QuadratureDomain, partition
@@ -155,26 +157,34 @@ def test_convention_audit_refuses_grids_on_other_axes():
         weyl_convention_audit(op, projector(0, hbar=0.5), grid, grid)
 
 
-def test_write_csv_matches_row_by_row_reference():
-    # byte equality with one f-string per (q, p, W) triple, including
-    # signed zeros, negatives, values near the subnormal range and
-    # non-finite values; the lines come one string per q row, so the
-    # CSV is written as it is formatted (the header is the writer's)
+def test_wigner_file_is_the_exact_grid(tmp_path):
+    # the grid file holds signed zeros, subnormals and non-finite values
+    # bit for bit, axes included: np.load gives back the corner NaN, p in
+    # row 0, q in column 0 and the values, and the streamed bytes are
+    # np.save's of that table, whose sha256 the writer returns
     q = np.array([-1.5, -0.0, 0.1, 2.0 / 3.0])
-    p = np.array([-3.0, 0.0, 1e-17, np.pi, 7.25])
+    p = np.array([-3.0, 0.0, 1e-17, np.pi, 5e-324])
     values = np.random.default_rng(5).normal(size=(q.size, p.size)) * 1e3
     values[0, :] = [0.0, -0.0, 1e-300, -1e-300, 5e-324]
     values[1, 1] = -2.2250738585072014e-308
     values[2, 3] = 1.0 / 3.0
-    values[3, 2:4] = [np.inf, np.nan]
+    values[3, 1:4] = [np.inf, -np.inf, np.nan]
     grid = WignerGrid(q=q, p=p, values=values, imag_residual=0.0, norm=1.0)
-    ref = []
-    for i, qv in enumerate(q):
-        for j, pv in enumerate(p):
-            ref.append(f"{qv:.17g},{pv:.17g},{values[i, j]:.17g}\n")
-    rows = list(grid.csv_rows())
-    assert len(rows) == q.size
-    assert "".join(rows) == "".join(ref)
+    path = tmp_path / "wigner.npy"
+    sha = _write_wigner(path, grid)
+    table = np.load(path)
+    assert table.dtype == np.float64 and table.shape == (5, 6)
+    assert np.isnan(table[0, 0])
+    for got, want in ((table[0, 1:], p), (table[1:, 0], q),
+                      (table[1:, 1:], values)):
+        assert got.tobytes() == want.tobytes()
+    stacked = np.empty((5, 6))
+    stacked[0, 0], stacked[0, 1:], stacked[1:, 0] = np.nan, p, q
+    stacked[1:, 1:] = values
+    np.save(tmp_path / "stacked.npy", stacked)
+    data = path.read_bytes()
+    assert data == (tmp_path / "stacked.npy").read_bytes()
+    assert sha == hashlib.sha256(data).hexdigest()
 
 
 def test_ordering_pairing_identity():
