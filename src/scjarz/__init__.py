@@ -5,7 +5,9 @@ oscillator families and integrates pseudo-work along pseudo-trajectories.
 It checks the semi-classical work identity internally, lhs
 <exp(-beta W)> against rhs Z_prop / Z_i from one march, and checks the
 static symbol at t_i against quantum-exact Fock/Wigner references.  The
-driven identity is not yet compared with a quantum-exact reference.
+driven identity's lhs meets the quantum ratio Tr exp(-beta H_f) /
+Tr exp(-beta H_i) at second order in hbar; the tests check that order on
+the quartic ramp, and no artifact records the quantum ratio.
 """
 
 from .dynamics import (ImaginaryArc, IntegratorSettings, SampledPath,

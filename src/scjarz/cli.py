@@ -92,6 +92,21 @@ def _status_marker(code: int) -> str:
     return name if code == OK else name.upper()
 
 
+# rows of gibbs.csv formatted at a time
+_CSV_BLOCK_ROWS = 256
+
+
+def _csv_row_blocks(columns, status):
+    """The lines of ``_csv_rows(columns, markers)``, with the status
+    markers of ``status``, made ``_CSV_BLOCK_ROWS`` rows at a time, so
+    only one block's floats and lines are held; joined, the blocks are
+    one whole ``_csv_rows`` pass byte for byte."""
+    for start in range(0, status.size, _CSV_BLOCK_ROWS):
+        rows = slice(start, start + _CSV_BLOCK_ROWS)
+        markers = [_status_marker(code) for code in status[rows].tolist()]
+        yield from _csv_rows([c[rows] for c in columns], markers)
+
+
 def cmd_gibbs(cfg: RunConfig, out_dir: Path, prefactor: bool) -> int:
     P, Q = cfg.grid.points()
     solve, g, g_fta = _pseudo_hamiltonian_batch(
@@ -112,9 +127,8 @@ def cmd_gibbs(cfg: RunConfig, out_dir: Path, prefactor: bool) -> int:
         header.append("prefactor")
         columns.append(pref)
     header.append("status")
-    markers = [_status_marker(code) for code in status.tolist()]
     _write_csv(out_dir / "gibbs.csv", cfg, ",".join(header),
-               _csv_rows(columns, markers))
+               _csv_row_blocks(columns, status))
     n_failed = int(np.count_nonzero(status != OK))
     if n_failed:
         print(f"gibbs: {n_failed} of {P.size} grid nodes failed",
@@ -205,7 +219,7 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path) -> int:
     # one thermal operator and one Wigner grid serve the grid file, the
     # model-specific comparison and both factors of the convention audit.
     # The operator comes first, so a truncation failure is the first error;
-    # the ordering check's own grid is gone before the thermal grid exists.
+    # the ordering check sums its transform's row blocks and holds no grid.
     # Every check runs before a file is written, and a refused oracle.json
     # takes the grid file with it: both files are written or neither
     model = cfg.model

@@ -114,8 +114,9 @@ def _collect_failures(P, Q, status, t) -> list:
              "reason": STATUS_NAMES[int(status[i])]} for i in bad]
 
 
-def _check_domain(domain, g, beta, end) -> None:
-    """Certify the truncation of the weight exp(-beta g) at one end.
+def _check_domain(domain, g, beta, end) -> float:
+    """Certify the truncation of the weight exp(-beta g) at one end and
+    return the certificate: the ring's largest weight over the largest one.
 
     ``g`` holds the pseudo-energy at every node of ``domain.nodes()``, NaN
     where the node did not solve.  Raises DomainTooSmall, naming ``end``,
@@ -132,6 +133,7 @@ def _check_domain(domain, g, beta, end) -> None:
     if ratio > tol:
         raise DomainTooSmall(f"boundary weight ratio {ratio:.3e} at {end} "
                              f"exceeds {tol:.1e}; enlarge the domain")
+    return float(ratio)
 
 
 def partition(model: HamiltonianModel, t: float, beta: float, hbar: float,
@@ -296,15 +298,27 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
     checked after the t_i certificate and before the t_f one: a start lost
     in the march has no t_f weight, so the t_f check would otherwise blame
     the domain for a failure with another cause.
-    ``diagnostics`` holds the march's solver counts and its path/endpoint
-    gap |W - W_endpoint| / (1 + |W|) over the OK nodes: the mean weighted
-    by W exp(-beta G_initial) and the maximum.
+    ``diagnostics`` holds the march's solver counts, its path/endpoint
+    gap |W - W_endpoint| / (1 + |W|) over the OK nodes (the mean weighted
+    by W exp(-beta G_initial) and the maximum) and the two domain
+    certificates ``_check_domain`` returns, ring_ratio_t_i for the weight
+    exp(-beta G_initial) and ring_ratio_t_f for the propagated weight
+    exp(-beta G_prop).
+
+    The certificate bounds the domain's truncation, not how finely its
+    nodes resolve the weights, and lhs and rhs share one quadrature, so
+    an under-resolved grid can pass with a small residual.  A harmonic
+    ramp omega 2.31 -> 0.534 (smoothstep) at beta hbar = 0.781 on a 64x64
+    grid (p_max 29.7, q_max 16.6, every weight's ring below 1e-10) puts
+    lhs and rhs 5e-8 apart, while both miss the exact ratio
+    tanh(beta hbar omega_i / 2) / tanh(beta hbar omega_f / 2) by 1.7e-3;
+    128x128 nodes bring both within 5e-8 of it.
     """
     t_i, t_f = model.protocol.t_i, model.protocol.t_f
     P, Q, W = domain.nodes()
     out, counts = _mirrored_march(model, t_i, t_f, P, Q, beta * hbar,
                                   settings)
-    _check_domain(domain, out["g_initial"], beta, "t_i")
+    ring_t_i = _check_domain(domain, out["g_initial"], beta, "t_i")
     failures = _collect_failures(P, Q, out["status"],
                                  out["times"][out["last_node"]])
     if len(failures) > _FAILURE_BUDGET * P.size:
@@ -315,7 +329,7 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
         raise NewtonDiverged(
             f"{len(failures)} of {P.size} quadrature nodes failed "
             f"(> {100 * _FAILURE_BUDGET:.0f}% budget): {by_reason}")
-    _check_domain(domain, out["g_propagated"], beta, "t_f")
+    ring_t_f = _check_domain(domain, out["g_propagated"], beta, "t_f")
     ok = out["status"] == OK
     w_quad = W[ok]
     g_i = out["g_initial"][ok]
@@ -330,7 +344,8 @@ def verify_identity(model: HamiltonianModel, beta: float, hbar: float,
         Z_i=z_i, Z_f=z_f, lhs=lhs, rhs=rhs,
         residual=abs(lhs - rhs) / abs(rhs),
         failures=failures, n_nodes=int(P.size),
-        diagnostics=counts | _work_gap(out, ok, weight_i))
+        diagnostics=counts | _work_gap(out, ok, weight_i)
+        | {"ring_ratio_t_i": ring_t_i, "ring_ratio_t_f": ring_t_f})
 
     if with_prefactor:
         # static partitions at both protocol ends with the geometric

@@ -128,6 +128,22 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
 _WIGNER_BLOCK_ROWS = 32
 
 
+def _pairwise_total(sums: list):
+    """The total of consecutive blocks from their sums, added in halves
+    as np.sum adds a contiguous array, which it splits at its middle
+    rounded down to a multiple of 8 elements.
+
+    For one block, or for 2^k equal blocks, the total is np.sum's of the
+    whole bit for bit: in ``_WIGNER_BLOCK_ROWS``-row blocks, that holds
+    for every n_q <= 32 and every power of two.  At other n_q the total
+    can differ from np.sum's in the last places.
+    """
+    if len(sums) == 1:
+        return sums[0]
+    half = len(sums) // 2
+    return _pairwise_total(sums[:half]) + _pairwise_total(sums[half:])
+
+
 def _wigner_raw(op: FockOperator, q_max: float, n_q: int) -> tuple:
     """Complex Wigner values on the FFT grid in row blocks, plus the axes.
 
@@ -317,9 +333,10 @@ def weyl_convention_audit(op_a: FockOperator, op_b: FockOperator,
     Tr(A B) is computed in the ladder basis; the overlap integral uses the
     density-normalized symbols ``grid_a`` and ``grid_b`` of the two
     operators (``wigner_transform``), so the expected constant is 2 pi hbar
-    (and exactly 1 when one factor drops its normalization).  Raises
-    ValueError unless the operators share hbar and the grids their q and
-    p axes.
+    (and exactly 1 when one factor drops its normalization).  The sum of
+    W_a W_b is taken over row blocks of one block buffer, so no
+    grid-sized product is made (``_pairwise_total``).  Raises ValueError
+    unless the operators share hbar and the grids their q and p axes.
     """
     if op_a.hbar != op_b.hbar:
         raise ValueError("operators must share hbar")
@@ -329,7 +346,16 @@ def weyl_convention_audit(op_a: FockOperator, op_b: FockOperator,
     tr = complex(np.trace(op_a.matrix @ op_b.matrix))
     dp = grid_a.p[1] - grid_a.p[0]
     dq = grid_a.q[1] - grid_a.q[0]
-    overlap = float(np.sum(grid_a.values * grid_b.values) * dp * dq)
+    n_q = grid_a.q.size
+    buffer = np.empty((_WIGNER_BLOCK_ROWS, grid_a.p.size))
+    sums = []
+    for start in range(0, n_q, _WIGNER_BLOCK_ROWS):
+        stop = min(start + _WIGNER_BLOCK_ROWS, n_q)
+        product = buffer[:stop - start]
+        np.multiply(grid_a.values[start:stop], grid_b.values[start:stop],
+                    out=product)
+        sums.append(np.sum(product))
+    overlap = float(_pairwise_total(sums) * dp * dq)
     measured = tr.real / overlap
     two_pi_hbar = 2.0 * np.pi * op_a.hbar
     return ConventionAuditReport(tr, overlap, measured,
@@ -348,8 +374,10 @@ def ordering_pairing_check(n_max: int, hbar: float, mass: float, omega: float,
     truncation, so the identity is checked against smooth test states:
     Tr(p q_op rho) from matrix elements must match the phase-space moment
     integral of (pq - i hbar/2) against the Wigner transform of rho.  The
-    moment density (p q) W is formed in place, in the check's own Wigner
-    grid, after the norm is summed, so the check holds one real grid.
+    norm and the moment (p q) W are summed from the transform's row
+    blocks (``_wigner_raw``), each block's real part copied into one
+    contiguous block buffer and its density formed there in place, so the
+    check holds no grid (``_pairwise_total``).
     """
     psi = np.zeros(n_max + 1, dtype=complex)
     psi[:_ORDERING_TEST_STATE.size] = _ORDERING_TEST_STATE
@@ -357,21 +385,24 @@ def ordering_pairing_check(n_max: int, hbar: float, mass: float, omega: float,
     rho = np.outer(psi, psi.conj())
     qm, pm = position_momentum_matrices(n_max, hbar, mass, omega)
     trace_side = complex(np.trace(pm @ qm @ rho))
-    grid = wigner_transform(FockOperator(rho, hbar, mass, omega), q_max, n_q)
-    dp = grid.p[1] - grid.p[0]
-    dq = grid.q[1] - grid.q[0]
-    norm = np.sum(grid.values) * dp * dq
-    # the grid is this check's own, so (p q) W is formed in it, a row
-    # block at a time: W (p q) is (p q) W element for element
-    density = grid.values
-    for start in range(0, density.shape[0], _WIGNER_BLOCK_ROWS):
-        rows = slice(start, start + _WIGNER_BLOCK_ROWS)
-        density[rows] *= grid.p[None, :] * grid.q[rows, None]
-    moment = np.sum(density) * dp * dq
+    q_axis, p_axis, blocks, _, _ = _wigner_raw(
+        FockOperator(rho, hbar, mass, omega), q_max, n_q)
+    # the spacings are read from the axes, as for a WignerGrid
+    dp = p_axis[1] - p_axis[0]
+    dq = q_axis[1] - q_axis[0]
+    buffer = np.empty((_WIGNER_BLOCK_ROWS, p_axis.size))
+    norms, moments = [], []
+    for rows, block in blocks:
+        density = buffer[:block.shape[0]]
+        np.copyto(density, block.real)
+        norms.append(np.sum(density))
+        density *= p_axis[None, :] * q_axis[rows, None]
+        moments.append(np.sum(density))
+    norm = _pairwise_total(norms) * dp * dq
+    moment = _pairwise_total(moments) * dp * dq
     integral_side = complex(moment - 0.5j * hbar * norm)
     return {
         "trace_side": trace_side,
         "integral_side": integral_side,
         "deviation": abs(trace_side - integral_side),
     }
-

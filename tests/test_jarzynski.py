@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from scjarz import dynamics, jarzynski, pseudowork, stationary
+from scjarz import dynamics, jarzynski, oracle, pseudowork, stationary
 from scjarz.config import load_config
 from scjarz.dynamics import ImaginaryArc, IntegratorSettings
 from scjarz.pseudowork import (_WORK_NODES, _gauss_legendre_nodes,
@@ -78,12 +78,13 @@ def test_ring_is_the_outermost_nodes():
 
 def test_domain_check_reads_the_ring_of_the_given_weights():
     # a pure check: a failed ring node or a ring weight above the tolerance
-    # raises, naming the end; a failed interior node is left to the caller
+    # raises, naming the end; a failed interior node is left to the caller.
+    # A passing check returns its ring-to-peak weight ratio
     dom = QuadratureDomain(p_max=1.0, q_max=1.0, n_p=3, n_q=3,
                            boundary_weight_tol=1e-4)
     g = np.full(9, 10.0)
     g[4] = 0.0                          # the center, the one interior node
-    jarzynski._check_domain(dom, g, 1.0, "t_i")
+    assert jarzynski._check_domain(dom, g, 1.0, "t_i") == float(np.exp(-10.0))
     with pytest.raises(DomainTooSmall, match="ratio 6.738e-03 at t_f"):
         jarzynski._check_domain(dom, g, 0.5, "t_f")
     g[0] = np.nan
@@ -92,6 +93,26 @@ def test_domain_check_reads_the_ring_of_the_given_weights():
     g[0], g[4] = 10.0, np.nan
     with pytest.raises(DomainTooSmall, match="ratio 1.000e\\+00 at t_i"):
         jarzynski._check_domain(dom, g, 1.0, "t_i")
+
+
+def test_identity_report_records_its_domain_certificates():
+    # diagnostics carry the ring-to-peak ratio of each certified weight,
+    # exp(-beta G_initial) at t_i and the propagated exp(-beta G_prop) at
+    # t_f, which a full, unmirrored march of the same nodes gives directly
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    dom = QuadratureDomain(p_max=7.5, q_max=4.5, n_p=8, n_q=8)
+    settings = IntegratorSettings(n_sigma_steps=32, n_time_steps=8)
+    report = verify_identity(model, 1.0, 0.5, dom, settings)
+    P, Q, _ = dom.nodes()
+    out = _pseudo_work_batch(model, 0.0, 1.0, P, Q, 0.5, settings)
+    ring = dom.ring()
+    for end, key in (("t_i", "g_initial"), ("t_f", "g_propagated")):
+        weight = np.exp(-out[key])
+        ratio = report.diagnostics[f"ring_ratio_{end}"]
+        assert ratio == pytest.approx(np.max(weight[ring]) / np.max(weight),
+                                      rel=1e-12)
+        assert 0.0 < ratio <= dom.boundary_weight_tol
 
 
 def test_partition_matches_closed_form():
@@ -454,6 +475,29 @@ def test_monte_carlo_marches_each_sample_once(monkeypatch):
                     monte_carlo=True, mc_samples=50, seed=3)
     assert marches == [18, 50]
     assert statics == []
+
+
+def test_quartic_identity_meets_the_quantum_ratio_at_second_order():
+    # the paper's identity holds to leading order in hbar: on the quartic
+    # ramp (lambda = 0.1, omega 1 -> 2, beta = 1) the lhs <exp(-beta W)>
+    # misses the quantum ratio r_Q = Tr exp(-beta H_f) / Tr exp(-beta H_i)
+    # by 7.80e-2, 1.98e-2 and 5.02e-3 (relative) at hbar = 0.5, 0.25 and
+    # 0.125, observed orders 1.976 and 1.982; nearly all of the gap is the
+    # missing prefactor
+    model = ramped_model("quartic", omega_i=1.0, omega_f=2.0,
+                         quartic_lambda=0.1)
+    dom = QuadratureDomain(p_max=7.5, q_max=4.5, n_p=32, n_q=32)
+    settings = IntegratorSettings(n_sigma_steps=32, n_time_steps=32)
+    gaps = []
+    for hbar in (0.5, 0.25, 0.125):
+        report = verify_identity(model, 1.0, hbar, dom, settings)
+        assert report.failures == []
+        z_q = [oracle.thermal_fock("quartic", 1.0, omega, 0.1, 1.0, hbar,
+                                   96).trace().real for omega in (1.0, 2.0)]
+        r_q = z_q[1] / z_q[0]
+        gaps.append(abs(report.lhs - r_q) / r_q)
+    orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+    assert np.all(orders >= 1.8), (gaps, orders)
 
 
 def test_prefactor_report_exposes_correction():

@@ -262,11 +262,12 @@ def test_wigner_transform_holds_under_three_grids():
     assert peak <= 1.1 * n * n * 16, peak / (n * n * 16)
 
 
-def test_ordering_check_forms_its_moment_in_its_own_grid():
-    # the moment density (p q) W is formed in place, in row blocks, in the
-    # check's own Wigner grid: at 512 points the check peaks at 1.75 real
-    # (n, n) grids of traced numpy memory (2.21 with the density as a grid
-    # of its own, 3.15 with a complex grid in the transform as well)
+def test_ordering_check_holds_no_grid():
+    # the norm and the moment density (p q) W are summed from the
+    # transform's row blocks, each copied into one block buffer: at 512
+    # points the check peaks at 0.87 real (n, n) grids of traced numpy
+    # memory (1.74 when it formed (p q) W in place in a grid of its own,
+    # 2.21 with the density as a second grid)
     n = 512
     tracemalloc.start()
     try:
@@ -275,7 +276,44 @@ def test_ordering_check_forms_its_moment_in_its_own_grid():
     finally:
         tracemalloc.stop()
     assert rep["deviation"] < 1e-10
-    assert peak <= 2.0 * n * n * 8, peak / (n * n * 8)
+    assert peak <= 1.0 * n * n * 8, peak / (n * n * 8)
+
+
+def ordering_from_the_grid(n_max, hbar, q_max, n_q):
+    """The ordering check's integral side from its whole Wigner grid."""
+    psi = np.zeros(n_max + 1, dtype=complex)
+    psi[:oracle._ORDERING_TEST_STATE.size] = oracle._ORDERING_TEST_STATE
+    psi /= np.linalg.norm(psi)
+    grid = wigner_transform(
+        FockOperator(np.outer(psi, psi.conj()), hbar, 1.0, 1.0), q_max, n_q)
+    dp = grid.p[1] - grid.p[0]
+    dq = grid.q[1] - grid.q[0]
+    norm = np.sum(grid.values) * dp * dq
+    moment = np.sum(grid.values * (grid.p[None, :] * grid.q[:, None]))
+    return complex(moment * dp * dq - 0.5j * hbar * norm)
+
+
+@pytest.mark.parametrize("n_q", [16, 128, 256, 512, 48, 200])
+def test_blocked_sums_are_np_sum_of_the_whole_grid(n_q):
+    # the audit's overlap and the ordering check's norm and moment add
+    # their row blocks' sums in np.sum's pairwise order, so at n_q <= 32
+    # and at every power of two they are np.sum's of the whole grid bit
+    # for bit, with dp and dq read from the grid's axes; at other n_q the
+    # blocks can straddle np.sum's split and the sums move at rounding level
+    thermal = thermal_fock("harmonic", 1.0, 1.0, 0.0, 1.0, 1.0, 40)
+    a = wigner_transform(thermal, 12.0, n_q)
+    b = wigner_transform(projector(1, dim=41), 12.0, n_q)
+    rep = weyl_convention_audit(thermal, projector(1, dim=41), a, b)
+    dp, dq = a.p[1] - a.p[0], a.q[1] - a.q[0]
+    overlap = float(np.sum(a.values * b.values) * dp * dq)
+    check = ordering_pairing_check(48, 0.5, 1.0, 1.0, 10.0, n_q)
+    integral = ordering_from_the_grid(48, 0.5, 10.0, n_q)
+    if n_q <= 32 or n_q & (n_q - 1) == 0:
+        assert rep.overlap_integral == overlap
+        assert check["integral_side"] == integral
+    else:
+        assert rep.overlap_integral == pytest.approx(overlap, rel=1e-13)
+        assert check["integral_side"] == pytest.approx(integral, rel=1e-13)
 
 
 def test_log_of_thermal_wigner_recovers_pseudo_hamiltonian():
